@@ -16,10 +16,12 @@ from .bounds import (
     MembershipMode,
     MembershipStatus,
     Proposition,
+    SweepRow,
     corollary_bound_q1,
     evaluate_bound_report,
     hermite_hadamard_check,
     proposition_bound,
+    sweep_rows,
     theorem_bound,
 )
 from .coefficients import (
@@ -43,7 +45,16 @@ from .expressions import (
     parse,
     to_text,
 )
-from .kernel import IdentityReport, RuleParams, kernel_k, lhs_functional, rhs_identity, verify_identity
+from .kernel import (
+    FunctionalTerms,
+    IdentityReport,
+    RuleParams,
+    functional_terms,
+    kernel_k,
+    lhs_functional,
+    rhs_identity,
+    verify_identity,
+)
 from .qclass import (
     QClassReport,
     Violation,
@@ -73,6 +84,7 @@ __all__ = [
     "DomainError",
     "ExpectedMembership",
     "ExpressionError",
+    "FunctionalTerms",
     "HermiteHadamardReport",
     "IdentityReport",
     "Interval",
@@ -88,6 +100,7 @@ __all__ = [
     "QuadratureError",
     "Regime",
     "RuleParams",
+    "SweepRow",
     "Violation",
     "check_godunova_levin",
     "coeff_a",
@@ -99,6 +112,7 @@ __all__ = [
     "evaluate",
     "evaluate_bound_report",
     "evaluate_jet2",
+    "functional_terms",
     "hermite_hadamard_check",
     "integrate",
     "integrate_piecewise",
@@ -111,6 +125,7 @@ __all__ = [
     "proposition_bound",
     "rhs_identity",
     "second_derivative_fd",
+    "sweep_rows",
     "theorem_bound",
     "to_text",
     "verify_identity",

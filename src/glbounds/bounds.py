@@ -13,23 +13,25 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .coefficients import Regime, coeff_total_q1, coefficient_set
-from .expressions import Node, evaluate, evaluate_jet2
-from .kernel import RuleParams, lhs_functional
+from .coefficients import Regime, _check_lambda, coeff_total_q1, coefficient_set
+from .expressions import Node, evaluate_jet2
+from .kernel import RuleParams, functional_terms, lhs_functional
 from .qclass import DEFAULT_GRID_N, DEFAULT_TOL, membership_for_bound
-from .quadrature import Interval, QuadratureConfig, integrate
+from .quadrature import Interval, QuadratureConfig
 
 __all__ = [
     "MembershipStatus",
     "MembershipMode",
     "BoundInput",
     "BoundReport",
+    "SweepRow",
     "Proposition",
     "HermiteHadamardReport",
     "theorem_bound",
     "corollary_bound_q1",
     "proposition_bound",
     "evaluate_bound_report",
+    "sweep_rows",
     "hermite_hadamard_check",
 ]
 
@@ -45,11 +47,6 @@ class MembershipMode(Enum):
     CERTIFIED = "certified"  # caller vouches for |f''|^q membership
     CHECK = "check"  # run the grid falsification scan
     SKIP = "skip"  # report without any membership claim
-
-
-def _check_lambda(lam: float) -> None:
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam!r}")
 
 
 def _check_q(q: float) -> None:
@@ -208,6 +205,51 @@ def evaluate_bound_report(
 
 
 @dataclass(frozen=True)
+class SweepRow:
+    lam: float
+    q: float
+    report: BoundReport
+
+
+def sweep_rows(
+    e: Node,
+    iv: Interval,
+    lams: list[float],
+    q_list: tuple[float, ...],
+    cfg: QuadratureConfig | None = None,
+    grid_n: int = DEFAULT_GRID_N,
+    tol: float = DEFAULT_TOL,
+) -> list[SweepRow]:
+    """Membership-checked bound reports for every (lam, q), lam-major.
+
+    Each row equals the evaluate_bound_report of its (lam, q), but the work
+    that does not depend on lam is done once: |f''| at the ends, f at a, b
+    and the midpoint with int_a^b f, and one membership scan per q.
+    """
+    g_a = abs(evaluate_jet2(e, iv.a).d2)
+    g_b = abs(evaluate_jet2(e, iv.b).d2)
+    # membership is a property of |f''|^q alone, so scan once per q
+    membership = {
+        q: (
+            MembershipStatus.CHECKED_PASS
+            if membership_for_bound(e, iv, q, grid_n, tol).passed
+            else MembershipStatus.CHECKED_FAIL
+        )
+        for q in q_list
+    }
+    terms = functional_terms(e, iv, cfg)
+    rows: list[SweepRow] = []
+    for lam in lams:
+        lhs_abs = abs(terms.at(lam))
+        regime = coefficient_set(lam).regime
+        for q in q_list:
+            bound = theorem_bound(BoundInput(iv, lam, q, g_a, g_b))
+            ratio = lhs_abs / bound if bound > 0.0 else None
+            rows.append(SweepRow(lam, q, BoundReport(lhs_abs, bound, ratio, regime, membership[q])))
+    return rows
+
+
+@dataclass(frozen=True)
 class HermiteHadamardReport:
     lower: float
     mid: float
@@ -231,8 +273,9 @@ def hermite_hadamard_check(
         x = iv.a + iv.width * (i + 0.5) / grid_n
         if evaluate_jet2(e, x).d2 < -1e-9:
             raise ValueError(f"convexity sample check failed at x={x!r}")
-    lower = evaluate(e, iv.midpoint)
-    mid = integrate(lambda t: evaluate(e, t), iv, cfg) / iv.width
-    upper = 0.5 * (evaluate(e, iv.a) + evaluate(e, iv.b))
+    terms = functional_terms(e, iv, cfg)
+    lower = terms.fm
+    mid = terms.integral / terms.width
+    upper = 0.5 * (terms.fa + terms.fb)
     holds = lower <= mid + tol and mid <= upper + tol
     return HermiteHadamardReport(lower, mid, upper, holds)

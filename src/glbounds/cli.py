@@ -14,17 +14,11 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .bounds import (
-    BoundInput,
-    MembershipMode,
-    MembershipStatus,
-    evaluate_bound_report,
-    theorem_bound,
-)
+from .bounds import MembershipMode, MembershipStatus, evaluate_bound_report, sweep_rows
 from .coefficients import coefficient_set
 from .corpus import corpus_entries
-from .expressions import ExpressionError, evaluate, evaluate_jet2, parse
-from .kernel import RuleParams, lhs_functional, verify_identity
+from .expressions import ExpressionError, evaluate, parse
+from .kernel import RuleParams, verify_identity
 from .qclass import check_godunova_levin, membership_for_bound
 from .quadrature import Interval, QuadratureError
 
@@ -73,17 +67,6 @@ class SweepSpec:
         count = int((self.lam_end - self.lam_start) / self.lam_step + 1e-9)
         grid = [self.lam_start + i * self.lam_step for i in range(count + 1)]
         return [min(max(v, 0.0), 1.0) for v in grid]
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    lam: float
-    q: float
-    regime: str
-    lhs_abs: float
-    bound: float
-    ratio: float | None
-    membership: str
 
 
 def _parse_lambda_grid(text: str) -> tuple[float, float, float]:
@@ -162,30 +145,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         output_path=args.out,
         fmt=args.format,
     )
-    e = parse(spec.expression)
-    iv = spec.interval
-    g_a = abs(evaluate_jet2(e, iv.a).d2)
-    g_b = abs(evaluate_jet2(e, iv.b).d2)
-    # membership is a property of |f''|^q alone, so scan once per q
-    membership = {
-        q: "CheckedPass" if membership_for_bound(e, iv, q).passed else "CheckedFail"
-        for q in spec.q_list
-    }
-    rows: list[ReportRow] = []
-    for lam in spec.lambda_grid():
-        lhs_abs = abs(lhs_functional(e, iv, RuleParams(lam)))
-        regime = coefficient_set(lam).regime.value
-        for q in spec.q_list:
-            bound = theorem_bound(BoundInput(iv, lam, q, g_a, g_b))
-            ratio = lhs_abs / bound if bound > 0.0 else None
-            rows.append(ReportRow(lam, q, regime, lhs_abs, bound, ratio, membership[q]))
+    rows = sweep_rows(parse(spec.expression), spec.interval, spec.lambda_grid(), spec.q_list)
     if spec.fmt == "csv":
         lines = ["lambda,q,regime,lhs_abs,bound,ratio,membership"]
         for r in rows:
-            ratio = "" if r.ratio is None else _fmt17(r.ratio)
+            rep = r.report
+            ratio = "" if rep.ratio is None else _fmt17(rep.ratio)
             lines.append(
-                f"{_fmt17(r.lam)},{_fmt17(r.q)},{r.regime},{_fmt17(r.lhs_abs)},"
-                f"{_fmt17(r.bound)},{ratio},{r.membership}"
+                f"{_fmt17(r.lam)},{_fmt17(r.q)},{rep.regime.value},{_fmt17(rep.lhs_abs)},"
+                f"{_fmt17(rep.bound)},{ratio},{rep.q_membership.value}"
             )
         content = "\n".join(lines) + "\n"
     else:
@@ -193,11 +161,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             {
                 "lambda": r.lam,
                 "q": r.q,
-                "regime": r.regime,
-                "lhs_abs": r.lhs_abs,
-                "bound": r.bound,
-                "ratio": r.ratio,
-                "membership": r.membership,
+                "regime": r.report.regime.value,
+                "lhs_abs": r.report.lhs_abs,
+                "bound": r.report.bound,
+                "ratio": r.report.ratio,
+                "membership": r.report.q_membership.value,
             }
             for r in rows
         ]

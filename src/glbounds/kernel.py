@@ -13,13 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .coefficients import _check_lambda
 from .expressions import Node, evaluate, evaluate_jet2
 from .quadrature import Interval, QuadratureConfig, integrate, integrate_piecewise
 
 __all__ = [
     "RuleParams",
     "IdentityReport",
+    "FunctionalTerms",
     "kernel_k",
+    "functional_terms",
     "lhs_functional",
     "rhs_identity",
     "verify_identity",
@@ -34,8 +37,7 @@ class RuleParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lam!r}")
+        _check_lambda(self.lam)
 
 
 @dataclass(frozen=True)
@@ -59,15 +61,37 @@ def kernel_k(t: float, p: RuleParams) -> float:
     return 0.5 * (1.0 - t) * ((0.5 - lam) + (0.5 - t))
 
 
-def lhs_functional(
-    e: Node, iv: Interval, p: RuleParams, cfg: QuadratureConfig | None = None
-) -> float:
-    """Quadrature error functional E(lam, f) with the integral taken numerically."""
+@dataclass(frozen=True)
+class FunctionalTerms:
+    """The lambda-free parts of E(lam, f): f at a, b and the midpoint, and int_a^b f."""
+
+    fa: float
+    fb: float
+    fm: float
+    integral: float
+    width: float
+
+    def at(self, lam: float) -> float:
+        """E(lam, f); E is affine in lam, so one set of terms serves every lam."""
+        return (lam - 1.0) * self.fm - lam * 0.5 * (self.fa + self.fb) + self.integral / self.width
+
+
+def functional_terms(
+    e: Node, iv: Interval, cfg: QuadratureConfig | None = None
+) -> FunctionalTerms:
+    """Evaluate f at a, b and the midpoint and integrate it numerically over iv."""
     fa = evaluate(e, iv.a)
     fb = evaluate(e, iv.b)
     fm = evaluate(e, iv.midpoint)
     integral = integrate(lambda t: evaluate(e, t), iv, cfg)
-    return (p.lam - 1.0) * fm - p.lam * 0.5 * (fa + fb) + integral / iv.width
+    return FunctionalTerms(fa, fb, fm, integral, iv.width)
+
+
+def lhs_functional(
+    e: Node, iv: Interval, p: RuleParams, cfg: QuadratureConfig | None = None
+) -> float:
+    """Quadrature error functional E(lam, f) with the integral taken numerically."""
+    return functional_terms(e, iv, cfg).at(p.lam)
 
 
 def rhs_identity(

@@ -16,6 +16,7 @@ from glbounds import (
     hermite_hadamard_check,
     parse,
     proposition_bound,
+    sweep_rows,
     theorem_bound,
 )
 
@@ -197,6 +198,21 @@ class TestBoundReport:
         assert rep.bound == 0.0
         assert rep.ratio is None
         assert rep.lhs_abs <= 1e-12
+
+
+class TestSweepRows:
+    @pytest.mark.parametrize(
+        "text,iv",
+        [("exp(x)*sin(x)+1/(x+2)", Interval(0.0, 3.0)), ("sin(x)", Interval(0.000001, 3.141592)), ("x", UNIT)],
+    )
+    def test_rows_equal_single_reports(self, text, iv):
+        e = parse(text)
+        lams = [0.0, 1.0 / 3.0, 0.5, 0.7, 1.0]
+        qs = (1.0, 2.5)
+        rows = sweep_rows(e, iv, lams, qs, grid_n=8)
+        assert [(r.lam, r.q) for r in rows] == [(lam, q) for lam in lams for q in qs]
+        for r in rows:
+            assert r.report == evaluate_bound_report(e, iv, r.lam, r.q, grid_n=8)
 
 
 class TestHermiteHadamard:

@@ -5,7 +5,18 @@ import sys
 
 import pytest
 
-from glbounds import BoundInput, Interval, RuleParams, coefficient_set, lhs_functional, parse, theorem_bound
+import glbounds
+from glbounds import (
+    BoundInput,
+    Interval,
+    RuleParams,
+    coefficient_set,
+    evaluate_jet2,
+    lhs_functional,
+    membership_for_bound,
+    parse,
+    theorem_bound,
+)
 from glbounds.cli import main
 
 CSV_HEADER = "lambda,q,regime,lhs_abs,bound,ratio,membership"
@@ -92,15 +103,15 @@ class TestBound:
         assert "membership = Unchecked" in capsys.readouterr().out
 
 
-def _run_sweep(path, fmt=None, fn="x^2"):
+def _run_sweep(path, fmt=None, fn="x^2", a="0", b="1"):
     argv = [
         "sweep",
         "--fn",
         fn,
         "--a",
-        "0",
+        a,
         "--b",
-        "1",
+        b,
         "--lambda-grid",
         "0:1:0.25",
         "--q",
@@ -141,20 +152,47 @@ class TestSweep:
         assert lams == {"0", "0.25", "0.5", "0.75", "1"}
 
     def test_rows_recompute_from_their_inputs(self, tmp_path, capsys):
+        self._check_rows_recompute(tmp_path, "x^2", "0", "1")
+
+    def test_composite_rows_recompute_from_their_inputs(self, tmp_path, capsys):
+        self._check_rows_recompute(tmp_path, "exp(x)*sin(x)+1/(x+2)", "0", "3")
+
+    @staticmethod
+    def _check_rows_recompute(tmp_path, fn, a, b):
         out = tmp_path / "sweep.csv"
-        assert _run_sweep(out) == 0
-        e = parse("x^2")
-        iv = Interval(0.0, 1.0)
-        for line in out.read_text().splitlines()[1:]:
+        assert _run_sweep(out, fn=fn, a=a, b=b) == 0
+        e = parse(fn)
+        iv = Interval(float(a), float(b))
+        g_a = abs(evaluate_jet2(e, iv.a).d2)
+        g_b = abs(evaluate_jet2(e, iv.b).d2)
+        passed = {q: membership_for_bound(e, iv, q).passed for q in (1.0, 2.0)}
+        lines = out.read_text().splitlines()[1:]
+        assert len(lines) == 10
+        for line in lines:
             lam_s, q_s, regime, lhs_s, bound_s, ratio_s, membership = line.split(",")
             lam, q = float(lam_s), float(q_s)
             lhs_abs = abs(lhs_functional(e, iv, RuleParams(lam)))
-            bound = theorem_bound(BoundInput(iv, lam, q, 2.0, 2.0))
+            bound = theorem_bound(BoundInput(iv, lam, q, g_a, g_b))
             assert format(lhs_abs, ".17g") == lhs_s
             assert format(bound, ".17g") == bound_s
             assert format(lhs_abs / bound, ".17g") == ratio_s
             assert coefficient_set(lam).regime.value == regime
-            assert membership == "CheckedPass"
+            assert membership == ("CheckedPass" if passed[q] else "CheckedFail")
+
+    def test_integral_taken_once_per_sweep(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        original = glbounds.quadrature.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        # patch every module that imported it by name
+        for module in (glbounds.quadrature, glbounds.kernel, glbounds.bounds, glbounds):
+            if getattr(module, "integrate", None) is original:
+                monkeypatch.setattr(module, "integrate", counted)
+        assert _run_sweep(tmp_path / "sweep.csv", fn="exp(x)*sin(x)+1/(x+2)", a="0", b="3") == 0
+        assert calls == [Interval(0.0, 3.0)]
 
     def test_json_format(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
@@ -196,6 +234,16 @@ class TestQclass:
         printed = [line for line in out.splitlines() if line.startswith("violation:")]
         assert 1 <= len(printed) <= 10
         assert any("lambda=0.5" in line for line in printed)
+
+    def test_non_finite_values_are_an_input_error(self, capsys):
+        # inf - inf: every sample is nan, which no comparison can flag as a violation
+        code = main(
+            ["qclass", "--g", "(1e200*x)*(1e200*x)-(1e200*x)*(1e200*x)", "--a", "0.5", "--b", "1", "--grid", "8"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "not finite at x=0.53125" in captured.err
 
     def test_fn_with_q(self, capsys):
         assert main(["qclass", "--fn", "exp(x)", "--q", "2", "--a", "0", "--b", "1", "--grid", "8"]) == 0

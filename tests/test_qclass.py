@@ -1,17 +1,83 @@
 import math
+from collections import Counter
 
 import pytest
 
 from glbounds import (
     Interval,
+    QClassReport,
+    Violation,
     check_godunova_levin,
+    corpus_entries,
     evaluate,
+    evaluate_jet2,
     membership_for_bound,
     nonneg_convex_witness,
     parse,
 )
 
 SINE_INTERVAL = Interval(0.000001, 3.141592)
+COMPOSITE = "exp(x)*sin(x)+1/(x+2)"
+
+
+def reference_scan(g, iv, grid_n=64, tol=1e-12):
+    """The plain triple loop: g called at every triple, nothing shared."""
+    n = grid_n
+    width = iv.width
+    xs = [iv.a + width * (i + 0.5) / n for i in range(n)]
+    lams = [(k + 0.5) / n for k in range(n)]
+    gx = [g(x) for x in xs]
+
+    violations = []
+    max_margin = -math.inf
+    for x, gv in zip(xs, gx):
+        if gv < -tol:
+            rhs = gv / 0.5 + gv / 0.5
+            violations.append(Violation(x, x, 0.5, gv, rhs))
+            max_margin = max(max_margin, gv - rhs)
+
+    for lam in lams:
+        clam = 1.0 - lam
+        left = [v / lam for v in gx]
+        right = [v / clam for v in gx]
+        cy = [clam * y for y in xs]
+        for i in range(n):
+            base = lam * xs[i]
+            li = left[i]
+            xi = xs[i]
+            for j in range(n):
+                lhs = g(base + cy[j])
+                rhs = li + right[j]
+                m = lhs - rhs
+                if m > max_margin:
+                    max_margin = m
+                if m > tol:
+                    violations.append(Violation(xi, xs[j], lam, lhs, rhs))
+
+    unique = sorted(dict.fromkeys(violations), key=lambda v: (v.x, v.y, v.lam))
+    return QClassReport(n * n * n, tuple(unique), max_margin, not unique)
+
+
+def scan_points(iv, grid_n):
+    """Every point the scan samples, keyed by float.hex so 0.0 and -0.0 differ."""
+    n = grid_n
+    xs = [iv.a + iv.width * (i + 0.5) / n for i in range(n)]
+    points = {x.hex() for x in xs}
+    for k in range(n):
+        lam = (k + 0.5) / n
+        clam = 1.0 - lam
+        points.update((lam * xi + clam * xj).hex() for xi in xs for xj in xs)
+    return points
+
+
+def second_derivative_power(text, q):
+    e = parse(text)
+    return lambda x: abs(evaluate_jet2(e, x).d2) ** q
+
+
+def same_report(one, two):
+    """Bitwise equality, including the sign of a zero max_margin."""
+    return one == two and math.copysign(1.0, one.max_margin) == math.copysign(1.0, two.max_margin)
 
 
 class TestCheck:
@@ -97,6 +163,75 @@ class TestCheck:
             check_godunova_levin(lambda x: 1.0, Interval(0.0, 1.0), grid_n=1)
         with pytest.raises(ValueError):
             check_godunova_levin(lambda x: 1.0, Interval(0.0, 1.0), tol=0.0)
+
+
+class TestAgainstPlainLoop:
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    @pytest.mark.parametrize("name", [entry.name for entry in corpus_entries()])
+    def test_corpus_scans_match(self, membership_report, corpus_by_name, name, q):
+        entry = corpus_by_name[name]
+        g = second_derivative_power(entry.expression, q)
+        ref = reference_scan(g, entry.interval)
+        assert same_report(membership_report(name, q), ref)
+        if (name, q) == ("sine", 1.0):
+            assert len(ref.violations) == 3520
+
+    @pytest.mark.parametrize(
+        "g,iv",
+        [
+            (second_derivative_power(COMPOSITE, 2.0), Interval(0.123, 0.987)),
+            (lambda x, e=parse(COMPOSITE): evaluate(e, x), Interval(0.123, 0.987)),
+            (lambda x, e=parse("sin(x)"): evaluate(e, x), Interval(-3.7, 5.2)),
+            (second_derivative_power("sin(x)", 1.0), Interval(0.0, 1e-9)),
+        ],
+        ids=["composite-fn-q2", "composite-g", "sin-g-wide", "sin-fn-window"],
+    )
+    def test_other_scans_match(self, g, iv):
+        assert same_report(check_godunova_levin(g, iv), reference_scan(g, iv))
+
+    def test_signed_zeros_kept_apart(self):
+        # on this window both 0.0 and -0.0 are scan points, and they compare equal
+        iv = Interval(-3e-323, 3e-323)
+        points = scan_points(iv, 9)
+        assert {(0.0).hex(), (-0.0).hex()} <= points
+        g = lambda x: 2.0 + math.copysign(1.0, x)
+        assert same_report(check_godunova_levin(g, iv, grid_n=9), reference_scan(g, iv, grid_n=9))
+
+    @pytest.mark.parametrize(
+        "iv,grid_n",
+        [(SINE_INTERVAL, 64), (Interval(-1.0, 1.0), 64), (Interval(-3.7, 5.2), 31), (Interval(-3e-323, 3e-323), 9)],
+    )
+    def test_g_called_once_per_distinct_point(self, iv, grid_n):
+        seen = Counter()
+
+        def g(x):
+            seen[x.hex()] += 1
+            return math.sin(x) ** 2
+
+        check_godunova_levin(g, iv, grid_n)
+        assert set(seen) == scan_points(iv, grid_n)
+        assert set(seen.values()) == {1}
+        # far fewer calls than the grid_n^3 triples
+        assert len(seen) <= 10 * grid_n * grid_n
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_raises_naming_the_point(self, bad):
+        iv = Interval(0.0, 1.0)
+        with pytest.raises(ValueError, match=r"not finite at x=0\.5625"):
+            check_godunova_levin(lambda x: bad if x == 0.5625 else 1.0, iv, grid_n=8)
+
+    def test_cancelled_overflow_is_rejected(self):
+        # inf - inf is nan at every point: the scan used to report passed = True
+        e = parse("(1e200*x)*(1e200*x)-(1e200*x)*(1e200*x)")
+        with pytest.raises(ValueError, match=r"not finite at x=0\.53125"):
+            check_godunova_levin(lambda x: evaluate(e, x), Interval(0.5, 1.0), grid_n=8)
+
+    def test_membership_for_bound_rejects_nan_second_derivative(self):
+        e = parse("(1e200*x)*(1e200*x)-(1e200*x)*(1e200*x)")
+        with pytest.raises(ValueError, match="not finite"):
+            membership_for_bound(e, Interval(0.5, 1.0), 1.0, grid_n=8)
 
 
 class TestMembershipForBound:
