@@ -16,7 +16,6 @@ from .bounds import (
     MembershipMode,
     MembershipStatus,
     Proposition,
-    SweepRow,
     corollary_bound_q1,
     evaluate_bound_report,
     hermite_hadamard_check,
@@ -46,10 +45,8 @@ from .expressions import (
     to_text,
 )
 from .kernel import (
-    FunctionalTerms,
     IdentityReport,
     RuleParams,
-    functional_terms,
     kernel_k,
     lhs_functional,
     rhs_identity,
@@ -84,7 +81,6 @@ __all__ = [
     "DomainError",
     "ExpectedMembership",
     "ExpressionError",
-    "FunctionalTerms",
     "HermiteHadamardReport",
     "IdentityReport",
     "Interval",
@@ -100,7 +96,6 @@ __all__ = [
     "QuadratureError",
     "Regime",
     "RuleParams",
-    "SweepRow",
     "Violation",
     "check_godunova_levin",
     "coeff_a",
@@ -112,7 +107,6 @@ __all__ = [
     "evaluate",
     "evaluate_bound_report",
     "evaluate_jet2",
-    "functional_terms",
     "hermite_hadamard_check",
     "integrate",
     "integrate_piecewise",

@@ -172,6 +172,24 @@ def proposition_bound(
     return 0.5 * w2 * base ** (1.0 - inv_q) * bracket
 
 
+def _endpoint_weights(e: Node, iv: Interval) -> tuple[float, float]:
+    """|f''(a)| and |f''(b)|, the weights every bound is built from."""
+    return abs(evaluate_jet2(e, iv.a).d2), abs(evaluate_jet2(e, iv.b).d2)
+
+
+def _checked_status(
+    e: Node, iv: Interval, q: float, grid_n: int = DEFAULT_GRID_N, tol: float = DEFAULT_TOL
+) -> MembershipStatus:
+    scan = membership_for_bound(e, iv, q, grid_n, tol)
+    return MembershipStatus.CHECKED_PASS if scan.passed else MembershipStatus.CHECKED_FAIL
+
+
+def _report(inp: BoundInput, lhs_abs: float, status: MembershipStatus) -> BoundReport:
+    bound = theorem_bound(inp)
+    ratio = lhs_abs / bound if bound > 0.0 else None
+    return BoundReport(lhs_abs, bound, ratio, coefficient_set(inp.lam).regime, status)
+
+
 def evaluate_bound_report(
     e: Node,
     iv: Interval,
@@ -188,20 +206,15 @@ def evaluate_bound_report(
     CheckedPass; a CheckedFail report still carries lhs/bound for inspection
     (the bound may genuinely fail there, which is informative).
     """
-    g_a = abs(evaluate_jet2(e, iv.a).d2)
-    g_b = abs(evaluate_jet2(e, iv.b).d2)
-    inp = BoundInput(iv, lam, q, g_a, g_b)
+    inp = BoundInput(iv, lam, q, *_endpoint_weights(e, iv))
     lhs_abs = abs(lhs_functional(e, iv, RuleParams(lam), cfg))
-    bound = theorem_bound(inp)
-    ratio = lhs_abs / bound if bound > 0.0 else None
     if membership_mode is MembershipMode.CERTIFIED:
         status = MembershipStatus.CERTIFIED
     elif membership_mode is MembershipMode.SKIP:
         status = MembershipStatus.UNCHECKED
     else:
-        scan = membership_for_bound(e, iv, q, grid_n, tol)
-        status = MembershipStatus.CHECKED_PASS if scan.passed else MembershipStatus.CHECKED_FAIL
-    return BoundReport(lhs_abs, bound, ratio, coefficient_set(lam).regime, status)
+        status = _checked_status(e, iv, q, grid_n, tol)
+    return _report(inp, lhs_abs, status)
 
 
 @dataclass(frozen=True)
@@ -212,13 +225,7 @@ class SweepRow:
 
 
 def sweep_rows(
-    e: Node,
-    iv: Interval,
-    lams: list[float],
-    q_list: tuple[float, ...],
-    cfg: QuadratureConfig | None = None,
-    grid_n: int = DEFAULT_GRID_N,
-    tol: float = DEFAULT_TOL,
+    e: Node, iv: Interval, lams: list[float], q_list: tuple[float, ...]
 ) -> list[SweepRow]:
     """Membership-checked bound reports for every (lam, q), lam-major.
 
@@ -226,26 +233,16 @@ def sweep_rows(
     that does not depend on lam is done once: |f''| at the ends, f at a, b
     and the midpoint with int_a^b f, and one membership scan per q.
     """
-    g_a = abs(evaluate_jet2(e, iv.a).d2)
-    g_b = abs(evaluate_jet2(e, iv.b).d2)
+    g_a, g_b = _endpoint_weights(e, iv)
     # membership is a property of |f''|^q alone, so scan once per q
-    membership = {
-        q: (
-            MembershipStatus.CHECKED_PASS
-            if membership_for_bound(e, iv, q, grid_n, tol).passed
-            else MembershipStatus.CHECKED_FAIL
-        )
-        for q in q_list
-    }
-    terms = functional_terms(e, iv, cfg)
+    membership = {q: _checked_status(e, iv, q) for q in q_list}
+    terms = functional_terms(e, iv)
     rows: list[SweepRow] = []
     for lam in lams:
         lhs_abs = abs(terms.at(lam))
-        regime = coefficient_set(lam).regime
         for q in q_list:
-            bound = theorem_bound(BoundInput(iv, lam, q, g_a, g_b))
-            ratio = lhs_abs / bound if bound > 0.0 else None
-            rows.append(SweepRow(lam, q, BoundReport(lhs_abs, bound, ratio, regime, membership[q])))
+            report = _report(BoundInput(iv, lam, q, g_a, g_b), lhs_abs, membership[q])
+            rows.append(SweepRow(lam, q, report))
     return rows
 
 

@@ -209,10 +209,10 @@ class TestSweepRows:
         e = parse(text)
         lams = [0.0, 1.0 / 3.0, 0.5, 0.7, 1.0]
         qs = (1.0, 2.5)
-        rows = sweep_rows(e, iv, lams, qs, grid_n=8)
+        rows = sweep_rows(e, iv, lams, qs)
         assert [(r.lam, r.q) for r in rows] == [(lam, q) for lam in lams for q in qs]
         for r in rows:
-            assert r.report == evaluate_bound_report(e, iv, r.lam, r.q, grid_n=8)
+            assert r.report == evaluate_bound_report(e, iv, r.lam, r.q)
 
 
 class TestHermiteHadamard:

@@ -152,24 +152,30 @@ class TestSweep:
         assert lams == {"0", "0.25", "0.5", "0.75", "1"}
 
     def test_rows_recompute_from_their_inputs(self, tmp_path, capsys):
-        self._check_rows_recompute(tmp_path, "x^2", "0", "1")
+        membership = {1.0: "CheckedPass", 2.0: "CheckedPass"}
+        self._check_rows_recompute(tmp_path, "x^2", "0", "1", 2.0, 2.0, membership)
 
     def test_composite_rows_recompute_from_their_inputs(self, tmp_path, capsys):
-        self._check_rows_recompute(tmp_path, "exp(x)*sin(x)+1/(x+2)", "0", "3")
+        fn, iv = "exp(x)*sin(x)+1/(x+2)", Interval(0.0, 3.0)
+        e = parse(fn)
+        g_a = abs(evaluate_jet2(e, iv.a).d2)
+        g_b = abs(evaluate_jet2(e, iv.b).d2)
+        membership = {
+            q: "CheckedPass" if membership_for_bound(e, iv, q).passed else "CheckedFail"
+            for q in (1.0, 2.0)
+        }
+        self._check_rows_recompute(tmp_path, fn, "0", "3", g_a, g_b, membership)
 
     @staticmethod
-    def _check_rows_recompute(tmp_path, fn, a, b):
+    def _check_rows_recompute(tmp_path, fn, a, b, g_a, g_b, membership):
         out = tmp_path / "sweep.csv"
         assert _run_sweep(out, fn=fn, a=a, b=b) == 0
         e = parse(fn)
         iv = Interval(float(a), float(b))
-        g_a = abs(evaluate_jet2(e, iv.a).d2)
-        g_b = abs(evaluate_jet2(e, iv.b).d2)
-        passed = {q: membership_for_bound(e, iv, q).passed for q in (1.0, 2.0)}
         lines = out.read_text().splitlines()[1:]
         assert len(lines) == 10
         for line in lines:
-            lam_s, q_s, regime, lhs_s, bound_s, ratio_s, membership = line.split(",")
+            lam_s, q_s, regime, lhs_s, bound_s, ratio_s, status = line.split(",")
             lam, q = float(lam_s), float(q_s)
             lhs_abs = abs(lhs_functional(e, iv, RuleParams(lam)))
             bound = theorem_bound(BoundInput(iv, lam, q, g_a, g_b))
@@ -177,7 +183,7 @@ class TestSweep:
             assert format(bound, ".17g") == bound_s
             assert format(lhs_abs / bound, ".17g") == ratio_s
             assert coefficient_set(lam).regime.value == regime
-            assert membership == ("CheckedPass" if passed[q] else "CheckedFail")
+            assert status == membership[q]
 
     def test_integral_taken_once_per_sweep(self, tmp_path, monkeypatch, capsys):
         calls = []
