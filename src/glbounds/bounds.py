@@ -59,6 +59,13 @@ def _check_weight(name: str, g: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {g!r}")
 
 
+def _weight_power(name: str, g: float, q: float) -> float:
+    try:
+        return g**q
+    except OverflowError:
+        raise ValueError(f"{name}^q overflows: {name} = {g!r}, q = {q!r}") from None
+
+
 @dataclass(frozen=True)
 class BoundInput:
     iv: Interval
@@ -92,8 +99,8 @@ def theorem_bound(inp: BoundInput) -> float:
     """
     cs = coefficient_set(inp.lam)
     inv_q = 1.0 / inp.q
-    ga_q = inp.g_a**inp.q
-    gb_q = inp.g_b**inp.q
+    ga_q = _weight_power("g_a", inp.g_a, inp.q)
+    gb_q = _weight_power("g_b", inp.g_b, inp.q)
     bracket = (cs.a_coef * ga_q + cs.b_coef * gb_q) ** inv_q + (
         cs.b_coef * ga_q + cs.a_coef * gb_q
     ) ** inv_q
@@ -166,8 +173,8 @@ def proposition_bound(
         return 0.25 * w2 * (math.log(0.5) + 1.0) * total
     same, cross, base = _PM_CONSTANTS[which]
     inv_q = 1.0 / q
-    ga_q = g_a**q
-    gb_q = g_b**q
+    ga_q = _weight_power("g_a", g_a, q)
+    gb_q = _weight_power("g_b", g_b, q)
     bracket = (same * ga_q + cross * gb_q) ** inv_q + (cross * ga_q + same * gb_q) ** inv_q
     return 0.5 * w2 * base ** (1.0 - inv_q) * bracket
 
@@ -184,8 +191,9 @@ def _checked_status(
     return MembershipStatus.CHECKED_PASS if scan.passed else MembershipStatus.CHECKED_FAIL
 
 
-def _report(inp: BoundInput, lhs_abs: float, status: MembershipStatus) -> BoundReport:
-    bound = theorem_bound(inp)
+def _report(
+    inp: BoundInput, bound: float, lhs_abs: float, status: MembershipStatus
+) -> BoundReport:
     ratio = lhs_abs / bound if bound > 0.0 else None
     return BoundReport(lhs_abs, bound, ratio, coefficient_set(inp.lam).regime, status)
 
@@ -207,6 +215,8 @@ def evaluate_bound_report(
     (the bound may genuinely fail there, which is informative).
     """
     inp = BoundInput(iv, lam, q, *_endpoint_weights(e, iv))
+    # cheap, and an overflowing |f''|^q fails here before quadrature and scan
+    bound = theorem_bound(inp)
     lhs_abs = abs(lhs_functional(e, iv, RuleParams(lam), cfg))
     if membership_mode is MembershipMode.CERTIFIED:
         status = MembershipStatus.CERTIFIED
@@ -214,7 +224,7 @@ def evaluate_bound_report(
         status = MembershipStatus.UNCHECKED
     else:
         status = _checked_status(e, iv, q, grid_n, tol)
-    return _report(inp, lhs_abs, status)
+    return _report(inp, bound, lhs_abs, status)
 
 
 @dataclass(frozen=True)
@@ -241,7 +251,8 @@ def sweep_rows(
     for lam in lams:
         lhs_abs = abs(terms.at(lam))
         for q in q_list:
-            report = _report(BoundInput(iv, lam, q, g_a, g_b), lhs_abs, membership[q])
+            inp = BoundInput(iv, lam, q, g_a, g_b)
+            report = _report(inp, theorem_bound(inp), lhs_abs, membership[q])
             rows.append(SweepRow(lam, q, report))
     return rows
 

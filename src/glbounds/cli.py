@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -133,6 +134,15 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _probe_writable(path: str) -> None:
+    """Raise OSError unless path can be opened for writing; changes nothing."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     start, end, step = _parse_lambda_grid(args.lambda_grid)
     spec = SweepSpec(
@@ -145,7 +155,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         output_path=args.out,
         fmt=args.format,
     )
-    rows = sweep_rows(parse(spec.expression), spec.interval, spec.lambda_grid(), spec.q_list)
+    e = parse(spec.expression)
+    # fail on an unwritable --out before any scan runs, and leave no trace
+    try:
+        _probe_writable(spec.output_path)
+    except OSError as exc:
+        print(f"error: cannot write {spec.output_path!r}: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
+    rows = sweep_rows(e, spec.interval, spec.lambda_grid(), spec.q_list)
     if spec.fmt == "csv":
         lines = ["lambda,q,regime,lhs_abs,bound,ratio,membership"]
         for r in rows:

@@ -16,6 +16,12 @@ The n^3 triples of a scan land on far fewer distinct points (2n^2 to about
 the scan returns: g must be deterministic, and memory grows with the number
 of distinct points (about 100 bytes each: up to 3 MB at n = 64 and 15 MB at
 n = 128).
+
+The triple (y, x, 1-lam) has the same point and the same right side as
+(x, y, lam), because float addition is commutative. So when a grid lam and
+its mirror lam' = lams[n-1-k] satisfy 1 - lam == lam' and 1 - lam' == lam
+exactly (every lam at n = 64 and 128, some at other n), one pass over lam
+decides both, and samples_checked still counts every triple.
 """
 
 from __future__ import annotations
@@ -101,12 +107,18 @@ def check_godunova_levin(
     itself a violation (the class contains nonnegative functions only) and is
     recorded at the degenerate triple (x, x, 1/2). Violations are reported
     sorted by (x, y, lam) with their evaluated sides so borderline margins can
-    be audited.
+    be audited. max_margin is the first largest margin in the order lam, x, y
+    (NaN margins, from g spanning +-1e308, never count).
 
     g is called once per distinct sample point (the triples share 2n^2 to
     about 9n^2 points), so it must be deterministic; the values are held
     until the scan returns. Raises ValueError naming x when g(x) is not
     finite.
+
+    Each pair of grid lams that mirror each other exactly is scanned once:
+    the later lam of the pair sees the same margins as the earlier one, so it
+    adds its violations but can never raise max_margin (only a strictly
+    larger margin does). Every triple still counts in samples_checked.
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n!r}")
@@ -128,23 +140,28 @@ def check_godunova_levin(
             violations.append(Violation(x, x, 0.5, gv, rhs))
             max_margin = max(max_margin, gv - rhs)
 
-    for lam in lams:
+    for k, lam in enumerate(lams):
+        mirror = lams[n - 1 - k]
+        paired = k != n - 1 - k and 1.0 - lam == mirror and 1.0 - mirror == lam
+        if paired and k > n - 1 - k:
+            continue  # scanned with its mirror, which comes first
         clam = 1.0 - lam
-        left = [v / lam for v in gx]
         right = [v / clam for v in gx]
-        cy = [clam * y for y in xs]
-        for i in range(n):
-            base = lam * xs[i]
-            li = left[i]
-            xi = xs[i]
-            for j in range(n):
-                lhs = memo[base + cy[j]]
-                rhs = li + right[j]
+        cols = list(zip(xs, [clam * y for y in xs], right))
+        for xi, gi in zip(xs, gx):
+            base = lam * xi
+            li = gi / lam
+            for xj, cj, rj in cols:
+                lhs = memo[base + cj]
+                rhs = li + rj
                 m = lhs - rhs
                 if m > max_margin:
                     max_margin = m
                 if m > tol:
-                    violations.append(Violation(xi, xs[j], lam, lhs, rhs))
+                    violations.append(Violation(xi, xj, lam, lhs, rhs))
+                    if paired:
+                        # (x_j, x_i, mirror) has the same point and sides
+                        violations.append(Violation(xj, xi, mirror, lhs, rhs))
 
     unique = sorted(dict.fromkeys(violations), key=lambda v: (v.x, v.y, v.lam))
     return QClassReport(n * n * n, tuple(unique), max_margin, not unique)
@@ -162,7 +179,12 @@ def membership_for_bound(
         raise ValueError(f"q must be >= 1, got {q!r}")
 
     def g(x: float) -> float:
-        return abs(evaluate_jet2(e, x).d2) ** q
+        d2 = abs(evaluate_jet2(e, x).d2)
+        try:
+            return d2**q
+        except OverflowError:
+            msg = f"|f''(x)|^q overflows at x={x!r}: |f''| = {d2!r}, q = {q!r}"
+            raise ValueError(msg) from None
 
     return check_godunova_levin(g, iv, grid_n, tol)
 

@@ -60,6 +60,14 @@ class TestTheoremBound:
         with pytest.raises(ValueError):
             BoundInput(UNIT, lam, q, ga, gb)
 
+    def test_overflowing_weight_power_is_an_input_error(self):
+        # |f''(300)| of exp is 1.9e130, and its cube passes 1.8e308
+        g_a = math.exp(300.0)
+        with pytest.raises(ValueError, match=r"g_a\^q overflows: g_a = 1\.94\d*e\+130, q = 3\.0"):
+            theorem_bound(BoundInput(Interval(300.0, 301.0), 0.0, 3.0, g_a, math.exp(301.0)))
+        with pytest.raises(ValueError, match=r"g_b\^q overflows"):
+            proposition_bound(Proposition.MIDPOINT_PM, UNIT, 3.0, 1.0, g_a)
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.sampled_from(LAM_GRID),

@@ -95,6 +95,15 @@ class TestBound:
     def test_lambda_range(self, capsys):
         assert main(["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "1.5", "--q", "1"]) == 2
 
+    @pytest.mark.parametrize("extra", [["--skip-membership"], []])
+    def test_overflowing_power_is_an_input_error(self, extra, capsys):
+        # |f''(300)|^3 of exp passes 1.8e308; the bound fails before quadrature and scan
+        argv = ["bound", "--fn", "exp(x)", "--a", "300", "--b", "301", "--lambda", "0", "--q", "3"]
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: g_a^q overflows: g_a = 1.94")
+
     def test_skip_membership(self, capsys):
         code = main(
             ["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0", "--q", "1", "--skip-membership"]
@@ -214,8 +223,34 @@ class TestSweep:
         assert row[4] == "0"  # bound is zero when f'' vanishes at both ends
         assert row[5] == ""
 
-    def test_unwritable_path(self, tmp_path, capsys):
+    def test_unwritable_path(self, tmp_path, monkeypatch, capsys):
+        scans = []
+        original = glbounds.qclass.check_godunova_levin
+
+        def counted(*args, **kwargs):
+            scans.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", counted)
         assert _run_sweep(tmp_path / "missing" / "sweep.csv") == 4
+        assert "cannot write" in capsys.readouterr().err
+        # the path fails before any membership scan runs
+        assert scans == []
+        assert _run_sweep(tmp_path / "sweep.csv") == 0
+        assert scans == [Interval(0.0, 1.0)] * 2
+
+    def test_input_error_leaves_out_untouched(self, tmp_path, capsys):
+        # |f''|^3 of exp(x) on [300, 301] overflows in the q = 3 scan
+        existing = tmp_path / "existing.csv"
+        existing.write_bytes(b"keep me\n")
+        absent = tmp_path / "absent.csv"
+        for path in (existing, absent):
+            argv = ["sweep", "--fn", "exp(x)", "--a", "300", "--b", "301", "--lambda-grid", "0:1:0.5",
+                    "--q", "1,3", "--out", str(path)]
+            assert main(argv) == 2
+            assert "overflows at x=" in capsys.readouterr().err
+        assert existing.read_bytes() == b"keep me\n"
+        assert not absent.exists()
 
     @pytest.mark.parametrize(
         "grid,qs",
@@ -250,6 +285,13 @@ class TestQclass:
         assert code == 2
         assert captured.out == ""
         assert "not finite at x=0.53125" in captured.err
+
+    def test_overflowing_power_is_an_input_error(self, capsys):
+        code = main(["qclass", "--fn", "exp(x)", "--q", "3", "--a", "300", "--b", "301", "--grid", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: |f''(x)|^q overflows at x=300.125")
 
     def test_fn_with_q(self, capsys):
         assert main(["qclass", "--fn", "exp(x)", "--q", "2", "--a", "0", "--b", "1", "--grid", "8"]) == 0

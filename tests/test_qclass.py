@@ -177,17 +177,51 @@ class TestAgainstPlainLoop:
             assert len(ref.violations) == 3520
 
     @pytest.mark.parametrize(
-        "g,iv",
+        "g,iv,grid_n",
         [
-            (second_derivative_power(COMPOSITE, 2.0), Interval(0.123, 0.987)),
-            (lambda x, e=parse(COMPOSITE): evaluate(e, x), Interval(0.123, 0.987)),
-            (lambda x, e=parse("sin(x)"): evaluate(e, x), Interval(-3.7, 5.2)),
-            (second_derivative_power("sin(x)", 1.0), Interval(0.0, 1e-9)),
+            (second_derivative_power(COMPOSITE, 2.0), Interval(0.123, 0.987), 64),
+            (lambda x, e=parse(COMPOSITE): evaluate(e, x), Interval(0.123, 0.987), 64),
+            (lambda x, e=parse("sin(x)"): evaluate(e, x), Interval(-3.7, 5.2), 64),
+            (second_derivative_power("sin(x)", 1.0), Interval(0.0, 1e-9), 64),
+            # grids where only some lams have an exact mirror; odd ones have lam = 1/2
+            (math.sin, SINE_INTERVAL, 31),
+            (math.sin, SINE_INTERVAL, 101),
+            (lambda x: x * x, Interval(-3.7, 5.2), 100),
+            (lambda x, e=parse(COMPOSITE): evaluate(e, x), Interval(0.123, 0.987), 9),
+            # g spans +-1e308, so g(x)/lam + g(y)/(1-lam) is inf + -inf, a NaN
+            # margin, near lam = 1/2 (998 of the 64^3 triples, 110 of the 31^3)
+            (lambda x, e=parse("1e308*sin(x)"): evaluate(e, x), Interval(0.1, 6.2), 64),
+            (lambda x, e=parse("1e308*sin(x)"): evaluate(e, x), Interval(0.1, 6.2), 31),
         ],
-        ids=["composite-fn-q2", "composite-g", "sin-g-wide", "sin-fn-window"],
+        ids=[
+            "composite-fn-q2",
+            "composite-g",
+            "sin-g-wide",
+            "sin-fn-window",
+            "sin-31",
+            "sin-101",
+            "square-100",
+            "composite-9",
+            "nan-margins-64",
+            "nan-margins-31",
+        ],
     )
-    def test_other_scans_match(self, g, iv):
-        assert same_report(check_godunova_levin(g, iv), reference_scan(g, iv))
+    def test_other_scans_match(self, g, iv, grid_n):
+        assert same_report(check_godunova_levin(g, iv, grid_n), reference_scan(g, iv, grid_n))
+
+    @pytest.mark.parametrize(
+        "grid_n,mirrored", [(64, 64), (128, 128), (31, 8), (100, 34), (101, 30), (9, 2)]
+    )
+    def test_exact_mirror_counts(self, grid_n, mirrored):
+        # the grids above cover all, some and (with lam = 1/2) odd mirror cases
+        n = grid_n
+        lams = [(k + 0.5) / n for k in range(n)]
+        exact = [
+            k
+            for k in range(n)
+            if k != n - 1 - k and 1.0 - lams[k] == lams[n - 1 - k] and 1.0 - lams[n - 1 - k] == lams[k]
+        ]
+        assert len(exact) == mirrored
 
     def test_signed_zeros_kept_apart(self):
         # on this window both 0.0 and -0.0 are scan points, and they compare equal
@@ -196,6 +230,33 @@ class TestAgainstPlainLoop:
         assert {(0.0).hex(), (-0.0).hex()} <= points
         g = lambda x: 2.0 + math.copysign(1.0, x)
         assert same_report(check_godunova_levin(g, iv, grid_n=9), reference_scan(g, iv, grid_n=9))
+
+    def test_signed_zero_maximum_keeps_the_visit_order(self):
+        # All margins are <= 0. The first zero margins share the mirrored lam
+        # (k = 3 of 23): (x_p, x_q, lam) gives -0.0 - 0.0 = -0.0, while
+        # (x_q, x_p, lam) gives 0.0 - 0.0 = 0.0. The lam visits the first of
+        # them first, its mirror the second, and the plain loop keeps -0.0.
+        iv, n, k, p, q = Interval(1.1, 1.3), 23, 3, 9, 20
+        xs = [iv.a + iv.width * (i + 0.5) / n for i in range(n)]
+        lam, mirror = (k + 0.5) / n, (n - 1 - k + 0.5) / n
+        assert 1.0 - lam == mirror and 1.0 - mirror == lam
+        values = dict.fromkeys(scan_points(iv, n), -1.0)
+        values.update((x.hex(), 1.0) for x in xs)
+        values[xs[p].hex()] = values[xs[q].hex()] = 0.0
+        values[(lam * xs[p] + (1.0 - lam) * xs[q]).hex()] = -0.0
+        values[(lam * xs[q] + (1.0 - lam) * xs[p]).hex()] = 0.0
+        g = lambda x: values[x.hex()]
+        ref = reference_scan(g, iv, n)
+        assert ref.max_margin == 0.0 and math.copysign(1.0, ref.max_margin) == -1.0
+        assert same_report(check_godunova_levin(g, iv, n), ref)
+
+    def test_sine_violations_come_in_mirror_pairs(self, membership_report):
+        # at grid 64 every lam has an exact mirror, and (y, x, 1 - lam) is
+        # the same inequality as (x, y, lam), with the same sides
+        violations = membership_report("sine", 1.0).violations
+        mirrored = {Violation(v.y, v.x, 1.0 - v.lam, v.lhs, v.rhs) for v in violations}
+        assert mirrored == set(violations)
+        assert any(v.lam < 0.5 for v in violations) and any(v.lam > 0.5 for v in violations)
 
     @pytest.mark.parametrize(
         "iv,grid_n",
@@ -227,6 +288,11 @@ class TestNonFinite:
         e = parse("(1e200*x)*(1e200*x)-(1e200*x)*(1e200*x)")
         with pytest.raises(ValueError, match=r"not finite at x=0\.53125"):
             check_godunova_levin(lambda x: evaluate(e, x), Interval(0.5, 1.0), grid_n=8)
+
+    def test_membership_for_bound_rejects_overflowing_power(self):
+        # |f''| of exp near 300 is about 2e130, and its cube passes 1.8e308
+        with pytest.raises(ValueError, match=r"overflows at x=300\.125: \|f''\| = 2\.2\d*e\+130, q = 3\.0"):
+            membership_for_bound(parse("exp(x)"), Interval(300.0, 301.0), 3.0, grid_n=4)
 
     def test_membership_for_bound_rejects_nan_second_derivative(self):
         e = parse("(1e200*x)*(1e200*x)-(1e200*x)*(1e200*x)")
