@@ -39,6 +39,7 @@ from .expressions import (
     Jet2,
     NonSmoothError,
     ParseError,
+    compile_expression,
     evaluate,
     evaluate_jet2,
     parse,
@@ -102,6 +103,7 @@ __all__ = [
     "coeff_b",
     "coeff_total_q1",
     "coefficient_set",
+    "compile_expression",
     "corollary_bound_q1",
     "corpus_entries",
     "evaluate",

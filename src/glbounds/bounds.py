@@ -12,11 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .coefficients import Regime, _check_lambda, coeff_total_q1, coefficient_set
-from .expressions import Node, evaluate_jet2
+from .expressions import Node, compile_expression
 from .kernel import RuleParams, functional_terms, lhs_functional
-from .qclass import DEFAULT_GRID_N, DEFAULT_TOL, membership_for_bound
+from .qclass import (
+    DEFAULT_GRID_N,
+    DEFAULT_TOL,
+    _check_q,
+    membership_for_bound,
+    second_derivative_memo,
+)
 from .quadrature import Interval, QuadratureConfig
 
 __all__ = [
@@ -47,11 +54,6 @@ class MembershipMode(Enum):
     CERTIFIED = "certified"  # caller vouches for |f''|^q membership
     CHECK = "check"  # run the grid falsification scan
     SKIP = "skip"  # report without any membership claim
-
-
-def _check_q(q: float) -> None:
-    if not (q >= 1.0 and math.isfinite(q)):
-        raise ValueError(f"q must be finite and >= 1, got {q!r}")
 
 
 def _check_weight(name: str, g: float) -> None:
@@ -181,13 +183,19 @@ def proposition_bound(
 
 def _endpoint_weights(e: Node, iv: Interval) -> tuple[float, float]:
     """|f''(a)| and |f''(b)|, the weights every bound is built from."""
-    return abs(evaluate_jet2(e, iv.a).d2), abs(evaluate_jet2(e, iv.b).d2)
+    _, jet = compile_expression(e)
+    return abs(jet(iv.a)[2]), abs(jet(iv.b)[2])
 
 
 def _checked_status(
-    e: Node, iv: Interval, q: float, grid_n: int = DEFAULT_GRID_N, tol: float = DEFAULT_TOL
+    e: Node,
+    iv: Interval,
+    q: float,
+    grid_n: int = DEFAULT_GRID_N,
+    tol: float = DEFAULT_TOL,
+    abs_d2: Callable[[float], float] | None = None,
 ) -> MembershipStatus:
-    scan = membership_for_bound(e, iv, q, grid_n, tol)
+    scan = membership_for_bound(e, iv, q, grid_n, tol, abs_d2=abs_d2)
     return MembershipStatus.CHECKED_PASS if scan.passed else MembershipStatus.CHECKED_FAIL
 
 
@@ -241,11 +249,13 @@ def sweep_rows(
 
     Each row equals the evaluate_bound_report of its (lam, q), but the work
     that does not depend on lam is done once: |f''| at the ends, f at a, b
-    and the midpoint with int_a^b f, and one membership scan per q.
+    and the midpoint with int_a^b f, and one membership scan per q, all of
+    which share |f''| at each scan point.
     """
     g_a, g_b = _endpoint_weights(e, iv)
     # membership is a property of |f''|^q alone, so scan once per q
-    membership = {q: _checked_status(e, iv, q) for q in q_list}
+    abs_d2 = second_derivative_memo(e)
+    membership = {q: _checked_status(e, iv, q, abs_d2=abs_d2) for q in q_list}
     terms = functional_terms(e, iv)
     rows: list[SweepRow] = []
     for lam in lams:
@@ -277,9 +287,10 @@ def hermite_hadamard_check(
     Convexity is a caller assertion, screened numerically by requiring
     f'' >= -1e-9 on an interior sample grid.
     """
+    _, jet = compile_expression(e)
     for i in range(grid_n):
         x = iv.a + iv.width * (i + 0.5) / grid_n
-        if evaluate_jet2(e, x).d2 < -1e-9:
+        if jet(x)[2] < -1e-9:
             raise ValueError(f"convexity sample check failed at x={x!r}")
     terms = functional_terms(e, iv, cfg)
     lower = terms.fm

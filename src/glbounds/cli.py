@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 from .bounds import MembershipMode, MembershipStatus, evaluate_bound_report, sweep_rows
 from .coefficients import coefficient_set
 from .corpus import corpus_entries
-from .expressions import ExpressionError, evaluate, parse
+from .expressions import ExpressionError, compile_expression, parse
 from .kernel import RuleParams, verify_identity
-from .qclass import check_godunova_levin, membership_for_bound
+from .qclass import _check_q, check_godunova_levin, membership_for_bound
 from .quadrature import Interval, QuadratureError
 
 EXIT_OK = 0
@@ -60,8 +61,7 @@ class SweepSpec:
         if not self.q_list:
             raise ValueError("q list must be non-empty")
         for q in self.q_list:
-            if not q >= 1.0:
-                raise ValueError(f"every q must be >= 1, got {q!r}")
+            _check_q(q)
 
     def lambda_grid(self) -> list[float]:
         # inclusive of end when (end-start)/step is integral within 1e-9
@@ -83,6 +83,8 @@ def _parse_q_list(text: str) -> tuple[float, ...]:
 
 
 def _cmd_verify_identity(args: argparse.Namespace) -> int:
+    if not (args.tol >= 0.0 and math.isfinite(args.tol)):
+        raise ValueError(f"tol must be finite and >= 0, got {args.tol!r}")
     e = parse(args.fn)
     iv = Interval(args.a, args.b)
     rep = verify_identity(e, iv, RuleParams(args.lam))
@@ -209,8 +211,8 @@ def _cmd_qclass(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
     iv = Interval(args.a, args.b)
     if args.g is not None:
-        e = parse(args.g)
-        rep = check_godunova_levin(lambda x: evaluate(e, x), iv, args.grid, args.tol)
+        g, _ = compile_expression(parse(args.g))
+        rep = check_godunova_levin(g, iv, args.grid, args.tol)
     else:
         rep = membership_for_bound(parse(args.fn), iv, args.q, args.grid, args.tol)
     print(f"samples_checked = {rep.samples_checked}")

@@ -13,10 +13,12 @@ Grammar (whitespace ignored):
 Unary minus binds tighter than '^', so "-x^2" parses as (-x)^2. There are
 no named constants; write the literal (e.g. 3.141592653589793) or exp(1).
 
-Derivatives come from second-order forward propagation (Taylor jets), not
-finite differences; points where the expression is not twice differentiable
-(abs at 0, fractional powers of a zero base) raise NonSmoothError instead of
-returning a silently wrong value.
+A parsed expression is compiled once into closures, x -> f(x) and
+x -> (f, f', f''), to be called at every point (evaluate and evaluate_jet2
+compile on each call). Derivatives come from second-order forward propagation
+(Taylor jets), not finite differences; points where the expression is not
+twice differentiable (abs at 0, fractional powers of a zero base) raise
+NonSmoothError instead of returning a silently wrong value.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 __all__ = [
     "Const",
@@ -41,11 +43,10 @@ __all__ = [
     "NonSmoothError",
     "parse",
     "to_text",
+    "compile_expression",
     "evaluate",
     "evaluate_jet2",
 ]
-
-FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 
 
 class ExpressionError(Exception):
@@ -110,6 +111,9 @@ class Jet2:
     v: float
     d1: float
     d2: float
+
+
+_Jet = tuple[float, float, float]  # (f, f', f'') at one point
 
 
 _NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
@@ -202,7 +206,7 @@ class _Parser:
         self.pos = m.end()
         if name == "x":
             return Var()
-        if name not in FUNCTIONS:
+        if name not in _CALLS:
             raise ParseError(f"unknown identifier {name!r}", start)
         self.skip_ws()
         if self.peek() != "(":
@@ -246,202 +250,59 @@ def to_text(node: Node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _contains_var(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Const):
-        return False
-    if isinstance(node, Neg):
-        return _contains_var(node.arg)
-    if isinstance(node, Bin):
-        return _contains_var(node.left) or _contains_var(node.right)
-    if isinstance(node, Pow):
-        return _contains_var(node.base) or _contains_var(node.exponent)
-    return _contains_var(node.arg)
+# Domain and smoothness rules, shared by the value and the jet closures
+def _divide(a: float, b: float, x: float) -> float:
+    if b == 0.0:
+        raise DomainError(f"division by zero at x={x!r}")
+    return a / b
 
 
-def evaluate(node: Node, x: float) -> float:
-    """Evaluate node at x; raises DomainError outside the natural domain."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, x)
-    if isinstance(node, Bin):
-        a = evaluate(node.left, x)
-        b = evaluate(node.right, x)
-        op = node.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if b == 0.0:
-            raise DomainError(f"division by zero at x={x!r}")
-        return a / b
-    if isinstance(node, Pow):
-        return _eval_pow(node, x)
-    if isinstance(node, Call):
-        return _eval_call(node.func, evaluate(node.arg, x))
-    raise TypeError(f"not an expression node: {node!r}")
+def _exp(u: float, overflow: str | None = None) -> float:
+    try:
+        return math.exp(u)
+    except OverflowError:
+        raise DomainError(overflow or f"exp overflow at argument {u!r}") from None
 
 
-def _eval_call(name: str, u: float) -> float:
-    if name == "sin":
-        return math.sin(u)
-    if name == "cos":
-        return math.cos(u)
-    if name == "exp":
-        try:
-            return math.exp(u)
-        except OverflowError:
-            raise DomainError(f"exp overflow at argument {u!r}") from None
-    if name == "ln":
-        if u <= 0.0:
-            raise DomainError(f"ln of non-positive value {u!r}")
-        return math.log(u)
-    if name == "sqrt":
-        if u < 0.0:
-            raise DomainError(f"sqrt of negative value {u!r}")
-        return math.sqrt(u)
-    return abs(u)
+def _ln(u: float, domain: str | None = None) -> float:
+    if u <= 0.0:
+        raise DomainError(domain or f"ln of non-positive value {u!r}")
+    return math.log(u)
 
 
-def _eval_pow(node: Pow, x: float) -> float:
-    base = evaluate(node.base, x)
-    if _contains_var(node.exponent):
-        if base <= 0.0:
-            raise DomainError("power with variable exponent requires a positive base")
-        expo = evaluate(node.exponent, x)
-        try:
-            return math.exp(expo * math.log(base))
-        except OverflowError:
-            raise DomainError("power overflow") from None
-    c = evaluate(node.exponent, x)
-    if c.is_integer():
-        if base == 0.0 and c < 0.0:
+def _sqrt(u: float) -> float:
+    if u < 0.0:
+        raise DomainError(f"sqrt of negative value {u!r}")
+    return math.sqrt(u)
+
+
+# a power whose exponent depends on x is exp(e * ln b)
+_BASE_DOMAIN = "power with variable exponent requires a positive base"
+_POWER_OVERFLOW = "power overflow"
+
+
+def _power(base: float, c: float, smooth: bool = False) -> float:
+    """base**c for an exponent free of x; smooth also requires it twice differentiable."""
+    integral = c.is_integer()
+    if base < 0.0 and not integral:
+        raise DomainError("negative base with non-integer exponent")
+    if base == 0.0:
+        if c < 0.0:
             raise DomainError("zero base with negative exponent")
-    else:
-        if base < 0.0:
-            raise DomainError("negative base with non-integer exponent")
-        if base == 0.0 and c < 0.0:
-            raise DomainError("zero base with negative exponent")
+        if smooth and not integral and c < 2.0:
+            raise NonSmoothError(
+                "power of zero base with exponent in (0, 2) is not twice differentiable"
+            )
     try:
         return base**c
     except OverflowError:
-        raise DomainError("power overflow") from None
+        raise DomainError(_POWER_OVERFLOW) from None
 
 
-def evaluate_jet2(node: Node, x: float) -> Jet2:
-    """Exact (f, f', f'') at x via second-order forward propagation."""
-    return Jet2(*_jet(node, x))
-
-
-def _jet(node: Node, x: float) -> tuple[float, float, float]:
-    if isinstance(node, Const):
-        return (node.value, 0.0, 0.0)
-    if isinstance(node, Var):
-        return (x, 1.0, 0.0)
-    if isinstance(node, Neg):
-        v, d1, d2 = _jet(node.arg, x)
-        return (-v, -d1, -d2)
-    if isinstance(node, Bin):
-        av, a1, a2 = _jet(node.left, x)
-        bv, b1, b2 = _jet(node.right, x)
-        op = node.op
-        if op == "+":
-            return (av + bv, a1 + b1, a2 + b2)
-        if op == "-":
-            return (av - bv, a1 - b1, a2 - b2)
-        if op == "*":
-            return (av * bv, a1 * bv + av * b1, a2 * bv + 2.0 * a1 * b1 + av * b2)
-        if bv == 0.0:
-            raise DomainError(f"division by zero at x={x!r}")
-        w = av / bv
-        w1 = (a1 - w * b1) / bv
-        w2 = (a2 - 2.0 * w1 * b1 - w * b2) / bv
-        return (w, w1, w2)
-    if isinstance(node, Pow):
-        return _jet_pow(node, x)
-    if isinstance(node, Call):
-        return _jet_call(node.func, _jet(node.arg, x))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _jet_call(name: str, u: tuple[float, float, float]) -> tuple[float, float, float]:
-    uv, u1, u2 = u
-    if name == "sin":
-        s = math.sin(uv)
-        c = math.cos(uv)
-        return (s, c * u1, -s * u1 * u1 + c * u2)
-    if name == "cos":
-        s = math.sin(uv)
-        c = math.cos(uv)
-        return (c, -s * u1, -c * u1 * u1 - s * u2)
-    if name == "exp":
-        try:
-            w = math.exp(uv)
-        except OverflowError:
-            raise DomainError(f"exp overflow at argument {uv!r}") from None
-        return (w, w * u1, w * (u1 * u1 + u2))
-    if name == "ln":
-        if uv <= 0.0:
-            raise DomainError(f"ln of non-positive value {uv!r}")
-        w1 = u1 / uv
-        return (math.log(uv), w1, u2 / uv - w1 * w1)
-    if name == "sqrt":
-        if uv < 0.0:
-            raise DomainError(f"sqrt of negative value {uv!r}")
-        if uv == 0.0:
-            raise NonSmoothError("sqrt is not differentiable at 0")
-        w = math.sqrt(uv)
-        w1 = 0.5 * u1 / w
-        return (w, w1, (0.5 * u2 - w1 * w1) / w)
-    # abs
-    if uv == 0.0:
-        raise NonSmoothError("abs is not differentiable where its argument is 0")
-    s = 1.0 if uv > 0.0 else -1.0
-    return (abs(uv), s * u1, s * u2)
-
-
-def _jet_pow(node: Pow, x: float) -> tuple[float, float, float]:
-    bv, b1, b2 = _jet(node.base, x)
-    if _contains_var(node.exponent):
-        if bv <= 0.0:
-            raise DomainError("power with variable exponent requires a positive base")
-        ev, e1, e2 = _jet(node.exponent, x)
-        # w = exp(e * ln b)
-        lv = math.log(bv)
-        l1 = b1 / bv
-        l2 = b2 / bv - l1 * l1
-        pv = ev * lv
-        p1 = e1 * lv + ev * l1
-        p2 = e2 * lv + 2.0 * e1 * l1 + ev * l2
-        try:
-            w = math.exp(pv)
-        except OverflowError:
-            raise DomainError("power overflow") from None
-        return (w, w * p1, w * (p1 * p1 + p2))
-    c = evaluate(node.exponent, x)
-    if c.is_integer():
-        if bv == 0.0 and c < 0.0:
-            raise DomainError("zero base with negative exponent")
-    else:
-        if bv < 0.0:
-            raise DomainError("negative base with non-integer exponent")
-        if bv == 0.0:
-            if c < 0.0:
-                raise DomainError("zero base with negative exponent")
-            if c < 2.0:
-                raise NonSmoothError(
-                    "power of zero base with exponent in (0, 2) is not twice differentiable"
-                )
+def _power_jet(bv: float, b1: float, b2: float, c: float) -> _Jet:
+    v = _power(bv, c, True)
+    d1 = d2 = 0.0
     try:
-        v = bv**c
-        d1 = 0.0
-        d2 = 0.0
         if c != 0.0:
             t1 = c * bv ** (c - 1.0)
             d1 = t1 * b1
@@ -450,5 +311,144 @@ def _jet_pow(node: Pow, x: float) -> tuple[float, float, float]:
             if c2 != 0.0:
                 d2 += c2 * bv ** (c - 2.0) * b1 * b1
     except OverflowError:
-        raise DomainError("power overflow") from None
+        raise DomainError(_POWER_OVERFLOW) from None
     return (v, d1, d2)
+
+
+def _sin_jet(uv: float, u1: float, u2: float) -> _Jet:
+    s, c = math.sin(uv), math.cos(uv)
+    return (s, c * u1, -s * u1 * u1 + c * u2)
+
+
+def _cos_jet(uv: float, u1: float, u2: float) -> _Jet:
+    s, c = math.sin(uv), math.cos(uv)
+    return (c, -s * u1, -c * u1 * u1 - s * u2)
+
+
+def _exp_jet(uv: float, u1: float, u2: float) -> _Jet:
+    w = _exp(uv)
+    return (w, w * u1, w * (u1 * u1 + u2))
+
+
+def _ln_jet(uv: float, u1: float, u2: float) -> _Jet:
+    v = _ln(uv)
+    w1 = u1 / uv
+    return (v, w1, u2 / uv - w1 * w1)
+
+
+def _sqrt_jet(uv: float, u1: float, u2: float) -> _Jet:
+    w = _sqrt(uv)
+    if uv == 0.0:
+        raise NonSmoothError("sqrt is not differentiable at 0")
+    w1 = 0.5 * u1 / w
+    return (w, w1, (0.5 * u2 - w1 * w1) / w)
+
+
+def _abs_jet(uv: float, u1: float, u2: float) -> _Jet:
+    if uv == 0.0:
+        raise NonSmoothError("abs is not differentiable where its argument is 0")
+    s = 1.0 if uv > 0.0 else -1.0
+    return (abs(uv), s * u1, s * u2)
+
+
+_CALLS = {  # function name -> (value rule, jet rule)
+    "sin": (math.sin, _sin_jet),
+    "cos": (math.cos, _cos_jet),
+    "exp": (_exp, _exp_jet),
+    "ln": (_ln, _ln_jet),
+    "sqrt": (_sqrt, _sqrt_jet),
+    "abs": (abs, _abs_jet),
+}
+
+
+def _compile(node: Node) -> tuple[Callable[[float], float], Callable[[float], _Jet], bool]:
+    """The value closure, the jet closure, and whether node depends on x.
+    Each closure computes its operands left to right, as the grammar reads."""
+    if isinstance(node, Const):
+        c = node.value
+        return (lambda x: c), (lambda x: (c, 0.0, 0.0)), False
+    if isinstance(node, Var):
+        return (lambda x: x), (lambda x: (x, 1.0, 0.0)), True
+    if isinstance(node, Call):
+        f, fj, has_x = _compile(node.arg)
+        rule, jet_rule = _CALLS[node.func]
+        return (lambda x: rule(f(x))), (lambda x: jet_rule(*fj(x))), has_x
+    if isinstance(node, Neg):
+        f, fj, has_x = _compile(node.arg)
+
+        def neg(x: float) -> _Jet:
+            v, d1, d2 = fj(x)
+            return (-v, -d1, -d2)
+
+        return (lambda x: -f(x)), neg, has_x
+    if isinstance(node, Pow):
+        f, fj, has_x = _compile(node.base)
+        if isinstance(node.exponent, Const):
+            c = node.exponent.value
+            return (lambda x: _power(f(x), c)), (lambda x: _power_jet(*fj(x), c)), has_x
+        g, gj, expo_has_x = _compile(node.exponent)
+        if not expo_has_x:
+            # evaluated at every call all the same, so that its errors name x
+            return (lambda x: _power(f(x), g(x))), (lambda x: _power_jet(*fj(x), g(x))), has_x
+
+        def power(x: float) -> float:
+            lb = _ln(f(x), _BASE_DOMAIN)
+            return _exp(g(x) * lb, _POWER_OVERFLOW)
+
+        def power_jet(x: float) -> _Jet:
+            bv, b1, b2 = fj(x)
+            lv = _ln(bv, _BASE_DOMAIN)
+            ev, e1, e2 = gj(x)
+            l1 = b1 / bv
+            l2 = b2 / bv - l1 * l1
+            pv = ev * lv
+            p1 = e1 * lv + ev * l1
+            p2 = e2 * lv + 2.0 * e1 * l1 + ev * l2
+            w = _exp(pv, _POWER_OVERFLOW)
+            return (w, w * p1, w * (p1 * p1 + p2))
+
+        return power, power_jet, True
+    if not isinstance(node, Bin):
+        raise TypeError(f"not an expression node: {node!r}")
+    f, fj, has_x = _compile(node.left)
+    g, gj, g_has_x = _compile(node.right)
+    has_x = has_x or g_has_x
+    if node.op == "+":
+        def add(x: float) -> _Jet:
+            (av, a1, a2), (bv, b1, b2) = fj(x), gj(x)
+            return (av + bv, a1 + b1, a2 + b2)
+        return (lambda x: f(x) + g(x)), add, has_x
+    if node.op == "-":
+        def sub(x: float) -> _Jet:
+            (av, a1, a2), (bv, b1, b2) = fj(x), gj(x)
+            return (av - bv, a1 - b1, a2 - b2)
+        return (lambda x: f(x) - g(x)), sub, has_x
+    if node.op == "*":
+        def mul(x: float) -> _Jet:
+            (av, a1, a2), (bv, b1, b2) = fj(x), gj(x)
+            return (av * bv, a1 * bv + av * b1, a2 * bv + 2.0 * a1 * b1 + av * b2)
+        return (lambda x: f(x) * g(x)), mul, has_x
+
+    def div(x: float) -> _Jet:
+        (av, a1, a2), (bv, b1, b2) = fj(x), gj(x)
+        w = _divide(av, bv, x)
+        w1 = (a1 - w * b1) / bv
+        w2 = (a2 - 2.0 * w1 * b1 - w * b2) / bv
+        return (w, w1, w2)
+    return (lambda x: _divide(f(x), g(x), x)), div, has_x
+
+
+def compile_expression(node: Node) -> tuple[Callable[[float], float], Callable[[float], _Jet]]:
+    """Closures x -> f(x) and x -> (f, f', f'') built once, to be called at many points;
+    the jet also raises NonSmoothError where f is not twice differentiable."""
+    return _compile(node)[:2]
+
+
+def evaluate(node: Node, x: float) -> float:
+    """Evaluate node at x; raises DomainError outside the natural domain."""
+    return _compile(node)[0](x)
+
+
+def evaluate_jet2(node: Node, x: float) -> Jet2:
+    """Exact (f, f', f'') at x via second-order forward propagation."""
+    return Jet2(*_compile(node)[1](x))

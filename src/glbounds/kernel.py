@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coefficients import _check_lambda
-from .expressions import Node, evaluate, evaluate_jet2
+from .expressions import Node, compile_expression
 from .quadrature import Interval, QuadratureConfig, integrate, integrate_piecewise
 
 __all__ = [
@@ -80,10 +80,11 @@ def functional_terms(
     e: Node, iv: Interval, cfg: QuadratureConfig | None = None
 ) -> FunctionalTerms:
     """Evaluate f at a, b and the midpoint and integrate it numerically over iv."""
-    fa = evaluate(e, iv.a)
-    fb = evaluate(e, iv.b)
-    fm = evaluate(e, iv.midpoint)
-    integral = integrate(lambda t: evaluate(e, t), iv, cfg)
+    f, _ = compile_expression(e)
+    fa = f(iv.a)
+    fb = f(iv.b)
+    fm = f(iv.midpoint)
+    integral = integrate(f, iv, cfg)
     return FunctionalTerms(fa, fb, fm, integral, iv.width)
 
 
@@ -104,9 +105,10 @@ def rhs_identity(
     """
     a, b = iv.a, iv.b
     w = iv.width
+    _, jet = compile_expression(e)
 
     def integrand(t: float) -> float:
-        return kernel_k(t, p) * evaluate_jet2(e, t * a + (1.0 - t) * b).d2
+        return kernel_k(t, p) * jet(t * a + (1.0 - t) * b)[2]
 
     cuts = [p.lam, 0.5, 1.0 - p.lam]
     return w * w * integrate_piecewise(integrand, Interval(0.0, 1.0), cuts, cfg)

@@ -15,7 +15,8 @@ The n^3 triples of a scan land on far fewer distinct points (2n^2 to about
 9n^2), so g is called once per distinct point and its values are kept until
 the scan returns: g must be deterministic, and memory grows with the number
 of distinct points (about 100 bytes each: up to 3 MB at n = 64 and 15 MB at
-n = 128).
+n = 128). The points do not depend on g, so scans of |f''|^q for several q
+can share one memo of |f''| (second_derivative_memo).
 
 The triple (y, x, 1-lam) has the same point and the same right side as
 (x, y, lam), because float addition is commutative. So when a grid lam and
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .expressions import Node, evaluate_jet2
+from .expressions import Node, compile_expression
 from .quadrature import Interval
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "QClassReport",
     "check_godunova_levin",
     "membership_for_bound",
+    "second_derivative_memo",
     "nonneg_convex_witness",
 ]
 
@@ -66,8 +68,13 @@ class QClassReport:
     passed: bool
 
 
+def _check_q(q: float) -> None:
+    if not (q >= 1.0 and math.isfinite(q)):
+        raise ValueError(f"q must be finite and >= 1, got {q!r}")
+
+
 class _PointMemo(dict):
-    """g at each distinct point of one scan, keyed on the exact float.
+    """g at each distinct point it is asked for, keyed on the exact float.
 
     0.0 and -0.0 compare equal as keys but g may tell them apart, so zeros
     are kept by sign outside the dict and every lookup of one lands here.
@@ -82,16 +89,9 @@ class _PointMemo(dict):
         if x == 0.0:
             sign = math.copysign(1.0, x)
             if sign not in self._zeros:
-                self._zeros[sign] = self._sample(x)
+                self._zeros[sign] = self._g(x)
             return self._zeros[sign]
-        v = self[x] = self._sample(x)
-        return v
-
-    def _sample(self, x: float) -> float:
-        v = self._g(x)
-        if not math.isfinite(v):
-            # NaN fails every comparison, so the scan could never flag it
-            raise ValueError(f"g is not finite at x={x!r}: {v!r}")
+        v = self[x] = self._g(x)
         return v
 
 
@@ -122,13 +122,21 @@ def check_godunova_levin(
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n!r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     n = grid_n
     width = iv.width
     xs = [iv.a + width * (i + 0.5) / n for i in range(n)]
     lams = [(k + 0.5) / n for k in range(n)]
-    memo = _PointMemo(g)
+
+    def sample(x: float) -> float:
+        v = g(x)
+        if not math.isfinite(v):
+            # NaN fails every comparison, so the scan could never flag it
+            raise ValueError(f"g is not finite at x={x!r}: {v!r}")
+        return v
+
+    memo = _PointMemo(sample)
     gx = [memo[x] for x in xs]
 
     violations: list[Violation] = []
@@ -173,13 +181,19 @@ def membership_for_bound(
     q: float,
     grid_n: int = DEFAULT_GRID_N,
     tol: float = DEFAULT_TOL,
+    abs_d2: Callable[[float], float] | None = None,
 ) -> QClassReport:
-    """Scan x -> |f''(x)|^q, the function whose membership the bound assumes."""
-    if not q >= 1.0:
-        raise ValueError(f"q must be >= 1, got {q!r}")
+    """Scan x -> |f''(x)|^q, the function whose membership the bound assumes.
+
+    abs_d2 is x -> |f''(x)| for e; scans of several q pass one
+    second_derivative_memo(e) so that each point's jet is evaluated once.
+    """
+    _check_q(q)
+    if abs_d2 is None:
+        abs_d2 = _abs_second_derivative(e)
 
     def g(x: float) -> float:
-        d2 = abs(evaluate_jet2(e, x).d2)
+        d2 = abs_d2(x)
         try:
             return d2**q
         except OverflowError:
@@ -187,6 +201,17 @@ def membership_for_bound(
             raise ValueError(msg) from None
 
     return check_godunova_levin(g, iv, grid_n, tol)
+
+
+def _abs_second_derivative(e: Node) -> Callable[[float], float]:
+    _, jet = compile_expression(e)
+    return lambda x: abs(jet(x)[2])
+
+
+def second_derivative_memo(e: Node) -> Callable[[float], float]:
+    """x -> |f''(x)| with each distinct point evaluated once (zeros kept by
+    sign); the values are held as long as the returned function is."""
+    return _PointMemo(_abs_second_derivative(e)).__getitem__
 
 
 def nonneg_convex_witness(

@@ -47,6 +47,18 @@ class TestVerifyIdentity:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol, capsys):
+        # abs_diff is about 7.6e-17 here: nan and -1 used to read as a property fail
+        code = main(["verify-identity", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0.3", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: tol must be finite and >= 0, got {float(tol)!r}\n"
+
+    def test_zero_tolerance_is_allowed(self, capsys):
+        assert main(["verify-identity", "--fn", "x", "--a", "0", "--b", "1", "--lambda", "0.3", "--tol", "0"]) == 0
+
 
 class TestCoeffs:
     def test_json_keys_and_values(self, capsys):
@@ -252,6 +264,15 @@ class TestSweep:
         assert existing.read_bytes() == b"keep me\n"
         assert not absent.exists()
 
+    def test_infinite_q_fails_before_any_scan(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda-grid", "0:1:0.5", "--q", "1,inf",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: q must be finite and >= 1, got inf\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "grid,qs",
         [("0.5:0.2:0.1", "1"), ("0:1:-0.1", "1"), ("0:1:0.5", "0.5"), ("0:1.5:0.5", "1"), ("0:1", "1")],
@@ -298,6 +319,22 @@ class TestQclass:
 
     def test_mutually_exclusive_inputs(self, capsys):
         assert main(["qclass", "--g", "1", "--fn", "x^2", "--q", "1", "--a", "0", "--b", "1"]) == 2
+
+    def test_infinite_tolerance_is_an_input_error(self, capsys):
+        # every margin is below inf, so sin used to print passed = True
+        code = main(["qclass", "--g", "sin(x)", "--a", "0.000001", "--b", "3.141592", "--grid", "8", "--tol", "inf"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: tol must be finite and positive, got inf\n"
+
+    def test_infinite_q_is_an_input_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        code = main(["qclass", "--fn", "sin(x)", "--q", "inf", "--a", "0.000001", "--b", "3.141592", "--grid", "8"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: q must be finite and >= 1, got inf\n"
         assert main(["qclass", "--fn", "x^2", "--a", "0", "--b", "1"]) == 2
         assert main(["qclass", "--g", "1", "--q", "1", "--a", "0", "--b", "1"]) == 2
         assert main(["qclass", "--a", "0", "--b", "1"]) == 2

@@ -3,18 +3,21 @@ from collections import Counter
 
 import pytest
 
+import glbounds
 from glbounds import (
     Interval,
     QClassReport,
     Violation,
     check_godunova_levin,
+    compile_expression,
     corpus_entries,
     evaluate,
-    evaluate_jet2,
     membership_for_bound,
     nonneg_convex_witness,
     parse,
+    sweep_rows,
 )
+from glbounds.cli import main
 
 SINE_INTERVAL = Interval(0.000001, 3.141592)
 COMPOSITE = "exp(x)*sin(x)+1/(x+2)"
@@ -71,8 +74,13 @@ def scan_points(iv, grid_n):
 
 
 def second_derivative_power(text, q):
-    e = parse(text)
-    return lambda x: abs(evaluate_jet2(e, x).d2) ** q
+    _, jet = compile_expression(parse(text))
+    return lambda x: abs(jet(x)[2]) ** q
+
+
+def value_of(text):
+    """x -> f(x), compiled once: the reference scans call it n^3 times."""
+    return compile_expression(parse(text))[0]
 
 
 def same_report(one, two):
@@ -163,6 +171,9 @@ class TestCheck:
             check_godunova_levin(lambda x: 1.0, Interval(0.0, 1.0), grid_n=1)
         with pytest.raises(ValueError):
             check_godunova_levin(lambda x: 1.0, Interval(0.0, 1.0), tol=0.0)
+        # an infinite tolerance would pass every function
+        with pytest.raises(ValueError, match="tol must be finite and positive, got inf"):
+            check_godunova_levin(lambda x: 1.0, Interval(0.0, 1.0), tol=math.inf)
 
 
 class TestAgainstPlainLoop:
@@ -180,18 +191,18 @@ class TestAgainstPlainLoop:
         "g,iv,grid_n",
         [
             (second_derivative_power(COMPOSITE, 2.0), Interval(0.123, 0.987), 64),
-            (lambda x, e=parse(COMPOSITE): evaluate(e, x), Interval(0.123, 0.987), 64),
-            (lambda x, e=parse("sin(x)"): evaluate(e, x), Interval(-3.7, 5.2), 64),
+            (value_of(COMPOSITE), Interval(0.123, 0.987), 64),
+            (value_of("sin(x)"), Interval(-3.7, 5.2), 64),
             (second_derivative_power("sin(x)", 1.0), Interval(0.0, 1e-9), 64),
             # grids where only some lams have an exact mirror; odd ones have lam = 1/2
             (math.sin, SINE_INTERVAL, 31),
             (math.sin, SINE_INTERVAL, 101),
             (lambda x: x * x, Interval(-3.7, 5.2), 100),
-            (lambda x, e=parse(COMPOSITE): evaluate(e, x), Interval(0.123, 0.987), 9),
+            (value_of(COMPOSITE), Interval(0.123, 0.987), 9),
             # g spans +-1e308, so g(x)/lam + g(y)/(1-lam) is inf + -inf, a NaN
             # margin, near lam = 1/2 (998 of the 64^3 triples, 110 of the 31^3)
-            (lambda x, e=parse("1e308*sin(x)"): evaluate(e, x), Interval(0.1, 6.2), 64),
-            (lambda x, e=parse("1e308*sin(x)"): evaluate(e, x), Interval(0.1, 6.2), 31),
+            (value_of("1e308*sin(x)"), Interval(0.1, 6.2), 64),
+            (value_of("1e308*sin(x)"), Interval(0.1, 6.2), 31),
         ],
         ids=[
             "composite-fn-q2",
@@ -317,6 +328,75 @@ class TestMembershipForBound:
     def test_rejects_q_below_one(self):
         with pytest.raises(ValueError):
             membership_for_bound(parse("x^2"), Interval(0.0, 1.0), 0.5)
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_rejects_q_that_is_not_finite(self, q, monkeypatch):
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        with pytest.raises(ValueError, match="q must be finite and >= 1"):
+            membership_for_bound(parse("sin(x)"), SINE_INTERVAL, q)
+
+
+def _counting_compile(monkeypatch, seen):
+    """Make every jet compiled in qclass count its calls per point (by float.hex)."""
+    original = glbounds.qclass.compile_expression
+
+    def compile_counting(e):
+        value, jet = original(e)
+
+        def counted(x):
+            seen[x.hex()] += 1
+            return jet(x)
+
+        return value, counted
+
+    monkeypatch.setattr(glbounds.qclass, "compile_expression", compile_counting)
+
+
+def _unshared(monkeypatch):
+    """Give every scan of a sweep its own |f''|, as before they shared one."""
+    monkeypatch.setattr(glbounds.bounds, "second_derivative_memo", glbounds.qclass._abs_second_derivative)
+
+
+class TestSweepSharesSecondDerivative:
+    def test_jet_called_once_per_distinct_point(self, monkeypatch):
+        seen = Counter()
+        _counting_compile(monkeypatch, seen)
+        iv = Interval(0.0, 3.0)
+        rows = sweep_rows(parse(COMPOSITE), iv, [0.0, 0.5, 1.0], (1.0, 2.0, 3.0))
+        assert len(rows) == 9
+        assert set(seen) == scan_points(iv, 64)
+        assert set(seen.values()) == {1}
+
+    @pytest.mark.parametrize(
+        "fn,a,b",
+        [
+            ("1/(x-0.5)", "0", "1"),  # a scan point lands on the pole
+            ("exp(x)", "300", "301"),  # |f''|^3 overflows, |f''| does not
+            ("abs(x-0.0859375)", "0", "1"),  # non-smooth at the scan point 11/128
+        ],
+    )
+    def test_first_error_is_unchanged(self, fn, a, b, tmp_path, monkeypatch, capsys):
+        argv = ["sweep", "--fn", fn, "--a", a, "--b", b, "--lambda-grid", "0:1:0.5", "--q", "1,2,3",
+                "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 2
+        shared = capsys.readouterr()
+        _unshared(monkeypatch)
+        assert main(argv) == 2
+        assert capsys.readouterr() == shared
+        assert shared.err.startswith("error: ")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_files_are_byte_identical(self, fmt, tmp_path, monkeypatch, capsys):
+        def run(path):
+            argv = ["sweep", "--fn", COMPOSITE, "--a", "0", "--b", "3", "--lambda-grid", "0:1:0.25",
+                    "--q", "1,2,3", "--format", fmt, "--out", str(path)]
+            assert main(argv) == 0
+            return path.read_bytes()
+
+        shared = run(tmp_path / "shared")
+        _unshared(monkeypatch)
+        assert run(tmp_path / "unshared") == shared
+        assert b"CheckedPass" in shared and b"CheckedFail" in shared
 
 
 class TestWitness:
