@@ -5,6 +5,9 @@ q = 1 collapse coded separately; proposition_bound holds the rule-specific
 specializations coded verbatim from their printed constants. Keeping three
 independent codings of the same mathematics lets the test suite cross-check
 them against each other and against the quadrature oracle.
+
+Reports are assembled in one place, sweep_rows; a single bound
+(evaluate_bound_report) is its one-row case.
 """
 
 from __future__ import annotations
@@ -12,11 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .coefficients import Regime, _check_lambda, coeff_total_q1, coefficient_set
 from .expressions import Node, compile_expression
-from .kernel import RuleParams, functional_terms, lhs_functional
+from .kernel import functional_terms
 from .qclass import (
     DEFAULT_GRID_N,
     DEFAULT_TOL,
@@ -24,7 +26,7 @@ from .qclass import (
     membership_for_bound,
     second_derivative_memo,
 )
-from .quadrature import Interval, QuadratureConfig
+from .quadrature import Interval
 
 __all__ = [
     "MembershipStatus",
@@ -187,52 +189,23 @@ def _endpoint_weights(e: Node, iv: Interval) -> tuple[float, float]:
     return abs(jet(iv.a)[2]), abs(jet(iv.b)[2])
 
 
-def _checked_status(
-    e: Node,
-    iv: Interval,
-    q: float,
-    grid_n: int = DEFAULT_GRID_N,
-    tol: float = DEFAULT_TOL,
-    abs_d2: Callable[[float], float] | None = None,
-) -> MembershipStatus:
-    scan = membership_for_bound(e, iv, q, grid_n, tol, abs_d2=abs_d2)
-    return MembershipStatus.CHECKED_PASS if scan.passed else MembershipStatus.CHECKED_FAIL
-
-
-def _report(
-    inp: BoundInput, bound: float, lhs_abs: float, status: MembershipStatus
-) -> BoundReport:
-    ratio = lhs_abs / bound if bound > 0.0 else None
-    return BoundReport(lhs_abs, bound, ratio, coefficient_set(inp.lam).regime, status)
-
-
 def evaluate_bound_report(
     e: Node,
     iv: Interval,
     lam: float,
     q: float,
-    cfg: QuadratureConfig | None = None,
     membership_mode: MembershipMode = MembershipMode.CHECK,
     grid_n: int = DEFAULT_GRID_N,
     tol: float = DEFAULT_TOL,
 ) -> BoundReport:
     """Tie the measured |E(lam, f)| to its bound, with membership gating.
 
-    The inequality is only a claim when membership is Certified or
-    CheckedPass; a CheckedFail report still carries lhs/bound for inspection
-    (the bound may genuinely fail there, which is informative).
+    This is the report of the one-row sweep_rows(e, iv, [lam], (q,)). The
+    inequality is only a claim when membership is Certified or CheckedPass; a
+    CheckedFail report still carries lhs/bound for inspection (the bound may
+    genuinely fail there, which is informative).
     """
-    inp = BoundInput(iv, lam, q, *_endpoint_weights(e, iv))
-    # cheap, and an overflowing |f''|^q fails here before quadrature and scan
-    bound = theorem_bound(inp)
-    lhs_abs = abs(lhs_functional(e, iv, RuleParams(lam), cfg))
-    if membership_mode is MembershipMode.CERTIFIED:
-        status = MembershipStatus.CERTIFIED
-    elif membership_mode is MembershipMode.SKIP:
-        status = MembershipStatus.UNCHECKED
-    else:
-        status = _checked_status(e, iv, q, grid_n, tol)
-    return _report(inp, bound, lhs_abs, status)
+    return sweep_rows(e, iv, [lam], (q,), membership_mode, grid_n, tol)[0].report
 
 
 @dataclass(frozen=True)
@@ -243,27 +216,47 @@ class SweepRow:
 
 
 def sweep_rows(
-    e: Node, iv: Interval, lams: list[float], q_list: tuple[float, ...]
+    e: Node,
+    iv: Interval,
+    lams: list[float],
+    q_list: tuple[float, ...],
+    membership_mode: MembershipMode = MembershipMode.CHECK,
+    grid_n: int = DEFAULT_GRID_N,
+    tol: float = DEFAULT_TOL,
 ) -> list[SweepRow]:
-    """Membership-checked bound reports for every (lam, q), lam-major.
+    """Bound reports for every (lam, q), lam-major; every BoundReport is built here.
 
-    Each row equals the evaluate_bound_report of its (lam, q), but the work
-    that does not depend on lam is done once: |f''| at the ends, f at a, b
-    and the midpoint with int_a^b f, and one membership scan per q, all of
-    which share |f''| at each scan point.
+    The work that does not depend on lam is done once, in this order: |f''| at
+    the ends, every bound (cheap, so an overflowing |f''|^q fails before any
+    quadrature or scan), f at a, b and the midpoint with int_a^b f, and in
+    CHECK mode one membership scan per q. Scans of more than one q share
+    |f''| at each scan point (second_derivative_memo); a single scan has
+    nothing to share and evaluates it directly.
     """
     g_a, g_b = _endpoint_weights(e, iv)
-    # membership is a property of |f''|^q alone, so scan once per q
-    abs_d2 = second_derivative_memo(e)
-    membership = {q: _checked_status(e, iv, q, abs_d2=abs_d2) for q in q_list}
+    cells = [
+        (lam, q, theorem_bound(BoundInput(iv, lam, q, g_a, g_b))) for lam in lams for q in q_list
+    ]
     terms = functional_terms(e, iv)
+    if membership_mode is MembershipMode.CERTIFIED:
+        status = dict.fromkeys(q_list, MembershipStatus.CERTIFIED)
+    elif membership_mode is MembershipMode.SKIP:
+        status = dict.fromkeys(q_list, MembershipStatus.UNCHECKED)
+    else:
+        # membership is a property of |f''|^q alone, so scan once per q
+        abs_d2 = second_derivative_memo(e) if len(q_list) > 1 else None
+        status = {
+            q: MembershipStatus.CHECKED_PASS
+            if membership_for_bound(e, iv, q, grid_n, tol, abs_d2=abs_d2).passed
+            else MembershipStatus.CHECKED_FAIL
+            for q in q_list
+        }
     rows: list[SweepRow] = []
-    for lam in lams:
+    for lam, q, bound in cells:
         lhs_abs = abs(terms.at(lam))
-        for q in q_list:
-            inp = BoundInput(iv, lam, q, g_a, g_b)
-            report = _report(inp, theorem_bound(inp), lhs_abs, membership[q])
-            rows.append(SweepRow(lam, q, report))
+        ratio = lhs_abs / bound if bound > 0.0 else None
+        report = BoundReport(lhs_abs, bound, ratio, coefficient_set(lam).regime, status[q])
+        rows.append(SweepRow(lam, q, report))
     return rows
 
 
@@ -278,7 +271,6 @@ class HermiteHadamardReport:
 def hermite_hadamard_check(
     e: Node,
     iv: Interval,
-    cfg: QuadratureConfig | None = None,
     tol: float = 1e-9,
     grid_n: int = 101,
 ) -> HermiteHadamardReport:
@@ -292,7 +284,7 @@ def hermite_hadamard_check(
         x = iv.a + iv.width * (i + 0.5) / grid_n
         if jet(x)[2] < -1e-9:
             raise ValueError(f"convexity sample check failed at x={x!r}")
-    terms = functional_terms(e, iv, cfg)
+    terms = functional_terms(e, iv)
     lower = terms.fm
     mid = terms.integral / terms.width
     upper = 0.5 * (terms.fa + terms.fb)

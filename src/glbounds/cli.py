@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .bounds import MembershipMode, MembershipStatus, evaluate_bound_report, sweep_rows
 from .coefficients import coefficient_set
@@ -37,37 +36,6 @@ def _fmt17(v: float) -> str:
 
 def _fmt6(v: float) -> str:
     return format(v, ".6g")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    expression: str
-    interval: Interval
-    lam_start: float
-    lam_end: float
-    lam_step: float
-    q_list: tuple[float, ...]
-    output_path: str
-    fmt: str  # csv | json
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lam_start <= self.lam_end <= 1.0:
-            raise ValueError(
-                f"lambda grid must satisfy 0 <= start <= end <= 1, got "
-                f"{self.lam_start!r}:{self.lam_end!r}"
-            )
-        if not self.lam_step > 0.0:
-            raise ValueError(f"lambda grid step must be positive, got {self.lam_step!r}")
-        if not self.q_list:
-            raise ValueError("q list must be non-empty")
-        for q in self.q_list:
-            _check_q(q)
-
-    def lambda_grid(self) -> list[float]:
-        # inclusive of end when (end-start)/step is integral within 1e-9
-        count = int((self.lam_end - self.lam_start) / self.lam_step + 1e-9)
-        grid = [self.lam_start + i * self.lam_step for i in range(count + 1)]
-        return [min(max(v, 0.0), 1.0) for v in grid]
 
 
 def _parse_lambda_grid(text: str) -> tuple[float, float, float]:
@@ -147,25 +115,30 @@ def _probe_writable(path: str) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     start, end, step = _parse_lambda_grid(args.lambda_grid)
-    spec = SweepSpec(
-        expression=args.fn,
-        interval=Interval(args.a, args.b),
-        lam_start=start,
-        lam_end=end,
-        lam_step=step,
-        q_list=_parse_q_list(args.q),
-        output_path=args.out,
-        fmt=args.format,
-    )
-    e = parse(spec.expression)
+    iv = Interval(args.a, args.b)
+    q_list = _parse_q_list(args.q)
+    if not 0.0 <= start <= end <= 1.0:
+        raise ValueError(
+            f"lambda grid must satisfy 0 <= start <= end <= 1, got {start!r}:{end!r}"
+        )
+    if not step > 0.0:
+        raise ValueError(f"lambda grid step must be positive, got {step!r}")
+    if not q_list:
+        raise ValueError("q list must be non-empty")
+    for q in q_list:
+        _check_q(q)
+    e = parse(args.fn)
     # fail on an unwritable --out before any scan runs, and leave no trace
     try:
-        _probe_writable(spec.output_path)
+        _probe_writable(args.out)
     except OSError as exc:
-        print(f"error: cannot write {spec.output_path!r}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    rows = sweep_rows(e, spec.interval, spec.lambda_grid(), spec.q_list)
-    if spec.fmt == "csv":
+    # inclusive of end when (end-start)/step is integral within 1e-9
+    count = int((end - start) / step + 1e-9)
+    lams = [min(max(start + i * step, 0.0), 1.0) for i in range(count + 1)]
+    rows = sweep_rows(e, iv, lams, q_list)
+    if args.format == "csv":
         lines = ["lambda,q,regime,lhs_abs,bound,ratio,membership"]
         for r in rows:
             rep = r.report
@@ -190,12 +163,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ]
         content = json.dumps(payload, indent=2) + "\n"
     try:
-        with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(content)
     except OSError as exc:
-        print(f"error: cannot write {spec.output_path!r}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    print(f"sweep: wrote {len(rows)} rows to {spec.output_path}", file=sys.stderr)
+    print(f"sweep: wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -299,10 +272,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: building it costs about as much as a whole verify-identity
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_INPUT_ERROR

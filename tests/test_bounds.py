@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glbounds
 from glbounds import (
     BoundInput,
     Interval,
@@ -11,9 +12,14 @@ from glbounds import (
     MembershipStatus,
     Proposition,
     Regime,
+    RuleParams,
+    coefficient_set,
     corollary_bound_q1,
     evaluate_bound_report,
+    evaluate_jet2,
     hermite_hadamard_check,
+    lhs_functional,
+    membership_for_bound,
     parse,
     proposition_bound,
     sweep_rows,
@@ -219,8 +225,45 @@ class TestSweepRows:
         qs = (1.0, 2.5)
         rows = sweep_rows(e, iv, lams, qs)
         assert [(r.lam, r.q) for r in rows] == [(lam, q) for lam in lams for q in qs]
+        g_a, g_b = abs(evaluate_jet2(e, iv.a).d2), abs(evaluate_jet2(e, iv.b).d2)
+        passed = {q: membership_for_bound(e, iv, q).passed for q in qs}
         for r in rows:
-            assert r.report == evaluate_bound_report(e, iv, r.lam, r.q)
+            bound = theorem_bound(BoundInput(iv, r.lam, r.q, g_a, g_b))
+            lhs_abs = abs(lhs_functional(e, iv, RuleParams(r.lam)))
+            status = MembershipStatus.CHECKED_PASS if passed[r.q] else MembershipStatus.CHECKED_FAIL
+            rep = r.report
+            assert (rep.lhs_abs, rep.bound, rep.regime, rep.q_membership) == (
+                lhs_abs, bound, coefficient_set(r.lam).regime, status
+            )
+            assert rep.ratio == (lhs_abs / bound if bound > 0.0 else None)
+
+    @pytest.mark.parametrize(
+        "mode,status",
+        [(MembershipMode.CERTIFIED, MembershipStatus.CERTIFIED), (MembershipMode.SKIP, MembershipStatus.UNCHECKED)],
+    )
+    def test_modes_without_a_scan_label_every_row(self, monkeypatch, mode, status):
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        # sine fails the scan, so a row labelled from one would read CheckedFail
+        iv = Interval(0.000001, 3.141592)
+        rows = sweep_rows(parse("sin(x)"), iv, [0.0, 0.5], (1.0, 2.0), membership_mode=mode)
+        assert [(r.lam, r.q) for r in rows] == [(0.0, 1.0), (0.0, 2.0), (0.5, 1.0), (0.5, 2.0)]
+        assert all(r.report.q_membership is status for r in rows)
+
+    def test_only_several_q_share_second_derivatives(self, monkeypatch):
+        calls = []
+        original = glbounds.bounds.second_derivative_memo
+
+        def counted(e):
+            calls.append(e)
+            return original(e)
+
+        monkeypatch.setattr(glbounds.bounds, "second_derivative_memo", counted)
+        e = parse("exp(x)")
+        rep = evaluate_bound_report(e, UNIT, 0.5, 2.0, grid_n=16)
+        assert rep.q_membership is MembershipStatus.CHECKED_PASS
+        assert calls == []
+        sweep_rows(e, UNIT, [0.5], (1.0, 2.0), grid_n=16)
+        assert calls == [e]
 
 
 class TestHermiteHadamard:

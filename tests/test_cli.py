@@ -251,18 +251,27 @@ class TestSweep:
         assert _run_sweep(tmp_path / "sweep.csv") == 0
         assert scans == [Interval(0.0, 1.0)] * 2
 
+    OVERFLOW_ARGV = ["sweep", "--fn", "exp(x)", "--a", "300", "--b", "301", "--lambda-grid", "0:1:0.5",
+                     "--q", "1,3"]
+    OVERFLOW_ERR = "error: g_a^q overflows: g_a = 1.9424263952412558e+130, q = 3.0\n"
+
     def test_input_error_leaves_out_untouched(self, tmp_path, capsys):
-        # |f''|^3 of exp(x) on [300, 301] overflows in the q = 3 scan
+        # |f''(300)|^3 of exp(x) overflows in the bound, as in `bound`
         existing = tmp_path / "existing.csv"
         existing.write_bytes(b"keep me\n")
         absent = tmp_path / "absent.csv"
         for path in (existing, absent):
-            argv = ["sweep", "--fn", "exp(x)", "--a", "300", "--b", "301", "--lambda-grid", "0:1:0.5",
-                    "--q", "1,3", "--out", str(path)]
-            assert main(argv) == 2
-            assert "overflows at x=" in capsys.readouterr().err
+            assert main(self.OVERFLOW_ARGV + ["--out", str(path)]) == 2
+            assert capsys.readouterr().err == self.OVERFLOW_ERR
         assert existing.read_bytes() == b"keep me\n"
         assert not absent.exists()
+
+    def test_overflow_fails_before_any_scan(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        out = tmp_path / "sweep.csv"
+        assert main(self.OVERFLOW_ARGV + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == self.OVERFLOW_ERR
+        assert not out.exists()
 
     def test_infinite_q_fails_before_any_scan(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
@@ -363,3 +372,27 @@ class TestEntryPoints:
 
     def test_unknown_command(self, capsys):
         assert main(["no-such-command"]) == 2
+
+    def test_repeated_calls_give_the_same_results(self, capsys):
+        # main() reuses one parser, so no call may leave state for the next
+        argvs = [
+            ["verify-identity", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0.3"],
+            ["bound", "--fn", "x^2"],
+            ["coeffs", "--help"],
+            ["coeffs", "--lambda", "0.25", "--json"],
+            ["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0", "--q", "1", "--skip-membership"],
+            ["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "2", "--q", "1"],
+            ["qclass", "--g", "1", "--a", "0", "--b", "1", "--grid", "8"],
+            ["no-such-command"],
+            ["coeffs", "--lambda", "0"],
+        ]
+        passes = []
+        for _ in range(2):
+            results = []
+            for argv in argvs:
+                code = main(argv)
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            passes.append(results)
+        assert passes[0] == passes[1]
+        assert [code for code, _, _ in passes[0]] == [0, 2, 0, 0, 0, 2, 0, 2, 0]
