@@ -43,7 +43,6 @@ from .expressions import (
     evaluate,
     evaluate_jet2,
     parse,
-    to_text,
 )
 from .kernel import (
     IdentityReport,
@@ -58,7 +57,6 @@ from .qclass import (
     Violation,
     check_godunova_levin,
     membership_for_bound,
-    nonneg_convex_witness,
 )
 from .quadrature import (
     DepthExhaustedError,
@@ -68,7 +66,6 @@ from .quadrature import (
     QuadratureError,
     integrate,
     integrate_piecewise,
-    second_derivative_fd,
 )
 
 __version__ = "0.1.0"
@@ -116,13 +113,10 @@ __all__ = [
     "lhs_functional",
     "membership_for_bound",
     "moment",
-    "nonneg_convex_witness",
     "parse",
     "proposition_bound",
     "rhs_identity",
-    "second_derivative_fd",
     "sweep_rows",
     "theorem_bound",
-    "to_text",
     "verify_identity",
 ]

@@ -7,7 +7,8 @@ independent codings of the same mathematics lets the test suite cross-check
 them against each other and against the quadrature oracle.
 
 Reports are assembled in one place, sweep_rows; a single bound
-(evaluate_bound_report) is its one-row case.
+(evaluate_bound_report) is its one-row case. Their membership scans use
+membership_for_bound's grid and tolerance.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from enum import Enum
 from .coefficients import Regime, _check_lambda, coeff_total_q1, coefficient_set
 from .expressions import Node, compile_expression
 from .kernel import functional_terms
-from .qclass import (
-    DEFAULT_GRID_N,
-    DEFAULT_TOL,
-    _check_q,
-    membership_for_bound,
-    second_derivative_memo,
-)
+from .qclass import _check_q, membership_for_bound, second_derivative_memo
 from .quadrature import Interval
 
 __all__ = [
@@ -195,8 +190,6 @@ def evaluate_bound_report(
     lam: float,
     q: float,
     membership_mode: MembershipMode = MembershipMode.CHECK,
-    grid_n: int = DEFAULT_GRID_N,
-    tol: float = DEFAULT_TOL,
 ) -> BoundReport:
     """Tie the measured |E(lam, f)| to its bound, with membership gating.
 
@@ -205,7 +198,7 @@ def evaluate_bound_report(
     CheckedFail report still carries lhs/bound for inspection (the bound may
     genuinely fail there, which is informative).
     """
-    return sweep_rows(e, iv, [lam], (q,), membership_mode, grid_n, tol)[0].report
+    return sweep_rows(e, iv, [lam], (q,), membership_mode)[0].report
 
 
 @dataclass(frozen=True)
@@ -221,8 +214,6 @@ def sweep_rows(
     lams: list[float],
     q_list: tuple[float, ...],
     membership_mode: MembershipMode = MembershipMode.CHECK,
-    grid_n: int = DEFAULT_GRID_N,
-    tol: float = DEFAULT_TOL,
 ) -> list[SweepRow]:
     """Bound reports for every (lam, q), lam-major; every BoundReport is built here.
 
@@ -247,7 +238,7 @@ def sweep_rows(
         abs_d2 = second_derivative_memo(e) if len(q_list) > 1 else None
         status = {
             q: MembershipStatus.CHECKED_PASS
-            if membership_for_bound(e, iv, q, grid_n, tol, abs_d2=abs_d2).passed
+            if membership_for_bound(e, iv, q, abs_d2=abs_d2).passed
             else MembershipStatus.CHECKED_FAIL
             for q in q_list
         }
@@ -268,25 +259,21 @@ class HermiteHadamardReport:
     holds: bool
 
 
-def hermite_hadamard_check(
-    e: Node,
-    iv: Interval,
-    tol: float = 1e-9,
-    grid_n: int = 101,
-) -> HermiteHadamardReport:
+def hermite_hadamard_check(e: Node, iv: Interval) -> HermiteHadamardReport:
     """Midpoint value <= mean integral <= endpoint average, for convex f.
 
     Convexity is a caller assertion, screened numerically by requiring
-    f'' >= -1e-9 on an interior sample grid.
+    f'' >= -1e-9 at 101 interior midpoints; both inequalities are allowed a
+    slack of 1e-9.
     """
     _, jet = compile_expression(e)
-    for i in range(grid_n):
-        x = iv.a + iv.width * (i + 0.5) / grid_n
+    for i in range(101):
+        x = iv.a + iv.width * (i + 0.5) / 101
         if jet(x)[2] < -1e-9:
             raise ValueError(f"convexity sample check failed at x={x!r}")
     terms = functional_terms(e, iv)
     lower = terms.fm
     mid = terms.integral / terms.width
     upper = 0.5 * (terms.fa + terms.fb)
-    holds = lower <= mid + tol and mid <= upper + tol
+    holds = lower <= mid + 1e-9 and mid <= upper + 1e-9
     return HermiteHadamardReport(lower, mid, upper, holds)

@@ -20,7 +20,13 @@ from .coefficients import coefficient_set
 from .corpus import corpus_entries
 from .expressions import ExpressionError, compile_expression, parse
 from .kernel import RuleParams, verify_identity
-from .qclass import _check_q, check_godunova_levin, membership_for_bound
+from .qclass import (
+    DEFAULT_GRID_N,
+    DEFAULT_TOL,
+    _check_q,
+    check_godunova_levin,
+    membership_for_bound,
+)
 from .quadrature import Interval, QuadratureError
 
 EXIT_OK = 0
@@ -28,6 +34,9 @@ EXIT_PROPERTY_FAIL = 1
 EXIT_INPUT_ERROR = 2
 EXIT_MEMBERSHIP_FAIL = 3
 EXIT_IO_ERROR = 4
+
+# a sweep computes and holds every row before writing, so its size is capped
+MAX_SWEEP_LAMBDAS = 100_001
 
 
 def _fmt17(v: float) -> str:
@@ -123,6 +132,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     if not step > 0.0:
         raise ValueError(f"lambda grid step must be positive, got {step!r}")
+    # inclusive of end when (end-start)/step is integral within 1e-9; inf for a tiny step
+    span = (end - start) / step + 1e-9
+    if not span < MAX_SWEEP_LAMBDAS:
+        raise ValueError(f"lambda grid {args.lambda_grid!r} gives over {MAX_SWEEP_LAMBDAS} lambdas")
     if not q_list:
         raise ValueError("q list must be non-empty")
     for q in q_list:
@@ -134,9 +147,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    # inclusive of end when (end-start)/step is integral within 1e-9
-    count = int((end - start) / step + 1e-9)
-    lams = [min(max(start + i * step, 0.0), 1.0) for i in range(count + 1)]
+    lams = [min(max(start + i * step, 0.0), 1.0) for i in range(int(span) + 1)]
     rows = sweep_rows(e, iv, lams, q_list)
     if args.format == "csv":
         lines = ["lambda,q,regime,lhs_abs,bound,ratio,membership"]
@@ -262,8 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_N)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(handler=_cmd_qclass)
 
     p = sub.add_parser("corpus", help="print the built-in function catalogue as JSON")

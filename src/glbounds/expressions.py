@@ -42,7 +42,6 @@ __all__ = [
     "DomainError",
     "NonSmoothError",
     "parse",
-    "to_text",
     "compile_expression",
     "evaluate",
     "evaluate_jet2",
@@ -231,23 +230,6 @@ def parse(text: str) -> Node:
     if p.peek() != "":
         raise ParseError(f"unexpected {p.peek()!r}", p.pos)
     return node
-
-
-def to_text(node: Node) -> str:
-    """Render an AST as text that re-parses to a structurally identical tree."""
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, Neg):
-        return f"(-{to_text(node.arg)})"
-    if isinstance(node, Bin):
-        return f"({to_text(node.left)}{node.op}{to_text(node.right)})"
-    if isinstance(node, Pow):
-        return f"({to_text(node.base)}^{to_text(node.exponent)})"
-    if isinstance(node, Call):
-        return f"{node.func}({to_text(node.arg)})"
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # Domain and smoothness rules, shared by the value and the jet closures

@@ -11,6 +11,9 @@ violating triple, and reports the worst margin seen. Passing is falsification
 evidence, not proof; downstream consumers label it CheckedPass, never
 Certified.
 
+DEFAULT_GRID_N and DEFAULT_TOL are decided here only: bound and sweep scan
+with them, and they are the defaults of the CLI's qclass --grid and --tol.
+
 The n^3 triples of a scan land on far fewer distinct points (2n^2 to about
 9n^2), so g is called once per distinct point and its values are kept until
 the scan returns: g must be deterministic, and memory grows with the number
@@ -40,7 +43,6 @@ __all__ = [
     "check_godunova_levin",
     "membership_for_bound",
     "second_derivative_memo",
-    "nonneg_convex_witness",
 ]
 
 DEFAULT_GRID_N = 64
@@ -212,26 +214,3 @@ def second_derivative_memo(e: Node) -> Callable[[float], float]:
     """x -> |f''(x)| with each distinct point evaluated once (zeros kept by
     sign); the values are held as long as the returned function is."""
     return _PointMemo(_abs_second_derivative(e)).__getitem__
-
-
-def nonneg_convex_witness(
-    g: Callable[[float], float],
-    iv: Interval,
-    grid_n: int = 129,
-    tol: float = 1e-9,
-) -> bool:
-    """Sampled witness that g is nonnegative and convex, hence a class member.
-
-    Nonnegative convex functions (constants included) all satisfy the defining
-    inequality, so catalogue entries backed by this witness can skip the
-    triple scan and be labelled Certified.
-    """
-    if grid_n < 3:
-        raise ValueError(f"grid_n must be >= 3, got {grid_n!r}")
-    xs = [iv.a + iv.width * (i + 0.5) / grid_n for i in range(grid_n)]
-    vals = [g(x) for x in xs]
-    if any(v < -tol for v in vals):
-        return False
-    return all(
-        vals[i - 1] - 2.0 * vals[i] + vals[i + 1] >= -tol for i in range(1, grid_n - 1)
-    )

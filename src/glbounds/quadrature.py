@@ -18,7 +18,6 @@ __all__ = [
     "NonFiniteValueError",
     "integrate",
     "integrate_piecewise",
-    "second_derivative_fd",
 ]
 
 ScalarFunction = Callable[[float], float]
@@ -142,13 +141,3 @@ def integrate_piecewise(
     return sum(
         integrate(f, Interval(lo, hi), piece_cfg) for lo, hi in zip(edges, edges[1:])
     )
-
-
-def second_derivative_fd(f: ScalarFunction, x: float, h: float = 1e-4) -> float:
-    """Central second difference (f(x-h) - 2 f(x) + f(x+h)) / h^2."""
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"h must be positive and finite, got {h!r}")
-    lo = _sample(f, x - h)
-    mid = _sample(f, x)
-    hi = _sample(f, x + h)
-    return (lo - 2.0 * mid + hi) / (h * h)

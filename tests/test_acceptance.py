@@ -28,7 +28,6 @@ from glbounds import (
     moment,
     parse,
     proposition_bound,
-    second_derivative_fd,
     theorem_bound,
     verify_identity,
 )
@@ -43,6 +42,7 @@ from glbounds.coefficients import (
     _total_q1_high,
     _total_q1_low,
 )
+from oracles import second_derivative_fd
 
 
 def _report(line):

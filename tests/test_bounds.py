@@ -187,14 +187,12 @@ class TestBoundReport:
         assert rep.ratio == pytest.approx(0.0, abs=1e-9)
 
     def test_exp_checked_pass_and_bounded(self):
-        rep = evaluate_bound_report(parse("exp(x)"), UNIT, 1.0, 2.0, grid_n=16)
+        rep = evaluate_bound_report(parse("exp(x)"), UNIT, 1.0, 2.0)
         assert rep.q_membership is MembershipStatus.CHECKED_PASS
         assert rep.lhs_abs <= rep.bound
 
     def test_sine_checked_fail_still_reports(self):
-        rep = evaluate_bound_report(
-            parse("sin(x)"), Interval(0.000001, 3.141592), 0.0, 1.0, grid_n=16
-        )
+        rep = evaluate_bound_report(parse("sin(x)"), Interval(0.000001, 3.141592), 0.0, 1.0)
         assert rep.q_membership is MembershipStatus.CHECKED_FAIL
         assert rep.lhs_abs > 0.0
         assert rep.bound > 0.0
@@ -259,10 +257,10 @@ class TestSweepRows:
 
         monkeypatch.setattr(glbounds.bounds, "second_derivative_memo", counted)
         e = parse("exp(x)")
-        rep = evaluate_bound_report(e, UNIT, 0.5, 2.0, grid_n=16)
+        rep = evaluate_bound_report(e, UNIT, 0.5, 2.0)
         assert rep.q_membership is MembershipStatus.CHECKED_PASS
         assert calls == []
-        sweep_rows(e, UNIT, [0.5], (1.0, 2.0), grid_n=16)
+        sweep_rows(e, UNIT, [0.5], (1.0, 2.0))
         assert calls == [e]
 
 

@@ -284,13 +284,24 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "grid,qs",
-        [("0.5:0.2:0.1", "1"), ("0:1:-0.1", "1"), ("0:1:0.5", "0.5"), ("0:1.5:0.5", "1"), ("0:1", "1")],
+        [
+            ("0.5:0.2:0.1", "1"),
+            ("0:1:-0.1", "1"),
+            ("0:1:0.5", "0.5"),
+            ("0:1.5:0.5", "1"),
+            ("0:1", "1"),
+            # more than 100,001 lambdas: 1e6 of them, and an infinite quotient
+            ("0:1:5e-324", "1"),
+            ("0:1:1e-6", "1"),
+        ],
     )
-    def test_bad_spec(self, tmp_path, grid, qs, capsys):
+    def test_bad_spec(self, tmp_path, grid, qs, monkeypatch, capsys):
+        monkeypatch.setattr(glbounds.cli, "sweep_rows", None)  # no row may be computed
         code = main(
             ["sweep", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda-grid", grid, "--q", qs, "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestQclass:

@@ -4,9 +4,9 @@ from glbounds import (
     ExpectedMembership,
     corpus_entries,
     evaluate_jet2,
-    nonneg_convex_witness,
     parse,
 )
+from oracles import nonneg_convex_witness
 
 
 def test_catalogue_shape():

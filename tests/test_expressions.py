@@ -14,10 +14,9 @@ from glbounds import (
     evaluate,
     evaluate_jet2,
     parse,
-    second_derivative_fd,
-    to_text,
 )
 from glbounds.expressions import Bin, Call, Const, Jet2, Neg, Node, Pow, Var, compile_expression
+from oracles import second_derivative_fd, to_text
 
 # The recursive tree-walkers that compile_expression replaced, kept verbatim
 # (only the two entry points renamed) as the reference the closures must

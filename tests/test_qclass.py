@@ -13,11 +13,11 @@ from glbounds import (
     corpus_entries,
     evaluate,
     membership_for_bound,
-    nonneg_convex_witness,
     parse,
     sweep_rows,
 )
 from glbounds.cli import main
+from oracles import nonneg_convex_witness
 
 SINE_INTERVAL = Interval(0.000001, 3.141592)
 COMPOSITE = "exp(x)*sin(x)+1/(x+2)"

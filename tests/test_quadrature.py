@@ -11,8 +11,8 @@ from glbounds import (
     QuadratureConfig,
     integrate,
     integrate_piecewise,
-    second_derivative_fd,
 )
+from oracles import second_derivative_fd
 
 # Independent oracle for the |t(t-0.3)| example: composite midpoint rule with
 # 2^15 panels per smooth piece (error ~1e-12), frozen from a one-off run.
