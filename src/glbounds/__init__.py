@@ -62,7 +62,6 @@ from .quadrature import (
     DepthExhaustedError,
     Interval,
     NonFiniteValueError,
-    QuadratureConfig,
     QuadratureError,
     integrate,
     integrate_piecewise,
@@ -90,7 +89,6 @@ __all__ = [
     "ParseError",
     "Proposition",
     "QClassReport",
-    "QuadratureConfig",
     "QuadratureError",
     "Regime",
     "RuleParams",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .coefficients import _check_lambda
 from .expressions import Node, compile_expression
-from .quadrature import Interval, QuadratureConfig, integrate, integrate_piecewise
+from .quadrature import Interval, integrate, integrate_piecewise
 
 __all__ = [
     "RuleParams",
@@ -76,28 +76,22 @@ class FunctionalTerms:
         return (lam - 1.0) * self.fm - lam * 0.5 * (self.fa + self.fb) + self.integral / self.width
 
 
-def functional_terms(
-    e: Node, iv: Interval, cfg: QuadratureConfig | None = None
-) -> FunctionalTerms:
+def functional_terms(e: Node, iv: Interval) -> FunctionalTerms:
     """Evaluate f at a, b and the midpoint and integrate it numerically over iv."""
     f, _ = compile_expression(e)
     fa = f(iv.a)
     fb = f(iv.b)
     fm = f(iv.midpoint)
-    integral = integrate(f, iv, cfg)
+    integral = integrate(f, iv)
     return FunctionalTerms(fa, fb, fm, integral, iv.width)
 
 
-def lhs_functional(
-    e: Node, iv: Interval, p: RuleParams, cfg: QuadratureConfig | None = None
-) -> float:
+def lhs_functional(e: Node, iv: Interval, p: RuleParams) -> float:
     """Quadrature error functional E(lam, f) with the integral taken numerically."""
-    return functional_terms(e, iv, cfg).at(p.lam)
+    return functional_terms(e, iv).at(p.lam)
 
 
-def rhs_identity(
-    e: Node, iv: Interval, p: RuleParams, cfg: QuadratureConfig | None = None
-) -> float:
+def rhs_identity(e: Node, iv: Interval, p: RuleParams) -> float:
     """Kernel-weighted integral of f'' over [0, 1], scaled by width^2.
 
     Cuts at lam, 1/2 and 1 - lam are always passed; integrate_piecewise drops
@@ -111,13 +105,11 @@ def rhs_identity(
         return kernel_k(t, p) * jet(t * a + (1.0 - t) * b)[2]
 
     cuts = [p.lam, 0.5, 1.0 - p.lam]
-    return w * w * integrate_piecewise(integrand, Interval(0.0, 1.0), cuts, cfg)
+    return w * w * integrate_piecewise(integrand, Interval(0.0, 1.0), cuts)
 
 
-def verify_identity(
-    e: Node, iv: Interval, p: RuleParams, cfg: QuadratureConfig | None = None
-) -> IdentityReport:
+def verify_identity(e: Node, iv: Interval, p: RuleParams) -> IdentityReport:
     """Compute both sides of the identity and their absolute difference."""
-    lhs = lhs_functional(e, iv, p, cfg)
-    rhs = rhs_identity(e, iv, p, cfg)
+    lhs = lhs_functional(e, iv, p)
+    rhs = rhs_identity(e, iv, p)
     return IdentityReport(lhs, rhs, abs(lhs - rhs))

@@ -13,6 +13,8 @@ Certified.
 
 DEFAULT_GRID_N and DEFAULT_TOL are decided here only: bound and sweep scan
 with them, and they are the defaults of the CLI's qclass --grid and --tol.
+MAX_GRID_N caps every scan, since a scan costs n^3 time and holds up to
+about 9n^2 points.
 
 The n^3 triples of a scan land on far fewer distinct points (2n^2 to about
 9n^2), so g is called once per distinct point and its values are kept until
@@ -47,6 +49,7 @@ __all__ = [
 
 DEFAULT_GRID_N = 64
 DEFAULT_TOL = 1e-12
+MAX_GRID_N = 256
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,8 @@ def check_godunova_levin(
     adds its violations but can never raise max_margin (only a strictly
     larger margin does). Every triple still counts in samples_checked.
     """
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n!r}")
+    if not 2 <= grid_n <= MAX_GRID_N:
+        raise ValueError(f"grid_n must be in [2, {MAX_GRID_N}], got {grid_n!r}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     n = grid_n

@@ -2,6 +2,10 @@
 
 Every closed form in the package is cross-checked against ``integrate`` /
 ``integrate_piecewise``; keep this layer boring and well tested.
+
+ABS_TOL and MAX_DEPTH are decided here only: every integral in the package
+is taken to an estimated absolute error of ABS_TOL (split evenly across the
+pieces of a piecewise integral) within MAX_DEPTH bisections.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from typing import Callable
 
 __all__ = [
     "Interval",
-    "QuadratureConfig",
     "QuadratureError",
     "DepthExhaustedError",
     "NonFiniteValueError",
@@ -21,6 +24,9 @@ __all__ = [
 ]
 
 ScalarFunction = Callable[[float], float]
+
+ABS_TOL = 1e-10
+MAX_DEPTH = 50
 
 
 class QuadratureError(Exception):
@@ -37,7 +43,7 @@ class NonFiniteValueError(QuadratureError):
 
 @dataclass(frozen=True)
 class Interval:
-    """Integration domain [a, b] with a < b, both finite."""
+    """Integration domain [a, b] with a < b, both finite and a finite width b - a."""
 
     a: float
     b: float
@@ -47,6 +53,8 @@ class Interval:
             raise ValueError(f"interval endpoints must be finite, got [{self.a!r}, {self.b!r}]")
         if not self.a < self.b:
             raise ValueError(f"interval requires a < b, got [{self.a!r}, {self.b!r}]")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(f"interval width overflows, got [{self.a!r}, {self.b!r}]")
 
     @property
     def width(self) -> float:
@@ -57,18 +65,6 @@ class Interval:
         return 0.5 * (self.a + self.b)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-10
-    max_depth: int = 50
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth!r}")
-
-
 def _sample(f: ScalarFunction, x: float) -> float:
     y = f(x)
     if not math.isfinite(y):
@@ -76,20 +72,19 @@ def _sample(f: ScalarFunction, x: float) -> float:
     return y
 
 
-def integrate(f: ScalarFunction, iv: Interval, cfg: QuadratureConfig | None = None) -> float:
-    """Integral of f over iv with estimated absolute error <= cfg.abs_tol.
+def integrate(f: ScalarFunction, iv: Interval, abs_tol: float = ABS_TOL) -> float:
+    """Integral of f over iv with estimated absolute error <= abs_tol.
 
     Adaptive bisection with a local Simpson estimate; the error indicator is
     the difference between one- and two-panel refinements, so cubics are
     integrated exactly at the first level.
     """
-    cfg = cfg if cfg is not None else QuadratureConfig()
     a, b = iv.a, iv.b
     fa = _sample(f, a)
     fm = _sample(f, 0.5 * (a + b))
     fb = _sample(f, b)
     whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    return _refine(f, a, b, fa, fm, fb, whole, cfg.abs_tol, cfg.max_depth)
+    return _refine(f, a, b, fa, fm, fb, whole, abs_tol, MAX_DEPTH)
 
 
 def _refine(
@@ -122,22 +117,21 @@ def _refine(
     )
 
 
-def integrate_piecewise(
-    f: ScalarFunction,
-    iv: Interval,
-    breakpoints: list[float],
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def integrate_piecewise(f: ScalarFunction, iv: Interval, breakpoints: list[float]) -> float:
     """Sum of integrate() over iv split at the given interior breakpoints.
 
     Entries outside (a, b) are dropped and duplicates collapse, so callers can
     pass candidate kink locations unconditionally. Same total error contract
     as integrate(); robust when f has kinks exactly at the cuts.
+
+    The pieces are added left to right from 0.0 in a plain loop: sum() adds
+    floats with compensation from Python 3.12 on, which would make the last
+    bits depend on the Python version.
     """
-    cfg = cfg if cfg is not None else QuadratureConfig()
     cuts = sorted({float(t) for t in breakpoints if iv.a < t < iv.b})
     edges = [iv.a, *cuts, iv.b]
-    piece_cfg = QuadratureConfig(cfg.abs_tol / (len(edges) - 1), cfg.max_depth)
-    return sum(
-        integrate(f, Interval(lo, hi), piece_cfg) for lo, hi in zip(edges, edges[1:])
-    )
+    piece_tol = ABS_TOL / (len(edges) - 1)
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        total += integrate(f, Interval(lo, hi), piece_tol)
+    return total

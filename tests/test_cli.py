@@ -59,6 +59,19 @@ class TestVerifyIdentity:
     def test_zero_tolerance_is_allowed(self, capsys):
         assert main(["verify-identity", "--fn", "x", "--a", "0", "--b", "1", "--lambda", "0.3", "--tol", "0"]) == 0
 
+    def test_same_bytes_on_every_python(self, capsys):
+        # the rhs adds three pieces; sum() would compensate from Python 3.12 on
+        # and print abs_diff = 7.10543e-15 there
+        assert main(["verify-identity", "--fn", "x^2", "--a", "-10", "--b", "10", "--lambda", "0.75"]) == 0
+        assert capsys.readouterr().out == "lhs      = -41.6667\nrhs      = -41.6667\nabs_diff = 0\n"
+
+    def test_overflowing_width_is_an_input_error(self, capsys):
+        # b - a = inf used to print nan for both sides and exit 1
+        assert main(["verify-identity", "--fn", "1", "--a=-1e308", "--b", "1e308", "--lambda", "0.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: interval width overflows")
+
 
 class TestCoeffs:
     def test_json_keys_and_values(self, capsys):
@@ -115,6 +128,13 @@ class TestBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: g_a^q overflows: g_a = 1.94")
+
+    def test_overflowing_width_is_an_input_error(self, capsys):
+        # b - a = inf used to print lhs_abs = nan, bound = nan and CheckedPass, exit 0
+        assert main(["bound", "--fn", "1", "--a=-1e308", "--b", "1e308", "--lambda", "0.3", "--q", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: interval width overflows")
 
     def test_skip_membership(self, capsys):
         code = main(
@@ -333,6 +353,20 @@ class TestQclass:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: |f''(x)|^q overflows at x=300.125")
+
+    @pytest.mark.parametrize("grid", ["257", "1000000000"])
+    @pytest.mark.parametrize("source", [["--g", "x^2"], ["--fn", "x^2", "--q", "1"]])
+    def test_grid_is_capped(self, grid, source, monkeypatch, capsys):
+        def no_scan(iv):
+            raise AssertionError("a scan started")
+
+        # a scan reads the width first, to place its grid_n points
+        monkeypatch.setattr(Interval, "width", property(no_scan))
+        code = main(["qclass", *source, "--a", "-3.7", "--b", "5.2", "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: grid_n must be in [2, 256], got {grid}\n"
 
     def test_fn_with_q(self, capsys):
         assert main(["qclass", "--fn", "exp(x)", "--q", "2", "--a", "0", "--b", "1", "--grid", "8"]) == 0
