@@ -60,6 +60,7 @@ from .qclass import (
 )
 from .quadrature import (
     DepthExhaustedError,
+    EvalBudgetError,
     Interval,
     NonFiniteValueError,
     QuadratureError,
@@ -76,6 +77,7 @@ __all__ = [
     "CorpusEntry",
     "DepthExhaustedError",
     "DomainError",
+    "EvalBudgetError",
     "ExpectedMembership",
     "ExpressionError",
     "HermiteHadamardReport",

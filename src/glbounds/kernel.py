@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .coefficients import _check_lambda
 from .expressions import Node, compile_expression
-from .quadrature import Interval, integrate, integrate_piecewise
+from .quadrature import Interval, QuadratureError, integrate, integrate_piecewise
 
 __all__ = [
     "RuleParams",
@@ -95,7 +95,8 @@ def rhs_identity(e: Node, iv: Interval, p: RuleParams) -> float:
     """Kernel-weighted integral of f'' over [0, 1], scaled by width^2.
 
     Cuts at lam, 1/2 and 1 - lam are always passed; integrate_piecewise drops
-    the ones that land outside (0, 1) or coincide.
+    the ones that land outside (0, 1) or coincide. A QuadratureError from this
+    integral is raised again with a prefix saying that its panel is in t.
     """
     a, b = iv.a, iv.b
     w = iv.width
@@ -105,7 +106,11 @@ def rhs_identity(e: Node, iv: Interval, p: RuleParams) -> float:
         return kernel_k(t, p) * jet(t * a + (1.0 - t) * b)[2]
 
     cuts = [p.lam, 0.5, 1.0 - p.lam]
-    return w * w * integrate_piecewise(integrand, Interval(0.0, 1.0), cuts)
+    try:
+        total = integrate_piecewise(integrand, Interval(0.0, 1.0), cuts)
+    except QuadratureError as exc:
+        raise type(exc)(f"kernel integral over t in [0, 1]: {exc}") from exc
+    return w * w * total
 
 
 def verify_identity(e: Node, iv: Interval, p: RuleParams) -> IdentityReport:

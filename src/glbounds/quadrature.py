@@ -3,9 +3,12 @@
 Every closed form in the package is cross-checked against ``integrate`` /
 ``integrate_piecewise``; keep this layer boring and well tested.
 
-ABS_TOL and MAX_DEPTH are decided here only: every integral in the package
-is taken to an estimated absolute error of ABS_TOL (split evenly across the
-pieces of a piecewise integral) within MAX_DEPTH bisections.
+ABS_TOL, MAX_DEPTH and MAX_EVALS are decided here only: every integral in
+the package is taken to an estimated absolute error of ABS_TOL (split evenly
+across the pieces of a piecewise integral) within MAX_DEPTH bisections and
+MAX_EVALS evaluations of the integrand, or it raises a QuadratureError. The
+budget bounds the run time of every call; the depth cap alone allowed about
+2**MAX_DEPTH samples.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ __all__ = [
     "Interval",
     "QuadratureError",
     "DepthExhaustedError",
+    "EvalBudgetError",
     "NonFiniteValueError",
     "integrate",
     "integrate_piecewise",
@@ -27,6 +31,7 @@ ScalarFunction = Callable[[float], float]
 
 ABS_TOL = 1e-10
 MAX_DEPTH = 50
+MAX_EVALS = 2**17  # evaluations of f per integrate() call
 
 
 class QuadratureError(Exception):
@@ -35,6 +40,10 @@ class QuadratureError(Exception):
 
 class DepthExhaustedError(QuadratureError):
     """Requested tolerance unreachable within the recursion cap."""
+
+
+class EvalBudgetError(QuadratureError):
+    """Requested tolerance unreachable within MAX_EVALS evaluations."""
 
 
 class NonFiniteValueError(QuadratureError):
@@ -78,13 +87,19 @@ def integrate(f: ScalarFunction, iv: Interval, abs_tol: float = ABS_TOL) -> floa
     Adaptive bisection with a local Simpson estimate; the error indicator is
     the difference between one- and two-panel refinements, so cubics are
     integrated exactly at the first level.
+
+    f is evaluated at most MAX_EVALS times: a split that would pass that
+    budget raises EvalBudgetError, and a panel still unresolved after
+    MAX_DEPTH bisections raises DepthExhaustedError. Both name the panel's
+    tolerance and its ends, in the coordinates of f.
     """
     a, b = iv.a, iv.b
     fa = _sample(f, a)
     fm = _sample(f, 0.5 * (a + b))
     fb = _sample(f, b)
     whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    return _refine(f, a, b, fa, fm, fb, whole, abs_tol, MAX_DEPTH)
+    # 3 samples so far and 2 more in the first _refine
+    return _refine(f, a, b, fa, fm, fb, whole, abs_tol, MAX_DEPTH, [5])
 
 
 def _refine(
@@ -97,7 +112,11 @@ def _refine(
     whole: float,
     tol: float,
     depth: int,
+    evals: list[int],
 ) -> float:
+    # evals[0] counts the samples of f this integrate() call has taken or
+    # committed to: each split commits the two samples of each half, so the
+    # budget is checked only where a panel splits and leaves pay nothing
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
@@ -110,10 +129,15 @@ def _refine(
         # Richardson correction; |delta|/15 bounds the remaining error
         return left + right + delta / 15.0
     if depth <= 0:
-        raise DepthExhaustedError(f"tolerance {tol:g} unreachable on [{a:g}, {b:g}]")
+        raise DepthExhaustedError(f"tolerance {tol:g} unreachable on [{a!r}, {b!r}]")
+    evals[0] += 4
+    if evals[0] > MAX_EVALS:
+        raise EvalBudgetError(
+            f"evaluation budget {MAX_EVALS} exhausted at tolerance {tol:g} on [{a!r}, {b!r}]"
+        )
     half = 0.5 * tol
-    return _refine(f, a, m, fa, flm, fm, left, half, depth - 1) + _refine(
-        f, m, b, fm, frm, fb, right, half, depth - 1
+    return _refine(f, a, m, fa, flm, fm, left, half, depth - 1, evals) + _refine(
+        f, m, b, fm, frm, fb, right, half, depth - 1, evals
     )
 
 

@@ -65,6 +65,29 @@ class TestVerifyIdentity:
         assert main(["verify-identity", "--fn", "x^2", "--a", "-10", "--b", "10", "--lambda", "0.75"]) == 0
         assert capsys.readouterr().out == "lhs      = -41.6667\nrhs      = -41.6667\nabs_diff = 0\n"
 
+    def test_exp_stall_ends_at_the_budget(self, capsys):
+        # int f stops at the budget; without it, 3.0M samples and 6 s passed
+        # before the kernel side failed
+        code = main(["verify-identity", "--fn", "exp(x)", "--a", "30", "--b", "31", "--lambda", "0.3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: evaluation budget 131072 exhausted at tolerance 4.65661e-20 "
+            "on [30.24398963013664, 30.2439896306023]\n"
+        )
+
+    def test_kernel_error_names_its_integral(self, capsys):
+        # the f side converges here; the panel is in t, not in x
+        code = main(["verify-identity", "--fn", "exp(x)", "--a", "20", "--b", "20.01", "--lambda", "0.3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: kernel integral over t in [0, 1]: tolerance 2.22045e-26 unreachable "
+            "on [0.05298234336356522, 0.052982343363565484]\n"
+        )
+
     def test_overflowing_width_is_an_input_error(self, capsys):
         # b - a = inf used to print nan for both sides and exit 1
         assert main(["verify-identity", "--fn", "1", "--a=-1e308", "--b", "1e308", "--lambda", "0.3"]) == 2
@@ -135,6 +158,15 @@ class TestBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: interval width overflows")
+
+    def test_integral_beyond_the_budget_is_an_input_error(self, capsys):
+        # an absolute 1e-10 on an integral near 1.8e13 needs about 3.0M samples;
+        # before the budget this printed lhs_abs = 6.87639e+10 after 7 to 10 s
+        argv = ["--fn", "exp(x)", "--a", "30", "--b", "31", "--lambda", "0.3", "--q", "1"]
+        assert main(["bound", *argv, "--skip-membership"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: evaluation budget 131072 exhausted")
 
     def test_skip_membership(self, capsys):
         code = main(

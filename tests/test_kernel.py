@@ -3,6 +3,7 @@ import math
 import pytest
 
 from glbounds import (
+    DepthExhaustedError,
     Interval,
     RuleParams,
     integrate_piecewise,
@@ -122,3 +123,8 @@ class TestIdentity:
         for i in range(11):
             rep = verify_identity(e, iv, RuleParams(i / 10.0))
             assert rep.abs_diff <= 1e-8, f"{text} at lambda={i / 10.0}"
+
+    def test_kernel_side_error_keeps_its_type_and_names_t(self):
+        # values of f'' near 4.9e8 against an absolute 1e-10 over four t-pieces
+        with pytest.raises(DepthExhaustedError, match=r"^kernel integral over t in \[0, 1\]: tolerance "):
+            rhs_identity(parse("exp(x)"), Interval(20.0, 20.01), RuleParams(0.3))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,16 +7,35 @@ from hypothesis import strategies as st
 
 from glbounds import (
     DepthExhaustedError,
+    EvalBudgetError,
     Interval,
     NonFiniteValueError,
     integrate,
     integrate_piecewise,
 )
+from glbounds.expressions import compile_expression, parse
+from glbounds.quadrature import MAX_EVALS
 from oracles import second_derivative_fd
 
 # Independent oracle for the |t(t-0.3)| example: composite midpoint rule with
 # 2^15 panels per smooth piece (error ~1e-12), frozen from a one-off run.
 MIDPOINT_ORACLE_T_TM03 = 0.013166666668140602
+
+# integrate() of the composite exp(x)*sin(x)+1/(x+2) on [0, 10] before the
+# evaluation budget existed: 11,453 samples, the most any benchmark request's
+# successful integral takes
+COMPOSITE_0_10 = 3251.7507314398244
+
+
+def _counting(f):
+    """f and a one-element list that counts its calls."""
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return f(x)
+
+    return counted, calls
 
 
 def _poly(coeffs):
@@ -51,9 +71,42 @@ class TestIntegrate:
 
     def test_depth_exhausted(self):
         # a jump no panel can resolve: bisection reaches depth 50 at tolerance
-        # 1e-10 / 2^50, which pins both ABS_TOL and MAX_DEPTH
+        # 1e-10 / 2^50, which pins both ABS_TOL and MAX_DEPTH; the depth cap
+        # binds long before the evaluation budget
+        f, calls = _counting(lambda x: 0.0 if x < 1.0 / 3.0 else 1.0)
         with pytest.raises(DepthExhaustedError, match=r"tolerance 8\.88178e-26 unreachable"):
+            integrate(f, Interval(0.0, 1.0))
+        assert calls[0] == 155
+
+    def test_depth_panel_ends_print_apart(self):
+        # the ends are printed in full: with :g both read 0.333333
+        with pytest.raises(DepthExhaustedError) as info:
             integrate(lambda x: 0.0 if x < 1.0 / 3.0 else 1.0, Interval(0.0, 1.0))
+        lo, hi = re.search(r"on \[(.*), (.*)\]$", str(info.value)).groups()
+        assert float(lo) < 1.0 / 3.0 < float(hi)
+
+    def test_budget_ends_the_exp_stall(self):
+        # an absolute 1e-10 on an integral near 1.8e13: about 3.0M samples
+        # before the budget, and then the kernel side failed anyway
+        f, calls = _counting(math.exp)
+        with pytest.raises(EvalBudgetError) as info:
+            integrate(f, Interval(30.0, 31.0))
+        # 131,069 samples committed, less those of the right halves still due
+        assert calls[0] == 131043 <= MAX_EVALS
+        assert str(info.value) == (
+            "evaluation budget 131072 exhausted at tolerance 4.65661e-20 "
+            "on [30.24398963013664, 30.2439896306023]"
+        )
+
+    def test_budget_leaves_converging_results_alone(self):
+        f, calls = _counting(compile_expression(parse("exp(x)*sin(x)+1/(x+2)"))[0])
+        assert integrate(f, Interval(0.0, 10.0)) == COMPOSITE_0_10
+        assert calls[0] == 11453
+
+    def test_budget_counts_each_call_afresh(self):
+        f = compile_expression(parse("exp(x)*sin(x)+1/(x+2)"))[0]
+        for _ in range(12):  # 12 x 11,453 samples would exceed one budget
+            assert integrate(f, Interval(0.0, 10.0)) == COMPOSITE_0_10
 
     def test_non_finite_value(self):
         def f(x):
