@@ -8,7 +8,9 @@ them against each other and against the quadrature oracle.
 
 Reports are assembled in one place, sweep_rows; a single bound
 (evaluate_bound_report) is its one-row case. Their membership scans use
-membership_for_bound's grid and tolerance.
+membership_for_bound's grid and tolerance, and each is skipped where
+qclass.scan_proven_to_pass proves that it would pass: the label is
+CheckedPass either way.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from enum import Enum
 from .coefficients import Regime, _check_lambda, coeff_total_q1, coefficient_set
 from .expressions import Node, compile_expression
 from .kernel import functional_terms
-from .qclass import _check_q, membership_for_bound, second_derivative_memo
+from .qclass import (
+    _check_q,
+    membership_for_bound,
+    scan_proven_to_pass,
+    second_derivative_cover,
+    second_derivative_memo,
+)
 from .quadrature import Interval
 
 __all__ = [
@@ -220,9 +228,11 @@ def sweep_rows(
     The work that does not depend on lam is done once, in this order: |f''| at
     the ends, every bound (cheap, so an overflowing |f''|^q fails before any
     quadrature or scan), f at a, b and the midpoint with int_a^b f, and in
-    CHECK mode one membership scan per q. Scans of more than one q share
-    |f''| at each scan point (second_derivative_memo); a single scan has
-    nothing to share and evaluates it directly.
+    CHECK mode one membership decision per q: the enclosure proof, then the
+    scan where the proof declines. Every q shares one enclosure of |f''|
+    (second_derivative_cover); scans of more than one q share |f''| at each
+    scan point (second_derivative_memo), while a single scan has nothing to
+    share and evaluates it directly.
     """
     g_a, g_b = _endpoint_weights(e, iv)
     cells = [
@@ -234,11 +244,13 @@ def sweep_rows(
     elif membership_mode is MembershipMode.SKIP:
         status = dict.fromkeys(q_list, MembershipStatus.UNCHECKED)
     else:
-        # membership is a property of |f''|^q alone, so scan once per q
+        # membership is a property of |f''|^q alone, so decide once per q
         abs_d2 = second_derivative_memo(e) if len(q_list) > 1 else None
+        cover = second_derivative_cover(e, iv)
         status = {
             q: MembershipStatus.CHECKED_PASS
-            if membership_for_bound(e, iv, q, abs_d2=abs_d2).passed
+            if scan_proven_to_pass(e, iv, q, cover, abs_d2)
+            or membership_for_bound(e, iv, q, abs_d2=abs_d2).passed
             else MembershipStatus.CHECKED_FAIL
             for q in q_list
         }

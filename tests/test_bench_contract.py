@@ -3,7 +3,8 @@
 bench/tracer.py wraps every function in its TRACED table and raises when one
 is missing, and its hooks read some arguments by position. A renamed or
 dropped function, or a moved parameter, would otherwise show only when the
-benchmark runs.
+benchmark runs. The benchmark's own request streams also check that the
+membership proof of bound and sweep changes no output byte.
 """
 
 import importlib
@@ -11,6 +12,9 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+import glbounds.bounds
+from glbounds.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -51,3 +55,40 @@ def test_hooks_find_their_argument_by_position(mod, fn, index, name):
 @pytest.mark.parametrize("module", ["checks", "oracle", "workloads"])
 def test_bench_modules_import(bench_on_path, module):
     importlib.import_module(module)
+
+
+def _outcomes(requests, capsys):
+    """Exit code, stdout, stderr and sweep-file bytes of every request."""
+    outcomes = []
+    for argv in requests:
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        data = None
+        if argv[0] == "sweep":
+            path = Path(argv[argv.index("--out") + 1])
+            data = path.read_bytes() if path.exists() else None
+            path.unlink(missing_ok=True)
+        outcomes.append((rc, out, err, data))
+    return outcomes
+
+
+def test_proofs_leave_every_benchmark_byte_alone(bench_on_path, tmp_path, monkeypatch, capsys):
+    """bound and sweep requests of one membership and one edge cycle give the
+    same bytes whether the membership proof is tried or every scan runs."""
+    requests = []
+    for workload in ("membership", "edge"):
+        fixed, cycles = importlib.import_module("workloads").requests(workload, 1)
+        requests += [argv for argv in fixed + next(cycles) if argv[0] in ("bound", "sweep")]
+    monkeypatch.chdir(tmp_path)  # sweeps write sweep.csv / sweep.json here
+    proven = []
+    original = glbounds.bounds.scan_proven_to_pass
+
+    def counted(*args):
+        proven.append(original(*args))
+        return proven[-1]
+
+    monkeypatch.setattr(glbounds.bounds, "scan_proven_to_pass", counted)
+    with_proofs = _outcomes(requests, capsys)
+    monkeypatch.setattr(glbounds.bounds, "scan_proven_to_pass", lambda *args: False)
+    assert _outcomes(requests, capsys) == with_proofs
+    assert True in proven and False in proven  # both paths were taken

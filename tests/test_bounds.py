@@ -264,6 +264,69 @@ class TestSweepRows:
         assert calls == [e]
 
 
+_PROVEN = [
+    ("x^2", UNIT),
+    ("exp(x)", UNIT),
+    ("(exp(x)+exp(-x))/2", Interval(-1.0, 1.0)),
+    ("1/(x+2)", UNIT),
+    ("exp(x)*sin(x)+1/(x+2)", UNIT),
+    # the three sin(x) windows of the benchmark's edge workload
+    ("sin(x)", Interval(0.0, 1e-9)),
+    ("sin(x)", Interval(0.9794975728318639, 0.9794975740611019)),
+    ("sin(x)", Interval(1.4749804397726285, 1.474980974205062)),
+]
+
+
+class TestProvenMembership:
+    """CHECK mode labels CheckedPass from the enclosure proof where it holds."""
+
+    @pytest.mark.parametrize("text,iv", _PROVEN)
+    def test_proof_labels_without_a_scan(self, monkeypatch, text, iv):
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        e = parse(text)
+        for q in (1.0, 2.0, 3.0):
+            rep = evaluate_bound_report(e, iv, 0.5, q)
+            assert rep.q_membership is MembershipStatus.CHECKED_PASS
+        rows = sweep_rows(e, iv, [0.0, 0.5], (1.0, 2.0, 3.0))
+        assert all(r.report.q_membership is MembershipStatus.CHECKED_PASS for r in rows)
+
+    @pytest.mark.parametrize(
+        "text,iv,q,status",
+        [
+            # |f''|^q = (12 x^2)^q grows past 4 g(x_0) within the first cell for q > 1
+            ("x^4", UNIT, 2.0, MembershipStatus.CHECKED_PASS),
+            ("x^4", UNIT, 3.0, MembershipStatus.CHECKED_PASS),
+            ("sin(x)", Interval(0.000001, 3.141592), 1.0, MembershipStatus.CHECKED_FAIL),
+            ("sin(x)", Interval(0.000001, 3.141592), 2.0, MembershipStatus.CHECKED_FAIL),
+            ("sin(x)", Interval(0.000001, 3.141592), 3.0, MembershipStatus.CHECKED_FAIL),
+        ],
+    )
+    def test_unproven_cases_reach_the_scan(self, monkeypatch, text, iv, q, status):
+        scans = []
+        original = glbounds.qclass.check_godunova_levin
+
+        def counted(*args, **kwargs):
+            scans.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", counted)
+        assert evaluate_bound_report(parse(text), iv, 0.5, q).q_membership is status
+        assert scans == [iv]
+
+    def test_sweeps_share_one_cover(self, monkeypatch):
+        calls = []
+        original = glbounds.bounds.second_derivative_cover
+
+        def counted(e, iv):
+            calls.append(e)
+            return original(e, iv)
+
+        monkeypatch.setattr(glbounds.bounds, "second_derivative_cover", counted)
+        e = parse("exp(x)")
+        sweep_rows(e, UNIT, [0.0, 0.5, 1.0], (1.0, 2.0, 3.0))
+        assert calls == [e]
+
+
 class TestHermiteHadamard:
     def test_square(self):
         rep = hermite_hadamard_check(parse("x^2"), UNIT)

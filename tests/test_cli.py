@@ -296,12 +296,14 @@ class TestSweep:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", counted)
-        assert _run_sweep(tmp_path / "missing" / "sweep.csv") == 4
+        # sine's scans are not proven away (x^2's are), so a writable path scans
+        sine = {"fn": "sin(x)", "a": "0.000001", "b": "3.141592"}
+        assert _run_sweep(tmp_path / "missing" / "sweep.csv", **sine) == 4
         assert "cannot write" in capsys.readouterr().err
         # the path fails before any membership scan runs
         assert scans == []
-        assert _run_sweep(tmp_path / "sweep.csv") == 0
-        assert scans == [Interval(0.0, 1.0)] * 2
+        assert _run_sweep(tmp_path / "sweep.csv", **sine) == 0
+        assert scans == [Interval(0.000001, 3.141592)] * 2
 
     OVERFLOW_ARGV = ["sweep", "--fn", "exp(x)", "--a", "300", "--b", "301", "--lambda-grid", "0:1:0.5",
                      "--q", "1,3"]

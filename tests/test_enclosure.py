@@ -1,0 +1,108 @@
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from glbounds import parse
+from glbounds.enclosure import Declined, _compile_jet, compile_second_derivative, sup_power
+from glbounds.expressions import compile_expression
+from test_expressions import _tree_strategy
+
+_CELLS = st.one_of(
+    st.tuples(st.floats(-20.0, 20.0), st.floats(0.0, 5.0)),
+    st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 1e-6)),
+    st.tuples(st.floats(1e3, 1e8), st.floats(0.0, 1e-3)),
+    st.tuples(st.sampled_from([0.0, -0.0, 5e-324, 709.0, 1e300]), st.floats(0.0, 1.0)),
+).map(lambda c: (c[0], c[0] + c[1]))
+
+
+def _cell_points(lo, hi, inner):
+    """The ends, their neighbours inside the cell, and the drawn points."""
+    ends = [lo, hi, math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)]
+    return [x for x in ends + inner if lo <= x <= hi]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_tree_strategy(), _CELLS, st.data())
+def test_enclosure_covers_the_float_jet(ast, cell, data):
+    lo, hi = cell
+    inner = data.draw(st.lists(st.floats(lo, hi), max_size=6))
+    _, jet = compile_expression(ast)
+    try:
+        enclosure = _compile_jet(ast)(cell)
+    except Exception:  # declined: the float jet may do anything here
+        return
+    for x in _cell_points(lo, hi, inner):
+        values = jet(x)  # where it raises, the enclosure must have declined
+        for v, (e_lo, e_hi) in zip(values, enclosure):
+            assert e_lo <= v <= e_hi, (x, values, enclosure)
+    sup = compile_second_derivative(ast)(lo, hi)
+    assert all(abs(jet(x)[2]) <= sup for x in _cell_points(lo, hi, inner))
+
+
+@pytest.mark.parametrize(
+    "text,lo,hi",
+    [
+        ("1/x", -1.0, 1.0),  # a divisor holding 0
+        ("1/(x-x)", 1.0, 2.0),
+        ("ln(x)", 0.0, 1.0),  # ln or sqrt touching <= 0
+        ("sqrt(x)", 0.0, 1.0),
+        ("sqrt(x)", -1.0, -0.5),
+        ("abs(x)", -1.0, 1.0),  # abs holding 0
+        ("x^0.5", 0.0, 1.0),  # non-integer power touching <= 0
+        ("x^2.5", -1.0, 1.0),
+        ("x^(0-1)", -1.0, 1.0),  # negative integer power holding 0
+        ("x^x", 1.0, 2.0),  # an exponent that depends on x
+        ("2^x", 1.0, 2.0),
+        ("x^ln(0-1)", 1.0, 2.0),  # an exponent that raises
+        ("exp(x)", 700.0, 710.0),  # overflow
+        ("exp(exp(x))", 6.0, 7.0),
+        ("x^300", 1e2, 1e3),
+        ("1e308*x*x", 1.0, 2.0),  # a non-finite end
+    ],
+)
+def test_declines_where_the_jet_may_raise(text, lo, hi):
+    with pytest.raises(Declined):
+        compile_second_derivative(parse(text))(lo, hi)
+
+
+@pytest.mark.parametrize(
+    "text,lo,hi,expected",
+    [
+        ("x^2", -1.0, 1.0, 2.0),
+        ("x^3", -1.0, 2.0, 12.0),
+        ("sin(x)", 1.5, 1.6, 1.0),  # the maximum pi/2 lies inside
+        ("cos(x)", 3.0, 3.2, 1.0),  # the minimum pi lies inside
+        ("exp(x)", 0.0, 1.0, math.e),
+        ("1/(x+2)", 0.0, 1.0, 0.25),
+    ],
+)
+def test_bounds_are_tight_to_rounding(text, lo, hi, expected):
+    sup = compile_second_derivative(parse(text))(lo, hi)
+    assert expected <= sup <= expected * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "text,lo,hi,expected",
+    [
+        ("x^2", -1.0, 2.0, (0.0, 4.0)),  # an even power's minimum inside
+        ("x^3", -1.0, 2.0, (-1.0, 8.0)),
+        ("sin(x)", 1.5, 1.6, (math.sin(1.5), 1.0)),
+        ("cos(x)", 3.0, 3.2, (-1.0, math.cos(3.0))),
+        ("sin(x)", 0.0, 7.0, (-1.0, 1.0)),
+    ],
+)
+def test_value_enclosures_hold_interior_extremes(text, lo, hi, expected):
+    v_lo, v_hi = _compile_jet(parse(text))((lo, hi))[0]
+    assert v_lo <= expected[0] and expected[1] <= v_hi
+    assert expected[0] - v_lo <= 1e-12 and v_hi - expected[1] <= 1e-12
+
+
+def test_sup_power_bounds_every_smaller_base():
+    for s, q in [(2.0, 1.0), (0.3, 2.5), (1e-200, 1.7), (3.0, 3.0)]:
+        sup = sup_power(s, q)
+        assert all(d**q <= sup for d in (s, math.nextafter(s, 0.0), 0.5 * s, 0.0))
+        assert sup <= s**q * (1.0 + 1e-12) + 1e-300
+    with pytest.raises(Declined):
+        sup_power(1e200, 2.0)

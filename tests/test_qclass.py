@@ -2,6 +2,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import glbounds
 from glbounds import (
@@ -17,9 +19,12 @@ from glbounds import (
     sweep_rows,
 )
 from glbounds.cli import main
+from glbounds.qclass import scan_proven_to_pass, second_derivative_cover
 from oracles import nonneg_convex_witness
+from test_expressions import _tree_strategy
 
 SINE_INTERVAL = Interval(0.000001, 3.141592)
+UNIT_IV = Interval(0.0, 1.0)
 COMPOSITE = "exp(x)*sin(x)+1/(x+2)"
 
 
@@ -397,6 +402,78 @@ class TestSweepSharesSecondDerivative:
         _unshared(monkeypatch)
         assert run(tmp_path / "unshared") == shared
         assert b"CheckedPass" in shared and b"CheckedFail" in shared
+
+
+def _window(a, width):
+    return (a, a + width)
+
+
+_PROOF_ENDS = st.one_of(
+    st.sampled_from([(entry.interval.a, entry.interval.b) for entry in corpus_entries()]),
+    st.builds(_window, st.floats(0.0, 3.0), st.floats(1e-9, 1e-6)),
+    st.builds(_window, st.floats(1e3, 1e8), st.floats(1e-6, 1.0)),
+)
+
+
+class TestProof:
+    """scan_proven_to_pass may only say True where the scan passes and raises nothing."""
+
+    @settings(max_examples=100, deadline=None)  # about 60 ms per proven example
+    @given(
+        st.one_of(_tree_strategy(), st.sampled_from([parse(e.expression) for e in corpus_entries()])),
+        _PROOF_ENDS,
+        st.floats(1.0, 3.0),
+    )
+    def test_a_proof_implies_the_scan_passes(self, e, ends, q):
+        assume(ends[0] < ends[1])
+        iv = Interval(*ends)
+        if scan_proven_to_pass(e, iv, q, second_derivative_cover(e, iv)):
+            assert membership_for_bound(e, iv, q).passed
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+    def test_shared_second_derivative_gives_the_same_decision(self, q):
+        e, iv = parse(COMPOSITE), Interval(0.0, 1.0)
+        cover = second_derivative_cover(e, iv)
+        shared = glbounds.qclass.second_derivative_memo(e)
+        assert scan_proven_to_pass(e, iv, q, cover) is True
+        assert scan_proven_to_pass(e, iv, q, cover, shared) is True
+
+    def test_declines_without_a_cover_or_on_any_error(self):
+        e = parse("x^2")
+        assert second_derivative_cover(parse("1/x"), Interval(-1.0, 1.0)) is None
+        assert scan_proven_to_pass(e, UNIT_IV, 1.0, None) is False
+        cover = second_derivative_cover(e, UNIT_IV)
+        assert scan_proven_to_pass(e, UNIT_IV, 1.0, cover) is True
+
+        def broken(x):
+            raise RuntimeError("boom")
+
+        assert scan_proven_to_pass(e, UNIT_IV, 1.0, cover, broken) is False
+        assert scan_proven_to_pass(e, UNIT_IV, 1.0, cover, lambda x: math.inf) is False
+
+    @pytest.mark.parametrize(
+        "iv",
+        [
+            UNIT_IV,
+            Interval(-3.7, 5.2),
+            Interval(0.0, 1e-9),
+            Interval(1e8, 1e8 + 1e-6),  # grid spacing 1.6e-8, about one ulp and below delta
+            Interval(-1e8 - 1e-6, -1e8),
+        ],
+    )
+    def test_cells_hold_every_scan_point(self, iv):
+        cover = second_derivative_cover(parse("x^2"), iv)
+        xs, bounds, first, last = cover.xs, cover.bounds, cover.first, cover.last
+        assert xs == [iv.a + iv.width * (i + 0.5) / 64 for i in range(64)]
+        assert bounds == sorted(bounds) and len(bounds) == 65
+        for k in range(64):
+            lam = (k + 0.5) / 64
+            clam = 1.0 - lam
+            for i, xi in enumerate(xs):
+                for j, xj in enumerate(xs):
+                    z = lam * xi + clam * xj
+                    lo, hi = first[min(i, j)], last[max(i, j)]
+                    assert bounds[lo] <= z <= bounds[hi + 1]
 
 
 class TestWitness:
