@@ -230,7 +230,8 @@ def sweep_rows(
     quadrature or scan), f at a, b and the midpoint with int_a^b f, and in
     CHECK mode one membership decision per q: the enclosure proof, then the
     scan where the proof declines. Every q shares one enclosure of |f''|
-    (second_derivative_cover); scans of more than one q share |f''| at each
+    (second_derivative_cover), which also lets a declined proof's scan skip
+    pairs of grid points; scans of more than one q share |f''| at each
     scan point (second_derivative_memo), while a single scan has nothing to
     share and evaluates it directly.
     """
@@ -250,7 +251,7 @@ def sweep_rows(
         status = {
             q: MembershipStatus.CHECKED_PASS
             if scan_proven_to_pass(e, iv, q, cover, abs_d2)
-            or membership_for_bound(e, iv, q, abs_d2=abs_d2).passed
+            or membership_for_bound(e, iv, q, abs_d2=abs_d2, cover=cover).passed
             else MembershipStatus.CHECKED_FAIL
             for q in q_list
         }

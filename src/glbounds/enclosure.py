@@ -1,11 +1,14 @@
-"""Outward-rounded interval enclosure of the float jet's second derivative.
+"""Outward-rounded interval enclosure of the float jet of an expression.
 
 compile_second_derivative(node) walks the same tree as compile_expression and
 returns cell -> sup |f''| over the cell, where f'' is the float value that the
 jet closure computes, x -> compile_expression(node)[1](x)[2], at every float x
 in the closed cell [lo, hi]. It encloses that float value, not the real f'':
 every interval operation mirrors one float operation of the jet closure, in
-the same order, on intervals holding its operands.
+the same order, on intervals holding its operands. compile_value(node) bounds
+f the same way, from the same walk: the jet's value component is computed
+by the same float operations as the value closure compile_expression(node)[0],
+so one enclosure covers both.
 
 Soundness. Round-to-nearest is monotone, so for +, -, *, / and sqrt (all
 correctly rounded) the float result of operands taken from two intervals lies
@@ -34,7 +37,7 @@ from typing import Callable
 
 from .expressions import Bin, Call, Const, ExpressionError, Neg, Node, Pow, Var, _compile
 
-__all__ = ["Declined", "compile_second_derivative", "sup_power"]
+__all__ = ["Declined", "compile_second_derivative", "compile_value", "sup_power"]
 
 _LIBM_WIDEN = 2.0**-50  # relative; libm is assumed accurate to 1 ulp (2^-52 relative)
 _TINY = 2.0**-1070
@@ -285,17 +288,29 @@ def sup_power(s: float, q: float) -> float:
         raise Declined from None
 
 
+def _compile_bound(node: Node, part: Callable[[_IJet], float]) -> Callable[[float, float], float]:
+    """(lo, hi) -> part of the interval jet of node on the cell [lo, hi]."""
+    jet = _compile_jet(node)
+
+    def bound(lo: float, hi: float) -> float:
+        try:
+            return part(jet((lo, hi)))
+        except OverflowError:  # from exp or **
+            raise Declined from None
+
+    return bound
+
+
 def compile_second_derivative(node: Node) -> Callable[[float, float], float]:
     """(lo, hi) -> an upper bound of |f''| as the float jet computes it at any
     float in [lo, hi]. Raises Declined, at once or for a cell, where it cannot
     vouch for that bound (see the module docstring)."""
-    jet = _compile_jet(node)
+    return _compile_bound(node, lambda jet: max(-jet[2][0], jet[2][1]))
 
-    def sup_abs_d2(lo: float, hi: float) -> float:
-        try:
-            d2 = jet((lo, hi))[2]
-        except OverflowError:  # from exp or **
-            raise Declined from None
-        return max(-d2[0], d2[1])
 
-    return sup_abs_d2
+def compile_value(node: Node) -> Callable[[float, float], float]:
+    """(lo, hi) -> an upper bound of f as the value closure computes it at any
+    float in [lo, hi]. Raises Declined, at once or for a cell, where it cannot
+    vouch for that bound; the jet raises wherever the value closure does, so
+    a bound also proves that the value closure raises nothing in the cell."""
+    return _compile_bound(node, lambda jet: jet[0][1])

@@ -11,14 +11,18 @@ violating triple, and reports the worst margin seen. Passing is falsification
 evidence, not proof; downstream consumers label it CheckedPass, never
 Certified.
 
-bound and sweep read only whether their default-grid scan of |f''|^q passes,
-and scan_proven_to_pass can often prove that it does without running it: it
-bounds |f''|^q on one cell per grid point (second_derivative_cover, from the
-interval enclosure in glbounds.enclosure, shared by every q of a sweep) and
-applies the ratio lemma to every pair of grid points. It says True only when
-the scan would pass and raise nothing, so the label is the same either way;
-where it declines, the scan runs. qclass prints the scan's margins and
-violations, so it always scans.
+An interval enclosure (glbounds.enclosure) bounds g on one cell per grid
+point: a cover, of f for qclass --g (value_cover) and of |f''| for every q
+of |f''|^q (second_derivative_cover). By the ratio lemma it bounds every
+margin of each pair of grid points (glbounds.ratio). bound and sweep read
+only whether their default-grid scan of |f''|^q passes, and
+scan_proven_to_pass proves that it does, without scanning, where every pair
+bound is at most the tolerance. It says True only when the scan would pass
+and raise nothing, so the label is the same either way. Where it declines,
+and in every qclass, which prints the scan's margins and violations, the
+scan runs but skips each pair whose bound shows that it can hold neither a
+violation nor the first largest margin; its report is the same, bit for
+bit.
 
 DEFAULT_GRID_N and DEFAULT_TOL are decided here only: bound and sweep scan
 with them, and they are the defaults of the CLI's qclass --grid and --tol.
@@ -26,11 +30,12 @@ MAX_GRID_N caps every scan, since a scan costs n^3 time and holds up to
 about 9n^2 points.
 
 The n^3 triples of a scan land on far fewer distinct points (2n^2 to about
-9n^2), so g is called once per distinct point and its values are kept until
-the scan returns: g must be deterministic, and memory grows with the number
-of distinct points (about 100 bytes each: up to 3 MB at n = 64 and 15 MB at
-n = 128). The points do not depend on g, so scans of |f''|^q for several q
-can share one memo of |f''| (second_derivative_memo).
+9n^2), so g is called once per distinct point it visits and its values are
+kept until the scan returns: g must be deterministic, and memory grows with
+the number of distinct points (about 100 bytes each: up to 3 MB at n = 64
+and 15 MB at n = 128, less where pairs are skipped). The points do not
+depend on g, so scans of |f''|^q for several q can share one memo of |f''|
+(second_derivative_memo).
 
 The triple (y, x, 1-lam) has the same point and the same right side as
 (x, y, lam), because float addition is commutative. So when a grid lam and
@@ -41,13 +46,16 @@ decides both, and samples_checked still counts every triple.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .expressions import Node, compile_expression
 from .quadrature import Interval
+
+if TYPE_CHECKING:
+    from .ratio import CellCover
 
 __all__ = [
     "Violation",
@@ -55,8 +63,8 @@ __all__ = [
     "check_godunova_levin",
     "membership_for_bound",
     "second_derivative_memo",
-    "SecondDerivativeCover",
     "second_derivative_cover",
+    "value_cover",
     "scan_proven_to_pass",
 ]
 
@@ -113,6 +121,11 @@ class _PointMemo(dict):
         return v
 
 
+def _check_grid(grid_n: int) -> None:
+    if not 2 <= grid_n <= MAX_GRID_N:
+        raise ValueError(f"grid_n must be in [2, {MAX_GRID_N}], got {grid_n!r}")
+
+
 def _grid_points(iv: Interval, n: int) -> list[float]:
     width = iv.width
     return [iv.a + width * (i + 0.5) / n for i in range(n)]
@@ -123,6 +136,7 @@ def check_godunova_levin(
     iv: Interval,
     grid_n: int = DEFAULT_GRID_N,
     tol: float = DEFAULT_TOL,
+    cover: CellCover | None = None,
 ) -> QClassReport:
     """Scan the defining inequality over a grid_n^3 triple grid.
 
@@ -133,22 +147,31 @@ def check_godunova_levin(
     be audited. max_margin is the first largest margin in the order lam, x, y
     (NaN margins, from g spanning +-1e308, never count).
 
-    g is called once per distinct sample point (the triples share 2n^2 to
-    about 9n^2 points), so it must be deterministic; the values are held
-    until the scan returns. Raises ValueError naming x when g(x) is not
-    finite.
+    g is called once per distinct sample point the scan visits (the triples
+    share 2n^2 to about 9n^2 points), so it must be deterministic; the values
+    are held until the scan returns. Raises ValueError naming x when g(x) is
+    not finite.
 
     Each pair of grid lams that mirror each other exactly is scanned once:
     the later lam of the pair sees the same margins as the earlier one, so it
     adds its violations but can never raise max_margin (only a strictly
     larger margin does). Every triple still counts in samples_checked.
+
+    cover, built for this iv and grid_n with cover.sup bounding g on each
+    cell, lets the scan skip the pairs of grid points that can hold neither
+    a violation nor the first largest margin (ratio.kept_columns); the
+    report is the same, bit for bit. The scan cannot derive it from g, which
+    may be any callable: it comes from the expression behind g (value_cover
+    for qclass --g, second_derivative_cover through membership_for_bound for
+    --fn).
     """
-    if not 2 <= grid_n <= MAX_GRID_N:
-        raise ValueError(f"grid_n must be in [2, {MAX_GRID_N}], got {grid_n!r}")
+    _check_grid(grid_n)
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     n = grid_n
     xs = _grid_points(iv, n)
+    if cover is not None and cover.xs != xs:
+        raise ValueError("cover was built for another interval or grid")
     lams = [(k + 0.5) / n for k in range(n)]
 
     def sample(x: float) -> float:
@@ -170,18 +193,29 @@ def check_godunova_levin(
             violations.append(Violation(x, x, 0.5, gv, rhs))
             max_margin = max(max_margin, gv - rhs)
 
+    visits = []  # (lam, its mirror, whether the pass decides both)
     for k, lam in enumerate(lams):
         mirror = lams[n - 1 - k]
         paired = k != n - 1 - k and 1.0 - lam == mirror and 1.0 - mirror == lam
         if paired and k > n - 1 - k:
             continue  # scanned with its mirror, which comes first
+        visits.append((lam, mirror, paired))
+
+    if cover is None:
+        keep = [range(n)] * n
+    else:
+        from .ratio import kept_columns
+
+        keep = kept_columns(xs, gx, memo, visits, cover, tol)
+    rows = [(xi, gi, _picker(cols, n)) for xi, gi, cols in zip(xs, gx, keep) if cols]
+    for lam, mirror, paired in visits:
         clam = 1.0 - lam
         right = [v / clam for v in gx]
         cols = list(zip(xs, [clam * y for y in xs], right))
-        for xi, gi in zip(xs, gx):
+        for xi, gi, pick in rows:
             base = lam * xi
             li = gi / lam
-            for xj, cj, rj in cols:
+            for xj, cj, rj in cols if pick is None else pick(cols):
                 lhs = memo[base + cj]
                 rhs = li + rj
                 m = lhs - rhs
@@ -197,6 +231,16 @@ def check_godunova_levin(
     return QClassReport(n * n * n, tuple(unique), max_margin, not unique)
 
 
+def _picker(cols: Sequence[int], n: int) -> Callable[[list], Sequence] | None:
+    """cols -> the entries a row visits, in order; None where it visits all n."""
+    if len(cols) == n:
+        return None
+    if len(cols) == 1:
+        j = cols[0]
+        return lambda entries: (entries[j],)
+    return itemgetter(*cols)
+
+
 def membership_for_bound(
     e: Node,
     iv: Interval,
@@ -204,16 +248,24 @@ def membership_for_bound(
     grid_n: int = DEFAULT_GRID_N,
     tol: float = DEFAULT_TOL,
     abs_d2: Callable[[float], float] | None = None,
+    cover: CellCover | None = None,
 ) -> QClassReport:
     """Scan x -> |f''(x)|^q, the function whose membership the bound assumes.
 
     abs_d2 is x -> |f''(x)| for e; scans of several q pass one
     second_derivative_memo(e) so that each point's jet is evaluated once.
+    cover is second_derivative_cover(e, iv, grid_n), shared by every q: the
+    scan reads |f''|^q's bound on each cell from it to skip pairs, with the
+    same report.
     """
     _check_q(q)
     if abs_d2 is None:
         abs_d2 = _abs_second_derivative(e)
-    return check_godunova_levin(_q_power(abs_d2, q), iv, grid_n, tol)
+    if cover is not None:
+        from .ratio import power_cover
+
+        cover = power_cover(cover, q)
+    return check_godunova_levin(_q_power(abs_d2, q), iv, grid_n, tol, cover=cover)
 
 
 def _q_power(abs_d2: Callable[[float], float], q: float) -> Callable[[float], float]:
@@ -241,114 +293,58 @@ def second_derivative_memo(e: Node) -> Callable[[float], float]:
     return _PointMemo(_abs_second_derivative(e)).__getitem__
 
 
-@dataclass(frozen=True)
-class SecondDerivativeCover:
-    """sup |f''| over one cell per point of the default grid, for every q.
-
-    Cell k is [bounds[k], bounds[k+1]]; the cells run from delta below the
-    first grid point to delta above the last. first[i] and last[i] are the
-    first and the last cell that [x_i - delta, x_i + delta] meets.
-    """
-
-    xs: list[float]
-    bounds: list[float]
-    first: list[int]
-    last: list[int]
-    sup_abs_d2: list[float]
+# The covers import glbounds.ratio and glbounds.enclosure when first built:
+# every command but bound, sweep and qclass starts without compiling them.
 
 
-def second_derivative_cover(e: Node, iv: Interval) -> SecondDerivativeCover | None:
-    """The cover of |f''| that scan_proven_to_pass reads, or None where the
-    enclosure declines; one cover serves the decisions for every q.
-
-    delta bounds how far a scan point z = fl(fl(lam*x) + fl(fl(1-lam)*y)) of
-    grid points x and y can fall outside [min(x, y), max(x, y)]. With
-    u = 2^-53, A the largest |x_i| and eta = 2^-1075 (half the least
-    subnormal): fl(1-lam) = 1 - lam + e0 with |e0| <= u/2 (1 - lam < 1), so
-    lam*x + fl(1-lam)*y lies within u/2*A of [min, max]; the two products are
-    off by at most u*A*lam + eta and u*A*fl(1-lam) + eta, and their sum by u
-    times |sum| <= (1 + u/2)(1 + u)*A. In all |z - (lam*x + (1-lam)*y)| <=
-    (2.5u + O(u^2))*A + 2*eta < 3*ulp(A) + ulp(A), since u*A < ulp(A) and
-    2*eta = 2^-1074 <= ulp(A). So delta = 5*ulp(A) covers every scan point.
-    """
-    # imported here, as only bound and sweep use it: every other command
-    # starts without compiling it (about 5% of start-up without bytecode caches)
+def second_derivative_cover(
+    e: Node, iv: Interval, grid_n: int = DEFAULT_GRID_N
+) -> CellCover | None:
+    """sup |f''| on the cells of the grid_n scan of iv, or None where the
+    enclosure declines; one cover serves the scans and proofs of every q."""
     from .enclosure import compile_second_derivative
+    from .ratio import cell_cover
 
-    try:
-        sup_abs_d2 = compile_second_derivative(e)
-        n = DEFAULT_GRID_N
-        xs = _grid_points(iv, n)
-        delta = 5.0 * math.ulp(max(abs(xs[0]), abs(xs[-1])))
-        lows = [math.nextafter(x - delta, -math.inf) for x in xs]
-        highs = [math.nextafter(x + delta, math.inf) for x in xs]
-        bounds = [lows[0]]
-        bounds += [u + 0.5 * (v - u) for u, v in zip(xs, xs[1:])]  # in [u, v]
-        bounds.append(highs[-1])
-        return SecondDerivativeCover(
-            xs,
-            bounds,
-            [bisect.bisect_left(bounds, lo, 1) - 1 for lo in lows],
-            [bisect.bisect_right(bounds, hi, 0, n) - 1 for hi in highs],
-            [sup_abs_d2(bounds[k], bounds[k + 1]) for k in range(n)],
-        )
-    except Exception:  # the enclosure declines, however it fails
-        return None
+    return cell_cover(compile_second_derivative, e, iv, grid_n)
 
 
-_SHRINK = 1.0 - 2.0**-51  # 1 - 4u (u = 2^-53), below the 1 - 2.5u the scan's rounded rhs needs
+def value_cover(e: Node, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> CellCover | None:
+    """sup f on the cells of the grid_n scan of iv, as compile_expression(e)[0]
+    computes f, or None where the enclosure declines."""
+    from .enclosure import compile_value
+    from .ratio import cell_cover
+
+    return cell_cover(compile_value, e, iv, grid_n)
 
 
 def scan_proven_to_pass(
     e: Node,
     iv: Interval,
     q: float,
-    cover: SecondDerivativeCover | None,
+    cover: CellCover | None,
     abs_d2: Callable[[float], float] | None = None,
 ) -> bool:
     """True only if membership_for_bound(e, iv, q, abs_d2=abs_d2) would return
     passed=True without raising: a proof by the ratio lemma, not a scan.
 
-    For every lam in (0, 1), g_i/lam + g_j/(1-lam) >= (sqrt(g_i) + sqrt(g_j))^2
-    (Cauchy-Schwarz). With g_i the scan's own float g at grid point x_i, the
-    scan's float right side fl(fl(g_i/lam) + fl(g_j/fl(1-lam))) is at least
-    (sqrt(g_i) + sqrt(g_j))^2 * (1 - 2.5u) - 3*eta, since lam + fl(1-lam) <=
-    1 + u/2 and three roundings lose at most u and eta each. Every scan point
-    z of x_i and x_j lies in a cell from first[i] to last[j] (i <= j), and g(z)
-    <= U, the bound of |f''|^q over those cells. So U <= (that lower bound) +
-    tol, computed rounding down, proves every margin g(z) - rhs <= tol. The
+    cover is second_derivative_cover(e, iv). Every pair bound of
+    ratio.pair_bound_rows at most DEFAULT_TOL proves every margin <= tol. The
     cover being finite also proves g finite at every point of every cell, and
     the enclosure declines wherever the jet could raise, so the scan raises
     nothing either. Any exception, and a None cover, mean False.
     """
     if cover is None:
         return False
-    from .enclosure import sup_power  # loaded by second_derivative_cover
+    from .ratio import pair_bound_rows, power_cover  # loaded with the cover
 
     try:
         g = _q_power(abs_d2 or _abs_second_derivative(e), q)
         gx = [g(x) for x in cover.xs]
         if not all(math.isfinite(v) for v in gx):
             return False
-        sup_g = [sup_power(s, q) for s in cover.sup_abs_d2]
-        down = -math.inf
-        roots = [max(math.nextafter(math.sqrt(v), down), 0.0) for v in gx]
-        tol = math.nextafter(DEFAULT_TOL - 2.0**-1073, down)
-        first, last = cover.first, cover.last
-        n = len(gx)
-        for i in range(n):
-            ri = roots[i]
-            k = first[i]
-            worst = -math.inf
-            for j in range(i, n):
-                while k <= last[j]:
-                    if sup_g[k] > worst:
-                        worst = sup_g[k]
-                    k += 1
-                s = max(math.nextafter(ri + roots[j], down), 0.0)
-                rhs = math.nextafter(math.nextafter(s * s, down) * _SHRINK, down)
-                if worst > math.nextafter(rhs + tol, down):
-                    return False
-        return True
+        power = power_cover(cover, q)
+        if power is None:
+            return False
+        return all(max(row) <= DEFAULT_TOL for row in pair_bound_rows(gx, power))
     except Exception:  # declining is always safe: the scan decides
         return False

@@ -1,6 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from glbounds import corpus_entries, membership_for_bound, parse
+
+# CI runs every property with five times its examples (--hypothesis-profile=ci);
+# the default profile, with hypothesis's 100, is the local one.
+settings.register_profile("ci", max_examples=500)
+
+
+def examples(n):
+    """n examples under the default profile, scaled with the loaded profile's."""
+    return n * settings.default.max_examples // 100
 
 
 @pytest.fixture(scope="session")

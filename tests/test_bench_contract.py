@@ -9,14 +9,19 @@ membership proof of bound and sweep changes no output byte.
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import glbounds.bounds
+import glbounds.ratio
 from glbounds.cli import main
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture
@@ -92,3 +97,51 @@ def test_proofs_leave_every_benchmark_byte_alone(bench_on_path, tmp_path, monkey
     monkeypatch.setattr(glbounds.bounds, "scan_proven_to_pass", lambda *args: False)
     assert _outcomes(requests, capsys) == with_proofs
     assert True in proven and False in proven  # both paths were taken
+
+
+def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkeypatch):
+    """Every qclass request of one membership cycle, and its bound requests
+    whose proof declines (x^4 at q > 1 and sine), give the same bytes whether
+    the scans skip pairs or visit them all."""
+    fixed, cycles = importlib.import_module("workloads").requests("membership", 1)
+    requests = [
+        argv
+        for argv in fixed + next(cycles)
+        if argv[0] == "qclass" or (argv[0] == "bound" and argv[2] in ("x^4", "sin(x)"))
+    ]
+    assert sum(argv[0] == "bound" for argv in requests) == 2
+    kept = []
+    original = glbounds.ratio.kept_columns
+
+    def counted(xs, *args):
+        kept.append(original(xs, *args))
+        return kept[-1]
+
+    monkeypatch.setattr(glbounds.ratio, "kept_columns", counted)
+    pruned = _outcomes(requests, capsys)
+    keep_all = lambda xs, *args: [range(len(xs))] * len(xs)  # noqa: E731
+    monkeypatch.setattr(glbounds.ratio, "kept_columns", keep_all)
+    assert _outcomes(requests, capsys) == pruned
+    # every scan had a cover, and each skipped pairs
+    assert len(kept) == len(requests)
+    assert all(sum(map(len, keep)) < len(keep) ** 2 for keep in kept)
+
+
+def test_start_up_leaves_the_enclosure_unloaded():
+    """The benchmark's set-up probe answers one coeffs request in a fresh
+    interpreter; glbounds.enclosure and glbounds.ratio are for bound, sweep
+    and qclass alone."""
+    code = (
+        "import sys\n"
+        "from glbounds.cli import main\n"
+        "main(['coeffs', '--lambda', '0.5'])\n"
+        "sys.exit({'glbounds.enclosure', 'glbounds.ratio'} & set(sys.modules) != set())\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

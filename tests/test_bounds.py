@@ -25,6 +25,7 @@ from glbounds import (
     sweep_rows,
     theorem_bound,
 )
+from conftest import examples
 
 UNIT = Interval(0.0, 1.0)
 
@@ -74,7 +75,7 @@ class TestTheoremBound:
         with pytest.raises(ValueError, match=r"g_b\^q overflows"):
             proposition_bound(Proposition.MIDPOINT_PM, UNIT, 3.0, 1.0, g_a)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         st.sampled_from(LAM_GRID),
         st.floats(1.0, 8.0),
@@ -86,7 +87,7 @@ class TestTheoremBound:
         two = theorem_bound(BoundInput(UNIT, lam, q, gb, ga))
         assert abs(one - two) <= 1e-15 * max(1.0, abs(one))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         st.sampled_from(LAM_GRID),
         st.floats(0.0, 10.0),
@@ -97,7 +98,7 @@ class TestTheoremBound:
         collapsed = corollary_bound_q1(UNIT, lam, ga, gb)
         assert abs(general - collapsed) <= 1e-12
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         st.sampled_from(LAM_GRID),
         st.floats(1.0, 8.0),

@@ -5,8 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glbounds import parse
-from glbounds.enclosure import Declined, _compile_jet, compile_second_derivative, sup_power
+from glbounds.enclosure import (
+    Declined,
+    _compile_jet,
+    compile_second_derivative,
+    compile_value,
+    sup_power,
+)
 from glbounds.expressions import compile_expression
+from conftest import examples
 from test_expressions import _tree_strategy
 
 _CELLS = st.one_of(
@@ -23,12 +30,12 @@ def _cell_points(lo, hi, inner):
     return [x for x in ends + inner if lo <= x <= hi]
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=examples(600), deadline=None)
 @given(_tree_strategy(), _CELLS, st.data())
 def test_enclosure_covers_the_float_jet(ast, cell, data):
     lo, hi = cell
     inner = data.draw(st.lists(st.floats(lo, hi), max_size=6))
-    _, jet = compile_expression(ast)
+    value, jet = compile_expression(ast)
     try:
         enclosure = _compile_jet(ast)(cell)
     except Exception:  # declined: the float jet may do anything here
@@ -39,6 +46,9 @@ def test_enclosure_covers_the_float_jet(ast, cell, data):
             assert e_lo <= v <= e_hi, (x, values, enclosure)
     sup = compile_second_derivative(ast)(lo, hi)
     assert all(abs(jet(x)[2]) <= sup for x in _cell_points(lo, hi, inner))
+    # the value closure computes the jet's value part, so that bounds it too
+    sup_f = compile_value(ast)(lo, hi)
+    assert all(value(x) <= sup_f for x in _cell_points(lo, hi, inner))
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from glbounds import (
     parse,
 )
 from glbounds.expressions import Bin, Call, Const, Jet2, Neg, Node, Pow, Var, compile_expression
+from conftest import examples
 from oracles import second_derivative_fd, to_text
 
 # The recursive tree-walkers that compile_expression replaced, kept verbatim
@@ -444,7 +445,7 @@ def _ast_strategy():
     return st.recursive(leaves, extend, max_leaves=12)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(_ast_strategy())
 def test_print_parse_round_trip(ast):
     assert parse(to_text(ast)) == ast
@@ -491,7 +492,7 @@ def _outcome(fn, *args):
     return tuple(struct.pack("<d", v) for v in values)
 
 
-@settings(max_examples=1500, deadline=None)
+@settings(max_examples=examples(1500), deadline=None)
 @given(_tree_strategy(), _POINTS)
 def test_compiled_closures_match_the_reference_walkers(ast, x):
     value, jet = compile_expression(ast)

@@ -6,7 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import glbounds
+import glbounds.ratio
 from glbounds import (
+    ExpectedMembership,
     Interval,
     QClassReport,
     Violation,
@@ -19,7 +21,8 @@ from glbounds import (
     sweep_rows,
 )
 from glbounds.cli import main
-from glbounds.qclass import scan_proven_to_pass, second_derivative_cover
+from glbounds.qclass import scan_proven_to_pass, second_derivative_cover, value_cover
+from conftest import examples
 from oracles import nonneg_convex_witness
 from test_expressions import _tree_strategy
 
@@ -179,35 +182,61 @@ class TestCheck:
         # an infinite tolerance would pass every function
         with pytest.raises(ValueError, match="tol must be finite and positive, got inf"):
             check_godunova_levin(lambda x: 1.0, Interval(0.0, 1.0), tol=math.inf)
+        with pytest.raises(ValueError, match="cover was built for another interval or grid"):
+            check_godunova_levin(lambda x: 1.0, UNIT_IV, 16, cover=value_cover(parse("1"), UNIT_IV, 8))
+
+
+def pruned_and_unpruned(text, iv, grid_n=64, q=None):
+    """g, and the scan of it with no cover and with its cover: g = f for q None
+    (qclass --g), else |f''|^q (qclass --fn). Asserts that the cover exists."""
+    e = parse(text)
+    if q is None:
+        g, cover = value_of(text), value_cover(e, iv, grid_n)
+        assert cover is not None
+        return g, [check_godunova_levin(g, iv, grid_n), check_godunova_levin(g, iv, grid_n, cover=cover)]
+    cover = second_derivative_cover(e, iv, grid_n)
+    assert cover is not None
+    reports = [membership_for_bound(e, iv, q, grid_n), membership_for_bound(e, iv, q, grid_n, cover=cover)]
+    return second_derivative_power(text, q), reports
 
 
 class TestAgainstPlainLoop:
+    """Every scan, with its cover and without, is the plain loop's, bit for bit."""
+
     @pytest.mark.parametrize("q", [1.0, 2.0])
     @pytest.mark.parametrize("name", [entry.name for entry in corpus_entries()])
     def test_corpus_scans_match(self, membership_report, corpus_by_name, name, q):
         entry = corpus_by_name[name]
+        e = parse(entry.expression)
         g = second_derivative_power(entry.expression, q)
         ref = reference_scan(g, entry.interval)
         assert same_report(membership_report(name, q), ref)
+        cover = second_derivative_cover(e, entry.interval)
+        assert cover is not None
+        assert same_report(membership_for_bound(e, entry.interval, q, cover=cover), ref)
         if (name, q) == ("sine", 1.0):
             assert len(ref.violations) == 3520
 
     @pytest.mark.parametrize(
-        "g,iv,grid_n",
+        "text,iv,grid_n,q",
         [
-            (second_derivative_power(COMPOSITE, 2.0), Interval(0.123, 0.987), 64),
-            (value_of(COMPOSITE), Interval(0.123, 0.987), 64),
-            (value_of("sin(x)"), Interval(-3.7, 5.2), 64),
-            (second_derivative_power("sin(x)", 1.0), Interval(0.0, 1e-9), 64),
+            (COMPOSITE, Interval(0.123, 0.987), 64, 2.0),
+            (COMPOSITE, Interval(0.123, 0.987), 64, None),
+            ("sin(x)", Interval(-3.7, 5.2), 64, None),
+            ("sin(x)", Interval(0.0, 1e-9), 64, 1.0),
             # grids where only some lams have an exact mirror; odd ones have lam = 1/2
-            (math.sin, SINE_INTERVAL, 31),
-            (math.sin, SINE_INTERVAL, 101),
-            (lambda x: x * x, Interval(-3.7, 5.2), 100),
-            (value_of(COMPOSITE), Interval(0.123, 0.987), 9),
+            ("sin(x)", SINE_INTERVAL, 31, None),
+            ("sin(x)", SINE_INTERVAL, 101, None),
+            ("x*x", Interval(-3.7, 5.2), 100, None),
+            ("x^2", Interval(-3.7, 5.2), 128, None),
+            ("x^2", Interval(-3.7, 5.2), 256, None),
+            (COMPOSITE, Interval(0.123, 0.987), 9, None),
+            # g < 0 on half the grid: no pair with a negative end is skipped
+            ("x", Interval(-1.0, 1.0), 64, None),
             # g spans +-1e308, so g(x)/lam + g(y)/(1-lam) is inf + -inf, a NaN
             # margin, near lam = 1/2 (998 of the 64^3 triples, 110 of the 31^3)
-            (value_of("1e308*sin(x)"), Interval(0.1, 6.2), 64),
-            (value_of("1e308*sin(x)"), Interval(0.1, 6.2), 31),
+            ("1e308*sin(x)", Interval(0.1, 6.2), 64, None),
+            ("1e308*sin(x)", Interval(0.1, 6.2), 31, None),
         ],
         ids=[
             "composite-fn-q2",
@@ -217,13 +246,34 @@ class TestAgainstPlainLoop:
             "sin-31",
             "sin-101",
             "square-100",
+            "square-128",
+            "square-256",
             "composite-9",
+            "identity-negative",
             "nan-margins-64",
             "nan-margins-31",
         ],
     )
-    def test_other_scans_match(self, g, iv, grid_n):
-        assert same_report(check_godunova_levin(g, iv, grid_n), reference_scan(g, iv, grid_n))
+    def test_other_scans_match(self, text, iv, grid_n, q):
+        g, reports = pruned_and_unpruned(text, iv, grid_n, q)
+        ref = reference_scan(g, iv, grid_n)
+        assert all(same_report(rep, ref) for rep in reports)
+
+    def test_pairs_with_a_negative_end_are_kept(self, monkeypatch):
+        kept = []
+        original = glbounds.ratio.kept_columns
+
+        def recorded(xs, gx, *args):
+            kept.append((gx, original(xs, gx, *args)))
+            return kept[-1][1]
+
+        monkeypatch.setattr(glbounds.ratio, "kept_columns", recorded)
+        pruned_and_unpruned("x", Interval(-1.0, 1.0))
+        [(gx, keep)] = kept
+        for i, cols in enumerate(keep):
+            expected = range(64) if gx[i] < 0.0 else [j for j in range(64) if gx[j] < 0.0]
+            assert set(expected) <= set(cols)
+        assert sum(map(len, keep)) < 64 * 64  # and some pairs were skipped
 
     @pytest.mark.parametrize(
         "grid_n,mirrored", [(64, 64), (128, 128), (31, 8), (100, 34), (101, 30), (9, 2)]
@@ -363,14 +413,21 @@ def _unshared(monkeypatch):
 
 
 class TestSweepSharesSecondDerivative:
-    def test_jet_called_once_per_distinct_point(self, monkeypatch):
+    def _sweep_points(self, monkeypatch):
         seen = Counter()
         _counting_compile(monkeypatch, seen)
-        iv = Interval(0.0, 3.0)
-        rows = sweep_rows(parse(COMPOSITE), iv, [0.0, 0.5, 1.0], (1.0, 2.0, 3.0))
+        rows = sweep_rows(parse(COMPOSITE), Interval(0.0, 3.0), [0.0, 0.5, 1.0], (1.0, 2.0, 3.0))
         assert len(rows) == 9
-        assert set(seen) == scan_points(iv, 64)
         assert set(seen.values()) == {1}
+        return set(seen)
+
+    def test_jet_called_once_per_distinct_point(self, monkeypatch):
+        # with the cover declined there is no proof, and every scan visits every pair
+        monkeypatch.setattr(glbounds.bounds, "second_derivative_cover", lambda e, iv: None)
+        assert self._sweep_points(monkeypatch) == scan_points(Interval(0.0, 3.0), 64)
+
+    def test_covered_scans_skip_points(self, monkeypatch):
+        assert self._sweep_points(monkeypatch) < scan_points(Interval(0.0, 3.0), 64)
 
     @pytest.mark.parametrize(
         "fn,a,b",
@@ -418,7 +475,7 @@ _PROOF_ENDS = st.one_of(
 class TestProof:
     """scan_proven_to_pass may only say True where the scan passes and raises nothing."""
 
-    @settings(max_examples=100, deadline=None)  # about 60 ms per proven example
+    @settings(max_examples=examples(100), deadline=None)  # about 60 ms per proven example
     @given(
         st.one_of(_tree_strategy(), st.sampled_from([parse(e.expression) for e in corpus_entries()])),
         _PROOF_ENDS,
@@ -474,6 +531,55 @@ class TestProof:
                     z = lam * xi + clam * xj
                     lo, hi = first[min(i, j)], last[max(i, j)]
                     assert bounds[lo] <= z <= bounds[hi + 1]
+
+
+def _outcome(scan, cover):
+    """The report with the sign of its max_margin, or the exception's type and message."""
+    try:
+        rep = scan(cover)
+    except Exception as exc:  # the exception is the outcome being compared
+        return (type(exc), str(exc))
+    return rep, math.copysign(1.0, rep.max_margin)
+
+
+class TestPruning:
+    """A cover changes no scan's report or error, and it does skip points."""
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(
+        st.one_of(_tree_strategy(), st.sampled_from([parse(e.expression) for e in corpus_entries()])),
+        _PROOF_ENDS,
+        st.sampled_from([9, 31, 64]),
+        st.one_of(st.none(), st.floats(1.0, 3.0)),
+    )
+    def test_a_cover_changes_no_outcome(self, e, ends, grid_n, q):
+        assume(ends[0] < ends[1])
+        iv = Interval(*ends)
+        if q is None:  # qclass --g
+            g = compile_expression(e)[0]
+            cover = value_cover(e, iv, grid_n)
+            scan = lambda cover: check_godunova_levin(g, iv, grid_n, cover=cover)
+        else:  # qclass --fn
+            cover = second_derivative_cover(e, iv, grid_n)
+            scan = lambda cover: membership_for_bound(e, iv, q, grid_n, cover=cover)
+        assert _outcome(scan, cover) == _outcome(scan, None)
+
+    @pytest.mark.parametrize(
+        "name", [e.name for e in corpus_entries() if e.membership is not ExpectedMembership.EXPECT_FAIL]
+    )
+    def test_passing_members_skip_points(self, corpus_by_name, name):
+        entry = corpus_by_name[name]
+        e, iv = parse(entry.expression), entry.interval
+        seen = Counter()
+        f, _ = compile_expression(e)
+
+        def g(x):
+            seen[x.hex()] += 1
+            return f(x)
+
+        rep = check_godunova_levin(g, iv, cover=value_cover(e, iv))
+        assert rep.passed
+        assert len(seen) < len(scan_points(iv, 64))
 
 
 class TestWitness:

@@ -15,6 +15,7 @@ from glbounds import (
 )
 from glbounds.expressions import compile_expression, parse
 from glbounds.quadrature import MAX_EVALS
+from conftest import examples
 from oracles import second_derivative_fd
 
 # Independent oracle for the |t(t-0.3)| example: composite midpoint rule with
@@ -119,7 +120,7 @@ class TestIntegrate:
         with pytest.raises(NonFiniteValueError):
             integrate(lambda x: math.nan, Interval(0.0, 1.0))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     @given(
         st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5),
         st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5),
@@ -133,7 +134,7 @@ class TestIntegrate:
         separate = alpha * integrate(f, iv) + beta * integrate(g, iv)
         assert abs(combined - separate) <= 2e-10
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     @given(
         st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5),
         st.floats(0.1, 0.9),
@@ -144,7 +145,7 @@ class TestIntegrate:
         parts = integrate(f, Interval(0.0, m)) + integrate(f, Interval(m, 1.0))
         assert abs(whole - parts) <= 2e-10
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0))
     def test_cubic_exactness(self, a, width):
         b = a + width
