@@ -12,13 +12,11 @@ verify all of it.
 from .bounds import (
     BoundInput,
     BoundReport,
-    HermiteHadamardReport,
     MembershipMode,
     MembershipStatus,
     Proposition,
     corollary_bound_q1,
     evaluate_bound_report,
-    hermite_hadamard_check,
     proposition_bound,
     sweep_rows,
     theorem_bound,
@@ -55,6 +53,7 @@ from .kernel import (
 from .qclass import (
     QClassReport,
     Violation,
+    check_expression,
     check_godunova_levin,
     membership_for_bound,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "EvalBudgetError",
     "ExpectedMembership",
     "ExpressionError",
-    "HermiteHadamardReport",
     "IdentityReport",
     "Interval",
     "Jet2",
@@ -95,6 +93,7 @@ __all__ = [
     "Regime",
     "RuleParams",
     "Violation",
+    "check_expression",
     "check_godunova_levin",
     "coeff_a",
     "coeff_b",
@@ -106,7 +105,6 @@ __all__ = [
     "evaluate",
     "evaluate_bound_report",
     "evaluate_jet2",
-    "hermite_hadamard_check",
     "integrate",
     "integrate_piecewise",
     "kernel_k",

@@ -7,10 +7,9 @@ independent codings of the same mathematics lets the test suite cross-check
 them against each other and against the quadrature oracle.
 
 Reports are assembled in one place, sweep_rows; a single bound
-(evaluate_bound_report) is its one-row case. Their membership scans use
-membership_for_bound's grid and tolerance, and each is skipped where
-qclass.scan_proven_to_pass proves that it would pass: the label is
-CheckedPass either way.
+(evaluate_bound_report) is its one-row case. In CHECK mode their
+membership labels come from one call, qclass.bound_memberships, which
+decides each q by proof or by scan.
 """
 
 from __future__ import annotations
@@ -22,13 +21,7 @@ from enum import Enum
 from .coefficients import Regime, _check_lambda, coeff_total_q1, coefficient_set
 from .expressions import Node, compile_expression
 from .kernel import functional_terms
-from .qclass import (
-    _check_q,
-    membership_for_bound,
-    scan_proven_to_pass,
-    second_derivative_cover,
-    second_derivative_memo,
-)
+from .qclass import _check_q, bound_memberships
 from .quadrature import Interval
 
 __all__ = [
@@ -38,13 +31,11 @@ __all__ = [
     "BoundReport",
     "SweepRow",
     "Proposition",
-    "HermiteHadamardReport",
     "theorem_bound",
     "corollary_bound_q1",
     "proposition_bound",
     "evaluate_bound_report",
     "sweep_rows",
-    "hermite_hadamard_check",
 ]
 
 
@@ -228,12 +219,7 @@ def sweep_rows(
     The work that does not depend on lam is done once, in this order: |f''| at
     the ends, every bound (cheap, so an overflowing |f''|^q fails before any
     quadrature or scan), f at a, b and the midpoint with int_a^b f, and in
-    CHECK mode one membership decision per q: the enclosure proof, then the
-    scan where the proof declines. Every q shares one enclosure of |f''|
-    (second_derivative_cover), which also lets a declined proof's scan skip
-    pairs of grid points; scans of more than one q share |f''| at each
-    scan point (second_derivative_memo), while a single scan has nothing to
-    share and evaluates it directly.
+    CHECK mode one membership decision per q (qclass.bound_memberships).
     """
     g_a, g_b = _endpoint_weights(e, iv)
     cells = [
@@ -246,14 +232,9 @@ def sweep_rows(
         status = dict.fromkeys(q_list, MembershipStatus.UNCHECKED)
     else:
         # membership is a property of |f''|^q alone, so decide once per q
-        abs_d2 = second_derivative_memo(e) if len(q_list) > 1 else None
-        cover = second_derivative_cover(e, iv)
         status = {
-            q: MembershipStatus.CHECKED_PASS
-            if scan_proven_to_pass(e, iv, q, cover, abs_d2)
-            or membership_for_bound(e, iv, q, abs_d2=abs_d2, cover=cover).passed
-            else MembershipStatus.CHECKED_FAIL
-            for q in q_list
+            q: MembershipStatus.CHECKED_PASS if passed else MembershipStatus.CHECKED_FAIL
+            for q, passed in bound_memberships(e, iv, q_list).items()
         }
     rows: list[SweepRow] = []
     for lam, q, bound in cells:
@@ -262,31 +243,3 @@ def sweep_rows(
         report = BoundReport(lhs_abs, bound, ratio, coefficient_set(lam).regime, status[q])
         rows.append(SweepRow(lam, q, report))
     return rows
-
-
-@dataclass(frozen=True)
-class HermiteHadamardReport:
-    lower: float
-    mid: float
-    upper: float
-    holds: bool
-
-
-def hermite_hadamard_check(e: Node, iv: Interval) -> HermiteHadamardReport:
-    """Midpoint value <= mean integral <= endpoint average, for convex f.
-
-    Convexity is a caller assertion, screened numerically by requiring
-    f'' >= -1e-9 at 101 interior midpoints; both inequalities are allowed a
-    slack of 1e-9.
-    """
-    _, jet = compile_expression(e)
-    for i in range(101):
-        x = iv.a + iv.width * (i + 0.5) / 101
-        if jet(x)[2] < -1e-9:
-            raise ValueError(f"convexity sample check failed at x={x!r}")
-    terms = functional_terms(e, iv)
-    lower = terms.fm
-    mid = terms.integral / terms.width
-    upper = 0.5 * (terms.fa + terms.fb)
-    holds = lower <= mid + 1e-9 and mid <= upper + 1e-9
-    return HermiteHadamardReport(lower, mid, upper, holds)

@@ -18,17 +18,9 @@ import sys
 from .bounds import MembershipMode, MembershipStatus, evaluate_bound_report, sweep_rows
 from .coefficients import coefficient_set
 from .corpus import corpus_entries
-from .expressions import ExpressionError, compile_expression, parse
+from .expressions import ExpressionError, parse
 from .kernel import RuleParams, verify_identity
-from .qclass import (
-    DEFAULT_GRID_N,
-    DEFAULT_TOL,
-    _check_q,
-    check_godunova_levin,
-    membership_for_bound,
-    second_derivative_cover,
-    value_cover,
-)
+from .qclass import DEFAULT_GRID_N, DEFAULT_TOL, _check_q, check_expression, membership_for_bound
 from .quadrature import Interval, QuadratureError
 
 EXIT_OK = 0
@@ -196,16 +188,10 @@ def _cmd_qclass(args: argparse.Namespace) -> int:
         print("error: --fn requires --q", file=sys.stderr)
         return EXIT_INPUT_ERROR
     iv = Interval(args.a, args.b)
-    # the covers let the scan skip pairs of grid points; its report is the same
     if args.g is not None:
-        e = parse(args.g)
-        g, _ = compile_expression(e)
-        cover = value_cover(e, iv, args.grid)
-        rep = check_godunova_levin(g, iv, args.grid, args.tol, cover=cover)
+        rep = check_expression(parse(args.g), iv, args.grid, args.tol)
     else:
-        e = parse(args.fn)
-        cover = second_derivative_cover(e, iv, args.grid)
-        rep = membership_for_bound(e, iv, args.q, args.grid, args.tol, cover=cover)
+        rep = membership_for_bound(parse(args.fn), iv, args.q, args.grid, args.tol)
     print(f"samples_checked = {rep.samples_checked}")
     print(f"violations      = {len(rep.violations)}")
     print(f"max_margin      = {_fmt17(rep.max_margin)}")

@@ -11,18 +11,21 @@ violating triple, and reports the worst margin seen. Passing is falsification
 evidence, not proof; downstream consumers label it CheckedPass, never
 Certified.
 
-An interval enclosure (glbounds.enclosure) bounds g on one cell per grid
-point: a cover, of f for qclass --g (value_cover) and of |f''| for every q
-of |f''|^q (second_derivative_cover). By the ratio lemma it bounds every
-margin of each pair of grid points (glbounds.ratio). bound and sweep read
-only whether their default-grid scan of |f''|^q passes, and
-scan_proven_to_pass proves that it does, without scanning, where every pair
-bound is at most the tolerance. It says True only when the scan would pass
-and raise nothing, so the label is the same either way. Where it declines,
-and in every qclass, which prints the scan's margins and violations, the
-scan runs but skips each pair whose bound shows that it can hold neither a
-violation nor the first largest margin; its report is the same, bit for
-bit.
+Membership is decided here only. check_godunova_levin scans any callable g.
+Three entry points scan an expression: check_expression scans g = f
+(qclass --g), membership_for_bound scans g = |f''|^q (qclass --fn), and
+bound_memberships answers, for each q, whether the default-grid scan of
+|f''|^q passes, which is all that bound and sweep read.
+
+Each entry point builds one cover: an interval enclosure
+(glbounds.enclosure) bounding f or |f''| on one cell per grid point. By the
+ratio lemma it bounds every margin of each pair of grid points
+(glbounds.ratio), and it is used two ways. The scan skips each pair whose
+bound shows that it can hold neither a violation nor the first largest
+margin; its report is the same, bit for bit. bound_memberships first tries a
+proof, for each q from the same cover: where every pair bound is at most the
+tolerance, the scan would pass and raise nothing, so it is not run and the
+label is the same. The cover never leaves this module.
 
 DEFAULT_GRID_N and DEFAULT_TOL are decided here only: bound and sweep scan
 with them, and they are the defaults of the CLI's qclass --grid and --tol.
@@ -33,9 +36,7 @@ The n^3 triples of a scan land on far fewer distinct points (2n^2 to about
 9n^2), so g is called once per distinct point it visits and its values are
 kept until the scan returns: g must be deterministic, and memory grows with
 the number of distinct points (about 100 bytes each: up to 3 MB at n = 64
-and 15 MB at n = 128, less where pairs are skipped). The points do not
-depend on g, so scans of |f''|^q for several q can share one memo of |f''|
-(second_derivative_memo).
+and 15 MB at n = 128, less where pairs are skipped).
 
 The triple (y, x, 1-lam) has the same point and the same right side as
 (x, y, lam), because float addition is commutative. So when a grid lam and
@@ -61,11 +62,9 @@ __all__ = [
     "Violation",
     "QClassReport",
     "check_godunova_levin",
+    "check_expression",
     "membership_for_bound",
-    "second_derivative_memo",
-    "second_derivative_cover",
-    "value_cover",
-    "scan_proven_to_pass",
+    "bound_memberships",
 ]
 
 DEFAULT_GRID_N = 64
@@ -128,7 +127,10 @@ def _check_grid(grid_n: int) -> None:
 
 def _grid_points(iv: Interval, n: int) -> list[float]:
     width = iv.width
-    return [iv.a + width * (i + 0.5) / n for i in range(n)]
+    xs = [iv.a + width * (i + 0.5) / n for i in range(n)]
+    if math.isinf(xs[-1]):  # width * (n - 0.5) passed the float range
+        raise ValueError(f"the {n} grid points of [{iv.a!r}, {iv.b!r}] overflow the float range")
+    return xs
 
 
 def check_godunova_levin(
@@ -161,9 +163,11 @@ def check_godunova_levin(
     cell, lets the scan skip the pairs of grid points that can hold neither
     a violation nor the first largest margin (ratio.kept_columns); the
     report is the same, bit for bit. The scan cannot derive it from g, which
-    may be any callable: it comes from the expression behind g (value_cover
-    for qclass --g, second_derivative_cover through membership_for_bound for
-    --fn).
+    may be any callable: the entry points below build it from the expression
+    behind g.
+
+    Raises ValueError where the grid points of iv pass the float range (a
+    width above about 2.8e306 at grid_n = 64).
     """
     _check_grid(grid_n)
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -241,38 +245,68 @@ def _picker(cols: Sequence[int], n: int) -> Callable[[list], Sequence] | None:
     return itemgetter(*cols)
 
 
+def check_expression(
+    e: Node, iv: Interval, grid_n: int = DEFAULT_GRID_N, tol: float = DEFAULT_TOL
+) -> QClassReport:
+    """Scan g = e itself, as compile_expression(e)[0] computes it: qclass --g.
+
+    The scan skips pairs by a cover of g, with the same report.
+    """
+    g, _ = compile_expression(e)
+    return check_godunova_levin(g, iv, grid_n, tol, cover=_cover(e, iv, grid_n, of_value=True))
+
+
 def membership_for_bound(
     e: Node,
     iv: Interval,
     q: float,
     grid_n: int = DEFAULT_GRID_N,
     tol: float = DEFAULT_TOL,
-    abs_d2: Callable[[float], float] | None = None,
-    cover: CellCover | None = None,
 ) -> QClassReport:
-    """Scan x -> |f''(x)|^q, the function whose membership the bound assumes.
-
-    abs_d2 is x -> |f''(x)| for e; scans of several q pass one
-    second_derivative_memo(e) so that each point's jet is evaluated once.
-    cover is second_derivative_cover(e, iv, grid_n), shared by every q: the
-    scan reads |f''|^q's bound on each cell from it to skip pairs, with the
-    same report.
+    """Scan x -> |f''(x)|^q, the function whose membership the bound assumes:
+    qclass --fn. The scan skips pairs by a cover of |f''|, with the same report.
     """
     _check_q(q)
-    if abs_d2 is None:
-        abs_d2 = _abs_second_derivative(e)
+    return _scan_power(e, iv, q, grid_n, tol, _cover(e, iv, grid_n))
+
+
+def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[float, bool]:
+    """q -> whether membership_for_bound(e, iv, q) passes, for each q of q_list
+    in order: the membership decision of bound and sweep.
+
+    One cover of |f''| serves every q. For each q the ratio-lemma proof
+    (_scan_proven_to_pass) answers where it can, and the scan, which skips pairs
+    by the same cover, answers where the proof declines. The proof says True
+    only where the scan would pass and raise nothing, so the answers, and the
+    first error raised, are the scans'.
+    """
+    for q in q_list:
+        _check_q(q)
+    cover = _cover(e, iv, DEFAULT_GRID_N)
+    return {
+        q: _scan_proven_to_pass(e, q, cover)
+        or _scan_power(e, iv, q, DEFAULT_GRID_N, DEFAULT_TOL, cover).passed
+        for q in dict.fromkeys(q_list)
+    }
+
+
+def _scan_power(
+    e: Node, iv: Interval, q: float, grid_n: int, tol: float, cover: CellCover | None
+) -> QClassReport:
+    """The scan of x -> |f''(x)|^q; cover, of |f''| on its cells, lets it skip pairs."""
     if cover is not None:
-        from .ratio import power_cover
+        from .ratio import power_cover  # loaded with the cover
 
         cover = power_cover(cover, q)
-    return check_godunova_levin(_q_power(abs_d2, q), iv, grid_n, tol, cover=cover)
+    return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, cover=cover)
 
 
-def _q_power(abs_d2: Callable[[float], float], q: float) -> Callable[[float], float]:
+def _q_power(e: Node, q: float) -> Callable[[float], float]:
     """x -> |f''(x)|^q, the g of membership_for_bound's scan."""
+    _, jet = compile_expression(e)
 
     def g(x: float) -> float:
-        d2 = abs_d2(x)
+        d2 = abs(jet(x)[2])
         try:
             return d2**q
         except OverflowError:
@@ -282,63 +316,42 @@ def _q_power(abs_d2: Callable[[float], float], q: float) -> Callable[[float], fl
     return g
 
 
-def _abs_second_derivative(e: Node) -> Callable[[float], float]:
-    _, jet = compile_expression(e)
-    return lambda x: abs(jet(x)[2])
+def _cover(e: Node, iv: Interval, grid_n: int, of_value: bool = False) -> CellCover | None:
+    """sup |f''| (sup f where of_value, as compile_expression(e)[0] computes it)
+    on the cells of the grid_n scan of iv, or None where the enclosure declines
+    or the grid is invalid, which the scan then reports.
 
-
-def second_derivative_memo(e: Node) -> Callable[[float], float]:
-    """x -> |f''(x)| with each distinct point evaluated once (zeros kept by
-    sign); the values are held as long as the returned function is."""
-    return _PointMemo(_abs_second_derivative(e)).__getitem__
-
-
-# The covers import glbounds.ratio and glbounds.enclosure when first built:
-# every command but bound, sweep and qclass starts without compiling them.
-
-
-def second_derivative_cover(
-    e: Node, iv: Interval, grid_n: int = DEFAULT_GRID_N
-) -> CellCover | None:
-    """sup |f''| on the cells of the grid_n scan of iv, or None where the
-    enclosure declines; one cover serves the scans and proofs of every q."""
-    from .enclosure import compile_second_derivative
+    The enclosure and glbounds.ratio are imported here, when a cover is first
+    built: every command but bound, sweep and qclass starts without them.
+    """
+    try:
+        _check_grid(grid_n)
+        xs = _grid_points(iv, grid_n)
+    except ValueError:
+        return None
+    from .enclosure import compile_second_derivative, compile_value
     from .ratio import cell_cover
 
-    return cell_cover(compile_second_derivative, e, iv, grid_n)
+    return cell_cover(compile_value if of_value else compile_second_derivative, e, xs)
 
 
-def value_cover(e: Node, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> CellCover | None:
-    """sup f on the cells of the grid_n scan of iv, as compile_expression(e)[0]
-    computes f, or None where the enclosure declines."""
-    from .enclosure import compile_value
-    from .ratio import cell_cover
+def _scan_proven_to_pass(e: Node, q: float, cover: CellCover | None) -> bool:
+    """True only if membership_for_bound(e, iv, q) would return passed=True
+    without raising, for the iv that cover = _cover(e, iv, DEFAULT_GRID_N) was
+    built on: a proof by the ratio lemma, not a scan.
 
-    return cell_cover(compile_value, e, iv, grid_n)
-
-
-def scan_proven_to_pass(
-    e: Node,
-    iv: Interval,
-    q: float,
-    cover: CellCover | None,
-    abs_d2: Callable[[float], float] | None = None,
-) -> bool:
-    """True only if membership_for_bound(e, iv, q, abs_d2=abs_d2) would return
-    passed=True without raising: a proof by the ratio lemma, not a scan.
-
-    cover is second_derivative_cover(e, iv). Every pair bound of
-    ratio.pair_bound_rows at most DEFAULT_TOL proves every margin <= tol. The
-    cover being finite also proves g finite at every point of every cell, and
-    the enclosure declines wherever the jet could raise, so the scan raises
-    nothing either. Any exception, and a None cover, mean False.
+    Every pair bound of ratio.pair_bound_rows at most DEFAULT_TOL proves every
+    margin <= tol. The cover being finite also proves g finite at every point
+    of every cell, and the enclosure declines wherever the jet could raise, so
+    the scan raises nothing either. Any exception, and a None cover, mean
+    False.
     """
     if cover is None:
         return False
     from .ratio import pair_bound_rows, power_cover  # loaded with the cover
 
     try:
-        g = _q_power(abs_d2 or _abs_second_derivative(e), q)
+        g = _q_power(e, q)
         gx = [g(x) for x in cover.xs]
         if not all(math.isfinite(v) for v in gx):
             return False

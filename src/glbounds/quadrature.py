@@ -91,7 +91,10 @@ def integrate(f: ScalarFunction, iv: Interval, abs_tol: float = ABS_TOL) -> floa
     f is evaluated at most MAX_EVALS times: a split that would pass that
     budget raises EvalBudgetError, and a panel still unresolved after
     MAX_DEPTH bisections raises DepthExhaustedError. Both name the panel's
-    tolerance and its ends, in the coordinates of f.
+    tolerance and its ends, in the coordinates of f. A panel whose Simpson
+    estimates are not finite because its midpoint or a weighted sum of f's
+    values overflows, which no halving mends, raises NonFiniteValueError
+    naming its ends at once.
     """
     a, b = iv.a, iv.b
     fa = _sample(f, a)
@@ -128,6 +131,12 @@ def _refine(
     if abs(delta) <= 15.0 * tol:
         # Richardson correction; |delta|/15 bounds the remaining error
         return left + right + delta / 15.0
+    if not math.isfinite(delta) and not all(
+        map(math.isfinite, (m, fa + 4.0 * flm + fm, fm + 4.0 * frm + fb))
+    ):
+        # halving shrinks a product that overflows with the width, but never an
+        # overflowing midpoint or sum of values: no depth would converge
+        raise NonFiniteValueError(f"Simpson estimate is not finite on [{a!r}, {b!r}]")
     if depth <= 0:
         raise DepthExhaustedError(f"tolerance {tol:g} unreachable on [{a!r}, {b!r}]")
     evals[0] += 4

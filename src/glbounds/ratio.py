@@ -8,12 +8,14 @@ For every lam in (0, 1) and g(x), g(y) >= 0,
 every scan margin g(z) - rhs of the pair, whatever lam. A CellCover holds
 such bounds, from the interval enclosure in glbounds.enclosure, on one cell
 per grid point; pair_bound_rows turns it into one bound per pair of grid
-points. qclass reads them two ways: scan_proven_to_pass proves that a scan
-passes where every pair bound is at most the tolerance, and the scan skips
-the pairs kept_columns shows cannot change its report.
+points. glbounds.qclass, the only caller, builds every cover and reads the
+bounds two ways: its proof that a scan passes where every pair bound is at
+most the tolerance, and the scan's skipping of the pairs kept_columns shows
+cannot change its report.
 
-Only bound, sweep and qclass import this module (and with it the
-enclosure), so every other command starts without compiling either.
+qclass imports this module (and with it the enclosure) only when it builds
+a cover, so every command but bound, sweep and qclass starts without
+compiling either. This module imports nothing from qclass.
 """
 
 from __future__ import annotations
@@ -21,12 +23,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping
 
 from .enclosure import Declined, sup_power
 from .expressions import Node
-from .qclass import _check_grid, _grid_points, _PointMemo
-from .quadrature import Interval
 
 __all__ = ["CellCover", "cell_cover", "power_cover", "pair_bound_rows", "kept_columns"]
 
@@ -51,11 +51,11 @@ class CellCover:
 def cell_cover(
     compile_sup: Callable[[Node], Callable[[float, float], float]],
     e: Node,
-    iv: Interval,
-    grid_n: int,
+    xs: list[float],
 ) -> CellCover | None:
-    """The cells of the grid_n scan of iv, each bounded by compile_sup(e), a
-    compile function of glbounds.enclosure; None where it declines.
+    """The cells of the scan with grid points xs (ascending, at least two),
+    each bounded by compile_sup(e), a compile function of glbounds.enclosure;
+    None where it declines.
 
     delta bounds how far a scan point z = fl(fl(lam*x) + fl(fl(1-lam)*y)) of
     grid points x and y can fall outside [min(x, y), max(x, y)]. With
@@ -68,10 +68,8 @@ def cell_cover(
     2*eta = 2^-1074 <= ulp(A). So delta = 5*ulp(A) covers every scan point.
     """
     try:
-        _check_grid(grid_n)
         sup_of = compile_sup(e)
-        n = grid_n
-        xs = _grid_points(iv, n)
+        n = len(xs)
         delta = 5.0 * math.ulp(max(abs(xs[0]), abs(xs[-1])))
         lows = [math.nextafter(x - delta, -math.inf) for x in xs]
         highs = [math.nextafter(x + delta, math.inf) for x in xs]
@@ -150,7 +148,7 @@ def pair_bound_rows(gx: list[float], cover: CellCover) -> Iterator[list[float]]:
 def kept_columns(
     xs: list[float],
     gx: list[float],
-    memo: _PointMemo,
+    memo: Mapping[float, float],
     visits: list[tuple[float, float, bool]],
     cover: CellCover,
     tol: float,

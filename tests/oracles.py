@@ -2,13 +2,16 @@
 
 No program path uses them, so they live with the tests: a finite-difference
 second derivative for the jets, a sampled nonnegative-convexity witness for
-the corpus's Certified labels, and a printer for parse round trips.
+the corpus's Certified labels, the Hermite-Hadamard double inequality for
+convex entries, and a printer for parse round trips.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
-from glbounds.expressions import Bin, Call, Const, Neg, Node, Pow, Var
+from glbounds.expressions import Bin, Call, Const, Neg, Node, Pow, Var, compile_expression
+from glbounds.kernel import functional_terms
 from glbounds.quadrature import Interval, _sample
 
 
@@ -43,6 +46,34 @@ def nonneg_convex_witness(
     return all(
         vals[i - 1] - 2.0 * vals[i] + vals[i + 1] >= -tol for i in range(1, grid_n - 1)
     )
+
+
+@dataclass(frozen=True)
+class HermiteHadamardReport:
+    lower: float
+    mid: float
+    upper: float
+    holds: bool
+
+
+def hermite_hadamard_check(e: Node, iv: Interval) -> HermiteHadamardReport:
+    """Midpoint value <= mean integral <= endpoint average, for convex f.
+
+    Convexity is a caller assertion, screened numerically by requiring
+    f'' >= -1e-9 at 101 interior midpoints; both inequalities are allowed a
+    slack of 1e-9.
+    """
+    _, jet = compile_expression(e)
+    for i in range(101):
+        x = iv.a + iv.width * (i + 0.5) / 101
+        if jet(x)[2] < -1e-9:
+            raise ValueError(f"convexity sample check failed at x={x!r}")
+    terms = functional_terms(e, iv)
+    lower = terms.fm
+    mid = terms.integral / terms.width
+    upper = 0.5 * (terms.fa + terms.fb)
+    holds = lower <= mid + 1e-9 and mid <= upper + 1e-9
+    return HermiteHadamardReport(lower, mid, upper, holds)
 
 
 def to_text(node: Node) -> str:

@@ -22,7 +22,6 @@ from glbounds import (
     evaluate,
     evaluate_bound_report,
     evaluate_jet2,
-    hermite_hadamard_check,
     integrate_piecewise,
     lhs_functional,
     moment,
@@ -42,7 +41,7 @@ from glbounds.coefficients import (
     _total_q1_high,
     _total_q1_low,
 )
-from oracles import second_derivative_fd
+from oracles import hermite_hadamard_check, second_derivative_fd
 
 
 def _report(line):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-import glbounds.bounds
+import glbounds.qclass
 import glbounds.ratio
 from glbounds.cli import main
 
@@ -86,15 +86,15 @@ def test_proofs_leave_every_benchmark_byte_alone(bench_on_path, tmp_path, monkey
         requests += [argv for argv in fixed + next(cycles) if argv[0] in ("bound", "sweep")]
     monkeypatch.chdir(tmp_path)  # sweeps write sweep.csv / sweep.json here
     proven = []
-    original = glbounds.bounds.scan_proven_to_pass
+    original = glbounds.qclass._scan_proven_to_pass
 
     def counted(*args):
         proven.append(original(*args))
         return proven[-1]
 
-    monkeypatch.setattr(glbounds.bounds, "scan_proven_to_pass", counted)
+    monkeypatch.setattr(glbounds.qclass, "_scan_proven_to_pass", counted)
     with_proofs = _outcomes(requests, capsys)
-    monkeypatch.setattr(glbounds.bounds, "scan_proven_to_pass", lambda *args: False)
+    monkeypatch.setattr(glbounds.qclass, "_scan_proven_to_pass", lambda *args: False)
     assert _outcomes(requests, capsys) == with_proofs
     assert True in proven and False in proven  # both paths were taken
 

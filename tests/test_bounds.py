@@ -17,7 +17,6 @@ from glbounds import (
     corollary_bound_q1,
     evaluate_bound_report,
     evaluate_jet2,
-    hermite_hadamard_check,
     lhs_functional,
     membership_for_bound,
     parse,
@@ -26,6 +25,7 @@ from glbounds import (
     theorem_bound,
 )
 from conftest import examples
+from oracles import hermite_hadamard_check
 
 UNIT = Interval(0.0, 1.0)
 
@@ -248,22 +248,6 @@ class TestSweepRows:
         assert [(r.lam, r.q) for r in rows] == [(0.0, 1.0), (0.0, 2.0), (0.5, 1.0), (0.5, 2.0)]
         assert all(r.report.q_membership is status for r in rows)
 
-    def test_only_several_q_share_second_derivatives(self, monkeypatch):
-        calls = []
-        original = glbounds.bounds.second_derivative_memo
-
-        def counted(e):
-            calls.append(e)
-            return original(e)
-
-        monkeypatch.setattr(glbounds.bounds, "second_derivative_memo", counted)
-        e = parse("exp(x)")
-        rep = evaluate_bound_report(e, UNIT, 0.5, 2.0)
-        assert rep.q_membership is MembershipStatus.CHECKED_PASS
-        assert calls == []
-        sweep_rows(e, UNIT, [0.5], (1.0, 2.0))
-        assert calls == [e]
-
 
 _PROVEN = [
     ("x^2", UNIT),
@@ -316,13 +300,13 @@ class TestProvenMembership:
 
     def test_sweeps_share_one_cover(self, monkeypatch):
         calls = []
-        original = glbounds.bounds.second_derivative_cover
+        original = glbounds.qclass._cover
 
-        def counted(e, iv):
+        def counted(e, *args):
             calls.append(e)
-            return original(e, iv)
+            return original(e, *args)
 
-        monkeypatch.setattr(glbounds.bounds, "second_derivative_cover", counted)
+        monkeypatch.setattr(glbounds.qclass, "_cover", counted)
         e = parse("exp(x)")
         sweep_rows(e, UNIT, [0.0, 0.5, 1.0], (1.0, 2.0, 3.0))
         assert calls == [e]

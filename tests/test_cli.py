@@ -95,6 +95,11 @@ class TestVerifyIdentity:
         assert captured.out == ""
         assert captured.err.startswith("error: interval width overflows")
 
+    def test_overflowing_estimate_is_an_input_error(self, capsys):
+        # 3e307 + 4*3e307 + 3e307 overflows: this used to split to depth 50
+        assert main(["verify-identity", "--fn", "3e307", "--a", "0", "--b", "1", "--lambda", "0.5"]) == 2
+        assert capsys.readouterr() == ("", "error: Simpson estimate is not finite on [0.0, 1.0]\n")
+
 
 class TestCoeffs:
     def test_json_keys_and_values(self, capsys):
@@ -158,6 +163,13 @@ class TestBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: interval width overflows")
+
+    @pytest.mark.parametrize("extra", [["--skip-membership"], []])
+    def test_overflowing_midpoint_is_an_input_error(self, extra, capsys):
+        # 0.5*(a + b) overflows though b - a does not; the panel used to read [1e+308, inf]
+        argv = ["bound", "--fn", "1", "--a", "1e308", "--b", "1.7e308", "--lambda", "0.5", "--q", "1"]
+        assert main(argv + extra) == 2
+        assert capsys.readouterr() == ("", "error: Simpson estimate is not finite on [1e+308, 1.7e+308]\n")
 
     def test_integral_beyond_the_budget_is_an_input_error(self, capsys):
         # an absolute 1e-10 on an integral near 1.8e13 needs about 3.0M samples;
@@ -387,6 +399,17 @@ class TestQclass:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: |f''(x)|^q overflows at x=300.125")
+
+    @pytest.mark.parametrize(
+        "source,b",
+        [(["--g", "x"], "5e306"), (["--g", "1"], "1e307"), (["--fn", "x^2", "--q", "1"], "5e306")],
+    )
+    def test_grid_points_past_the_float_range_are_an_input_error(self, source, b, capsys):
+        # width*(i + 0.5) overflows above about 2.8e306 at grid 64: the scan
+        # used to sample g at x = inf, and pass a constant there
+        assert main(["qclass", *source, "--a", "0", "--b", b]) == 2
+        err = f"error: the 64 grid points of [0.0, {float(b)!r}] overflow the float range\n"
+        assert capsys.readouterr() == ("", err)
 
     @pytest.mark.parametrize("grid", ["257", "1000000000"])
     @pytest.mark.parametrize("source", [["--g", "x^2"], ["--fn", "x^2", "--q", "1"]])

@@ -12,6 +12,7 @@ from glbounds import (
     Interval,
     QClassReport,
     Violation,
+    check_expression,
     check_godunova_levin,
     compile_expression,
     corpus_entries,
@@ -21,7 +22,7 @@ from glbounds import (
     sweep_rows,
 )
 from glbounds.cli import main
-from glbounds.qclass import scan_proven_to_pass, second_derivative_cover, value_cover
+from glbounds.qclass import _cover, _q_power, _scan_proven_to_pass, bound_memberships
 from conftest import examples
 from oracles import nonneg_convex_witness
 from test_expressions import _tree_strategy
@@ -183,20 +184,29 @@ class TestCheck:
         with pytest.raises(ValueError, match="tol must be finite and positive, got inf"):
             check_godunova_levin(lambda x: 1.0, Interval(0.0, 1.0), tol=math.inf)
         with pytest.raises(ValueError, match="cover was built for another interval or grid"):
-            check_godunova_levin(lambda x: 1.0, UNIT_IV, 16, cover=value_cover(parse("1"), UNIT_IV, 8))
+            check_godunova_levin(lambda x: 1.0, UNIT_IV, 16, cover=_cover(parse("1"), UNIT_IV, 8, of_value=True))
+
+    def test_rejects_grid_points_past_the_float_range(self):
+        # iv.a + width*(i + 0.5)/n: width*(n - 0.5) overflows at grid 8 once
+        # the width passes 1.797e308/7.5, about 2.4e307
+        assert check_godunova_levin(lambda x: 1.0, Interval(0.0, 2.3e307), 8).passed
+        msg = r"the 8 grid points of \[0\.0, 2\.4e\+307\] overflow the float range"
+        with pytest.raises(ValueError, match=msg):
+            check_godunova_levin(lambda x: 1.0, Interval(0.0, 2.4e307), 8)
+        with pytest.raises(ValueError, match="the 64 grid points"):
+            membership_for_bound(parse("x^2"), Interval(-1e307, 1e307), 1.0)
 
 
 def pruned_and_unpruned(text, iv, grid_n=64, q=None):
     """g, and the scan of it with no cover and with its cover: g = f for q None
-    (qclass --g), else |f''|^q (qclass --fn). Asserts that the cover exists."""
+    (qclass --g, check_expression), else |f''|^q (qclass --fn,
+    membership_for_bound). Asserts that the cover exists."""
     e = parse(text)
+    assert _cover(e, iv, grid_n, of_value=q is None) is not None
     if q is None:
-        g, cover = value_of(text), value_cover(e, iv, grid_n)
-        assert cover is not None
-        return g, [check_godunova_levin(g, iv, grid_n), check_godunova_levin(g, iv, grid_n, cover=cover)]
-    cover = second_derivative_cover(e, iv, grid_n)
-    assert cover is not None
-    reports = [membership_for_bound(e, iv, q, grid_n), membership_for_bound(e, iv, q, grid_n, cover=cover)]
+        g = value_of(text)
+        return g, [check_godunova_levin(g, iv, grid_n), check_expression(e, iv, grid_n)]
+    reports = [check_godunova_levin(_q_power(e, q), iv, grid_n), membership_for_bound(e, iv, q, grid_n)]
     return second_derivative_power(text, q), reports
 
 
@@ -210,10 +220,9 @@ class TestAgainstPlainLoop:
         e = parse(entry.expression)
         g = second_derivative_power(entry.expression, q)
         ref = reference_scan(g, entry.interval)
+        assert _cover(e, entry.interval, 64) is not None
         assert same_report(membership_report(name, q), ref)
-        cover = second_derivative_cover(e, entry.interval)
-        assert cover is not None
-        assert same_report(membership_for_bound(e, entry.interval, q, cover=cover), ref)
+        assert same_report(check_godunova_levin(_q_power(e, q), entry.interval), ref)
         if (name, q) == ("sine", 1.0):
             assert len(ref.violations) == 3520
 
@@ -391,12 +400,15 @@ class TestMembershipForBound:
             membership_for_bound(parse("sin(x)"), SINE_INTERVAL, q)
 
 
-def _counting_compile(monkeypatch, seen):
-    """Make every jet compiled in qclass count its calls per point (by float.hex)."""
+def _counting_compile(monkeypatch, counters):
+    """Make every jet compiled in qclass count its calls per point (by float.hex),
+    one Counter per compiled jet, appended to counters."""
     original = glbounds.qclass.compile_expression
 
     def compile_counting(e):
         value, jet = original(e)
+        seen = Counter()
+        counters.append(seen)
 
         def counted(x):
             seen[x.hex()] += 1
@@ -407,58 +419,37 @@ def _counting_compile(monkeypatch, seen):
     monkeypatch.setattr(glbounds.qclass, "compile_expression", compile_counting)
 
 
-def _unshared(monkeypatch):
-    """Give every scan of a sweep its own |f''|, as before they shared one."""
-    monkeypatch.setattr(glbounds.bounds, "second_derivative_memo", glbounds.qclass._abs_second_derivative)
-
-
 class TestSweepSharesSecondDerivative:
-    def _sweep_points(self, monkeypatch):
-        seen = Counter()
-        _counting_compile(monkeypatch, seen)
-        rows = sweep_rows(parse(COMPOSITE), Interval(0.0, 3.0), [0.0, 0.5, 1.0], (1.0, 2.0, 3.0))
-        assert len(rows) == 9
-        assert set(seen.values()) == {1}
-        return set(seen)
-
-    def test_jet_called_once_per_distinct_point(self, monkeypatch):
-        # with the cover declined there is no proof, and every scan visits every pair
-        monkeypatch.setattr(glbounds.bounds, "second_derivative_cover", lambda e, iv: None)
-        assert self._sweep_points(monkeypatch) == scan_points(Interval(0.0, 3.0), 64)
+    """A sweep decides every q from one cover of |f''|, proof or pruned scan."""
 
     def test_covered_scans_skip_points(self, monkeypatch):
-        assert self._sweep_points(monkeypatch) < scan_points(Interval(0.0, 3.0), 64)
+        counters = []
+        _counting_compile(monkeypatch, counters)
+        rows = sweep_rows(parse(COMPOSITE), Interval(0.0, 3.0), [0.0, 0.5, 1.0], (1.0, 2.0, 3.0))
+        assert len(rows) == 9
+        # each proof and each scan evaluates |f''| once per distinct point it visits
+        assert counters and all(set(seen.values()) == {1} for seen in counters)
+        assert set().union(*counters) < scan_points(Interval(0.0, 3.0), 64)
 
+    # each sweep's first error, pinned byte for byte: every bound comes first,
+    # then int_a^b f, then each q's proof or scan in turn
     @pytest.mark.parametrize(
-        "fn,a,b",
+        "fn,a,b,err",
         [
-            ("1/(x-0.5)", "0", "1"),  # a scan point lands on the pole
-            ("exp(x)", "300", "301"),  # |f''|^3 overflows, |f''| does not
-            ("abs(x-0.0859375)", "0", "1"),  # non-smooth at the scan point 11/128
+            # a scan point lands on the pole
+            ("1/(x-0.5)", "0", "1", "error: division by zero at x=0.5\n"),
+            # |f''|^3 overflows, |f''| does not
+            ("exp(x)", "300", "301", "error: g_a^q overflows: g_a = 1.9424263952412558e+130, q = 3.0\n"),
+            # non-smooth at the scan point 11/128
+            ("abs(x-0.0859375)", "0", "1", "error: abs is not differentiable where its argument is 0\n"),
         ],
+        ids=["1/(x-0.5)-0-1", "exp(x)-300-301", "abs(x-0.0859375)-0-1"],
     )
-    def test_first_error_is_unchanged(self, fn, a, b, tmp_path, monkeypatch, capsys):
+    def test_first_error_is_unchanged(self, fn, a, b, err, tmp_path, capsys):
         argv = ["sweep", "--fn", fn, "--a", a, "--b", b, "--lambda-grid", "0:1:0.5", "--q", "1,2,3",
                 "--out", str(tmp_path / "sweep.csv")]
         assert main(argv) == 2
-        shared = capsys.readouterr()
-        _unshared(monkeypatch)
-        assert main(argv) == 2
-        assert capsys.readouterr() == shared
-        assert shared.err.startswith("error: ")
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_files_are_byte_identical(self, fmt, tmp_path, monkeypatch, capsys):
-        def run(path):
-            argv = ["sweep", "--fn", COMPOSITE, "--a", "0", "--b", "3", "--lambda-grid", "0:1:0.25",
-                    "--q", "1,2,3", "--format", fmt, "--out", str(path)]
-            assert main(argv) == 0
-            return path.read_bytes()
-
-        shared = run(tmp_path / "shared")
-        _unshared(monkeypatch)
-        assert run(tmp_path / "unshared") == shared
-        assert b"CheckedPass" in shared and b"CheckedFail" in shared
+        assert capsys.readouterr() == ("", err)
 
 
 def _window(a, width):
@@ -473,7 +464,7 @@ _PROOF_ENDS = st.one_of(
 
 
 class TestProof:
-    """scan_proven_to_pass may only say True where the scan passes and raises nothing."""
+    """_scan_proven_to_pass may only say True where the scan passes and raises nothing."""
 
     @settings(max_examples=examples(100), deadline=None)  # about 60 ms per proven example
     @given(
@@ -484,29 +475,50 @@ class TestProof:
     def test_a_proof_implies_the_scan_passes(self, e, ends, q):
         assume(ends[0] < ends[1])
         iv = Interval(*ends)
-        if scan_proven_to_pass(e, iv, q, second_derivative_cover(e, iv)):
+        if _scan_proven_to_pass(e, q, _cover(e, iv, 64)):
             assert membership_for_bound(e, iv, q).passed
 
-    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
-    def test_shared_second_derivative_gives_the_same_decision(self, q):
-        e, iv = parse(COMPOSITE), Interval(0.0, 1.0)
-        cover = second_derivative_cover(e, iv)
-        shared = glbounds.qclass.second_derivative_memo(e)
-        assert scan_proven_to_pass(e, iv, q, cover) is True
-        assert scan_proven_to_pass(e, iv, q, cover, shared) is True
-
-    def test_declines_without_a_cover_or_on_any_error(self):
+    def test_declines_without_a_cover_or_on_any_error(self, monkeypatch):
         e = parse("x^2")
-        assert second_derivative_cover(parse("1/x"), Interval(-1.0, 1.0)) is None
-        assert scan_proven_to_pass(e, UNIT_IV, 1.0, None) is False
-        cover = second_derivative_cover(e, UNIT_IV)
-        assert scan_proven_to_pass(e, UNIT_IV, 1.0, cover) is True
+        assert _cover(parse("1/x"), Interval(-1.0, 1.0), 64) is None
+        assert _scan_proven_to_pass(e, 1.0, None) is False
+        cover = _cover(e, UNIT_IV, 64)
+        assert _scan_proven_to_pass(e, 1.0, cover) is True
 
-        def broken(x):
+        def broken(*args):
             raise RuntimeError("boom")
 
-        assert scan_proven_to_pass(e, UNIT_IV, 1.0, cover, broken) is False
-        assert scan_proven_to_pass(e, UNIT_IV, 1.0, cover, lambda x: math.inf) is False
+        with monkeypatch.context() as m:
+            m.setattr(glbounds.qclass, "compile_expression", lambda e: (None, broken))
+            assert _scan_proven_to_pass(e, 1.0, cover) is False
+        with monkeypatch.context() as m:
+            m.setattr(glbounds.qclass, "compile_expression", lambda e: (None, lambda x: (0.0, 0.0, math.inf)))
+            assert _scan_proven_to_pass(e, 1.0, cover) is False
+
+    def test_an_error_in_the_proof_leaves_the_scan_to_decide(self, monkeypatch):
+        scans = []
+        original_scan = glbounds.qclass.check_godunova_levin
+        original_rows = glbounds.ratio.pair_bound_rows
+
+        def counted(*args, **kwargs):
+            scans.append(args[1])
+            try:
+                return original_scan(*args, **kwargs)
+            finally:
+                scans.append(None)  # the scan has returned
+
+        def broken_in_the_proof(*args):
+            if len(scans) % 2 == 0:  # no scan is running
+                raise RuntimeError("boom")
+            return original_rows(*args)
+
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", counted)
+        monkeypatch.setattr(glbounds.ratio, "pair_bound_rows", broken_in_the_proof)
+        # x^2 on [0, 1] is proven at every q; with the proof broken each q is scanned
+        assert bound_memberships(parse("x^2"), UNIT_IV, (1.0, 2.0)) == {1.0: True, 2.0: True}
+        assert scans == [UNIT_IV, None, UNIT_IV, None]
+        # sine fails its scan; a proof that raises cannot turn that into a pass
+        assert bound_memberships(parse("-sin(x)"), SINE_INTERVAL, (1.0,)) == {1.0: False}
 
     @pytest.mark.parametrize(
         "iv",
@@ -519,7 +531,7 @@ class TestProof:
         ],
     )
     def test_cells_hold_every_scan_point(self, iv):
-        cover = second_derivative_cover(parse("x^2"), iv)
+        cover = _cover(parse("x^2"), iv, 64)
         xs, bounds, first, last = cover.xs, cover.bounds, cover.first, cover.last
         assert xs == [iv.a + iv.width * (i + 0.5) / 64 for i in range(64)]
         assert bounds == sorted(bounds) and len(bounds) == 65
@@ -533,10 +545,10 @@ class TestProof:
                     assert bounds[lo] <= z <= bounds[hi + 1]
 
 
-def _outcome(scan, cover):
+def _outcome(scan):
     """The report with the sign of its max_margin, or the exception's type and message."""
     try:
-        rep = scan(cover)
+        rep = scan()
     except Exception as exc:  # the exception is the outcome being compared
         return (type(exc), str(exc))
     return rep, math.copysign(1.0, rep.max_margin)
@@ -556,13 +568,12 @@ class TestPruning:
         assume(ends[0] < ends[1])
         iv = Interval(*ends)
         if q is None:  # qclass --g
-            g = compile_expression(e)[0]
-            cover = value_cover(e, iv, grid_n)
-            scan = lambda cover: check_godunova_levin(g, iv, grid_n, cover=cover)
+            pruned = lambda: check_expression(e, iv, grid_n)
+            unpruned = lambda: check_godunova_levin(compile_expression(e)[0], iv, grid_n)
         else:  # qclass --fn
-            cover = second_derivative_cover(e, iv, grid_n)
-            scan = lambda cover: membership_for_bound(e, iv, q, grid_n, cover=cover)
-        assert _outcome(scan, cover) == _outcome(scan, None)
+            pruned = lambda: membership_for_bound(e, iv, q, grid_n)
+            unpruned = lambda: check_godunova_levin(_q_power(e, q), iv, grid_n)
+        assert _outcome(pruned) == _outcome(unpruned)
 
     @pytest.mark.parametrize(
         "name", [e.name for e in corpus_entries() if e.membership is not ExpectedMembership.EXPECT_FAIL]
@@ -577,7 +588,7 @@ class TestPruning:
             seen[x.hex()] += 1
             return f(x)
 
-        rep = check_godunova_levin(g, iv, cover=value_cover(e, iv))
+        rep = check_godunova_levin(g, iv, cover=_cover(e, iv, 64, of_value=True))
         assert rep.passed
         assert len(seen) < len(scan_points(iv, 64))
 

@@ -120,6 +120,22 @@ class TestIntegrate:
         with pytest.raises(NonFiniteValueError):
             integrate(lambda x: math.nan, Interval(0.0, 1.0))
 
+    def test_overflowing_estimate_fails_at_once(self):
+        # fa + 4*fm + fb = 1.8e308 overflows; the panel used to split 50 times
+        f, calls = _counting(lambda x: 3e307)
+        with pytest.raises(NonFiniteValueError, match=r"^Simpson estimate is not finite on \[0\.0, 1\.0\]$"):
+            integrate(f, Interval(0.0, 1.0))
+        assert calls[0] == 5
+
+    def test_overflowing_midpoint_fails_at_once(self):
+        # 0.5*(a + b) is inf, though b - a is not: the panel used to read [1e+308, inf]
+        with pytest.raises(NonFiniteValueError, match=r"^Simpson estimate is not finite on \[1e\+308, 1\.7e\+308\]$"):
+            integrate(lambda x: 1.0, Interval(1e308, 1.7e308))
+
+    def test_estimate_that_overflows_with_the_width_still_converges(self):
+        # width * 6 * 2^511 overflows on the whole panel but not on its halves
+        assert integrate(lambda x: 2.0**511, Interval(0.0, 2.0**511)) == 2.0**1022
+
     @settings(max_examples=examples(25), deadline=None)
     @given(
         st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5),
