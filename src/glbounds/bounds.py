@@ -9,7 +9,7 @@ them against each other and against the quadrature oracle.
 Reports are assembled in one place, sweep_rows; a single bound
 (evaluate_bound_report) is its one-row case. In CHECK mode their
 membership labels come from one call, qclass.bound_memberships, which
-decides each q by proof or by scan.
+decides each q by the ratio lemma or by scan.
 """
 
 from __future__ import annotations
@@ -94,6 +94,9 @@ def theorem_bound(inp: BoundInput) -> float:
     A single formula covers both regimes via the coefficient dispatch; at
     q = 1 the prefactor exponent vanishes and the bracket collapses to
     (A + B)(ga + gb).
+
+    Raises ValueError naming the width where w^2/2 overflows: times a zero
+    bracket it would give nan.
     """
     cs = coefficient_set(inp.lam)
     inv_q = 1.0 / inp.q
@@ -103,7 +106,10 @@ def theorem_bound(inp: BoundInput) -> float:
         cs.b_coef * ga_q + cs.a_coef * gb_q
     ) ** inv_q
     w = inp.iv.width
-    return 0.5 * w * w * cs.m ** (1.0 - inv_q) * bracket
+    half_square = 0.5 * w * w
+    if math.isinf(half_square):
+        raise ValueError(f"w^2/2 overflows: the width of [{inp.iv.a!r}, {inp.iv.b!r}] is {w!r}")
+    return half_square * cs.m ** (1.0 - inv_q) * bracket
 
 
 def corollary_bound_q1(iv: Interval, lam: float, g_a: float, g_b: float) -> float:

@@ -22,10 +22,15 @@ Each entry point builds one cover: an interval enclosure
 ratio lemma it bounds every margin of each pair of grid points
 (glbounds.ratio), and it is used two ways. The scan skips each pair whose
 bound shows that it can hold neither a violation nor the first largest
-margin; its report is the same, bit for bit. bound_memberships first tries a
-proof, for each q from the same cover: where every pair bound is at most the
-tolerance, the scan would pass and raise nothing, so it is not run and the
-label is the same. The cover never leaves this module.
+margin; its report is the same, bit for bit. bound_memberships needs no
+report, so for each q it first asks _decide, from the same cover: where
+every pair bound is at most the tolerance, the scan would pass (a proof);
+otherwise only the pairs above the tolerance can violate, and _decide
+visits them hottest first at every lam, as the scan computes each margin,
+and stops at the first violation. Where the cover is finite the scan would
+raise nothing, so either answer is the scan's, and the scan is not run.
+Where _decide declines, the scan decides. The cover never leaves this
+module.
 
 DEFAULT_GRID_N and DEFAULT_TOL are decided here only: bound and sweep scan
 with them, and they are the defaults of the CLI's qclass --grid and --tol.
@@ -176,7 +181,6 @@ def check_godunova_levin(
     xs = _grid_points(iv, n)
     if cover is not None and cover.xs != xs:
         raise ValueError("cover was built for another interval or grid")
-    lams = [(k + 0.5) / n for k in range(n)]
 
     def sample(x: float) -> float:
         v = g(x)
@@ -197,14 +201,7 @@ def check_godunova_levin(
             violations.append(Violation(x, x, 0.5, gv, rhs))
             max_margin = max(max_margin, gv - rhs)
 
-    visits = []  # (lam, its mirror, whether the pass decides both)
-    for k, lam in enumerate(lams):
-        mirror = lams[n - 1 - k]
-        paired = k != n - 1 - k and 1.0 - lam == mirror and 1.0 - mirror == lam
-        if paired and k > n - 1 - k:
-            continue  # scanned with its mirror, which comes first
-        visits.append((lam, mirror, paired))
-
+    visits = _visits(n)
     if cover is None:
         keep = [range(n)] * n
     else:
@@ -233,6 +230,22 @@ def check_godunova_levin(
 
     unique = sorted(dict.fromkeys(violations), key=lambda v: (v.x, v.y, v.lam))
     return QClassReport(n * n * n, tuple(unique), max_margin, not unique)
+
+
+def _visits(n: int) -> list[tuple[float, float, bool]]:
+    """The passes of a scan over the grid lams (k + 1/2)/n, in order, as
+    (lam, its mirror, whether the pass also decides the mirror). Where lam
+    and its mirror lam' = lams[n-1-k] satisfy 1 - lam == lam' and
+    1 - lam' == lam exactly, the later of the two gets no pass of its own.
+    """
+    lams = [(k + 0.5) / n for k in range(n)]
+    visits = []
+    for k, lam in enumerate(lams):
+        mirror = lams[n - 1 - k]
+        paired = k != n - 1 - k and 1.0 - lam == mirror and 1.0 - mirror == lam
+        if not (paired and k > n - 1 - k):
+            visits.append((lam, mirror, paired))
+    return visits
 
 
 def _picker(cols: Sequence[int], n: int) -> Callable[[list], Sequence] | None:
@@ -274,20 +287,22 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     """q -> whether membership_for_bound(e, iv, q) passes, for each q of q_list
     in order: the membership decision of bound and sweep.
 
-    One cover of |f''| serves every q. For each q the ratio-lemma proof
-    (_scan_proven_to_pass) answers where it can, and the scan, which skips pairs
-    by the same cover, answers where the proof declines. The proof says True
-    only where the scan would pass and raise nothing, so the answers, and the
-    first error raised, are the scans'.
+    One cover of |f''| serves every q. For each q the decision by the ratio
+    lemma (_decide) answers where it can, and the scan, which skips pairs by
+    the same cover, answers where it declines. The decision answers only
+    where the scan would raise nothing, and then as the scan would, so the
+    answers, and the first error raised, are the scans'.
     """
     for q in q_list:
         _check_q(q)
     cover = _cover(e, iv, DEFAULT_GRID_N)
-    return {
-        q: _scan_proven_to_pass(e, q, cover)
-        or _scan_power(e, iv, q, DEFAULT_GRID_N, DEFAULT_TOL, cover).passed
-        for q in dict.fromkeys(q_list)
-    }
+    passed = {}
+    for q in dict.fromkeys(q_list):
+        decided = _decide(e, q, cover)
+        if decided is None:
+            decided = _scan_power(e, iv, q, DEFAULT_GRID_N, DEFAULT_TOL, cover).passed
+        passed[q] = decided
+    return passed
 
 
 def _scan_power(
@@ -335,29 +350,57 @@ def _cover(e: Node, iv: Interval, grid_n: int, of_value: bool = False) -> CellCo
     return cell_cover(compile_value if of_value else compile_second_derivative, e, xs)
 
 
-def _scan_proven_to_pass(e: Node, q: float, cover: CellCover | None) -> bool:
-    """True only if membership_for_bound(e, iv, q) would return passed=True
-    without raising, for the iv that cover = _cover(e, iv, DEFAULT_GRID_N) was
-    built on: a proof by the ratio lemma, not a scan.
+def _decide(e: Node, q: float, cover: CellCover | None) -> bool | None:
+    """membership_for_bound(e, iv, q).passed, decided without the scan, for
+    the iv that cover = _cover(e, iv, DEFAULT_GRID_N) was built on; None
+    where this cannot be done, and the scan decides.
 
-    Every pair bound of ratio.pair_bound_rows at most DEFAULT_TOL proves every
-    margin <= tol. The cover being finite also proves g finite at every point
-    of every cell, and the enclosure declines wherever the jet could raise, so
-    the scan raises nothing either. Any exception, and a None cover, mean
-    False.
+    With g = |f''|^q at the grid points and the cover of g on the cells,
+    every margin the scan computes for a pair of grid points is at most the
+    pair's bound (ratio.pair_bound_rows), so a pair whose bound is at most
+    DEFAULT_TOL holds no violation. Where no pair is above the tolerance, the
+    scan passes, and the answer is True: the ratio lemma's proof. Otherwise
+    the pairs above it are visited hottest first, each at every lam of the
+    scan's visits in both orders of its two points (which covers each exact
+    mirror lam too), every margin computed as the scan computes it: the
+    first violation answers False, and none answers True. g >= 0, so the
+    scan's check for negative values never fires.
+
+    The cover being finite proves g finite at every point of every cell, and
+    the enclosure declines wherever the jet could raise, so the scan raises
+    nothing: whichever violation is found first, in whatever order, the scan
+    would fail too. A None cover or power cover, a g value at a grid point
+    that is not finite, and any exception mean None.
     """
     if cover is None:
-        return False
+        return None
     from .ratio import pair_bound_rows, power_cover  # loaded with the cover
 
     try:
-        g = _q_power(e, q)
-        gx = [g(x) for x in cover.xs]
+        memo = _PointMemo(_q_power(e, q))
+        xs = cover.xs
+        gx = [memo[x] for x in xs]
         if not all(math.isfinite(v) for v in gx):
-            return False
+            return None
         power = power_cover(cover, q)
         if power is None:
-            return False
-        return all(max(row) <= DEFAULT_TOL for row in pair_bound_rows(gx, power))
+            return None
+        tol = DEFAULT_TOL
+        hot = []
+        for i, row in enumerate(pair_bound_rows(gx, power)):
+            if max(row) > tol:
+                hot += [(b, i, j) for j, b in enumerate(row, i) if b > tol]
+        if not hot:
+            return True
+        hot.sort(reverse=True)
+        steps = [(lam, 1.0 - lam) for lam, _, _ in _visits(len(xs))]
+        for _, i, j in hot:
+            xi, xj, gi, gj = xs[i], xs[j], gx[i], gx[j]
+            for lam, clam in steps:
+                if memo[lam * xi + clam * xj] - (gi / lam + gj / clam) > tol:
+                    return False
+                if memo[lam * xj + clam * xi] - (gj / lam + gi / clam) > tol:
+                    return False
+        return True
     except Exception:  # declining is always safe: the scan decides
-        return False
+        return None

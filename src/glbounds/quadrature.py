@@ -94,7 +94,8 @@ def integrate(f: ScalarFunction, iv: Interval, abs_tol: float = ABS_TOL) -> floa
     tolerance and its ends, in the coordinates of f. A panel whose Simpson
     estimates are not finite because its midpoint or a weighted sum of f's
     values overflows, which no halving mends, raises NonFiniteValueError
-    naming its ends at once.
+    naming its ends at once. So does an integral whose converged panels add
+    up past the float range, naming iv.
     """
     a, b = iv.a, iv.b
     fa = _sample(f, a)
@@ -102,7 +103,13 @@ def integrate(f: ScalarFunction, iv: Interval, abs_tol: float = ABS_TOL) -> floa
     fb = _sample(f, b)
     whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
     # 3 samples so far and 2 more in the first _refine
-    return _refine(f, a, b, fa, fm, fb, whole, abs_tol, MAX_DEPTH, [5])
+    return _finite_integral(_refine(f, a, b, fa, fm, fb, whole, abs_tol, MAX_DEPTH, [5]), iv)
+
+
+def _finite_integral(total: float, iv: Interval) -> float:
+    if not math.isfinite(total):
+        raise NonFiniteValueError(f"integral over [{iv.a!r}, {iv.b!r}] overflows: {total!r}")
+    return total
 
 
 def _refine(
@@ -159,7 +166,8 @@ def integrate_piecewise(f: ScalarFunction, iv: Interval, breakpoints: list[float
 
     The pieces are added left to right from 0.0 in a plain loop: sum() adds
     floats with compensation from Python 3.12 on, which would make the last
-    bits depend on the Python version.
+    bits depend on the Python version. A sum past the float range raises
+    NonFiniteValueError naming iv.
     """
     cuts = sorted({float(t) for t in breakpoints if iv.a < t < iv.b})
     edges = [iv.a, *cuts, iv.b]
@@ -167,4 +175,4 @@ def integrate_piecewise(f: ScalarFunction, iv: Interval, breakpoints: list[float
     total = 0.0
     for lo, hi in zip(edges, edges[1:]):
         total += integrate(f, Interval(lo, hi), piece_tol)
-    return total
+    return _finite_integral(total, iv)

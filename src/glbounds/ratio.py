@@ -9,8 +9,9 @@ every scan margin g(z) - rhs of the pair, whatever lam. A CellCover holds
 such bounds, from the interval enclosure in glbounds.enclosure, on one cell
 per grid point; pair_bound_rows turns it into one bound per pair of grid
 points. glbounds.qclass, the only caller, builds every cover and reads the
-bounds two ways: its proof that a scan passes where every pair bound is at
-most the tolerance, and the scan's skipping of the pairs kept_columns shows
+bounds two ways: its membership decision, which proves that a scan passes
+where every pair bound is at most the tolerance and otherwise visits only
+the pairs above it, and the scan's skipping of the pairs kept_columns shows
 cannot change its report.
 
 qclass imports this module (and with it the enclosure) only when it builds

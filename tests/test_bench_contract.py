@@ -4,7 +4,7 @@ bench/tracer.py wraps every function in its TRACED table and raises when one
 is missing, and its hooks read some arguments by position. A renamed or
 dropped function, or a moved parameter, would otherwise show only when the
 benchmark runs. The benchmark's own request streams also check that the
-membership proof of bound and sweep changes no output byte.
+membership decision of bound and sweep changes no output byte.
 """
 
 import importlib
@@ -79,30 +79,33 @@ def _outcomes(requests, capsys):
 
 def test_proofs_leave_every_benchmark_byte_alone(bench_on_path, tmp_path, monkeypatch, capsys):
     """bound and sweep requests of one membership and one edge cycle give the
-    same bytes whether the membership proof is tried or every scan runs."""
+    same bytes whether membership is decided by the ratio lemma or every scan
+    runs."""
     requests = []
     for workload in ("membership", "edge"):
         fixed, cycles = importlib.import_module("workloads").requests(workload, 1)
         requests += [argv for argv in fixed + next(cycles) if argv[0] in ("bound", "sweep")]
     monkeypatch.chdir(tmp_path)  # sweeps write sweep.csv / sweep.json here
-    proven = []
-    original = glbounds.qclass._scan_proven_to_pass
+    decided = []
+    original = glbounds.qclass._decide
 
     def counted(*args):
-        proven.append(original(*args))
-        return proven[-1]
+        decided.append(original(*args))
+        return decided[-1]
 
-    monkeypatch.setattr(glbounds.qclass, "_scan_proven_to_pass", counted)
-    with_proofs = _outcomes(requests, capsys)
-    monkeypatch.setattr(glbounds.qclass, "_scan_proven_to_pass", lambda *args: False)
-    assert _outcomes(requests, capsys) == with_proofs
-    assert True in proven and False in proven  # both paths were taken
+    monkeypatch.setattr(glbounds.qclass, "_decide", counted)
+    with_decisions = _outcomes(requests, capsys)
+    monkeypatch.setattr(glbounds.qclass, "_decide", lambda *args: None)
+    assert _outcomes(requests, capsys) == with_decisions
+    assert True in decided and False in decided  # both fast outcomes were taken
 
 
 def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkeypatch):
     """Every qclass request of one membership cycle, and its bound requests
     whose proof declines (x^4 at q > 1 and sine), give the same bytes whether
-    the scans skip pairs or visit them all."""
+    the scans skip pairs or visit them all. Those bound requests are decided
+    pair by pair without a scan, so the decision is turned off here to make
+    them scan."""
     fixed, cycles = importlib.import_module("workloads").requests("membership", 1)
     requests = [
         argv
@@ -110,6 +113,7 @@ def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkey
         if argv[0] == "qclass" or (argv[0] == "bound" and argv[2] in ("x^4", "sin(x)"))
     ]
     assert sum(argv[0] == "bound" for argv in requests) == 2
+    monkeypatch.setattr(glbounds.qclass, "_decide", lambda *args: None)
     kept = []
     original = glbounds.ratio.kept_columns
 

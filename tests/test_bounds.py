@@ -67,6 +67,16 @@ class TestTheoremBound:
         with pytest.raises(ValueError):
             BoundInput(UNIT, lam, q, ga, gb)
 
+    def test_overflowing_width_square_is_an_input_error(self):
+        # w^2/2 = inf times a zero bracket used to give nan
+        with pytest.raises(ValueError, match=r"^w\^2/2 overflows: the width of \[0\.0, 1e\+200\] is 1e\+200$"):
+            theorem_bound(BoundInput(Interval(0.0, 1e200), 0.5, 1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match=r"w\^2/2 overflows"):
+            theorem_bound(BoundInput(Interval(0.0, 1e200), 0.5, 2.0, 1.0, 1.0))
+        # the widest interval whose w^2/2 is finite still has its bound
+        iv = Interval(0.0, 6.703903964971299e153)
+        assert theorem_bound(BoundInput(iv, 0.5, 1.0, 0.0, 0.0)) == 0.0
+
     def test_overflowing_weight_power_is_an_input_error(self):
         # |f''(300)| of exp is 1.9e130, and its cube passes 1.8e308
         g_a = math.exp(300.0)
@@ -242,6 +252,7 @@ class TestSweepRows:
     )
     def test_modes_without_a_scan_label_every_row(self, monkeypatch, mode, status):
         monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "_decide", None)  # nor any decision
         # sine fails the scan, so a row labelled from one would read CheckedFail
         iv = Interval(0.000001, 3.141592)
         rows = sweep_rows(parse("sin(x)"), iv, [0.0, 0.5], (1.0, 2.0), membership_mode=mode)
@@ -263,7 +274,8 @@ _PROVEN = [
 
 
 class TestProvenMembership:
-    """CHECK mode labels CheckedPass from the enclosure proof where it holds."""
+    """CHECK mode labels CheckedPass from the enclosure proof where it holds,
+    and from a scan where the decision declines."""
 
     @pytest.mark.parametrize("text,iv", _PROVEN)
     def test_proof_labels_without_a_scan(self, monkeypatch, text, iv):
@@ -287,6 +299,7 @@ class TestProvenMembership:
         ],
     )
     def test_unproven_cases_reach_the_scan(self, monkeypatch, text, iv, q, status):
+        """Where the decision by the ratio lemma declines, one scan labels the report."""
         scans = []
         original = glbounds.qclass.check_godunova_levin
 
@@ -295,6 +308,7 @@ class TestProvenMembership:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", counted)
+        monkeypatch.setattr(glbounds.qclass, "_decide", lambda *args: None)
         assert evaluate_bound_report(parse(text), iv, 0.5, q).q_membership is status
         assert scans == [iv]
 

@@ -95,6 +95,16 @@ class TestVerifyIdentity:
         assert captured.out == ""
         assert captured.err.startswith("error: interval width overflows")
 
+    def test_overflowing_midpoint_is_an_input_error(self, capsys):
+        # 0.5*(a + b) overflows though b - a does not
+        assert main(["verify-identity", "--fn", "1", "--a", "1e308", "--b", "1.7e308", "--lambda", "0.5"]) == 2
+        assert capsys.readouterr() == ("", "error: Simpson estimate is not finite on [1e+308, 1.7e+308]\n")
+
+    def test_overflowing_integral_is_an_input_error(self, capsys):
+        # int_0^1e10 1e300 = 1e310 used to print lhs = inf and exit 1
+        assert main(["verify-identity", "--fn", "1e300", "--a", "0", "--b", "1e10", "--lambda", "0.5"]) == 2
+        assert capsys.readouterr() == ("", "error: integral over [0.0, 10000000000.0] overflows: inf\n")
+
     def test_overflowing_estimate_is_an_input_error(self, capsys):
         # 3e307 + 4*3e307 + 3e307 overflows: this used to split to depth 50
         assert main(["verify-identity", "--fn", "3e307", "--a", "0", "--b", "1", "--lambda", "0.5"]) == 2
@@ -166,10 +176,34 @@ class TestBound:
 
     @pytest.mark.parametrize("extra", [["--skip-membership"], []])
     def test_overflowing_midpoint_is_an_input_error(self, extra, capsys):
-        # 0.5*(a + b) overflows though b - a does not; the panel used to read [1e+308, inf]
+        # 0.5*(a + b) overflows though b - a does not; the panel used to read [1e+308, inf].
+        # w^2/2 overflows too, and the bound is taken before the integral, so
+        # that is the error reported (verify-identity reports the midpoint's)
         argv = ["bound", "--fn", "1", "--a", "1e308", "--b", "1.7e308", "--lambda", "0.5", "--q", "1"]
         assert main(argv + extra) == 2
-        assert capsys.readouterr() == ("", "error: Simpson estimate is not finite on [1e+308, 1.7e+308]\n")
+        err = "error: w^2/2 overflows: the width of [1e+308, 1.7e+308] is 6.999999999999999e+307\n"
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("extra", [["--skip-membership"], []])
+    def test_overflowing_width_square_is_an_input_error(self, extra, capsys):
+        # w^2/2 = inf times a zero bracket used to print bound = nan and exit 0
+        argv = ["bound", "--fn", "1", "--a", "0", "--b", "1e200", "--lambda", "0.5", "--q", "1"]
+        assert main(argv + extra) == 2
+        assert capsys.readouterr() == ("", "error: w^2/2 overflows: the width of [0.0, 1e+200] is 1e+200\n")
+
+    def test_widest_finite_width_square_keeps_its_answer(self, capsys):
+        # w^2/2 = 2.2e307 is finite; f'' = 0, so the bound is exactly 0
+        argv = ["bound", "--fn", "2^511", "--a", "0", "--b", "6.703903964971299e+153", "--lambda", "0.5", "--q", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "lhs_abs    = 0\n" in out and "bound      = 0\n" in out
+
+    @pytest.mark.parametrize("extra", [["--skip-membership"], []])
+    def test_overflowing_integral_is_an_input_error(self, extra, capsys):
+        # int_0^1e10 1e300 = 1e310 used to print lhs_abs = inf and exit 1
+        argv = ["bound", "--fn", "1e300", "--a", "0", "--b", "1e10", "--lambda", "0.5", "--q", "1"]
+        assert main(argv + extra) == 2
+        assert capsys.readouterr() == ("", "error: integral over [0.0, 10000000000.0] overflows: inf\n")
 
     def test_integral_beyond_the_budget_is_an_input_error(self, capsys):
         # an absolute 1e-10 on an integral near 1.8e13 needs about 3.0M samples;
@@ -300,22 +334,21 @@ class TestSweep:
         assert row[5] == ""
 
     def test_unwritable_path(self, tmp_path, monkeypatch, capsys):
-        scans = []
-        original = glbounds.qclass.check_godunova_levin
+        covers = []
+        original = glbounds.qclass._cover
 
-        def counted(*args, **kwargs):
-            scans.append(args[1])
-            return original(*args, **kwargs)
+        def counted(e, iv, *args):
+            covers.append(iv)
+            return original(e, iv, *args)
 
-        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", counted)
-        # sine's scans are not proven away (x^2's are), so a writable path scans
+        monkeypatch.setattr(glbounds.qclass, "_cover", counted)
         sine = {"fn": "sin(x)", "a": "0.000001", "b": "3.141592"}
         assert _run_sweep(tmp_path / "missing" / "sweep.csv", **sine) == 4
         assert "cannot write" in capsys.readouterr().err
-        # the path fails before any membership scan runs
-        assert scans == []
+        # the path fails before any membership decision starts
+        assert covers == []
         assert _run_sweep(tmp_path / "sweep.csv", **sine) == 0
-        assert scans == [Interval(0.000001, 3.141592)] * 2
+        assert covers == [Interval(0.000001, 3.141592)]
 
     OVERFLOW_ARGV = ["sweep", "--fn", "exp(x)", "--a", "300", "--b", "301", "--lambda-grid", "0:1:0.5",
                      "--q", "1,3"]

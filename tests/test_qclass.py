@@ -22,7 +22,7 @@ from glbounds import (
     sweep_rows,
 )
 from glbounds.cli import main
-from glbounds.qclass import _cover, _q_power, _scan_proven_to_pass, bound_memberships
+from glbounds.qclass import _cover, _decide, _q_power, bound_memberships
 from conftest import examples
 from oracles import nonneg_convex_witness
 from test_expressions import _tree_strategy
@@ -464,36 +464,50 @@ _PROOF_ENDS = st.one_of(
 
 
 class TestProof:
-    """_scan_proven_to_pass may only say True where the scan passes and raises nothing."""
+    """_decide may only answer where the scan raises nothing, and then as the scan
+    does; None leaves the scan to decide."""
 
-    @settings(max_examples=examples(100), deadline=None)  # about 60 ms per proven example
+    @settings(max_examples=examples(100), deadline=None)  # about 60 ms per decided example
     @given(
         st.one_of(_tree_strategy(), st.sampled_from([parse(e.expression) for e in corpus_entries()])),
         _PROOF_ENDS,
         st.floats(1.0, 3.0),
     )
     def test_a_proof_implies_the_scan_passes(self, e, ends, q):
+        """A decision, True or False, is the scan's passed, and that scan raises nothing."""
         assume(ends[0] < ends[1])
         iv = Interval(*ends)
-        if _scan_proven_to_pass(e, q, _cover(e, iv, 64)):
-            assert membership_for_bound(e, iv, q).passed
+        decided = _decide(e, q, _cover(e, iv, 64))
+        if decided is not None:
+            assert membership_for_bound(e, iv, q).passed is decided
 
     def test_declines_without_a_cover_or_on_any_error(self, monkeypatch):
         e = parse("x^2")
         assert _cover(parse("1/x"), Interval(-1.0, 1.0), 64) is None
-        assert _scan_proven_to_pass(e, 1.0, None) is False
+        assert _decide(e, 1.0, None) is None
         cover = _cover(e, UNIT_IV, 64)
-        assert _scan_proven_to_pass(e, 1.0, cover) is True
+        assert _decide(e, 1.0, cover) is True
 
         def broken(*args):
             raise RuntimeError("boom")
 
         with monkeypatch.context() as m:
             m.setattr(glbounds.qclass, "compile_expression", lambda e: (None, broken))
-            assert _scan_proven_to_pass(e, 1.0, cover) is False
+            assert _decide(e, 1.0, cover) is None
         with monkeypatch.context() as m:
             m.setattr(glbounds.qclass, "compile_expression", lambda e: (None, lambda x: (0.0, 0.0, math.inf)))
-            assert _scan_proven_to_pass(e, 1.0, cover) is False
+            assert _decide(e, 1.0, cover) is None
+        # sine's decision visits pairs above the tolerance; a jet that raises
+        # off the grid points makes it decline there, rather than answer False
+        sine = parse("sin(x)")
+        sine_cover = _cover(sine, SINE_INTERVAL, 64)
+        assert _decide(sine, 1.0, sine_cover) is False
+        _, jet = compile_expression(sine)
+        grid = set(sine_cover.xs)
+        with monkeypatch.context() as m:
+            m.setattr(glbounds.qclass, "compile_expression",
+                      lambda e: (None, lambda x: jet(x) if x in grid else broken()))
+            assert _decide(sine, 1.0, sine_cover) is None
 
     def test_an_error_in_the_proof_leaves_the_scan_to_decide(self, monkeypatch):
         scans = []
@@ -519,6 +533,31 @@ class TestProof:
         assert scans == [UNIT_IV, None, UNIT_IV, None]
         # sine fails its scan; a proof that raises cannot turn that into a pass
         assert bound_memberships(parse("-sin(x)"), SINE_INTERVAL, (1.0,)) == {1.0: False}
+
+    def test_a_violation_ends_the_decision_without_a_scan(self, monkeypatch):
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        assert bound_memberships(parse("-sin(x)"), SINE_INTERVAL, (1.0,)) == {1.0: False}
+        # x^4 at q > 1 has pairs above the tolerance, and none of them violates
+        assert bound_memberships(parse("x^4"), UNIT_IV, (2.0, 3.0)) == {2.0: True, 3.0: True}
+
+    @pytest.mark.parametrize(
+        "text,iv,qs",
+        [
+            ("x^2", UNIT_IV, (1.0, 2.0)),  # proven
+            ("x^4", UNIT_IV, (1.0, 2.0, 3.0)),  # proven at q = 1; above, every hot pair holds
+            ("sin(x)", SINE_INTERVAL, (1.0, 2.5)),  # fails at the first hot pair
+            (COMPOSITE, Interval(0.0, 3.0), (1.0, 2.0, 3.0)),  # passes, then fails deep in the list
+            ("1/x", Interval(-1.0, 1.0), (1.0,)),  # no cover (a pole); the scan fails
+            ("abs(x-0.3)", UNIT_IV, (1.0, 2.0)),  # no cover (a kink); the scan passes
+            ("abs(x-0.0859375)", UNIT_IV, (1.0,)),  # no cover; the scan raises at the kink
+            ("exp(x)", Interval(300.0, 301.0), (1.0, 3.0)),  # decided at q = 1; |f''|^3 overflows in the scan
+        ],
+    )
+    def test_memberships_equal_the_scans(self, text, iv, qs):
+        e = parse(text)
+        decided = _outcome(lambda: bound_memberships(e, iv, qs))
+        scanned = _outcome(lambda: {q: membership_for_bound(e, iv, q).passed for q in qs})
+        assert decided == scanned
 
     @pytest.mark.parametrize(
         "iv",
@@ -546,12 +585,15 @@ class TestProof:
 
 
 def _outcome(scan):
-    """The report with the sign of its max_margin, or the exception's type and message."""
+    """The report with the sign of its max_margin (any other result as it is),
+    or the exception's type and message."""
     try:
         rep = scan()
     except Exception as exc:  # the exception is the outcome being compared
         return (type(exc), str(exc))
-    return rep, math.copysign(1.0, rep.max_margin)
+    if isinstance(rep, QClassReport):
+        return rep, math.copysign(1.0, rep.max_margin)
+    return rep
 
 
 class TestPruning:

@@ -136,6 +136,11 @@ class TestIntegrate:
         # width * 6 * 2^511 overflows on the whole panel but not on its halves
         assert integrate(lambda x: 2.0**511, Interval(0.0, 2.0**511)) == 2.0**1022
 
+    def test_integral_past_the_float_range_is_rejected(self):
+        # every panel converges, and their sum 1e310 used to come back as inf
+        with pytest.raises(NonFiniteValueError, match=r"^integral over \[0\.0, 10000000000\.0\] overflows: inf$"):
+            integrate(lambda x: 1e300, Interval(0.0, 1e10))
+
     @settings(max_examples=examples(25), deadline=None)
     @given(
         st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5),
@@ -192,6 +197,12 @@ class TestIntegratePiecewise:
 
         got = integrate_piecewise(k, Interval(0.0, 1.0), [lam, 0.5, 1.0 - lam])
         assert got == pytest.approx(1.0 / 24.0 - lam / 8.0, abs=1e-10)
+
+    def test_sum_past_the_float_range_is_rejected(self):
+        # each piece is 1e308, and the three used to add up to inf
+        assert integrate_piecewise(lambda x: 1e300, Interval(0.0, 1e8), [5e7]) == 1e308
+        with pytest.raises(NonFiniteValueError, match=r"^integral over \[0\.0, 300000000\.0\] overflows: inf$"):
+            integrate_piecewise(lambda x: 1e300, Interval(0.0, 3e8), [1e8, 2e8])
 
     def test_empty_breakpoints_match_plain_integrate(self):
         f = lambda x: math.exp(x) * math.sin(3.0 * x)
