@@ -88,6 +88,17 @@ class BoundReport:
     q_membership: MembershipStatus
 
 
+def _finite_square(name: str, iv: Interval, square: float) -> float:
+    """square, a multiple of the width of iv squared, where it is finite.
+
+    Raises ValueError naming the width where it overflows: times a zero
+    bracket or zero weights it would give nan.
+    """
+    if math.isinf(square):
+        raise ValueError(f"{name} overflows: the width of [{iv.a!r}, {iv.b!r}] is {iv.width!r}")
+    return square
+
+
 def theorem_bound(inp: BoundInput) -> float:
     """General bound: (w^2/2) M^(1-1/q) [(A ga^q + B gb^q)^(1/q) + (B ga^q + A gb^q)^(1/q)].
 
@@ -106,10 +117,7 @@ def theorem_bound(inp: BoundInput) -> float:
         cs.b_coef * ga_q + cs.a_coef * gb_q
     ) ** inv_q
     w = inp.iv.width
-    half_square = 0.5 * w * w
-    if math.isinf(half_square):
-        raise ValueError(f"w^2/2 overflows: the width of [{inp.iv.a!r}, {inp.iv.b!r}] is {w!r}")
-    return half_square * cs.m ** (1.0 - inv_q) * bracket
+    return _finite_square("w^2/2", inp.iv, 0.5 * w * w) * cs.m ** (1.0 - inv_q) * bracket
 
 
 def corollary_bound_q1(iv: Interval, lam: float, g_a: float, g_b: float) -> float:
@@ -118,7 +126,7 @@ def corollary_bound_q1(iv: Interval, lam: float, g_a: float, g_b: float) -> floa
     _check_weight("g_a", g_a)
     _check_weight("g_b", g_b)
     w = iv.width
-    return 0.5 * w * w * coeff_total_q1(lam) * (g_a + g_b)
+    return _finite_square("w^2/2", iv, 0.5 * w * w) * coeff_total_q1(lam) * (g_a + g_b)
 
 
 class Proposition(Enum):
@@ -163,7 +171,7 @@ def proposition_bound(
     _check_q(q)
     _check_weight("g_a", g_a)
     _check_weight("g_b", g_b)
-    w2 = iv.width * iv.width
+    w2 = _finite_square("w^2", iv, iv.width * iv.width)
     if which in _Q1_ONLY:
         if q != 1.0:
             raise ValueError(f"{which.value} requires q = 1, got q = {q!r}")

@@ -18,19 +18,19 @@ bound_memberships answers, for each q, whether the default-grid scan of
 |f''|^q passes, which is all that bound and sweep read.
 
 Each entry point builds one cover: an interval enclosure
-(glbounds.enclosure) bounding f or |f''| on one cell per grid point. By the
-ratio lemma it bounds every margin of each pair of grid points
-(glbounds.ratio), and it is used two ways. The scan skips each pair whose
-bound shows that it can hold neither a violation nor the first largest
-margin; its report is the same, bit for bit. bound_memberships needs no
-report, so for each q it first asks _decide, from the same cover: where
-every pair bound is at most the tolerance, the scan would pass (a proof);
-otherwise only the pairs above the tolerance can violate, and _decide
-visits them hottest first at every lam, as the scan computes each margin,
-and stops at the first violation. Where the cover is finite the scan would
-raise nothing, so either answer is the scan's, and the scan is not run.
-Where _decide declines, the scan decides. The cover never leaves this
-module.
+(glbounds.enclosure) bounding f or |f''| on one cell per grid step. By the
+ratio lemma it bounds every margin of each pair of grid points over the
+span the pair's scan points reach (glbounds.ratio), and it is used two
+ways. The scan skips each pair whose bound shows that it can hold neither a
+violation nor the first largest margin; its report is the same, bit for
+bit. bound_memberships needs no report, so for each q it first asks
+_decide, from the same cover: where every pair bound is at most the
+tolerance, the scan would pass (a proof); otherwise only the pairs above
+the tolerance can violate, and _decide visits them hottest first at every
+lam, as the scan computes each margin, and stops at the first violation.
+Where the cover is finite the scan would raise nothing, so either answer is
+the scan's, and the scan is not run. Where _decide declines, the scan
+decides. The cover never leaves this module.
 
 DEFAULT_GRID_N and DEFAULT_TOL are decided here only: bound and sweep scan
 with them, and they are the defaults of the CLI's qclass --grid and --tol.
@@ -192,13 +192,15 @@ def check_godunova_levin(
     memo = _PointMemo(sample)
     gx = [memo[x] for x in xs]
 
-    violations: list[Violation] = []
+    # (x, y, lam, lhs, rhs) of each violation; a failing scan records
+    # thousands, so each Violation is built once, after the dedup
+    raw: list[tuple[float, float, float, float, float]] = []
     max_margin = -math.inf
     for x, gv in zip(xs, gx):
         if gv < -tol:
             # 0.5*x + 0.5*x reproduces x exactly, so this re-checks soundly
             rhs = gv / 0.5 + gv / 0.5
-            violations.append(Violation(x, x, 0.5, gv, rhs))
+            raw.append((x, x, 0.5, gv, rhs))
             max_margin = max(max_margin, gv - rhs)
 
     visits = _visits(n)
@@ -223,13 +225,15 @@ def check_godunova_levin(
                 if m > max_margin:
                     max_margin = m
                 if m > tol:
-                    violations.append(Violation(xi, xj, lam, lhs, rhs))
+                    raw.append((xi, xj, lam, lhs, rhs))
                     if paired:
                         # (x_j, x_i, mirror) has the same point and sides
-                        violations.append(Violation(xj, xi, mirror, lhs, rhs))
+                        raw.append((xj, xi, mirror, lhs, rhs))
 
-    unique = sorted(dict.fromkeys(violations), key=lambda v: (v.x, v.y, v.lam))
-    return QClassReport(n * n * n, tuple(unique), max_margin, not unique)
+    # tuples dedup and sort as the Violations would: field by field, stably
+    unique = sorted(dict.fromkeys(raw), key=itemgetter(0, 1, 2))
+    violations = tuple(Violation(*v) for v in unique)
+    return QClassReport(n * n * n, violations, max_margin, not violations)
 
 
 def _visits(n: int) -> list[tuple[float, float, bool]]:

@@ -7,12 +7,13 @@ For every lam in (0, 1) and g(x), g(y) >= 0,
 (Cauchy-Schwarz), so an upper bound of g between two grid points bounds
 every scan margin g(z) - rhs of the pair, whatever lam. A CellCover holds
 such bounds, from the interval enclosure in glbounds.enclosure, on one cell
-per grid point; pair_bound_rows turns it into one bound per pair of grid
-points. glbounds.qclass, the only caller, builds every cover and reads the
-bounds two ways: its membership decision, which proves that a scan passes
-where every pair bound is at most the tolerance and otherwise visits only
-the pairs above it, and the scan's skipping of the pairs kept_columns shows
-cannot change its report.
+per grid step, each reaching a few ulps past its two grid points;
+pair_bound_rows turns it into one bound per pair of grid points, over just
+the span that the pair's scan points can reach. glbounds.qclass, the only
+caller, builds every cover and reads the bounds two ways: its membership
+decision, which proves that a scan passes where every pair bound is at most
+the tolerance and otherwise visits only the pairs above it, and the scan's
+skipping of the pairs kept_columns shows cannot change its report.
 
 qclass imports this module (and with it the enclosure) only when it builds
 a cover, so every command but bound, sweep and qclass starts without
@@ -21,7 +22,6 @@ compiling either. This module imports nothing from qclass.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping
@@ -34,18 +34,18 @@ __all__ = ["CellCover", "cell_cover", "power_cover", "pair_bound_rows", "kept_co
 
 @dataclass(frozen=True)
 class CellCover:
-    """An upper bound sup[k] of a function over cell k, one cell per grid point.
+    """An upper bound sup[k] of a function over cell k, one cell per grid step.
 
-    Cell k is [bounds[k], bounds[k+1]]; the cells run from delta below the
-    first grid point to delta above the last. first[i] and last[i] are the
-    first and the last cell that [x_i - delta, x_i + delta] meets, so every
-    scan point of x_i and x_j (i <= j) lies in the cells first[i] to last[j].
+    Cell k (k = 0 ... n-2) is [lows[k], highs[k+1]], where lows[i] and
+    highs[i] lie at least delta below and above the grid point x_i
+    (cell_cover). Every scan point of x_i and x_j (i < j) lies in the cells
+    i to j-1, and every scan point of x_i alone in cell i-1 and in cell i,
+    where each exists.
     """
 
     xs: list[float]
-    bounds: list[float]
-    first: list[int]
-    last: list[int]
+    lows: list[float]
+    highs: list[float]
     sup: list[float]
 
 
@@ -67,23 +67,21 @@ def cell_cover(
     times |sum| <= (1 + u/2)(1 + u)*A. In all |z - (lam*x + (1-lam)*y)| <=
     (2.5u + O(u^2))*A + 2*eta < 3*ulp(A) + ulp(A), since u*A < ulp(A) and
     2*eta = 2^-1074 <= ulp(A). So delta = 5*ulp(A) covers every scan point.
+
+    lows[i] = down(fl(x_i - delta)) <= x_i - delta, and highs[i] >= x_i +
+    delta likewise, both ascending in i. Cell k is [lows[k], highs[k+1]]:
+    it holds [lows[k], highs[k]] and [lows[k+1], highs[k+1]], so neighbouring
+    cells overlap, and cells i to j-1 together hold [lows[i], highs[j]],
+    which holds every scan point of x_i and x_j (i < j). Cells i-1 and i
+    each hold [lows[i], highs[i]], every scan point of x_i alone. That is
+    n-1 enclosures, none reaching more than delta past the pair it serves.
     """
     try:
         sup_of = compile_sup(e)
-        n = len(xs)
         delta = 5.0 * math.ulp(max(abs(xs[0]), abs(xs[-1])))
         lows = [math.nextafter(x - delta, -math.inf) for x in xs]
         highs = [math.nextafter(x + delta, math.inf) for x in xs]
-        bounds = [lows[0]]
-        bounds += [u + 0.5 * (v - u) for u, v in zip(xs, xs[1:])]  # in [u, v]
-        bounds.append(highs[-1])
-        return CellCover(
-            xs,
-            bounds,
-            [bisect.bisect_left(bounds, lo, 1) - 1 for lo in lows],
-            [bisect.bisect_right(bounds, hi, 0, n) - 1 for hi in highs],
-            [sup_of(bounds[k], bounds[k + 1]) for k in range(n)],
-        )
+        return CellCover(xs, lows, highs, [sup_of(lo, hi) for lo, hi in zip(lows, highs[1:])])
     except Exception:  # the enclosure declines, however it fails
         return None
 
@@ -111,17 +109,19 @@ def pair_bound_rows(gx: list[float], cover: CellCover) -> Iterator[list[float]]:
     rhs = down(fl(fl(s*s)*_SHRINK)) <= X*(1 + u)^4*(1 - 8u) + 2*eta <=
     X*(1 - 2.5u) + 2*eta <= R + 5*eta; down also makes an overflow max
     float, below R, which is then inf. Every scan point z of the pair lies
-    in a cell from first[i] to last[j], and g(z) <= U, the largest
-    cover.sup over those cells. So b = up(W - rhs), with W >= U + 16*eta,
-    is at least g(z) - R, and so at least every float margin fl(g(z) - R)
-    of the pair. b is inf where g_i or g_j is negative, as the lemma needs
-    both >= 0.
+    in cells i to j-1 for i < j, and in either of cells i-1 and i for
+    i = j (CellCover), so g(z) <= U, the largest cover.sup over cells i to
+    j-1, or the smaller of the two for i = j. So b = up(W - rhs), with
+    W >= U + 16*eta, is at least g(z) - R, and so at least every float
+    margin fl(g(z) - R) of the pair. b is inf where g_i or g_j is negative,
+    as the lemma needs both >= 0.
     """
     down, up = -math.inf, math.inf
     nextafter = math.nextafter
     # s + _SLACK loses at most half an ulp of itself, and nextafter adds a whole one
     sup = [nextafter(s + _SLACK, up) for s in cover.sup]
-    first, last = cover.first, cover.last
+    # the diagonal pair of x_i reads cell i-1 or cell i, whichever bound is less
+    alone = [sup[0]] + [min(u, v) for u, v in zip(sup, sup[1:])] + [sup[-1]]
     roots = [max(nextafter(math.sqrt(v), down), 0.0) if v >= 0.0 else None for v in gx]
     n = len(gx)
     for i in range(n):
@@ -129,20 +129,18 @@ def pair_bound_rows(gx: list[float], cover: CellCover) -> Iterator[list[float]]:
         if ri is None:
             yield [math.inf] * (n - i)
             continue
+        # the largest bound the pair (i, j) reads; alone[i] <= sup[i], so from
+        # j = i+1 on it is the largest of cells i to j-1
+        worst = alone[i]
         row = []
-        k = first[i]
-        worst = -math.inf
-        for j in range(i, n):
-            while k <= last[j]:
-                if sup[k] > worst:
-                    worst = sup[k]
-                k += 1
-            rj = roots[j]
+        for rj, cell in zip(roots[i:], sup[i:] + [down]):
             if rj is None:
                 row.append(math.inf)
-                continue
-            s = ri + rj
-            row.append(nextafter(worst - nextafter(s * s * _SHRINK, down), up))
+            else:
+                s = ri + rj
+                row.append(nextafter(worst - nextafter(s * s * _SHRINK, down), up))
+            if cell > worst:  # cell j, read from the pair (i, j+1) on
+                worst = cell
         yield row
 
 

@@ -77,6 +77,22 @@ class TestTheoremBound:
         iv = Interval(0.0, 6.703903964971299e153)
         assert theorem_bound(BoundInput(iv, 0.5, 1.0, 0.0, 0.0)) == 0.0
 
+    def test_oracles_reject_an_overflowing_width_square(self):
+        # inf times zero weights used to give nan in both cross-check codings
+        wide = Interval(0.0, 1e200)
+        with pytest.raises(ValueError, match=r"^w\^2/2 overflows: the width of \[0\.0, 1e\+200\] is 1e\+200$"):
+            corollary_bound_q1(wide, 0.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"^w\^2 overflows: the width of \[0\.0, 1e\+200\] is 1e\+200$"):
+            proposition_bound(Proposition.MIDPOINT_Q1, wide, 1.0, 0.0, 0.0)
+        for which, _, qs in PROP_SETTINGS:
+            for q in qs:
+                with pytest.raises(ValueError, match=r"^w\^2 overflows"):
+                    proposition_bound(which, wide, q, 0.0, 0.0)
+        # the widest intervals whose squares are finite still have their bounds
+        assert corollary_bound_q1(Interval(0.0, 6.703903964971299e153), 0.5, 0.0, 0.0) == 0.0
+        narrower = Interval(0.0, 1.3e154)  # w^2 is about 1.69e308
+        assert all(proposition_bound(which, narrower, qs[-1], 0.0, 0.0) == 0.0 for which, _, qs in PROP_SETTINGS)
+
     def test_overflowing_weight_power_is_an_input_error(self):
         # |f''(300)| of exp is 1.9e130, and its cube passes 1.8e308
         g_a = math.exp(300.0)

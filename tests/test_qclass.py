@@ -1,3 +1,4 @@
+import bisect
 import math
 from collections import Counter
 
@@ -22,7 +23,8 @@ from glbounds import (
     sweep_rows,
 )
 from glbounds.cli import main
-from glbounds.qclass import _cover, _decide, _q_power, bound_memberships
+from glbounds.qclass import DEFAULT_TOL, _PointMemo, _cover, _decide, _q_power, bound_memberships
+from glbounds.ratio import pair_bound_rows, power_cover
 from conftest import examples
 from oracles import nonneg_convex_witness
 from test_expressions import _tree_strategy
@@ -537,14 +539,15 @@ class TestProof:
     def test_a_violation_ends_the_decision_without_a_scan(self, monkeypatch):
         monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
         assert bound_memberships(parse("-sin(x)"), SINE_INTERVAL, (1.0,)) == {1.0: False}
-        # x^4 at q > 1 has pairs above the tolerance, and none of them violates
+        # x^4 keeps one pair above the tolerance at each q, its diagonal at the
+        # first grid point, and that pair does not violate
         assert bound_memberships(parse("x^4"), UNIT_IV, (2.0, 3.0)) == {2.0: True, 3.0: True}
 
     @pytest.mark.parametrize(
         "text,iv,qs",
         [
             ("x^2", UNIT_IV, (1.0, 2.0)),  # proven
-            ("x^4", UNIT_IV, (1.0, 2.0, 3.0)),  # proven at q = 1; above, every hot pair holds
+            ("x^4", UNIT_IV, (1.0, 2.0, 3.0)),  # its one hot pair holds at every q
             ("sin(x)", SINE_INTERVAL, (1.0, 2.5)),  # fails at the first hot pair
             (COMPOSITE, Interval(0.0, 3.0), (1.0, 2.0, 3.0)),  # passes, then fails deep in the list
             ("1/x", Interval(-1.0, 1.0), (1.0,)),  # no cover (a pole); the scan fails
@@ -565,23 +568,75 @@ class TestProof:
             UNIT_IV,
             Interval(-3.7, 5.2),
             Interval(0.0, 1e-9),
-            Interval(1e8, 1e8 + 1e-6),  # grid spacing 1.6e-8, about one ulp and below delta
+            Interval(1e8, 1e8 + 1e-6),  # grid spacing 1.6e-8 at grid 64, about one ulp and below delta
             Interval(-1e8 - 1e-6, -1e8),
         ],
     )
     def test_cells_hold_every_scan_point(self, iv):
-        cover = _cover(parse("x^2"), iv, 64)
-        xs, bounds, first, last = cover.xs, cover.bounds, cover.first, cover.last
-        assert xs == [iv.a + iv.width * (i + 0.5) / 64 for i in range(64)]
-        assert bounds == sorted(bounds) and len(bounds) == 65
-        for k in range(64):
-            lam = (k + 0.5) / 64
+        """At grids 9, 31 and 64: the pair (x_i, x_j), i < j, reads cells i to
+        j-1, and some cell of them holds each of its scan points; the diagonal
+        pair of x_i reads the smaller bound of cells i-1 and i, and each of
+        them holds its points."""
+        for n in (9, 31, 64):
+            cover = _cover(parse("x^2"), iv, n)
+            xs, lows, highs = cover.xs, cover.lows, cover.highs
+            assert xs == [iv.a + iv.width * (i + 0.5) / n for i in range(n)]
+            assert lows == sorted(lows) and highs == sorted(highs) and len(cover.sup) == n - 1
+            for k in range(n):
+                lam = (k + 0.5) / n
+                clam = 1.0 - lam
+                for i, xi in enumerate(xs):
+                    for j, xj in enumerate(xs):
+                        z = lam * xi + clam * xj
+                        lo, hi = min(i, j), max(i, j)
+                        if lo == hi:
+                            cells = [c for c in (lo - 1, lo) if 0 <= c < n - 1]
+                            assert cells and all(lows[c] <= z <= highs[c + 1] for c in cells)
+                            continue
+                        # of cells lo to hi-1, the last that starts at or below z ends highest
+                        c = bisect.bisect_right(lows, z, lo, hi) - 1
+                        assert c >= lo and z <= highs[c + 1]
+
+    @settings(max_examples=examples(50), deadline=None)
+    @given(
+        st.one_of(_tree_strategy(), st.sampled_from([parse(e.expression) for e in corpus_entries()])),
+        _PROOF_ENDS,
+        st.sampled_from([9, 31, 64]),
+        st.one_of(st.none(), st.floats(1.0, 3.0)),
+    )
+    def test_every_scan_margin_is_within_its_pair_bound(self, e, ends, grid_n, q):
+        """For g = f (q None) and g = |f''|^q: every float margin the scan
+        computes for a pair of grid points is at most the pair's bound."""
+        assume(ends[0] < ends[1])
+        iv, n = Interval(*ends), grid_n
+        cover = _cover(e, iv, n, of_value=q is None)
+        if cover is not None and q is not None:
+            cover = power_cover(cover, q)
+        if cover is None:
+            return  # no bounds to check
+        # g at each point, zeros kept by sign, as the scan keeps it
+        memo = _PointMemo(compile_expression(e)[0] if q is None else _q_power(e, q))
+        xs = cover.xs
+        gx = [memo[x] for x in xs]
+        bound = list(pair_bound_rows(gx, cover))
+        for k in range(n):
+            lam = (k + 0.5) / n
             clam = 1.0 - lam
             for i, xi in enumerate(xs):
                 for j, xj in enumerate(xs):
-                    z = lam * xi + clam * xj
-                    lo, hi = first[min(i, j)], last[max(i, j)]
-                    assert bounds[lo] <= z <= bounds[hi + 1]
+                    m = memo[lam * xi + clam * xj] - (gx[i] / lam + gx[j] / clam)
+                    lo, hi = min(i, j), max(i, j)
+                    assert not m > bound[lo][hi - lo], (xi, xj, lam)
+
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    def test_quartic_keeps_at_most_one_hot_pair(self, q):
+        # |f''|^q = (12x^2)^q rises 9^q-fold from x_0 to x_1, and the one cell
+        # x_0 reads reaches x_1, so its diagonal pair may stay above the tolerance
+        e = parse("x^4")
+        cover = power_cover(_cover(e, UNIT_IV, 64), q)
+        gx = [_q_power(e, q)(x) for x in cover.xs]
+        hot = sum(b > DEFAULT_TOL for row in pair_bound_rows(gx, cover) for b in row)
+        assert hot <= 1
 
 
 def _outcome(scan):
