@@ -50,7 +50,7 @@ def _parse_lambda_grid(text: str) -> tuple[float, float, float]:
 
 def _parse_q_list(text: str) -> tuple[float, ...]:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    return tuple(sorted(float(piece) for piece in items))
+    return tuple(sorted({float(piece) for piece in items}))
 
 
 def _cmd_verify_identity(args: argparse.Namespace) -> int:

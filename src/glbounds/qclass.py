@@ -20,17 +20,16 @@ bound_memberships answers, for each q, whether the default-grid scan of
 Each entry point builds one cover: an interval enclosure
 (glbounds.enclosure) bounding f or |f''| on one cell per grid step. By the
 ratio lemma it bounds every margin of each pair of grid points over the
-span the pair's scan points reach (glbounds.ratio), and it is used two
-ways. The scan skips each pair whose bound shows that it can hold neither a
-violation nor the first largest margin; its report is the same, bit for
-bit. bound_memberships needs no report, so for each q it first asks
-_decide, from the same cover: where every pair bound is at most the
-tolerance, the scan would pass (a proof); otherwise only the pairs above
-the tolerance can violate, and _decide visits them hottest first at every
-lam, as the scan computes each margin, and stops at the first violation.
-Where the cover is finite the scan would raise nothing, so either answer is
-the scan's, and the scan is not run. Where _decide declines, the scan
-decides. The cover never leaves this module.
+span the pair's scan points reach (glbounds.ratio). One walk (_walk) visits
+the pairs hottest first by that bound, computing each margin as the scan's
+lam-major loop does. With a cover the scan is that walk, stopped where no
+pair left can change its report, which is the same, bit for bit.
+bound_memberships needs no report, so for each q _decide first walks only
+the pairs above the tolerance and answers at the first violation (with
+none, or no such pair, the scan passes). Where the cover is finite the scan
+would raise nothing, so the answer is the scan's, and the scan is not run.
+Where _decide declines, the scan decides. The cover never leaves this
+module.
 
 DEFAULT_GRID_N and DEFAULT_TOL are decided here only: bound and sweep scan
 with them, and they are the defaults of the CLI's qclass --grid and --tol.
@@ -41,7 +40,7 @@ The n^3 triples of a scan land on far fewer distinct points (2n^2 to about
 9n^2), so g is called once per distinct point it visits and its values are
 kept until the scan returns: g must be deterministic, and memory grows with
 the number of distinct points (about 100 bytes each: up to 3 MB at n = 64
-and 15 MB at n = 128, less where pairs are skipped).
+and 15 MB at n = 128, less where the walk stops early).
 
 The triple (y, x, 1-lam) has the same point and the same right side as
 (x, y, lam), because float addition is commutative. So when a grid lam and
@@ -55,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .expressions import Node, compile_expression
 from .quadrature import Interval
@@ -96,6 +95,9 @@ class QClassReport:
     violations: tuple[Violation, ...]
     max_margin: float
     passed: bool
+
+
+Raw = list[tuple[float, float, float, float, float]]  # (x, y, lam, lhs, rhs) of each violation
 
 
 def _check_q(q: float) -> None:
@@ -165,11 +167,11 @@ def check_godunova_levin(
     larger margin does). Every triple still counts in samples_checked.
 
     cover, built for this iv and grid_n with cover.sup bounding g on each
-    cell, lets the scan skip the pairs of grid points that can hold neither
-    a violation nor the first largest margin (ratio.kept_columns); the
-    report is the same, bit for bit. The scan cannot derive it from g, which
-    may be any callable: the entry points below build it from the expression
-    behind g.
+    cell, makes the scan walk the pairs of grid points in descending
+    ratio-lemma bound instead (_walk) and stop where no pair left can hold a
+    violation or the first largest margin; the report is the same, bit for
+    bit. The scan cannot derive it from g, which may be any callable: the
+    entry points below build it from the expression behind g.
 
     Raises ValueError where the grid points of iv pass the float range (a
     width above about 2.8e306 at grid_n = 64).
@@ -192,9 +194,9 @@ def check_godunova_levin(
     memo = _PointMemo(sample)
     gx = [memo[x] for x in xs]
 
-    # (x, y, lam, lhs, rhs) of each violation; a failing scan records
-    # thousands, so each Violation is built once, after the dedup
-    raw: list[tuple[float, float, float, float, float]] = []
+    # a failing scan records thousands of violations, so each Violation is
+    # built once, after the dedup
+    raw: Raw = []
     max_margin = -math.inf
     for x, gv in zip(xs, gx):
         if gv < -tol:
@@ -203,32 +205,31 @@ def check_godunova_levin(
             raw.append((x, x, 0.5, gv, rhs))
             max_margin = max(max_margin, gv - rhs)
 
-    visits = _visits(n)
     if cover is None:
-        keep = [range(n)] * n
+        for lam, mirror, paired in _visits(n):
+            clam = 1.0 - lam
+            cols = list(zip(xs, [clam * y for y in xs], [v / clam for v in gx]))
+            for xi, gi in zip(xs, gx):
+                base = lam * xi
+                li = gi / lam
+                for xj, cj, rj in cols:
+                    lhs = memo[base + cj]
+                    rhs = li + rj
+                    m = lhs - rhs
+                    if m > max_margin:
+                        max_margin = m
+                    if m > tol:
+                        raw.append((xi, xj, lam, lhs, rhs))
+                        if paired:
+                            # (x_j, x_i, mirror) has the same point and sides
+                            raw.append((xj, xi, mirror, lhs, rhs))
     else:
-        from .ratio import kept_columns
+        from .ratio import ranked_pairs  # loaded with the cover
 
-        keep = kept_columns(xs, gx, memo, visits, cover, tol)
-    rows = [(xi, gi, _picker(cols, n)) for xi, gi, cols in zip(xs, gx, keep) if cols]
-    for lam, mirror, paired in visits:
-        clam = 1.0 - lam
-        right = [v / clam for v in gx]
-        cols = list(zip(xs, [clam * y for y in xs], right))
-        for xi, gi, pick in rows:
-            base = lam * xi
-            li = gi / lam
-            for xj, cj, rj in cols if pick is None else pick(cols):
-                lhs = memo[base + cj]
-                rhs = li + rj
-                m = lhs - rhs
-                if m > max_margin:
-                    max_margin = m
-                if m > tol:
-                    raw.append((xi, xj, lam, lhs, rhs))
-                    if paired:
-                        # (x_j, x_i, mirror) has the same point and sides
-                        raw.append((xj, xi, mirror, lhs, rhs))
+        pairs = ranked_pairs(gx, cover, -math.inf)
+        # the walk's last yield, after its last pair, is the largest margin
+        for max_margin in _walk(pairs, xs, gx, memo, tol, raw, max_margin):
+            pass
 
     # tuples dedup and sort as the Violations would: field by field, stably
     unique = sorted(dict.fromkeys(raw), key=itemgetter(0, 1, 2))
@@ -252,14 +253,55 @@ def _visits(n: int) -> list[tuple[float, float, bool]]:
     return visits
 
 
-def _picker(cols: Sequence[int], n: int) -> Callable[[list], Sequence] | None:
-    """cols -> the entries a row visits, in order; None where it visits all n."""
-    if len(cols) == n:
-        return None
-    if len(cols) == 1:
-        j = cols[0]
-        return lambda entries: (entries[j],)
-    return itemgetter(*cols)
+def _walk(
+    pairs: list[tuple[float, int, int]],
+    xs: list[float],
+    gx: list[float],
+    memo: _PointMemo,
+    tol: float,
+    raw: Raw,
+    top: float,
+) -> Iterator[float]:
+    """Visit the pairs (b, i, j) of grid points, i <= j, in the order given
+    (ratio.ranked_pairs: highest b first), each at every lam of _visits in
+    both orders of its points, and yield top, the largest margin so far, at
+    each violation and after each pair. Margins, and violations with their
+    mirrors in raw, are as check_godunova_levin's lam-major loop computes and
+    records them. Of margins tied at top (0.0 and -0.0 compare equal), the
+    first in lam-major order (visit, row, column) is kept, as in that loop.
+
+    The walk stops at the first pair with b <= tol and b < top: every margin
+    of a pair is at most its bound (ratio.pair_bound_rows), and no bound left
+    is above b, so no pair left holds a violation or a margin that reaches
+    top. A mirror lam, with no visit of its own, repeats the margins of an
+    earlier visit. So raw and top are the lam-major loop's.
+
+    The caller's cover is finite, which proves g finite at every point of
+    every cell, and the enclosure behind it declines wherever g could raise.
+    Every point the walk asks for lies in a cell of its pair, so g raises
+    nothing, and visiting the pairs in this order changes no error.
+    """
+    visits = _visits(len(xs))
+    steps = [(lam, 1.0 - lam) for lam, _, _ in visits]
+    at = (-1, 0, 0)  # where top is in lam-major order; -1 is before every visit
+    for b, i, j in pairs:
+        if b <= tol and b < top:
+            return
+        for p, q in ((i, j), (j, i)) if i < j else ((i, i),):
+            xp, xq, gp, gq = xs[p], xs[q], gx[p], gx[q]
+            for v, (lam, clam) in enumerate(steps):
+                lhs = memo[lam * xp + clam * xq]
+                rhs = gp / lam + gq / clam
+                m = lhs - rhs
+                if m >= top and (m > top or (v, p, q) < at):
+                    top, at = m, (v, p, q)
+                if m > tol:
+                    _, mirror, paired = visits[v]
+                    raw.append((xp, xq, lam, lhs, rhs))
+                    if paired:
+                        raw.append((xq, xp, mirror, lhs, rhs))
+                    yield top
+        yield top
 
 
 def check_expression(
@@ -267,7 +309,7 @@ def check_expression(
 ) -> QClassReport:
     """Scan g = e itself, as compile_expression(e)[0] computes it: qclass --g.
 
-    The scan skips pairs by a cover of g, with the same report.
+    The scan walks the pairs by a cover of g, with the same report.
     """
     g, _ = compile_expression(e)
     return check_godunova_levin(g, iv, grid_n, tol, cover=_cover(e, iv, grid_n, of_value=True))
@@ -281,7 +323,7 @@ def membership_for_bound(
     tol: float = DEFAULT_TOL,
 ) -> QClassReport:
     """Scan x -> |f''(x)|^q, the function whose membership the bound assumes:
-    qclass --fn. The scan skips pairs by a cover of |f''|, with the same report.
+    qclass --fn. The scan walks the pairs by a cover of |f''|, with the same report.
     """
     _check_q(q)
     return _scan_power(e, iv, q, grid_n, tol, _cover(e, iv, grid_n))
@@ -292,10 +334,10 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     in order: the membership decision of bound and sweep.
 
     One cover of |f''| serves every q. For each q the decision by the ratio
-    lemma (_decide) answers where it can, and the scan, which skips pairs by
-    the same cover, answers where it declines. The decision answers only
-    where the scan would raise nothing, and then as the scan would, so the
-    answers, and the first error raised, are the scans'.
+    lemma (_decide) answers where it can, and the scan, which walks the pairs
+    by the same cover, where it declines. The decision answers only where the
+    scan would raise nothing, and then as the scan would, so the answers, and
+    the first error raised, are the scans'.
     """
     for q in q_list:
         _check_q(q)
@@ -312,7 +354,7 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
 def _scan_power(
     e: Node, iv: Interval, q: float, grid_n: int, tol: float, cover: CellCover | None
 ) -> QClassReport:
-    """The scan of x -> |f''(x)|^q; cover, of |f''| on its cells, lets it skip pairs."""
+    """The scan of x -> |f''(x)|^q; cover, of |f''| on its cells, lets it walk the pairs."""
     if cover is not None:
         from .ratio import power_cover  # loaded with the cover
 
@@ -359,52 +401,31 @@ def _decide(e: Node, q: float, cover: CellCover | None) -> bool | None:
     the iv that cover = _cover(e, iv, DEFAULT_GRID_N) was built on; None
     where this cannot be done, and the scan decides.
 
-    With g = |f''|^q at the grid points and the cover of g on the cells,
-    every margin the scan computes for a pair of grid points is at most the
-    pair's bound (ratio.pair_bound_rows), so a pair whose bound is at most
-    DEFAULT_TOL holds no violation. Where no pair is above the tolerance, the
-    scan passes, and the answer is True: the ratio lemma's proof. Otherwise
-    the pairs above it are visited hottest first, each at every lam of the
-    scan's visits in both orders of its two points (which covers each exact
-    mirror lam too), every margin computed as the scan computes it: the
-    first violation answers False, and none answers True. g >= 0, so the
-    scan's check for negative values never fires.
-
-    The cover being finite proves g finite at every point of every cell, and
-    the enclosure declines wherever the jet could raise, so the scan raises
-    nothing: whichever violation is found first, in whatever order, the scan
-    would fail too. A None cover or power cover, a g value at a grid point
-    that is not finite, and any exception mean None.
+    Only a pair whose bound is above DEFAULT_TOL can hold a violation
+    (ratio.pair_bound_rows), so _walk visits just those pairs, hottest first:
+    the first violation answers False, and none, or no such pair at all (the
+    ratio lemma's proof), answers True. g >= 0, so the scan's check for
+    negative values never fires, and g raises nothing on a finite cover
+    (_walk), so the scan fails wherever some violation is found. A None cover
+    or power cover, a g value at a grid point that is not finite, and any
+    exception mean None.
     """
     if cover is None:
         return None
-    from .ratio import pair_bound_rows, power_cover  # loaded with the cover
+    from .ratio import power_cover, ranked_pairs  # loaded with the cover
 
     try:
         memo = _PointMemo(_q_power(e, q))
-        xs = cover.xs
-        gx = [memo[x] for x in xs]
-        if not all(math.isfinite(v) for v in gx):
-            return None
+        gx = [memo[x] for x in cover.xs]
         power = power_cover(cover, q)
-        if power is None:
+        if power is None or not all(map(math.isfinite, gx)):
             return None
-        tol = DEFAULT_TOL
-        hot = []
-        for i, row in enumerate(pair_bound_rows(gx, power)):
-            if max(row) > tol:
-                hot += [(b, i, j) for j, b in enumerate(row, i) if b > tol]
-        if not hot:
-            return True
-        hot.sort(reverse=True)
-        steps = [(lam, 1.0 - lam) for lam, _, _ in _visits(len(xs))]
-        for _, i, j in hot:
-            xi, xj, gi, gj = xs[i], xs[j], gx[i], gx[j]
-            for lam, clam in steps:
-                if memo[lam * xi + clam * xj] - (gi / lam + gj / clam) > tol:
-                    return False
-                if memo[lam * xj + clam * xi] - (gj / lam + gi / clam) > tol:
-                    return False
+        hot = ranked_pairs(gx, power, DEFAULT_TOL)
+        raw: Raw = []
+        # no margin is reported, so top starts at inf, where no margin reaches it
+        for _ in _walk(hot, cover.xs, gx, memo, DEFAULT_TOL, raw, math.inf):
+            if raw:
+                return False
         return True
     except Exception:  # declining is always safe: the scan decides
         return None

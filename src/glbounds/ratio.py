@@ -9,11 +9,12 @@ every scan margin g(z) - rhs of the pair, whatever lam. A CellCover holds
 such bounds, from the interval enclosure in glbounds.enclosure, on one cell
 per grid step, each reaching a few ulps past its two grid points;
 pair_bound_rows turns it into one bound per pair of grid points, over just
-the span that the pair's scan points can reach. glbounds.qclass, the only
-caller, builds every cover and reads the bounds two ways: its membership
-decision, which proves that a scan passes where every pair bound is at most
-the tolerance and otherwise visits only the pairs above it, and the scan's
-skipping of the pairs kept_columns shows cannot change its report.
+the span that the pair's scan points can reach, and ranked_pairs ranks the
+pairs by it. glbounds.qclass, the only caller, builds every cover and walks
+the ranked pairs hottest first: its membership decision proves that a scan
+passes where no pair bound is above the tolerance and otherwise visits only
+the pairs above it, and its covered scan stops where the next bound can
+change neither the violations nor the largest margin.
 
 qclass imports this module (and with it the enclosure) only when it builds
 a cover, so every command but bound, sweep and qclass starts without
@@ -24,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 from .enclosure import Declined, sup_power
 from .expressions import Node
 
-__all__ = ["CellCover", "cell_cover", "power_cover", "pair_bound_rows", "kept_columns"]
+__all__ = ["CellCover", "cell_cover", "power_cover", "pair_bound_rows", "ranked_pairs"]
 
 
 @dataclass(frozen=True)
@@ -144,36 +145,12 @@ def pair_bound_rows(gx: list[float], cover: CellCover) -> Iterator[list[float]]:
         yield row
 
 
-def kept_columns(
-    xs: list[float],
-    gx: list[float],
-    memo: Mapping[float, float],
-    visits: list[tuple[float, float, bool]],
-    cover: CellCover,
-    tol: float,
-) -> list[list[int]]:
-    """For each row i, the columns j of the pairs (x_i, x_j) the scan visits.
-
-    Every scan margin of the pair is at most its bound b (pair_bound_rows).
-    L is the largest margin of some real scan triples, computed as the scan
-    computes it: the diagonal pairs and each row's highest-bound pair at every
-    lam the scan visits. A pair with b <= tol and b < L holds no violation and
-    no margin that could be the first largest, since max_margin >= L > b; it
-    is skipped. The pair of the triple that gave L has b >= L, so it is kept,
-    and the scan visits that triple. The cover being finite proves g finite
-    and free of errors at every point of every cell, so calling g at the
-    probed points first changes no error the scan raises.
-    """
-    n = len(xs)
-    upper = list(pair_bound_rows(gx, cover))
-    bound = [[upper[j][i - j] for j in range(i)] + row for i, row in enumerate(upper)]
-    probes = [(i, i) for i in range(n)]
-    probes += [(i, max(range(n), key=row.__getitem__)) for i, row in enumerate(bound)]
-    floor = -math.inf
-    for lam, _, _ in visits:
-        clam = 1.0 - lam
-        for i, j in probes:
-            m = memo[lam * xs[i] + clam * xs[j]] - (gx[i] / lam + gx[j] / clam)
-            if m > floor:
-                floor = m
-    return [[j for j, b in enumerate(row) if not (b < floor and b <= tol)] for row in bound]
+def ranked_pairs(gx: list[float], cover: CellCover, floor: float) -> list[tuple[float, int, int]]:
+    """(b, i, j) for each pair of grid points i <= j whose bound b
+    (pair_bound_rows) is above floor, highest b first."""
+    pairs = []
+    for i, row in enumerate(pair_bound_rows(gx, cover)):
+        if max(row) > floor:
+            pairs += [(b, i, j) for j, b in enumerate(row, i) if b > floor]
+    pairs.sort(reverse=True)
+    return pairs

@@ -9,6 +9,7 @@ membership decision of bound and sweep changes no output byte.
 
 import importlib
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -103,9 +104,10 @@ def test_proofs_leave_every_benchmark_byte_alone(bench_on_path, tmp_path, monkey
 def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkeypatch):
     """Every qclass request of one membership cycle, and its bound requests
     whose proof declines (x^4 at q > 1 and sine), give the same bytes whether
-    the scans skip pairs or visit them all. Those bound requests are decided
-    pair by pair without a scan, so the decision is turned off here to make
-    them scan."""
+    the scans walk their pairs hottest first and stop early, visit every pair,
+    or run with no cover at all. Those bound requests are decided pair by
+    pair without a scan, so the decision is turned off here to make them
+    scan."""
     fixed, cycles = importlib.import_module("workloads").requests("membership", 1)
     requests = [
         argv
@@ -114,21 +116,33 @@ def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkey
     ]
     assert sum(argv[0] == "bound" for argv in requests) == 2
     monkeypatch.setattr(glbounds.qclass, "_decide", lambda *args: None)
-    kept = []
-    original = glbounds.ratio.kept_columns
+    taken = []
 
-    def counted(xs, *args):
-        kept.append(original(xs, *args))
-        return kept[-1]
+    def recording(rank):
+        def recorded(gx, *args):
+            taken.append([len(gx) * (len(gx) + 1) // 2, 0])  # [all pairs, pairs the walk took]
+            for pair in rank(gx, *args):
+                taken[-1][1] += 1
+                yield pair
 
-    monkeypatch.setattr(glbounds.ratio, "kept_columns", counted)
+        return recorded
+
+    def every_pair(gx, cover, floor):  # a bound of inf on every pair: no walk stops early
+        return [(math.inf, i, j) for i in range(len(gx)) for j in range(i, len(gx))]
+
+    monkeypatch.setattr(glbounds.ratio, "ranked_pairs", recording(glbounds.ratio.ranked_pairs))
     pruned = _outcomes(requests, capsys)
-    keep_all = lambda xs, *args: [range(len(xs))] * len(xs)  # noqa: E731
-    monkeypatch.setattr(glbounds.ratio, "kept_columns", keep_all)
+    # every scan had a cover, and each walk stopped before its last pair
+    assert len(taken) == len(requests)
+    assert all(count < pairs for pairs, count in taken)
+    taken.clear()
+    monkeypatch.setattr(glbounds.ratio, "ranked_pairs", recording(every_pair))
     assert _outcomes(requests, capsys) == pruned
-    # every scan had a cover, and each skipped pairs
-    assert len(kept) == len(requests)
-    assert all(sum(map(len, keep)) < len(keep) ** 2 for keep in kept)
+    assert len(taken) == len(requests)
+    assert all(count == pairs for pairs, count in taken)
+    monkeypatch.setattr(glbounds.qclass, "_cover", lambda *args, **kwargs: None)
+    assert _outcomes(requests, capsys) == pruned
+    assert len(taken) == len(requests)  # the plain loop ranks no pairs
 
 
 def test_start_up_leaves_the_enclosure_unloaded():

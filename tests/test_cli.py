@@ -304,6 +304,14 @@ class TestSweep:
             assert coefficient_set(lam).regime.value == regime
             assert status == membership[q]
 
+    def test_repeated_q_gives_one_row(self, tmp_path, capsys):
+        once, repeated = tmp_path / "once.csv", tmp_path / "repeated.csv"
+        assert _run_sweep(once) == 0
+        argv = ["sweep", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda-grid", "0:1:0.25",
+                "--q", "2,1,1.0,2", "--out", str(repeated)]
+        assert main(argv) == 0
+        assert repeated.read_bytes() == once.read_bytes()  # 5 lambdas x 2 qs, each once
+
     def test_integral_taken_once_per_sweep(self, tmp_path, monkeypatch, capsys):
         calls = []
         original = glbounds.quadrature.integrate

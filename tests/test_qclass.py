@@ -24,7 +24,7 @@ from glbounds import (
 )
 from glbounds.cli import main
 from glbounds.qclass import DEFAULT_TOL, _PointMemo, _cover, _decide, _q_power, bound_memberships
-from glbounds.ratio import pair_bound_rows, power_cover
+from glbounds.ratio import cell_cover, pair_bound_rows, power_cover
 from conftest import examples
 from oracles import nonneg_convex_witness
 from test_expressions import _tree_strategy
@@ -199,6 +199,24 @@ class TestCheck:
             membership_for_bound(parse("x^2"), Interval(-1e307, 1e307), 1.0)
 
 
+def record_taken(monkeypatch):
+    """Make ratio.ranked_pairs hand its pairs (b, i, j) out one at a time, and
+    record each pair a walk takes, one list per ranking, in the list returned.
+    A walk visits every pair it takes but the one it stops at, whose b is at
+    most the tolerance."""
+    taken = []
+    original = glbounds.ratio.ranked_pairs
+
+    def recorded(*args):
+        taken.append([])
+        for pair in original(*args):
+            taken[-1].append(pair)
+            yield pair
+
+    monkeypatch.setattr(glbounds.ratio, "ranked_pairs", recorded)
+    return taken
+
+
 def pruned_and_unpruned(text, iv, grid_n=64, q=None):
     """g, and the scan of it with no cover and with its cover: g = f for q None
     (qclass --g, check_expression), else |f''|^q (qclass --fn,
@@ -271,20 +289,14 @@ class TestAgainstPlainLoop:
         assert all(same_report(rep, ref) for rep in reports)
 
     def test_pairs_with_a_negative_end_are_kept(self, monkeypatch):
-        kept = []
-        original = glbounds.ratio.kept_columns
-
-        def recorded(xs, gx, *args):
-            kept.append((gx, original(xs, gx, *args)))
-            return kept[-1][1]
-
-        monkeypatch.setattr(glbounds.ratio, "kept_columns", recorded)
+        taken = record_taken(monkeypatch)
         pruned_and_unpruned("x", Interval(-1.0, 1.0))
-        [(gx, keep)] = kept
-        for i, cols in enumerate(keep):
-            expected = range(64) if gx[i] < 0.0 else [j for j in range(64) if gx[j] < 0.0]
-            assert set(expected) <= set(cols)
-        assert sum(map(len, keep)) < 64 * 64  # and some pairs were skipped
+        [pairs] = taken
+        negative = range(32)  # g = x < 0 at the first half of the grid
+        # such a pair has b = inf, so the walk visits it rather than stop there
+        assert {(i, j) for i in negative for j in range(i, 64)} <= {(i, j) for _, i, j in pairs}
+        assert all(b == math.inf for b, i, _ in pairs if i in negative)
+        assert len(pairs) < 64 * 65 // 2  # and the walk stopped before its last pair
 
     @pytest.mark.parametrize(
         "grid_n,mirrored", [(64, 64), (128, 128), (31, 8), (100, 34), (101, 30), (9, 2)]
@@ -326,6 +338,31 @@ class TestAgainstPlainLoop:
         ref = reference_scan(g, iv, n)
         assert ref.max_margin == 0.0 and math.copysign(1.0, ref.max_margin) == -1.0
         assert same_report(check_godunova_levin(g, iv, n), ref)
+
+    def test_covered_signed_zero_maximum_keeps_the_visit_order(self):
+        # The zeros of the test above, and one more, 0.0, at (x_r, x_t, lam')
+        # with lam' (k' = 4) after lam: g there is the right side, 1/lam' +
+        # 1/(1-lam'). The cover bounds g by 10 on the one cell holding that
+        # point and by 1 elsewhere, so the walk visits the pair (r, t) before
+        # (p, q) and meets 0.0 first; the plain loop still keeps -0.0.
+        iv, n, k, p, q, k2, r, t = Interval(1.1, 1.3), 23, 3, 9, 20, 4, 2, 3
+        xs = [iv.a + iv.width * (i + 0.5) / n for i in range(n)]
+        lam, lam2 = (k + 0.5) / n, (k2 + 0.5) / n
+        values = dict.fromkeys(scan_points(iv, n), -1.0)
+        values.update((x.hex(), 1.0) for x in xs)
+        values[xs[p].hex()] = values[xs[q].hex()] = 0.0
+        values[(lam * xs[p] + (1.0 - lam) * xs[q]).hex()] = -0.0
+        values[(lam * xs[q] + (1.0 - lam) * xs[p]).hex()] = 0.0
+        z = lam2 * xs[r] + (1.0 - lam2) * xs[t]
+        values[z.hex()] = 1.0 / lam2 + 1.0 / (1.0 - lam2)
+        g = lambda x: values[x.hex()]
+        cover = cell_cover(lambda e: lambda lo, hi: 10.0 if lo <= z <= hi else 1.0, None, xs)
+        assert cover.sup.count(10.0) == 1
+        bound = list(pair_bound_rows([g(x) for x in xs], cover))
+        assert bound[r][t - r] > bound[p][q - p]
+        ref = reference_scan(g, iv, n)
+        assert ref.max_margin == 0.0 and math.copysign(1.0, ref.max_margin) == -1.0
+        assert same_report(check_godunova_levin(g, iv, n, cover=cover), ref)
 
     def test_sine_violations_come_in_mirror_pairs(self, membership_report):
         # at grid 64 every lam has an exact mirror, and (y, x, 1 - lam) is
