@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .coefficients import Regime, _check_lambda, coeff_total_q1, coefficient_set
+from .coefficients import CoefficientSet, Regime, _check_lambda, coeff_total_q1, coefficient_set
 from .expressions import Node, compile_expression
 from .kernel import functional_terms
 from .qclass import _check_q, bound_memberships
@@ -109,7 +109,11 @@ def theorem_bound(inp: BoundInput) -> float:
     Raises ValueError naming the width where w^2/2 overflows: times a zero
     bracket it would give nan.
     """
-    cs = coefficient_set(inp.lam)
+    return _theorem_bound(coefficient_set(inp.lam), inp)
+
+
+def _theorem_bound(cs: CoefficientSet, inp: BoundInput) -> float:
+    """theorem_bound(inp), given cs = coefficient_set(inp.lam)."""
     inv_q = 1.0 / inp.q
     ga_q = _weight_power("g_a", inp.g_a, inp.q)
     gb_q = _weight_power("g_b", inp.g_b, inp.q)
@@ -230,15 +234,19 @@ def sweep_rows(
 ) -> list[SweepRow]:
     """Bound reports for every (lam, q), lam-major; every BoundReport is built here.
 
-    The work that does not depend on lam is done once, in this order: |f''| at
-    the ends, every bound (cheap, so an overflowing |f''|^q fails before any
-    quadrature or scan), f at a, b and the midpoint with int_a^b f, and in
-    CHECK mode one membership decision per q (qclass.bound_memberships).
+    The work that does not depend on lam is done once, in this order: |f''|
+    at the ends, every bound (cheap, so an overflowing |f''|^q fails before
+    any quadrature or scan; the coefficients are taken once per lam), f at
+    a, b and the midpoint with int_a^b f, and in CHECK mode one membership
+    decision per q (qclass.bound_memberships).
     """
     g_a, g_b = _endpoint_weights(e, iv)
-    cells = [
-        (lam, q, theorem_bound(BoundInput(iv, lam, q, g_a, g_b))) for lam in lams for q in q_list
-    ]
+    cells = []
+    for lam in lams:
+        cs = coefficient_set(lam)  # once per lam: every q and the regime read it
+        for q in q_list:
+            bound = _theorem_bound(cs, BoundInput(iv, lam, q, g_a, g_b))
+            cells.append((lam, q, cs.regime, bound))
     terms = functional_terms(e, iv)
     if membership_mode is MembershipMode.CERTIFIED:
         status = dict.fromkeys(q_list, MembershipStatus.CERTIFIED)
@@ -251,9 +259,9 @@ def sweep_rows(
             for q, passed in bound_memberships(e, iv, q_list).items()
         }
     rows: list[SweepRow] = []
-    for lam, q, bound in cells:
+    for lam, q, regime, bound in cells:
         lhs_abs = abs(terms.at(lam))
         ratio = lhs_abs / bound if bound > 0.0 else None
-        report = BoundReport(lhs_abs, bound, ratio, coefficient_set(lam).regime, status[q])
+        report = BoundReport(lhs_abs, bound, ratio, regime, status[q])
         rows.append(SweepRow(lam, q, report))
     return rows

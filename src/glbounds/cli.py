@@ -198,8 +198,12 @@ def _cmd_qclass(args: argparse.Namespace) -> int:
     print(f"passed          = {rep.passed}")
     import heapq  # here, so that no other command loads it
 
-    # the same ten as sorted(...)[:10], without sorting every violation
-    worst = heapq.nsmallest(10, rep.violations, key=lambda v: (-v.margin, v.x, v.y, v.lam))
+    # the ten largest margins, ties in (x, y, lam) order: the same ten as
+    # sorted(rep.violations, key=lambda v: (-v.margin, v.x, v.y, v.lam))[:10],
+    # without sorting them all. rep.violations is already in (x, y, lam)
+    # order, nsmallest is sorted(...)[:10] and as stable, and v.rhs - v.lhs is
+    # -v.margin exactly (IEEE subtraction rounds a - b and b - a alike)
+    worst = heapq.nsmallest(10, rep.violations, key=lambda v: v.rhs - v.lhs)
     for v in worst:
         print(
             f"violation: x={_fmt17(v.x)} y={_fmt17(v.y)} lambda={_fmt17(v.lam)} "
@@ -290,7 +294,14 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_INPUT_ERROR
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # here, so that a closed pipe is seen before exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone; as in the SIGPIPE note of Python's
+        # signal docs, point stdout at devnull so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO_ERROR
     except (ExpressionError, QuadratureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -19,17 +19,18 @@ bound_memberships answers, for each q, whether the default-grid scan of
 
 Each entry point builds one cover: an interval enclosure
 (glbounds.enclosure) bounding f or |f''| on one cell per grid step. By the
-ratio lemma it bounds every margin of each pair of grid points over the
-span the pair's scan points reach (glbounds.ratio). One walk (_walk) visits
-the pairs hottest first by that bound, computing each margin as the scan's
+ratio lemma it bounds every margin of each pair of grid points over the span
+the pair's scan points reach (glbounds.ratio). One walk (_walk) visits the
+pairs hottest first by that bound, computing each margin as the scan's
 lam-major loop does. With a cover the scan is that walk, stopped where no
-pair left can change its report, which is the same, bit for bit.
-bound_memberships needs no report, so for each q _decide first walks only
-the pairs above the tolerance and answers at the first violation (with
-none, or no such pair, the scan passes). Where the cover is finite the scan
-would raise nothing, so the answer is the scan's, and the scan is not run.
-Where _decide declines, the scan decides. The cover never leaves this
-module.
+pair left can change its report, which is the same, bit for bit. The walk
+takes its pairs from a lazy ranking (ratio.ranked_pairs), which sorts only
+the rows it takes a pair from. bound_memberships needs no report, so for
+each q _decide first walks only the pairs above the tolerance and answers
+after the pair that holds the first violation (with none, or no such pair,
+the scan passes). Where the cover is finite the scan would raise nothing, so
+the answer is the scan's, and the scan is not run. Where _decide declines,
+the scan decides. The cover never leaves this module.
 
 DEFAULT_GRID_N and DEFAULT_TOL are decided here only: bound and sweep scan
 with them, and they are the defaults of the CLI's qclass --grid and --tol.
@@ -41,6 +42,12 @@ The n^3 triples of a scan land on far fewer distinct points (2n^2 to about
 kept until the scan returns: g must be deterministic, and memory grows with
 the number of distinct points (about 100 bytes each: up to 3 MB at n = 64
 and 15 MB at n = 128, less where the walk stops early).
+
+A report is built after its scan: the scan records each violation, and
+the mirror's where a pass decides two lams, as a plain tuple (x, y, lam,
+lhs, rhs), and the report keeps each once, sorted by (x, y, lam), as a
+Violation, the named tuple made from it. A failing scan reports thousands,
+and a named tuple costs about a third of what a frozen dataclass does.
 
 The triple (y, x, 1-lam) has the same point and the same right side as
 (x, y, lam), because float addition is commutative. So when a grid lam and
@@ -54,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .expressions import Node, compile_expression
 from .quadrature import Interval
@@ -76,8 +83,15 @@ DEFAULT_TOL = 1e-12
 MAX_GRID_N = 256
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
+    """A triple (x, y, lam) where lhs = g(lam*x + (1-lam)*y) exceeds
+    rhs = g(x)/lam + g(y)/(1-lam) by more than the tolerance.
+
+    A Violation is a tuple: it unpacks and indexes as (x, y, lam, lhs, rhs),
+    orders as that tuple does, and compares equal to a plain 5-tuple of the
+    same floats.
+    """
+
     x: float
     y: float
     lam: float
@@ -233,7 +247,7 @@ def check_godunova_levin(
 
     # tuples dedup and sort as the Violations would: field by field, stably
     unique = sorted(dict.fromkeys(raw), key=itemgetter(0, 1, 2))
-    violations = tuple(Violation(*v) for v in unique)
+    violations = tuple(map(Violation._make, unique))
     return QClassReport(n * n * n, violations, max_margin, not violations)
 
 
@@ -254,7 +268,7 @@ def _visits(n: int) -> list[tuple[float, float, bool]]:
 
 
 def _walk(
-    pairs: list[tuple[float, int, int]],
+    pairs: Iterable[tuple[float, int, int]],
     xs: list[float],
     gx: list[float],
     memo: _PointMemo,
@@ -264,11 +278,14 @@ def _walk(
 ) -> Iterator[float]:
     """Visit the pairs (b, i, j) of grid points, i <= j, in the order given
     (ratio.ranked_pairs: highest b first), each at every lam of _visits in
-    both orders of its points, and yield top, the largest margin so far, at
-    each violation and after each pair. Margins, and violations with their
-    mirrors in raw, are as check_godunova_levin's lam-major loop computes and
-    records them. Of margins tied at top (0.0 and -0.0 compare equal), the
-    first in lam-major order (visit, row, column) is kept, as in that loop.
+    both orders of its points, and yield top, the largest margin so far,
+    once after each pair: a caller that stops at the first violation reads
+    raw between pairs, at the cost of the rest of that pair's margins (63 at
+    most at grid 64, two for each of its 32 visits). Margins, and violations
+    with their mirrors in raw, are as check_godunova_levin's lam-major loop
+    computes and records them. Of margins tied at top (0.0 and -0.0 compare
+    equal), the first in lam-major order (visit, row, column) is kept, as in
+    that loop.
 
     The walk stops at the first pair with b <= tol and b < top: every margin
     of a pair is at most its bound (ratio.pair_bound_rows), and no bound left
@@ -300,7 +317,6 @@ def _walk(
                     raw.append((xp, xq, lam, lhs, rhs))
                     if paired:
                         raw.append((xq, xp, mirror, lhs, rhs))
-                    yield top
         yield top
 
 
@@ -402,13 +418,13 @@ def _decide(e: Node, q: float, cover: CellCover | None) -> bool | None:
     where this cannot be done, and the scan decides.
 
     Only a pair whose bound is above DEFAULT_TOL can hold a violation
-    (ratio.pair_bound_rows), so _walk visits just those pairs, hottest first:
-    the first violation answers False, and none, or no such pair at all (the
-    ratio lemma's proof), answers True. g >= 0, so the scan's check for
-    negative values never fires, and g raises nothing on a finite cover
-    (_walk), so the scan fails wherever some violation is found. A None cover
-    or power cover, a g value at a grid point that is not finite, and any
-    exception mean None.
+    (ratio.pair_bound_rows), so _walk visits just those pairs, hottest
+    first: the pair that holds the first violation answers False, and none,
+    or no such pair at all (the ratio lemma's proof), answers True. g >= 0,
+    so the scan's check for negative values never fires, and g raises
+    nothing on a finite cover (_walk), so the scan fails wherever some
+    violation is found. A None cover or power cover, a g value at a grid
+    point that is not finite, and any exception mean None.
     """
     if cover is None:
         return None

@@ -10,11 +10,13 @@ such bounds, from the interval enclosure in glbounds.enclosure, on one cell
 per grid step, each reaching a few ulps past its two grid points;
 pair_bound_rows turns it into one bound per pair of grid points, over just
 the span that the pair's scan points can reach, and ranked_pairs ranks the
-pairs by it. glbounds.qclass, the only caller, builds every cover and walks
-the ranked pairs hottest first: its membership decision proves that a scan
-passes where no pair bound is above the tolerance and otherwise visits only
-the pairs above it, and its covered scan stops where the next bound can
-change neither the violations nor the largest margin.
+pairs by it, lazily: every bound is computed, but a row's pairs are sorted
+only when the walk takes the first of them, so a walk that stops after a
+few pairs sorts a few rows. glbounds.qclass, the only caller, builds every
+cover and walks the ranked pairs hottest first: its membership decision
+proves that a scan passes where no pair bound is above the tolerance and
+otherwise visits only the pairs above it, and its covered scan stops where
+the next bound can change neither the violations nor the largest margin.
 
 qclass imports this module (and with it the enclosure) only when it builds
 a cover, so every command but bound, sweep and qclass starts without
@@ -23,6 +25,7 @@ compiling either. This module imports nothing from qclass.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
@@ -145,12 +148,34 @@ def pair_bound_rows(gx: list[float], cover: CellCover) -> Iterator[list[float]]:
         yield row
 
 
-def ranked_pairs(gx: list[float], cover: CellCover, floor: float) -> list[tuple[float, int, int]]:
+def ranked_pairs(
+    gx: list[float], cover: CellCover, floor: float
+) -> Iterator[tuple[float, int, int]]:
     """(b, i, j) for each pair of grid points i <= j whose bound b
-    (pair_bound_rows) is above floor, highest b first."""
-    pairs = []
+    (pair_bound_rows) is above floor, highest b first: the order of
+    sorted(..., reverse=True), ties of b broken by the higher i, then the
+    higher j.
+
+    A walk that stops early takes few pairs, so the pairs are ranked lazily:
+    a heap holds one entry per row with some b above floor, keyed on the
+    row's largest b not yet taken and then on i (no two rows share an i), and
+    a row's pairs are sorted only when the first of them is taken. Every
+    bound is still computed, since the rows' largest bounds key the heap.
+    """
+    heap = []
     for i, row in enumerate(pair_bound_rows(gx, cover)):
-        if max(row) > floor:
-            pairs += [(b, i, j) for j, b in enumerate(row, i) if b > floor]
-    pairs.sort(reverse=True)
-    return pairs
+        top = max(row)
+        if top > floor:
+            heap.append((-top, -i, row, None))
+    heapq.heapify(heap)
+    while heap:
+        _, neg_i, row, left = heap[0]
+        i = -neg_i
+        if left is None:  # the row's first pair taken: sort it, highest (b, j) last
+            left = sorted([(b, j) for j, b in enumerate(row, i) if b > floor])
+        b, j = left.pop()
+        yield b, i, j
+        if left:
+            heapq.heapreplace(heap, (-left[-1][0], neg_i, row, left))
+        else:
+            heapq.heappop(heap)

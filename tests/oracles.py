@@ -3,7 +3,8 @@
 No program path uses them, so they live with the tests: a finite-difference
 second derivative for the jets, a sampled nonnegative-convexity witness for
 the corpus's Certified labels, the Hermite-Hadamard double inequality for
-convex entries, and a printer for parse round trips.
+convex entries, a printer for parse round trips, and the eager pair ranking
+that the lazy one must reproduce.
 """
 
 import math
@@ -13,6 +14,7 @@ from typing import Callable
 from glbounds.expressions import Bin, Call, Const, Neg, Node, Pow, Var, compile_expression
 from glbounds.kernel import functional_terms
 from glbounds.quadrature import Interval, _sample
+from glbounds.ratio import CellCover, pair_bound_rows
 
 
 def second_derivative_fd(f: Callable[[float], float], x: float, h: float = 1e-4) -> float:
@@ -91,3 +93,16 @@ def to_text(node: Node) -> str:
     if isinstance(node, Call):
         return f"{node.func}({to_text(node.arg)})"
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def ranked_pairs_eager(
+    gx: list[float], cover: CellCover, floor: float
+) -> list[tuple[float, int, int]]:
+    """ratio.ranked_pairs as one sort of every (b, i, j) whose b is above
+    floor, highest first (rows whose largest b is at or below floor skipped)."""
+    pairs = []
+    for i, row in enumerate(pair_bound_rows(gx, cover)):
+        if max(row) > floor:
+            pairs += [(b, i, j) for j, b in enumerate(row, i) if b > floor]
+    pairs.sort(reverse=True)
+    return pairs

@@ -262,6 +262,21 @@ class TestSweepRows:
             )
             assert rep.ratio == (lhs_abs / bound if bound > 0.0 else None)
 
+    def test_coefficients_are_taken_once_per_lambda(self, monkeypatch):
+        lams = [0.0, 0.25, 0.5, 0.75, 1.0]
+        qs = (1.0, 2.0, 3.0)
+        e = parse("exp(x)")
+        expected = sweep_rows(e, UNIT, lams, qs, MembershipMode.SKIP)
+        taken = []
+
+        def counted(lam):
+            taken.append(lam)
+            return coefficient_set(lam)
+
+        monkeypatch.setattr(glbounds.bounds, "coefficient_set", counted)
+        assert sweep_rows(e, UNIT, lams, qs, MembershipMode.SKIP) == expected
+        assert taken == lams
+
     @pytest.mark.parametrize(
         "mode,status",
         [(MembershipMode.CERTIFIED, MembershipStatus.CERTIFIED), (MembershipMode.SKIP, MembershipStatus.UNCHECKED)],

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,10 @@ import glbounds
 from glbounds import (
     BoundInput,
     Interval,
+    QClassReport,
     RuleParams,
+    Violation,
+    check_expression,
     coefficient_set,
     evaluate_jet2,
     lhs_functional,
@@ -490,6 +494,84 @@ class TestQclass:
         assert main(["qclass", "--fn", "x^2", "--a", "0", "--b", "1"]) == 2
         assert main(["qclass", "--g", "1", "--q", "1", "--a", "0", "--b", "1"]) == 2
         assert main(["qclass", "--a", "0", "--b", "1"]) == 2
+
+
+def _printed_violations(out):
+    """The (x, y, lam, lhs, rhs) of each violation line, as floats (17 digits
+    round-trip)."""
+    return [
+        tuple(float(field.split("=")[1]) for field in line.split()[1:])
+        for line in out.splitlines()
+        if line.startswith("violation:")
+    ]
+
+
+def _ten_worst(violations):
+    return [tuple(v) for v in sorted(violations, key=lambda v: (-v.margin, v.x, v.y, v.lam))[:10]]
+
+
+class TestQclassTopTen:
+    """qclass prints the ten largest margins, ties in (x, y, lam) order."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [["--g", "sin(x)"], ["--fn", "sin(x)", "--q", "1.878"], ["--fn", "sin(x)", "--q", "1"]],
+    )
+    def test_sine_reports(self, source, capsys):
+        assert main(["qclass", *source, "--a", "0.000001", "--b", "3.141592"]) == 1
+        printed = _printed_violations(capsys.readouterr().out)
+        e, iv = parse("sin(x)"), Interval(0.000001, 3.141592)
+        if source[0] == "--g":
+            rep = check_expression(e, iv)
+        else:
+            rep = membership_for_bound(e, iv, float(source[3]))
+        assert len(printed) == 10
+        assert printed == _ten_worst(rep.violations)
+
+    def test_tied_margins(self, monkeypatch, capsys):
+        # margins 2.0 (six), 1.5 (five) and 0.25 (three), each from sides that
+        # differ: the cut at ten falls among the ties of 1.5, which must keep
+        # their (x, y, lam) order
+        margins = [1.5, 2.0, 0.25, 2.0, 1.5, 0.25, 2.0, 1.5, 2.0, 1.5, 2.0, 1.5, 2.0, 0.25]
+        violations = tuple(
+            Violation(float(k // 2), float(k % 2), 0.5, m + 0.5 * k, 0.5 * k) for k, m in enumerate(margins)
+        )
+        assert [v.margin for v in violations] == margins
+        rep = QClassReport(8, violations, 2.0, False)
+        monkeypatch.setattr(glbounds.cli, "check_expression", lambda *args: rep)
+        assert main(["qclass", "--g", "x", "--a", "0", "--b", "1", "--grid", "2"]) == 1
+        printed = _printed_violations(capsys.readouterr().out)
+        assert printed == _ten_worst(violations)
+        assert [Violation(*t).margin for t in printed] == [2.0] * 6 + [1.5] * 4
+
+
+class TestClosedStdout:
+    """A reader that has gone away is an output I/O error (exit 4), not a
+    verdict, and prints no traceback."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corpus"],
+            ["qclass", "--fn", "sin(x)", "--q", "2", "--a", "0.000001", "--b", "3.141592", "--grid", "8"],
+        ],
+    )
+    def test_exit_code_is_an_io_error(self, argv, unbuffered):
+        # buffered, the short qclass report meets the closed pipe only when
+        # stdout is flushed; unbuffered, at its first line
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the command starts, so every write fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "glbounds", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (4, b"")
 
 
 class TestCorpus:

@@ -23,10 +23,11 @@ from glbounds import (
     sweep_rows,
 )
 from glbounds.cli import main
+from glbounds.expressions import Bin, Const, ExpressionError
 from glbounds.qclass import DEFAULT_TOL, _PointMemo, _cover, _decide, _q_power, bound_memberships
 from glbounds.ratio import cell_cover, pair_bound_rows, power_cover
 from conftest import examples
-from oracles import nonneg_convex_witness
+from oracles import nonneg_convex_witness, ranked_pairs_eager
 from test_expressions import _tree_strategy
 
 SINE_INTERVAL = Interval(0.000001, 3.141592)
@@ -197,6 +198,33 @@ class TestCheck:
             check_godunova_levin(lambda x: 1.0, Interval(0.0, 2.4e307), 8)
         with pytest.raises(ValueError, match="the 64 grid points"):
             membership_for_bound(parse("x^2"), Interval(-1e307, 1e307), 1.0)
+
+
+class TestViolation:
+    """A Violation is a tuple of five floats with a margin, and keeps the
+    surface the dataclass it replaced had."""
+
+    def test_fields_and_margin(self):
+        v = Violation(0.25, 0.75, 0.5, 3.0, 1.25)
+        assert Violation._fields == ("x", "y", "lam", "lhs", "rhs")
+        assert (v.x, v.y, v.lam, v.lhs, v.rhs) == (0.25, 0.75, 0.5, 3.0, 1.25)
+        assert v.margin == 1.75
+        assert Violation(0.0, 0.0, 0.5, 1.0, -math.inf).margin == math.inf
+
+    def test_repr_is_the_dataclass_one(self):
+        v = Violation(0.25, 0.75, 0.5, 3.0, 1.25)
+        assert repr(v) == "Violation(x=0.25, y=0.75, lam=0.5, lhs=3.0, rhs=1.25)"
+
+    def test_equality_and_hashing(self):
+        v = Violation(0.25, 0.75, 0.5, 3.0, 1.25)
+        same = Violation(0.25, 0.75, 0.5, 3.0, 1.25)
+        assert v == same and hash(v) == hash(same) and len({v, same}) == 1
+        assert v != Violation(0.75, 0.25, 0.5, 3.0, 1.25)
+        # a tuple: it unpacks, orders and compares as the plain 5-tuple does
+        assert tuple(v) == (0.25, 0.75, 0.5, 3.0, 1.25) and v == (0.25, 0.75, 0.5, 3.0, 1.25)
+        assert v < Violation(0.25, 0.75, 0.625, 0.0, 0.0)
+        with pytest.raises(AttributeError):
+            v.x = 1.0
 
 
 def record_taken(monkeypatch):
@@ -581,6 +609,33 @@ class TestProof:
         assert bound_memberships(parse("x^4"), UNIT_IV, (2.0, 3.0)) == {2.0: True, 3.0: True}
 
     @pytest.mark.parametrize(
+        "text,iv,q",
+        [
+            ("sin(x)", SINE_INTERVAL, 1.0),  # fails at the first hot pair
+            ("sin(x)", SINE_INTERVAL, 2.5),
+            (COMPOSITE, Interval(0.0, 3.0), 1.0),  # passes
+            (COMPOSITE, Interval(0.0, 3.0), 2.0),  # fails deep in the list
+            (COMPOSITE, Interval(0.0, 3.0), 3.0),
+            ("x^4", UNIT_IV, 2.0),  # one hot pair, which holds
+        ],
+    )
+    def test_a_decision_answers_after_the_pair_that_violates(self, monkeypatch, text, iv, q):
+        """The decision is the scan's passed; a False one takes no pair after
+        the first that holds a violation of the scan."""
+        e = parse(text)
+        taken = record_taken(monkeypatch)
+        decided = _decide(e, q, _cover(e, iv, 64))
+        rep = membership_for_bound(e, iv, q)
+        assert decided is rep.passed
+        xs = _cover(e, iv, 64).xs
+        violating = {frozenset((v.x, v.y)) for v in rep.violations}
+        holds = [frozenset((xs[i], xs[j])) in violating for _, i, j in taken[0]]
+        if decided:
+            assert not any(holds)
+        else:
+            assert holds[-1] and not any(holds[:-1])
+
+    @pytest.mark.parametrize(
         "text,iv,qs",
         [
             ("x^2", UNIT_IV, (1.0, 2.0)),  # proven
@@ -725,6 +780,80 @@ class TestPruning:
         rep = check_godunova_levin(g, iv, cover=_cover(e, iv, 64, of_value=True))
         assert rep.passed
         assert len(seen) < len(scan_points(iv, 64))
+
+
+_RANKED = (
+    st.one_of(_tree_strategy(), st.sampled_from([parse(e.expression) for e in corpus_entries()])),
+    _PROOF_ENDS,
+    st.sampled_from([2, 9, 31, 64]),
+    st.one_of(st.none(), st.floats(1.0, 3.0)),
+)
+
+
+class TestRanking:
+    """ratio.ranked_pairs hands out the pairs in the order of the eager sort,
+    and sorts only the rows the walk takes a pair from."""
+
+    @staticmethod
+    def _both(e, iv, grid_n, q, floor):
+        """The lazy and the eager ranking of the pairs of g = f (q None) or
+        g = |f''|^q on iv; None where there is no cover."""
+        cover = _cover(e, iv, grid_n, of_value=q is None)
+        if cover is not None and q is not None:
+            cover = power_cover(cover, q)
+        if cover is None:
+            return None
+        try:
+            g = compile_expression(e)[0] if q is None else _q_power(e, q)
+            gx = [g(x) for x in cover.xs]
+        except (ExpressionError, ValueError, ArithmeticError):
+            return None  # the scan raises before it ranks
+        return list(glbounds.ratio.ranked_pairs(gx, cover, floor)), ranked_pairs_eager(gx, cover, floor)
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(*_RANKED, st.sampled_from([-math.inf, DEFAULT_TOL]), st.sampled_from([0.0, 0.5]))
+    def test_lazy_order_is_the_eager_sort(self, e, ends, grid_n, q, floor, shift):
+        """shift, taken off g = f, gives some examples rows with b = inf."""
+        assume(ends[0] < ends[1])
+        if q is None and shift:
+            e = Bin("-", e, Const(shift))
+        both = self._both(e, Interval(*ends), grid_n, q, floor)
+        if both is not None:
+            lazy, eager = both
+            assert lazy == eager
+            # ties of b, 0.0 against -0.0 among them, keep the sign the eager sort keeps
+            assert [math.copysign(1.0, b) for b, _, _ in lazy] == [math.copysign(1.0, b) for b, _, _ in eager]
+
+    @pytest.mark.parametrize("floor", [-math.inf, DEFAULT_TOL])
+    @pytest.mark.parametrize(
+        "text,iv,grid_n,q",
+        [
+            ("x", Interval(-1.0, 1.0), 64, None),  # half the rows have b = inf
+            ("x^2-0.25", UNIT_IV, 31, None),  # a negative middle
+            ("sin(x)", SINE_INTERVAL, 64, 2.0),
+            ("1e308*sin(x)", Interval(0.1, 6.2), 64, None),
+            ("1", UNIT_IV, 9, None),  # every pair of a row tied
+            (COMPOSITE, Interval(0.0, 3.0), 128, 3.0),
+        ],
+    )
+    def test_lazy_order_on_chosen_rows(self, text, iv, grid_n, q, floor):
+        lazy, eager = self._both(parse(text), iv, grid_n, q, floor)
+        assert lazy == eager
+
+    def test_a_passing_scan_sorts_only_the_rows_it_takes_from(self, monkeypatch, capsys):
+        taken = record_taken(monkeypatch)
+        rows = []
+
+        def recorded_sorted(pairs):
+            # with floor -inf a row's list holds every (b, j), from j = i on
+            rows.append(min(j for _, j in pairs))
+            return sorted(pairs)
+
+        monkeypatch.setattr(glbounds.ratio, "sorted", recorded_sorted, raising=False)
+        assert main(["qclass", "--g", "x^2", "--a", "-3.7", "--b", "5.2", "--grid", "64"]) == 0
+        [pairs] = taken
+        assert sorted(rows) == sorted({i for _, i, _ in pairs})
+        assert len(rows) < 64
 
 
 class TestWitness:
