@@ -289,12 +289,12 @@ _PARSER = _build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_INPUT_ERROR
-    try:
-        code = args.handler(args)
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:  # argparse has printed help or a usage error
+            code = exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
+        else:
+            code = args.handler(args)
         sys.stdout.flush()  # here, so that a closed pipe is seen before exit
         return code
     except BrokenPipeError:

@@ -21,13 +21,15 @@ values at the extremes, and widen it by 2^-50 relative (twice the 2 ulps
 that two libm errors, at the extreme and at the point, can add up to) plus
 an absolute 2^-1070 for results in the subnormal range.
 
-It declines (raises Declined, at compile time or for a cell) wherever the
-float jet could raise or go non-finite in the cell: a divisor interval holding
-0; ln or sqrt of an argument touching <= 0; abs of an argument holding 0; a
-non-integer power of a base touching <= 0, a negative integer power of a base
-holding 0, and any exponent that depends on x; exp or ** overflowing; and any
-interval end that is not finite. A caller must treat any exception as
-declining too.
+It declines wherever the float jet could raise or go non-finite in the cell:
+a divisor interval holding 0; ln or sqrt of an argument touching <= 0; abs of
+an argument holding 0; a non-integer power of a base touching <= 0, a
+negative integer power of a base holding 0, and any exponent that depends on
+x; exp or ** overflowing; and any interval end that is not finite. As in
+interval arithmetic generally, what cannot be bounded is unbounded: the bound
+is inf on a cell where it declines, and on every cell where it declines at
+compile time. So a finite bound also proves that the jet raises nothing in
+the cell.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Callable
 
 from .expressions import Bin, Call, Const, ExpressionError, Neg, Node, Pow, Var, _compile
 
-__all__ = ["Declined", "compile_second_derivative", "compile_value", "sup_power"]
+__all__ = ["compile_second_derivative", "compile_value", "sup_power"]
 
 _LIBM_WIDEN = 2.0**-50  # relative; libm is assumed accurate to 1 ulp (2^-52 relative)
 _TINY = 2.0**-1070
@@ -281,36 +283,41 @@ def _compile_jet(node: Node) -> Callable[[_Iv], _IJet]:
 
 
 def sup_power(s: float, q: float) -> float:
-    """An upper bound of the float d ** q for every float d in [0, s], q > 0."""
+    """An upper bound of the float d ** q for every float d in [0, s], q > 0;
+    inf where s is inf or s ** q overflows."""
     try:
         return _libm(0.0, s**q)[1]
-    except OverflowError:
-        raise Declined from None
+    except (Declined, OverflowError):
+        return _INF
 
 
 def _compile_bound(node: Node, part: Callable[[_IJet], float]) -> Callable[[float, float], float]:
-    """(lo, hi) -> part of the interval jet of node on the cell [lo, hi]."""
-    jet = _compile_jet(node)
+    """(lo, hi) -> part of the interval jet of node on the cell [lo, hi], or
+    inf where the enclosure declines."""
+    try:
+        jet = _compile_jet(node)
+    except Declined:
+        return lambda lo, hi: _INF
 
     def bound(lo: float, hi: float) -> float:
         try:
             return part(jet((lo, hi)))
-        except OverflowError:  # from exp or **
-            raise Declined from None
+        except (Declined, OverflowError):  # OverflowError from exp, ** or a cell end at inf
+            return _INF
 
     return bound
 
 
 def compile_second_derivative(node: Node) -> Callable[[float, float], float]:
     """(lo, hi) -> an upper bound of |f''| as the float jet computes it at any
-    float in [lo, hi]. Raises Declined, at once or for a cell, where it cannot
-    vouch for that bound (see the module docstring)."""
+    float in [lo, hi]; inf where it cannot vouch for that bound (see the
+    module docstring)."""
     return _compile_bound(node, lambda jet: max(-jet[2][0], jet[2][1]))
 
 
 def compile_value(node: Node) -> Callable[[float, float], float]:
     """(lo, hi) -> an upper bound of f as the value closure computes it at any
-    float in [lo, hi]. Raises Declined, at once or for a cell, where it cannot
-    vouch for that bound; the jet raises wherever the value closure does, so
-    a bound also proves that the value closure raises nothing in the cell."""
+    float in [lo, hi]; inf where it cannot vouch for that bound. The jet
+    raises wherever the value closure does, so a finite bound also proves
+    that the value closure raises nothing in the cell."""
     return _compile_bound(node, lambda jet: jet[0][1])

@@ -17,20 +17,21 @@ Three entry points scan an expression: check_expression scans g = f
 bound_memberships answers, for each q, whether the default-grid scan of
 |f''|^q passes, which is all that bound and sweep read.
 
-Each entry point builds one cover: an interval enclosure
-(glbounds.enclosure) bounding f or |f''| on one cell per grid step. By the
-ratio lemma it bounds every margin of each pair of grid points over the span
-the pair's scan points reach (glbounds.ratio). One walk (_walk) visits the
-pairs hottest first by that bound, computing each margin as the scan's
-lam-major loop does. With a cover the scan is that walk, stopped where no
-pair left can change its report, which is the same, bit for bit. The walk
-takes its pairs from a lazy ranking (ratio.ranked_pairs), which sorts only
-the rows it takes a pair from. bound_memberships needs no report, so for
-each q _decide first walks only the pairs above the tolerance and answers
-after the pair that holds the first violation (with none, or no such pair,
-the scan passes). Where the cover is finite the scan would raise nothing, so
-the answer is the scan's, and the scan is not run. Where _decide declines,
-the scan decides. The cover never leaves this module.
+The scan is defined by a loop over lam, then x, then y. Each entry point
+builds one cover: an interval enclosure (glbounds.enclosure) bounding f or
+|f''| on one cell per grid step, inf where it declines. By the ratio lemma
+it bounds every margin of each pair of grid points over the span the pair's
+scan points reach (glbounds.ratio). One walk (_walk) visits the pairs
+hottest first by that bound, computing each margin as the loop does. The
+scan is that walk, stopped where no pair left can change its report, and
+its report and first error are the loop's. The walk takes its pairs from a
+lazy ranking (ratio.ranked_pairs), which sorts only the rows it takes a
+pair from. bound_memberships needs no report, so for each q _decide first
+walks only the pairs above the tolerance and answers after the pair that
+holds the first violation (with none, or no such pair, the scan passes).
+Where every cell is finite the scan would raise nothing, so the answer is
+the scan's, and the scan is not run. Where _decide declines, the scan
+decides. The cover never leaves this module.
 
 DEFAULT_GRID_N and DEFAULT_TOL are decided here only: bound and sweep scan
 with them, and they are the defaults of the CLI's qclass --grid and --tol.
@@ -141,12 +142,13 @@ class _PointMemo(dict):
         return v
 
 
-def _check_grid(grid_n: int) -> None:
-    if not 2 <= grid_n <= MAX_GRID_N:
-        raise ValueError(f"grid_n must be in [2, {MAX_GRID_N}], got {grid_n!r}")
-
-
-def _grid_points(iv: Interval, n: int) -> list[float]:
+def _scan_grid(iv: Interval, n: int, tol: float) -> list[float]:
+    """The grid points of the scan of iv at grid n with tolerance tol; raises
+    ValueError where one of the three is invalid."""
+    if not 2 <= n <= MAX_GRID_N:
+        raise ValueError(f"grid_n must be in [2, {MAX_GRID_N}], got {n!r}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     width = iv.width
     xs = [iv.a + width * (i + 0.5) / n for i in range(n)]
     if math.isinf(xs[-1]):  # width * (n - 0.5) passed the float range
@@ -161,7 +163,8 @@ def check_godunova_levin(
     tol: float = DEFAULT_TOL,
     cover: CellCover | None = None,
 ) -> QClassReport:
-    """Scan the defining inequality over a grid_n^3 triple grid.
+    """Scan the defining inequality over a grid_n^3 triple grid, with the
+    report and the error of a loop over lam, then x, then y.
 
     samples_checked counts the (x, y, lam) triples. A negative sample value is
     itself a violation (the class contains nonnegative functions only) and is
@@ -173,30 +176,35 @@ def check_godunova_levin(
     g is called once per distinct sample point the scan visits (the triples
     share 2n^2 to about 9n^2 points), so it must be deterministic; the values
     are held until the scan returns. Raises ValueError naming x when g(x) is
-    not finite.
+    not finite. Where g raises, or is not finite, at several points, the
+    error is that of the first in the order lam, x, y.
 
     Each pair of grid lams that mirror each other exactly is scanned once:
     the later lam of the pair sees the same margins as the earlier one, so it
     adds its violations but can never raise max_margin (only a strictly
     larger margin does). Every triple still counts in samples_checked.
 
-    cover, built for this iv and grid_n with cover.sup bounding g on each
-    cell, makes the scan walk the pairs of grid points in descending
-    ratio-lemma bound instead (_walk) and stop where no pair left can hold a
-    violation or the first largest margin; the report is the same, bit for
-    bit. The scan cannot derive it from g, which may be any callable: the
-    entry points below build it from the expression behind g.
+    The scan walks the pairs of grid points in descending ratio-lemma bound
+    (_walk) and stops where no pair left can hold a violation or the first
+    largest margin; the report is the loop's, bit for bit. cover, built for
+    this iv and grid_n with cover.sup bounding g on each cell (inf where it
+    cannot), gives the bounds. The scan cannot derive it from g, which may
+    be any callable: the entry points below build it from the expression
+    behind g. Without a cover every bound is inf, and the walk visits every
+    pair.
 
-    Raises ValueError where the grid points of iv pass the float range (a
-    width above about 2.8e306 at grid_n = 64).
+    Raises ValueError where grid_n or tol is invalid, or where the grid
+    points of iv pass the float range (a width above about 2.8e306 at
+    grid_n = 64).
     """
-    _check_grid(grid_n)
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     n = grid_n
-    xs = _grid_points(iv, n)
+    xs = _scan_grid(iv, n, tol)
     if cover is not None and cover.xs != xs:
         raise ValueError("cover was built for another interval or grid")
+    from .ratio import cell_cover, ranked_pairs  # loaded at the first scan
+
+    if cover is None:
+        cover = cell_cover(lambda lo, hi: math.inf, xs)
 
     def sample(x: float) -> float:
         v = g(x)
@@ -219,31 +227,21 @@ def check_godunova_levin(
             raw.append((x, x, 0.5, gv, rhs))
             max_margin = max(max_margin, gv - rhs)
 
-    if cover is None:
-        for lam, mirror, paired in _visits(n):
-            clam = 1.0 - lam
-            cols = list(zip(xs, [clam * y for y in xs], [v / clam for v in gx]))
-            for xi, gi in zip(xs, gx):
-                base = lam * xi
-                li = gi / lam
-                for xj, cj, rj in cols:
-                    lhs = memo[base + cj]
-                    rhs = li + rj
-                    m = lhs - rhs
-                    if m > max_margin:
-                        max_margin = m
-                    if m > tol:
-                        raw.append((xi, xj, lam, lhs, rhs))
-                        if paired:
-                            # (x_j, x_i, mirror) has the same point and sides
-                            raw.append((xj, xi, mirror, lhs, rhs))
-    else:
-        from .ratio import ranked_pairs  # loaded with the cover
-
-        pairs = ranked_pairs(gx, cover, -math.inf)
+    pairs = ranked_pairs(gx, cover, -math.inf)
+    try:
         # the walk's last yield, after its last pair, is the largest margin
         for max_margin in _walk(pairs, xs, gx, memo, tol, raw, max_margin):
             pass
+    except Exception:
+        # the walk meets the points in another order than the loop, so ask
+        # for them in the loop's order: its first failing point raises
+        for lam, _, _ in _visits(n):
+            cols = [(1.0 - lam) * y for y in xs]
+            for x in xs:
+                base = lam * x
+                for c in cols:
+                    memo[base + c]
+        raise
 
     # tuples dedup and sort as the Violations would: field by field, stably
     unique = sorted(dict.fromkeys(raw), key=itemgetter(0, 1, 2))
@@ -282,10 +280,10 @@ def _walk(
     once after each pair: a caller that stops at the first violation reads
     raw between pairs, at the cost of the rest of that pair's margins (63 at
     most at grid 64, two for each of its 32 visits). Margins, and violations
-    with their mirrors in raw, are as check_godunova_levin's lam-major loop
-    computes and records them. Of margins tied at top (0.0 and -0.0 compare
-    equal), the first in lam-major order (visit, row, column) is kept, as in
-    that loop.
+    with their mirrors in raw, are as the lam-major loop that defines the
+    scan computes and records them. Of margins tied at top (0.0 and -0.0
+    compare equal), the first in lam-major order (visit, row, column) is
+    kept, as in that loop.
 
     The walk stops at the first pair with b <= tol and b < top: every margin
     of a pair is at most its bound (ratio.pair_bound_rows), and no bound left
@@ -293,10 +291,11 @@ def _walk(
     top. A mirror lam, with no visit of its own, repeats the margins of an
     earlier visit. So raw and top are the lam-major loop's.
 
-    The caller's cover is finite, which proves g finite at every point of
-    every cell, and the enclosure behind it declines wherever g could raise.
-    Every point the walk asks for lies in a cell of its pair, so g raises
-    nothing, and visiting the pairs in this order changes no error.
+    A finite cell proves g finite, and raising nothing, at every point of
+    the cell; a cell where the enclosure behind the cover declines is inf.
+    Every point the walk asks for lies in a cell of its pair, so a pair with
+    a point where g raises has b = inf and is visited: the walk raises where
+    the loop does, though maybe first at another point.
     """
     visits = _visits(len(xs))
     steps = [(lam, 1.0 - lam) for lam, _, _ in visits]
@@ -328,7 +327,7 @@ def check_expression(
     The scan walks the pairs by a cover of g, with the same report.
     """
     g, _ = compile_expression(e)
-    return check_godunova_levin(g, iv, grid_n, tol, cover=_cover(e, iv, grid_n, of_value=True))
+    return check_godunova_levin(g, iv, grid_n, tol, cover=_cover(e, iv, grid_n, tol, of_value=True))
 
 
 def membership_for_bound(
@@ -342,7 +341,7 @@ def membership_for_bound(
     qclass --fn. The scan walks the pairs by a cover of |f''|, with the same report.
     """
     _check_q(q)
-    return _scan_power(e, iv, q, grid_n, tol, _cover(e, iv, grid_n))
+    return _scan_power(e, iv, q, grid_n, tol, _cover(e, iv, grid_n, tol))
 
 
 def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[float, bool]:
@@ -368,14 +367,12 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
 
 
 def _scan_power(
-    e: Node, iv: Interval, q: float, grid_n: int, tol: float, cover: CellCover | None
+    e: Node, iv: Interval, q: float, grid_n: int, tol: float, cover: CellCover
 ) -> QClassReport:
-    """The scan of x -> |f''(x)|^q; cover, of |f''| on its cells, lets it walk the pairs."""
-    if cover is not None:
-        from .ratio import power_cover  # loaded with the cover
+    """The scan of x -> |f''(x)|^q, walking the pairs by cover, of |f''| on its cells."""
+    from .ratio import power_cover  # loaded with the cover
 
-        cover = power_cover(cover, q)
-    return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, cover=cover)
+    return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, cover=power_cover(cover, q))
 
 
 def _q_power(e: Node, q: float) -> Callable[[float], float]:
@@ -393,26 +390,25 @@ def _q_power(e: Node, q: float) -> Callable[[float], float]:
     return g
 
 
-def _cover(e: Node, iv: Interval, grid_n: int, of_value: bool = False) -> CellCover | None:
+def _cover(
+    e: Node, iv: Interval, grid_n: int, tol: float = DEFAULT_TOL, of_value: bool = False
+) -> CellCover:
     """sup |f''| (sup f where of_value, as compile_expression(e)[0] computes it)
-    on the cells of the grid_n scan of iv, or None where the enclosure declines
-    or the grid is invalid, which the scan then reports.
+    on the cells of the scan of iv at grid_n and tol, inf on a cell where the
+    enclosure declines. Raises the scan's ValueError where grid_n, tol or the
+    grid points are invalid, before any bound is computed.
 
     The enclosure and glbounds.ratio are imported here, when a cover is first
     built: every command but bound, sweep and qclass starts without them.
     """
-    try:
-        _check_grid(grid_n)
-        xs = _grid_points(iv, grid_n)
-    except ValueError:
-        return None
+    xs = _scan_grid(iv, grid_n, tol)
     from .enclosure import compile_second_derivative, compile_value
     from .ratio import cell_cover
 
-    return cell_cover(compile_value if of_value else compile_second_derivative, e, xs)
+    return cell_cover((compile_value if of_value else compile_second_derivative)(e), xs)
 
 
-def _decide(e: Node, q: float, cover: CellCover | None) -> bool | None:
+def _decide(e: Node, q: float, cover: CellCover) -> bool | None:
     """membership_for_bound(e, iv, q).passed, decided without the scan, for
     the iv that cover = _cover(e, iv, DEFAULT_GRID_N) was built on; None
     where this cannot be done, and the scan decides.
@@ -422,19 +418,20 @@ def _decide(e: Node, q: float, cover: CellCover | None) -> bool | None:
     first: the pair that holds the first violation answers False, and none,
     or no such pair at all (the ratio lemma's proof), answers True. g >= 0,
     so the scan's check for negative values never fires, and g raises
-    nothing on a finite cover (_walk), so the scan fails wherever some
-    violation is found. A None cover or power cover, a g value at a grid
-    point that is not finite, and any exception mean None.
+    nothing where every cell of the power cover is finite (_walk), so the
+    scan fails wherever some violation is found. An inf cell, where g may
+    raise, a g value at a grid point that is not finite, and any exception
+    mean None.
     """
-    if cover is None:
-        return None
     from .ratio import power_cover, ranked_pairs  # loaded with the cover
 
+    power = power_cover(cover, q)
+    if math.inf in power.sup:
+        return None
     try:
         memo = _PointMemo(_q_power(e, q))
         gx = [memo[x] for x in cover.xs]
-        power = power_cover(cover, q)
-        if power is None or not all(map(math.isfinite, gx)):
+        if not all(map(math.isfinite, gx)):
             return None
         hot = ranked_pairs(gx, power, DEFAULT_TOL)
         raw: Raw = []

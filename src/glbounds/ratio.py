@@ -7,20 +7,22 @@ For every lam in (0, 1) and g(x), g(y) >= 0,
 (Cauchy-Schwarz), so an upper bound of g between two grid points bounds
 every scan margin g(z) - rhs of the pair, whatever lam. A CellCover holds
 such bounds, from the interval enclosure in glbounds.enclosure, on one cell
-per grid step, each reaching a few ulps past its two grid points;
-pair_bound_rows turns it into one bound per pair of grid points, over just
-the span that the pair's scan points can reach, and ranked_pairs ranks the
-pairs by it, lazily: every bound is computed, but a row's pairs are sorted
-only when the walk takes the first of them, so a walk that stops after a
-few pairs sorts a few rows. glbounds.qclass, the only caller, builds every
-cover and walks the ranked pairs hottest first: its membership decision
-proves that a scan passes where no pair bound is above the tolerance and
-otherwise visits only the pairs above it, and its covered scan stops where
-the next bound can change neither the violations nor the largest margin.
+per grid step, each reaching a few ulps past its two grid points, and inf
+on a cell where the enclosure declines. pair_bound_rows turns it into one
+bound per pair of grid points, over just the span that the pair's scan
+points can reach, so an inf cell makes b = inf for just the pairs that read
+it. ranked_pairs ranks the pairs by it, lazily: every bound is computed,
+but a row's pairs are sorted only when the walk takes the first of them, so
+a walk that stops after a few pairs sorts a few rows. glbounds.qclass, the
+only caller, builds every cover and walks the ranked pairs hottest first:
+its membership decision proves that a scan passes where no pair bound is
+above the tolerance and otherwise visits only the pairs above it, and its
+scan stops where the next bound can change neither the violations nor the
+largest margin.
 
-qclass imports this module (and with it the enclosure) only when it builds
-a cover, so every command but bound, sweep and qclass starts without
-compiling either. This module imports nothing from qclass.
+qclass imports this module (and with it the enclosure) only when it scans
+or builds a cover, so every command but bound, sweep and qclass starts
+without compiling either. This module imports nothing from qclass.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
-from .enclosure import Declined, sup_power
-from .expressions import Node
+from .enclosure import sup_power
 
 __all__ = ["CellCover", "cell_cover", "power_cover", "pair_bound_rows", "ranked_pairs"]
 
@@ -53,14 +54,10 @@ class CellCover:
     sup: list[float]
 
 
-def cell_cover(
-    compile_sup: Callable[[Node], Callable[[float, float], float]],
-    e: Node,
-    xs: list[float],
-) -> CellCover | None:
+def cell_cover(sup_of: Callable[[float, float], float], xs: list[float]) -> CellCover:
     """The cells of the scan with grid points xs (ascending, at least two),
-    each bounded by compile_sup(e), a compile function of glbounds.enclosure;
-    None where it declines.
+    each cell [lo, hi] bounded by sup_of(lo, hi), such as a bound that
+    glbounds.enclosure compiles (inf where it declines).
 
     delta bounds how far a scan point z = fl(fl(lam*x) + fl(fl(1-lam)*y)) of
     grid points x and y can fall outside [min(x, y), max(x, y)]. With
@@ -80,22 +77,16 @@ def cell_cover(
     each hold [lows[i], highs[i]], every scan point of x_i alone. That is
     n-1 enclosures, none reaching more than delta past the pair it serves.
     """
-    try:
-        sup_of = compile_sup(e)
-        delta = 5.0 * math.ulp(max(abs(xs[0]), abs(xs[-1])))
-        lows = [math.nextafter(x - delta, -math.inf) for x in xs]
-        highs = [math.nextafter(x + delta, math.inf) for x in xs]
-        return CellCover(xs, lows, highs, [sup_of(lo, hi) for lo, hi in zip(lows, highs[1:])])
-    except Exception:  # the enclosure declines, however it fails
-        return None
+    delta = 5.0 * math.ulp(max(abs(xs[0]), abs(xs[-1])))
+    lows = [math.nextafter(x - delta, -math.inf) for x in xs]
+    highs = [math.nextafter(x + delta, math.inf) for x in xs]
+    return CellCover(xs, lows, highs, [sup_of(lo, hi) for lo, hi in zip(lows, highs[1:])])
 
 
-def power_cover(cover: CellCover, q: float) -> CellCover | None:
-    """The cover of |f''|^q from that of |f''|, or None where a bound overflows."""
-    try:
-        return replace(cover, sup=[sup_power(s, q) for s in cover.sup])
-    except Declined:
-        return None
+def power_cover(cover: CellCover, q: float) -> CellCover:
+    """The cover of |f''|^q from that of |f''|: inf on a cell whose bound is
+    inf or overflows."""
+    return replace(cover, sup=[sup_power(s, q) for s in cover.sup])
 
 
 _SHRINK = 1.0 - 2.0**-50  # 1 - 8u (u = 2^-53): outweighs the roundings of s and s*s
@@ -117,8 +108,9 @@ def pair_bound_rows(gx: list[float], cover: CellCover) -> Iterator[list[float]]:
     i = j (CellCover), so g(z) <= U, the largest cover.sup over cells i to
     j-1, or the smaller of the two for i = j. So b = up(W - rhs), with
     W >= U + 16*eta, is at least g(z) - R, and so at least every float
-    margin fl(g(z) - R) of the pair. b is inf where g_i or g_j is negative,
-    as the lemma needs both >= 0.
+    margin fl(g(z) - R) of the pair. b is inf where U is (rhs is at most the
+    largest float), and where g_i or g_j is negative, as the lemma needs
+    both >= 0.
     """
     down, up = -math.inf, math.inf
     nextafter = math.nextafter

@@ -7,6 +7,7 @@ benchmark runs. The benchmark's own request streams also check that the
 membership decision of bound and sweep changes no output byte.
 """
 
+import dataclasses
 import importlib
 import inspect
 import math
@@ -105,9 +106,9 @@ def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkey
     """Every qclass request of one membership cycle, and its bound requests
     whose proof declines (x^4 at q > 1 and sine), give the same bytes whether
     the scans walk their pairs hottest first and stop early, visit every pair,
-    or run with no cover at all. Those bound requests are decided pair by
-    pair without a scan, so the decision is turned off here to make them
-    scan."""
+    or run with a cover that is inf on every cell. Those bound requests are
+    decided pair by pair without a scan, so the decision is turned off here
+    to make them scan."""
     fixed, cycles = importlib.import_module("workloads").requests("membership", 1)
     requests = [
         argv
@@ -130,9 +131,10 @@ def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkey
     def every_pair(gx, cover, floor):  # a bound of inf on every pair: no walk stops early
         return [(math.inf, i, j) for i in range(len(gx)) for j in range(i, len(gx))]
 
-    monkeypatch.setattr(glbounds.ratio, "ranked_pairs", recording(glbounds.ratio.ranked_pairs))
+    ranked_pairs = glbounds.ratio.ranked_pairs
+    monkeypatch.setattr(glbounds.ratio, "ranked_pairs", recording(ranked_pairs))
     pruned = _outcomes(requests, capsys)
-    # every scan had a cover, and each walk stopped before its last pair
+    # every scan ranked its pairs once, and each walk stopped before its last pair
     assert len(taken) == len(requests)
     assert all(count < pairs for pairs, count in taken)
     taken.clear()
@@ -140,9 +142,18 @@ def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkey
     assert _outcomes(requests, capsys) == pruned
     assert len(taken) == len(requests)
     assert all(count == pairs for pairs, count in taken)
-    monkeypatch.setattr(glbounds.qclass, "_cover", lambda *args, **kwargs: None)
+    taken.clear()
+    monkeypatch.setattr(glbounds.ratio, "ranked_pairs", recording(ranked_pairs))
+    cover = glbounds.qclass._cover
+
+    def unbounded(*args, **kwargs):  # as if the enclosure declined on every cell
+        covered = cover(*args, **kwargs)
+        return dataclasses.replace(covered, sup=[math.inf] * len(covered.sup))
+
+    monkeypatch.setattr(glbounds.qclass, "_cover", unbounded)
     assert _outcomes(requests, capsys) == pruned
-    assert len(taken) == len(requests)  # the plain loop ranks no pairs
+    assert len(taken) == len(requests)
+    assert all(count == pairs for pairs, count in taken)
 
 
 def test_start_up_leaves_the_enclosure_unloaded():

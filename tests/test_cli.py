@@ -549,17 +549,26 @@ class TestClosedStdout:
     """A reader that has gone away is an output I/O error (exit 4), not a
     verdict, and prints no traceback."""
 
-    @pytest.mark.parametrize("unbuffered", [False, True])
+    CORPUS = ["corpus"]
+    QCLASS = ["qclass", "--fn", "sin(x)", "--q", "2", "--a", "0.000001", "--b", "3.141592", "--grid", "8"]
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv,unbuffered",
         [
-            ["corpus"],
-            ["qclass", "--fn", "sin(x)", "--q", "2", "--a", "0.000001", "--b", "3.141592", "--grid", "8"],
+            (CORPUS, False),
+            (CORPUS, True),
+            (QCLASS, False),
+            (QCLASS, True),
+            # argparse prints help inside parse_args; unbuffered, it ignores
+            # the failed write itself and exits 0, which is left as it is
+            (["--help"], False),
+            (["qclass", "--help"], False),
         ],
+        ids=["argv0-False", "argv0-True", "argv1-False", "argv1-True", "help-False", "qclass-help-False"],
     )
     def test_exit_code_is_an_io_error(self, argv, unbuffered):
-        # buffered, the short qclass report meets the closed pipe only when
-        # stdout is flushed; unbuffered, at its first line
+        # buffered, the short qclass report and the help meet the closed pipe
+        # only when stdout is flushed; unbuffered, at their first line
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from glbounds import parse
 from glbounds.enclosure import (
-    Declined,
     _compile_jet,
     compile_second_derivative,
     compile_value,
@@ -73,8 +72,9 @@ def test_enclosure_covers_the_float_jet(ast, cell, data):
     ],
 )
 def test_declines_where_the_jet_may_raise(text, lo, hi):
-    with pytest.raises(Declined):
-        compile_second_derivative(parse(text))(lo, hi)
+    # what cannot be bounded is unbounded, whether at compile time or on the cell
+    e = parse(text)
+    assert compile_second_derivative(e)(lo, hi) == compile_value(e)(lo, hi) == math.inf
 
 
 @pytest.mark.parametrize(
@@ -114,5 +114,5 @@ def test_sup_power_bounds_every_smaller_base():
         sup = sup_power(s, q)
         assert all(d**q <= sup for d in (s, math.nextafter(s, 0.0), 0.5 * s, 0.0))
         assert sup <= s**q * (1.0 + 1e-12) + 1e-300
-    with pytest.raises(Declined):
-        sup_power(1e200, 2.0)
+    assert sup_power(1e200, 2.0) == math.inf  # overflows
+    assert sup_power(math.inf, 1.0) == math.inf

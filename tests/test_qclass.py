@@ -23,11 +23,11 @@ from glbounds import (
     sweep_rows,
 )
 from glbounds.cli import main
-from glbounds.expressions import Bin, Const, ExpressionError
+from glbounds.expressions import Bin, Const, DomainError, ExpressionError
 from glbounds.qclass import DEFAULT_TOL, _PointMemo, _cover, _decide, _q_power, bound_memberships
 from glbounds.ratio import cell_cover, pair_bound_rows, power_cover
 from conftest import examples
-from oracles import nonneg_convex_witness, ranked_pairs_eager
+from oracles import nonneg_convex_witness, plain_scan, ranked_pairs_eager
 from test_expressions import _tree_strategy
 
 SINE_INTERVAL = Interval(0.000001, 3.141592)
@@ -248,14 +248,19 @@ def record_taken(monkeypatch):
 def pruned_and_unpruned(text, iv, grid_n=64, q=None):
     """g, and the scan of it with no cover and with its cover: g = f for q None
     (qclass --g, check_expression), else |f''|^q (qclass --fn,
-    membership_for_bound). Asserts that the cover exists."""
+    membership_for_bound). Asserts that both give the plain loop's outcome
+    (oracles.plain_scan), exceptions included."""
     e = parse(text)
-    assert _cover(e, iv, grid_n, of_value=q is None) is not None
     if q is None:
-        g = value_of(text)
-        return g, [check_godunova_levin(g, iv, grid_n), check_expression(e, iv, grid_n)]
-    reports = [check_godunova_levin(_q_power(e, q), iv, grid_n), membership_for_bound(e, iv, q, grid_n)]
-    return second_derivative_power(text, q), reports
+        g = ref_g = value_of(text)
+        covered = lambda: check_expression(e, iv, grid_n)
+    else:
+        g, ref_g = _q_power(e, q), second_derivative_power(text, q)
+        covered = lambda: membership_for_bound(e, iv, q, grid_n)
+    plain = _outcome(lambda: plain_scan(g, iv, grid_n))
+    outcomes = [_outcome(lambda: check_godunova_levin(g, iv, grid_n)), _outcome(covered)]
+    assert outcomes == [plain, plain]
+    return ref_g, [rep for rep, _ in outcomes]
 
 
 class TestAgainstPlainLoop:
@@ -268,7 +273,7 @@ class TestAgainstPlainLoop:
         e = parse(entry.expression)
         g = second_derivative_power(entry.expression, q)
         ref = reference_scan(g, entry.interval)
-        assert _cover(e, entry.interval, 64) is not None
+        assert math.inf not in _cover(e, entry.interval, 64).sup  # every cell bounded
         assert same_report(membership_report(name, q), ref)
         assert same_report(check_godunova_levin(_q_power(e, q), entry.interval), ref)
         if (name, q) == ("sine", 1.0):
@@ -294,6 +299,12 @@ class TestAgainstPlainLoop:
             # margin, near lam = 1/2 (998 of the 64^3 triples, 110 of the 31^3)
             ("1e308*sin(x)", Interval(0.1, 6.2), 64, None),
             ("1e308*sin(x)", Interval(0.1, 6.2), 31, None),
+            # partial covers: inf on the cells holding a pole or a kink
+            ("1/x", Interval(-1.0, 1.0), 64, None),
+            ("abs(x-0.3)", UNIT_IV, 128, None),
+            ("abs(x-0.3)", UNIT_IV, 64, 2.0),
+            # an exponent that depends on x: inf on every cell
+            ("x^x", Interval(0.5, 2.0), 64, None),
         ],
         ids=[
             "composite-fn-q2",
@@ -309,6 +320,10 @@ class TestAgainstPlainLoop:
             "identity-negative",
             "nan-margins-64",
             "nan-margins-31",
+            "pole-g",
+            "kink-g-128",
+            "kink-fn-q2",
+            "power-of-x-g",
         ],
     )
     def test_other_scans_match(self, text, iv, grid_n, q):
@@ -318,7 +333,7 @@ class TestAgainstPlainLoop:
 
     def test_pairs_with_a_negative_end_are_kept(self, monkeypatch):
         taken = record_taken(monkeypatch)
-        pruned_and_unpruned("x", Interval(-1.0, 1.0))
+        check_expression(parse("x"), Interval(-1.0, 1.0))
         [pairs] = taken
         negative = range(32)  # g = x < 0 at the first half of the grid
         # such a pair has b = inf, so the walk visits it rather than stop there
@@ -384,7 +399,7 @@ class TestAgainstPlainLoop:
         z = lam2 * xs[r] + (1.0 - lam2) * xs[t]
         values[z.hex()] = 1.0 / lam2 + 1.0 / (1.0 - lam2)
         g = lambda x: values[x.hex()]
-        cover = cell_cover(lambda e: lambda lo, hi: 10.0 if lo <= z <= hi else 1.0, None, xs)
+        cover = cell_cover(lambda lo, hi: 10.0 if lo <= z <= hi else 1.0, xs)
         assert cover.sup.count(10.0) == 1
         bound = list(pair_bound_rows([g(x) for x in xs], cover))
         assert bound[r][t - r] > bound[p][q - p]
@@ -440,6 +455,16 @@ class TestNonFinite:
         e = parse("(1e200*x)*(1e200*x)-(1e200*x)*(1e200*x)")
         with pytest.raises(ValueError, match="not finite"):
             membership_for_bound(e, Interval(0.5, 1.0), 1.0, grid_n=8)
+
+    def test_an_error_off_the_grid_is_the_first_in_lam_major_order(self, capsys):
+        # g is finite at every grid point and raises at scan points near c:
+        # the walk alone would meet -4.997523459242999e-05 first
+        text = "sqrt((x-0.5393847733123374)^2-5e-05)"
+        argv = ["qclass", "--g", text, "--a", "0", "--b", "1", "--grid", "31"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: sqrt of negative value -6.355248700360323e-06\n")
+        plain = _outcome(lambda: plain_scan(value_of(text), UNIT_IV, 31))
+        assert plain == (DomainError, "sqrt of negative value -6.355248700360323e-06")
 
 
 class TestMembershipForBound:
@@ -549,9 +574,10 @@ class TestProof:
             assert membership_for_bound(e, iv, q).passed is decided
 
     def test_declines_without_a_cover_or_on_any_error(self, monkeypatch):
+        # a pole leaves one cell unbounded, where g may raise: the scan decides
+        pole = parse("1/x")
+        assert _decide(pole, 1.0, _cover(pole, Interval(-1.0, 1.0), 64)) is None
         e = parse("x^2")
-        assert _cover(parse("1/x"), Interval(-1.0, 1.0), 64) is None
-        assert _decide(e, 1.0, None) is None
         cover = _cover(e, UNIT_IV, 64)
         assert _decide(e, 1.0, cover) is True
 
@@ -642,9 +668,9 @@ class TestProof:
             ("x^4", UNIT_IV, (1.0, 2.0, 3.0)),  # its one hot pair holds at every q
             ("sin(x)", SINE_INTERVAL, (1.0, 2.5)),  # fails at the first hot pair
             (COMPOSITE, Interval(0.0, 3.0), (1.0, 2.0, 3.0)),  # passes, then fails deep in the list
-            ("1/x", Interval(-1.0, 1.0), (1.0,)),  # no cover (a pole); the scan fails
-            ("abs(x-0.3)", UNIT_IV, (1.0, 2.0)),  # no cover (a kink); the scan passes
-            ("abs(x-0.0859375)", UNIT_IV, (1.0,)),  # no cover; the scan raises at the kink
+            ("1/x", Interval(-1.0, 1.0), (1.0,)),  # a pole's cell is inf; the scan fails
+            ("abs(x-0.3)", UNIT_IV, (1.0, 2.0)),  # a kink's cell is inf; the scan passes
+            ("abs(x-0.0859375)", UNIT_IV, (1.0,)),  # the scan raises at the kink
             ("exp(x)", Interval(300.0, 301.0), (1.0, 3.0)),  # decided at q = 1; |f''|^3 overflows in the scan
         ],
     )
@@ -653,6 +679,12 @@ class TestProof:
         decided = _outcome(lambda: bound_memberships(e, iv, qs))
         scanned = _outcome(lambda: {q: membership_for_bound(e, iv, q).passed for q in qs})
         assert decided == scanned
+
+    def test_a_pole_leaves_only_its_cell_unbounded(self):
+        cover = _cover(parse("1/x"), Interval(-1.0, 1.0), 64)
+        unbounded = [k for k, s in enumerate(cover.sup) if s == math.inf]
+        assert unbounded == [31]  # cell 31 joins x_31 = -1/64 and x_32 = 1/64
+        assert cover.lows[31] < 0.0 < cover.highs[32]
 
     @pytest.mark.parametrize(
         "iv",
@@ -698,27 +730,31 @@ class TestProof:
     )
     def test_every_scan_margin_is_within_its_pair_bound(self, e, ends, grid_n, q):
         """For g = f (q None) and g = |f''|^q: every float margin the scan
-        computes for a pair of grid points is at most the pair's bound."""
+        computes for a pair of grid points is at most the pair's bound. A
+        pair with b = inf reads a cell where g may raise, and is skipped."""
         assume(ends[0] < ends[1])
         iv, n = Interval(*ends), grid_n
         cover = _cover(e, iv, n, of_value=q is None)
-        if cover is not None and q is not None:
+        if q is not None:
             cover = power_cover(cover, q)
-        if cover is None:
-            return  # no bounds to check
         # g at each point, zeros kept by sign, as the scan keeps it
         memo = _PointMemo(compile_expression(e)[0] if q is None else _q_power(e, q))
         xs = cover.xs
-        gx = [memo[x] for x in xs]
+        try:
+            gx = [memo[x] for x in xs]
+        except (ExpressionError, ValueError, ArithmeticError):
+            return  # the scan raises before it ranks
         bound = list(pair_bound_rows(gx, cover))
         for k in range(n):
             lam = (k + 0.5) / n
             clam = 1.0 - lam
             for i, xi in enumerate(xs):
                 for j, xj in enumerate(xs):
-                    m = memo[lam * xi + clam * xj] - (gx[i] / lam + gx[j] / clam)
                     lo, hi = min(i, j), max(i, j)
-                    assert not m > bound[lo][hi - lo], (xi, xj, lam)
+                    b = bound[lo][hi - lo]
+                    if b < math.inf:
+                        m = memo[lam * xi + clam * xj] - (gx[i] / lam + gx[j] / clam)
+                        assert not m > b, (xi, xj, lam)
 
     @pytest.mark.parametrize("q", [2.0, 3.0])
     def test_quartic_keeps_at_most_one_hot_pair(self, q):
@@ -757,12 +793,13 @@ class TestPruning:
         assume(ends[0] < ends[1])
         iv = Interval(*ends)
         if q is None:  # qclass --g
+            g = compile_expression(e)[0]
             pruned = lambda: check_expression(e, iv, grid_n)
-            unpruned = lambda: check_godunova_levin(compile_expression(e)[0], iv, grid_n)
         else:  # qclass --fn
+            g = _q_power(e, q)
             pruned = lambda: membership_for_bound(e, iv, q, grid_n)
-            unpruned = lambda: check_godunova_levin(_q_power(e, q), iv, grid_n)
-        assert _outcome(pruned) == _outcome(unpruned)
+        plain = _outcome(lambda: plain_scan(g, iv, grid_n))
+        assert _outcome(pruned) == _outcome(lambda: check_godunova_levin(g, iv, grid_n)) == plain
 
     @pytest.mark.parametrize(
         "name", [e.name for e in corpus_entries() if e.membership is not ExpectedMembership.EXPECT_FAIL]
@@ -781,6 +818,22 @@ class TestPruning:
         assert rep.passed
         assert len(seen) < len(scan_points(iv, 64))
 
+    def test_a_partial_cover_skips_points(self):
+        # abs declines on the one cell holding its kink: the walk visits the
+        # pairs that read it, and still stops before most of the rest
+        e, n = parse("abs(x-0.3)"), 128
+        cover = _cover(e, UNIT_IV, n, of_value=True)
+        assert cover.sup.count(math.inf) == 1
+        seen = Counter()
+        f, _ = compile_expression(e)
+
+        def g(x):
+            seen[x.hex()] += 1
+            return f(x)
+
+        assert check_godunova_levin(g, UNIT_IV, n, cover=cover).passed
+        assert len(seen) < len(scan_points(UNIT_IV, n))
+
 
 _RANKED = (
     st.one_of(_tree_strategy(), st.sampled_from([parse(e.expression) for e in corpus_entries()])),
@@ -797,12 +850,11 @@ class TestRanking:
     @staticmethod
     def _both(e, iv, grid_n, q, floor):
         """The lazy and the eager ranking of the pairs of g = f (q None) or
-        g = |f''|^q on iv; None where there is no cover."""
+        g = |f''|^q on iv, b = inf on the pairs that read a cell where the
+        enclosure declines; None where g raises at a grid point."""
         cover = _cover(e, iv, grid_n, of_value=q is None)
-        if cover is not None and q is not None:
+        if q is not None:
             cover = power_cover(cover, q)
-        if cover is None:
-            return None
         try:
             g = compile_expression(e)[0] if q is None else _q_power(e, q)
             gx = [g(x) for x in cover.xs]
