@@ -124,8 +124,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(
             f"lambda grid must satisfy 0 <= start <= end <= 1, got {start!r}:{end!r}"
         )
-    if not step > 0.0:
-        raise ValueError(f"lambda grid step must be positive, got {step!r}")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"lambda grid step must be positive and finite, got {step!r}")
     # inclusive of end when (end-start)/step is integral within 1e-9; inf for a tiny step
     span = (end - start) / step + 1e-9
     if not span < MAX_SWEEP_LAMBDAS:
@@ -227,8 +227,16 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a failed write of help or usage raises, so main sees a closed stdout."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="glbounds",
         description="Verify lambda-parameterized quadrature error bounds over the "
         "Godunova-Levin function class.",

@@ -26,12 +26,13 @@ hottest first by that bound, computing each margin as the loop does. The
 scan is that walk, stopped where no pair left can change its report, and
 its report and first error are the loop's. The walk takes its pairs from a
 lazy ranking (ratio.ranked_pairs), which sorts only the rows it takes a
-pair from. bound_memberships needs no report, so for each q _decide first
-walks only the pairs above the tolerance and answers after the pair that
-holds the first violation (with none, or no such pair, the scan passes).
-Where every cell is finite the scan would raise nothing, so the answer is
-the scan's, and the scan is not run. Where _decide declines, the scan
-decides. The cover never leaves this module.
+pair from. bound_memberships needs no report, so for each q _decide walks
+only the pairs above the tolerance and answers after the pair that holds
+the first violation (with none, or no such pair, the scan passes). The
+pairs with b = inf come first and hold every point where g may raise, so
+_decide answers False only once they are all visited, and raises the
+scan's error where the scan would: it answers every input as the scan
+would, and bound and sweep run no scan. The cover never leaves this module.
 
 DEFAULT_GRID_N and DEFAULT_TOL are decided here only: bound and sweep scan
 with them, and they are the defaults of the CLI's qclass --grid and --tol.
@@ -123,22 +124,24 @@ def _check_q(q: float) -> None:
 class _PointMemo(dict):
     """g at each distinct point it is asked for, keyed on the exact float.
 
-    0.0 and -0.0 compare equal as keys but g may tell them apart, so zeros
-    are kept by sign outside the dict and every lookup of one lands here.
+    Raises ValueError naming x where g(x) is not finite: NaN fails every
+    comparison, so a scan could never flag it. 0.0 and -0.0 compare equal as
+    keys but g may tell them apart, so a zero is kept under the key (sign,)
+    and every lookup of one lands here.
     """
 
     def __init__(self, g: Callable[[float], float]) -> None:
         super().__init__()
         self._g = g
-        self._zeros: dict[float, float] = {}
 
     def __missing__(self, x: float) -> float:
-        if x == 0.0:
-            sign = math.copysign(1.0, x)
-            if sign not in self._zeros:
-                self._zeros[sign] = self._g(x)
-            return self._zeros[sign]
-        v = self[x] = self._g(x)
+        key = (math.copysign(1.0, x),) if x == 0.0 else x
+        if key in self:  # a zero's value, kept by sign
+            return self[key]
+        v = self._g(x)
+        if not math.isfinite(v):
+            raise ValueError(f"g is not finite at x={x!r}: {v!r}")
+        self[key] = v
         return v
 
 
@@ -176,8 +179,9 @@ def check_godunova_levin(
     g is called once per distinct sample point the scan visits (the triples
     share 2n^2 to about 9n^2 points), so it must be deterministic; the values
     are held until the scan returns. Raises ValueError naming x when g(x) is
-    not finite. Where g raises, or is not finite, at several points, the
-    error is that of the first in the order lam, x, y.
+    not finite (_PointMemo). Where g raises, or is not finite, at several
+    points, the error is that of the first grid point in order, or, with
+    none there, of the first point in the order lam, x, y.
 
     Each pair of grid lams that mirror each other exactly is scanned once:
     the later lam of the pair sees the same margins as the earlier one, so it
@@ -206,14 +210,7 @@ def check_godunova_levin(
     if cover is None:
         cover = cell_cover(lambda lo, hi: math.inf, xs)
 
-    def sample(x: float) -> float:
-        v = g(x)
-        if not math.isfinite(v):
-            # NaN fails every comparison, so the scan could never flag it
-            raise ValueError(f"g is not finite at x={x!r}: {v!r}")
-        return v
-
-    memo = _PointMemo(sample)
+    memo = _PointMemo(g)
     gx = [memo[x] for x in xs]
 
     # a failing scan records thousands of violations, so each Violation is
@@ -228,20 +225,9 @@ def check_godunova_levin(
             max_margin = max(max_margin, gv - rhs)
 
     pairs = ranked_pairs(gx, cover, -math.inf)
-    try:
-        # the walk's last yield, after its last pair, is the largest margin
-        for max_margin in _walk(pairs, xs, gx, memo, tol, raw, max_margin):
-            pass
-    except Exception:
-        # the walk meets the points in another order than the loop, so ask
-        # for them in the loop's order: its first failing point raises
-        for lam, _, _ in _visits(n):
-            cols = [(1.0 - lam) * y for y in xs]
-            for x in xs:
-                base = lam * x
-                for c in cols:
-                    memo[base + c]
-        raise
+    # the walk's last yield, after its last pair, has the largest margin
+    for _, max_margin in _walk(pairs, xs, gx, memo, tol, raw, max_margin):
+        pass
 
     # tuples dedup and sort as the Violations would: field by field, stably
     unique = sorted(dict.fromkeys(raw), key=itemgetter(0, 1, 2))
@@ -265,6 +251,18 @@ def _visits(n: int) -> list[tuple[float, float, bool]]:
     return visits
 
 
+def _lam_major(xs: list[float]) -> Iterator[tuple[tuple[float, float, bool], float, list[float]]]:
+    """The rows of the lam-major loop that defines the scan of the grid xs, in
+    its order: for each visit of _visits, then each grid point x, the visit,
+    x and the points lam*x + (1-lam)*y of every grid point y in turn."""
+    for visit in _visits(len(xs)):
+        lam = visit[0]
+        cols = [(1.0 - lam) * y for y in xs]
+        for x in xs:
+            base = lam * x
+            yield visit, x, [base + c for c in cols]
+
+
 def _walk(
     pairs: Iterable[tuple[float, int, int]],
     xs: list[float],
@@ -273,17 +271,17 @@ def _walk(
     tol: float,
     raw: Raw,
     top: float,
-) -> Iterator[float]:
+) -> Iterator[tuple[float, float]]:
     """Visit the pairs (b, i, j) of grid points, i <= j, in the order given
     (ratio.ranked_pairs: highest b first), each at every lam of _visits in
-    both orders of its points, and yield top, the largest margin so far,
-    once after each pair: a caller that stops at the first violation reads
-    raw between pairs, at the cost of the rest of that pair's margins (63 at
-    most at grid 64, two for each of its 32 visits). Margins, and violations
-    with their mirrors in raw, are as the lam-major loop that defines the
-    scan computes and records them. Of margins tied at top (0.0 and -0.0
-    compare equal), the first in lam-major order (visit, row, column) is
-    kept, as in that loop.
+    both orders of its points, and yield (b, top), the pair's bound and the
+    largest margin so far, once after each pair: a caller that stops at the
+    first violation reads raw between pairs, at the cost of the rest of that
+    pair's margins (63 at most at grid 64, two for each of its 32 visits).
+    Margins, and violations with their mirrors in raw, are as the lam-major
+    loop that defines the scan computes and records them. Of margins tied at
+    top (0.0 and -0.0 compare equal), the first in lam-major order (visit,
+    row, column) is kept, as in that loop.
 
     The walk stops at the first pair with b <= tol and b < top: every margin
     of a pair is at most its bound (ratio.pair_bound_rows), and no bound left
@@ -293,30 +291,39 @@ def _walk(
 
     A finite cell proves g finite, and raising nothing, at every point of
     the cell; a cell where the enclosure behind the cover declines is inf.
-    Every point the walk asks for lies in a cell of its pair, so a pair with
-    a point where g raises has b = inf and is visited: the walk raises where
-    the loop does, though maybe first at another point.
+    Every point the walk asks for lies in a cell of its pair, so a point
+    where g raises lies only in pairs with b = inf, which rank before every
+    other pair. The walk meets the points in another order than the loop, so
+    where it raises it asks for them again in the loop's order (_lam_major;
+    the values it has cost nothing), and the loop's first failing point
+    raises.
     """
     visits = _visits(len(xs))
     steps = [(lam, 1.0 - lam) for lam, _, _ in visits]
     at = (-1, 0, 0)  # where top is in lam-major order; -1 is before every visit
-    for b, i, j in pairs:
-        if b <= tol and b < top:
-            return
-        for p, q in ((i, j), (j, i)) if i < j else ((i, i),):
-            xp, xq, gp, gq = xs[p], xs[q], gx[p], gx[q]
-            for v, (lam, clam) in enumerate(steps):
-                lhs = memo[lam * xp + clam * xq]
-                rhs = gp / lam + gq / clam
-                m = lhs - rhs
-                if m >= top and (m > top or (v, p, q) < at):
-                    top, at = m, (v, p, q)
-                if m > tol:
-                    _, mirror, paired = visits[v]
-                    raw.append((xp, xq, lam, lhs, rhs))
-                    if paired:
-                        raw.append((xq, xp, mirror, lhs, rhs))
-        yield top
+    try:
+        for b, i, j in pairs:
+            if b <= tol and b < top:
+                return
+            for p, q in ((i, j), (j, i)) if i < j else ((i, i),):
+                xp, xq, gp, gq = xs[p], xs[q], gx[p], gx[q]
+                for v, (lam, clam) in enumerate(steps):
+                    lhs = memo[lam * xp + clam * xq]
+                    rhs = gp / lam + gq / clam
+                    m = lhs - rhs
+                    if m >= top and (m > top or (v, p, q) < at):
+                        top, at = m, (v, p, q)
+                    if m > tol:
+                        _, mirror, paired = visits[v]
+                        raw.append((xp, xq, lam, lhs, rhs))
+                        if paired:
+                            raw.append((xq, xp, mirror, lhs, rhs))
+            yield b, top
+    except Exception:
+        for _, _, points in _lam_major(xs):
+            for z in points:
+                memo[z]
+        raise
 
 
 def check_expression(
@@ -338,41 +345,27 @@ def membership_for_bound(
     tol: float = DEFAULT_TOL,
 ) -> QClassReport:
     """Scan x -> |f''(x)|^q, the function whose membership the bound assumes:
-    qclass --fn. The scan walks the pairs by a cover of |f''|, with the same report.
+    qclass --fn. The scan walks the pairs by a cover of |f''|^q, with the same report.
     """
     _check_q(q)
-    return _scan_power(e, iv, q, grid_n, tol, _cover(e, iv, grid_n, tol))
+    cover = _cover(e, iv, grid_n, tol)
+    from .ratio import power_cover  # loaded with the cover
+
+    return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, cover=power_cover(cover, q))
 
 
 def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[float, bool]:
     """q -> whether membership_for_bound(e, iv, q) passes, for each q of q_list
     in order: the membership decision of bound and sweep.
 
-    One cover of |f''| serves every q. For each q the decision by the ratio
-    lemma (_decide) answers where it can, and the scan, which walks the pairs
-    by the same cover, where it declines. The decision answers only where the
-    scan would raise nothing, and then as the scan would, so the answers, and
-    the first error raised, are the scans'.
+    One cover of |f''| serves every q, and the decision by the ratio lemma
+    (_decide) answers each q without a scan. Its answers, and the first error
+    it raises, are the scans'.
     """
     for q in q_list:
         _check_q(q)
     cover = _cover(e, iv, DEFAULT_GRID_N)
-    passed = {}
-    for q in dict.fromkeys(q_list):
-        decided = _decide(e, q, cover)
-        if decided is None:
-            decided = _scan_power(e, iv, q, DEFAULT_GRID_N, DEFAULT_TOL, cover).passed
-        passed[q] = decided
-    return passed
-
-
-def _scan_power(
-    e: Node, iv: Interval, q: float, grid_n: int, tol: float, cover: CellCover
-) -> QClassReport:
-    """The scan of x -> |f''(x)|^q, walking the pairs by cover, of |f''| on its cells."""
-    from .ratio import power_cover  # loaded with the cover
-
-    return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, cover=power_cover(cover, q))
+    return {q: _decide(e, q, cover) for q in dict.fromkeys(q_list)}
 
 
 def _q_power(e: Node, q: float) -> Callable[[float], float]:
@@ -408,37 +401,29 @@ def _cover(
     return cell_cover((compile_value if of_value else compile_second_derivative)(e), xs)
 
 
-def _decide(e: Node, q: float, cover: CellCover) -> bool | None:
+def _decide(e: Node, q: float, cover: CellCover) -> bool:
     """membership_for_bound(e, iv, q).passed, decided without the scan, for
-    the iv that cover = _cover(e, iv, DEFAULT_GRID_N) was built on; None
-    where this cannot be done, and the scan decides.
+    the iv that cover = _cover(e, iv, DEFAULT_GRID_N) was built on, or the
+    error that scan raises.
 
     Only a pair whose bound is above DEFAULT_TOL can hold a violation
     (ratio.pair_bound_rows), so _walk visits just those pairs, hottest
-    first: the pair that holds the first violation answers False, and none,
-    or no such pair at all (the ratio lemma's proof), answers True. g >= 0,
-    so the scan's check for negative values never fires, and g raises
-    nothing where every cell of the power cover is finite (_walk), so the
-    scan fails wherever some violation is found. An inf cell, where g may
-    raise, a g value at a grid point that is not finite, and any exception
-    mean None.
+    first. g >= 0, so the scan's check for negative values never fires. The
+    pairs with b = inf come first, and they hold every point where g may
+    raise (_walk), so the walk raises where the scan does, with its error.
+    Once they are all visited, the pair that holds the first violation
+    answers False: after it where its b is finite, else after the first pair
+    with a finite b, or at the end of the walk. No violation at all, or no
+    pair to visit (the ratio lemma's proof), answers True.
     """
     from .ratio import power_cover, ranked_pairs  # loaded with the cover
 
-    power = power_cover(cover, q)
-    if math.inf in power.sup:
-        return None
-    try:
-        memo = _PointMemo(_q_power(e, q))
-        gx = [memo[x] for x in cover.xs]
-        if not all(map(math.isfinite, gx)):
-            return None
-        hot = ranked_pairs(gx, power, DEFAULT_TOL)
-        raw: Raw = []
-        # no margin is reported, so top starts at inf, where no margin reaches it
-        for _ in _walk(hot, cover.xs, gx, memo, DEFAULT_TOL, raw, math.inf):
-            if raw:
-                return False
-        return True
-    except Exception:  # declining is always safe: the scan decides
-        return None
+    memo = _PointMemo(_q_power(e, q))
+    gx = [memo[x] for x in cover.xs]
+    hot = ranked_pairs(gx, power_cover(cover, q), DEFAULT_TOL)
+    raw: Raw = []
+    # no margin is reported, so top starts at inf, where no margin reaches it
+    for b, _ in _walk(hot, cover.xs, gx, memo, DEFAULT_TOL, raw, math.inf):
+        if raw and b < math.inf:  # every pair where g may raise is visited
+            return False
+    return not raw

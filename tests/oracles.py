@@ -15,7 +15,7 @@ from typing import Callable
 
 from glbounds.expressions import Bin, Call, Const, Neg, Node, Pow, Var, compile_expression
 from glbounds.kernel import functional_terms
-from glbounds.qclass import QClassReport, Violation, _PointMemo, _visits
+from glbounds.qclass import QClassReport, Violation, _lam_major, _PointMemo
 from glbounds.quadrature import Interval, _sample
 from glbounds.ratio import CellCover, pair_bound_rows
 
@@ -115,19 +115,13 @@ def plain_scan(
     g: Callable[[float], float], iv: Interval, grid_n: int = 64, tol: float = 1e-12
 ) -> QClassReport:
     """qclass.check_godunova_levin as the lam-major loop that defines it: g
-    once per distinct point, an error where g is not finite, and one pass for
-    each exact mirror pair of lams. It computes every margin, in the order
-    lam, x, y, so it raises at the first point in that order where g raises."""
+    once per distinct point and an error where g is not finite (the scan's
+    _PointMemo), and one pass for each exact mirror pair of lams. It computes
+    every margin, in the order lam, x, y (the scan's _lam_major), so it
+    raises at the first point in that order where g raises."""
     n = grid_n
     xs = [iv.a + iv.width * (i + 0.5) / n for i in range(n)]
-
-    def sample(x: float) -> float:
-        v = g(x)
-        if not math.isfinite(v):
-            raise ValueError(f"g is not finite at x={x!r}: {v!r}")
-        return v
-
-    memo = _PointMemo(sample)
+    memo = _PointMemo(g)
     gx = [memo[x] for x in xs]
     raw = []
     max_margin = -math.inf
@@ -136,23 +130,20 @@ def plain_scan(
             rhs = gv / 0.5 + gv / 0.5
             raw.append((x, x, 0.5, gv, rhs))
             max_margin = max(max_margin, gv - rhs)
-    for lam, mirror, paired in _visits(n):
+    for (lam, mirror, paired), xi, points in _lam_major(xs):
         clam = 1.0 - lam
-        cols = list(zip(xs, [clam * y for y in xs], [v / clam for v in gx]))
-        for xi, gi in zip(xs, gx):
-            base = lam * xi
-            li = gi / lam
-            for xj, cj, rj in cols:
-                lhs = memo[base + cj]
-                rhs = li + rj
-                m = lhs - rhs
-                if m > max_margin:
-                    max_margin = m
-                if m > tol:
-                    raw.append((xi, xj, lam, lhs, rhs))
-                    if paired:
-                        # (x_j, x_i, mirror) has the same point and sides
-                        raw.append((xj, xi, mirror, lhs, rhs))
+        li = memo[xi] / lam
+        for xj, gj, z in zip(xs, gx, points):
+            lhs = memo[z]
+            rhs = li + gj / clam
+            m = lhs - rhs
+            if m > max_margin:
+                max_margin = m
+            if m > tol:
+                raw.append((xi, xj, lam, lhs, rhs))
+                if paired:
+                    # (x_j, x_i, mirror) has the same point and sides
+                    raw.append((xj, xi, mirror, lhs, rhs))
     unique = sorted(dict.fromkeys(raw), key=itemgetter(0, 1, 2))
     violations = tuple(map(Violation._make, unique))
     return QClassReport(n * n * n, violations, max_margin, not violations)

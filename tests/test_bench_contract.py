@@ -18,9 +18,11 @@ from pathlib import Path
 
 import pytest
 
+import glbounds.bounds
 import glbounds.qclass
 import glbounds.ratio
 from glbounds.cli import main
+from glbounds.qclass import membership_for_bound
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -80,35 +82,46 @@ def _outcomes(requests, capsys):
 
 
 def test_proofs_leave_every_benchmark_byte_alone(bench_on_path, tmp_path, monkeypatch, capsys):
-    """bound and sweep requests of one membership and one edge cycle give the
-    same bytes whether membership is decided by the ratio lemma or every scan
-    runs."""
+    """Every membership decision that the bound and sweep requests of one
+    membership and one edge cycle take is the scans' outcome, errors
+    included, so those requests give the bytes of a scan per q."""
     requests = []
     for workload in ("membership", "edge"):
         fixed, cycles = importlib.import_module("workloads").requests(workload, 1)
         requests += [argv for argv in fixed + next(cycles) if argv[0] in ("bound", "sweep")]
     monkeypatch.chdir(tmp_path)  # sweeps write sweep.csv / sweep.json here
-    decided = []
-    original = glbounds.qclass._decide
+    calls = []
+    original = glbounds.qclass.bound_memberships
 
-    def counted(*args):
-        decided.append(original(*args))
-        return decided[-1]
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(glbounds.qclass, "_decide", counted)
-    with_decisions = _outcomes(requests, capsys)
-    monkeypatch.setattr(glbounds.qclass, "_decide", lambda *args: None)
-    assert _outcomes(requests, capsys) == with_decisions
-    assert True in decided and False in decided  # both fast outcomes were taken
+    monkeypatch.setattr(glbounds.bounds, "bound_memberships", recorded)
+    _outcomes(requests, capsys)
+    decided = set()
+    for e, iv, q_list in calls:
+        outcome = _outcome(lambda: original(e, iv, q_list))
+        assert outcome == _outcome(lambda: {q: membership_for_bound(e, iv, q).passed for q in q_list})
+        if isinstance(outcome, dict):
+            decided.update(outcome.values())
+    assert decided == {True, False}  # both outcomes were taken
+
+
+def _outcome(call):
+    """The result, or the exception's type and message."""
+    try:
+        return call()
+    except Exception as exc:  # the exception is the outcome being compared
+        return (type(exc), str(exc))
 
 
 def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkeypatch):
     """Every qclass request of one membership cycle, and its bound requests
-    whose proof declines (x^4 at q > 1 and sine), give the same bytes whether
-    the scans walk their pairs hottest first and stop early, visit every pair,
-    or run with a cover that is inf on every cell. Those bound requests are
-    decided pair by pair without a scan, so the decision is turned off here
-    to make them scan."""
+    whose decision visits pairs (x^4 at q > 1 and sine), give the same bytes
+    whether the walks, the scans' and the decisions', take their pairs
+    hottest first and stop early, visit every pair, or run with a cover that
+    is inf on every cell."""
     fixed, cycles = importlib.import_module("workloads").requests("membership", 1)
     requests = [
         argv
@@ -116,7 +129,6 @@ def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkey
         if argv[0] == "qclass" or (argv[0] == "bound" and argv[2] in ("x^4", "sin(x)"))
     ]
     assert sum(argv[0] == "bound" for argv in requests) == 2
-    monkeypatch.setattr(glbounds.qclass, "_decide", lambda *args: None)
     taken = []
 
     def recording(rank):

@@ -305,8 +305,8 @@ _PROVEN = [
 
 
 class TestProvenMembership:
-    """CHECK mode labels CheckedPass from the enclosure proof where it holds,
-    and from a scan where the decision declines."""
+    """CHECK mode labels every report from the membership decision, which runs
+    no scan and answers as the scan does."""
 
     @pytest.mark.parametrize("text,iv", _PROVEN)
     def test_proof_labels_without_a_scan(self, monkeypatch, text, iv):
@@ -330,18 +330,14 @@ class TestProvenMembership:
         ],
     )
     def test_unproven_cases_reach_the_scan(self, monkeypatch, text, iv, q, status):
-        """Where the decision by the ratio lemma declines, one scan labels the report."""
-        scans = []
-        original = glbounds.qclass.check_godunova_levin
-
-        def counted(*args, **kwargs):
-            scans.append(args[1])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", counted)
-        monkeypatch.setattr(glbounds.qclass, "_decide", lambda *args: None)
-        assert evaluate_bound_report(parse(text), iv, 0.5, q).q_membership is status
-        assert scans == [iv]
+        """Where pairs stay above the tolerance, the decision visits them, and
+        the label reaches the scan's verdict without a scan."""
+        e = parse(text)
+        with monkeypatch.context() as m:
+            m.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+            assert evaluate_bound_report(e, iv, 0.5, q).q_membership is status
+        passed = membership_for_bound(e, iv, q).passed
+        assert status is (MembershipStatus.CHECKED_PASS if passed else MembershipStatus.CHECKED_FAIL)
 
     def test_sweeps_share_one_cover(self, monkeypatch):
         calls = []

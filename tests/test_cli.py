@@ -414,6 +414,14 @@ class TestSweep:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_infinite_step_is_named(self, tmp_path, monkeypatch, capsys):
+        # the lambda 0 + 0*inf would be nan, which the user never wrote
+        monkeypatch.setattr(glbounds.cli, "sweep_rows", None)  # no row may be computed
+        argv = ["sweep", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda-grid", "0:1:inf", "--q", "1",
+                "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: lambda grid step must be positive and finite, got inf\n")
+
 
 class TestQclass:
     def test_constant_passes(self, capsys):
@@ -559,12 +567,15 @@ class TestClosedStdout:
             (CORPUS, True),
             (QCLASS, False),
             (QCLASS, True),
-            # argparse prints help inside parse_args; unbuffered, it ignores
-            # the failed write itself and exits 0, which is left as it is
             (["--help"], False),
+            (["--help"], True),
             (["qclass", "--help"], False),
+            (["qclass", "--help"], True),
         ],
-        ids=["argv0-False", "argv0-True", "argv1-False", "argv1-True", "help-False", "qclass-help-False"],
+        ids=[
+            "argv0-False", "argv0-True", "argv1-False", "argv1-True",
+            "help-False", "help-True", "qclass-help-False", "qclass-help-True",
+        ],
     )
     def test_exit_code_is_an_io_error(self, argv, unbuffered):
         # buffered, the short qclass report and the help meet the closed pipe

@@ -23,7 +23,7 @@ from glbounds import (
     sweep_rows,
 )
 from glbounds.cli import main
-from glbounds.expressions import Bin, Const, DomainError, ExpressionError
+from glbounds.expressions import Bin, Const, DomainError, ExpressionError, NonSmoothError
 from glbounds.qclass import DEFAULT_TOL, _PointMemo, _cover, _decide, _q_power, bound_memberships
 from glbounds.ratio import cell_cover, pair_bound_rows, power_cover
 from conftest import examples
@@ -555,77 +555,75 @@ _PROOF_ENDS = st.one_of(
 )
 
 
-class TestProof:
-    """_decide may only answer where the scan raises nothing, and then as the scan
-    does; None leaves the scan to decide."""
+def _scans(e, iv, qs):
+    """What bound_memberships(e, iv, qs) must give: each q's scan passed, or
+    the first error."""
+    return _outcome(lambda: {q: membership_for_bound(e, iv, q).passed for q in qs})
 
-    @settings(max_examples=examples(100), deadline=None)  # about 60 ms per decided example
+
+class TestProof:
+    """bound_memberships answers every input as the scans do, errors included,
+    and runs no scan."""
+
+    @settings(max_examples=examples(100), deadline=None)  # about 60 ms per scanned example
     @given(
         st.one_of(_tree_strategy(), st.sampled_from([parse(e.expression) for e in corpus_entries()])),
         _PROOF_ENDS,
         st.floats(1.0, 3.0),
     )
     def test_a_proof_implies_the_scan_passes(self, e, ends, q):
-        """A decision, True or False, is the scan's passed, and that scan raises nothing."""
+        """A decision, True or False, is the scan's passed, and an error the
+        decision raises is the scan's."""
         assume(ends[0] < ends[1])
         iv = Interval(*ends)
-        decided = _decide(e, q, _cover(e, iv, 64))
-        if decided is not None:
-            assert membership_for_bound(e, iv, q).passed is decided
+        assert _outcome(lambda: bound_memberships(e, iv, (q,))) == _scans(e, iv, (q,))
 
-    def test_declines_without_a_cover_or_on_any_error(self, monkeypatch):
-        # a pole leaves one cell unbounded, where g may raise: the scan decides
-        pole = parse("1/x")
-        assert _decide(pole, 1.0, _cover(pole, Interval(-1.0, 1.0), 64)) is None
+    def test_partial_covers_and_errors_are_the_scans(self, monkeypatch):
+        # a pole leaves one cell unbounded, where g may raise; the scan fails
+        pole, iv = parse("1/x"), Interval(-1.0, 1.0)
+        assert math.inf in _cover(pole, iv, 64).sup
+        assert _outcome(lambda: bound_memberships(pole, iv, (1.0,))) == _scans(pole, iv, (1.0,)) == {1.0: False}
         e = parse("x^2")
-        cover = _cover(e, UNIT_IV, 64)
-        assert _decide(e, 1.0, cover) is True
 
         def broken(*args):
             raise RuntimeError("boom")
 
+        def same(e, iv, qs):
+            decided = _outcome(lambda: bound_memberships(e, iv, qs))
+            assert decided == _scans(e, iv, qs)
+            return decided
+
+        assert same(e, UNIT_IV, (1.0,)) == {1.0: True}
         with monkeypatch.context() as m:
             m.setattr(glbounds.qclass, "compile_expression", lambda e: (None, broken))
-            assert _decide(e, 1.0, cover) is None
+            assert same(e, UNIT_IV, (1.0,)) == (RuntimeError, "boom")
         with monkeypatch.context() as m:
             m.setattr(glbounds.qclass, "compile_expression", lambda e: (None, lambda x: (0.0, 0.0, math.inf)))
-            assert _decide(e, 1.0, cover) is None
+            assert same(e, UNIT_IV, (1.0,)) == (ValueError, "g is not finite at x=0.0078125: inf")
         # sine's decision visits pairs above the tolerance; a jet that raises
-        # off the grid points makes it decline there, rather than answer False
+        # off the grid points raises the scan's error there, rather than
+        # answering False at the first violation
         sine = parse("sin(x)")
-        sine_cover = _cover(sine, SINE_INTERVAL, 64)
-        assert _decide(sine, 1.0, sine_cover) is False
+        assert same(sine, SINE_INTERVAL, (1.0,)) == {1.0: False}
         _, jet = compile_expression(sine)
-        grid = set(sine_cover.xs)
+        grid = set(_cover(sine, SINE_INTERVAL, 64).xs)
         with monkeypatch.context() as m:
             m.setattr(glbounds.qclass, "compile_expression",
                       lambda e: (None, lambda x: jet(x) if x in grid else broken()))
-            assert _decide(sine, 1.0, sine_cover) is None
+            assert same(sine, SINE_INTERVAL, (1.0,)) == (RuntimeError, "boom")
 
-    def test_an_error_in_the_proof_leaves_the_scan_to_decide(self, monkeypatch):
-        scans = []
-        original_scan = glbounds.qclass.check_godunova_levin
-        original_rows = glbounds.ratio.pair_bound_rows
-
-        def counted(*args, **kwargs):
-            scans.append(args[1])
-            try:
-                return original_scan(*args, **kwargs)
-            finally:
-                scans.append(None)  # the scan has returned
-
-        def broken_in_the_proof(*args):
-            if len(scans) % 2 == 0:  # no scan is running
-                raise RuntimeError("boom")
-            return original_rows(*args)
-
-        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", counted)
-        monkeypatch.setattr(glbounds.ratio, "pair_bound_rows", broken_in_the_proof)
-        # x^2 on [0, 1] is proven at every q; with the proof broken each q is scanned
-        assert bound_memberships(parse("x^2"), UNIT_IV, (1.0, 2.0)) == {1.0: True, 2.0: True}
-        assert scans == [UNIT_IV, None, UNIT_IV, None]
-        # sine fails its scan; a proof that raises cannot turn that into a pass
-        assert bound_memberships(parse("-sin(x)"), SINE_INTERVAL, (1.0,)) == {1.0: False}
+    def test_unbounded_pairs_alone_decide_a_kink(self, monkeypatch):
+        """|f''| of abs(x-0.3) is 0 wherever it is defined, so only the 855
+        pairs that read the kink's unbounded cell are above the tolerance; the
+        decision visits those and no other, and passes."""
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        taken = record_taken(monkeypatch)
+        assert bound_memberships(parse("abs(x-0.3)"), UNIT_IV, (2.0,)) == {2.0: True}
+        assert len(taken) == 1 and len(taken[0]) == 855 < 64 * 65 // 2
+        assert all(b == math.inf for b, _, _ in taken[0])
+        # the kink on a grid point's scan point: the scan's error, with no scan
+        with pytest.raises(NonSmoothError, match="^abs is not differentiable where its argument is 0$"):
+            bound_memberships(parse("abs(x-0.0859375)"), UNIT_IV, (1.0,))
 
     def test_a_violation_ends_the_decision_without_a_scan(self, monkeypatch):
         monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
