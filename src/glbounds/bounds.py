@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .coefficients import CoefficientSet, Regime, _check_lambda, coeff_total_q1, coefficient_set
-from .expressions import Node, compile_expression
+from .expressions import Node, _compile_jet
 from .kernel import functional_terms
 from .qclass import _check_q, bound_memberships
 from .quadrature import Interval
@@ -197,7 +197,7 @@ def proposition_bound(
 
 def _endpoint_weights(e: Node, iv: Interval) -> tuple[float, float]:
     """|f''(a)| and |f''(b)|, the weights every bound is built from."""
-    _, jet = compile_expression(e)
+    jet = _compile_jet(e)
     return abs(jet(iv.a)[2]), abs(jet(iv.b)[2])
 
 

@@ -1,43 +1,52 @@
 """Outward-rounded interval enclosure of the float jet of an expression.
 
-compile_second_derivative(node) walks the same tree as compile_expression and
-returns cell -> sup |f''| over the cell, where f'' is the float value that the
-jet closure computes, x -> compile_expression(node)[1](x)[2], at every float x
-in the closed cell [lo, hi]. It encloses that float value, not the real f'':
-every interval operation mirrors one float operation of the jet closure, in
-the same order, on intervals holding its operands. compile_value(node) bounds
-f the same way, from the same walk: the jet's value component is computed
-by the same float operations as the value closure compile_expression(node)[0],
-so one enclosure covers both.
+compile_second_derivative(node) returns cells -> one bound per cell [lo, hi]
+of |f''|, where f'' is the float value that the jet closure computes,
+x -> compile_expression(node)[1](x)[2], at every float x in the cell. It
+encloses that float value, not the real f''. compile_value(node) bounds f
+the same way: the jet's value component is computed by the same float
+operations as the value closure compile_expression(node)[0].
 
-Soundness. Round-to-nearest is monotone, so for +, -, *, / and sqrt (all
-correctly rounded) the float result of operands taken from two intervals lies
-between the float results at the corners, which is what the interval
-operations compute; each result is then moved one float outward with
-math.nextafter for good measure. exp, ln, sin, cos and ** go through libm,
-which is assumed accurate to 1 ulp (glibc documents less for all five on
-x86-64); their enclosures take the real function's range, bounded by libm
-values at the extremes, and widen it by 2^-50 relative (twice the 2 ulps
-that two libm errors, at the extreme and at the point, can add up to) plus
-an absolute 2^-1070 for results in the subnormal range.
+Soundness holds by construction: the enclosure is the jet closure itself.
+glbounds.expressions writes each derivative rule, and the walk that strings
+them together, once for any arithmetic (_jet_rules, _jet_compiler), and here
+they run on a batch of cells, _Cells, in place of a float. A batch holds one
+interval per cell, and each of +, -, *, /, unary -, float * batch and
+** constant is one pass over the cells; so every float operation of the jet
+is an interval operation here, in the same order, on intervals holding its
+operands. Only the constants and x, the elementary functions, abs, and how
+an exponent is taken (once here, where it is free of x) are this module's.
+
+Round-to-nearest is monotone, so for +, -, *, / and sqrt (all correctly
+rounded) the float result of operands taken from two intervals lies between
+the float results at the corners, which is what the interval operations
+compute; each result is then moved one float outward with math.nextafter
+for good measure. exp, ln, sin, cos and ** go through libm, which is assumed
+accurate to 1 ulp (glibc documents less for all five on x86-64); their
+enclosures take the real function's range, bounded by libm values at the
+extremes, and widen it by 2^-50 relative (twice the 2 ulps that two libm
+errors, at the extreme and at the point, can add up to) plus an absolute
+2^-1070 for results in the subnormal range.
 
 It declines wherever the float jet could raise or go non-finite in the cell:
 a divisor interval holding 0; ln or sqrt of an argument touching <= 0; abs of
 an argument holding 0; a non-integer power of a base touching <= 0, a
 negative integer power of a base holding 0, and any exponent that depends on
-x; exp or ** overflowing; and any interval end that is not finite. As in
-interval arithmetic generally, what cannot be bounded is unbounded: the bound
-is inf on a cell where it declines, and on every cell where it declines at
-compile time. So a finite bound also proves that the jet raises nothing in
-the cell.
+x; exp or ** overflowing; and any interval end that is not finite. A cell
+declines as a whole, whatever component the failing operation feeds, and no
+other cell with it. What cannot be bounded is unbounded: the bound is inf on
+a cell where it declines, and on every cell where it declines at compile
+time. So a finite bound also proves that the jet raises nothing in the cell.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from itertools import repeat
 from typing import Callable
 
-from .expressions import Bin, Call, Const, ExpressionError, Neg, Node, Pow, Var, _compile
+from .expressions import ExpressionError, Node, _compile_value, _jet_compiler, _jet_rules
 
 __all__ = ["compile_second_derivative", "compile_value", "sup_power"]
 
@@ -66,12 +75,6 @@ def _libm(lo: float, hi: float) -> _Iv:
     return _out(lo - abs(lo) * _LIBM_WIDEN - _TINY, hi + abs(hi) * _LIBM_WIDEN + _TINY)
 
 
-def _point(c: float) -> _Iv:
-    if not math.isfinite(c):
-        raise Declined
-    return c, c
-
-
 _ZERO = (0.0, 0.0)
 
 
@@ -81,10 +84,6 @@ def _add(a: _Iv, b: _Iv) -> _Iv:
 
 def _sub(a: _Iv, b: _Iv) -> _Iv:
     return _out(a[0] - b[1], a[1] - b[0])
-
-
-def _neg(a: _Iv) -> _Iv:
-    return -a[1], -a[0]
 
 
 def _mul(a: _Iv, b: _Iv) -> _Iv:
@@ -133,14 +132,6 @@ def _periodic(u: _Iv, fn: Callable[[float], float], shift: float) -> _Iv:
     return _libm(r_lo, r_hi)
 
 
-def _sin(u: _Iv) -> _Iv:
-    return _periodic(u, math.sin, 0.5)
-
-
-def _cos(u: _Iv) -> _Iv:
-    return _periodic(u, math.cos, 0.0)
-
-
 def _ipow(b: _Iv, c: float) -> _Iv:
     """b ** c for a float constant c, as Python's float power computes it."""
     if c == 0.0:
@@ -160,126 +151,128 @@ def _ipow(b: _Iv, c: float) -> _Iv:
     return _libm(min(ends), max(ends))
 
 
-def _power_jet(bj: _IJet, c: float) -> _IJet:
-    # mirrors expressions._power and _power_jet
-    (bv, b1, b2) = bj
-    if not math.isfinite(c):
+def _flip(a: _Iv, sign: _Iv) -> _Iv:
+    """a, negated where the interval sign is not positive."""
+    return a if sign[0] > 0.0 else (-a[1], -a[0])
+
+
+def _abs(u: _Iv) -> _Iv:
+    if u[0] <= 0.0 <= u[1]:
         raise Declined
-    v = _ipow(bv, c)
-    d1 = d2 = _ZERO
-    if c != 0.0:
-        t1 = _mul(_point(c), _ipow(bv, c - 1.0))
-        d1 = _mul(t1, b1)
-        d2 = _mul(t1, b2)
-        c2 = c * (c - 1.0)
-        if c2 != 0.0:
-            d2 = _add(d2, _mul(_mul(_mul(_point(c2), _ipow(bv, c - 2.0)), b1), b1))
-    return v, d1, d2
+    return _flip(u, u)
 
 
-def _sin_jet(uv: _Iv, u1: _Iv, u2: _Iv) -> _IJet:
-    s, c = _sin(uv), _cos(uv)
-    return s, _mul(c, u1), _add(_mul(_mul(_neg(s), u1), u1), _mul(c, u2))
+class _Cells:
+    """One interval per cell: the batch that one evaluation of the jet runs on.
+
+    Each operation is one pass over the cells. Where it fails on a cell (a
+    rule above declines, or exp or ** overflows), the cell's index joins
+    dead, which all batches of the evaluation share, and the cell holds
+    [0, 0] from there on, while the pass goes on over the other cells.
+    """
+
+    __slots__ = ("ivs", "dead")
+
+    def __init__(self, ivs: list[_Iv], dead: set[int]) -> None:
+        self.ivs = ivs
+        self.dead = dead
+
+    def each(self, rule: Callable[..., _Iv], *operands) -> _Cells:
+        """rule(iv, ...) per cell, with one more argument from each operand."""
+        cells = map(rule, self.ivs, *operands)
+        ivs: list[_Iv] = []
+        while True:
+            try:
+                for iv in cells:
+                    ivs.append(iv)
+                return _Cells(ivs, self.dead)
+            except (Declined, OverflowError):  # on cell len(ivs); map goes on with the next
+                self.dead.add(len(ivs))
+                ivs.append(_ZERO)
+
+    def like(self, iv: _Iv) -> _Cells:
+        return _Cells([iv] * len(self.ivs), self.dead)
+
+    def __add__(self, other: _Cells) -> _Cells:
+        return self.each(_add, other.ivs)
+
+    def __sub__(self, other: _Cells) -> _Cells:
+        return self.each(_sub, other.ivs)
+
+    def __mul__(self, other: _Cells) -> _Cells:
+        return self.each(_mul, other.ivs)
+
+    def __rmul__(self, c: float) -> _Cells:  # [c, c] * self; c not finite declines
+        return self.each(_mul, repeat((c, c)))
+
+    def __truediv__(self, other: _Cells) -> _Cells:
+        return self.each(_div, other.ivs)
+
+    def __neg__(self) -> _Cells:
+        return _Cells([(-hi, -lo) for lo, hi in self.ivs], self.dead)
+
+    def __pow__(self, c: float) -> _Cells:
+        return self.each(_ipow, repeat(c))
 
 
-def _cos_jet(uv: _Iv, u1: _Iv, u2: _Iv) -> _IJet:
-    s, c = _sin(uv), _cos(uv)
-    return c, _mul(_neg(s), u1), _sub(_mul(_mul(_neg(c), u1), u1), _mul(s, u2))
+def _batched(rule: Callable[..., _Iv], *args) -> Callable[[_Cells], _Cells]:
+    return lambda u: u.each(rule, *map(repeat, args))
 
 
-def _exp_jet(uv: _Iv, u1: _Iv, u2: _Iv) -> _IJet:
-    w = _exp(uv)
-    return w, _mul(w, u1), _mul(w, _add(_mul(u1, u1), u2))
+def _abs_jet(uv: _Cells, u1: _Cells, u2: _Cells) -> tuple[_Cells, _Cells, _Cells]:
+    # the float jet raises where the argument is 0 and negates where it is negative
+    return uv.each(_abs), u1.each(_flip, uv.ivs), u2.each(_flip, uv.ivs)
 
 
-def _ln_jet(uv: _Iv, u1: _Iv, u2: _Iv) -> _IJet:
-    v = _ln(uv)
-    w1 = _div(u1, uv)
-    return v, w1, _sub(_div(u2, uv), _mul(w1, w1))
-
-
-def _sqrt_jet(uv: _Iv, u1: _Iv, u2: _Iv) -> _IJet:
-    w = _sqrt(uv)
-    w1 = _div(_mul((0.5, 0.5), u1), w)
-    return w, w1, _div(_sub(_mul((0.5, 0.5), u2), _mul(w1, w1)), w)
-
-
-def _abs_jet(uv: _Iv, u1: _Iv, u2: _Iv) -> _IJet:
-    if uv[0] <= 0.0 <= uv[1]:
-        raise Declined
-    if uv[0] > 0.0:
-        return uv, u1, u2
-    return _neg(uv), _neg(u1), _neg(u2)
-
-
-_CALLS = {
-    "sin": _sin_jet,
-    "cos": _cos_jet,
-    "exp": _exp_jet,
-    "ln": _ln_jet,
-    "sqrt": _sqrt_jet,
+_RULES = {
+    **_jet_rules(
+        _batched(_periodic, math.sin, 0.5), _batched(_periodic, math.cos, 0.0),
+        _batched(_exp), _batched(_ln), _batched(_sqrt),
+        operator.pow, lambda a, b, x: a / b, lambda v: v.like(_ZERO),
+    ),
     "abs": _abs_jet,
 }
 
 
-def _add_jet(a: _IJet, b: _IJet) -> _IJet:
-    return _add(a[0], b[0]), _add(a[1], b[1]), _add(a[2], b[2])
+def _const(c: float) -> Callable[[_Cells], tuple[_Cells, _Cells, _Cells]]:
+    if not math.isfinite(c):
+        raise Declined
+    return lambda x: (x.like((c, c)), x.like(_ZERO), x.like(_ZERO))
 
 
-def _sub_jet(a: _IJet, b: _IJet) -> _IJet:
-    return _sub(a[0], b[0]), _sub(a[1], b[1]), _sub(a[2], b[2])
+def _exponent(bj: Callable, e: Node) -> Callable[[_Cells], tuple[_Cells, _Cells, _Cells]]:
+    """The closure of b**e. An exponent free of x is the same float at every
+    x, taken once here; one that depends on x, raises or is not finite declines."""
+    value, has_x = _compile_value(e)
+    if has_x:
+        raise Declined
+    try:
+        c = value(0.0)
+    except ExpressionError:  # the jet raises it at every x
+        raise Declined from None
+    if not math.isfinite(c):
+        raise Declined
+    power_jet = _RULES["^"]
+    return lambda x: power_jet(*bj(x), c)
 
 
-def _mul_jet(a: _IJet, b: _IJet) -> _IJet:
-    (av, a1, a2), (bv, b1, b2) = a, b
-    d1 = _add(_mul(a1, bv), _mul(av, b1))
-    d2 = _add(_add(_mul(a2, bv), _mul(_mul((2.0, 2.0), a1), b1)), _mul(av, b2))
-    return _mul(av, bv), d1, d2
+_walk = _jet_compiler(_RULES, _const, lambda x: (x, x.like((1.0, 1.0)), x.like(_ZERO)), _exponent)
 
 
-def _div_jet(a: _IJet, b: _IJet) -> _IJet:
-    (av, a1, a2), (bv, b1, b2) = a, b
-    w = _div(av, bv)
-    w1 = _div(_sub(a1, _mul(w, b1)), bv)
-    w2 = _div(_sub(_sub(a2, _mul(_mul((2.0, 2.0), w1), b1)), _mul(w, b2)), bv)
-    return w, w1, w2
+def _compile_jet(node: Node) -> Callable[[list[_Iv]], list[_IJet | None]]:
+    """cells -> per cell, the interval jet enclosing the float jet at every
+    float of the cell, or None where the cell declines."""
+    try:
+        jet = _walk(node)
+    except Declined:  # on every cell
+        return lambda cells: [None] * len(cells)
 
+    def per_cell(cells: list[_Iv]) -> list[_IJet | None]:
+        x = _Cells(cells, set())
+        v, d1, d2 = jet(x)
+        return [None if k in x.dead else j for k, j in enumerate(zip(v.ivs, d1.ivs, d2.ivs))]
 
-_BINARY = {"+": _add_jet, "-": _sub_jet, "*": _mul_jet, "/": _div_jet}
-
-
-def _compile_jet(node: Node) -> Callable[[_Iv], _IJet]:
-    """cell -> interval jet enclosing the float jet at every float of the cell."""
-    if isinstance(node, Const):
-        jet = (_point(node.value), _ZERO, _ZERO)
-        return lambda cell: jet
-    if isinstance(node, Var):
-        return lambda cell: (cell, (1.0, 1.0), _ZERO)
-    if isinstance(node, Call):
-        f, rule = _compile_jet(node.arg), _CALLS[node.func]
-        return lambda cell: rule(*f(cell))
-    if isinstance(node, Neg):
-        f = _compile_jet(node.arg)
-
-        def neg(cell: _Iv) -> _IJet:
-            v, d1, d2 = f(cell)
-            return _neg(v), _neg(d1), _neg(d2)
-
-        return neg
-    if isinstance(node, Pow):
-        f = _compile_jet(node.base)
-        value, _, has_x = _compile(node.exponent)
-        if has_x:
-            raise Declined
-        try:
-            c = value(0.0)  # free of x, so the jet computes this same float at every x
-        except ExpressionError:  # the jet raises it at every x
-            raise Declined from None
-        return lambda cell: _power_jet(f(cell), c)
-    if not isinstance(node, Bin):
-        raise TypeError(f"not an expression node: {node!r}")
-    f, g, rule = _compile_jet(node.left), _compile_jet(node.right), _BINARY[node.op]
-    return lambda cell: rule(f(cell), g(cell))
+    return per_cell
 
 
 def sup_power(s: float, q: float) -> float:
@@ -291,33 +284,23 @@ def sup_power(s: float, q: float) -> float:
         return _INF
 
 
-def _compile_bound(node: Node, part: Callable[[_IJet], float]) -> Callable[[float, float], float]:
-    """(lo, hi) -> part of the interval jet of node on the cell [lo, hi], or
-    inf where the enclosure declines."""
-    try:
-        jet = _compile_jet(node)
-    except Declined:
-        return lambda lo, hi: _INF
-
-    def bound(lo: float, hi: float) -> float:
-        try:
-            return part(jet((lo, hi)))
-        except (Declined, OverflowError):  # OverflowError from exp, ** or a cell end at inf
-            return _INF
-
-    return bound
+def _compile_bound(node: Node, part: Callable[[_IJet], float]) -> Callable[[list[_Iv]], list[float]]:
+    """cells -> per cell, part of the interval jet of node on it, or inf where
+    the enclosure declines."""
+    jet = _compile_jet(node)
+    return lambda cells: [_INF if j is None else part(j) for j in jet(cells)]
 
 
-def compile_second_derivative(node: Node) -> Callable[[float, float], float]:
-    """(lo, hi) -> an upper bound of |f''| as the float jet computes it at any
-    float in [lo, hi]; inf where it cannot vouch for that bound (see the
-    module docstring)."""
+def compile_second_derivative(node: Node) -> Callable[[list[_Iv]], list[float]]:
+    """cells -> per cell [lo, hi], an upper bound of |f''| as the float jet
+    computes it at any float in the cell; inf where it cannot vouch for that
+    bound (see the module docstring)."""
     return _compile_bound(node, lambda jet: max(-jet[2][0], jet[2][1]))
 
 
-def compile_value(node: Node) -> Callable[[float, float], float]:
-    """(lo, hi) -> an upper bound of f as the value closure computes it at any
-    float in [lo, hi]; inf where it cannot vouch for that bound. The jet
-    raises wherever the value closure does, so a finite bound also proves
-    that the value closure raises nothing in the cell."""
+def compile_value(node: Node) -> Callable[[list[_Iv]], list[float]]:
+    """cells -> per cell [lo, hi], an upper bound of f as the value closure
+    computes it at any float in the cell; inf where it cannot vouch for that
+    bound. The jet raises wherever the value closure does, so a finite bound
+    also proves that the value closure raises nothing in the cell."""
     return _compile_bound(node, lambda jet: jet[0][1])

@@ -14,11 +14,17 @@ Unary minus binds tighter than '^', so "-x^2" parses as (-x)^2. There are
 no named constants; write the literal (e.g. 3.141592653589793) or exp(1).
 
 A parsed expression is compiled once into closures, x -> f(x) and
-x -> (f, f', f''), to be called at every point (evaluate and evaluate_jet2
-compile on each call). Derivatives come from second-order forward propagation
-(Taylor jets), not finite differences; points where the expression is not
-twice differentiable (abs at 0, fractional powers of a zero base) raise
-NonSmoothError instead of returning a silently wrong value.
+x -> (f, f', f''), to be called at every point (evaluate compiles the value
+closure on each call, evaluate_jet2 the jet). Derivatives come from
+second-order forward propagation (Taylor jets), not finite differences;
+points where the expression is not twice differentiable (abs at 0,
+fractional powers of a zero base) raise NonSmoothError instead of returning
+a silently wrong value.
+
+Each derivative rule, and the walk that strings the rules together, is
+written once (_jet_rules, _jet_compiler) for any arithmetic that supplies
+the elementary functions and the operators. Floats make the jet closures;
+glbounds.enclosure runs the same rules over a batch of interval cells.
 """
 
 from __future__ import annotations
@@ -232,7 +238,7 @@ def parse(text: str) -> Node:
     return node
 
 
-# Domain and smoothness rules, shared by the value and the jet closures
+# Domain and smoothness rules of the float closures
 def _divide(a: float, b: float, x: float) -> float:
     if b == 0.0:
         raise DomainError(f"division by zero at x={x!r}")
@@ -258,13 +264,22 @@ def _sqrt(u: float) -> float:
     return math.sqrt(u)
 
 
+def _jet_sqrt(u: float) -> float:
+    """_sqrt where it is also differentiable, as the jet needs."""
+    w = _sqrt(u)
+    if u == 0.0:
+        raise NonSmoothError("sqrt is not differentiable at 0")
+    return w
+
+
 # a power whose exponent depends on x is exp(e * ln b)
 _BASE_DOMAIN = "power with variable exponent requires a positive base"
 _POWER_OVERFLOW = "power overflow"
 
 
-def _power(base: float, c: float, smooth: bool = False) -> float:
-    """base**c for an exponent free of x; smooth also requires it twice differentiable."""
+def _power(base: float, c: float, smooth: bool = True) -> float:
+    """base**c for an exponent free of x; smooth, as the jet needs, also
+    requires it twice differentiable."""
     integral = c.is_integer()
     if base < 0.0 and not integral:
         raise DomainError("negative base with non-integer exponent")
@@ -281,49 +296,168 @@ def _power(base: float, c: float, smooth: bool = False) -> float:
         raise DomainError(_POWER_OVERFLOW) from None
 
 
-def _power_jet(bv: float, b1: float, b2: float, c: float) -> _Jet:
-    v = _power(bv, c, True)
-    d1 = d2 = 0.0
-    try:
-        if c != 0.0:
+_CALLS = {  # function name -> value rule
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": _exp,
+    "ln": _ln,
+    "sqrt": _sqrt,
+    "abs": abs,
+}
+
+
+def _compile_value(node: Node) -> tuple[Callable[[float], float], bool]:
+    """The value closure x -> f(x), and whether node depends on x. It computes
+    its operands left to right, as the grammar reads."""
+    if isinstance(node, Const):
+        c = node.value
+        return (lambda x: c), False
+    if isinstance(node, Var):
+        return (lambda x: x), True
+    if isinstance(node, Call):
+        f, has_x = _compile_value(node.arg)
+        rule = _CALLS[node.func]
+        return (lambda x: rule(f(x))), has_x
+    if isinstance(node, Neg):
+        f, has_x = _compile_value(node.arg)
+        return (lambda x: -f(x)), has_x
+    if isinstance(node, Pow):
+        f, has_x = _compile_value(node.base)
+        if isinstance(node.exponent, Const):
+            c = node.exponent.value
+            return (lambda x: _power(f(x), c, False)), has_x
+        g, expo_has_x = _compile_value(node.exponent)
+        if not expo_has_x:
+            # evaluated at every call all the same, so that its errors name x
+            return (lambda x: _power(f(x), g(x), False)), has_x
+
+        def power(x: float) -> float:
+            lb = _ln(f(x), _BASE_DOMAIN)
+            return _exp(g(x) * lb, _POWER_OVERFLOW)
+
+        return power, True
+    if not isinstance(node, Bin):
+        raise TypeError(f"not an expression node: {node!r}")
+    f, has_x = _compile_value(node.left)
+    g, g_has_x = _compile_value(node.right)
+    has_x = has_x or g_has_x
+    if node.op == "+":
+        return (lambda x: f(x) + g(x)), has_x
+    if node.op == "-":
+        return (lambda x: f(x) - g(x)), has_x
+    if node.op == "*":
+        return (lambda x: f(x) * g(x)), has_x
+    return (lambda x: _divide(f(x), g(x), x)), has_x
+
+
+def _jet_rules(sin, cos, exp, ln, sqrt, power, divide, zero) -> dict[str, Callable]:
+    """The jet's derivative rules, written once for any arithmetic.
+
+    An arithmetic brings its elementary functions with their domain checks,
+    power(b, c) for an exponent c free of x, divide(a, b, x) for the first
+    quotient of a division at x, and zero(v), the zero of v's kind; the
+    rules do everything else with the operands' own operators, in the order
+    written. A call's rule maps the jet (u, u', u'') of its argument to its
+    own, "^" maps (b, b', b'', c) to the jet of b**c, and a binary rule maps
+    its operands' jet closures to the operation's, x -> (f, f', f'').
+    """
+
+    def sin_jet(uv, u1, u2):
+        s, c = sin(uv), cos(uv)
+        return (s, c * u1, -s * u1 * u1 + c * u2)
+
+    def cos_jet(uv, u1, u2):
+        s, c = sin(uv), cos(uv)
+        return (c, -s * u1, -c * u1 * u1 - s * u2)
+
+    def exp_jet(uv, u1, u2):
+        w = exp(uv)
+        return (w, w * u1, w * (u1 * u1 + u2))
+
+    def ln_jet(uv, u1, u2):
+        v = ln(uv)
+        w1 = u1 / uv
+        return (v, w1, u2 / uv - w1 * w1)
+
+    def sqrt_jet(uv, u1, u2):
+        w = sqrt(uv)
+        w1 = 0.5 * u1 / w
+        return (w, w1, (0.5 * u2 - w1 * w1) / w)
+
+    def power_jet(bv, b1, b2, c):
+        v = power(bv, c)
+        if c == 0.0:
+            return (v, zero(v), zero(v))
+        try:
             t1 = c * bv ** (c - 1.0)
             d1 = t1 * b1
             d2 = t1 * b2
             c2 = c * (c - 1.0)
             if c2 != 0.0:
                 d2 += c2 * bv ** (c - 2.0) * b1 * b1
-    except OverflowError:
-        raise DomainError(_POWER_OVERFLOW) from None
-    return (v, d1, d2)
+        except OverflowError:
+            raise DomainError(_POWER_OVERFLOW) from None
+        return (v, d1, d2)
+
+    def add(fj, gj):
+        def jet(x):
+            (av, a1, a2), (bv, b1, b2) = fj(x), gj(x)
+            return (av + bv, a1 + b1, a2 + b2)
+        return jet
+
+    def sub(fj, gj):
+        def jet(x):
+            (av, a1, a2), (bv, b1, b2) = fj(x), gj(x)
+            return (av - bv, a1 - b1, a2 - b2)
+        return jet
+
+    def mul(fj, gj):
+        def jet(x):
+            (av, a1, a2), (bv, b1, b2) = fj(x), gj(x)
+            return (av * bv, a1 * bv + av * b1, a2 * bv + 2.0 * a1 * b1 + av * b2)
+        return jet
+
+    def div(fj, gj):
+        def jet(x):
+            (av, a1, a2), (bv, b1, b2) = fj(x), gj(x)
+            w = divide(av, bv, x)
+            w1 = (a1 - w * b1) / bv
+            w2 = (a2 - 2.0 * w1 * b1 - w * b2) / bv
+            return (w, w1, w2)
+        return jet
+
+    return {"sin": sin_jet, "cos": cos_jet, "exp": exp_jet, "ln": ln_jet, "sqrt": sqrt_jet,
+            "^": power_jet, "+": add, "-": sub, "*": mul, "/": div}
 
 
-def _sin_jet(uv: float, u1: float, u2: float) -> _Jet:
-    s, c = math.sin(uv), math.cos(uv)
-    return (s, c * u1, -s * u1 * u1 + c * u2)
+def _jet_compiler(rules: dict[str, Callable], const, var, exponent) -> Callable:
+    """node -> its jet closure, strung together from rules (_jet_rules' and
+    "abs") in one arithmetic: const(c) is a constant's closure, var is x's,
+    and exponent(bj, e) is that of b**e from b's closure and the node e."""
 
+    def walk(node: Node):
+        if isinstance(node, Const):
+            return const(node.value)
+        if isinstance(node, Var):
+            return var
+        if isinstance(node, Call):
+            fj, rule = walk(node.arg), rules[node.func]
+            return lambda x: rule(*fj(x))
+        if isinstance(node, Neg):
+            fj = walk(node.arg)
 
-def _cos_jet(uv: float, u1: float, u2: float) -> _Jet:
-    s, c = math.sin(uv), math.cos(uv)
-    return (c, -s * u1, -c * u1 * u1 - s * u2)
+            def neg(x):
+                v, d1, d2 = fj(x)
+                return (-v, -d1, -d2)
 
+            return neg
+        if isinstance(node, Pow):
+            return exponent(walk(node.base), node.exponent)
+        if not isinstance(node, Bin):
+            raise TypeError(f"not an expression node: {node!r}")
+        return rules[node.op](walk(node.left), walk(node.right))
 
-def _exp_jet(uv: float, u1: float, u2: float) -> _Jet:
-    w = _exp(uv)
-    return (w, w * u1, w * (u1 * u1 + u2))
-
-
-def _ln_jet(uv: float, u1: float, u2: float) -> _Jet:
-    v = _ln(uv)
-    w1 = u1 / uv
-    return (v, w1, u2 / uv - w1 * w1)
-
-
-def _sqrt_jet(uv: float, u1: float, u2: float) -> _Jet:
-    w = _sqrt(uv)
-    if uv == 0.0:
-        raise NonSmoothError("sqrt is not differentiable at 0")
-    w1 = 0.5 * u1 / w
-    return (w, w1, (0.5 * u2 - w1 * w1) / w)
+    return walk
 
 
 def _abs_jet(uv: float, u1: float, u2: float) -> _Jet:
@@ -333,104 +467,58 @@ def _abs_jet(uv: float, u1: float, u2: float) -> _Jet:
     return (abs(uv), s * u1, s * u2)
 
 
-_CALLS = {  # function name -> (value rule, jet rule)
-    "sin": (math.sin, _sin_jet),
-    "cos": (math.cos, _cos_jet),
-    "exp": (_exp, _exp_jet),
-    "ln": (_ln, _ln_jet),
-    "sqrt": (_sqrt, _sqrt_jet),
-    "abs": (abs, _abs_jet),
+_JET_RULES = {
+    **_jet_rules(
+        math.sin, math.cos, _exp, _ln, _jet_sqrt, _power, _divide, lambda v: 0.0
+    ),
+    "abs": _abs_jet,
 }
 
 
-def _compile(node: Node) -> tuple[Callable[[float], float], Callable[[float], _Jet], bool]:
-    """The value closure, the jet closure, and whether node depends on x.
-    Each closure computes its operands left to right, as the grammar reads."""
-    if isinstance(node, Const):
-        c = node.value
-        return (lambda x: c), (lambda x: (c, 0.0, 0.0)), False
-    if isinstance(node, Var):
-        return (lambda x: x), (lambda x: (x, 1.0, 0.0)), True
-    if isinstance(node, Call):
-        f, fj, has_x = _compile(node.arg)
-        rule, jet_rule = _CALLS[node.func]
-        return (lambda x: rule(f(x))), (lambda x: jet_rule(*fj(x))), has_x
-    if isinstance(node, Neg):
-        f, fj, has_x = _compile(node.arg)
+def _float_exponent(bj: Callable[[float], _Jet], e: Node) -> Callable[[float], _Jet]:
+    """The jet closure of b**e. An exponent free of x is evaluated at every x
+    all the same, so that its errors name x; b**e is exp(e * ln b) where e
+    depends on x."""
+    power_jet = _JET_RULES["^"]
+    if isinstance(e, Const):
+        c = e.value
+        return lambda x: power_jet(*bj(x), c)
+    g, has_x = _compile_value(e)
+    if not has_x:
+        return lambda x: power_jet(*bj(x), g(x))
+    gj = _compile_jet(e)
 
-        def neg(x: float) -> _Jet:
-            v, d1, d2 = fj(x)
-            return (-v, -d1, -d2)
+    def power(x: float) -> _Jet:
+        bv, b1, b2 = bj(x)
+        lv = _ln(bv, _BASE_DOMAIN)
+        ev, e1, e2 = gj(x)
+        l1 = b1 / bv
+        l2 = b2 / bv - l1 * l1
+        pv = ev * lv
+        p1 = e1 * lv + ev * l1
+        p2 = e2 * lv + 2.0 * e1 * l1 + ev * l2
+        w = _exp(pv, _POWER_OVERFLOW)
+        return (w, w * p1, w * (p1 * p1 + p2))
 
-        return (lambda x: -f(x)), neg, has_x
-    if isinstance(node, Pow):
-        f, fj, has_x = _compile(node.base)
-        if isinstance(node.exponent, Const):
-            c = node.exponent.value
-            return (lambda x: _power(f(x), c)), (lambda x: _power_jet(*fj(x), c)), has_x
-        g, gj, expo_has_x = _compile(node.exponent)
-        if not expo_has_x:
-            # evaluated at every call all the same, so that its errors name x
-            return (lambda x: _power(f(x), g(x))), (lambda x: _power_jet(*fj(x), g(x))), has_x
+    return power
 
-        def power(x: float) -> float:
-            lb = _ln(f(x), _BASE_DOMAIN)
-            return _exp(g(x) * lb, _POWER_OVERFLOW)
 
-        def power_jet(x: float) -> _Jet:
-            bv, b1, b2 = fj(x)
-            lv = _ln(bv, _BASE_DOMAIN)
-            ev, e1, e2 = gj(x)
-            l1 = b1 / bv
-            l2 = b2 / bv - l1 * l1
-            pv = ev * lv
-            p1 = e1 * lv + ev * l1
-            p2 = e2 * lv + 2.0 * e1 * l1 + ev * l2
-            w = _exp(pv, _POWER_OVERFLOW)
-            return (w, w * p1, w * (p1 * p1 + p2))
-
-        return power, power_jet, True
-    if not isinstance(node, Bin):
-        raise TypeError(f"not an expression node: {node!r}")
-    f, fj, has_x = _compile(node.left)
-    g, gj, g_has_x = _compile(node.right)
-    has_x = has_x or g_has_x
-    if node.op == "+":
-        def add(x: float) -> _Jet:
-            (av, a1, a2), (bv, b1, b2) = fj(x), gj(x)
-            return (av + bv, a1 + b1, a2 + b2)
-        return (lambda x: f(x) + g(x)), add, has_x
-    if node.op == "-":
-        def sub(x: float) -> _Jet:
-            (av, a1, a2), (bv, b1, b2) = fj(x), gj(x)
-            return (av - bv, a1 - b1, a2 - b2)
-        return (lambda x: f(x) - g(x)), sub, has_x
-    if node.op == "*":
-        def mul(x: float) -> _Jet:
-            (av, a1, a2), (bv, b1, b2) = fj(x), gj(x)
-            return (av * bv, a1 * bv + av * b1, a2 * bv + 2.0 * a1 * b1 + av * b2)
-        return (lambda x: f(x) * g(x)), mul, has_x
-
-    def div(x: float) -> _Jet:
-        (av, a1, a2), (bv, b1, b2) = fj(x), gj(x)
-        w = _divide(av, bv, x)
-        w1 = (a1 - w * b1) / bv
-        w2 = (a2 - 2.0 * w1 * b1 - w * b2) / bv
-        return (w, w1, w2)
-    return (lambda x: _divide(f(x), g(x), x)), div, has_x
+_compile_jet = _jet_compiler(
+    _JET_RULES, lambda c: (lambda x: (c, 0.0, 0.0)), lambda x: (x, 1.0, 0.0), _float_exponent
+)
 
 
 def compile_expression(node: Node) -> tuple[Callable[[float], float], Callable[[float], _Jet]]:
     """Closures x -> f(x) and x -> (f, f', f'') built once, to be called at many points;
     the jet also raises NonSmoothError where f is not twice differentiable."""
-    return _compile(node)[:2]
+    return _compile_value(node)[0], _compile_jet(node)
 
 
 def evaluate(node: Node, x: float) -> float:
     """Evaluate node at x; raises DomainError outside the natural domain."""
-    return _compile(node)[0](x)
+    return _compile_value(node)[0](x)
 
 
 def evaluate_jet2(node: Node, x: float) -> Jet2:
     """Exact (f, f', f'') at x via second-order forward propagation."""
-    return Jet2(*_compile(node)[1](x))
+    return Jet2(*_compile_jet(node)(x))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coefficients import _check_lambda
-from .expressions import Node, compile_expression
+from .expressions import Node, _compile_jet, _compile_value
 from .quadrature import Interval, QuadratureError, integrate, integrate_piecewise
 
 __all__ = [
@@ -78,7 +78,7 @@ class FunctionalTerms:
 
 def functional_terms(e: Node, iv: Interval) -> FunctionalTerms:
     """Evaluate f at a, b and the midpoint and integrate it numerically over iv."""
-    f, _ = compile_expression(e)
+    f, _ = _compile_value(e)
     fa = f(iv.a)
     fb = f(iv.b)
     fm = f(iv.midpoint)
@@ -100,7 +100,7 @@ def rhs_identity(e: Node, iv: Interval, p: RuleParams) -> float:
     """
     a, b = iv.a, iv.b
     w = iv.width
-    _, jet = compile_expression(e)
+    jet = _compile_jet(e)
 
     def integrand(t: float) -> float:
         return kernel_k(t, p) * jet(t * a + (1.0 - t) * b)[2]

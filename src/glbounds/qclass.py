@@ -208,7 +208,7 @@ def check_godunova_levin(
     from .ratio import cell_cover, ranked_pairs  # loaded at the first scan
 
     if cover is None:
-        cover = cell_cover(lambda lo, hi: math.inf, xs)
+        cover = cell_cover(lambda cells: [math.inf] * len(cells), xs)
 
     memo = _PointMemo(g)
     gx = [memo[x] for x in xs]

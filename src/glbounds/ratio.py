@@ -54,10 +54,13 @@ class CellCover:
     sup: list[float]
 
 
-def cell_cover(sup_of: Callable[[float, float], float], xs: list[float]) -> CellCover:
+def cell_cover(
+    sup_of: Callable[[list[tuple[float, float]]], list[float]], xs: list[float]
+) -> CellCover:
     """The cells of the scan with grid points xs (ascending, at least two),
-    each cell [lo, hi] bounded by sup_of(lo, hi), such as a bound that
-    glbounds.enclosure compiles (inf where it declines).
+    bounded in one call sup_of(cells), which gives one bound per cell
+    [lo, hi] of the list, such as a bound that glbounds.enclosure compiles
+    (inf where it declines).
 
     delta bounds how far a scan point z = fl(fl(lam*x) + fl(fl(1-lam)*y)) of
     grid points x and y can fall outside [min(x, y), max(x, y)]. With
@@ -80,7 +83,7 @@ def cell_cover(sup_of: Callable[[float, float], float], xs: list[float]) -> Cell
     delta = 5.0 * math.ulp(max(abs(xs[0]), abs(xs[-1])))
     lows = [math.nextafter(x - delta, -math.inf) for x in xs]
     highs = [math.nextafter(x + delta, math.inf) for x in xs]
-    return CellCover(xs, lows, highs, [sup_of(lo, hi) for lo, hi in zip(lows, highs[1:])])
+    return CellCover(xs, lows, highs, sup_of(list(zip(lows, highs[1:]))))
 
 
 def power_cover(cover: CellCover, q: float) -> CellCover:

@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 from glbounds import parse
 from glbounds.enclosure import (
+    _RULES,
     _compile_jet,
+    _walk,
     compile_second_derivative,
     compile_value,
     sup_power,
 )
-from glbounds.expressions import compile_expression
+from glbounds.expressions import _JET_RULES, compile_expression
+from glbounds.expressions import _compile_jet as _float_jet
 from conftest import examples
 from test_expressions import _tree_strategy
 
@@ -36,18 +39,44 @@ def test_enclosure_covers_the_float_jet(ast, cell, data):
     inner = data.draw(st.lists(st.floats(lo, hi), max_size=6))
     value, jet = compile_expression(ast)
     try:
-        enclosure = _compile_jet(ast)(cell)
+        enclosure = _compile_jet(ast)([cell])[0]
     except Exception:  # declined: the float jet may do anything here
+        return
+    if enclosure is None:  # declined on the cell
         return
     for x in _cell_points(lo, hi, inner):
         values = jet(x)  # where it raises, the enclosure must have declined
         for v, (e_lo, e_hi) in zip(values, enclosure):
             assert e_lo <= v <= e_hi, (x, values, enclosure)
-    sup = compile_second_derivative(ast)(lo, hi)
+    [sup] = compile_second_derivative(ast)([cell])
     assert all(abs(jet(x)[2]) <= sup for x in _cell_points(lo, hi, inner))
     # the value closure computes the jet's value part, so that bounds it too
-    sup_f = compile_value(ast)(lo, hi)
+    [sup_f] = compile_value(ast)([cell])
     assert all(value(x) <= sup_f for x in _cell_points(lo, hi, inner))
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(_tree_strategy(), st.lists(_CELLS, min_size=1, max_size=5), st.data())
+def test_a_batch_bounds_each_cell_as_alone(ast, cells, data):
+    value, jet = compile_expression(ast)
+    sup_d2, sup_f = compile_second_derivative(ast), compile_value(ast)
+    d2s, fs = sup_d2(cells), sup_f(cells)
+    # a cell that declines takes no other cell with it
+    assert d2s == [sup_d2([cell])[0] for cell in cells]
+    assert fs == [sup_f([cell])[0] for cell in cells]
+    for (lo, hi), d2, f in zip(cells, d2s, fs):
+        if d2 == f == math.inf:
+            continue
+        # a finite bound: the jet raises nowhere in the cell, and both bounds hold
+        for x in _cell_points(lo, hi, data.draw(st.lists(st.floats(lo, hi), max_size=4))):
+            assert abs(jet(x)[2]) <= d2 and value(x) <= f
+
+
+def test_cells_run_the_float_jet_rules():
+    # one coding of each rule and of the walk: the float jet's, run over a batch of cells
+    for rule in ("sin", "cos", "exp", "ln", "sqrt", "^", "+", "-", "*", "/"):
+        assert _RULES[rule].__code__ is _JET_RULES[rule].__code__, rule
+    assert _walk.__code__ is _float_jet.__code__
 
 
 @pytest.mark.parametrize(
@@ -69,12 +98,16 @@ def test_enclosure_covers_the_float_jet(ast, cell, data):
         ("exp(exp(x))", 6.0, 7.0),
         ("x^300", 1e2, 1e3),
         ("1e308*x*x", 1.0, 2.0),  # a non-finite end
+        # the cell declines as a whole, though the failing part feeds no bound:
+        ("x^31", 1e10, 1.0000001e10),  # f overflows, f'' does not
+        ("x^(-0.5)", 1.0437212337495636e-149, 1.0437212337495636e-149),  # f'' overflows
+        ("ln(x)^0", 0.0, 0.0),  # the power of 0 drops the jet of ln, which raises
     ],
 )
 def test_declines_where_the_jet_may_raise(text, lo, hi):
     # what cannot be bounded is unbounded, whether at compile time or on the cell
     e = parse(text)
-    assert compile_second_derivative(e)(lo, hi) == compile_value(e)(lo, hi) == math.inf
+    assert compile_second_derivative(e)([(lo, hi)]) == compile_value(e)([(lo, hi)]) == [math.inf]
 
 
 @pytest.mark.parametrize(
@@ -89,7 +122,7 @@ def test_declines_where_the_jet_may_raise(text, lo, hi):
     ],
 )
 def test_bounds_are_tight_to_rounding(text, lo, hi, expected):
-    sup = compile_second_derivative(parse(text))(lo, hi)
+    [sup] = compile_second_derivative(parse(text))([(lo, hi)])
     assert expected <= sup <= expected * (1.0 + 1e-12)
 
 
@@ -104,7 +137,7 @@ def test_bounds_are_tight_to_rounding(text, lo, hi, expected):
     ],
 )
 def test_value_enclosures_hold_interior_extremes(text, lo, hi, expected):
-    v_lo, v_hi = _compile_jet(parse(text))((lo, hi))[0]
+    v_lo, v_hi = _compile_jet(parse(text))([(lo, hi)])[0][0]
     assert v_lo <= expected[0] and expected[1] <= v_hi
     assert expected[0] - v_lo <= 1e-12 and v_hi - expected[1] <= 1e-12
 

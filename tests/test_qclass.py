@@ -399,7 +399,7 @@ class TestAgainstPlainLoop:
         z = lam2 * xs[r] + (1.0 - lam2) * xs[t]
         values[z.hex()] = 1.0 / lam2 + 1.0 / (1.0 - lam2)
         g = lambda x: values[x.hex()]
-        cover = cell_cover(lambda lo, hi: 10.0 if lo <= z <= hi else 1.0, xs)
+        cover = cell_cover(lambda cells: [10.0 if lo <= z <= hi else 1.0 for lo, hi in cells], xs)
         assert cover.sup.count(10.0) == 1
         bound = list(pair_bound_rows([g(x) for x in xs], cover))
         assert bound[r][t - r] > bound[p][q - p]
