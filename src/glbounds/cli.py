@@ -179,14 +179,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_qclass(args: argparse.Namespace) -> int:
     if (args.g is None) == (args.fn is None):
-        print("error: pass exactly one of --g or --fn", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise ValueError("pass exactly one of --g or --fn")
     if args.g is not None and args.q is not None:
-        print("error: --q only applies to --fn", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise ValueError("--q only applies to --fn")
     if args.fn is not None and args.q is None:
-        print("error: --fn requires --q", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise ValueError("--fn requires --q")
     iv = Interval(args.a, args.b)
     if args.g is not None:
         rep = check_expression(parse(args.g), iv, args.grid, args.tol)

@@ -14,8 +14,9 @@ they run on a batch of cells, _Cells, in place of a float. A batch holds one
 interval per cell, and each of +, -, *, /, unary -, float * batch and
 ** constant is one pass over the cells; so every float operation of the jet
 is an interval operation here, in the same order, on intervals holding its
-operands. Only the constants and x, the elementary functions, abs, and how
-an exponent is taken (once here, where it is free of x) are this module's.
+operands. Only the constants and x, the elementary functions and abs are
+this module's; a power whose exponent depends on x is exp(e * ln b) in
+these intervals, and an exponent free of x is the float that the jet takes.
 
 Round-to-nearest is monotone, so for +, -, *, / and sqrt (all correctly
 rounded) the float result of operands taken from two intervals lies between
@@ -29,14 +30,15 @@ errors, at the extreme and at the point, can add up to) plus an absolute
 2^-1070 for results in the subnormal range.
 
 It declines wherever the float jet could raise or go non-finite in the cell:
-a divisor interval holding 0; ln or sqrt of an argument touching <= 0; abs of
-an argument holding 0; a non-integer power of a base touching <= 0, a
-negative integer power of a base holding 0, and any exponent that depends on
-x; exp or ** overflowing; and any interval end that is not finite. A cell
-declines as a whole, whatever component the failing operation feeds, and no
-other cell with it. What cannot be bounded is unbounded: the bound is inf on
-a cell where it declines, and on every cell where it declines at compile
-time. So a finite bound also proves that the jet raises nothing in the cell.
+a divisor interval holding 0; ln or sqrt of an argument touching <= 0, the
+base of a power whose exponent depends on x included; abs of an argument
+holding 0; a non-integer power of a base touching <= 0, and a negative
+integer power of a base holding 0; exp or ** overflowing; and any interval
+end that is not finite. A cell declines as a whole, whatever component the
+failing operation feeds, and no other cell with it; every cell declines
+where an exponent free of x raises. What cannot be bounded is unbounded: the
+bound is inf on a cell where it declines. So a finite bound also proves that
+the jet raises nothing in the cell.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import operator
 from itertools import repeat
 from typing import Callable
 
-from .expressions import ExpressionError, Node, _compile_value, _jet_compiler, _jet_rules
+from .expressions import ExpressionError, Node, _jet_compiler, _jet_rules
 
 __all__ = ["compile_second_derivative", "compile_value", "sup_power"]
 
@@ -232,6 +234,7 @@ _RULES = {
     ),
     "abs": _abs_jet,
 }
+_RULES["ln^"], _RULES["exp^"] = _RULES["ln"], _RULES["exp"]
 
 
 def _const(c: float) -> Callable[[_Cells], tuple[_Cells, _Cells, _Cells]]:
@@ -240,23 +243,7 @@ def _const(c: float) -> Callable[[_Cells], tuple[_Cells, _Cells, _Cells]]:
     return lambda x: (x.like((c, c)), x.like(_ZERO), x.like(_ZERO))
 
 
-def _exponent(bj: Callable, e: Node) -> Callable[[_Cells], tuple[_Cells, _Cells, _Cells]]:
-    """The closure of b**e. An exponent free of x is the same float at every
-    x, taken once here; one that depends on x, raises or is not finite declines."""
-    value, has_x = _compile_value(e)
-    if has_x:
-        raise Declined
-    try:
-        c = value(0.0)
-    except ExpressionError:  # the jet raises it at every x
-        raise Declined from None
-    if not math.isfinite(c):
-        raise Declined
-    power_jet = _RULES["^"]
-    return lambda x: power_jet(*bj(x), c)
-
-
-_walk = _jet_compiler(_RULES, _const, lambda x: (x, x.like((1.0, 1.0)), x.like(_ZERO)), _exponent)
+_walk = _jet_compiler(_RULES, _const, lambda x: (x, x.like((1.0, 1.0)), x.like(_ZERO)))
 
 
 def _compile_jet(node: Node) -> Callable[[list[_Iv]], list[_IJet | None]]:
@@ -269,7 +256,10 @@ def _compile_jet(node: Node) -> Callable[[list[_Iv]], list[_IJet | None]]:
 
     def per_cell(cells: list[_Iv]) -> list[_IJet | None]:
         x = _Cells(cells, set())
-        v, d1, d2 = jet(x)
+        try:
+            v, d1, d2 = jet(x)
+        except ExpressionError:  # from an exponent free of x: the jet raises it at every x
+            return [None] * len(cells)
         return [None if k in x.dead else j for k, j in enumerate(zip(v.ivs, d1.ivs, d2.ivs))]
 
     return per_cell

@@ -23,8 +23,10 @@ a silently wrong value.
 
 Each derivative rule, and the walk that strings the rules together, is
 written once (_jet_rules, _jet_compiler) for any arithmetic that supplies
-the elementary functions and the operators. Floats make the jet closures;
-glbounds.enclosure runs the same rules over a batch of interval cells.
+the elementary functions and the operators. Powers are coded in the walk: a
+power whose exponent depends on x is exp(e * ln b), built from the shared ln,
+product and exp rules. Floats make the jet closures; glbounds.enclosure runs
+the same rules over a batch of interval cells.
 """
 
 from __future__ import annotations
@@ -430,10 +432,15 @@ def _jet_rules(sin, cos, exp, ln, sqrt, power, divide, zero) -> dict[str, Callab
             "^": power_jet, "+": add, "-": sub, "*": mul, "/": div}
 
 
-def _jet_compiler(rules: dict[str, Callable], const, var, exponent) -> Callable:
-    """node -> its jet closure, strung together from rules (_jet_rules' and
-    "abs") in one arithmetic: const(c) is a constant's closure, var is x's,
-    and exponent(bj, e) is that of b**e from b's closure and the node e."""
+def _jet_compiler(rules: dict[str, Callable], const, var) -> Callable:
+    """node -> its jet closure, strung together from rules (_jet_rules',
+    "abs", and "ln^" and "exp^", the ln and exp of a power) in one
+    arithmetic: const(c) is a constant's closure and var is x's.
+
+    An exponent free of x goes to "^" as a float, its value closure evaluated
+    at every x all the same, so that its errors name x. b**e is exp(e * ln b)
+    where e depends on x, with ln b taken before e.
+    """
 
     def walk(node: Node):
         if isinstance(node, Const):
@@ -452,7 +459,17 @@ def _jet_compiler(rules: dict[str, Callable], const, var, exponent) -> Callable:
 
             return neg
         if isinstance(node, Pow):
-            return exponent(walk(node.base), node.exponent)
+            bj, e, power = walk(node.base), node.exponent, rules["^"]
+            if isinstance(e, Const):
+                c = e.value
+                return lambda x: power(*bj(x), c)
+            g, has_x = _compile_value(e)
+            if not has_x:
+                return lambda x: power(*bj(x), g(x))
+            ln, exp, ej = rules["ln^"], rules["exp^"], walk(e)
+            # the product runs on the pair (x, jet of ln b), taken first
+            times = rules["*"](lambda xl: ej(xl[0]), lambda xl: xl[1])
+            return lambda x: exp(*times((x, ln(*bj(x)))))
         if not isinstance(node, Bin):
             raise TypeError(f"not an expression node: {node!r}")
         return rules[node.op](walk(node.left), walk(node.right))
@@ -467,45 +484,19 @@ def _abs_jet(uv: float, u1: float, u2: float) -> _Jet:
     return (abs(uv), s * u1, s * u2)
 
 
+def _float_rules(exp, ln) -> dict[str, Callable]:
+    return _jet_rules(math.sin, math.cos, exp, ln, _jet_sqrt, _power, _divide, lambda v: 0.0)
+
+
+# exp(e * ln b) takes the ln and exp rules with a power's error messages
+_POWER_RULES = _float_rules(lambda u: _exp(u, _POWER_OVERFLOW), lambda u: _ln(u, _BASE_DOMAIN))
 _JET_RULES = {
-    **_jet_rules(
-        math.sin, math.cos, _exp, _ln, _jet_sqrt, _power, _divide, lambda v: 0.0
-    ),
+    **_float_rules(_exp, _ln),
     "abs": _abs_jet,
+    "ln^": _POWER_RULES["ln"],
+    "exp^": _POWER_RULES["exp"],
 }
-
-
-def _float_exponent(bj: Callable[[float], _Jet], e: Node) -> Callable[[float], _Jet]:
-    """The jet closure of b**e. An exponent free of x is evaluated at every x
-    all the same, so that its errors name x; b**e is exp(e * ln b) where e
-    depends on x."""
-    power_jet = _JET_RULES["^"]
-    if isinstance(e, Const):
-        c = e.value
-        return lambda x: power_jet(*bj(x), c)
-    g, has_x = _compile_value(e)
-    if not has_x:
-        return lambda x: power_jet(*bj(x), g(x))
-    gj = _compile_jet(e)
-
-    def power(x: float) -> _Jet:
-        bv, b1, b2 = bj(x)
-        lv = _ln(bv, _BASE_DOMAIN)
-        ev, e1, e2 = gj(x)
-        l1 = b1 / bv
-        l2 = b2 / bv - l1 * l1
-        pv = ev * lv
-        p1 = e1 * lv + ev * l1
-        p2 = e2 * lv + 2.0 * e1 * l1 + ev * l2
-        w = _exp(pv, _POWER_OVERFLOW)
-        return (w, w * p1, w * (p1 * p1 + p2))
-
-    return power
-
-
-_compile_jet = _jet_compiler(
-    _JET_RULES, lambda c: (lambda x: (c, 0.0, 0.0)), lambda x: (x, 1.0, 0.0), _float_exponent
-)
+_compile_jet = _jet_compiler(_JET_RULES, lambda c: (lambda x: (c, 0.0, 0.0)), lambda x: (x, 1.0, 0.0))
 
 
 def compile_expression(node: Node) -> tuple[Callable[[float], float], Callable[[float], _Jet]]:

@@ -481,8 +481,19 @@ class TestQclass:
     def test_fn_with_q(self, capsys):
         assert main(["qclass", "--fn", "exp(x)", "--q", "2", "--a", "0", "--b", "1", "--grid", "8"]) == 0
 
-    def test_mutually_exclusive_inputs(self, capsys):
-        assert main(["qclass", "--g", "1", "--fn", "x^2", "--q", "1", "--a", "0", "--b", "1"]) == 2
+    @pytest.mark.parametrize(
+        "source,err",
+        [
+            (["--g", "1", "--fn", "x^2", "--q", "1"], "error: pass exactly one of --g or --fn\n"),
+            ([], "error: pass exactly one of --g or --fn\n"),
+            (["--g", "1", "--q", "1"], "error: --q only applies to --fn\n"),
+            (["--fn", "x^2"], "error: --fn requires --q\n"),
+        ],
+        ids=["g-and-fn", "neither", "q-with-g", "fn-without-q"],
+    )
+    def test_argument_combinations_are_input_errors(self, source, err, capsys):
+        assert main(["qclass", *source, "--a", "0", "--b", "1"]) == 2
+        assert capsys.readouterr() == ("", err)
 
     def test_infinite_tolerance_is_an_input_error(self, capsys):
         # every margin is below inf, so sin used to print passed = True
@@ -499,9 +510,6 @@ class TestQclass:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: q must be finite and >= 1, got inf\n"
-        assert main(["qclass", "--fn", "x^2", "--a", "0", "--b", "1"]) == 2
-        assert main(["qclass", "--g", "1", "--q", "1", "--a", "0", "--b", "1"]) == 2
-        assert main(["qclass", "--a", "0", "--b", "1"]) == 2
 
 
 def _printed_violations(out):

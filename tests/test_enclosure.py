@@ -74,7 +74,7 @@ def test_a_batch_bounds_each_cell_as_alone(ast, cells, data):
 
 def test_cells_run_the_float_jet_rules():
     # one coding of each rule and of the walk: the float jet's, run over a batch of cells
-    for rule in ("sin", "cos", "exp", "ln", "sqrt", "^", "+", "-", "*", "/"):
+    for rule in ("sin", "cos", "exp", "ln", "sqrt", "^", "ln^", "exp^", "+", "-", "*", "/"):
         assert _RULES[rule].__code__ is _JET_RULES[rule].__code__, rule
     assert _walk.__code__ is _float_jet.__code__
 
@@ -91,8 +91,7 @@ def test_cells_run_the_float_jet_rules():
         ("x^0.5", 0.0, 1.0),  # non-integer power touching <= 0
         ("x^2.5", -1.0, 1.0),
         ("x^(0-1)", -1.0, 1.0),  # negative integer power holding 0
-        ("x^x", 1.0, 2.0),  # an exponent that depends on x
-        ("2^x", 1.0, 2.0),
+        ("x^x", 0.0, 1.0),  # a base touching <= 0 under an exponent that depends on x
         ("x^ln(0-1)", 1.0, 2.0),  # an exponent that raises
         ("exp(x)", 700.0, 710.0),  # overflow
         ("exp(exp(x))", 6.0, 7.0),
@@ -108,6 +107,26 @@ def test_declines_where_the_jet_may_raise(text, lo, hi):
     # what cannot be bounded is unbounded, whether at compile time or on the cell
     e = parse(text)
     assert compile_second_derivative(e)([(lo, hi)]) == compile_value(e)([(lo, hi)]) == [math.inf]
+
+
+@pytest.mark.parametrize(
+    "text,top_d2,d2_cap",
+    [
+        ("2^x", 4.0 * math.log(2.0) ** 2, 1.922),  # |f''| = 2^x ln(2)^2
+        ("x^x", 4.0 * ((math.log(2.0) + 1.0) ** 2 + 0.5), 36.02),  # x^x ((ln x + 1)^2 + 1/x)
+    ],
+    ids=["2^x", "x^x"],
+)
+def test_exponents_that_depend_on_x_are_bounded(text, top_d2, d2_cap):
+    # exp(e * ln b) in interval arithmetic holds the float jet and value on [1, 2];
+    # x^x's f'' bound is loose, as e and ln b both vary with x
+    e = parse(text)
+    value, jet = compile_expression(e)
+    [d2] = compile_second_derivative(e)([(1.0, 2.0)])
+    [f] = compile_value(e)([(1.0, 2.0)])
+    assert top_d2 <= d2 <= d2_cap and 4.0 <= f <= 4.0 * (1.0 + 1e-14)
+    for x in _cell_points(1.0, 2.0, [1.25, 1.5, 1.75]):
+        assert abs(jet(x)[2]) <= d2 and value(x) <= f
 
 
 @pytest.mark.parametrize(

@@ -303,7 +303,7 @@ class TestAgainstPlainLoop:
             ("1/x", Interval(-1.0, 1.0), 64, None),
             ("abs(x-0.3)", UNIT_IV, 128, None),
             ("abs(x-0.3)", UNIT_IV, 64, 2.0),
-            # an exponent that depends on x: inf on every cell
+            # an exponent that depends on x, enclosed as exp(x * ln x)
             ("x^x", Interval(0.5, 2.0), 64, None),
         ],
         ids=[
@@ -631,6 +631,16 @@ class TestProof:
         # x^4 keeps one pair above the tolerance at each q, its diagonal at the
         # first grid point, and that pair does not violate
         assert bound_memberships(parse("x^4"), UNIT_IV, (2.0, 3.0)) == {2.0: True, 3.0: True}
+
+    @pytest.mark.parametrize(
+        "text,iv,qs",
+        [("2^x", UNIT_IV, (1.5,)), ("x^x", Interval(0.5, 2.0), (1.0, 2.0, 3.0))],
+    )
+    def test_exponents_that_depend_on_x_are_proven_with_no_pair(self, monkeypatch, text, iv, qs):
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        taken = record_taken(monkeypatch)
+        assert bound_memberships(parse(text), iv, qs) == dict.fromkeys(qs, True)
+        assert not any(taken)
 
     @pytest.mark.parametrize(
         "text,iv,q",
