@@ -318,8 +318,15 @@ def _compile_value(node: Node) -> tuple[Callable[[float], float], bool]:
         return (lambda x: x), True
     if isinstance(node, Call):
         f, has_x = _compile_value(node.arg)
-        rule = _CALLS[node.func]
-        return (lambda x: rule(f(x))), has_x
+        name, rule = node.func, _CALLS[node.func]
+
+        def call(x: float) -> float:
+            try:
+                return rule(f(x))
+            except ValueError:  # math.sin and math.cos of inf; f raises none
+                raise DomainError(f"{name} of infinite argument {f(x)!r}") from None
+
+        return call, has_x
     if isinstance(node, Neg):
         f, has_x = _compile_value(node.arg)
         return (lambda x: -f(x)), has_x
@@ -365,11 +372,17 @@ def _jet_rules(sin, cos, exp, ln, sqrt, power, divide, zero) -> dict[str, Callab
     """
 
     def sin_jet(uv, u1, u2):
-        s, c = sin(uv), cos(uv)
+        try:
+            s, c = sin(uv), cos(uv)
+        except ValueError:
+            raise DomainError(f"sin of infinite argument {uv!r}") from None
         return (s, c * u1, -s * u1 * u1 + c * u2)
 
     def cos_jet(uv, u1, u2):
-        s, c = sin(uv), cos(uv)
+        try:
+            s, c = sin(uv), cos(uv)
+        except ValueError:
+            raise DomainError(f"cos of infinite argument {uv!r}") from None
         return (c, -s * u1, -c * u1 * u1 - s * u2)
 
     def exp_jet(uv, u1, u2):

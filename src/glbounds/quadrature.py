@@ -1,19 +1,27 @@
-"""Interval primitives and the adaptive quadrature oracle.
+"""Interval primitives and the adaptive quadrature oracle, against which
+every closed form in the package is cross-checked; keep this layer boring.
 
-Every closed form in the package is cross-checked against ``integrate`` /
-``integrate_piecewise``; keep this layer boring and well tested.
-
-ABS_TOL, MAX_DEPTH and MAX_EVALS are decided here only: every integral in
-the package is taken to an estimated absolute error of ABS_TOL (split evenly
-across the pieces of a piecewise integral) within MAX_DEPTH bisections and
-MAX_EVALS evaluations of the integrand, or it raises a QuadratureError. The
-budget bounds the run time of every call; the depth cap alone allowed about
-2**MAX_DEPTH samples.
+Gander and Gautschi's adaptive Gauss-Lobatto-Kronrod (adaptlob, BIT 40, 2000):
+on a panel of half-width h about m, the 4-point Lobatto rule i2 (nodes m +- h,
+m +- h/sqrt(5); weights 1/6, 5/6) and its 7-point Kronrod extension i1 (adding
+m, m +- h sqrt(2/3); weights 77, 432, 625, 672 over 1470). The first panel is
+the whole interval, 7 samples. A panel keeps i1 where is + (i1 - i2) == is,
+is = max(REL_TOL * I0, ABS_TOL) / eps, and else splits into six at its nodes.
+I0 estimates the integral of |f|, not of f, so an integral that cancels still
+ends (sin over [0, 2 pi]: 7 samples). Every panel meets that one scale, none
+a share of it, and the error stays bounded: i1 - i2 is the error of i2, exact
+to degree 5, but the panel keeps i1, exact to degree 9, whose error on smooth
+f is smaller by a factor that falls with the width. Where the accepted panels'
+sum of |i1| is RESCALE times below the first scale (one huge sample), the walk
+is made again at that scale. MAX_EVALS bounds the run time of every integral.
+The panels are walked from a list, so a walk hundreds of splits deep, into
+the subnormals, needs no recursion.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,9 +37,16 @@ __all__ = [
 
 ScalarFunction = Callable[[float], float]
 
+REL_TOL = 1e-14
 ABS_TOL = 1e-10
-MAX_DEPTH = 50
 MAX_EVALS = 2**17  # evaluations of f per integrate() call
+RESCALE = 1e3  # how far the first scale may exceed the accepted panels' sum of |i1|
+
+_EPS = sys.float_info.epsilon
+_ALPHA, _BETA = math.sqrt(2.0 / 3.0), 1.0 / math.sqrt(5.0)
+# weights per unit of h, each at most 0.46, applied before adding
+_L1, _L2 = 1.0 / 6.0, 5.0 / 6.0
+_K1, _K2, _K3, _K4 = 77.0 / 1470.0, 432.0 / 1470.0, 625.0 / 1470.0, 672.0 / 1470.0
 
 
 class QuadratureError(Exception):
@@ -39,7 +54,7 @@ class QuadratureError(Exception):
 
 
 class DepthExhaustedError(QuadratureError):
-    """Requested tolerance unreachable within the recursion cap."""
+    """Requested tolerance unreachable on a panel that can no longer be split."""
 
 
 class EvalBudgetError(QuadratureError):
@@ -74,36 +89,30 @@ class Interval:
         return 0.5 * (self.a + self.b)
 
 
-def _sample(f: ScalarFunction, x: float) -> float:
-    y = f(x)
+def _finite(x: float, y: float) -> float:
+    """y, the sample f(x), checked to be finite."""
     if not math.isfinite(y):
         raise NonFiniteValueError(f"function returned non-finite value {y!r} at x={x!r}")
     return y
 
 
-def integrate(f: ScalarFunction, iv: Interval, abs_tol: float = ABS_TOL) -> float:
-    """Integral of f over iv with estimated absolute error <= abs_tol.
+def integrate(f: ScalarFunction, iv: Interval) -> float:
+    """Integral of f over iv to REL_TOL of the integral of |f|, or ABS_TOL.
 
-    Adaptive bisection with a local Simpson estimate; the error indicator is
-    the difference between one- and two-panel refinements, so cubics are
-    integrated exactly at the first level.
-
-    f is evaluated at most MAX_EVALS times: a split that would pass that
-    budget raises EvalBudgetError, and a panel still unresolved after
-    MAX_DEPTH bisections raises DepthExhaustedError. Both name the panel's
-    tolerance and its ends, in the coordinates of f. A panel whose Simpson
-    estimates are not finite because its midpoint or a weighted sum of f's
-    values overflows, which no halving mends, raises NonFiniteValueError
-    naming its ends at once. So does an integral whose converged panels add
-    up past the float range, naming iv.
+    EvalBudgetError past MAX_EVALS samples and DepthExhaustedError on a panel
+    that can no longer be split name the tolerance and the panel. A sample
+    that is not finite raises NonFiniteValueError naming x; a weighted sum of
+    samples that overflows, the panel (an overflowing product with the width
+    splits instead); an overflowing midpoint or sum of the panels, iv.
     """
     a, b = iv.a, iv.b
-    fa = _sample(f, a)
-    fm = _sample(f, 0.5 * (a + b))
-    fb = _sample(f, b)
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    # 3 samples so far and 2 more in the first _refine
-    return _finite_integral(_refine(f, a, b, fa, fm, fb, whole, abs_tol, MAX_DEPTH, [5]), iv)
+    if not math.isfinite(iv.midpoint):
+        raise NonFiniteValueError(f"midpoint of [{a!r}, {b!r}] overflows")
+    fa, fb = _finite(a, f(a)), _finite(b, f(b))
+    total, size, scale, evals = _walk(f, a, b, fa, fb, None, 7)
+    while scale > RESCALE * size and REL_TOL * scale > ABS_TOL:
+        total, size, scale, evals = _walk(f, a, b, fa, fb, size, evals + 5)
+    return _finite_integral(total, iv)
 
 
 def _finite_integral(total: float, iv: Interval) -> float:
@@ -112,67 +121,63 @@ def _finite_integral(total: float, iv: Interval) -> float:
     return total
 
 
-def _refine(
-    f: ScalarFunction,
-    a: float,
-    b: float,
-    fa: float,
-    fm: float,
-    fb: float,
-    whole: float,
-    tol: float,
-    depth: int,
-    evals: list[int],
-) -> float:
-    # evals[0] counts the samples of f this integrate() call has taken or
-    # committed to: each split commits the two samples of each half, so the
-    # budget is checked only where a panel splits and leaves pay nothing
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = _sample(f, lm)
-    frm = _sample(f, rm)
-    left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
-    right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
-    delta = (left + right) - whole
-    if abs(delta) <= 15.0 * tol:
-        # Richardson correction; |delta|/15 bounds the remaining error
-        return left + right + delta / 15.0
-    if not math.isfinite(delta) and not all(
-        map(math.isfinite, (m, fa + 4.0 * flm + fm, fm + 4.0 * frm + fb))
-    ):
-        # halving shrinks a product that overflows with the width, but never an
-        # overflowing midpoint or sum of values: no depth would converge
-        raise NonFiniteValueError(f"Simpson estimate is not finite on [{a!r}, {b!r}]")
-    if depth <= 0:
-        raise DepthExhaustedError(f"tolerance {tol:g} unreachable on [{a!r}, {b!r}]")
-    evals[0] += 4
-    if evals[0] > MAX_EVALS:
-        raise EvalBudgetError(
-            f"evaluation budget {MAX_EVALS} exhausted at tolerance {tol:g} on [{a!r}, {b!r}]"
-        )
-    half = 0.5 * tol
-    return _refine(f, a, m, fa, flm, fm, left, half, depth - 1, evals) + _refine(
-        f, m, b, fm, frm, fb, right, half, depth - 1, evals
-    )
+def _walk(f, a, b, fa, fb, scale: float | None, evals: int) -> tuple[float, float, float, int]:
+    """The accepted panels' sums of i1 and of |i1|, added left to right, the
+    scale (the first panel's, if None) and the count of samples taken or due."""
+    total = size = 0.0
+    tol = None if scale is None else max(REL_TOL * scale, ABS_TOL)
+    todo = [(a, b, fa, fb)]
+    while todo:
+        a, b, fa, fb = todo.pop()
+        h = 0.5 * (b - a)
+        m = a + h
+        mll, ml, mr, mrr = m - _ALPHA * h, m - _BETA * h, m + _BETA * h, m + _ALPHA * h
+        fmll, fml, fm, fmr, fmrr = f(mll), f(ml), f(m), f(mr), f(mrr)
+        # each rule's weights add up to 2: it is 2 f(m) plus weighted departures
+        # from it of symmetric pairs, exact where f is constant
+        mid = fm + fm
+        ends, inner = fa + fb - mid, fml + fmr - mid
+        s = mid + _K3 * inner + _K2 * (fmll + fmrr - mid) + _K1 * ends
+        i1, i2 = h * s, h * (mid + _L2 * inner + _L1 * ends)
+        if tol is None:
+            s_abs = _K4 * abs(fm) + _K3 * (abs(fml) + abs(fmr)) + _K2 * (abs(fmll) + abs(fmrr))
+            # capped at the float range, where the sum of the panels tells
+            # whether the integral is past it; nan, as a sample, fails below
+            scale = min(h * (s_abs + _K1 * (abs(fa) + abs(fb))), sys.float_info.max)
+            tol = max(REL_TOL * scale, ABS_TOL)
+        if tol + _EPS * (i1 - i2) == tol:  # is + (i1 - i2) == is, times eps: no overflow
+            total, size = total + i1, size + abs(i1)
+            continue
+        xs, ys = (a, mll, ml, m, mr, mrr, b), (fa, fmll, fml, fm, fmr, fmrr, fb)
+        if not math.isfinite(s):  # a sample, or a weighted sum no split mends
+            for x, y in zip(xs, ys):
+                _finite(x, y)
+            raise NonFiniteValueError(f"Lobatto-Kronrod estimate is not finite on [{a!r}, {b!r}]")
+        if mll <= a or b <= mrr:
+            raise DepthExhaustedError(f"tolerance {tol:g} unreachable on [{a!r}, {b!r}]")
+        evals += 30
+        if evals > MAX_EVALS:
+            raise EvalBudgetError(
+                f"evaluation budget {MAX_EVALS} exhausted at tolerance {tol:g} on [{a!r}, {b!r}]"
+            )
+        # popped left to right, so f is sampled in the order of x
+        todo += reversed(tuple(zip(xs, xs[1:], ys, ys[1:])))
+    return total, size, scale, evals
 
 
 def integrate_piecewise(f: ScalarFunction, iv: Interval, breakpoints: list[float]) -> float:
     """Sum of integrate() over iv split at the given interior breakpoints.
 
     Entries outside (a, b) are dropped and duplicates collapse, so callers can
-    pass candidate kink locations unconditionally. Same total error contract
-    as integrate(); robust when f has kinks exactly at the cuts.
-
-    The pieces are added left to right from 0.0 in a plain loop: sum() adds
-    floats with compensation from Python 3.12 on, which would make the last
-    bits depend on the Python version. A sum past the float range raises
-    NonFiniteValueError naming iv.
+    pass candidate kink locations unconditionally; robust when f has kinks
+    exactly at the cuts. The pieces are added left to right from 0.0 in a
+    plain loop: sum() adds with compensation from Python 3.12 on, which would
+    make the last bits depend on the version. A sum past the float range
+    raises NonFiniteValueError naming iv.
     """
     cuts = sorted({float(t) for t in breakpoints if iv.a < t < iv.b})
     edges = [iv.a, *cuts, iv.b]
-    piece_tol = ABS_TOL / (len(edges) - 1)
     total = 0.0
     for lo, hi in zip(edges, edges[1:]):
-        total += integrate(f, Interval(lo, hi), piece_tol)
+        total += integrate(f, Interval(lo, hi))
     return _finite_integral(total, iv)

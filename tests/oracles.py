@@ -16,7 +16,7 @@ from typing import Callable
 from glbounds.expressions import Bin, Call, Const, Neg, Node, Pow, Var, compile_expression
 from glbounds.kernel import functional_terms
 from glbounds.qclass import QClassReport, Violation, _lam_major, _PointMemo
-from glbounds.quadrature import Interval, _sample
+from glbounds.quadrature import Interval, _finite
 from glbounds.ratio import CellCover, pair_bound_rows
 
 
@@ -24,9 +24,9 @@ def second_derivative_fd(f: Callable[[float], float], x: float, h: float = 1e-4)
     """Central second difference (f(x-h) - 2 f(x) + f(x+h)) / h^2."""
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"h must be positive and finite, got {h!r}")
-    lo = _sample(f, x - h)
-    mid = _sample(f, x)
-    hi = _sample(f, x + h)
+    lo = _finite(x - h, f(x - h))
+    mid = _finite(x, f(x))
+    hi = _finite(x + h, f(x + h))
     return (lo - 2.0 * mid + hi) / (h * h)
 
 

@@ -19,9 +19,15 @@ from glbounds import (
     lhs_functional,
     membership_for_bound,
     parse,
+    rhs_identity,
     theorem_bound,
 )
 from glbounds.cli import main
+
+# E(0.3, exp) on [20, 20.01] and on [30, 31], from the closed form in 80-digit
+# decimals by bench/oracle.py, rounded to double
+E_EXP_20 = 203.16418691097877
+E_EXP_30 = 68763880758.238
 
 CSV_HEADER = "lambda,q,regime,lhs_abs,bound,ratio,membership"
 
@@ -64,33 +70,54 @@ class TestVerifyIdentity:
         assert main(["verify-identity", "--fn", "x", "--a", "0", "--b", "1", "--lambda", "0.3", "--tol", "0"]) == 0
 
     def test_same_bytes_on_every_python(self, capsys):
-        # the rhs adds three pieces; sum() would compensate from Python 3.12 on
-        # and print abs_diff = 7.10543e-15 there
+        # the rhs adds four pieces; sum() would compensate from Python 3.12 on
+        # and print abs_diff = 7.10543e-15 there. Both sides are within 2 ulps
+        # of the exact E = -125/3 (abs_diff was 0 with adaptive Simpson)
         assert main(["verify-identity", "--fn", "x^2", "--a", "-10", "--b", "10", "--lambda", "0.75"]) == 0
-        assert capsys.readouterr().out == "lhs      = -41.6667\nrhs      = -41.6667\nabs_diff = 0\n"
+        assert capsys.readouterr().out == "lhs      = -41.6667\nrhs      = -41.6667\nabs_diff = 1.42109e-14\n"
+        e, iv, p = parse("x^2"), Interval(-10.0, 10.0), RuleParams(0.75)
+        assert abs(lhs_functional(e, iv, p) + 125.0 / 3.0) <= 1.5e-14
+        assert abs(rhs_identity(e, iv, p) + 125.0 / 3.0) <= 1.5e-14
 
-    def test_exp_stall_ends_at_the_budget(self, capsys):
-        # int f stops at the budget; without it, 3.0M samples and 6 s passed
-        # before the kernel side failed
-        code = main(["verify-identity", "--fn", "exp(x)", "--a", "30", "--b", "31", "--lambda", "0.3"])
+    # lhs_rel: E adds terms near 4.9e8 up to 203 on [20, 20.01], near 1.8e13
+    # up to 6.9e10 on [30, 31]; a few ulps of those terms is its rounding
+    @pytest.mark.parametrize(
+        "a,b,exact,lhs_rel",
+        [("20", "20.01", E_EXP_20, 1e-8), ("30", "31", E_EXP_30, 1e-12)],
+        ids=["20-20.01", "30-31"],
+    )
+    def test_exp_stall_converges(self, a, b, exact, lhs_rel, capsys):
+        # adaptive Simpson to an absolute 1e-10 failed both: the f side spent
+        # the whole budget on [30, 31], the kernel side hit its depth cap on
+        # both. Each side now answers; the identity still fails on its
+        # absolute tol of 1e-8, below the rounding of an E near 203 or 6.9e10
+        code = main(["verify-identity", "--fn", "exp(x)", "--a", a, "--b", b, "--lambda", "0.3"])
         captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == (
-            "error: evaluation budget 131072 exhausted at tolerance 4.65661e-20 "
-            "on [30.24398963013664, 30.2439896306023]\n"
-        )
+        assert code == 1
+        assert captured.err == ""
+        fields = dict(line.split(" = ") for line in captured.out.splitlines())
+        for side in ("lhs     ", "rhs     "):
+            assert float(fields[side]) == pytest.approx(exact, rel=1e-5)  # 6 printed digits
+        e, iv, p = parse("exp(x)"), Interval(float(a), float(b)), RuleParams(0.3)
+        assert abs(lhs_functional(e, iv, p) - exact) <= lhs_rel * exact
+        assert abs(rhs_identity(e, iv, p) - exact) <= 1e-12 * exact
 
     def test_kernel_error_names_its_integral(self, capsys):
-        # the f side converges here; the panel is in t, not in x
-        code = main(["verify-identity", "--fn", "exp(x)", "--a", "20", "--b", "20.01", "--lambda", "0.3"])
+        # f'' = 1/(x - 0.3) is not integrable, f is: the f side converges,
+        # and the panel is in t, not in x (x = 0.3 at t = 0.7)
+        code = main(["verify-identity", "--fn", "(x-0.3)*ln(abs(x-0.3))", "--a", "0", "--b", "1", "--lambda", "0.5"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err == (
-            "error: kernel integral over t in [0, 1]: tolerance 2.22045e-26 unreachable "
-            "on [0.05298234336356522, 0.052982343363565484]\n"
+            "error: kernel integral over t in [0, 1]: tolerance 1e-10 unreachable "
+            "on [0.6999999999975031, 0.6999999999975041]\n"
         )
+
+    def test_sine_of_an_infinite_argument_is_named(self, capsys):
+        # math.sin(inf) used to end the request with "error: math domain error"
+        assert main(["verify-identity", "--fn", "sin(1e300*1e300*x)", "--a", "0.5", "--b", "2", "--lambda", "0.3"]) == 2
+        assert capsys.readouterr() == ("", "error: sin of infinite argument inf\n")
 
     def test_overflowing_width_is_an_input_error(self, capsys):
         # b - a = inf used to print nan for both sides and exit 1
@@ -102,7 +129,7 @@ class TestVerifyIdentity:
     def test_overflowing_midpoint_is_an_input_error(self, capsys):
         # 0.5*(a + b) overflows though b - a does not
         assert main(["verify-identity", "--fn", "1", "--a", "1e308", "--b", "1.7e308", "--lambda", "0.5"]) == 2
-        assert capsys.readouterr() == ("", "error: Simpson estimate is not finite on [1e+308, 1.7e+308]\n")
+        assert capsys.readouterr() == ("", "error: midpoint of [1e+308, 1.7e+308] overflows\n")
 
     def test_overflowing_integral_is_an_input_error(self, capsys):
         # int_0^1e10 1e300 = 1e310 used to print lhs = inf and exit 1
@@ -110,9 +137,15 @@ class TestVerifyIdentity:
         assert capsys.readouterr() == ("", "error: integral over [0.0, 10000000000.0] overflows: inf\n")
 
     def test_overflowing_estimate_is_an_input_error(self, capsys):
-        # 3e307 + 4*3e307 + 3e307 overflows: this used to split to depth 50
-        assert main(["verify-identity", "--fn", "3e307", "--a", "0", "--b", "1", "--lambda", "0.5"]) == 2
-        assert capsys.readouterr() == ("", "error: Simpson estimate is not finite on [0.0, 1.0]\n")
+        # f(a) + f(b) = 2e308 overflows, in the rule and in E alike
+        assert main(["verify-identity", "--fn", "1e308", "--a", "0", "--b", "1", "--lambda", "0.5"]) == 2
+        assert capsys.readouterr() == ("", "error: Lobatto-Kronrod estimate is not finite on [0.0, 1.0]\n")
+
+    def test_values_below_half_the_float_range_answer(self, capsys):
+        # Simpson's fa + 4*fm + fb overflowed here (exit 2); the integral, 3e307,
+        # and every sum in E are finite, and E is exactly 0
+        assert main(["verify-identity", "--fn", "3e307", "--a", "0", "--b", "1", "--lambda", "0.5"]) == 0
+        assert capsys.readouterr() == ("lhs      = 0\nrhs      = 0\nabs_diff = 0\n", "")
 
 
 class TestCoeffs:
@@ -162,6 +195,13 @@ class TestBound:
     def test_lambda_range(self, capsys):
         assert main(["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "1.5", "--q", "1"]) == 2
 
+    @pytest.mark.parametrize("fn,name", [("x^sin(1e300*1e300)", "sin"), ("(x+1)^cos(1e300*1e300)", "cos")])
+    def test_periodic_of_an_infinite_exponent_is_named(self, fn, name, capsys):
+        # the exponent is free of x and evaluated at every x; it used to end
+        # the request with "error: math domain error"
+        assert main(["bound", "--fn", fn, "--a", "0.5", "--b", "2", "--lambda", "0.3", "--q", "2"]) == 2
+        assert capsys.readouterr() == ("", f"error: {name} of infinite argument inf\n")
+
     @pytest.mark.parametrize("extra", [["--skip-membership"], []])
     def test_overflowing_power_is_an_input_error(self, extra, capsys):
         # |f''(300)|^3 of exp passes 1.8e308; the bound fails before quadrature and scan
@@ -209,14 +249,15 @@ class TestBound:
         assert main(argv + extra) == 2
         assert capsys.readouterr() == ("", "error: integral over [0.0, 10000000000.0] overflows: inf\n")
 
-    def test_integral_beyond_the_budget_is_an_input_error(self, capsys):
-        # an absolute 1e-10 on an integral near 1.8e13 needs about 3.0M samples;
-        # before the budget this printed lhs_abs = 6.87639e+10 after 7 to 10 s
+    def test_integral_beyond_simpsons_budget_answers(self, capsys):
+        # an absolute 1e-10 on an integral near 1.8e13 needed about 3.0M Simpson
+        # samples: 7 to 10 s, then an exhausted budget (exit 2); 217 now
         argv = ["--fn", "exp(x)", "--a", "30", "--b", "31", "--lambda", "0.3", "--q", "1"]
-        assert main(["bound", *argv, "--skip-membership"]) == 2
+        assert main(["bound", *argv, "--skip-membership"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: evaluation budget 131072 exhausted")
+        assert captured.err == ""
+        lhs_abs = float(captured.out.splitlines()[0].split(" = ")[1])
+        assert lhs_abs == pytest.approx(E_EXP_30, rel=1e-5)  # 6 printed digits
 
     def test_skip_membership(self, capsys):
         code = main(

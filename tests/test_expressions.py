@@ -67,6 +67,8 @@ def reference_evaluate(node, x):
 
 
 def _eval_call(name: str, u: float) -> float:
+    if name in ("sin", "cos") and math.isinf(u):
+        raise DomainError(f"{name} of infinite argument {u!r}")
     if name == "sin":
         return math.sin(u)
     if name == "cos":
@@ -150,6 +152,8 @@ def _jet(node: Node, x: float) -> tuple[float, float, float]:
 
 def _jet_call(name: str, u: tuple[float, float, float]) -> tuple[float, float, float]:
     uv, u1, u2 = u
+    if name in ("sin", "cos") and math.isinf(uv):
+        raise DomainError(f"{name} of infinite argument {uv!r}")
     if name == "sin":
         s = math.sin(uv)
         c = math.cos(uv)
@@ -334,6 +338,12 @@ class TestEvaluate:
         assert evaluate(parse("abs(x)"), -3.5) == 3.5
         assert evaluate(parse("sqrt(x)"), 0.0) == 0.0
 
+    @pytest.mark.parametrize("name", ["sin", "cos"])
+    def test_periodic_of_infinite_argument(self, name):
+        # math.sin and math.cos raise a bare "math domain error" there
+        with pytest.raises(DomainError, match=rf"^{name} of infinite argument -inf$"):
+            evaluate(parse(f"{name}(x*1e300)"), -1e300)
+
 
 class TestJet2:
     @pytest.mark.parametrize(
@@ -391,6 +401,11 @@ class TestJet2:
     def test_zero_base_negative_exponent_raises(self):
         with pytest.raises(DomainError):
             evaluate_jet2(parse("x^-2"), 0.0)
+
+    @pytest.mark.parametrize("name", ["sin", "cos"])
+    def test_periodic_of_infinite_argument_raises(self, name):
+        with pytest.raises(DomainError, match=rf"^{name} of infinite argument inf$"):
+            evaluate_jet2(parse(f"{name}(x*1e300)"), 1e300)
 
     def test_variable_exponent_jet(self):
         # x^x: f'' = x^x ((ln x + 1)^2 + 1/x)

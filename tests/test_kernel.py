@@ -125,6 +125,7 @@ class TestIdentity:
             assert rep.abs_diff <= 1e-8, f"{text} at lambda={i / 10.0}"
 
     def test_kernel_side_error_keeps_its_type_and_names_t(self):
-        # values of f'' near 4.9e8 against an absolute 1e-10 over four t-pieces
+        # f'' = 1/(x - 0.3) is not integrable: the t-panel next to its pole
+        # can no longer be split
         with pytest.raises(DepthExhaustedError, match=r"^kernel integral over t in \[0, 1\]: tolerance "):
-            rhs_identity(parse("exp(x)"), Interval(20.0, 20.01), RuleParams(0.3))
+            rhs_identity(parse("(x-0.3)*ln(abs(x-0.3))"), UNIT, RuleParams(0.5))
