@@ -70,11 +70,12 @@ class TestVerifyIdentity:
         assert main(["verify-identity", "--fn", "x", "--a", "0", "--b", "1", "--lambda", "0.3", "--tol", "0"]) == 0
 
     def test_same_bytes_on_every_python(self, capsys):
-        # the rhs adds four pieces; sum() would compensate from Python 3.12 on
-        # and print abs_diff = 7.10543e-15 there. Both sides are within 2 ulps
-        # of the exact E = -125/3 (abs_diff was 0 with adaptive Simpson)
+        # each integral adds its panels left to right, and the rhs its two
+        # halves; sum() would compensate from Python 3.12 on. Both sides are
+        # within 2 ulps of the exact E = -125/3 (abs_diff was 0 with adaptive
+        # Simpson, 1.42109e-14 with Lobatto-Kronrod and four kernel pieces)
         assert main(["verify-identity", "--fn", "x^2", "--a", "-10", "--b", "10", "--lambda", "0.75"]) == 0
-        assert capsys.readouterr().out == "lhs      = -41.6667\nrhs      = -41.6667\nabs_diff = 1.42109e-14\n"
+        assert capsys.readouterr().out == "lhs      = -41.6667\nrhs      = -41.6667\nabs_diff = 7.10543e-15\n"
         e, iv, p = parse("x^2"), Interval(-10.0, 10.0), RuleParams(0.75)
         assert abs(lhs_functional(e, iv, p) + 125.0 / 3.0) <= 1.5e-14
         assert abs(rhs_identity(e, iv, p) + 125.0 / 3.0) <= 1.5e-14
@@ -111,8 +112,20 @@ class TestVerifyIdentity:
         assert captured.out == ""
         assert captured.err == (
             "error: kernel integral over t in [0, 1]: tolerance 1e-10 unreachable "
-            "on [0.6999999999975031, 0.6999999999975041]\n"
+            "on [0.6999999999992639, 0.699999999999271]\n"
         )
+
+    @pytest.mark.parametrize("lam", ["0", "0.3333333333333333", "0.75"])
+    @pytest.mark.parametrize("c", ["0.3", "0.25", "0.5"])
+    def test_non_integrable_kernel_side_never_answers(self, c, lam, capsys):
+        # f'' = 1/(x - c) has its pole at t = 1 - c: at 0.7, no bisection point;
+        # at 0.75, a bisection midpoint, where a node lands on it; at 1/2, the
+        # cut. A panel bisected past its nodes once accepted the pole at 0.7
+        argv = ["verify-identity", "--fn", f"(x-{c})*ln(abs(x-{c}))", "--a", "0", "--b", "1", "--lambda", lam]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_sine_of_an_infinite_argument_is_named(self, capsys):
         # math.sin(inf) used to end the request with "error: math domain error"
@@ -139,7 +152,7 @@ class TestVerifyIdentity:
     def test_overflowing_estimate_is_an_input_error(self, capsys):
         # f(a) + f(b) = 2e308 overflows, in the rule and in E alike
         assert main(["verify-identity", "--fn", "1e308", "--a", "0", "--b", "1", "--lambda", "0.5"]) == 2
-        assert capsys.readouterr() == ("", "error: Lobatto-Kronrod estimate is not finite on [0.0, 1.0]\n")
+        assert capsys.readouterr() == ("", "error: Gauss-Kronrod estimate is not finite on [0.0, 1.0]\n")
 
     def test_values_below_half_the_float_range_answer(self, capsys):
         # Simpson's fa + 4*fm + fb overflowed here (exit 2); the integral, 3e307,
@@ -251,7 +264,7 @@ class TestBound:
 
     def test_integral_beyond_simpsons_budget_answers(self, capsys):
         # an absolute 1e-10 on an integral near 1.8e13 needed about 3.0M Simpson
-        # samples: 7 to 10 s, then an exhausted budget (exit 2); 217 now
+        # samples: 7 to 10 s, then an exhausted budget (exit 2); 17 now
         argv = ["--fn", "exp(x)", "--a", "30", "--b", "31", "--lambda", "0.3", "--q", "1"]
         assert main(["bound", *argv, "--skip-membership"]) == 0
         captured = capsys.readouterr()

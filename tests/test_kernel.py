@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+import glbounds.kernel
 from glbounds import (
     DepthExhaustedError,
+    DomainError,
     Interval,
     RuleParams,
     integrate_piecewise,
@@ -14,6 +16,7 @@ from glbounds import (
     rhs_identity,
     verify_identity,
 )
+from glbounds.expressions import _compile_jet
 
 UNIT = Interval(0.0, 1.0)
 
@@ -123,6 +126,31 @@ class TestIdentity:
         for i in range(11):
             rep = verify_identity(e, iv, RuleParams(i / 10.0))
             assert rep.abs_diff <= 1e-8, f"{text} at lambda={i / 10.0}"
+
+    def test_halves_sample_kernel_k(self, monkeypatch):
+        # each half integrates kernel_k's branch written inline: the same
+        # value, bit for bit, at every t of its half, the joint 1/2 included
+        taken = []
+        monkeypatch.setattr(glbounds.kernel, "integrate", lambda f, iv: taken.append((f, iv)) or 0.0)
+        e, iv = parse("exp(x)*sin(x)+1/(x+2)"), Interval(-0.7, 2.9)
+        jet = _compile_jet(e)
+        for lam in (0.0, 0.3, 1.0 / 3.0, 0.5, 0.75, 1.0):
+            p = RuleParams(lam)
+            taken.clear()
+            assert rhs_identity(e, iv, p) == 0.0
+            assert [piece for _, piece in taken] == [Interval(0.0, 0.5), Interval(0.5, 1.0)]
+            for f, piece in taken:
+                for i in range(129):
+                    t = piece.a + 0.5 * i / 128.0
+                    assert f(t) == kernel_k(t, p) * jet(t * iv.a + (1.0 - t) * iv.b)[2]
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0 / 3.0, 0.75])
+    @pytest.mark.parametrize("c", ["0.3", "0.25", "0.5"])
+    def test_non_integrable_kernel_side_raises(self, c, lam):
+        # the pole of f'' at t = 1 - c: off the bisection points, on a panel's
+        # midpoint node, and on the cut at 1/2, where a half samples its end
+        with pytest.raises((DepthExhaustedError, DomainError)):
+            rhs_identity(parse(f"(x-{c})*ln(abs(x-{c}))"), UNIT, RuleParams(lam))
 
     def test_kernel_side_error_keeps_its_type_and_names_t(self):
         # f'' = 1/(x - 0.3) is not integrable: the t-panel next to its pole

@@ -2,6 +2,7 @@ import inspect
 import math
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from glbounds import (
     integrate_piecewise,
 )
 from glbounds.expressions import compile_expression, parse
-from glbounds.quadrature import ABS_TOL, MAX_EVALS, REL_TOL
+from glbounds.quadrature import _WG, _WG0, _WK, _WK0, _XK, ABS_TOL, MAX_EVALS, REL_TOL
 from conftest import examples
 from oracles import second_derivative_fd
 
@@ -69,6 +70,46 @@ class TestInterval:
             Interval(a, b)
 
 
+def _rule_error_in_ulps(center, weights, nodes, d):
+    """The rule's error on x^d over [-1, 1], in ulps of the exact 2/(d+1) (of
+    1 for odd d), computed exactly from the float constants."""
+    got = Fraction(center) * (d == 0) + sum(
+        Fraction(w) * (Fraction(x) ** d + Fraction(-x) ** d) for x, w in zip(nodes, weights)
+    )
+    exact = Fraction(2, d + 1) if d % 2 == 0 else Fraction(0)
+    return float(got - exact) / math.ulp(float(exact) or 1.0)
+
+
+class TestRuleConstants:
+    """QUADPACK qk15's xgk, wgk and wg, rounded to double: a digit mistyped
+    anywhere up to the fifteenth moves a moment by more than 4 ulps, which the
+    rounding of the constants stays within."""
+
+    @pytest.mark.parametrize("d", range(24))
+    def test_kronrod_rule_is_exact_to_degree_23(self, d):
+        assert abs(_rule_error_in_ulps(_WK0, _WK, _XK, d)) <= 4.0
+
+    @pytest.mark.parametrize("d", range(14))
+    def test_gauss_rule_is_exact_to_degree_13(self, d):
+        assert abs(_rule_error_in_ulps(_WG0, _WG, _XK[1::2], d)) <= 4.0
+
+    def test_degrees_are_sharp(self):
+        # the next even power is off by far more: these are the 15- and 7-point rules
+        assert abs(_rule_error_in_ulps(_WK0, _WK, _XK, 24)) > 1e6
+        assert abs(_rule_error_in_ulps(_WG0, _WG, _XK[1::2], 14)) > 1e6
+
+    @pytest.mark.parametrize("center,weights", [(_WK0, _WK), (_WG0, _WG)], ids=["kronrod", "gauss"])
+    def test_weights_sum_to_two(self, center, weights):
+        total = Fraction(center) + 2 * sum(map(Fraction, weights))
+        assert abs(total - 2) <= Fraction(math.ulp(2.0))
+
+    def test_nodes_and_weights_are_ordered(self):
+        # outermost node first, in (0, 1); the pair weights stay below 0.39, so
+        # a weighted departure overflows only past half the float range
+        assert 1.0 > _XK[0] > _XK[1] > _XK[2] > _XK[3] > _XK[4] > _XK[5] > _XK[6] > 0.0
+        assert max(*_WK, *_WG) < 0.39
+
+
 class TestIntegrate:
     def test_square(self):
         assert integrate(lambda x: x * x, Interval(0.0, 1.0)) == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -82,7 +123,7 @@ class TestIntegrate:
         f, calls = _counting(lambda x: 1.0 / abs(x - 1.0 / 3.0))
         with pytest.raises(DepthExhaustedError, match=r"^tolerance 1e-10 unreachable on \["):
             integrate(f, Interval(0.0, 1.0))
-        assert calls[0] == 44917 <= MAX_EVALS
+        assert calls[0] == 23327 <= MAX_EVALS  # 44,917 with Lobatto-Kronrod
 
     def test_depth_panel_ends_print_apart(self):
         # the ends are printed in full: with :g both read 0.333333
@@ -97,38 +138,40 @@ class TestIntegrate:
         f, calls = _counting(lambda x: math.sin(1e12 * x))
         with pytest.raises(EvalBudgetError, match=r"^evaluation budget 131072 exhausted at tolerance 1e-10 on \["):
             integrate(f, Interval(0.0, 1.0))
-        assert calls[0] == 130857 <= MAX_EVALS
+        assert calls[0] == 130742 <= MAX_EVALS  # 130,857 with Lobatto-Kronrod
 
     def test_exp_stall_converges(self):
-        # adaptive Simpson to an absolute 1e-10 spent the whole budget here
+        # adaptive Simpson to an absolute 1e-10 spent the whole budget here,
+        # Lobatto-Kronrod 217 samples; the first panel is accepted
         f, calls = _counting(math.exp)
         got = integrate(f, Interval(30.0, 31.0))
         assert abs(got - EXP_30_31) <= REL_TOL * EXP_30_31
-        assert calls[0] == 217
+        assert calls[0] == 17
 
     def test_budget_leaves_converging_results_alone(self):
         f, calls = _counting(compile_expression(parse("exp(x)*sin(x)+1/(x+2)"))[0])
         got = integrate(f, Interval(0.0, 10.0))
         assert abs(got - COMPOSITE_0_10) <= REL_TOL * COMPOSITE_0_10
-        assert calls[0] == 2227  # 11,453 with adaptive Simpson
+        assert calls[0] == 227  # 2,227 with Lobatto-Kronrod, 11,453 with adaptive Simpson
 
     def test_budget_counts_each_call_afresh(self):
         f = compile_expression(parse("exp(x)*sin(x)+1/(x+2)"))[0]
         first = integrate(f, Interval(0.0, 10.0))
-        for _ in range(59):  # 60 x 2,227 samples would exceed one budget
+        for _ in range(599):  # 600 x 227 samples would exceed one budget
             assert integrate(f, Interval(0.0, 10.0)) == first
 
-    def test_first_panel_costs_seven_samples(self):
-        # x^4 is within the Kronrod rule's degree: the first panel is accepted
+    def test_first_panel_costs_seventeen_samples(self):
+        # x^4 is within the Gauss rule's degree: the first panel is accepted,
+        # its 15 samples after f(a) and f(b)
         f, calls = _counting(lambda x: x**4)
         assert abs(integrate(f, Interval(-5.0, 5.0)) - 1250.0) <= REL_TOL * 1250.0
-        assert calls[0] == 7
+        assert calls[0] == 17
 
     def test_cancelling_integral_ends_on_the_first_panel(self):
         # the scale is that of the integral of |sin|, about 4, not of the integral's 0
         f, calls = _counting(math.sin)
         assert abs(integrate(f, Interval(0.0, 2.0 * math.pi))) <= 1e-15
-        assert calls[0] == 7
+        assert calls[0] == 17
 
     def test_one_huge_sample_does_not_set_the_scale(self):
         # f(0) = 1e150 made the first scale 2.6e148, at which a walk that
@@ -137,9 +180,10 @@ class TestIntegrate:
         assert abs(got - 2.0) <= ABS_TOL
 
     def test_a_deep_walk_needs_no_recursion(self):
-        # f is 1e300 on [0, 1e-300] and 1/x above: the panels at 0 split about
-        # 300 times, each 10.9 times narrower, into the subnormals; the walk
-        # keeps no frame per level, so a stack 50 frames above this one is enough
+        # f is 1e300 on [0, 1e-300] and 1/x above: the panel at 0 halves about
+        # 997 times, until f is constant on it; its first node, 0.0043 of its
+        # width, is below 1e-302 only from 994 halvings on. The walk keeps no
+        # frame per level, so a stack 50 frames above this one is enough
         xs = []
 
         def f(x):
@@ -152,7 +196,7 @@ class TestIntegrate:
             got = integrate(f, Interval(0.0, 1.0))
         finally:
             sys.setrecursionlimit(limit)
-        assert 0.0 < min(x for x in xs if x > 0.0) < 1e-308
+        assert 0.0 < min(x for x in xs if x > 0.0) < 1e-302
         assert abs(got - (1.0 + 300.0 * math.log(10.0))) <= ABS_TOL
 
     def test_non_finite_value(self):
@@ -170,13 +214,13 @@ class TestIntegrate:
         # 1e308 + 1e308 overflows; no split mends a sum of values
         f, calls = _counting(lambda x: 1e308)
         with pytest.raises(
-            NonFiniteValueError, match=r"^Lobatto-Kronrod estimate is not finite on \[0\.0, 1\.0\]$"
+            NonFiniteValueError, match=r"^Gauss-Kronrod estimate is not finite on \[0\.0, 1\.0\]$"
         ):
             integrate(f, Interval(0.0, 1.0))
-        assert calls[0] == 7
+        assert calls[0] == 17
 
     def test_values_below_half_the_float_range_keep_their_answer(self):
-        # the weights, each at most 0.46, are applied before adding; Simpson's
+        # the weights, each at most 0.39, are applied before adding; Simpson's
         # fa + 4*fm + fb overflowed here
         assert integrate(lambda x: 3e307, Interval(0.0, 1.0)) == 3e307
 
@@ -199,7 +243,13 @@ class TestIntegrate:
             integrate(lambda x: 1.0, Interval(1e308, 1.7e308))
 
     def test_estimate_that_overflows_with_the_width_still_converges(self):
-        # width * 6 * 2^511 overflows on the whole panel but not on its halves
+        # the peak at the first panel's midpoint makes its Kronrod estimate
+        # about 1e10 * 0.21 * 1e300, which overflows; its halves do not, and the
+        # integral is 1e300 * 2 atan(1e10), about 3.1e300
+        exact = 1e300 * 2.0 * math.atan(1e10)
+        got = integrate(lambda x: 1e300 / (1.0 + x * x), Interval(-1e10, 1e10))
+        assert abs(got - exact) <= REL_TOL * exact
+        # a constant's estimate is its integral, 2^510 * 2^512, just below the range
         assert integrate(lambda x: 2.0**511, Interval(0.0, 2.0**511)) == 2.0**1022
 
     def test_integral_past_the_float_range_is_rejected(self):
