@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .coefficients import _check_lambda
 from .expressions import Node, _compile_jet, _compile_value
-from .quadrature import Interval, QuadratureError, _finite_integral, integrate
+from .quadrature import Interval, QuadratureError, integrate, integrate_piecewise
 
 __all__ = [
     "RuleParams",
@@ -94,28 +94,27 @@ def lhs_functional(e: Node, iv: Interval, p: RuleParams) -> float:
 def rhs_identity(e: Node, iv: Interval, p: RuleParams) -> float:
     """Kernel-weighted integral of f'' over [0, 1], scaled by width^2.
 
-    The integral is cut at t = 1/2 only, where kernel_k changes branch, and
-    each half integrates its own branch of kernel_k written inline; lam and
-    1 - lam are zeros of k, not kinks, so they need no cut. Each sample is the
-    value kernel_k gives, since the branches agree bitwise at 1/2. The halves
-    are added left to right from 0.0, and a sum past the float range raises
-    NonFiniteValueError. A QuadratureError from this integral is raised again
-    with a prefix saying that its panel is in t.
+    The integral is cut at t = 1/2 only (integrate_piecewise), where kernel_k
+    changes branch; lam and 1 - lam are zeros of k, not kinks, so they need
+    no cut. The integrand writes kernel_k's two branches inline, split at
+    t <= 1/2 as kernel_k splits them, so each sample is the value kernel_k
+    gives. A QuadratureError from this integral, a sum past the float range
+    included, is raised again with a prefix saying that its panel is in t.
     """
     a, b = iv.a, iv.b
     w = iv.width
     lam = p.lam
     jet = _compile_jet(e)
 
-    def low(t: float) -> float:
-        return 0.5 * t * (t - lam) * jet(t * a + (1.0 - t) * b)[2]
-
-    def high(t: float) -> float:
-        return 0.5 * (1.0 - t) * ((0.5 - lam) + (0.5 - t)) * jet(t * a + (1.0 - t) * b)[2]
+    def integrand(t: float) -> float:
+        if t <= 0.5:
+            k = 0.5 * t * (t - lam)
+        else:
+            k = 0.5 * (1.0 - t) * ((0.5 - lam) + (0.5 - t))
+        return k * jet(t * a + (1.0 - t) * b)[2]
 
     try:
-        halves = 0.0 + integrate(low, Interval(0.0, 0.5)) + integrate(high, Interval(0.5, 1.0))
-        total = _finite_integral(halves, Interval(0.0, 1.0))
+        total = integrate_piecewise(integrand, Interval(0.0, 1.0), [0.5])
     except QuadratureError as exc:
         raise type(exc)(f"kernel integral over t in [0, 1]: {exc}") from exc
     return w * w * total

@@ -17,22 +17,34 @@ Three entry points scan an expression: check_expression scans g = f
 bound_memberships answers, for each q, whether the default-grid scan of
 |f''|^q passes, which is all that bound and sweep read.
 
-The scan is defined by a loop over lam, then x, then y. Each entry point
-builds one cover: an interval enclosure (glbounds.enclosure) bounding f or
-|f''| on one cell per grid step, inf where it declines. By the ratio lemma
-it bounds every margin of each pair of grid points over the span the pair's
-scan points reach (glbounds.ratio). One walk (_walk) visits the pairs
-hottest first by that bound, computing each margin as the loop does. The
-scan is that walk, stopped where no pair left can change its report, and
-its report and first error are the loop's. The walk takes its pairs from a
-lazy ranking (ratio.ranked_pairs), which sorts only the rows it takes a
-pair from. bound_memberships needs no report, so for each q _decide walks
-only the pairs above the tolerance and answers after the pair that holds
-the first violation (with none, or no such pair, the scan passes). The
-pairs with b = inf come first and hold every point where g may raise, so
-_decide answers False only once they are all visited, and raises the
-scan's error where the scan would: it answers every input as the scan
-would, and bound and sweep run no scan. The cover never leaves this module.
+The scan is defined by a loop over lam, then x, then y. For every lam in
+(0, 1) and g(x), g(y) >= 0,
+
+    g(x)/lam + g(y)/(1-lam) >= (sqrt(g(x)) + sqrt(g(y)))^2
+
+(Cauchy-Schwarz, the ratio lemma), so an upper bound of g between two grid
+points bounds every margin g(z) - rhs of the pair, whatever lam. The scan
+takes such bounds from its argument bound, one per cell of the grid
+(_cells: one cell per grid step, reaching a few ulps past its two grid
+points), and turns them into one bound per pair of grid points over just
+the cells its scan points reach (pair_bound_rows). The entry points pass an
+interval enclosure (glbounds.enclosure) of f or |f''|, inf on a cell where
+it declines. One walk (_walk) visits the pairs hottest first by that bound,
+computing each margin as the loop does. The scan is that walk, stopped
+where no pair left can change its report, and its report and first error
+are the loop's. The walk takes its pairs from a lazy ranking
+(ranked_pairs), which sorts only the rows it takes a pair from.
+bound_memberships needs no report, so for each q _decide walks only the
+pairs above the tolerance and answers after the pair that holds the first
+violation (with none, or no such pair, the scan passes). The pairs with
+b = inf come first and hold every point where g may raise, so _decide
+answers False only once they are all visited, and raises the scan's error
+where the scan would: it answers every input as the scan would, and bound
+and sweep run no scan. The cells, and what a bound means for a pair, are
+decided in this module only.
+
+The enclosure and heapq are imported when the first scan or decision runs,
+so every command but bound, sweep and qclass starts without them.
 
 DEFAULT_GRID_N and DEFAULT_TOL are decided here only: bound and sweep scan
 with them, and they are the defaults of the CLI's qclass --grid and --tol.
@@ -63,13 +75,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .expressions import Node, compile_expression
 from .quadrature import Interval
-
-if TYPE_CHECKING:
-    from .ratio import CellCover
 
 __all__ = [
     "Violation",
@@ -114,6 +123,8 @@ class QClassReport:
 
 
 Raw = list[tuple[float, float, float, float, float]]  # (x, y, lam, lhs, rhs) of each violation
+Cells = list[tuple[float, float]]  # [lo, hi] of each cell
+Bound = Callable[[Cells], list[float]]  # cells -> an upper bound of g on each
 
 
 def _check_q(q: float) -> None:
@@ -159,12 +170,141 @@ def _scan_grid(iv: Interval, n: int, tol: float) -> list[float]:
     return xs
 
 
+def _cells(xs: list[float]) -> Cells:
+    """The n-1 cells of the scan with grid points xs (ascending, n >= 2).
+
+    Cell k (k = 0 ... n-2) is [lows[k], highs[k+1]], where lows[i] and
+    highs[i] lie at least delta below and above x_i. Every scan point of x_i
+    and x_j (i < j) lies in the cells i to j-1, and every scan point of x_i
+    alone in cell i-1 and in cell i, where each exists.
+
+    delta bounds how far a scan point z = fl(fl(lam*x) + fl(fl(1-lam)*y)) of
+    grid points x and y can fall outside [min(x, y), max(x, y)]. With
+    u = 2^-53, A the largest |x_i| and eta = 2^-1075 (half the least
+    subnormal): fl(1-lam) = 1 - lam + e0 with |e0| <= u/2 (1 - lam < 1), so
+    lam*x + fl(1-lam)*y lies within u/2*A of [min, max]; the two products are
+    off by at most u*A*lam + eta and u*A*fl(1-lam) + eta, and their sum by u
+    times |sum| <= (1 + u/2)(1 + u)*A. In all |z - (lam*x + (1-lam)*y)| <=
+    (2.5u + O(u^2))*A + 2*eta < 3*ulp(A) + ulp(A), since u*A < ulp(A) and
+    2*eta = 2^-1074 <= ulp(A). So delta = 5*ulp(A) covers every scan point.
+
+    lows[i] = down(fl(x_i - delta)) <= x_i - delta, and highs[i] >= x_i +
+    delta likewise, both ascending in i. Cell k holds [lows[k], highs[k]]
+    and [lows[k+1], highs[k+1]], so neighbouring cells overlap, and cells i
+    to j-1 together hold [lows[i], highs[j]], which holds every scan point
+    of x_i and x_j (i < j). Cells i-1 and i each hold [lows[i], highs[i]],
+    every scan point of x_i alone. That is n-1 cells, none reaching more
+    than delta past the pair it serves.
+    """
+    delta = 5.0 * math.ulp(max(abs(xs[0]), abs(xs[-1])))
+    lows = [math.nextafter(x - delta, -math.inf) for x in xs]
+    highs = [math.nextafter(x + delta, math.inf) for x in xs]
+    return list(zip(lows, highs[1:]))
+
+
+def _cell_bounds(bound: Bound | None, xs: list[float]) -> list[float]:
+    """bound(cells) on the cells of the scan with grid points xs, called
+    once: inf on every cell where bound is None, and on each cell where it
+    gives NaN. Raises ValueError where it gives other than one bound per cell."""
+    n = len(xs) - 1
+    if bound is None:
+        return [math.inf] * n
+    sup = [math.inf if math.isnan(s) else s for s in bound(_cells(xs))]
+    if len(sup) != n:
+        raise ValueError(f"bound gave {len(sup)} values for the {n} cells of the grid")
+    return sup
+
+
+_SHRINK = 1.0 - 2.0**-50  # 1 - 8u (u = 2^-53): outweighs the roundings of s and s*s
+_SLACK = 2.0**-1070  # 32*eta (eta = 2^-1075)
+
+
+def pair_bound_rows(gx: list[float], sup: list[float]) -> Iterator[list[float]]:
+    """Row i: for each j >= i, a bound b on every scan margin of x_i and x_j,
+    from g_i = gx[i], the scan's own float g at grid point x_i, and sup[k],
+    an upper bound of g on cell k of _cells (inf where there is none).
+
+    With X = (sqrt(g_i) + sqrt(g_j))^2, the scan's float right side
+    R = fl(fl(g_i/lam) + fl(g_j/fl(1-lam))) is at least X*(1 - 2.5u) - 3*eta,
+    since lam + fl(1-lam) <= 1 + u/2 and three roundings lose at most u and
+    eta each. Here r_i <= sqrt(g_i), so s = fl(r_i + r_j) <= sqrt(X)*(1 + u),
+    and rhs = down(fl(fl(s*s)*_SHRINK)) <= X*(1 + u)^4*(1 - 8u) + 2*eta <=
+    X*(1 - 2.5u) + 2*eta <= R + 5*eta; down also makes an overflow max
+    float, below R, which is then inf. Every scan point z of the pair lies
+    in cells i to j-1 for i < j, and in either of cells i-1 and i for i = j
+    (_cells), so g(z) <= U, the largest sup over cells i to j-1, or the
+    smaller of the two for i = j. So b = up(W - rhs), with W >= U + 16*eta,
+    is at least g(z) - R, and so at least every float margin fl(g(z) - R)
+    of the pair. b is inf where U is (rhs is at most the largest float), and
+    where g_i or g_j is negative, as the lemma needs both >= 0.
+    """
+    down, up = -math.inf, math.inf
+    nextafter = math.nextafter
+    # s + _SLACK loses at most half an ulp of itself, and nextafter adds a whole one
+    sup = [nextafter(s + _SLACK, up) for s in sup]
+    # the diagonal pair of x_i reads cell i-1 or cell i, whichever bound is less
+    alone = [sup[0]] + [min(u, v) for u, v in zip(sup, sup[1:])] + [sup[-1]]
+    roots = [max(nextafter(math.sqrt(v), down), 0.0) if v >= 0.0 else None for v in gx]
+    n = len(gx)
+    for i in range(n):
+        ri = roots[i]
+        if ri is None:
+            yield [math.inf] * (n - i)
+            continue
+        # the largest bound the pair (i, j) reads; alone[i] <= sup[i], so from
+        # j = i+1 on it is the largest of cells i to j-1
+        worst = alone[i]
+        row = []
+        for rj, cell in zip(roots[i:], sup[i:] + [down]):
+            if rj is None:
+                row.append(math.inf)
+            else:
+                s = ri + rj
+                row.append(nextafter(worst - nextafter(s * s * _SHRINK, down), up))
+            if cell > worst:  # cell j, read from the pair (i, j+1) on
+                worst = cell
+        yield row
+
+
+def ranked_pairs(gx: list[float], sup: list[float], floor: float) -> Iterator[tuple[float, int, int]]:
+    """(b, i, j) for each pair of grid points i <= j whose bound b
+    (pair_bound_rows) is above floor, highest b first: the order of
+    sorted(..., reverse=True), ties of b broken by the higher i, then the
+    higher j.
+
+    A walk that stops early takes few pairs, so the pairs are ranked lazily:
+    a heap holds one entry per row with some b above floor, keyed on the
+    row's largest b not yet taken and then on i (no two rows share an i), and
+    a row's pairs are sorted only when the first of them is taken. Every
+    bound is still computed, since the rows' largest bounds key the heap.
+    """
+    import heapq  # loaded at the first ranking, not at start-up
+
+    heap = []
+    for i, row in enumerate(pair_bound_rows(gx, sup)):
+        top = max(row)
+        if top > floor:
+            heap.append((-top, -i, row, None))
+    heapq.heapify(heap)
+    while heap:
+        _, neg_i, row, left = heap[0]
+        i = -neg_i
+        if left is None:  # the row's first pair taken: sort it, highest (b, j) last
+            left = sorted([(b, j) for j, b in enumerate(row, i) if b > floor])
+        b, j = left.pop()
+        yield b, i, j
+        if left:
+            heapq.heapreplace(heap, (-left[-1][0], neg_i, row, left))
+        else:
+            heapq.heappop(heap)
+
+
 def check_godunova_levin(
     g: Callable[[float], float],
     iv: Interval,
     grid_n: int = DEFAULT_GRID_N,
     tol: float = DEFAULT_TOL,
-    cover: CellCover | None = None,
+    bound: Bound | None = None,
 ) -> QClassReport:
     """Scan the defining inequality over a grid_n^3 triple grid, with the
     report and the error of a loop over lam, then x, then y.
@@ -190,26 +330,21 @@ def check_godunova_levin(
 
     The scan walks the pairs of grid points in descending ratio-lemma bound
     (_walk) and stops where no pair left can hold a violation or the first
-    largest margin; the report is the loop's, bit for bit. cover, built for
-    this iv and grid_n with cover.sup bounding g on each cell (inf where it
-    cannot), gives the bounds. The scan cannot derive it from g, which may
-    be any callable: the entry points below build it from the expression
-    behind g. Without a cover every bound is inf, and the walk visits every
-    pair.
+    largest margin; the report is the loop's, bit for bit. bound gives the
+    bounds: bound(cells), called once with the grid_n - 1 cells [lo, hi] of
+    _cells, is one upper bound of g per cell, inf on a cell where it cannot
+    give one (a NaN counts as inf). The scan cannot derive it from g, which
+    may be any callable: the entry points below pass the enclosure of the
+    expression behind g. Without a bound every cell is inf, and the walk
+    visits every pair.
 
-    Raises ValueError where grid_n or tol is invalid, or where the grid
-    points of iv pass the float range (a width above about 2.8e306 at
-    grid_n = 64).
+    Raises ValueError where grid_n or tol is invalid, where the grid points
+    of iv pass the float range (a width above about 2.8e306 at grid_n = 64),
+    or where bound gives other than grid_n - 1 values.
     """
     n = grid_n
     xs = _scan_grid(iv, n, tol)
-    if cover is not None and cover.xs != xs:
-        raise ValueError("cover was built for another interval or grid")
-    from .ratio import cell_cover, ranked_pairs  # loaded at the first scan
-
-    if cover is None:
-        cover = cell_cover(lambda cells: [math.inf] * len(cells), xs)
-
+    sup = _cell_bounds(bound, xs)
     memo = _PointMemo(g)
     gx = [memo[x] for x in xs]
 
@@ -224,7 +359,7 @@ def check_godunova_levin(
             raw.append((x, x, 0.5, gv, rhs))
             max_margin = max(max_margin, gv - rhs)
 
-    pairs = ranked_pairs(gx, cover, -math.inf)
+    pairs = ranked_pairs(gx, sup, -math.inf)
     # the walk's last yield, after its last pair, has the largest margin
     for _, max_margin in _walk(pairs, xs, gx, memo, tol, raw, max_margin):
         pass
@@ -273,7 +408,7 @@ def _walk(
     top: float,
 ) -> Iterator[tuple[float, float]]:
     """Visit the pairs (b, i, j) of grid points, i <= j, in the order given
-    (ratio.ranked_pairs: highest b first), each at every lam of _visits in
+    (ranked_pairs: highest b first), each at every lam of _visits in
     both orders of its points, and yield (b, top), the pair's bound and the
     largest margin so far, once after each pair: a caller that stops at the
     first violation reads raw between pairs, at the cost of the rest of that
@@ -284,13 +419,13 @@ def _walk(
     row, column) is kept, as in that loop.
 
     The walk stops at the first pair with b <= tol and b < top: every margin
-    of a pair is at most its bound (ratio.pair_bound_rows), and no bound left
+    of a pair is at most its bound (pair_bound_rows), and no bound left
     is above b, so no pair left holds a violation or a margin that reaches
     top. A mirror lam, with no visit of its own, repeats the margins of an
     earlier visit. So raw and top are the lam-major loop's.
 
     A finite cell proves g finite, and raising nothing, at every point of
-    the cell; a cell where the enclosure behind the cover declines is inf.
+    the cell; a cell where the enclosure behind the bound declines is inf.
     Every point the walk asks for lies in a cell of its pair, so a point
     where g raises lies only in pairs with b = inf, which rank before every
     other pair. The walk meets the points in another order than the loop, so
@@ -331,10 +466,12 @@ def check_expression(
 ) -> QClassReport:
     """Scan g = e itself, as compile_expression(e)[0] computes it: qclass --g.
 
-    The scan walks the pairs by a cover of g, with the same report.
+    The scan walks the pairs by the enclosure of g, with the same report.
     """
+    from .enclosure import compile_value
+
     g, _ = compile_expression(e)
-    return check_godunova_levin(g, iv, grid_n, tol, cover=_cover(e, iv, grid_n, tol, of_value=True))
+    return check_godunova_levin(g, iv, grid_n, tol, bound=compile_value(e))
 
 
 def membership_for_bound(
@@ -345,27 +482,35 @@ def membership_for_bound(
     tol: float = DEFAULT_TOL,
 ) -> QClassReport:
     """Scan x -> |f''(x)|^q, the function whose membership the bound assumes:
-    qclass --fn. The scan walks the pairs by a cover of |f''|^q, with the same report.
+    qclass --fn. The scan walks the pairs by the enclosure of |f''| raised to
+    q, with the same report.
     """
     _check_q(q)
-    cover = _cover(e, iv, grid_n, tol)
-    from .ratio import power_cover  # loaded with the cover
+    from .enclosure import compile_second_derivative, sup_power
 
-    return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, cover=power_cover(cover, q))
+    d2 = compile_second_derivative(e)
+
+    def bound(cells: Cells) -> list[float]:
+        return [sup_power(s, q) for s in d2(cells)]
+
+    return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, bound=bound)
 
 
 def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[float, bool]:
     """q -> whether membership_for_bound(e, iv, q) passes, for each q of q_list
     in order: the membership decision of bound and sweep.
 
-    One cover of |f''| serves every q, and the decision by the ratio lemma
-    (_decide) answers each q without a scan. Its answers, and the first error
-    it raises, are the scans'.
+    One enclosure of |f''| on the cells of the default grid serves every q,
+    and the decision by the ratio lemma (_decide) answers each q without a
+    scan. Its answers, and the first error it raises, are the scans'.
     """
     for q in q_list:
         _check_q(q)
-    cover = _cover(e, iv, DEFAULT_GRID_N)
-    return {q: _decide(e, q, cover) for q in dict.fromkeys(q_list)}
+    xs = _scan_grid(iv, DEFAULT_GRID_N, DEFAULT_TOL)
+    from .enclosure import compile_second_derivative
+
+    sup = _cell_bounds(compile_second_derivative(e), xs)
+    return {q: _decide(e, q, xs, sup) for q in dict.fromkeys(q_list)}
 
 
 def _q_power(e: Node, q: float) -> Callable[[float], float]:
@@ -383,47 +528,30 @@ def _q_power(e: Node, q: float) -> Callable[[float], float]:
     return g
 
 
-def _cover(
-    e: Node, iv: Interval, grid_n: int, tol: float = DEFAULT_TOL, of_value: bool = False
-) -> CellCover:
-    """sup |f''| (sup f where of_value, as compile_expression(e)[0] computes it)
-    on the cells of the scan of iv at grid_n and tol, inf on a cell where the
-    enclosure declines. Raises the scan's ValueError where grid_n, tol or the
-    grid points are invalid, before any bound is computed.
-
-    The enclosure and glbounds.ratio are imported here, when a cover is first
-    built: every command but bound, sweep and qclass starts without them.
-    """
-    xs = _scan_grid(iv, grid_n, tol)
-    from .enclosure import compile_second_derivative, compile_value
-    from .ratio import cell_cover
-
-    return cell_cover((compile_value if of_value else compile_second_derivative)(e), xs)
-
-
-def _decide(e: Node, q: float, cover: CellCover) -> bool:
-    """membership_for_bound(e, iv, q).passed, decided without the scan, for
-    the iv that cover = _cover(e, iv, DEFAULT_GRID_N) was built on, or the
-    error that scan raises.
+def _decide(e: Node, q: float, xs: list[float], sup: list[float]) -> bool:
+    """membership_for_bound(e, iv, q).passed, decided without the scan, or
+    the error that scan raises; xs are the grid points of iv at
+    DEFAULT_GRID_N, and sup bounds |f''| on each of their cells (inf where
+    the enclosure declines).
 
     Only a pair whose bound is above DEFAULT_TOL can hold a violation
-    (ratio.pair_bound_rows), so _walk visits just those pairs, hottest
-    first. g >= 0, so the scan's check for negative values never fires. The
-    pairs with b = inf come first, and they hold every point where g may
-    raise (_walk), so the walk raises where the scan does, with its error.
-    Once they are all visited, the pair that holds the first violation
-    answers False: after it where its b is finite, else after the first pair
-    with a finite b, or at the end of the walk. No violation at all, or no
-    pair to visit (the ratio lemma's proof), answers True.
+    (pair_bound_rows), so _walk visits just those pairs, hottest first.
+    g >= 0, so the scan's check for negative values never fires. The pairs
+    with b = inf come first, and they hold every point where g may raise
+    (_walk), so the walk raises where the scan does, with its error. Once
+    they are all visited, the pair that holds the first violation answers
+    False: after it where its b is finite, else after the first pair with a
+    finite b, or at the end of the walk. No violation at all, or no pair to
+    visit (the ratio lemma's proof), answers True.
     """
-    from .ratio import power_cover, ranked_pairs  # loaded with the cover
+    from .enclosure import sup_power
 
     memo = _PointMemo(_q_power(e, q))
-    gx = [memo[x] for x in cover.xs]
-    hot = ranked_pairs(gx, power_cover(cover, q), DEFAULT_TOL)
+    gx = [memo[x] for x in xs]
+    hot = ranked_pairs(gx, [sup_power(s, q) for s in sup], DEFAULT_TOL)
     raw: Raw = []
     # no margin is reported, so top starts at inf, where no margin reaches it
-    for b, _ in _walk(hot, cover.xs, gx, memo, DEFAULT_TOL, raw, math.inf):
+    for b, _ in _walk(hot, xs, gx, memo, DEFAULT_TOL, raw, math.inf):
         if raw and b < math.inf:  # every pair where g may raise is visited
             return False
     return not raw

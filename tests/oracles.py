@@ -15,9 +15,8 @@ from typing import Callable
 
 from glbounds.expressions import Bin, Call, Const, Neg, Node, Pow, Var, compile_expression
 from glbounds.kernel import functional_terms
-from glbounds.qclass import QClassReport, Violation, _lam_major, _PointMemo
+from glbounds.qclass import QClassReport, Violation, _lam_major, _PointMemo, pair_bound_rows
 from glbounds.quadrature import Interval, _finite
-from glbounds.ratio import CellCover, pair_bound_rows
 
 
 def second_derivative_fd(f: Callable[[float], float], x: float, h: float = 1e-4) -> float:
@@ -98,13 +97,11 @@ def to_text(node: Node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def ranked_pairs_eager(
-    gx: list[float], cover: CellCover, floor: float
-) -> list[tuple[float, int, int]]:
-    """ratio.ranked_pairs as one sort of every (b, i, j) whose b is above
+def ranked_pairs_eager(gx: list[float], sup: list[float], floor: float) -> list[tuple[float, int, int]]:
+    """qclass.ranked_pairs as one sort of every (b, i, j) whose b is above
     floor, highest first (rows whose largest b is at or below floor skipped)."""
     pairs = []
-    for i, row in enumerate(pair_bound_rows(gx, cover)):
+    for i, row in enumerate(pair_bound_rows(gx, sup)):
         if max(row) > floor:
             pairs += [(b, i, j) for j, b in enumerate(row, i) if b > floor]
     pairs.sort(reverse=True)

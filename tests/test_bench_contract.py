@@ -7,7 +7,6 @@ benchmark runs. The benchmark's own request streams also check that the
 membership decision of bound and sweep changes no output byte.
 """
 
-import dataclasses
 import importlib
 import inspect
 import math
@@ -19,8 +18,8 @@ from pathlib import Path
 import pytest
 
 import glbounds.bounds
+import glbounds.enclosure
 import glbounds.qclass
-import glbounds.ratio
 from glbounds.cli import main
 from glbounds.qclass import membership_for_bound
 
@@ -120,8 +119,8 @@ def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkey
     """Every qclass request of one membership cycle, and its bound requests
     whose decision visits pairs (x^4 at q > 1 and sine), give the same bytes
     whether the walks, the scans' and the decisions', take their pairs
-    hottest first and stop early, visit every pair, or run with a cover that
-    is inf on every cell."""
+    hottest first and stop early, visit every pair, or run with an enclosure
+    that is inf on every cell."""
     fixed, cycles = importlib.import_module("workloads").requests("membership", 1)
     requests = [
         argv
@@ -140,29 +139,28 @@ def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkey
 
         return recorded
 
-    def every_pair(gx, cover, floor):  # a bound of inf on every pair: no walk stops early
+    def every_pair(gx, sup, floor):  # a bound of inf on every pair: no walk stops early
         return [(math.inf, i, j) for i in range(len(gx)) for j in range(i, len(gx))]
 
-    ranked_pairs = glbounds.ratio.ranked_pairs
-    monkeypatch.setattr(glbounds.ratio, "ranked_pairs", recording(ranked_pairs))
+    ranked_pairs = glbounds.qclass.ranked_pairs
+    monkeypatch.setattr(glbounds.qclass, "ranked_pairs", recording(ranked_pairs))
     pruned = _outcomes(requests, capsys)
     # every scan ranked its pairs once, and each walk stopped before its last pair
     assert len(taken) == len(requests)
     assert all(count < pairs for pairs, count in taken)
     taken.clear()
-    monkeypatch.setattr(glbounds.ratio, "ranked_pairs", recording(every_pair))
+    monkeypatch.setattr(glbounds.qclass, "ranked_pairs", recording(every_pair))
     assert _outcomes(requests, capsys) == pruned
     assert len(taken) == len(requests)
     assert all(count == pairs for pairs, count in taken)
     taken.clear()
-    monkeypatch.setattr(glbounds.ratio, "ranked_pairs", recording(ranked_pairs))
-    cover = glbounds.qclass._cover
+    monkeypatch.setattr(glbounds.qclass, "ranked_pairs", recording(ranked_pairs))
 
-    def unbounded(*args, **kwargs):  # as if the enclosure declined on every cell
-        covered = cover(*args, **kwargs)
-        return dataclasses.replace(covered, sup=[math.inf] * len(covered.sup))
+    def unbounded(e):  # as if the enclosure declined on every cell
+        return lambda cells: [math.inf] * len(cells)
 
-    monkeypatch.setattr(glbounds.qclass, "_cover", unbounded)
+    monkeypatch.setattr(glbounds.enclosure, "compile_value", unbounded)
+    monkeypatch.setattr(glbounds.enclosure, "compile_second_derivative", unbounded)
     assert _outcomes(requests, capsys) == pruned
     assert len(taken) == len(requests)
     assert all(count == pairs for pairs, count in taken)
@@ -170,13 +168,13 @@ def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkey
 
 def test_start_up_leaves_the_enclosure_unloaded():
     """The benchmark's set-up probe answers one coeffs request in a fresh
-    interpreter; glbounds.enclosure and glbounds.ratio are for bound, sweep
-    and qclass alone."""
+    interpreter; glbounds.enclosure, and heapq for the lazy ranking of the
+    pairs, are for bound, sweep and qclass alone."""
     code = (
         "import sys\n"
         "from glbounds.cli import main\n"
         "main(['coeffs', '--lambda', '0.5'])\n"
-        "sys.exit({'glbounds.enclosure', 'glbounds.ratio'} & set(sys.modules) != set())\n"
+        "sys.exit({'glbounds.enclosure', 'heapq'} & set(sys.modules) != set())\n"
     )
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     done = subprocess.run(

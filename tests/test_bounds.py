@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glbounds
+import glbounds.enclosure
 from glbounds import (
     BoundInput,
     Interval,
@@ -341,16 +342,21 @@ class TestProvenMembership:
 
     def test_sweeps_share_one_cover(self, monkeypatch):
         calls = []
-        original = glbounds.qclass._cover
+        original = glbounds.enclosure.compile_second_derivative
 
-        def counted(e, *args):
-            calls.append(e)
-            return original(e, *args)
+        def counted(e):
+            bound = original(e)
 
-        monkeypatch.setattr(glbounds.qclass, "_cover", counted)
+            def each(cells):
+                calls.append((e, len(cells)))
+                return bound(cells)
+
+            return each
+
+        monkeypatch.setattr(glbounds.enclosure, "compile_second_derivative", counted)
         e = parse("exp(x)")
         sweep_rows(e, UNIT, [0.0, 0.5, 1.0], (1.0, 2.0, 3.0))
-        assert calls == [e]
+        assert calls == [(e, 63)]  # one enclosure, on the 63 cells of the default grid
 
 
 class TestHermiteHadamard:

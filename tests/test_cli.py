@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import glbounds
+import glbounds.enclosure
 from glbounds import (
     BoundInput,
     Interval,
@@ -401,20 +402,26 @@ class TestSweep:
 
     def test_unwritable_path(self, tmp_path, monkeypatch, capsys):
         covers = []
-        original = glbounds.qclass._cover
+        original = glbounds.enclosure.compile_second_derivative
 
-        def counted(e, iv, *args):
-            covers.append(iv)
-            return original(e, iv, *args)
+        def counted(e):
+            bound = original(e)
 
-        monkeypatch.setattr(glbounds.qclass, "_cover", counted)
+            def each(cells):
+                covers.append(cells)
+                return bound(cells)
+
+            return each
+
+        monkeypatch.setattr(glbounds.enclosure, "compile_second_derivative", counted)
         sine = {"fn": "sin(x)", "a": "0.000001", "b": "3.141592"}
         assert _run_sweep(tmp_path / "missing" / "sweep.csv", **sine) == 4
         assert "cannot write" in capsys.readouterr().err
         # the path fails before any membership decision starts
         assert covers == []
         assert _run_sweep(tmp_path / "sweep.csv", **sine) == 0
-        assert covers == [Interval(0.000001, 3.141592)]
+        xs = glbounds.qclass._scan_grid(Interval(0.000001, 3.141592), 64, 1e-12)
+        assert covers == [glbounds.qclass._cells(xs)]
 
     OVERFLOW_ARGV = ["sweep", "--fn", "exp(x)", "--a", "300", "--b", "301", "--lambda-grid", "0:1:0.5",
                      "--q", "1,3"]

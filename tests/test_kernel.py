@@ -128,21 +128,29 @@ class TestIdentity:
             assert rep.abs_diff <= 1e-8, f"{text} at lambda={i / 10.0}"
 
     def test_halves_sample_kernel_k(self, monkeypatch):
-        # each half integrates kernel_k's branch written inline: the same
-        # value, bit for bit, at every t of its half, the joint 1/2 included
+        # verify_identity takes the kernel side as one integral over [0, 1]
+        # cut at 1/2, and its integrand is kernel_k times f'', bit for bit, on
+        # both sides of the cut and at it
         taken = []
-        monkeypatch.setattr(glbounds.kernel, "integrate", lambda f, iv: taken.append((f, iv)) or 0.0)
+        original = glbounds.kernel.integrate_piecewise
+
+        def recorded(f, iv, breakpoints):
+            taken.append((f, iv, breakpoints))
+            return original(f, iv, breakpoints)
+
+        monkeypatch.setattr(glbounds.kernel, "integrate_piecewise", recorded)
         e, iv = parse("exp(x)*sin(x)+1/(x+2)"), Interval(-0.7, 2.9)
         jet = _compile_jet(e)
+        ts = [i / 256.0 for i in range(257)] + [math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]
         for lam in (0.0, 0.3, 1.0 / 3.0, 0.5, 0.75, 1.0):
             p = RuleParams(lam)
             taken.clear()
-            assert rhs_identity(e, iv, p) == 0.0
-            assert [piece for _, piece in taken] == [Interval(0.0, 0.5), Interval(0.5, 1.0)]
-            for f, piece in taken:
-                for i in range(129):
-                    t = piece.a + 0.5 * i / 128.0
-                    assert f(t) == kernel_k(t, p) * jet(t * iv.a + (1.0 - t) * iv.b)[2]
+            rep = verify_identity(e, iv, p)
+            [(f, whole, cuts)] = taken
+            assert (whole, cuts) == (UNIT, [0.5])
+            assert rep.rhs == iv.width * iv.width * integrate_piecewise(f, UNIT, [0.5])
+            for t in ts:
+                assert f(t) == kernel_k(t, p) * jet(t * iv.a + (1.0 - t) * iv.b)[2]
 
     @pytest.mark.parametrize("lam", [0.0, 1.0 / 3.0, 0.75])
     @pytest.mark.parametrize("c", ["0.3", "0.25", "0.5"])

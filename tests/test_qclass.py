@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import glbounds
-import glbounds.ratio
+import glbounds.qclass
 from glbounds import (
     ExpectedMembership,
     Interval,
@@ -24,8 +24,18 @@ from glbounds import (
 )
 from glbounds.cli import main
 from glbounds.expressions import Bin, Const, DomainError, ExpressionError, NonSmoothError
-from glbounds.qclass import DEFAULT_TOL, _PointMemo, _cover, _decide, _q_power, bound_memberships
-from glbounds.ratio import cell_cover, pair_bound_rows, power_cover
+from glbounds.enclosure import compile_second_derivative, compile_value, sup_power
+from glbounds.qclass import (
+    DEFAULT_TOL,
+    _cell_bounds,
+    _cells,
+    _decide,
+    _PointMemo,
+    _q_power,
+    _scan_grid,
+    bound_memberships,
+    pair_bound_rows,
+)
 from conftest import examples
 from oracles import nonneg_convex_witness, plain_scan, ranked_pairs_eager
 from test_expressions import _tree_strategy
@@ -71,6 +81,19 @@ def reference_scan(g, iv, grid_n=64, tol=1e-12):
 
     unique = sorted(dict.fromkeys(violations), key=lambda v: (v.x, v.y, v.lam))
     return QClassReport(n * n * n, tuple(unique), max_margin, not unique)
+
+
+def enclosed(e, iv, grid_n, of_value=False):
+    """The grid points of the scan of iv at grid_n, and the enclosure's bound
+    of |f''| (of f where of_value) on each of their cells, as the scan reads
+    it: inf where the enclosure declines."""
+    xs = _scan_grid(iv, grid_n, DEFAULT_TOL)
+    return xs, _cell_bounds((compile_value if of_value else compile_second_derivative)(e), xs)
+
+
+def powered(sup, q):
+    """The cell bounds of |f''|^q from those of |f''|."""
+    return [sup_power(s, q) for s in sup]
 
 
 def scan_points(iv, grid_n):
@@ -186,8 +209,27 @@ class TestCheck:
         # an infinite tolerance would pass every function
         with pytest.raises(ValueError, match="tol must be finite and positive, got inf"):
             check_godunova_levin(lambda x: 1.0, Interval(0.0, 1.0), tol=math.inf)
-        with pytest.raises(ValueError, match="cover was built for another interval or grid"):
-            check_godunova_levin(lambda x: 1.0, UNIT_IV, 16, cover=_cover(parse("1"), UNIT_IV, 8, of_value=True))
+        # a bound must give one value per cell: 15 at grid 16
+        for count in (7, 16):
+            with pytest.raises(ValueError, match=f"bound gave {count} values for the 15 cells of the grid"):
+                check_godunova_levin(lambda x: 1.0, UNIT_IV, 16, bound=lambda cells: [1.0] * count)
+
+    def test_nan_cell_bounds_count_as_inf(self):
+        # a NaN bound would fail every comparison, and drop its pairs from the
+        # ranking: the failing sine scan would pass with no violation
+        g = _q_power(parse("sin(x)"), 1.0)
+        ref = reference_scan(g, SINE_INTERVAL)
+        assert len(ref.violations) == 3520
+        for nan_at in (lambda k: True, lambda k: k % 2 == 0):
+            calls = []
+
+            def bound(cells):
+                calls.append(len(cells))
+                return [math.nan if nan_at(k) else 1.0 for k in range(len(cells))]
+
+            rep = check_godunova_levin(g, SINE_INTERVAL, bound=bound)
+            assert calls == [63]  # called once, on the 63 cells of grid 64
+            assert same_report(rep, ref)
 
     def test_rejects_grid_points_past_the_float_range(self):
         # iv.a + width*(i + 0.5)/n: width*(n - 0.5) overflows at grid 8 once
@@ -228,12 +270,12 @@ class TestViolation:
 
 
 def record_taken(monkeypatch):
-    """Make ratio.ranked_pairs hand its pairs (b, i, j) out one at a time, and
+    """Make qclass.ranked_pairs hand its pairs (b, i, j) out one at a time, and
     record each pair a walk takes, one list per ranking, in the list returned.
     A walk visits every pair it takes but the one it stops at, whose b is at
     most the tolerance."""
     taken = []
-    original = glbounds.ratio.ranked_pairs
+    original = glbounds.qclass.ranked_pairs
 
     def recorded(*args):
         taken.append([])
@@ -241,12 +283,12 @@ def record_taken(monkeypatch):
             taken[-1].append(pair)
             yield pair
 
-    monkeypatch.setattr(glbounds.ratio, "ranked_pairs", recorded)
+    monkeypatch.setattr(glbounds.qclass, "ranked_pairs", recorded)
     return taken
 
 
 def pruned_and_unpruned(text, iv, grid_n=64, q=None):
-    """g, and the scan of it with no cover and with its cover: g = f for q None
+    """g, and the scan of it with no bound and with its enclosure: g = f for q None
     (qclass --g, check_expression), else |f''|^q (qclass --fn,
     membership_for_bound). Asserts that both give the plain loop's outcome
     (oracles.plain_scan), exceptions included."""
@@ -264,7 +306,7 @@ def pruned_and_unpruned(text, iv, grid_n=64, q=None):
 
 
 class TestAgainstPlainLoop:
-    """Every scan, with its cover and without, is the plain loop's, bit for bit."""
+    """Every scan, with its enclosure and without, is the plain loop's, bit for bit."""
 
     @pytest.mark.parametrize("q", [1.0, 2.0])
     @pytest.mark.parametrize("name", [entry.name for entry in corpus_entries()])
@@ -273,7 +315,7 @@ class TestAgainstPlainLoop:
         e = parse(entry.expression)
         g = second_derivative_power(entry.expression, q)
         ref = reference_scan(g, entry.interval)
-        assert math.inf not in _cover(e, entry.interval, 64).sup  # every cell bounded
+        assert math.inf not in enclosed(e, entry.interval, 64)[1]  # every cell bounded
         assert same_report(membership_report(name, q), ref)
         assert same_report(check_godunova_levin(_q_power(e, q), entry.interval), ref)
         if (name, q) == ("sine", 1.0):
@@ -299,7 +341,7 @@ class TestAgainstPlainLoop:
             # margin, near lam = 1/2 (998 of the 64^3 triples, 110 of the 31^3)
             ("1e308*sin(x)", Interval(0.1, 6.2), 64, None),
             ("1e308*sin(x)", Interval(0.1, 6.2), 31, None),
-            # partial covers: inf on the cells holding a pole or a kink
+            # partial enclosures: inf on the cells holding a pole or a kink
             ("1/x", Interval(-1.0, 1.0), 64, None),
             ("abs(x-0.3)", UNIT_IV, 128, None),
             ("abs(x-0.3)", UNIT_IV, 64, 2.0),
@@ -385,7 +427,7 @@ class TestAgainstPlainLoop:
     def test_covered_signed_zero_maximum_keeps_the_visit_order(self):
         # The zeros of the test above, and one more, 0.0, at (x_r, x_t, lam')
         # with lam' (k' = 4) after lam: g there is the right side, 1/lam' +
-        # 1/(1-lam'). The cover bounds g by 10 on the one cell holding that
+        # 1/(1-lam'). The bound of g is 10 on the one cell holding that
         # point and by 1 elsewhere, so the walk visits the pair (r, t) before
         # (p, q) and meets 0.0 first; the plain loop still keeps -0.0.
         iv, n, k, p, q, k2, r, t = Interval(1.1, 1.3), 23, 3, 9, 20, 4, 2, 3
@@ -399,13 +441,14 @@ class TestAgainstPlainLoop:
         z = lam2 * xs[r] + (1.0 - lam2) * xs[t]
         values[z.hex()] = 1.0 / lam2 + 1.0 / (1.0 - lam2)
         g = lambda x: values[x.hex()]
-        cover = cell_cover(lambda cells: [10.0 if lo <= z <= hi else 1.0 for lo, hi in cells], xs)
-        assert cover.sup.count(10.0) == 1
-        bound = list(pair_bound_rows([g(x) for x in xs], cover))
-        assert bound[r][t - r] > bound[p][q - p]
+        bound = lambda cells: [10.0 if lo <= z <= hi else 1.0 for lo, hi in cells]
+        sup = _cell_bounds(bound, xs)
+        assert sup.count(10.0) == 1
+        rows = list(pair_bound_rows([g(x) for x in xs], sup))
+        assert rows[r][t - r] > rows[p][q - p]
         ref = reference_scan(g, iv, n)
         assert ref.max_margin == 0.0 and math.copysign(1.0, ref.max_margin) == -1.0
-        assert same_report(check_godunova_levin(g, iv, n, cover=cover), ref)
+        assert same_report(check_godunova_levin(g, iv, n, bound=bound), ref)
 
     def test_sine_violations_come_in_mirror_pairs(self, membership_report):
         # at grid 64 every lam has an exact mirror, and (y, x, 1 - lam) is
@@ -512,7 +555,7 @@ def _counting_compile(monkeypatch, counters):
 
 
 class TestSweepSharesSecondDerivative:
-    """A sweep decides every q from one cover of |f''|, proof or pruned scan."""
+    """A sweep decides every q from one enclosure of |f''|, proof or pruned scan."""
 
     def test_covered_scans_skip_points(self, monkeypatch):
         counters = []
@@ -581,7 +624,7 @@ class TestProof:
     def test_partial_covers_and_errors_are_the_scans(self, monkeypatch):
         # a pole leaves one cell unbounded, where g may raise; the scan fails
         pole, iv = parse("1/x"), Interval(-1.0, 1.0)
-        assert math.inf in _cover(pole, iv, 64).sup
+        assert math.inf in enclosed(pole, iv, 64)[1]
         assert _outcome(lambda: bound_memberships(pole, iv, (1.0,))) == _scans(pole, iv, (1.0,)) == {1.0: False}
         e = parse("x^2")
 
@@ -606,7 +649,7 @@ class TestProof:
         sine = parse("sin(x)")
         assert same(sine, SINE_INTERVAL, (1.0,)) == {1.0: False}
         _, jet = compile_expression(sine)
-        grid = set(_cover(sine, SINE_INTERVAL, 64).xs)
+        grid = set(_scan_grid(SINE_INTERVAL, 64, DEFAULT_TOL))
         with monkeypatch.context() as m:
             m.setattr(glbounds.qclass, "compile_expression",
                       lambda e: (None, lambda x: jet(x) if x in grid else broken()))
@@ -658,10 +701,10 @@ class TestProof:
         the first that holds a violation of the scan."""
         e = parse(text)
         taken = record_taken(monkeypatch)
-        decided = _decide(e, q, _cover(e, iv, 64))
+        xs, sup = enclosed(e, iv, 64)
+        decided = _decide(e, q, xs, sup)
         rep = membership_for_bound(e, iv, q)
         assert decided is rep.passed
-        xs = _cover(e, iv, 64).xs
         violating = {frozenset((v.x, v.y)) for v in rep.violations}
         holds = [frozenset((xs[i], xs[j])) in violating for _, i, j in taken[0]]
         if decided:
@@ -689,10 +732,11 @@ class TestProof:
         assert decided == scanned
 
     def test_a_pole_leaves_only_its_cell_unbounded(self):
-        cover = _cover(parse("1/x"), Interval(-1.0, 1.0), 64)
-        unbounded = [k for k, s in enumerate(cover.sup) if s == math.inf]
+        xs, sup = enclosed(parse("1/x"), Interval(-1.0, 1.0), 64)
+        unbounded = [k for k, s in enumerate(sup) if s == math.inf]
         assert unbounded == [31]  # cell 31 joins x_31 = -1/64 and x_32 = 1/64
-        assert cover.lows[31] < 0.0 < cover.highs[32]
+        lo, hi = _cells(xs)[31]
+        assert lo < 0.0 < hi
 
     @pytest.mark.parametrize(
         "iv",
@@ -710,10 +754,11 @@ class TestProof:
         pair of x_i reads the smaller bound of cells i-1 and i, and each of
         them holds its points."""
         for n in (9, 31, 64):
-            cover = _cover(parse("x^2"), iv, n)
-            xs, lows, highs = cover.xs, cover.lows, cover.highs
+            xs = _scan_grid(iv, n, DEFAULT_TOL)
+            # cell k is [lows[k], highs[k]]
+            lows, highs = map(list, zip(*_cells(xs)))
             assert xs == [iv.a + iv.width * (i + 0.5) / n for i in range(n)]
-            assert lows == sorted(lows) and highs == sorted(highs) and len(cover.sup) == n - 1
+            assert lows == sorted(lows) and highs == sorted(highs) and len(lows) == n - 1
             for k in range(n):
                 lam = (k + 0.5) / n
                 clam = 1.0 - lam
@@ -723,11 +768,11 @@ class TestProof:
                         lo, hi = min(i, j), max(i, j)
                         if lo == hi:
                             cells = [c for c in (lo - 1, lo) if 0 <= c < n - 1]
-                            assert cells and all(lows[c] <= z <= highs[c + 1] for c in cells)
+                            assert cells and all(lows[c] <= z <= highs[c] for c in cells)
                             continue
                         # of cells lo to hi-1, the last that starts at or below z ends highest
                         c = bisect.bisect_right(lows, z, lo, hi) - 1
-                        assert c >= lo and z <= highs[c + 1]
+                        assert c >= lo and z <= highs[c]
 
     @settings(max_examples=examples(50), deadline=None)
     @given(
@@ -742,17 +787,16 @@ class TestProof:
         pair with b = inf reads a cell where g may raise, and is skipped."""
         assume(ends[0] < ends[1])
         iv, n = Interval(*ends), grid_n
-        cover = _cover(e, iv, n, of_value=q is None)
+        xs, sup = enclosed(e, iv, n, of_value=q is None)
         if q is not None:
-            cover = power_cover(cover, q)
+            sup = powered(sup, q)
         # g at each point, zeros kept by sign, as the scan keeps it
         memo = _PointMemo(compile_expression(e)[0] if q is None else _q_power(e, q))
-        xs = cover.xs
         try:
             gx = [memo[x] for x in xs]
         except (ExpressionError, ValueError, ArithmeticError):
             return  # the scan raises before it ranks
-        bound = list(pair_bound_rows(gx, cover))
+        bound = list(pair_bound_rows(gx, sup))
         for k in range(n):
             lam = (k + 0.5) / n
             clam = 1.0 - lam
@@ -769,9 +813,9 @@ class TestProof:
         # |f''|^q = (12x^2)^q rises 9^q-fold from x_0 to x_1, and the one cell
         # x_0 reads reaches x_1, so its diagonal pair may stay above the tolerance
         e = parse("x^4")
-        cover = power_cover(_cover(e, UNIT_IV, 64), q)
-        gx = [_q_power(e, q)(x) for x in cover.xs]
-        hot = sum(b > DEFAULT_TOL for row in pair_bound_rows(gx, cover) for b in row)
+        xs, sup = enclosed(e, UNIT_IV, 64)
+        gx = [_q_power(e, q)(x) for x in xs]
+        hot = sum(b > DEFAULT_TOL for row in pair_bound_rows(gx, powered(sup, q)) for b in row)
         assert hot <= 1
 
 
@@ -788,7 +832,7 @@ def _outcome(scan):
 
 
 class TestPruning:
-    """A cover changes no scan's report or error, and it does skip points."""
+    """An enclosure changes no scan's report or error, and it does skip points."""
 
     @settings(max_examples=examples(60), deadline=None)
     @given(
@@ -822,7 +866,7 @@ class TestPruning:
             seen[x.hex()] += 1
             return f(x)
 
-        rep = check_godunova_levin(g, iv, cover=_cover(e, iv, 64, of_value=True))
+        rep = check_godunova_levin(g, iv, bound=compile_value(e))
         assert rep.passed
         assert len(seen) < len(scan_points(iv, 64))
 
@@ -830,8 +874,7 @@ class TestPruning:
         # abs declines on the one cell holding its kink: the walk visits the
         # pairs that read it, and still stops before most of the rest
         e, n = parse("abs(x-0.3)"), 128
-        cover = _cover(e, UNIT_IV, n, of_value=True)
-        assert cover.sup.count(math.inf) == 1
+        assert enclosed(e, UNIT_IV, n, of_value=True)[1].count(math.inf) == 1
         seen = Counter()
         f, _ = compile_expression(e)
 
@@ -839,7 +882,7 @@ class TestPruning:
             seen[x.hex()] += 1
             return f(x)
 
-        assert check_godunova_levin(g, UNIT_IV, n, cover=cover).passed
+        assert check_godunova_levin(g, UNIT_IV, n, bound=compile_value(e)).passed
         assert len(seen) < len(scan_points(UNIT_IV, n))
 
 
@@ -852,7 +895,7 @@ _RANKED = (
 
 
 class TestRanking:
-    """ratio.ranked_pairs hands out the pairs in the order of the eager sort,
+    """qclass.ranked_pairs hands out the pairs in the order of the eager sort,
     and sorts only the rows the walk takes a pair from."""
 
     @staticmethod
@@ -860,15 +903,15 @@ class TestRanking:
         """The lazy and the eager ranking of the pairs of g = f (q None) or
         g = |f''|^q on iv, b = inf on the pairs that read a cell where the
         enclosure declines; None where g raises at a grid point."""
-        cover = _cover(e, iv, grid_n, of_value=q is None)
+        xs, sup = enclosed(e, iv, grid_n, of_value=q is None)
         if q is not None:
-            cover = power_cover(cover, q)
+            sup = powered(sup, q)
         try:
             g = compile_expression(e)[0] if q is None else _q_power(e, q)
-            gx = [g(x) for x in cover.xs]
+            gx = [g(x) for x in xs]
         except (ExpressionError, ValueError, ArithmeticError):
             return None  # the scan raises before it ranks
-        return list(glbounds.ratio.ranked_pairs(gx, cover, floor)), ranked_pairs_eager(gx, cover, floor)
+        return list(glbounds.qclass.ranked_pairs(gx, sup, floor)), ranked_pairs_eager(gx, sup, floor)
 
     @settings(max_examples=examples(100), deadline=None)
     @given(*_RANKED, st.sampled_from([-math.inf, DEFAULT_TOL]), st.sampled_from([0.0, 0.5]))
@@ -904,12 +947,14 @@ class TestRanking:
         taken = record_taken(monkeypatch)
         rows = []
 
-        def recorded_sorted(pairs):
+        def recorded_sorted(pairs, **kwargs):
+            if kwargs:  # the report's sort of its violations, keyed on (x, y, lam)
+                return sorted(pairs, **kwargs)
             # with floor -inf a row's list holds every (b, j), from j = i on
             rows.append(min(j for _, j in pairs))
             return sorted(pairs)
 
-        monkeypatch.setattr(glbounds.ratio, "sorted", recorded_sorted, raising=False)
+        monkeypatch.setattr(glbounds.qclass, "sorted", recorded_sorted, raising=False)
         assert main(["qclass", "--g", "x^2", "--a", "-3.7", "--b", "5.2", "--grid", "64"]) == 0
         [pairs] = taken
         assert sorted(rows) == sorted({i for _, i, _ in pairs})
