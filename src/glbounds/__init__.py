@@ -21,15 +21,7 @@ from .bounds import (
     sweep_rows,
     theorem_bound,
 )
-from .coefficients import (
-    CoefficientSet,
-    Regime,
-    coeff_a,
-    coeff_b,
-    coeff_total_q1,
-    coefficient_set,
-    moment,
-)
+from .coefficients import CoefficientSet, Regime, coefficient_set
 from .corpus import CorpusEntry, ExpectedMembership, corpus_entries
 from .expressions import (
     DomainError,
@@ -95,9 +87,6 @@ __all__ = [
     "Violation",
     "check_expression",
     "check_godunova_levin",
-    "coeff_a",
-    "coeff_b",
-    "coeff_total_q1",
     "coefficient_set",
     "compile_expression",
     "corollary_bound_q1",
@@ -110,7 +99,6 @@ __all__ = [
     "kernel_k",
     "lhs_functional",
     "membership_for_bound",
-    "moment",
     "parse",
     "proposition_bound",
     "rhs_identity",

@@ -6,10 +6,12 @@ specializations coded verbatim from their printed constants. Keeping three
 independent codings of the same mathematics lets the test suite cross-check
 them against each other and against the quadrature oracle.
 
-Reports are assembled in one place, sweep_rows; a single bound
-(evaluate_bound_report) is its one-row case. In CHECK mode their
-membership labels come from one call, qclass.bound_memberships, which
-decides each q by the ratio lemma or by scan.
+Reports are assembled in one place, sweep_rows, one BoundReport per
+(lambda, q) row; a single bound (evaluate_bound_report) is its one-row
+case. In CHECK mode their membership labels come from one call,
+qclass.bound_memberships, which answers for each q as the default-grid
+scan of |f''|^q would, from an interval enclosure of |f''|, and runs no
+scan.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .coefficients import CoefficientSet, Regime, _check_lambda, coeff_total_q1, coefficient_set
+from .coefficients import CoefficientSet, Regime, _check_lambda, coefficient_set
 from .expressions import Node, _compile_jet
 from .kernel import functional_terms
 from .qclass import _check_q, bound_memberships
@@ -29,7 +31,6 @@ __all__ = [
     "MembershipMode",
     "BoundInput",
     "BoundReport",
-    "SweepRow",
     "Proposition",
     "theorem_bound",
     "corollary_bound_q1",
@@ -48,7 +49,7 @@ class MembershipStatus(Enum):
 
 class MembershipMode(Enum):
     CERTIFIED = "certified"  # caller vouches for |f''|^q membership
-    CHECK = "check"  # run the grid falsification scan
+    CHECK = "check"  # decide membership as the grid falsification scan would
     SKIP = "skip"  # report without any membership claim
 
 
@@ -81,9 +82,13 @@ class BoundInput:
 
 @dataclass(frozen=True)
 class BoundReport:
+    lam: float
+    q: float
     lhs_abs: float
     bound: float
-    ratio: float | None  # None when bound == 0 (only with g_a = g_b = 0)
+    # None when bound == 0: g_a = g_b = 0, or g_a^q and g_b^q both underflow;
+    # inf when lhs_abs / bound overflows
+    ratio: float | None
     regime: Regime
     q_membership: MembershipStatus
 
@@ -102,7 +107,7 @@ def _finite_square(name: str, iv: Interval, square: float) -> float:
 def theorem_bound(inp: BoundInput) -> float:
     """General bound: (w^2/2) M^(1-1/q) [(A ga^q + B gb^q)^(1/q) + (B ga^q + A gb^q)^(1/q)].
 
-    A single formula covers both regimes via the coefficient dispatch; at
+    A single formula covers both regimes via coefficient_set's branch; at
     q = 1 the prefactor exponent vanishes and the bracket collapses to
     (A + B)(ga + gb).
 
@@ -130,7 +135,7 @@ def corollary_bound_q1(iv: Interval, lam: float, g_a: float, g_b: float) -> floa
     _check_weight("g_a", g_a)
     _check_weight("g_b", g_b)
     w = iv.width
-    return _finite_square("w^2/2", iv, 0.5 * w * w) * coeff_total_q1(lam) * (g_a + g_b)
+    return _finite_square("w^2/2", iv, 0.5 * w * w) * coefficient_set(lam).c_q1 * (g_a + g_b)
 
 
 class Proposition(Enum):
@@ -215,14 +220,7 @@ def evaluate_bound_report(
     CheckedFail report still carries lhs/bound for inspection (the bound may
     genuinely fail there, which is informative).
     """
-    return sweep_rows(e, iv, [lam], (q,), membership_mode)[0].report
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    lam: float
-    q: float
-    report: BoundReport
+    return sweep_rows(e, iv, [lam], (q,), membership_mode)[0]
 
 
 def sweep_rows(
@@ -231,7 +229,7 @@ def sweep_rows(
     lams: list[float],
     q_list: tuple[float, ...],
     membership_mode: MembershipMode = MembershipMode.CHECK,
-) -> list[SweepRow]:
+) -> list[BoundReport]:
     """Bound reports for every (lam, q), lam-major; every BoundReport is built here.
 
     The work that does not depend on lam is done once, in this order: |f''|
@@ -258,10 +256,9 @@ def sweep_rows(
             q: MembershipStatus.CHECKED_PASS if passed else MembershipStatus.CHECKED_FAIL
             for q, passed in bound_memberships(e, iv, q_list).items()
         }
-    rows: list[SweepRow] = []
+    rows: list[BoundReport] = []
     for lam, q, regime, bound in cells:
         lhs_abs = abs(terms.at(lam))
         ratio = lhs_abs / bound if bound > 0.0 else None
-        report = BoundReport(lhs_abs, bound, ratio, regime, status[q])
-        rows.append(SweepRow(lam, q, report))
+        rows.append(BoundReport(lam, q, lhs_abs, bound, ratio, regime, status[q]))
     return rows

@@ -67,25 +67,14 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
     cs = coefficient_set(args.lam)
+    numbers = (("M", cs.m), ("A", cs.a_coef), ("B", cs.b_coef), ("C_q1", cs.c_q1))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "M": cs.m,
-                    "A": cs.a_coef,
-                    "B": cs.b_coef,
-                    "C_q1": cs.c_q1,
-                    "regime": cs.regime.value,
-                }
-            )
-        )
+        print(json.dumps({**dict(numbers), "regime": cs.regime.value}))
     else:
         print(f"lambda = {_fmt6(args.lam)}")
         print(f"regime = {cs.regime.value}")
-        print(f"M      = {_fmt6(cs.m)}")
-        print(f"A      = {_fmt6(cs.a_coef)}")
-        print(f"B      = {_fmt6(cs.b_coef)}")
-        print(f"C_q1   = {_fmt6(cs.c_q1)}")
+        for name, v in numbers:
+            print(f"{name:<6} = {_fmt6(v)}")
     return EXIT_OK
 
 
@@ -116,6 +105,23 @@ def _probe_writable(path: str) -> None:
         os.remove(path)
 
 
+# a sweep row's columns in order, each with its value: the CSV header and
+# cells, and the keys and values of each JSON object
+_SWEEP_COLUMNS = (
+    ("lambda", lambda r: r.lam),
+    ("q", lambda r: r.q),
+    ("regime", lambda r: r.regime.value),
+    ("lhs_abs", lambda r: r.lhs_abs),
+    ("bound", lambda r: r.bound),
+    ("ratio", lambda r: r.ratio),
+    ("membership", lambda r: r.q_membership.value),
+)
+
+
+def _csv_cell(v: float | str | None) -> str:
+    return "" if v is None else v if isinstance(v, str) else _fmt17(v)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     start, end, step = _parse_lambda_grid(args.lambda_grid)
     iv = Interval(args.a, args.b)
@@ -144,29 +150,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lams = [min(max(start + i * step, 0.0), 1.0) for i in range(int(span) + 1)]
     rows = sweep_rows(e, iv, lams, q_list)
     if args.format == "csv":
-        lines = ["lambda,q,regime,lhs_abs,bound,ratio,membership"]
-        for r in rows:
-            rep = r.report
-            ratio = "" if rep.ratio is None else _fmt17(rep.ratio)
-            lines.append(
-                f"{_fmt17(r.lam)},{_fmt17(r.q)},{rep.regime.value},{_fmt17(rep.lhs_abs)},"
-                f"{_fmt17(rep.bound)},{ratio},{rep.q_membership.value}"
-            )
+        lines = [",".join(name for name, _ in _SWEEP_COLUMNS)]
+        lines += [",".join(_csv_cell(get(r)) for _, get in _SWEEP_COLUMNS) for r in rows]
         content = "\n".join(lines) + "\n"
     else:
-        payload = [
-            {
-                "lambda": r.lam,
-                "q": r.q,
-                "regime": r.report.regime.value,
-                "lhs_abs": r.report.lhs_abs,
-                "bound": r.report.bound,
-                "ratio": r.report.ratio,
-                "membership": r.report.q_membership.value,
-            }
-            for r in rows
-        ]
-        content = json.dumps(payload, indent=2) + "\n"
+        payload = [{name: get(r) for name, get in _SWEEP_COLUMNS} for r in rows]
+        for row in payload:
+            # strict JSON has no inf or nan: null stands for no finite ratio
+            if row["ratio"] is not None and not math.isfinite(row["ratio"]):
+                row["ratio"] = None
+        content = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(content)

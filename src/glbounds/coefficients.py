@@ -12,15 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-__all__ = [
-    "Regime",
-    "CoefficientSet",
-    "moment",
-    "coeff_a",
-    "coeff_b",
-    "coeff_total_q1",
-    "coefficient_set",
-]
+__all__ = ["Regime", "CoefficientSet", "coefficient_set"]
 
 
 class Regime(Enum):
@@ -33,90 +25,48 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be in [0, 1], got {lam!r}")
 
 
-def _moment_low(lam: float) -> float:
-    return lam**3 / 3.0 + (1.0 - 3.0 * lam) / 24.0
-
-
-def _moment_high(lam: float) -> float:
-    return (3.0 * lam - 1.0) / 24.0
-
-
-def moment(lam: float) -> float:
-    """Integral of |t (t - lam)| over [0, 1/2]: the power-mean prefactor base."""
-    _check_lambda(lam)
-    return _moment_low(lam) if lam <= 0.5 else _moment_high(lam)
-
-
-def _coeff_a_low(lam: float) -> float:
-    return lam * lam - (4.0 * lam - 1.0) / 8.0
-
-
-def _coeff_a_high(lam: float) -> float:
-    return (4.0 * lam - 1.0) / 8.0
-
-
-def coeff_a(lam: float) -> float:
-    """Weight of |f''(a)|^q in the first power-mean radical.
-
-    Equals the integral of |t (t - lam)| / t over [0, 1/2]; positive for all
-    lam (the low branch is (lam - 1/4)^2 + 1/16 in disguise).
-    """
-    _check_lambda(lam)
-    return _coeff_a_low(lam) if lam <= 0.5 else _coeff_a_high(lam)
-
-
-def _coeff_b_low(lam: float) -> float:
-    one_m = 1.0 - lam
-    return one_m * math.log(2.0 * one_m * one_m) + (20.0 * lam - 8.0 * lam * lam - 5.0) / 8.0
-
-
-def _coeff_b_high(lam: float) -> float:
-    return (5.0 - 4.0 * lam) / 8.0 - (lam - 1.0) * math.log(0.5)
-
-
-def coeff_b(lam: float) -> float:
-    """Weight of |f''(b)|^q in the first power-mean radical.
-
-    Equals the integral of |t (t - lam)| / (1 - t) over [0, 1/2]. In the low
-    branch 1 - lam >= 1/2, so the log argument 2 (1 - lam)^2 >= 1/2 is safe.
-    """
-    _check_lambda(lam)
-    return _coeff_b_low(lam) if lam <= 0.5 else _coeff_b_high(lam)
-
-
-def _total_q1_low(lam: float) -> float:
-    one_m = 1.0 - lam
-    return one_m * math.log(2.0 * one_m * one_m) + (16.0 * lam - 4.0) / 8.0
-
-
-def _total_q1_high(lam: float) -> float:
-    return (lam - 1.0) * math.log(2.0) + 0.5
-
-
-def coeff_total_q1(lam: float) -> float:
-    """Collapsed q = 1 coefficient; equals coeff_a + coeff_b."""
-    _check_lambda(lam)
-    return _total_q1_low(lam) if lam <= 0.5 else _total_q1_high(lam)
-
-
 @dataclass(frozen=True)
 class CoefficientSet:
-    m: float
-    a_coef: float
-    b_coef: float
-    c_q1: float
+    m: float  # integral of |t (t - lam)| over [0, 1/2]: the power-mean prefactor base
+    a_coef: float  # integral of |t (t - lam)| / t: the weight of |f''(a)|^q in the first radical
+    b_coef: float  # integral of |t (t - lam)| / (1 - t): the weight of |f''(b)|^q there
+    c_q1: float  # the collapsed q = 1 coefficient, a_coef + b_coef
     regime: Regime
+
+
+def _low(lam: float) -> tuple[float, float, float, float]:
+    """(M, A, B, C_q1) for lam <= 1/2.
+
+    A is (lam - 1/4)^2 + 1/16 in disguise, so positive. Here 1 - lam >= 1/2,
+    so the log argument 2 (1 - lam)^2 >= 1/2 is safe.
+    """
+    one_m = 1.0 - lam
+    log_term = one_m * math.log(2.0 * one_m * one_m)
+    return (
+        lam**3 / 3.0 + (1.0 - 3.0 * lam) / 24.0,
+        lam * lam - (4.0 * lam - 1.0) / 8.0,
+        log_term + (20.0 * lam - 8.0 * lam * lam - 5.0) / 8.0,
+        log_term + (16.0 * lam - 4.0) / 8.0,
+    )
+
+
+def _high(lam: float) -> tuple[float, float, float, float]:
+    """(M, A, B, C_q1) for lam > 1/2."""
+    return (
+        (3.0 * lam - 1.0) / 24.0,
+        (4.0 * lam - 1.0) / 8.0,
+        (5.0 - 4.0 * lam) / 8.0 - (lam - 1.0) * math.log(0.5),
+        (lam - 1.0) * math.log(2.0) + 0.5,
+    )
 
 
 def coefficient_set(lam: float) -> CoefficientSet:
     """All four coefficients plus the regime tag, with a consistency check."""
     _check_lambda(lam)
-    m = moment(lam)
-    a = coeff_a(lam)
-    b = coeff_b(lam)
-    c = coeff_total_q1(lam)
+    regime = Regime.LOW if lam <= 0.5 else Regime.HIGH
+    m, a, b, c = _low(lam) if regime is Regime.LOW else _high(lam)
     if abs(c - (a + b)) > 1e-12:
         raise RuntimeError(
             f"coefficient inconsistency at lambda={lam!r}: total {c!r} vs a+b {a + b!r}"
         )
-    return CoefficientSet(m, a, b, c, Regime.LOW if lam <= 0.5 else Regime.HIGH)
+    return CoefficientSet(m, a, b, c, regime)

@@ -46,7 +46,7 @@ decided in this module only.
 The enclosure and heapq are imported when the first scan or decision runs,
 so every command but bound, sweep and qclass starts without them.
 
-DEFAULT_GRID_N and DEFAULT_TOL are decided here only: bound and sweep scan
+DEFAULT_GRID_N and DEFAULT_TOL are decided here only: bound and sweep decide
 with them, and they are the defaults of the CLI's qclass --grid and --tol.
 MAX_GRID_N caps every scan, since a scan costs n^3 time and holds up to
 about 9n^2 points.
@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .expressions import Node, compile_expression
+from .expressions import Node, _compile_jet, _compile_value
 from .quadrature import Interval
 
 __all__ = [
@@ -464,13 +464,13 @@ def _walk(
 def check_expression(
     e: Node, iv: Interval, grid_n: int = DEFAULT_GRID_N, tol: float = DEFAULT_TOL
 ) -> QClassReport:
-    """Scan g = e itself, as compile_expression(e)[0] computes it: qclass --g.
+    """Scan g = e itself, as its value closure computes it: qclass --g.
 
     The scan walks the pairs by the enclosure of g, with the same report.
     """
     from .enclosure import compile_value
 
-    g, _ = compile_expression(e)
+    g, _ = _compile_value(e)
     return check_godunova_levin(g, iv, grid_n, tol, bound=compile_value(e))
 
 
@@ -515,7 +515,7 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
 
 def _q_power(e: Node, q: float) -> Callable[[float], float]:
     """x -> |f''(x)|^q, the g of membership_for_bound's scan."""
-    _, jet = compile_expression(e)
+    jet = _compile_jet(e)
 
     def g(x: float) -> float:
         d2 = abs(jet(x)[2])

@@ -15,32 +15,20 @@ from glbounds import (
     MembershipMode,
     Proposition,
     RuleParams,
-    coeff_a,
-    coeff_b,
-    coeff_total_q1,
+    coefficient_set,
     corpus_entries,
     evaluate,
     evaluate_bound_report,
     evaluate_jet2,
     integrate_piecewise,
     lhs_functional,
-    moment,
     parse,
     proposition_bound,
     theorem_bound,
     verify_identity,
 )
 from glbounds.cli import main
-from glbounds.coefficients import (
-    _coeff_a_high,
-    _coeff_a_low,
-    _coeff_b_high,
-    _coeff_b_low,
-    _moment_high,
-    _moment_low,
-    _total_q1_high,
-    _total_q1_low,
-)
+from glbounds.coefficients import _high, _low
 from oracles import hermite_hadamard_check, second_derivative_fd
 
 
@@ -91,42 +79,41 @@ def test_c02_coefficient_oracle_suite():
         def second_over_t(t):
             return abs((1.0 - t) * (1.0 - lam - t)) / t
 
-        assert abs(moment(lam) - integrate_piecewise(first_abs, low_half, cuts)) <= 1e-10
-        assert abs(moment(lam) - integrate_piecewise(second_abs, high_half, cuts)) <= 1e-10
-        assert abs(coeff_a(lam) - integrate_piecewise(first_over_t, low_half, cuts)) <= 1e-10
-        assert abs(coeff_a(lam) - integrate_piecewise(second_over_1mt, high_half, cuts)) <= 1e-10
-        assert abs(coeff_b(lam) - integrate_piecewise(first_over_1mt, low_half, cuts)) <= 1e-10
-        assert abs(coeff_b(lam) - integrate_piecewise(second_over_t, high_half, cuts)) <= 1e-10
+        assert abs(coefficient_set(lam).m - integrate_piecewise(first_abs, low_half, cuts)) <= 1e-10
+        assert abs(coefficient_set(lam).m - integrate_piecewise(second_abs, high_half, cuts)) <= 1e-10
+        assert abs(coefficient_set(lam).a_coef - integrate_piecewise(first_over_t, low_half, cuts)) <= 1e-10
+        assert abs(coefficient_set(lam).a_coef - integrate_piecewise(second_over_1mt, high_half, cuts)) <= 1e-10
+        assert abs(coefficient_set(lam).b_coef - integrate_piecewise(first_over_1mt, low_half, cuts)) <= 1e-10
+        assert abs(coefficient_set(lam).b_coef - integrate_piecewise(second_over_t, high_half, cuts)) <= 1e-10
     _report("C2 closed forms match both half-integral oracles to 1e-10 at 101 grid points")
 
 
 def test_c03_anchor_constants():
     third = 1.0 / 3.0
-    assert abs(moment(0.0) - 1.0 / 24.0) <= 1e-12
-    assert abs(moment(third) - 1.0 / 81.0) <= 1e-12
-    assert abs(moment(1.0) - 1.0 / 12.0) <= 1e-12
-    assert abs(coeff_a(0.0) - 1.0 / 8.0) <= 1e-12
-    assert abs(coeff_b(0.0) - (math.log(2.0) - 5.0 / 8.0)) <= 1e-12
-    assert abs(coeff_a(1.0) - 3.0 / 8.0) <= 1e-12
-    assert abs(coeff_b(1.0) - 1.0 / 8.0) <= 1e-12
-    assert abs(coeff_a(third) - 5.0 / 72.0) <= 1e-12
-    assert abs(coeff_b(third) - ((2.0 / 3.0) * math.log(8.0 / 9.0) + 7.0 / 72.0)) <= 1e-12
-    assert abs(coeff_total_q1(0.0) - (math.log(2.0) - 0.5)) <= 1e-12
-    assert abs(coeff_total_q1(0.0) - 0.5 * math.log(4.0 / math.e)) <= 1e-12
-    assert abs(coeff_total_q1(1.0) - 0.5) <= 1e-12
-    assert abs(coeff_total_q1(0.5) - 0.5 * (1.0 + math.log(0.5))) <= 1e-12
+    assert abs(coefficient_set(0.0).m - 1.0 / 24.0) <= 1e-12
+    assert abs(coefficient_set(third).m - 1.0 / 81.0) <= 1e-12
+    assert abs(coefficient_set(1.0).m - 1.0 / 12.0) <= 1e-12
+    assert abs(coefficient_set(0.0).a_coef - 1.0 / 8.0) <= 1e-12
+    assert abs(coefficient_set(0.0).b_coef - (math.log(2.0) - 5.0 / 8.0)) <= 1e-12
+    assert abs(coefficient_set(1.0).a_coef - 3.0 / 8.0) <= 1e-12
+    assert abs(coefficient_set(1.0).b_coef - 1.0 / 8.0) <= 1e-12
+    assert abs(coefficient_set(third).a_coef - 5.0 / 72.0) <= 1e-12
+    assert abs(coefficient_set(third).b_coef - ((2.0 / 3.0) * math.log(8.0 / 9.0) + 7.0 / 72.0)) <= 1e-12
+    assert abs(coefficient_set(0.0).c_q1 - (math.log(2.0) - 0.5)) <= 1e-12
+    assert abs(coefficient_set(0.0).c_q1 - 0.5 * math.log(4.0 / math.e)) <= 1e-12
+    assert abs(coefficient_set(1.0).c_q1 - 0.5) <= 1e-12
+    assert abs(coefficient_set(0.5).c_q1 - 0.5 * (1.0 + math.log(0.5))) <= 1e-12
     _report("C3 anchor constants match to 1e-12")
 
 
 def test_c04_branch_continuity_at_half():
-    assert abs(_moment_low(0.5) - _moment_high(0.5)) <= 1e-12
-    assert abs(_coeff_a_low(0.5) - _coeff_a_high(0.5)) <= 1e-12
-    assert abs(_coeff_b_low(0.5) - _coeff_b_high(0.5)) <= 1e-12
-    assert abs(_total_q1_low(0.5) - _total_q1_high(0.5)) <= 1e-12
-    assert abs(_moment_low(0.5) - 1.0 / 48.0) <= 1e-12
-    assert abs(_coeff_a_low(0.5) - 1.0 / 8.0) <= 1e-12
-    assert abs(_coeff_b_low(0.5) - (3.0 / 8.0 + 0.5 * math.log(0.5))) <= 1e-12
-    assert abs(_total_q1_low(0.5) - (0.5 - 0.5 * math.log(2.0))) <= 1e-12
+    m, a, b, c = _low(0.5)
+    for low, high in zip((m, a, b, c), _high(0.5), strict=True):
+        assert abs(low - high) <= 1e-12
+    assert abs(m - 1.0 / 48.0) <= 1e-12
+    assert abs(a - 1.0 / 8.0) <= 1e-12
+    assert abs(b - (3.0 / 8.0 + 0.5 * math.log(0.5))) <= 1e-12
+    assert abs(c - (0.5 - 0.5 * math.log(2.0))) <= 1e-12
     _report("C4 regime branches agree at lambda = 1/2 to 1e-12")
 
 

@@ -257,11 +257,10 @@ class TestSweepRows:
             bound = theorem_bound(BoundInput(iv, r.lam, r.q, g_a, g_b))
             lhs_abs = abs(lhs_functional(e, iv, RuleParams(r.lam)))
             status = MembershipStatus.CHECKED_PASS if passed[r.q] else MembershipStatus.CHECKED_FAIL
-            rep = r.report
-            assert (rep.lhs_abs, rep.bound, rep.regime, rep.q_membership) == (
+            assert (r.lhs_abs, r.bound, r.regime, r.q_membership) == (
                 lhs_abs, bound, coefficient_set(r.lam).regime, status
             )
-            assert rep.ratio == (lhs_abs / bound if bound > 0.0 else None)
+            assert r.ratio == (lhs_abs / bound if bound > 0.0 else None)
 
     def test_coefficients_are_taken_once_per_lambda(self, monkeypatch):
         lams = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -289,7 +288,7 @@ class TestSweepRows:
         iv = Interval(0.000001, 3.141592)
         rows = sweep_rows(parse("sin(x)"), iv, [0.0, 0.5], (1.0, 2.0), membership_mode=mode)
         assert [(r.lam, r.q) for r in rows] == [(0.0, 1.0), (0.0, 2.0), (0.5, 1.0), (0.5, 2.0)]
-        assert all(r.report.q_membership is status for r in rows)
+        assert all(r.q_membership is status for r in rows)
 
 
 _PROVEN = [
@@ -317,7 +316,7 @@ class TestProvenMembership:
             rep = evaluate_bound_report(e, iv, 0.5, q)
             assert rep.q_membership is MembershipStatus.CHECKED_PASS
         rows = sweep_rows(e, iv, [0.0, 0.5], (1.0, 2.0, 3.0))
-        assert all(r.report.q_membership is MembershipStatus.CHECKED_PASS for r in rows)
+        assert all(r.q_membership is MembershipStatus.CHECKED_PASS for r in rows)
 
     @pytest.mark.parametrize(
         "text,iv,q,status",

@@ -166,7 +166,7 @@ class TestCoeffs:
     def test_json_keys_and_values(self, capsys):
         assert main(["coeffs", "--lambda", "0", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"M", "A", "B", "C_q1", "regime"}
+        assert list(payload) == ["M", "A", "B", "C_q1", "regime"]
         assert payload["M"] == 1.0 / 24.0
         assert payload["A"] == 0.125
         assert payload["B"] == pytest.approx(math.log(2.0) - 0.625, abs=1e-15)
@@ -181,6 +181,13 @@ class TestCoeffs:
         assert payload["B"] == 0.125
         assert payload["C_q1"] == 0.5
         assert payload["regime"] == "High"
+
+    def test_text_bytes(self, capsys):
+        assert main(["coeffs", "--lambda", "0.25"]) == 0
+        assert capsys.readouterr().out == (
+            "lambda = 0.25\nregime = Low\nM      = 0.015625\nA      = 0.0625\n"
+            "B      = 0.0258373\nC_q1   = 0.0883373\n"
+        )
 
     def test_half_prints_low(self, capsys):
         assert main(["coeffs", "--lambda", "0.5"]) == 0
@@ -391,7 +398,24 @@ class TestSweep:
         assert _run_sweep(out, fmt="json") == 0
         payload = json.loads(out.read_text())
         assert len(payload) == 10
-        assert set(payload[0]) == {"lambda", "q", "regime", "lhs_abs", "bound", "ratio", "membership"}
+        # every object's keys are the CSV header's columns, in order
+        assert all(list(row) == CSV_HEADER.split(",") for row in payload)
+
+    def test_overflowing_ratio_is_strict_json(self, tmp_path, capsys):
+        """The bound of sin(x)^22 on [0, pi] is 2.5e-316 and |E| is 0.83: the
+        CSV ratio reads inf, and the JSON one null, never Infinity."""
+        argv = ["sweep", "--fn", "sin(x)^22", "--a", "0", "--b", "3.141592653589793",
+                "--lambda-grid", "0:0:1", "--q", "1"]
+        csv_out, json_out = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+        assert main([*argv, "--out", str(csv_out)]) == 0
+        assert main([*argv, "--out", str(json_out), "--format", "json"]) == 0
+
+        def reject(token):
+            raise AssertionError(f"{token} is not strict JSON")
+
+        (row,) = json.loads(json_out.read_text(), parse_constant=reject)
+        assert 0.0 < row["bound"] < 1e-300 and row["ratio"] is None
+        assert csv_out.read_text().splitlines()[1].split(",")[5] == "inf"
 
     def test_linear_function_has_empty_ratio(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -399,6 +423,9 @@ class TestSweep:
         row = out.read_text().splitlines()[1].split(",")
         assert row[4] == "0"  # bound is zero when f'' vanishes at both ends
         assert row[5] == ""
+        out = tmp_path / "sweep.json"
+        assert _run_sweep(out, fmt="json", fn="x") == 0
+        assert all(row["bound"] == 0.0 and row["ratio"] is None for row in json.loads(out.read_text()))
 
     def test_unwritable_path(self, tmp_path, monkeypatch, capsys):
         covers = []

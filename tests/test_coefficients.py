@@ -2,26 +2,8 @@ import math
 
 import pytest
 
-from glbounds import (
-    Interval,
-    Regime,
-    coeff_a,
-    coeff_b,
-    coeff_total_q1,
-    coefficient_set,
-    integrate_piecewise,
-    moment,
-)
-from glbounds.coefficients import (
-    _coeff_a_high,
-    _coeff_a_low,
-    _coeff_b_high,
-    _coeff_b_low,
-    _moment_high,
-    _moment_low,
-    _total_q1_high,
-    _total_q1_low,
-)
+from glbounds import Interval, Regime, coefficient_set, integrate_piecewise
+from glbounds.coefficients import _high, _low
 
 GRID = [i / 100.0 for i in range(101)]
 LOW_HALF = Interval(0.0, 0.5)
@@ -74,14 +56,14 @@ class TestPaperAnchors:
         [(0.0, 1.0 / 24.0), (1.0 / 3.0, 1.0 / 81.0), (1.0, 1.0 / 12.0)],
     )
     def test_moment(self, lam, expected):
-        assert abs(moment(lam) - expected) <= 1e-12
+        assert abs(coefficient_set(lam).m - expected) <= 1e-12
 
     @pytest.mark.parametrize(
         "lam,expected",
         [(0.0, 1.0 / 8.0), (1.0, 3.0 / 8.0), (1.0 / 3.0, 5.0 / 72.0)],
     )
     def test_coeff_a(self, lam, expected):
-        assert abs(coeff_a(lam) - expected) <= 1e-12
+        assert abs(coefficient_set(lam).a_coef - expected) <= 1e-12
 
     @pytest.mark.parametrize(
         "lam,expected",
@@ -92,7 +74,7 @@ class TestPaperAnchors:
         ],
     )
     def test_coeff_b(self, lam, expected):
-        assert abs(coeff_b(lam) - expected) <= 1e-12
+        assert abs(coefficient_set(lam).b_coef - expected) <= 1e-12
 
     @pytest.mark.parametrize(
         "lam,expected",
@@ -104,25 +86,24 @@ class TestPaperAnchors:
         ],
     )
     def test_coeff_total_q1(self, lam, expected):
-        assert abs(coeff_total_q1(lam) - expected) <= 1e-12
+        assert abs(coefficient_set(lam).c_q1 - expected) <= 1e-12
 
     def test_total_q1_at_zero_matches_quarter_prefactor_form(self):
         # the midpoint-rule bound is also printed with a (b-a)^2/4 prefactor
-        assert abs(coeff_total_q1(0.0) - 0.5 * math.log(4.0 / math.e)) <= 1e-12
+        assert abs(coefficient_set(0.0).c_q1 - 0.5 * math.log(4.0 / math.e)) <= 1e-12
 
 
 class TestBranchContinuity:
     def test_all_four_at_half(self):
-        assert abs(_moment_low(0.5) - _moment_high(0.5)) <= 1e-12
-        assert abs(_coeff_a_low(0.5) - _coeff_a_high(0.5)) <= 1e-12
-        assert abs(_coeff_b_low(0.5) - _coeff_b_high(0.5)) <= 1e-12
-        assert abs(_total_q1_low(0.5) - _total_q1_high(0.5)) <= 1e-12
+        # M, A, B and C_q1 of each branch, component by component
+        for low, high in zip(_low(0.5), _high(0.5), strict=True):
+            assert abs(low - high) <= 1e-12
 
     def test_values_at_half(self):
-        assert abs(moment(0.5) - 1.0 / 48.0) <= 1e-12
-        assert abs(coeff_a(0.5) - 1.0 / 8.0) <= 1e-12
-        assert abs(coeff_b(0.5) - (3.0 / 8.0 + 0.5 * math.log(0.5))) <= 1e-12
-        assert abs(coeff_total_q1(0.5) - (0.5 - 0.5 * math.log(2.0))) <= 1e-12
+        assert abs(coefficient_set(0.5).m - 1.0 / 48.0) <= 1e-12
+        assert abs(coefficient_set(0.5).a_coef - 1.0 / 8.0) <= 1e-12
+        assert abs(coefficient_set(0.5).b_coef - (3.0 / 8.0 + 0.5 * math.log(0.5))) <= 1e-12
+        assert abs(coefficient_set(0.5).c_q1 - (0.5 - 0.5 * math.log(2.0))) <= 1e-12
 
     def test_half_uses_low_regime(self):
         assert coefficient_set(0.5).regime is Regime.LOW
@@ -135,7 +116,7 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("lam", GRID)
     def test_moment_both_halves(self, lam):
-        m = moment(lam)
+        m = coefficient_set(lam).m
         first = integrate_piecewise(_first_half_abs_kernel(lam), LOW_HALF, _cuts(lam))
         second = integrate_piecewise(_second_half_abs_kernel(lam), HIGH_HALF, _cuts(lam))
         assert abs(m - first) <= 1e-10
@@ -143,7 +124,7 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("lam", GRID)
     def test_coeff_a_both_halves(self, lam):
-        a = coeff_a(lam)
+        a = coefficient_set(lam).a_coef
         first = integrate_piecewise(_first_half_over_t(lam), LOW_HALF, _cuts(lam))
         second = integrate_piecewise(_second_half_over_one_minus_t(lam), HIGH_HALF, _cuts(lam))
         assert abs(a - first) <= 1e-10
@@ -152,7 +133,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("lam", GRID)
     def test_coeff_b_both_halves(self, lam):
         # the half swap is exactly why the second radical exchanges A and B
-        b = coeff_b(lam)
+        b = coefficient_set(lam).b_coef
         first = integrate_piecewise(_first_half_over_one_minus_t(lam), LOW_HALF, _cuts(lam))
         second = integrate_piecewise(_second_half_over_t(lam), HIGH_HALF, _cuts(lam))
         assert abs(b - first) <= 1e-10
@@ -162,7 +143,7 @@ class TestOracleEquivalence:
 class TestAlgebraicInvariants:
     def test_total_is_sum_on_grid(self):
         for lam in GRID:
-            assert abs(coeff_total_q1(lam) - (coeff_a(lam) + coeff_b(lam))) <= 1e-12
+            assert abs(coefficient_set(lam).c_q1 - (coefficient_set(lam).a_coef + coefficient_set(lam).b_coef)) <= 1e-12
 
     def test_positivity_on_grid(self):
         for lam in GRID:
@@ -175,8 +156,8 @@ class TestAlgebraicInvariants:
     def test_low_coeff_a_completed_square(self):
         for lam in [i / 100.0 for i in range(51)]:
             square_form = (lam - 0.25) ** 2 + 1.0 / 16.0
-            assert abs(coeff_a(lam) - square_form) <= 1e-15
-            assert coeff_a(lam) >= 1.0 / 16.0 - 1e-15
+            assert abs(coefficient_set(lam).a_coef - square_form) <= 1e-15
+            assert coefficient_set(lam).a_coef >= 1.0 / 16.0 - 1e-15
 
     def test_regime_tags(self):
         assert coefficient_set(0.3).regime is Regime.LOW
@@ -184,6 +165,5 @@ class TestAlgebraicInvariants:
 
     @pytest.mark.parametrize("lam", [-0.01, 1.01, math.nan, math.inf])
     def test_out_of_range_rejected(self, lam):
-        for fn in (moment, coeff_a, coeff_b, coeff_total_q1, coefficient_set):
-            with pytest.raises(ValueError):
-                fn(lam)
+        with pytest.raises(ValueError):
+            coefficient_set(lam)

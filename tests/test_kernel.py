@@ -8,10 +8,10 @@ from glbounds import (
     DomainError,
     Interval,
     RuleParams,
+    coefficient_set,
     integrate_piecewise,
     kernel_k,
     lhs_functional,
-    moment,
     parse,
     rhs_identity,
     verify_identity,
@@ -77,7 +77,7 @@ class TestKernel:
             got = integrate_piecewise(
                 lambda t: abs(kernel_k(t, p)), UNIT, [lam, 0.5, 1.0 - lam]
             )
-            assert abs(got - moment(lam)) <= 1e-10
+            assert abs(got - coefficient_set(lam).m) <= 1e-10
 
 
 class TestRuleParams:

@@ -538,10 +538,10 @@ class TestMembershipForBound:
 def _counting_compile(monkeypatch, counters):
     """Make every jet compiled in qclass count its calls per point (by float.hex),
     one Counter per compiled jet, appended to counters."""
-    original = glbounds.qclass.compile_expression
+    original = glbounds.qclass._compile_jet
 
     def compile_counting(e):
-        value, jet = original(e)
+        jet = original(e)
         seen = Counter()
         counters.append(seen)
 
@@ -549,9 +549,9 @@ def _counting_compile(monkeypatch, counters):
             seen[x.hex()] += 1
             return jet(x)
 
-        return value, counted
+        return counted
 
-    monkeypatch.setattr(glbounds.qclass, "compile_expression", compile_counting)
+    monkeypatch.setattr(glbounds.qclass, "_compile_jet", compile_counting)
 
 
 class TestSweepSharesSecondDerivative:
@@ -638,10 +638,10 @@ class TestProof:
 
         assert same(e, UNIT_IV, (1.0,)) == {1.0: True}
         with monkeypatch.context() as m:
-            m.setattr(glbounds.qclass, "compile_expression", lambda e: (None, broken))
+            m.setattr(glbounds.qclass, "_compile_jet", lambda e: broken)
             assert same(e, UNIT_IV, (1.0,)) == (RuntimeError, "boom")
         with monkeypatch.context() as m:
-            m.setattr(glbounds.qclass, "compile_expression", lambda e: (None, lambda x: (0.0, 0.0, math.inf)))
+            m.setattr(glbounds.qclass, "_compile_jet", lambda e: lambda x: (0.0, 0.0, math.inf))
             assert same(e, UNIT_IV, (1.0,)) == (ValueError, "g is not finite at x=0.0078125: inf")
         # sine's decision visits pairs above the tolerance; a jet that raises
         # off the grid points raises the scan's error there, rather than
@@ -651,8 +651,7 @@ class TestProof:
         _, jet = compile_expression(sine)
         grid = set(_scan_grid(SINE_INTERVAL, 64, DEFAULT_TOL))
         with monkeypatch.context() as m:
-            m.setattr(glbounds.qclass, "compile_expression",
-                      lambda e: (None, lambda x: jet(x) if x in grid else broken()))
+            m.setattr(glbounds.qclass, "_compile_jet", lambda e: lambda x: jet(x) if x in grid else broken())
             assert same(sine, SINE_INTERVAL, (1.0,)) == (RuntimeError, "boom")
 
     def test_unbounded_pairs_alone_decide_a_kink(self, monkeypatch):
