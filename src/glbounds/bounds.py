@@ -104,6 +104,16 @@ def _finite_square(name: str, iv: Interval, square: float) -> float:
     return square
 
 
+def _finite_bound(bound: float, iv: Interval, g_a: float, g_b: float) -> float:
+    """bound, built from the weights g_a and g_b on iv, where it is finite.
+
+    Raises ValueError naming the weights where it overflows.
+    """
+    if math.isinf(bound):
+        raise ValueError(f"bound overflows: g_a = {g_a!r}, g_b = {g_b!r} on [{iv.a!r}, {iv.b!r}]")
+    return bound
+
+
 def theorem_bound(inp: BoundInput) -> float:
     """General bound: (w^2/2) M^(1-1/q) [(A ga^q + B gb^q)^(1/q) + (B ga^q + A gb^q)^(1/q)].
 
@@ -111,8 +121,8 @@ def theorem_bound(inp: BoundInput) -> float:
     q = 1 the prefactor exponent vanishes and the bracket collapses to
     (A + B)(ga + gb).
 
-    Raises ValueError naming the width where w^2/2 overflows: times a zero
-    bracket it would give nan.
+    Raises ValueError naming the width where w^2/2 overflows (times a zero
+    bracket it would give nan), and naming the weights where the bound does.
     """
     return _theorem_bound(coefficient_set(inp.lam), inp)
 
@@ -126,7 +136,8 @@ def _theorem_bound(cs: CoefficientSet, inp: BoundInput) -> float:
         cs.b_coef * ga_q + cs.a_coef * gb_q
     ) ** inv_q
     w = inp.iv.width
-    return _finite_square("w^2/2", inp.iv, 0.5 * w * w) * cs.m ** (1.0 - inv_q) * bracket
+    bound = _finite_square("w^2/2", inp.iv, 0.5 * w * w) * cs.m ** (1.0 - inv_q) * bracket
+    return _finite_bound(bound, inp.iv, inp.g_a, inp.g_b)
 
 
 def corollary_bound_q1(iv: Interval, lam: float, g_a: float, g_b: float) -> float:
@@ -135,7 +146,8 @@ def corollary_bound_q1(iv: Interval, lam: float, g_a: float, g_b: float) -> floa
     _check_weight("g_a", g_a)
     _check_weight("g_b", g_b)
     w = iv.width
-    return _finite_square("w^2/2", iv, 0.5 * w * w) * coefficient_set(lam).c_q1 * (g_a + g_b)
+    bound = _finite_square("w^2/2", iv, 0.5 * w * w) * coefficient_set(lam).c_q1 * (g_a + g_b)
+    return _finite_bound(bound, iv, g_a, g_b)
 
 
 class Proposition(Enum):
@@ -186,18 +198,21 @@ def proposition_bound(
             raise ValueError(f"{which.value} requires q = 1, got q = {q!r}")
         total = g_a + g_b
         if which is Proposition.MIDPOINT_Q1:
-            return 0.25 * w2 * math.log(4.0 / math.e) * total
-        if which is Proposition.TRAPEZOID_Q1:
-            return 0.5 * w2 * 0.5 * total
-        if which is Proposition.SIMPSON_Q1:
-            return 0.5 * w2 * ((2.0 / 3.0) * math.log(8.0 / 9.0) + 1.0 / 6.0) * total
-        return 0.25 * w2 * (math.log(0.5) + 1.0) * total
-    same, cross, base = _PM_CONSTANTS[which]
-    inv_q = 1.0 / q
-    ga_q = _weight_power("g_a", g_a, q)
-    gb_q = _weight_power("g_b", g_b, q)
-    bracket = (same * ga_q + cross * gb_q) ** inv_q + (cross * ga_q + same * gb_q) ** inv_q
-    return 0.5 * w2 * base ** (1.0 - inv_q) * bracket
+            bound = 0.25 * w2 * math.log(4.0 / math.e) * total
+        elif which is Proposition.TRAPEZOID_Q1:
+            bound = 0.5 * w2 * 0.5 * total
+        elif which is Proposition.SIMPSON_Q1:
+            bound = 0.5 * w2 * ((2.0 / 3.0) * math.log(8.0 / 9.0) + 1.0 / 6.0) * total
+        else:
+            bound = 0.25 * w2 * (math.log(0.5) + 1.0) * total
+    else:
+        same, cross, base = _PM_CONSTANTS[which]
+        inv_q = 1.0 / q
+        ga_q = _weight_power("g_a", g_a, q)
+        gb_q = _weight_power("g_b", g_b, q)
+        bracket = (same * ga_q + cross * gb_q) ** inv_q + (cross * ga_q + same * gb_q) ** inv_q
+        bound = 0.5 * w2 * base ** (1.0 - inv_q) * bracket
+    return _finite_bound(bound, iv, g_a, g_b)
 
 
 def _endpoint_weights(e: Node, iv: Interval) -> tuple[float, float]:

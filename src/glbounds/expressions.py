@@ -1,17 +1,31 @@
 """Expression parsing and evaluation with exact first and second derivatives.
 
-Grammar (whitespace ignored):
+Grammar, over tokens:
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := unary ('^' factor)?          # '^' is right-associative
     unary  := '-' unary | atom
-    atom   := number | 'x' | func '(' expr ')' | '(' expr ')'
+    atom   := number | 'x' | func group | group
+    group  := '(' expr ')'
     func   := 'sin' | 'cos' | 'exp' | 'ln' | 'sqrt' | 'abs'
     number := decimal literal, optional fraction and exponent part
 
+One regular expression splits the text into tokens: a number, an ASCII name
+(a letter or '_', then letters, digits and '_'), or any other single
+character. Whitespace is space, tab, CR and LF only, and may stand before
+any token. A number's digits are any Unicode decimal digits, read as float()
+reads them ("٣" is 3). Where an operand should begin, any other character c
+is "unexpected 'c' (offset n)", except that a '.' or a digit that begins no
+number (such as "²") is a "malformed number".
+
 Unary minus binds tighter than '^', so "-x^2" parses as (-x)^2. There are
 no named constants; write the literal (e.g. 3.141592653589793) or exp(1).
+An expression nests at most MAX_NESTING (100) levels deep: each pair of
+parentheses, a call's included, each unary minus and each binary operator
+is a level above its operands, and deeper text is "nesting deeper than 100
+levels". So neither the parser nor the closures compiled from its tree can
+exhaust Python's stack.
 
 A parsed expression is compiled once into closures, x -> f(x) and
 x -> (f, f', f''), to be called at every point (evaluate compiles the value
@@ -123,120 +137,119 @@ class Jet2:
 _Jet = tuple[float, float, float]  # (f, f', f'') at one point
 
 
-_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# One match per token, after any run of space, tab, CR and LF: a number,
+# an ASCII name, or any other single character; "" at the end of the text.
+_TOKEN = re.compile(r"[ \t\r\n]*(((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|.?)")
+
+# the most levels a number or x may sit under (see the module docstring)
+MAX_NESTING = 100
+_TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
 
 
 class _Parser:
+    """Recursive descent over the tokens, numbers read as floats. Each rule takes the
+    depth d of the node it reads, and returns it with the depth of its deepest leaf."""
+
     def __init__(self, text: str) -> None:
         self.text = text
-        self.pos = 0
+        self.tokens = [float(t) if n else t for t, n, _ in _TOKEN.findall(text)]
+        self.i = 0
 
-    def skip_ws(self) -> None:
-        text, n = self.text, len(self.text)
-        while self.pos < n and text[self.pos] in " \t\r\n":
-            self.pos += 1
+    def match(self) -> re.Match:
+        """The current token's match, for an error's offset and wording."""
+        return list(_TOKEN.finditer(self.text))[self.i]
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def fail(self, message: str | None = None) -> ParseError:
+        """A ParseError at the current token: message, or else why no operand begins there."""
+        m = self.match()
+        tok = m[1]
+        if message is None:
+            message = (
+                "number literal out of range" if m[2]
+                else f"unknown identifier {tok!r}" if m[3]
+                else "unexpected end of input" if tok == ""
+                else "malformed number" if tok == "." or tok.isdigit()
+                else f"unexpected {tok!r}"
+            )
+        return ParseError(message, m.start(1))
 
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            self.skip_ws()
-            c = self.peek()
-            if c == "+" or c == "-":
-                self.pos += 1
-                node = Bin(c, node, self.term())
-            else:
-                return node
+    def operand(self, m: int, rule: Callable, d: int) -> tuple[Node, int]:
+        """The operand right of the current operator, read by rule, and the
+        depth the operator's node at d reaches. Its left operand, read at d
+        too, reached m, and now sits a level deeper."""
+        if m >= MAX_NESTING:
+            raise self.fail(_TOO_DEEP)
+        self.i += 1
+        right, r = rule(d + 1)
+        return right, (m + 1 if m >= r else r)
 
-    def term(self) -> Node:
-        node = self.factor()
-        while True:
-            self.skip_ws()
-            c = self.peek()
-            if c == "*" or c == "/":
-                self.pos += 1
-                node = Bin(c, node, self.factor())
-            else:
-                return node
+    def expr(self, d: int) -> tuple[Node, int]:
+        node, m = self.term(d)
+        while (op := self.tokens[self.i]) == "+" or op == "-":
+            right, m = self.operand(m, self.term, d)
+            node = Bin(op, node, right)
+        return node, m
 
-    def factor(self) -> Node:
-        node = self.unary()
-        self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            node = Pow(node, self.factor())
-        return node
+    def term(self, d: int) -> tuple[Node, int]:
+        node, m = self.factor(d)
+        while (op := self.tokens[self.i]) == "*" or op == "/":
+            right, m = self.operand(m, self.factor, d)
+            node = Bin(op, node, right)
+        return node, m
 
-    def unary(self) -> Node:
-        self.skip_ws()
-        if self.peek() == "-":
-            self.pos += 1
-            return Neg(self.unary())
-        return self.atom()
+    def factor(self, d: int) -> tuple[Node, int]:
+        node, m = self.unary(d)
+        if self.tokens[self.i] == "^":
+            exponent, m = self.operand(m, self.factor, d)
+            node = Pow(node, exponent)
+        return node, m
 
-    def atom(self) -> Node:
-        self.skip_ws()
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
-            node = self.expr()
-            self.skip_ws()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            return node
-        if c.isdigit() or c == ".":
-            return self.number()
-        if c.isalpha() or c == "_":
-            return self.identifier()
-        if c == "":
-            raise ParseError("unexpected end of input", self.pos)
-        raise ParseError(f"unexpected {c!r}", self.pos)
+    def unary(self, d: int) -> tuple[Node, int]:
+        if d > MAX_NESTING:
+            raise self.fail(_TOO_DEEP)
+        if self.tokens[self.i] == "-":
+            self.i += 1
+            node, m = self.unary(d + 1)
+            return Neg(node), m
+        return self.atom(d)
 
-    def number(self) -> Node:
-        m = _NUMBER.match(self.text, self.pos)
-        if m is None:
-            raise ParseError("malformed number", self.pos)
-        value = float(m.group())
-        if not math.isfinite(value):
-            raise ParseError("number literal out of range", self.pos)
-        self.pos = m.end()
-        return Const(value)
+    def atom(self, d: int) -> tuple[Node, int]:
+        tok = self.tokens[self.i]
+        if tok == "(":
+            return self.group(d)
+        if tok == "x":
+            self.i += 1
+            return Var(), d
+        if isinstance(tok, float) and math.isfinite(tok):
+            self.i += 1
+            return Const(tok), d
+        if tok not in _CALLS:
+            raise self.fail()
+        self.i += 1
+        if self.tokens[self.i] != "(":
+            raise self.fail(f"expected '(' after {tok!r}")
+        arg, m = self.group(d)
+        return Call(tok, arg), m
 
-    def identifier(self) -> Node:
-        start = self.pos
-        m = _IDENT.match(self.text, start)
-        name = m.group()
-        self.pos = m.end()
-        if name == "x":
-            return Var()
-        if name not in _CALLS:
-            raise ParseError(f"unknown identifier {name!r}", start)
-        self.skip_ws()
-        if self.peek() != "(":
-            raise ParseError(f"expected '(' after {name!r}", self.pos)
-        self.pos += 1
-        arg = self.expr()
-        self.skip_ws()
-        if self.peek() != ")":
-            raise ParseError("expected ')'", self.pos)
-        self.pos += 1
-        return Call(name, arg)
+    def group(self, d: int) -> tuple[Node, int]:
+        """'(' expr ')' from the current token, a '('; the parentheses are at depth d."""
+        self.i += 1
+        node, m = self.expr(d + 1)
+        if self.tokens[self.i] != ")":
+            raise self.fail("expected ')'")
+        self.i += 1
+        return node, m
 
 
 def parse(text: str) -> Node:
     """Parse expression text into an AST; ParseError carries the character offset."""
     p = _Parser(text)
-    p.skip_ws()
-    if p.peek() == "":
+    if p.tokens[0] == "":
         raise ParseError("empty expression", 0)
-    node = p.expr()
-    p.skip_ws()
-    if p.peek() != "":
-        raise ParseError(f"unexpected {p.peek()!r}", p.pos)
+    node, _ = p.expr(0)
+    if p.tokens[p.i] != "":
+        m = p.match()
+        raise ParseError(f"unexpected {m[1][0]!r}", m.start(1))
     return node
 
 

@@ -3,7 +3,8 @@
 No program path uses them, so they live with the tests: a finite-difference
 second derivative for the jets, a sampled nonnegative-convexity witness for
 the corpus's Certified labels, the Hermite-Hadamard double inequality for
-convex entries, a printer for parse round trips, the eager pair ranking
+convex entries, a printer for parse round trips, expressions of each
+shape nested to a given depth, the eager pair ranking
 that the lazy one must reproduce, and the lam-major loop that defines the
 Godunova-Levin scan, which the scan's pair walk must reproduce.
 """
@@ -95,6 +96,20 @@ def to_text(node: Node) -> str:
     if isinstance(node, Call):
         return f"{node.func}({to_text(node.arg)})"
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# Each shape nested n levels deep: its text, and the offset of the level past
+# n - 1, where parse reports n = MAX_NESTING + 1 levels as too deep (the x
+# under the last parenthesis, call or minus, or the last operator).
+DEEP_SHAPES = {
+    "parentheses": (lambda n: "(" * n + "x" + ")" * n, lambda n: n),
+    "calls": (lambda n: "sin(" * n + "x" + ")" * n, lambda n: 4 * n),
+    "variable powers": (lambda n: "x" + "^x" * n, lambda n: 2 * n - 1),
+    "unary minus": (lambda n: "-" * n + "x", lambda n: n),
+    "sum": (lambda n: "x" + "+x" * n, lambda n: 2 * n - 1),
+    "product": (lambda n: "x" + "*x" * n, lambda n: 2 * n - 1),
+    "constant powers": (lambda n: "x" + "^1" * n, lambda n: 2 * n - 1),
+}
 
 
 def ranked_pairs_eager(gx: list[float], sup: list[float], floor: float) -> list[tuple[float, int, int]]:

@@ -94,6 +94,29 @@ class TestTheoremBound:
         narrower = Interval(0.0, 1.3e154)  # w^2 is about 1.69e308
         assert all(proposition_bound(which, narrower, qs[-1], 0.0, 0.0) == 0.0 for which, _, qs in PROP_SETTINGS)
 
+    def test_overflowing_bound_is_an_input_error(self):
+        # w^2/2 and the weights' powers are finite, their product is not; it used to be inf
+        with pytest.raises(ValueError, match=r"^bound overflows: g_a = 0\.0, g_b = 1e\+308 on \[0\.0, 10\.0\]$"):
+            theorem_bound(BoundInput(Interval(0.0, 10.0), 0.0, 1.0, 0.0, 1e308))
+        with pytest.raises(ValueError, match=r"^bound overflows: g_a = 0\.0, g_b = 1e\+150 on \[0\.0, 1e\+100\]$"):
+            theorem_bound(BoundInput(Interval(0.0, 1e100), 0.5, 2.0, 0.0, 1e150))
+        assert theorem_bound(BoundInput(Interval(0.0, 10.0), 0.0, 1.0, 0.0, 1e306)) < math.inf
+
+    def test_oracles_reject_an_overflowing_bound(self):
+        iv, wide = Interval(0.0, 10.0), Interval(0.0, 1e100)
+        message = r"^bound overflows: g_a = 0\.0, g_b = 1e\+308 on \[0\.0, 10\.0\]$"
+        with pytest.raises(ValueError, match=message):
+            corollary_bound_q1(iv, 0.5, 0.0, 1e308)
+        for which, _, qs in PROP_SETTINGS:
+            with pytest.raises(ValueError, match=message):
+                proposition_bound(which, iv, 1.0, 0.0, 1e308)
+            if 2.0 in qs:
+                with pytest.raises(ValueError, match=r"^bound overflows: g_a = 0\.0, g_b = 1e\+150 on"):
+                    proposition_bound(which, wide, 2.0, 0.0, 1e150)
+        # a hundredth of the weight keeps every bound finite
+        assert corollary_bound_q1(iv, 0.5, 0.0, 1e306) < math.inf
+        assert all(proposition_bound(which, iv, 1.0, 0.0, 1e306) < math.inf for which, _, _ in PROP_SETTINGS)
+
     def test_overflowing_weight_power_is_an_input_error(self):
         # |f''(300)| of exp is 1.9e130, and its cube passes 1.8e308
         g_a = math.exp(300.0)

@@ -24,6 +24,8 @@ from glbounds import (
     theorem_bound,
 )
 from glbounds.cli import main
+from glbounds.expressions import MAX_NESTING
+from oracles import DEEP_SHAPES
 
 # E(0.3, exp) on [20, 20.01] and on [30, 31], from the closed form in 80-digit
 # decimals by bench/oracle.py, rounded to double
@@ -31,6 +33,7 @@ E_EXP_20 = 203.16418691097877
 E_EXP_30 = 68763880758.238
 
 CSV_HEADER = "lambda,q,regime,lhs_abs,bound,ratio,membership"
+OVERFLOWING_BOUND_ERR = "error: bound overflows: g_a = 0.0, g_b = 5.439705233633756e+307 on [0.0, 7.0]\n"
 
 
 class TestVerifyIdentity:
@@ -256,6 +259,19 @@ class TestBound:
         assert main(argv + extra) == 2
         assert capsys.readouterr() == ("", "error: w^2/2 overflows: the width of [0.0, 1e+200] is 1e+200\n")
 
+    def test_non_ascii_letter_is_an_input_error(self, capsys):
+        # it used to end the request with an AttributeError traceback, exit 1
+        assert main(["bound", "--fn", "sin(π*x)", "--a", "0", "--b", "1", "--lambda", "0", "--q", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: unexpected 'π' (offset 4)\n")
+
+    @pytest.mark.parametrize("extra", [["--skip-membership"], []])
+    def test_overflowing_bound_is_an_input_error(self, extra, capsys):
+        # w^2/2 = 24.5 and |f''(7)| = 5.4e307 are finite, their product is not;
+        # it used to print bound = inf, ratio = 0 and exit 0
+        argv = ["bound", "--fn", "1e304*sin(100*x)", "--a", "0", "--b", "7", "--lambda", "0", "--q", "1"]
+        assert main(argv + extra) == 2
+        assert capsys.readouterr() == ("", OVERFLOWING_BOUND_ERR)
+
     def test_widest_finite_width_square_keeps_its_answer(self, capsys):
         # w^2/2 = 2.2e307 is finite; f'' = 0, so the bound is exactly 0
         argv = ["bound", "--fn", "2^511", "--a", "0", "--b", "6.703903964971299e+153", "--lambda", "0.5", "--q", "1"]
@@ -416,6 +432,16 @@ class TestSweep:
         (row,) = json.loads(json_out.read_text(), parse_constant=reject)
         assert 0.0 < row["bound"] < 1e-300 and row["ratio"] is None
         assert csv_out.read_text().splitlines()[1].split(",")[5] == "inf"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_bound_is_an_input_error(self, fmt, tmp_path, capsys):
+        # CSV used to write a bound of inf, and JSON to fail in the json library
+        out = tmp_path / f"sweep.{fmt}"
+        argv = ["sweep", "--fn", "1e304*sin(100*x)", "--a", "0", "--b", "7", "--lambda-grid", "0:1:0.5",
+                "--q", "1", "--format", fmt, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", OVERFLOWING_BOUND_ERR)
+        assert not out.exists()
 
     def test_linear_function_has_empty_ratio(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -688,6 +714,33 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (4, b"")
+
+
+def _nesting_commands(fn, out):
+    """Every command that parses an expression, on fn; '--fn=' keeps a leading '-' an argument."""
+    iv = ["--a", "0.5", "--b", "1"]
+    return {
+        "verify-identity": ["verify-identity", f"--fn={fn}", *iv, "--lambda", "0.3"],
+        "bound": ["bound", f"--fn={fn}", *iv, "--lambda", "0.3", "--q", "1"],
+        "sweep": ["sweep", f"--fn={fn}", *iv, "--lambda-grid", "0:0:1", "--q", "1", "--out", out],
+        "qclass --g": ["qclass", f"--g={fn}", *iv, "--grid", "8"],
+        "qclass --fn": ["qclass", f"--fn={fn}", "--q", "1", *iv, "--grid", "8"],
+    }
+
+
+@pytest.mark.parametrize("command", list(_nesting_commands("x", "")))
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_nesting_at_the_limit_and_past_it(shape, command, tmp_path, capsys):
+    """At the parser's limit the command answers; a level deeper is an input
+    error. A few hundred levels used to exhaust the stack in the parser or in
+    the compiled closures: a RecursionError traceback, exit 1."""
+    text, offset = DEEP_SHAPES[shape]
+    out = str(tmp_path / "sweep.csv")
+    assert main(_nesting_commands(text(MAX_NESTING), out)[command]) != 2
+    assert "error" not in capsys.readouterr().err
+    assert main(_nesting_commands(text(MAX_NESTING + 1), out)[command]) == 2
+    err = f"error: nesting deeper than {MAX_NESTING} levels (offset {offset(MAX_NESTING + 1)})\n"
+    assert capsys.readouterr() == ("", err)
 
 
 class TestCorpus:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import struct
 
 import pytest
@@ -15,9 +16,21 @@ from glbounds import (
     evaluate_jet2,
     parse,
 )
-from glbounds.expressions import Bin, Call, Const, Jet2, Neg, Node, Pow, Var, compile_expression
+from glbounds.expressions import (
+    _CALLS,
+    MAX_NESTING,
+    Bin,
+    Call,
+    Const,
+    Jet2,
+    Neg,
+    Node,
+    Pow,
+    Var,
+    compile_expression,
+)
 from conftest import examples
-from oracles import second_derivative_fd, to_text
+from oracles import DEEP_SHAPES, second_derivative_fd, to_text
 
 # The recursive tree-walkers that compile_expression replaced, kept verbatim
 # (only the two entry points renamed) as the reference the closures must
@@ -236,6 +249,126 @@ def _jet_pow(node: Pow, x: float) -> tuple[float, float, float]:
     return (v, d1, d2)
 
 
+# The character-level parser that the tokenizer and parse replaced, kept
+# verbatim (only its entry point renamed) as the reference parse must agree
+# with wherever it answers, with an AST or a ParseError.
+
+_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+class _Parser:
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        text, n = self.text, len(self.text)
+        while self.pos < n and text[self.pos] in " \t\r\n":
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expr(self) -> Node:
+        node = self.term()
+        while True:
+            self.skip_ws()
+            c = self.peek()
+            if c == "+" or c == "-":
+                self.pos += 1
+                node = Bin(c, node, self.term())
+            else:
+                return node
+
+    def term(self) -> Node:
+        node = self.factor()
+        while True:
+            self.skip_ws()
+            c = self.peek()
+            if c == "*" or c == "/":
+                self.pos += 1
+                node = Bin(c, node, self.factor())
+            else:
+                return node
+
+    def factor(self) -> Node:
+        node = self.unary()
+        self.skip_ws()
+        if self.peek() == "^":
+            self.pos += 1
+            node = Pow(node, self.factor())
+        return node
+
+    def unary(self) -> Node:
+        self.skip_ws()
+        if self.peek() == "-":
+            self.pos += 1
+            return Neg(self.unary())
+        return self.atom()
+
+    def atom(self) -> Node:
+        self.skip_ws()
+        c = self.peek()
+        if c == "(":
+            self.pos += 1
+            node = self.expr()
+            self.skip_ws()
+            if self.peek() != ")":
+                raise ParseError("expected ')'", self.pos)
+            self.pos += 1
+            return node
+        if c.isdigit() or c == ".":
+            return self.number()
+        if c.isalpha() or c == "_":
+            return self.identifier()
+        if c == "":
+            raise ParseError("unexpected end of input", self.pos)
+        raise ParseError(f"unexpected {c!r}", self.pos)
+
+    def number(self) -> Node:
+        m = _NUMBER.match(self.text, self.pos)
+        if m is None:
+            raise ParseError("malformed number", self.pos)
+        value = float(m.group())
+        if not math.isfinite(value):
+            raise ParseError("number literal out of range", self.pos)
+        self.pos = m.end()
+        return Const(value)
+
+    def identifier(self) -> Node:
+        start = self.pos
+        m = _IDENT.match(self.text, start)
+        name = m.group()
+        self.pos = m.end()
+        if name == "x":
+            return Var()
+        if name not in _CALLS:
+            raise ParseError(f"unknown identifier {name!r}", start)
+        self.skip_ws()
+        if self.peek() != "(":
+            raise ParseError(f"expected '(' after {name!r}", self.pos)
+        self.pos += 1
+        arg = self.expr()
+        self.skip_ws()
+        if self.peek() != ")":
+            raise ParseError("expected ')'", self.pos)
+        self.pos += 1
+        return Call(name, arg)
+
+
+def reference_parse(text: str) -> Node:
+    """Parse expression text into an AST; ParseError carries the character offset."""
+    p = _Parser(text)
+    p.skip_ws()
+    if p.peek() == "":
+        raise ParseError("empty expression", 0)
+    node = p.expr()
+    p.skip_ws()
+    if p.peek() != "":
+        raise ParseError(f"unexpected {p.peek()!r}", p.pos)
+    return node
+
 
 
 class TestParse:
@@ -299,6 +432,75 @@ class TestParse:
     def test_out_of_range_literal(self):
         with pytest.raises(ParseError):
             parse("1e999")
+
+    def test_unicode_decimal_digits_read_as_numbers(self):
+        assert parse("٣") == Const(3.0)
+        assert parse("x*١٢.٥") == Bin("*", Var(), Const(12.5))
+
+    def test_a_digit_or_dot_that_begins_no_number_is_malformed(self):
+        # '²' is a digit to str.isdigit but not a decimal digit
+        for text, offset in (("²", 0), (".", 0), ("x+.", 2), ("x-.e1", 2)):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert str(err.value) == f"malformed number (offset {offset})"
+
+    def test_non_ascii_letter_is_unexpected(self):
+        # the character-level parser took 'π' for the start of a name, then
+        # its ASCII name pattern matched nothing
+        with pytest.raises(AttributeError):
+            reference_parse("sin(π*x)")
+        with pytest.raises(ParseError) as err:
+            parse("sin(π*x)")
+        assert (str(err.value), err.value.offset) == ("unexpected 'π' (offset 4)", 4)
+        # a name is ASCII: 'xé' is x, then an unexpected 'é'
+        with pytest.raises(ParseError, match=r"^unexpected 'é' \(offset 1\)$"):
+            parse("xé")
+
+    @pytest.mark.parametrize("space", ["\v", "\f", "\xa0", "\u2003", "\u3000"])
+    def test_whitespace_is_space_tab_cr_and_lf(self, space):
+        assert parse(" \t\r\nx \t\r\n+\n1\r") == Bin("+", Var(), Const(1.0))
+        with pytest.raises(ParseError) as err:
+            parse(f"x{space}+1")
+        assert str(err.value) == f"unexpected {space!r} (offset 1)"
+
+
+class TestNesting:
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_each_shape_at_the_limit_and_past_it(self, shape):
+        text, offset = DEEP_SHAPES[shape]
+        assert parse(text(MAX_NESTING)) == reference_parse(text(MAX_NESTING))
+        with pytest.raises(ParseError) as err:
+            parse(text(MAX_NESTING + 1))
+        assert str(err.value) == f"nesting deeper than {MAX_NESTING} levels (offset {offset(MAX_NESTING + 1)})"
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_any_depth_is_a_parse_error(self, shape):
+        # the reference parser's recursion ran out of stack long before this
+        with pytest.raises(ParseError, match="^nesting deeper than"):
+            parse(DEEP_SHAPES[shape][0](20_000))
+
+    def test_a_chain_counts_its_operators_above_its_first_operand(self):
+        # 50 parentheses, then 50 additions over the first x
+        assert parse("(" * 50 + "x" + "+x" * 50 + ")" * 50)
+        with pytest.raises(ParseError, match=r"^nesting deeper than 100 levels \(offset 151\)$"):
+            parse("(" * 50 + "x" + "+x" * 51 + ")" * 50)
+
+    def test_nested_chains_add_up(self):
+        # each group holds a chain of 4 additions: 5 levels per group
+        text = "x"
+        for _ in range(20):
+            text = "(" + text + "+x" * 4 + ")"
+        assert parse(text) == reference_parse(text)
+        with pytest.raises(ParseError, match="^nesting deeper than"):
+            parse(text + "+x")
+        with pytest.raises(ParseError, match="^nesting deeper than"):
+            parse("(" + text + ")")
+
+    def test_a_power_sits_above_its_base(self):
+        # unary minus binds tighter than '^': the 99 minus signs are the base
+        assert parse("-" * 99 + "x^2") == Pow(reference_parse("-" * 99 + "x"), Const(2.0))
+        with pytest.raises(ParseError, match=r"^nesting deeper than 100 levels \(offset 101\)$"):
+            parse("-" * 100 + "x^2")
 
 
 class TestEvaluate:
@@ -464,6 +666,42 @@ def _ast_strategy():
 @given(_ast_strategy())
 def test_print_parse_round_trip(ast):
     assert parse(to_text(ast)) == ast
+
+
+# The grammar's tokens and the characters of its quirks, among any Unicode
+# characters. At most MAX_NESTING characters, so no text nests too deep:
+# every level takes a token.
+_PARSE_PIECES = st.one_of(
+    st.sampled_from([*"x0123456789.eE+-*/^() \t\r\n_", "sin", "cos", "exp", "ln", "sqrt", "abs",
+                     "y", "٣", "²", "π", "\v"]),
+    st.characters(),
+)
+_PARSE_TEXTS = st.one_of(
+    st.lists(_PARSE_PIECES, max_size=MAX_NESTING // 4).map("".join),
+    st.text(max_size=MAX_NESTING),
+)
+
+
+def _parsed(parser, text):
+    """The AST, or the ParseError's message and offset."""
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return (str(exc), exc.offset)
+
+
+@settings(max_examples=examples(1000), deadline=None)
+@given(_PARSE_TEXTS)
+def test_parse_agrees_with_the_reference_parser(text):
+    try:
+        expected = _parsed(reference_parse, text)
+    except AttributeError:  # the reference's crash on a non-ASCII letter
+        expected = None
+    got = _parsed(parse, text)  # any other exception fails the test
+    if expected is None:
+        assert isinstance(got, tuple), "a ParseError where the reference crashed"
+    else:
+        assert got == expected
 
 
 _POINTS = st.one_of(
