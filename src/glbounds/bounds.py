@@ -17,8 +17,8 @@ scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .coefficients import CoefficientSet, Regime, _check_lambda, coefficient_set
 from .expressions import Node, _compile_jet
@@ -65,23 +65,26 @@ def _weight_power(name: str, g: float, q: float) -> float:
         raise ValueError(f"{name}^q overflows: {name} = {g!r}, q = {q!r}") from None
 
 
-@dataclass(frozen=True)
-class BoundInput:
+class _BoundInput(NamedTuple):
     iv: Interval
     lam: float
     q: float
     g_a: float  # |f''(a)|
     g_b: float  # |f''(b)|
 
-    def __post_init__(self) -> None:
-        _check_lambda(self.lam)
-        _check_q(self.q)
-        _check_weight("g_a", self.g_a)
-        _check_weight("g_b", self.g_b)
+
+class BoundInput(_BoundInput):
+    __slots__ = ()  # no instance dict, so no attribute can be set
+
+    def __new__(cls, iv: Interval, lam: float, q: float, g_a: float, g_b: float) -> BoundInput:
+        _check_lambda(lam)
+        _check_q(q)
+        _check_weight("g_a", g_a)
+        _check_weight("g_b", g_b)
+        return super().__new__(cls, iv, lam, q, g_a, g_b)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     lam: float
     q: float
     lhs_abs: float

@@ -10,7 +10,6 @@ significant digits (round-trip safe), human summaries 6.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -69,6 +68,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
     cs = coefficient_set(args.lam)
     numbers = (("M", cs.m), ("A", cs.a_coef), ("B", cs.b_coef), ("C_q1", cs.c_q1))
     if args.json:
+        import json  # here and in sweep and corpus, the commands that write JSON
         print(json.dumps({**dict(numbers), "regime": cs.regime.value}))
     else:
         print(f"lambda = {_fmt6(args.lam)}")
@@ -154,6 +154,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         lines += [",".join(_csv_cell(get(r)) for _, get in _SWEEP_COLUMNS) for r in rows]
         content = "\n".join(lines) + "\n"
     else:
+        import json
         payload = [{name: get(r) for name, get in _SWEEP_COLUMNS} for r in rows]
         for row in payload:
             # strict JSON has no inf or nan: null stands for no finite ratio
@@ -203,6 +204,7 @@ def _cmd_qclass(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
+    import json
     payload = [
         {
             "name": entry.name,

@@ -9,8 +9,8 @@ the adaptive-quadrature oracle, so an algebra slip here cannot survive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = ["Regime", "CoefficientSet", "coefficient_set"]
 
@@ -25,8 +25,7 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be in [0, 1], got {lam!r}")
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
+class CoefficientSet(NamedTuple):
     m: float  # integral of |t (t - lam)| over [0, 1/2]: the power-mean prefactor base
     a_coef: float  # integral of |t (t - lam)| / t: the weight of |f''(a)|^q in the first radical
     b_coef: float  # integral of |t (t - lam)| / (1 - t): the weight of |f''(b)|^q there

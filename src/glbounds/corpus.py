@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .quadrature import Interval
 
@@ -16,8 +16,7 @@ class ExpectedMembership(Enum):
     EXPECT_FAIL = "Expect-Fail"  # grid scan expected to find a violation at q = 1
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     expression: str
     interval: Interval

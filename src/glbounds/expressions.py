@@ -47,8 +47,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 __all__ = [
     "Const",
@@ -88,36 +87,30 @@ class NonSmoothError(DomainError):
     """Point where the expression is not twice differentiable."""
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(NamedTuple):
     op: str  # one of + - * /
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "Node"
     exponent: "Node"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
     arg: "Node"
 
@@ -125,8 +118,7 @@ class Call:
 Node = Union[Const, Var, Neg, Bin, Pow, Call]
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(NamedTuple):
     """Value and first two derivatives of an expression at a point."""
 
     v: float

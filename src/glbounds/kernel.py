@@ -11,7 +11,7 @@ verified numerically for any parsed expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coefficients import _check_lambda
 from .expressions import Node, _compile_jet, _compile_value
@@ -29,19 +29,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RuleParams:
+class _RuleParams(NamedTuple):
+    lam: float
+
+
+class RuleParams(_RuleParams):
     """Rule parameter in [0, 1]: 0 is midpoint, 1/3 Simpson, 1/2 averaged
     midpoint-trapezoid, 1 trapezoid."""
 
-    lam: float
+    __slots__ = ()  # no instance dict, so no attribute can be set
 
-    def __post_init__(self) -> None:
-        _check_lambda(self.lam)
+    def __new__(cls, lam: float) -> RuleParams:
+        _check_lambda(lam)
+        return super().__new__(cls, lam)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     lhs: float
     rhs: float
     abs_diff: float
@@ -61,8 +64,7 @@ def kernel_k(t: float, p: RuleParams) -> float:
     return 0.5 * (1.0 - t) * ((0.5 - lam) + (0.5 - t))
 
 
-@dataclass(frozen=True)
-class FunctionalTerms:
+class FunctionalTerms(NamedTuple):
     """The lambda-free parts of E(lam, f): f at a, b and the midpoint, and int_a^b f."""
 
     fa: float

@@ -61,7 +61,7 @@ A report is built after its scan: the scan records each violation, and
 the mirror's where a pass decides two lams, as a plain tuple (x, y, lam,
 lhs, rhs), and the report keeps each once, sorted by (x, y, lam), as a
 Violation, the named tuple made from it. A failing scan reports thousands,
-and a named tuple costs about a third of what a frozen dataclass does.
+so none becomes a Violation before its duplicates are dropped.
 
 The triple (y, x, 1-lam) has the same point and the same right side as
 (x, y, lam), because float addition is commutative. So when a grid lam and
@@ -73,7 +73,6 @@ decides both, and samples_checked still counts every triple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -114,8 +113,7 @@ class Violation(NamedTuple):
         return self.lhs - self.rhs
 
 
-@dataclass(frozen=True)
-class QClassReport:
+class QClassReport(NamedTuple):
     samples_checked: int
     violations: tuple[Violation, ...]
     max_margin: float

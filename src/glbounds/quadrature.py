@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "Interval",
@@ -87,20 +86,24 @@ class NonFiniteValueError(QuadratureError):
     """The sampled function returned inf or nan."""
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Integration domain [a, b] with a < b, both finite and a finite width b - a."""
-
+class _Interval(NamedTuple):
     a: float
     b: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"interval endpoints must be finite, got [{self.a!r}, {self.b!r}]")
-        if not self.a < self.b:
-            raise ValueError(f"interval requires a < b, got [{self.a!r}, {self.b!r}]")
-        if not math.isfinite(self.b - self.a):
-            raise ValueError(f"interval width overflows, got [{self.a!r}, {self.b!r}]")
+
+class Interval(_Interval):
+    """Integration domain [a, b] with a < b, both finite and a finite width b - a."""
+
+    __slots__ = ()  # no instance dict, so no attribute can be set
+
+    def __new__(cls, a: float, b: float) -> Interval:
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"interval endpoints must be finite, got [{a!r}, {b!r}]")
+        if not a < b:
+            raise ValueError(f"interval requires a < b, got [{a!r}, {b!r}]")
+        if not math.isfinite(b - a):
+            raise ValueError(f"interval width overflows, got [{a!r}, {b!r}]")
+        return super().__new__(cls, a, b)
 
     @property
     def width(self) -> float:
