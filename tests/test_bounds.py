@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,14 @@ from conftest import examples
 from oracles import hermite_hadamard_check
 
 UNIT = Interval(0.0, 1.0)
+
+_BAD_INPUTS = [
+    (-0.1, 1.0, 1.0, 1.0, "lambda must be in [0, 1], got -0.1"),
+    (0.5, 0.9, 1.0, 1.0, "q must be finite and >= 1, got 0.9"),
+    (0.5, 1.0, -1.0, 1.0, "g_a must be finite and >= 0, got -1.0"),
+    (0.5, 1.0, 1.0, -1.0, "g_b must be finite and >= 0, got -1.0"),
+    (0.5, math.inf, 1.0, 1.0, "q must be finite and >= 1, got inf"),
+]
 
 LAM_GRID = [i / 100.0 for i in range(0, 101, 5)]
 
@@ -61,11 +70,10 @@ class TestTheoremBound:
         assert theorem_bound(BoundInput(UNIT, 0.3, 2.0, 0.0, 0.0)) == 0.0
 
     @pytest.mark.parametrize(
-        "lam,q,ga,gb",
-        [(-0.1, 1.0, 1.0, 1.0), (0.5, 0.9, 1.0, 1.0), (0.5, 1.0, -1.0, 1.0), (0.5, math.inf, 1.0, 1.0)],
+        "lam,q,ga,gb,message", _BAD_INPUTS, ids=[f"{lam}-{q}-{ga}-{gb}" for lam, q, ga, gb, _ in _BAD_INPUTS]
     )
-    def test_input_validation(self, lam, q, ga, gb):
-        with pytest.raises(ValueError):
+    def test_input_validation(self, lam, q, ga, gb, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             BoundInput(UNIT, lam, q, ga, gb)
 
     def test_overflowing_width_square_is_an_input_error(self):

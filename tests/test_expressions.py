@@ -699,7 +699,8 @@ def test_parse_agrees_with_the_reference_parser(text):
         expected = None
     got = _parsed(parse, text)  # any other exception fails the test
     if expected is None:
-        assert isinstance(got, tuple), "a ParseError where the reference crashed"
+        # exactly a tuple: every AST node is a named tuple, a tuple subclass
+        assert type(got) is tuple, "a ParseError where the reference crashed"
     else:
         assert got == expected
 

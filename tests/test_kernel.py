@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -83,7 +84,7 @@ class TestKernel:
 class TestRuleParams:
     @pytest.mark.parametrize("lam", [-0.1, 1.1, math.nan])
     def test_rejects_out_of_range(self, lam):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'lambda must be in [0, 1], got {lam!r}')}$"):
             RuleParams(lam)
 
 

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 import glbounds
 import glbounds.qclass
 from glbounds import (
+    BoundInput,
     ExpectedMembership,
     Interval,
     QClassReport,
+    RuleParams,
     Violation,
     check_expression,
     check_godunova_levin,
@@ -267,6 +269,42 @@ class TestViolation:
         assert v < Violation(0.25, 0.75, 0.625, 0.0, 0.0)
         with pytest.raises(AttributeError):
             v.x = 1.0
+
+
+class TestValidatingTypes:
+    """Interval, RuleParams and BoundInput validate in a __new__ on a subclass
+    of a named tuple, and keep the surface of the dataclasses they replaced:
+    the repr that error messages quote, and no attribute to assign."""
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (Interval(-2.5, 3.0), "Interval(a=-2.5, b=3.0)"),
+            (RuleParams(0.5), "RuleParams(lam=0.5)"),
+            (
+                BoundInput(Interval(0.0, 1.0), 0.25, 2.0, 1.0, 0.0),
+                "BoundInput(iv=Interval(a=0.0, b=1.0), lam=0.25, q=2.0, g_a=1.0, g_b=0.0)",
+            ),
+        ],
+    )
+    def test_repr_names_every_field(self, value, text):
+        assert repr(value) == text
+
+    @pytest.mark.parametrize(
+        "value,field",
+        [(Interval(0.0, 1.0), "a"), (RuleParams(0.5), "lam"), (BoundInput(Interval(0.0, 1.0), 0.5, 1.0, 1.0, 1.0), "q")],
+    )
+    def test_immutable(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0.75)
+        with pytest.raises(AttributeError):
+            value.extra = 1.0  # no __dict__ to put it in
+
+    def test_tuples_that_unpack_compare_and_hash(self):
+        a, b = Interval(0.0, 1.0)
+        assert (a, b) == (0.0, 1.0)
+        assert Interval(0.0, 1.0) == (0.0, 1.0) and hash(Interval(0.0, 1.0)) == hash((0.0, 1.0))
+        assert RuleParams(0.5) == RuleParams(lam=0.5) and RuleParams(0.5) != RuleParams(0.25)
 
 
 def record_taken(monkeypatch):

@@ -56,17 +56,24 @@ def _poly(coeffs):
     return f
 
 
+_BAD_ENDPOINTS = [
+    (1.0, 1.0, "interval requires a < b, got [1.0, 1.0]"),
+    (2.0, 1.0, "interval requires a < b, got [2.0, 1.0]"),
+    (0.0, math.inf, "interval endpoints must be finite, got [0.0, inf]"),
+    (math.nan, 1.0, "interval endpoints must be finite, got [nan, 1.0]"),
+    (-1e308, 1e308, "interval width overflows, got [-1e+308, 1e+308]"),
+]
+
+
 class TestInterval:
     def test_width_and_midpoint(self):
         iv = Interval(1.0, 3.0)
         assert iv.width == 2.0
         assert iv.midpoint == 2.0
 
-    @pytest.mark.parametrize(
-        "a,b", [(1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)]
-    )
-    def test_rejects_bad_endpoints(self, a, b):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("a,b,message", _BAD_ENDPOINTS, ids=[f"{a}-{b}" for a, b, _ in _BAD_ENDPOINTS])
+    def test_rejects_bad_endpoints(self, a, b, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Interval(a, b)
 
 
