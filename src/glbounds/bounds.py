@@ -17,6 +17,7 @@ scan.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -65,6 +66,23 @@ def _weight_power(name: str, g: float, q: float) -> float:
         raise ValueError(f"{name}^q overflows: {name} = {g!r}, q = {q!r}") from None
 
 
+def _weight_powers(g_a: float, g_b: float, q: float) -> tuple[float, float, float]:
+    """(g_a/G)^q, (g_b/G)^q and G, for a bracket of terms (c g_a^q + d g_b^q)^(1/q):
+    each term is G times the same term built from (g_a/G)^q and (g_b/G)^q.
+
+    G is 1, so the powers are g_a^q and g_b^q, unless both fall below the
+    normal range while a weight is positive, as (1e-5)^100 does: then G is
+    max(g_a, g_b), and the bracket keeps its digits where g_a^q and g_b^q
+    would have lost them or underflowed to 0.
+    """
+    ga_q = _weight_power("g_a", g_a, q)
+    gb_q = _weight_power("g_b", g_b, q)
+    scale = max(g_a, g_b)
+    if max(ga_q, gb_q) >= sys.float_info.min or scale == 0.0:
+        return ga_q, gb_q, 1.0
+    return (g_a / scale) ** q, (g_b / scale) ** q, scale
+
+
 class _BoundInput(NamedTuple):
     iv: Interval
     lam: float
@@ -89,8 +107,9 @@ class BoundReport(NamedTuple):
     q: float
     lhs_abs: float
     bound: float
-    # None when bound == 0: g_a = g_b = 0, or g_a^q and g_b^q both underflow;
-    # inf when lhs_abs / bound overflows
+    # None when bound == 0: g_a = g_b = 0, or a bound that underflows (a width
+    # and weights whose product is below the float range); inf when
+    # lhs_abs / bound overflows
     ratio: float | None
     regime: Regime
     q_membership: MembershipStatus
@@ -133,11 +152,10 @@ def theorem_bound(inp: BoundInput) -> float:
 def _theorem_bound(cs: CoefficientSet, inp: BoundInput) -> float:
     """theorem_bound(inp), given cs = coefficient_set(inp.lam)."""
     inv_q = 1.0 / inp.q
-    ga_q = _weight_power("g_a", inp.g_a, inp.q)
-    gb_q = _weight_power("g_b", inp.g_b, inp.q)
-    bracket = (cs.a_coef * ga_q + cs.b_coef * gb_q) ** inv_q + (
-        cs.b_coef * ga_q + cs.a_coef * gb_q
-    ) ** inv_q
+    ga_q, gb_q, scale = _weight_powers(inp.g_a, inp.g_b, inp.q)
+    bracket = scale * (
+        (cs.a_coef * ga_q + cs.b_coef * gb_q) ** inv_q + (cs.b_coef * ga_q + cs.a_coef * gb_q) ** inv_q
+    )
     w = inp.iv.width
     bound = _finite_square("w^2/2", inp.iv, 0.5 * w * w) * cs.m ** (1.0 - inv_q) * bracket
     return _finite_bound(bound, inp.iv, inp.g_a, inp.g_b)
@@ -211,9 +229,8 @@ def proposition_bound(
     else:
         same, cross, base = _PM_CONSTANTS[which]
         inv_q = 1.0 / q
-        ga_q = _weight_power("g_a", g_a, q)
-        gb_q = _weight_power("g_b", g_b, q)
-        bracket = (same * ga_q + cross * gb_q) ** inv_q + (cross * ga_q + same * gb_q) ** inv_q
+        ga_q, gb_q, scale = _weight_powers(g_a, g_b, q)
+        bracket = scale * ((same * ga_q + cross * gb_q) ** inv_q + (cross * ga_q + same * gb_q) ** inv_q)
         bound = 0.5 * w2 * base ** (1.0 - inv_q) * bracket
     return _finite_bound(bound, iv, g_a, g_b)
 

@@ -5,14 +5,21 @@ Exit codes: 0 success/pass, 1 property fail, 2 input error, 3 membership
 fail, 4 output I/O error. Data goes to stdout or --out; diagnostics to
 stderr, so pipelines stay clean. Machine-readable numbers use 17
 significant digits (round-trip safe), human summaries 6.
+
+main reads plain argv, COMMAND (--flag VALUE | --switch)*, from the command
+table _COMMANDS itself. argparse, built from the same table on first need,
+prints help and usage errors and reads every other form of argv.
 """
 
 from __future__ import annotations
 
-import argparse
+import functools
 import math
 import os
+import re
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .bounds import MembershipMode, MembershipStatus, evaluate_bound_report, sweep_rows
 from .coefficients import coefficient_set
@@ -21,6 +28,10 @@ from .expressions import ExpressionError, parse
 from .kernel import RuleParams, verify_identity
 from .qclass import DEFAULT_GRID_N, DEFAULT_TOL, _check_q, check_expression, membership_for_bound
 from .quadrature import Interval, QuadratureError
+
+if TYPE_CHECKING:
+    import argparse
+    from collections.abc import Sequence
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAIL = 1
@@ -219,78 +230,132 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but a failed write of help or usage raises, so main sees a closed stdout."""
+# one entry per command: its help, its handler, and its options as
+# flag: argparse add_argument keywords, in the order --help lists them
+_COMMANDS = {
+    "verify-identity": ("check both sides of the error identity", _cmd_verify_identity, {
+        "--fn": {"required": True, "help": "expression in x"},
+        "--a": {"type": float, "required": True},
+        "--b": {"type": float, "required": True},
+        "--lambda": {"dest": "lam", "type": float, "required": True},
+        "--tol": {"type": float, "default": 1e-8},
+    }),
+    "coeffs": ("print the closed-form coefficients", _cmd_coeffs, {
+        "--lambda": {"dest": "lam", "type": float, "required": True},
+        "--json": {"action": "store_true"},
+    }),
+    "bound": ("evaluate the error bound for an expression", _cmd_bound, {
+        "--fn": {"required": True},
+        "--a": {"type": float, "required": True},
+        "--b": {"type": float, "required": True},
+        "--lambda": {"dest": "lam", "type": float, "required": True},
+        "--q": {"type": float, "required": True},
+        "--skip-membership": {"action": "store_true"},
+    }),
+    "sweep": ("tabulate bounds over a lambda/q grid", _cmd_sweep, {
+        "--fn": {"required": True},
+        "--a": {"type": float, "required": True},
+        "--b": {"type": float, "required": True},
+        "--lambda-grid": {"required": True, "metavar": "S:E:STEP"},
+        "--q": {"required": True, "help": "comma-separated list, e.g. 1,2"},
+        "--out": {"required": True},
+        "--format": {"choices": ("csv", "json"), "default": "csv"},
+    }),
+    "qclass": ("falsification scan for class membership", _cmd_qclass, {
+        "--g": {"help": "check this expression directly"},
+        "--fn": {"help": "check |f''|^q of this expression (requires --q)"},
+        "--q": {"type": float},
+        "--a": {"type": float, "required": True},
+        "--b": {"type": float, "required": True},
+        "--grid": {"type": int, "default": DEFAULT_GRID_N},
+        "--tol": {"type": float, "default": DEFAULT_TOL},
+    }),
+    "corpus": ("print the built-in function catalogue as JSON", _cmd_corpus, {}),
+}
 
-    def _print_message(self, message: str, file=None) -> None:
-        if message:
-            (file or sys.stderr).write(message)
+# argparse reads an argument that begins with '-' as an option unless it
+# matches this, its own rule for a negative number
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for argv of the plain form
+    COMMAND (--flag VALUE | --switch)*, read from _COMMANDS in one pass.
+
+    None for any other argv: empty, an unknown command or flag, help, '--',
+    an abbreviation, '--flag=value', a flag given without its value, a value
+    that argparse would read as an option or that its type or choices
+    reject, or a required flag left out. main gives those to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    given = {}
+    i = 1
+    while i < len(argv):
+        flag = argv[i]
+        kw = options.get(flag)
+        if kw is None:
+            return None
+        if kw.get("action") == "store_true":
+            given[flag] = True
+            i += 1
+            continue
+        if i + 1 == len(argv):
+            return None
+        text = argv[i + 1]
+        if text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
+            return None
+        try:
+            value = kw.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[flag] = value
+        i += 2
+    args = SimpleNamespace(command=argv[0], handler=handler)
+    for flag, kw in options.items():
+        if flag not in given and kw.get("required"):
+            return None
+        default = kw.get("default", False if kw.get("action") == "store_true" else None)
+        setattr(args, kw.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
+    return args
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """argparse's parser for _COMMANDS, built on first need and kept: it prints
+    help and usage errors, and reads every argv that _read does not."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse's parser, but a failed write of help or usage raises, so main sees a closed stdout."""
+
+        def _print_message(self, message: str, file=None) -> None:
+            if message:
+                (file or sys.stderr).write(message)
+
     parser = _Parser(
         prog="glbounds",
         description="Verify lambda-parameterized quadrature error bounds over the "
         "Godunova-Levin function class.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-identity", help="check both sides of the error identity")
-    p.add_argument("--fn", required=True, help="expression in x")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(handler=_cmd_verify_identity)
-
-    p = sub.add_parser("coeffs", help="print the closed-form coefficients")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_coeffs)
-
-    p = sub.add_parser("bound", help="evaluate the error bound for an expression")
-    p.add_argument("--fn", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--skip-membership", action="store_true")
-    p.set_defaults(handler=_cmd_bound)
-
-    p = sub.add_parser("sweep", help="tabulate bounds over a lambda/q grid")
-    p.add_argument("--fn", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--lambda-grid", required=True, metavar="S:E:STEP")
-    p.add_argument("--q", required=True, help="comma-separated list, e.g. 1,2")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser("qclass", help="falsification scan for class membership")
-    p.add_argument("--g", help="check this expression directly")
-    p.add_argument("--fn", help="check |f''|^q of this expression (requires --q)")
-    p.add_argument("--q", type=float)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID_N)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.set_defaults(handler=_cmd_qclass)
-
-    p = sub.add_parser("corpus", help="print the built-in function catalogue as JSON")
-    p.set_defaults(handler=_cmd_corpus)
-
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kw in options.items():
+            p.add_argument(flag, **kw)
+        p.set_defaults(handler=handler)
     return parser
 
 
-# built once per process: building it costs about as much as a whole verify-identity
-_PARSER = _build_parser()
-
-
-def main(argv: list[str] | None = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
         try:
-            args = _PARSER.parse_args(argv)
+            args = _read(argv) or _parser().parse_args(argv)
         except SystemExit as exc:  # argparse has printed help or a usage error
             code = exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
         else:

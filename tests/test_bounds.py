@@ -169,6 +169,43 @@ class TestTheoremBound:
         scaled = theorem_bound(BoundInput(UNIT, lam, q, c * ga, c * gb))
         assert abs(scaled - c * base) <= 1e-12 * max(1.0, abs(c * base))
 
+    @settings(max_examples=examples(150), deadline=None)
+    @given(
+        st.sampled_from(LAM_GRID),
+        st.floats(1.0, 120.0),
+        st.floats(0.01, 10.0),
+        st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+        st.integers(0, 300),
+    )
+    def test_homogeneous_down_to_tiny_weights(self, lam, q, ga, gb, k):
+        """Weights s*g_a and s*g_b give s times the bound, for s down to 1e-300,
+        also where (s*g)^q falls below the float range: the bound of g_a = g_b
+        = 1e-5 at q = 100 used to be 0, since (1e-5)^100 underflows."""
+        s = 10.0**-k
+        base = theorem_bound(BoundInput(UNIT, lam, q, ga, gb))
+        scaled = theorem_bound(BoundInput(UNIT, lam, q, s * ga, s * gb))
+        assert abs(scaled - s * base) <= 1e-12 * s * base
+
+    @pytest.mark.parametrize(
+        "which,lam",
+        [(Proposition.MIDPOINT_PM, 0.0), (Proposition.SIMPSON_PM, 1.0 / 3.0), (Proposition.TRAPEZOID_PM, 1.0)],
+    )
+    @settings(max_examples=examples(50), deadline=None)
+    @given(
+        st.floats(1.0, 120.0),
+        st.floats(0.01, 10.0),
+        st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+        st.integers(0, 300),
+    )
+    def test_propositions_agree_at_tiny_weights(self, which, lam, q, ga, gb, k):
+        """The power-mean propositions scale as theorem_bound does and agree with it."""
+        s = 10.0**-k
+        special = proposition_bound(which, UNIT, q, s * ga, s * gb)
+        base = proposition_bound(which, UNIT, q, ga, gb)
+        assert abs(special - s * base) <= 1e-12 * s * base
+        general = theorem_bound(BoundInput(UNIT, lam, q, s * ga, s * gb))
+        assert abs(special - general) <= 1e-12 * general
+
 
 class TestCorollary:
     def test_midpoint_matches_quarter_prefactor_form(self):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import glbounds
 import glbounds.enclosure
@@ -23,8 +27,9 @@ from glbounds import (
     rhs_identity,
     theorem_bound,
 )
-from glbounds.cli import main
+from glbounds.cli import _COMMANDS, _parser, _read, main
 from glbounds.expressions import MAX_NESTING
+from conftest import examples
 from oracles import DEEP_SHAPES
 
 # E(0.3, exp) on [20, 20.01] and on [30, 31], from the closed form in 80-digit
@@ -226,6 +231,17 @@ class TestBound:
     )
     def test_linear_function_holds_its_zero_bound(self, capsys):
         assert main(["bound", "--fn", "x", "--a", "0.5", "--b", "1", "--lambda", "0.3", "--q", "1"]) == 0
+
+    @pytest.mark.parametrize("fn,q,bound", [("0.00001*x^2/2", "100", 2.12535e-07), ("0.00001*exp(x)", "80", 5.73824e-07)])
+    def test_weight_powers_below_the_float_range_keep_the_bound(self, fn, q, bound, capsys):
+        """|f''| is about 1e-5 at both ends, and its q-th power underflows to 0:
+        the bound read 0, the ratio undefined, and CheckedPass exited 1."""
+        assert main(["bound", "--fn", fn, "--a", "0", "--b", "1", "--lambda", "0.5", "--q", q]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        report = {name.strip(): value for name, value in (line.split(" = ") for line in lines)}
+        assert float(report["bound"]) == bound
+        assert float(report["lhs_abs"]) < bound
+        assert report["membership"] == "CheckedPass"
 
     @pytest.mark.parametrize("fn,name", [("x^sin(1e300*1e300)", "sin"), ("(x+1)^cos(1e300*1e300)", "cos")])
     def test_periodic_of_an_infinite_exponent_is_named(self, fn, name, capsys):
@@ -762,6 +778,123 @@ class TestCorpus:
         assert quadratic["membership"] == "Certified"
 
 
+def _argparse_reads(argv):
+    """vars() of argparse's namespace for argv, or None where argparse exits;
+    what it prints is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+TABLE_FLAGS = sorted({flag for _, _, options in _COMMANDS.values() for flag in options})
+# forms that argparse reads and _read leaves to it
+OTHER_FORMS = ["--lam", "--skip", "--form", "-h", "--help", "--", "--fn=x^2", "--lambda=0.5", "--a=-1"]
+# negative numbers by argparse's rule and not, empty, and values that float,
+# int or --format's choices accept or reject
+ARG_VALUES = ["0.5", "-1", "-.5", "-1e5", "-x^2", "-", "", "nan", "1_0", " 1", "abc", "x^2", "csv"]
+
+
+@st.composite
+def _argvs(draw):
+    """A command or an unknown one with flags and values, then up to two
+    changes: a value swapped for one of ARG_VALUES, a flag or pair dropped,
+    or a flag, value or other form put in; in any order."""
+    command = draw(st.sampled_from([*_COMMANDS, "no-such-command"]))
+    options = _COMMANDS[command][2] if command in _COMMANDS else {}
+    pieces = []
+    for flag, kw in options.items():
+        if kw.get("action") == "store_true":
+            pieces += [[flag]] if draw(st.booleans()) else []
+        elif kw.get("required") or draw(st.booleans()):
+            # a value that the flag's type and choices take
+            pieces.append([flag, draw(st.sampled_from(kw.get("choices", ["1", "-1", "-.5", " 2", "1_0"])))])
+    for _ in range(draw(st.integers(0, 2))):
+        change = draw(st.sampled_from(["swap", "drop", "put"]))
+        pairs = [piece for piece in pieces if len(piece) == 2]
+        if change == "swap" and pairs:
+            draw(st.sampled_from(pairs))[1] = draw(st.sampled_from(ARG_VALUES))
+        elif change == "drop" and pieces:
+            pieces.remove(draw(st.sampled_from(pieces)))
+        else:
+            pieces.append(
+                draw(
+                    st.one_of(
+                        st.tuples(st.sampled_from(TABLE_FLAGS), st.sampled_from(ARG_VALUES)).map(list),
+                        st.sampled_from(TABLE_FLAGS + OTHER_FORMS + ARG_VALUES).map(lambda token: [token]),
+                    )
+                )
+            )
+    return [command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+def _reprs(namespace):
+    # by repr, since a value of nan is unequal to itself
+    return {name: repr(value) for name, value in namespace.items()}
+
+
+class TestCommandTable:
+    """main reads plain argv from _COMMANDS itself and gives every other argv
+    to argparse, which is built from the same table."""
+
+    PLAIN = [
+        ["verify-identity", "--fn", "x^2", "--a", "-1", "--b", "1", "--lambda", "0.3", "--tol", "1e-6"],
+        ["coeffs", "--lambda", "0.25", "--json"],
+        ["bound", "--fn", "exp(x)", "--a", "0", "--b", "1", "--lambda", ".5", "--q", "2", "--skip-membership"],
+        ["sweep", "--fn", "x", "--a", "0", "--b", "1", "--lambda-grid", "0:1:1", "--q", "1,2", "--out", "s.json",
+         "--format", "json"],
+        ["qclass", "--g", "x^2", "--a", "-.5", "--b", "1", "--grid", "8"],
+        ["corpus"],
+    ]
+
+    BOUND = ["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0.5", "--q", "1"]
+    SWEEP = ["sweep", "--fn", "x", "--a", "0", "--b", "1", "--lambda-grid", "0:1:1", "--q", "1", "--out", "s.csv"]
+    OTHER = {
+        "empty": [],
+        "unknown command": ["no-such-command"],
+        "help": ["coeffs", "--lambda", "0.5", "--help"],
+        "abbreviation": ["coeffs", "--lam", "0.5"],
+        "flag=value": ["coeffs", "--lambda=0.5"],
+        "double dash": ["coeffs", "--", "--lambda", "0.5"],
+        "no value": ["coeffs", "--lambda"],
+        "extra argument": ["coeffs", "--lambda", "0.5", "0.5"],
+        "required flag left out": BOUND[:-2],
+        "option-like value": ["bound", "--fn", "-x^2", *BOUND[3:]],
+        "exponent not a negative number to argparse": ["coeffs", "--lambda", "-1e5"],
+        "a value argparse takes though it begins with '-'": ["bound", "--fn", "- x", *BOUND[3:]],
+        "lone dash": ["bound", "--fn", "-", *BOUND[3:]],
+        "not a float": ["coeffs", "--lambda", "abc"],
+        "not an int": ["qclass", "--g", "x", "--a", "0", "--b", "1", "--grid", "2.5"],
+        "not a choice": [*SWEEP, "--format", "xml"],
+        "switch with a value": ["coeffs", "--lambda", "0.5", "--json", "1"],
+        "flag of another command": ["coeffs", "--lambda", "0.5", "--fn", "x"],
+    }
+
+    @pytest.mark.parametrize("argv", PLAIN, ids=[argv[0] for argv in PLAIN])
+    def test_plain_argv_is_read_from_the_table(self, argv):
+        got = _read(argv)
+        assert got is not None
+        assert vars(got) == _argparse_reads(argv)
+
+    @pytest.mark.parametrize("argv", OTHER.values(), ids=OTHER.keys())
+    def test_other_argv_is_left_to_argparse(self, argv):
+        assert _read(argv) is None
+
+    @settings(max_examples=examples(300), deadline=None)
+    @given(st.one_of(st.just([]), _argvs()))
+    def test_read_agrees_with_argparse(self, argv):
+        """_read gives argparse's namespace or leaves argv to argparse, and
+        leaves it every argv that argparse rejects. Should a later argparse
+        read a negative number otherwise, this fails first."""
+        want = _argparse_reads(argv)
+        got = _read(argv)
+        if want is None:
+            assert got is None
+        elif got is not None:
+            assert _reprs(vars(got)) == _reprs(want)
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -776,13 +909,16 @@ class TestEntryPoints:
         assert main(["no-such-command"]) == 2
 
     def test_repeated_calls_give_the_same_results(self, capsys):
-        # main() reuses one parser, so no call may leave state for the next
+        # main() reads plain argv itself and keeps one argparse parser for the
+        # rest, so no call may leave state for the next on either path
         argvs = [
             ["verify-identity", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0.3"],
+            ["verify-identity", "--fn=x^2", "--a", "0", "--b", "1", "--lam", "0.3"],
             ["bound", "--fn", "x^2"],
             ["coeffs", "--help"],
             ["coeffs", "--lambda", "0.25", "--json"],
             ["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0", "--q", "1", "--skip-membership"],
+            ["bound", "--fn=x^2", "--a", "0", "--b", "1", "--lam", "0", "--q", "1", "--skip-membership"],
             ["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "2", "--q", "1"],
             ["qclass", "--g", "1", "--a", "0", "--b", "1", "--grid", "8"],
             ["no-such-command"],
@@ -797,4 +933,7 @@ class TestEntryPoints:
                 results.append((code, captured.out, captured.err))
             passes.append(results)
         assert passes[0] == passes[1]
-        assert [code for code, _, _ in passes[0]] == [0, 2, 0, 0, 0, 2, 0, 2, 0]
+        assert [code for code, _, _ in passes[0]] == [0, 0, 2, 0, 0, 0, 0, 2, 0, 2, 0]
+        # the forms argparse reads answer as the plain ones do
+        assert passes[0][1] == passes[0][0]
+        assert passes[0][6] == passes[0][5]

@@ -1,5 +1,6 @@
-"""What a fresh `glbounds coeffs` process loads: none of the modules that only
-some commands need, and none that the value types could do without."""
+"""What a fresh `glbounds` process loads: none of the modules that only some
+commands need, none that the value types could do without, and no argparse
+where main reads argv from its command table."""
 
 import subprocess
 import sys
@@ -8,8 +9,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # dataclasses brings inspect (and ast, dis and tokenize) with it; json is for
-# the commands that write JSON; heapq and the enclosure for the scans
-NOT_AT_START = ("dataclasses", "inspect", "json", "heapq", "glbounds.enclosure")
+# the commands that write JSON; heapq and the enclosure for the scans; argparse
+# for help, usage errors and the argv forms that main does not read itself
+NOT_AT_START = ("dataclasses", "inspect", "json", "heapq", "glbounds.enclosure", "argparse")
 
 
 def _loaded_after(argv):
@@ -32,3 +34,11 @@ def test_coeffs_loads_none_of_them():
 
 def test_coeffs_json_loads_json():
     assert _loaded_after(["coeffs", "--lambda", "0.5", "--json"]) == ["json"]
+
+
+def test_verify_identity_loads_none_of_them():
+    assert _loaded_after(["verify-identity", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0.3"]) == []
+
+
+def test_help_loads_argparse():
+    assert _loaded_after(["--help"]) == ["argparse"]
