@@ -12,7 +12,6 @@ verify all of it.
 from .bounds import (
     BoundInput,
     BoundReport,
-    MembershipMode,
     MembershipStatus,
     Proposition,
     corollary_bound_q1,
@@ -74,7 +73,6 @@ __all__ = [
     "IdentityReport",
     "Interval",
     "Jet2",
-    "MembershipMode",
     "MembershipStatus",
     "NonFiniteValueError",
     "NonSmoothError",

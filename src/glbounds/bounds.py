@@ -8,7 +8,7 @@ them against each other and against the quadrature oracle.
 
 Reports are assembled in one place, sweep_rows, one BoundReport per
 (lambda, q) row; a single bound (evaluate_bound_report) is its one-row
-case. In CHECK mode their membership labels come from one call,
+case. Unless membership is skipped, their labels come from one call,
 qclass.bound_memberships, which answers for each q as the default-grid
 scan of |f''|^q would, from an interval enclosure of |f''|, and runs no
 scan.
@@ -29,7 +29,6 @@ from .quadrature import Interval
 
 __all__ = [
     "MembershipStatus",
-    "MembershipMode",
     "BoundInput",
     "BoundReport",
     "Proposition",
@@ -42,16 +41,9 @@ __all__ = [
 
 
 class MembershipStatus(Enum):
-    CERTIFIED = "Certified"
     CHECKED_PASS = "CheckedPass"
     CHECKED_FAIL = "CheckedFail"
-    UNCHECKED = "Unchecked"
-
-
-class MembershipMode(Enum):
-    CERTIFIED = "certified"  # caller vouches for |f''|^q membership
-    CHECK = "check"  # decide membership as the grid falsification scan would
-    SKIP = "skip"  # report without any membership claim
+    UNCHECKED = "Unchecked"  # membership skipped: the report makes no claim
 
 
 def _check_weight(name: str, g: float) -> None:
@@ -246,16 +238,16 @@ def evaluate_bound_report(
     iv: Interval,
     lam: float,
     q: float,
-    membership_mode: MembershipMode = MembershipMode.CHECK,
+    skip_membership: bool = False,
 ) -> BoundReport:
     """Tie the measured |E(lam, f)| to its bound, with membership gating.
 
     This is the report of the one-row sweep_rows(e, iv, [lam], (q,)). The
-    inequality is only a claim when membership is Certified or CheckedPass; a
-    CheckedFail report still carries lhs/bound for inspection (the bound may
-    genuinely fail there, which is informative).
+    inequality is only a claim when membership is CheckedPass; a CheckedFail
+    report still carries lhs/bound for inspection (the bound may genuinely
+    fail there, which is informative).
     """
-    return sweep_rows(e, iv, [lam], (q,), membership_mode)[0]
+    return sweep_rows(e, iv, [lam], (q,), skip_membership)[0]
 
 
 def sweep_rows(
@@ -263,15 +255,16 @@ def sweep_rows(
     iv: Interval,
     lams: list[float],
     q_list: tuple[float, ...],
-    membership_mode: MembershipMode = MembershipMode.CHECK,
+    skip_membership: bool = False,
 ) -> list[BoundReport]:
     """Bound reports for every (lam, q), lam-major; every BoundReport is built here.
 
     The work that does not depend on lam is done once, in this order: |f''|
     at the ends, every bound (cheap, so an overflowing |f''|^q fails before
     any quadrature or scan; the coefficients are taken once per lam), f at
-    a, b and the midpoint with int_a^b f, and in CHECK mode one membership
-    decision per q (qclass.bound_memberships).
+    a, b and the midpoint with int_a^b f, and, unless skip_membership labels
+    every row Unchecked, one membership decision per q
+    (qclass.bound_memberships).
     """
     g_a, g_b = _endpoint_weights(e, iv)
     cells = []
@@ -281,9 +274,7 @@ def sweep_rows(
             bound = _theorem_bound(cs, BoundInput(iv, lam, q, g_a, g_b))
             cells.append((lam, q, cs.regime, bound))
     terms = functional_terms(e, iv)
-    if membership_mode is MembershipMode.CERTIFIED:
-        status = dict.fromkeys(q_list, MembershipStatus.CERTIFIED)
-    elif membership_mode is MembershipMode.SKIP:
+    if skip_membership:
         status = dict.fromkeys(q_list, MembershipStatus.UNCHECKED)
     else:
         # membership is a property of |f''|^q alone, so decide once per q

@@ -16,12 +16,11 @@ from __future__ import annotations
 import functools
 import math
 import os
-import re
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .bounds import MembershipMode, MembershipStatus, evaluate_bound_report, sweep_rows
+from .bounds import MembershipStatus, evaluate_bound_report, sweep_rows
 from .coefficients import coefficient_set
 from .corpus import corpus_entries
 from .expressions import ExpressionError, parse
@@ -92,8 +91,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     e = parse(args.fn)
     iv = Interval(args.a, args.b)
-    mode = MembershipMode.SKIP if args.skip_membership else MembershipMode.CHECK
-    rep = evaluate_bound_report(e, iv, args.lam, args.q, membership_mode=mode)
+    rep = evaluate_bound_report(e, iv, args.lam, args.q, args.skip_membership)
     print(f"lhs_abs    = {_fmt6(rep.lhs_abs)}")
     print(f"bound      = {_fmt6(rep.bound)}")
     print(f"ratio      = {'undefined' if rep.ratio is None else _fmt6(rep.ratio)}")
@@ -101,8 +99,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     print(f"membership = {rep.q_membership.value}")
     if rep.q_membership is MembershipStatus.CHECKED_FAIL:
         return EXIT_MEMBERSHIP_FAIL
-    asserted = (MembershipStatus.CERTIFIED, MembershipStatus.CHECKED_PASS)
-    if rep.q_membership in asserted and rep.lhs_abs > rep.bound:
+    if rep.q_membership is MembershipStatus.CHECKED_PASS and rep.lhs_abs > rep.bound:
         return EXIT_PROPERTY_FAIL
     return EXIT_OK
 
@@ -273,19 +270,20 @@ _COMMANDS = {
     "corpus": ("print the built-in function catalogue as JSON", _cmd_corpus, {}),
 }
 
-# argparse reads an argument that begins with '-' as an option unless it
-# matches this, its own rule for a negative number
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
 
 def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     """The namespace argparse gives for argv of the plain form
     COMMAND (--flag VALUE | --switch)*, read from _COMMANDS in one pass.
 
+    A flag's value is the next argument unless that begins with '--' or is
+    '-h'. So a value may begin with '-', as '-1e-9' and '-x^2' do, where
+    argparse would read an option: the namespace is then the one argparse
+    gives for '--flag=value'.
+
     None for any other argv: empty, an unknown command or flag, help, '--',
     an abbreviation, '--flag=value', a flag given without its value, a value
-    that argparse would read as an option or that its type or choices
-    reject, or a required flag left out. main gives those to argparse.
+    that its type or choices reject, or a required flag left out. main gives
+    those to argparse.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -304,7 +302,7 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
         if i + 1 == len(argv):
             return None
         text = argv[i + 1]
-        if text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
+        if text.startswith("--") or text == "-h":
             return None
         try:
             value = kw.get("type", str)(text)

@@ -12,7 +12,7 @@ from glbounds import (
     BoundInput,
     ExpectedMembership,
     Interval,
-    MembershipMode,
+    MembershipStatus,
     Proposition,
     RuleParams,
     coefficient_set,
@@ -141,13 +141,13 @@ def test_c05_main_inequality_suite():
 def test_c06_worked_numbers():
     e = parse("x^2")
     iv = Interval(0.0, 1.0)
-    rep = evaluate_bound_report(e, iv, 0.0, 1.0, membership_mode=MembershipMode.CERTIFIED)
+    rep = evaluate_bound_report(e, iv, 0.0, 1.0)
+    assert rep.q_membership is MembershipStatus.CHECKED_PASS
     assert rep.lhs_abs == pytest.approx(1.0 / 12.0, abs=1e-9)
     assert rep.bound == pytest.approx(2.0 * math.log(2.0) - 1.0, abs=1e-12)
     assert rep.ratio == pytest.approx((1.0 / 12.0) / (2.0 * math.log(2.0) - 1.0), abs=1e-6)
-    simpson = evaluate_bound_report(
-        e, iv, 1.0 / 3.0, 1.0, membership_mode=MembershipMode.CERTIFIED
-    )
+    simpson = evaluate_bound_report(e, iv, 1.0 / 3.0, 1.0)
+    assert simpson.q_membership is MembershipStatus.CHECKED_PASS
     assert simpson.lhs_abs <= 1e-10
     _report("C6 worked numbers reproduce (1/12, 2 ln 2 - 1, 0.21572...; Simpson exact)")
 

@@ -10,7 +10,6 @@ import glbounds.enclosure
 from glbounds import (
     BoundInput,
     Interval,
-    MembershipMode,
     MembershipStatus,
     Proposition,
     Regime,
@@ -266,19 +265,16 @@ class TestPropositions:
 
 class TestBoundReport:
     def test_square_midpoint_worked_numbers(self):
-        rep = evaluate_bound_report(
-            parse("x^2"), UNIT, 0.0, 1.0, membership_mode=MembershipMode.CERTIFIED
-        )
+        rep = evaluate_bound_report(parse("x^2"), UNIT, 0.0, 1.0)
         assert rep.lhs_abs == pytest.approx(1.0 / 12.0, abs=1e-9)
         assert rep.bound == pytest.approx(2.0 * math.log(2.0) - 1.0, abs=1e-12)
         assert rep.ratio == pytest.approx((1.0 / 12.0) / (2.0 * math.log(2.0) - 1.0), abs=1e-6)
         assert rep.regime is Regime.LOW
-        assert rep.q_membership is MembershipStatus.CERTIFIED
+        assert rep.q_membership is MembershipStatus.CHECKED_PASS
 
     def test_square_simpson_is_exact(self):
-        rep = evaluate_bound_report(
-            parse("x^2"), UNIT, 1.0 / 3.0, 1.0, membership_mode=MembershipMode.CERTIFIED
-        )
+        rep = evaluate_bound_report(parse("x^2"), UNIT, 1.0 / 3.0, 1.0)
+        assert rep.q_membership is MembershipStatus.CHECKED_PASS
         assert rep.lhs_abs <= 1e-10
         assert rep.ratio == pytest.approx(0.0, abs=1e-9)
 
@@ -294,15 +290,12 @@ class TestBoundReport:
         assert rep.bound > 0.0
 
     def test_skip_mode_reports_unchecked(self):
-        rep = evaluate_bound_report(
-            parse("x^2"), UNIT, 0.0, 1.0, membership_mode=MembershipMode.SKIP
-        )
+        rep = evaluate_bound_report(parse("x^2"), UNIT, 0.0, 1.0, skip_membership=True)
         assert rep.q_membership is MembershipStatus.UNCHECKED
 
     def test_zero_second_derivative_gives_undefined_ratio(self):
-        rep = evaluate_bound_report(
-            parse("x"), UNIT, 0.3, 1.0, membership_mode=MembershipMode.CERTIFIED
-        )
+        rep = evaluate_bound_report(parse("x"), UNIT, 0.3, 1.0)
+        assert rep.q_membership is MembershipStatus.CHECKED_PASS
         assert rep.bound == 0.0
         assert rep.ratio is None
         assert rep.lhs_abs <= 1e-12
@@ -334,7 +327,7 @@ class TestSweepRows:
         lams = [0.0, 0.25, 0.5, 0.75, 1.0]
         qs = (1.0, 2.0, 3.0)
         e = parse("exp(x)")
-        expected = sweep_rows(e, UNIT, lams, qs, MembershipMode.SKIP)
+        expected = sweep_rows(e, UNIT, lams, qs, skip_membership=True)
         taken = []
 
         def counted(lam):
@@ -342,21 +335,24 @@ class TestSweepRows:
             return coefficient_set(lam)
 
         monkeypatch.setattr(glbounds.bounds, "coefficient_set", counted)
-        assert sweep_rows(e, UNIT, lams, qs, MembershipMode.SKIP) == expected
+        assert sweep_rows(e, UNIT, lams, qs, skip_membership=True) == expected
         assert taken == lams
 
-    @pytest.mark.parametrize(
-        "mode,status",
-        [(MembershipMode.CERTIFIED, MembershipStatus.CERTIFIED), (MembershipMode.SKIP, MembershipStatus.UNCHECKED)],
-    )
-    def test_modes_without_a_scan_label_every_row(self, monkeypatch, mode, status):
+    def test_modes_without_a_scan_label_every_row(self, monkeypatch):
         monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
         monkeypatch.setattr(glbounds.qclass, "_decide", None)  # nor any decision
         # sine fails the scan, so a row labelled from one would read CheckedFail
         iv = Interval(0.000001, 3.141592)
-        rows = sweep_rows(parse("sin(x)"), iv, [0.0, 0.5], (1.0, 2.0), membership_mode=mode)
+        rows = sweep_rows(parse("sin(x)"), iv, [0.0, 0.5], (1.0, 2.0), skip_membership=True)
         assert [(r.lam, r.q) for r in rows] == [(0.0, 1.0), (0.0, 2.0), (0.5, 1.0), (0.5, 2.0)]
-        assert all(r.q_membership is status for r in rows)
+        assert all(r.q_membership is MembershipStatus.UNCHECKED for r in rows)
+
+    def test_every_label_is_decided_or_skipped(self):
+        # no mode lets a caller vouch for membership: Certified returns only
+        # with evidence behind it
+        assert [s.value for s in MembershipStatus] == ["CheckedPass", "CheckedFail", "Unchecked"]
+        assert not hasattr(glbounds, "MembershipMode")
+        assert "MembershipMode" not in glbounds.__all__
 
 
 _PROVEN = [

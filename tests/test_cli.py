@@ -791,8 +791,8 @@ def _argparse_reads(argv):
 TABLE_FLAGS = sorted({flag for _, _, options in _COMMANDS.values() for flag in options})
 # forms that argparse reads and _read leaves to it
 OTHER_FORMS = ["--lam", "--skip", "--form", "-h", "--help", "--", "--fn=x^2", "--lambda=0.5", "--a=-1"]
-# negative numbers by argparse's rule and not, empty, and values that float,
-# int or --format's choices accept or reject
+# values that begin with '-' (negative numbers by argparse's rule and not),
+# empty, and values that float, int or --format's choices accept or reject
 ARG_VALUES = ["0.5", "-1", "-.5", "-1e5", "-x^2", "-", "", "nan", "1_0", " 1", "abc", "x^2", "csv"]
 
 
@@ -829,6 +829,30 @@ def _argvs(draw):
     return [command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
 
 
+def _joined(argv):
+    """argv with each flag's value that _read takes joined to its flag as
+    '--flag=value', the form in which argparse takes a value that begins
+    with '-'."""
+    options = _COMMANDS[argv[0]][2] if argv and argv[0] in _COMMANDS else {}
+    out = list(argv[:1])
+    i = 1
+    while i < len(argv):
+        kw = options.get(argv[i])
+        if (
+            kw is None
+            or kw.get("action") == "store_true"
+            or i + 1 == len(argv)
+            or argv[i + 1].startswith("--")
+            or argv[i + 1] == "-h"
+        ):
+            out.append(argv[i])
+            i += 1
+        else:
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+    return out
+
+
 def _reprs(namespace):
     # by repr, since a value of nan is unequal to itself
     return {name: repr(value) for name, value in namespace.items()}
@@ -838,18 +862,24 @@ class TestCommandTable:
     """main reads plain argv from _COMMANDS itself and gives every other argv
     to argparse, which is built from the same table."""
 
-    PLAIN = [
-        ["verify-identity", "--fn", "x^2", "--a", "-1", "--b", "1", "--lambda", "0.3", "--tol", "1e-6"],
-        ["coeffs", "--lambda", "0.25", "--json"],
-        ["bound", "--fn", "exp(x)", "--a", "0", "--b", "1", "--lambda", ".5", "--q", "2", "--skip-membership"],
-        ["sweep", "--fn", "x", "--a", "0", "--b", "1", "--lambda-grid", "0:1:1", "--q", "1,2", "--out", "s.json",
-         "--format", "json"],
-        ["qclass", "--g", "x^2", "--a", "-.5", "--b", "1", "--grid", "8"],
-        ["corpus"],
-    ]
-
     BOUND = ["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0.5", "--q", "1"]
     SWEEP = ["sweep", "--fn", "x", "--a", "0", "--b", "1", "--lambda-grid", "0:1:1", "--q", "1", "--out", "s.csv"]
+    PLAIN = {
+        "verify-identity": ["verify-identity", "--fn", "x^2", "--a", "-1", "--b", "1", "--lambda", "0.3",
+                            "--tol", "1e-6"],
+        "coeffs": ["coeffs", "--lambda", "0.25", "--json"],
+        "bound": ["bound", "--fn", "exp(x)", "--a", "0", "--b", "1", "--lambda", ".5", "--q", "2",
+                  "--skip-membership"],
+        "sweep": ["sweep", "--fn", "x", "--a", "0", "--b", "1", "--lambda-grid", "0:1:1", "--q", "1,2", "--out",
+                  "s.json", "--format", "json"],
+        "qclass": ["qclass", "--g", "x^2", "--a", "-.5", "--b", "1", "--grid", "8"],
+        "corpus": ["corpus"],
+        # values that begin with '-', which argparse takes only as --flag=value
+        "option-like value": ["bound", "--fn", "-x^2", *BOUND[3:]],
+        "exponent not a negative number to argparse": ["coeffs", "--lambda", "-1e5"],
+        "a value argparse takes though it begins with '-'": ["bound", "--fn", "- x", *BOUND[3:]],
+        "lone dash": ["bound", "--fn", "-", *BOUND[3:]],
+    }
     OTHER = {
         "empty": [],
         "unknown command": ["no-such-command"],
@@ -860,10 +890,8 @@ class TestCommandTable:
         "no value": ["coeffs", "--lambda"],
         "extra argument": ["coeffs", "--lambda", "0.5", "0.5"],
         "required flag left out": BOUND[:-2],
-        "option-like value": ["bound", "--fn", "-x^2", *BOUND[3:]],
-        "exponent not a negative number to argparse": ["coeffs", "--lambda", "-1e5"],
-        "a value argparse takes though it begins with '-'": ["bound", "--fn", "- x", *BOUND[3:]],
-        "lone dash": ["bound", "--fn", "-", *BOUND[3:]],
+        "value that is a long option": ["bound", "--fn", "--a", *BOUND[3:]],
+        "value that is -h": ["bound", "--fn", "-h", *BOUND[3:]],
         "not a float": ["coeffs", "--lambda", "abc"],
         "not an int": ["qclass", "--g", "x", "--a", "0", "--b", "1", "--grid", "2.5"],
         "not a choice": [*SWEEP, "--format", "xml"],
@@ -871,11 +899,11 @@ class TestCommandTable:
         "flag of another command": ["coeffs", "--lambda", "0.5", "--fn", "x"],
     }
 
-    @pytest.mark.parametrize("argv", PLAIN, ids=[argv[0] for argv in PLAIN])
+    @pytest.mark.parametrize("argv", PLAIN.values(), ids=PLAIN.keys())
     def test_plain_argv_is_read_from_the_table(self, argv):
         got = _read(argv)
         assert got is not None
-        assert vars(got) == _argparse_reads(argv)
+        assert vars(got) == _argparse_reads(_joined(argv))
 
     @pytest.mark.parametrize("argv", OTHER.values(), ids=OTHER.keys())
     def test_other_argv_is_left_to_argparse(self, argv):
@@ -884,10 +912,10 @@ class TestCommandTable:
     @settings(max_examples=examples(300), deadline=None)
     @given(st.one_of(st.just([]), _argvs()))
     def test_read_agrees_with_argparse(self, argv):
-        """_read gives argparse's namespace or leaves argv to argparse, and
-        leaves it every argv that argparse rejects. Should a later argparse
-        read a negative number otherwise, this fails first."""
-        want = _argparse_reads(argv)
+        """_read gives argparse's namespace for argv with each value it takes
+        joined as --flag=value, or leaves argv to argparse, and leaves it
+        every argv whose joined form argparse rejects."""
+        want = _argparse_reads(_joined(argv))
         got = _read(argv)
         if want is None:
             assert got is None

@@ -722,6 +722,18 @@ class TestProof:
         assert bound_memberships(parse(text), iv, qs) == dict.fromkeys(qs, True)
         assert not any(taken)
 
+    # pairs each decision below takes: the composite's hottest pairs straddle
+    # the steep rise of |f''|^q near 3 and hold, so its first violation comes
+    # at pair 54 (q = 2) and 540 (q = 3)
+    PAIRS_TAKEN = {
+        ("sin(x)", 1.0): 1,
+        ("sin(x)", 2.5): 1,
+        (COMPOSITE, 1.0): 7,
+        (COMPOSITE, 2.0): 54,
+        (COMPOSITE, 3.0): 540,
+        ("x^4", 2.0): 1,
+    }
+
     @pytest.mark.parametrize(
         "text,iv,q",
         [
@@ -735,7 +747,8 @@ class TestProof:
     )
     def test_a_decision_answers_after_the_pair_that_violates(self, monkeypatch, text, iv, q):
         """The decision is the scan's passed; a False one takes no pair after
-        the first that holds a violation of the scan."""
+        the first that holds a violation of the scan, and each takes the
+        pinned number of pairs, hottest first."""
         e = parse(text)
         taken = record_taken(monkeypatch)
         xs, sup = enclosed(e, iv, 64)
@@ -748,6 +761,7 @@ class TestProof:
             assert not any(holds)
         else:
             assert holds[-1] and not any(holds[:-1])
+        assert len(taken[0]) == self.PAIRS_TAKEN[text, q]
 
     @pytest.mark.parametrize(
         "text,iv,qs",
