@@ -5,7 +5,10 @@ of |f''|, where f'' is the float value that the jet closure computes,
 x -> compile_expression(node)[1](x)[2], at every float x in the cell. It
 encloses that float value, not the real f''. compile_value(node) bounds f
 the same way: the jet's value component is computed by the same float
-operations as the value closure compile_expression(node)[0].
+operations as the value closure compile_expression(node)[0], so wherever
+the jet returns, the value closure returns that component bit for bit
+(test_the_value_closure_computes_the_jets_value_part in
+tests/test_enclosure.py).
 
 Soundness holds by construction: the enclosure is the jet closure itself.
 glbounds.expressions writes each derivative rule, and the walk that strings
@@ -234,7 +237,6 @@ _RULES = {
     ),
     "abs": _abs_jet,
 }
-_RULES["ln^"], _RULES["exp^"] = _RULES["ln"], _RULES["exp"]
 
 
 def _const(c: float) -> Callable[[_Cells], tuple[_Cells, _Cells, _Cells]]:

@@ -35,12 +35,14 @@ points where the expression is not twice differentiable (abs at 0,
 fractional powers of a zero base) raise NonSmoothError instead of returning
 a silently wrong value.
 
-Each derivative rule, and the walk that strings the rules together, is
-written once (_jet_rules, _jet_compiler) for any arithmetic that supplies
-the elementary functions and the operators. Powers are coded in the walk: a
-power whose exponent depends on x is exp(e * ln b), built from the shared ln,
-product and exp rules. Floats make the jet closures; glbounds.enclosure runs
-the same rules over a batch of interval cells.
+One walk (_jet_compiler) compiles every tree, and each node kind takes its
+closure from a rule table, so the walk has three instances: the value
+closures (_VALUE_RULES), the float jets (_JET_RULES) and, in
+glbounds.enclosure, interval jets over a batch of cells. Each derivative
+rule is written once (_jet_rules) for any arithmetic that supplies the
+elementary functions and the operators, and both jets take it; a power
+whose exponent depends on x is exp(e * ln b), built from that table's ln,
+product and exp rules.
 """
 
 from __future__ import annotations
@@ -303,65 +305,11 @@ def _power(base: float, c: float, smooth: bool = True) -> float:
         raise DomainError(_POWER_OVERFLOW) from None
 
 
-_CALLS = {  # function name -> value rule
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": _exp,
-    "ln": _ln,
-    "sqrt": _sqrt,
-    "abs": abs,
-}
+_CALLS = ("sin", "cos", "exp", "ln", "sqrt", "abs")  # the parser's function names
 
 
-def _compile_value(node: Node) -> tuple[Callable[[float], float], bool]:
-    """The value closure x -> f(x), and whether node depends on x. It computes
-    its operands left to right, as the grammar reads."""
-    if isinstance(node, Const):
-        c = node.value
-        return (lambda x: c), False
-    if isinstance(node, Var):
-        return (lambda x: x), True
-    if isinstance(node, Call):
-        f, has_x = _compile_value(node.arg)
-        name, rule = node.func, _CALLS[node.func]
-
-        def call(x: float) -> float:
-            try:
-                return rule(f(x))
-            except ValueError:  # math.sin and math.cos of inf; f raises none
-                raise DomainError(f"{name} of infinite argument {f(x)!r}") from None
-
-        return call, has_x
-    if isinstance(node, Neg):
-        f, has_x = _compile_value(node.arg)
-        return (lambda x: -f(x)), has_x
-    if isinstance(node, Pow):
-        f, has_x = _compile_value(node.base)
-        if isinstance(node.exponent, Const):
-            c = node.exponent.value
-            return (lambda x: _power(f(x), c, False)), has_x
-        g, expo_has_x = _compile_value(node.exponent)
-        if not expo_has_x:
-            # evaluated at every call all the same, so that its errors name x
-            return (lambda x: _power(f(x), g(x), False)), has_x
-
-        def power(x: float) -> float:
-            lb = _ln(f(x), _BASE_DOMAIN)
-            return _exp(g(x) * lb, _POWER_OVERFLOW)
-
-        return power, True
-    if not isinstance(node, Bin):
-        raise TypeError(f"not an expression node: {node!r}")
-    f, has_x = _compile_value(node.left)
-    g, g_has_x = _compile_value(node.right)
-    has_x = has_x or g_has_x
-    if node.op == "+":
-        return (lambda x: f(x) + g(x)), has_x
-    if node.op == "-":
-        return (lambda x: f(x) - g(x)), has_x
-    if node.op == "*":
-        return (lambda x: f(x) * g(x)), has_x
-    return (lambda x: _divide(f(x), g(x), x)), has_x
+def _has_x(node: Node) -> bool:
+    return isinstance(node, Var) or any(isinstance(n, tuple) and _has_x(n) for n in node)
 
 
 def _jet_rules(sin, cos, exp, ln, sqrt, power, divide, zero) -> dict[str, Callable]:
@@ -372,8 +320,10 @@ def _jet_rules(sin, cos, exp, ln, sqrt, power, divide, zero) -> dict[str, Callab
     quotient of a division at x, and zero(v), the zero of v's kind; the
     rules do everything else with the operands' own operators, in the order
     written. A call's rule maps the jet (u, u', u'') of its argument to its
-    own, "^" maps (b, b', b'', c) to the jet of b**c, and a binary rule maps
-    its operands' jet closures to the operation's, x -> (f, f', f'').
+    own; the others map operand closures to the node's, x -> (f, f', f''):
+    "apply" a call's (name, rule, argument), "neg", "^c" (base, literal
+    exponent), "^g" (base, value closure of an exponent free of x), "^x"
+    (base, exponent: exp(e * ln b), ln b taken first) and "+", "-", "*", "/".
     """
 
     def sin_jet(uv, u1, u2):
@@ -446,18 +396,39 @@ def _jet_rules(sin, cos, exp, ln, sqrt, power, divide, zero) -> dict[str, Callab
             return (w, w1, w2)
         return jet
 
+    def apply(name, rule, fj):
+        return lambda x: rule(*fj(x))
+
+    def neg(fj):
+        def jet(x):
+            v, d1, d2 = fj(x)
+            return (-v, -d1, -d2)
+        return jet
+
+    def power_c(bj, c):
+        return lambda x: power_jet(*bj(x), c)
+
+    def power_g(bj, g):
+        return lambda x: power_jet(*bj(x), g(x))
+
+    def power_x(bj, ej):
+        # the product runs on the pair (x, jet of ln b), taken first
+        times = mul(lambda xl: ej(xl[0]), lambda xl: xl[1])
+        return lambda x: exp_jet(*times((x, ln_jet(*bj(x)))))
+
     return {"sin": sin_jet, "cos": cos_jet, "exp": exp_jet, "ln": ln_jet, "sqrt": sqrt_jet,
-            "^": power_jet, "+": add, "-": sub, "*": mul, "/": div}
+            "apply": apply, "neg": neg, "^c": power_c, "^g": power_g, "^x": power_x,
+            "+": add, "-": sub, "*": mul, "/": div}
 
 
 def _jet_compiler(rules: dict[str, Callable], const, var) -> Callable:
-    """node -> its jet closure, strung together from rules (_jet_rules',
-    "abs", and "ln^" and "exp^", the ln and exp of a power) in one
-    arithmetic: const(c) is a constant's closure and var is x's.
+    """node -> its closure, strung together from rules in one arithmetic:
+    const(c) is a constant's closure and var is x's. rules holds a rule for
+    each name in _CALLS, and "apply", "neg", "^c", "^g", "^x", "+", "-", "*"
+    and "/" (see _jet_rules), which build a node's closure from its operands'.
 
-    An exponent free of x goes to "^" as a float, its value closure evaluated
-    at every x all the same, so that its errors name x. b**e is exp(e * ln b)
-    where e depends on x, with ln b taken before e.
+    An exponent free of x goes to "^g" as its float value closure, evaluated
+    at every x all the same, so that its errors name x.
     """
 
     def walk(node: Node):
@@ -466,33 +437,53 @@ def _jet_compiler(rules: dict[str, Callable], const, var) -> Callable:
         if isinstance(node, Var):
             return var
         if isinstance(node, Call):
-            fj, rule = walk(node.arg), rules[node.func]
-            return lambda x: rule(*fj(x))
+            return rules["apply"](node.func, rules[node.func], walk(node.arg))
         if isinstance(node, Neg):
-            fj = walk(node.arg)
-
-            def neg(x):
-                v, d1, d2 = fj(x)
-                return (-v, -d1, -d2)
-
-            return neg
+            return rules["neg"](walk(node.arg))
         if isinstance(node, Pow):
-            bj, e, power = walk(node.base), node.exponent, rules["^"]
+            b, e = walk(node.base), node.exponent
             if isinstance(e, Const):
-                c = e.value
-                return lambda x: power(*bj(x), c)
-            g, has_x = _compile_value(e)
-            if not has_x:
-                return lambda x: power(*bj(x), g(x))
-            ln, exp, ej = rules["ln^"], rules["exp^"], walk(e)
-            # the product runs on the pair (x, jet of ln b), taken first
-            times = rules["*"](lambda xl: ej(xl[0]), lambda xl: xl[1])
-            return lambda x: exp(*times((x, ln(*bj(x)))))
+                return rules["^c"](b, e.value)
+            if not _has_x(e):
+                return rules["^g"](b, _compile_value(e))
+            return rules["^x"](b, walk(e))
         if not isinstance(node, Bin):
             raise TypeError(f"not an expression node: {node!r}")
         return rules[node.op](walk(node.left), walk(node.right))
 
     return walk
+
+
+def _call(name: str, rule: Callable, f: Callable) -> Callable[[float], float]:
+    def call(x: float) -> float:
+        try:
+            return rule(f(x))
+        except ValueError:  # math.sin and math.cos of inf; f raises none
+            raise DomainError(f"{name} of infinite argument {f(x)!r}") from None
+    return call
+
+
+def _variable_power(f: Callable, g: Callable) -> Callable[[float], float]:
+    def power(x: float) -> float:
+        lb = _ln(f(x), _BASE_DOMAIN)
+        return _exp(g(x) * lb, _POWER_OVERFLOW)
+    return power
+
+
+# The value closures x -> f(x), operands computed left to right as the grammar reads
+_VALUE_RULES = {
+    "sin": math.sin, "cos": math.cos, "exp": _exp, "ln": _ln, "sqrt": _sqrt, "abs": abs,
+    "apply": _call,
+    "neg": lambda f: lambda x: -f(x),
+    "^c": lambda f, c: lambda x: _power(f(x), c, False),
+    "^g": lambda f, g: lambda x: _power(f(x), g(x), False),
+    "^x": _variable_power,
+    "+": lambda f, g: lambda x: f(x) + g(x),
+    "-": lambda f, g: lambda x: f(x) - g(x),
+    "*": lambda f, g: lambda x: f(x) * g(x),
+    "/": lambda f, g: lambda x: _divide(f(x), g(x), x),
+}
+_compile_value = _jet_compiler(_VALUE_RULES, lambda c: (lambda x: c), lambda x: x)
 
 
 def _abs_jet(uv: float, u1: float, u2: float) -> _Jet:
@@ -508,24 +499,19 @@ def _float_rules(exp, ln) -> dict[str, Callable]:
 
 # exp(e * ln b) takes the ln and exp rules with a power's error messages
 _POWER_RULES = _float_rules(lambda u: _exp(u, _POWER_OVERFLOW), lambda u: _ln(u, _BASE_DOMAIN))
-_JET_RULES = {
-    **_float_rules(_exp, _ln),
-    "abs": _abs_jet,
-    "ln^": _POWER_RULES["ln"],
-    "exp^": _POWER_RULES["exp"],
-}
+_JET_RULES = {**_float_rules(_exp, _ln), "abs": _abs_jet, "^x": _POWER_RULES["^x"]}
 _compile_jet = _jet_compiler(_JET_RULES, lambda c: (lambda x: (c, 0.0, 0.0)), lambda x: (x, 1.0, 0.0))
 
 
 def compile_expression(node: Node) -> tuple[Callable[[float], float], Callable[[float], _Jet]]:
     """Closures x -> f(x) and x -> (f, f', f'') built once, to be called at many points;
     the jet also raises NonSmoothError where f is not twice differentiable."""
-    return _compile_value(node)[0], _compile_jet(node)
+    return _compile_value(node), _compile_jet(node)
 
 
 def evaluate(node: Node, x: float) -> float:
     """Evaluate node at x; raises DomainError outside the natural domain."""
-    return _compile_value(node)[0](x)
+    return _compile_value(node)(x)
 
 
 def evaluate_jet2(node: Node, x: float) -> Jet2:

@@ -80,10 +80,11 @@ class FunctionalTerms(NamedTuple):
 
 def functional_terms(e: Node, iv: Interval) -> FunctionalTerms:
     """Evaluate f at a, b and the midpoint and integrate it numerically over iv."""
-    f, _ = _compile_value(e)
+    f = _compile_value(e)
+    m = iv.midpoint  # raises where it overflows, before f is sampled
     fa = f(iv.a)
     fb = f(iv.b)
-    fm = f(iv.midpoint)
+    fm = f(m)
     integral = integrate(f, iv)
     return FunctionalTerms(fa, fb, fm, integral, iv.width)
 

@@ -468,7 +468,7 @@ def check_expression(
     """
     from .enclosure import compile_value
 
-    g, _ = _compile_value(e)
+    g = _compile_value(e)
     return check_godunova_levin(g, iv, grid_n, tol, bound=compile_value(e))
 
 

@@ -111,7 +111,11 @@ class Interval(_Interval):
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
+        """0.5 * (a + b); NonFiniteValueError where a + b overflows, though b - a does not."""
+        m = 0.5 * (self.a + self.b)
+        if not math.isfinite(m):
+            raise NonFiniteValueError(f"midpoint of [{self.a!r}, {self.b!r}] overflows")
+        return m
 
 
 def _finite(x: float, y: float) -> float:
@@ -131,8 +135,7 @@ def integrate(f: ScalarFunction, iv: Interval) -> float:
     splits instead); an overflowing midpoint or sum of the panels, iv.
     """
     a, b = iv.a, iv.b
-    if not math.isfinite(iv.midpoint):
-        raise NonFiniteValueError(f"midpoint of [{a!r}, {b!r}] overflows")
+    iv.midpoint  # raises where it overflows, before f is sampled
     _finite(a, f(a))
     _finite(b, f(b))
     total, size, scale, evals = _walk(f, a, b, None, 17)

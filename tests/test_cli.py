@@ -148,9 +148,11 @@ class TestVerifyIdentity:
         assert captured.out == ""
         assert captured.err.startswith("error: interval width overflows")
 
-    def test_overflowing_midpoint_is_an_input_error(self, capsys):
-        # 0.5*(a + b) overflows though b - a does not
-        assert main(["verify-identity", "--fn", "1", "--a", "1e308", "--b", "1.7e308", "--lambda", "0.5"]) == 2
+    @pytest.mark.parametrize("fn", ["1", "sin(x)", "x^2", "exp(x)"])
+    def test_overflowing_midpoint_is_an_input_error(self, fn, capsys):
+        # 0.5*(a + b) overflows though b - a does not; whatever f, that is the
+        # error (f used to be sampled at a and b first, and at inf for sin)
+        assert main(["verify-identity", "--fn", fn, "--a", "1e308", "--b", "1.7e308", "--lambda", "0.5"]) == 2
         assert capsys.readouterr() == ("", "error: midpoint of [1e+308, 1.7e+308] overflows\n")
 
     def test_overflowing_integral_is_an_input_error(self, capsys):

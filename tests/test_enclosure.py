@@ -1,4 +1,6 @@
+import inspect
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,18 @@ from glbounds.enclosure import (
     compile_value,
     sup_power,
 )
-from glbounds.expressions import _JET_RULES, compile_expression
+from glbounds.expressions import (
+    _CALLS,
+    _JET_RULES,
+    _VALUE_RULES,
+    ExpressionError,
+    _compile_value,
+    _jet_compiler,
+    compile_expression,
+)
 from glbounds.expressions import _compile_jet as _float_jet
 from conftest import examples
-from test_expressions import _tree_strategy
+from test_expressions import _POINTS, _tree_strategy
 
 _CELLS = st.one_of(
     st.tuples(st.floats(-20.0, 20.0), st.floats(0.0, 5.0)),
@@ -72,11 +82,53 @@ def test_a_batch_bounds_each_cell_as_alone(ast, cells, data):
             assert abs(jet(x)[2]) <= d2 and value(x) <= f
 
 
+@settings(max_examples=examples(1500), deadline=None)
+@given(_tree_strategy(), _POINTS)
+def test_the_value_closure_computes_the_jets_value_part(ast, x):
+    # the premise of compile_value: wherever the jet returns, the value
+    # closure returns the jet's value part, bit for bit
+    value, jet = compile_expression(ast)
+    try:
+        v = jet(x)[0]
+    except ExpressionError:
+        return
+    assert struct.pack("<d", value(x)) == struct.pack("<d", v)
+
+
+_WALK_KEYS = {*_CALLS, "apply", "neg", "^c", "^g", "^x", "+", "-", "*", "/"}
+
+
+class _Reads(dict):
+    """A rule table that records the keys read from it."""
+
+    def __init__(self, rules):
+        super().__init__(rules)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 def test_cells_run_the_float_jet_rules():
-    # one coding of each rule and of the walk: the float jet's, run over a batch of cells
-    for rule in ("sin", "cos", "exp", "ln", "sqrt", "^", "ln^", "exp^", "+", "-", "*", "/"):
+    # one coding of each rule: the float jet's, run over a batch of cells
+    for rule in ("sin", "cos", "exp", "ln", "sqrt", "apply", "neg", "^c", "^g", "^x", "+", "-", "*", "/"):
         assert _RULES[rule].__code__ is _JET_RULES[rule].__code__, rule
-    assert _walk.__code__ is _float_jet.__code__
+
+
+def test_one_walk_compiles_every_closure():
+    # the value closures, the float jets and the cells' jets are instances of one walk
+    assert _compile_value.__code__ is _float_jet.__code__ is _walk.__code__
+    # every node kind and power form: a call of each name, neg, ^c, ^g, ^x, + - * /
+    tree = parse("-sin(x) + cos(x)^2 - exp(x)^(1+1) * ln(x)^x / sqrt(abs(x))")
+    for walk, rules in ((_compile_value, _VALUE_RULES), (_float_jet, _JET_RULES), (_walk, _RULES)):
+        assert None not in rules.values()
+        # the instance's table, constant and x, rebuilt with a table that records its reads
+        bound = inspect.getclosurevars(walk).nonlocals
+        assert bound["rules"] is rules
+        reads = _Reads(rules)
+        _jet_compiler(reads, bound["const"], bound["var"])(tree)
+        assert reads.read == set(rules) == _WALK_KEYS
 
 
 @pytest.mark.parametrize(

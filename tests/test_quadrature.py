@@ -71,6 +71,11 @@ class TestInterval:
         assert iv.width == 2.0
         assert iv.midpoint == 2.0
 
+    def test_overflowing_midpoint_raises(self):
+        # b - a is finite, 0.5*(a + b) is not
+        with pytest.raises(NonFiniteValueError, match=r"^midpoint of \[1e\+308, 1\.7e\+308\] overflows$"):
+            Interval(1e308, 1.7e308).midpoint
+
     @pytest.mark.parametrize("a,b,message", _BAD_ENDPOINTS, ids=[f"{a}-{b}" for a, b, _ in _BAD_ENDPOINTS])
     def test_rejects_bad_endpoints(self, a, b, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
