@@ -51,25 +51,23 @@ def _check_weight(name: str, g: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {g!r}")
 
 
-def _weight_power(name: str, g: float, q: float) -> float:
-    try:
-        return g**q
-    except OverflowError:
-        raise ValueError(f"{name}^q overflows: {name} = {g!r}, q = {q!r}") from None
-
-
 def _weight_powers(g_a: float, g_b: float, q: float) -> tuple[float, float, float]:
     """(g_a/G)^q, (g_b/G)^q and G, for a bracket of terms (c g_a^q + d g_b^q)^(1/q):
     each term is G times the same term built from (g_a/G)^q and (g_b/G)^q.
 
-    G is 1, so the powers are g_a^q and g_b^q, unless both fall below the
-    normal range while a weight is positive, as (1e-5)^100 does: then G is
+    G is 1, so the powers are g_a^q and g_b^q, unless those leave the float
+    range: where g_a^q or g_b^q overflows, as e^1000 does, or both fall below
+    the normal range while a weight is positive, as (1e-5)^100 does, G is
     max(g_a, g_b), and the bracket keeps its digits where g_a^q and g_b^q
-    would have lost them or underflowed to 0.
+    would have overflowed, lost them or underflowed to 0. A decided bound or
+    sweep of such weights still fails where the decision's |f''|^q overflows:
+    its tolerance is absolute, so a rescaled scan would be another decision.
     """
-    ga_q = _weight_power("g_a", g_a, q)
-    gb_q = _weight_power("g_b", g_b, q)
     scale = max(g_a, g_b)
+    try:
+        ga_q, gb_q = g_a**q, g_b**q
+    except OverflowError:
+        return (g_a / scale) ** q, (g_b / scale) ** q, scale
     if max(ga_q, gb_q) >= sys.float_info.min or scale == 0.0:
         return ga_q, gb_q, 1.0
     return (g_a / scale) ** q, (g_b / scale) ** q, scale

@@ -33,15 +33,26 @@ it declines. One walk (_walk) visits the pairs hottest first by that bound,
 computing each margin as the loop does. The scan is that walk, stopped
 where no pair left can change its report, and its report and first error
 are the loop's. The walk takes its pairs from a lazy ranking
-(ranked_pairs), which sorts only the rows it takes a pair from.
-bound_memberships needs no report, so for each q _decide walks only the
-pairs above the tolerance and answers after the pair that holds the first
-violation (with none, or no such pair, the scan passes). The pairs with
-b = inf come first and hold every point where g may raise, so _decide
-answers False only once they are all visited, and raises the scan's error
-where the scan would: it answers every input as the scan would, and bound
-and sweep run no scan. The cells, and what a bound means for a pair, are
-decided in this module only.
+(ranked_pairs), which computes a row's bounds only when an O(1) key of
+the row reaches the top of its heap, and sorts only the rows it takes a
+pair from. The key of row i,
+
+    key_i = up(max(alone_i, max(sup[i:])) - down(fl(fl(r_i + m_i)^2)*_SHRINK)),
+
+with m_i the least root r_j of the row (_row_keys), is at least every b of
+the row, since every rounding is monotone: each pair reads a cell bound of
+at most the first term, and its s = fl(r_i + r_j) is at least
+fl(r_i + m_i). bound_memberships needs no report. It encloses |f''| first
+on one cell that holds every cell of the grid, a valid cover as it is, and
+a q whose row keys there are all at most the tolerance passes with no
+ranking at all. For any other q, _decide walks only the pairs above the
+tolerance and answers after the pair that holds the first violation (with
+none, or no such pair, the scan passes). The pairs with b = inf come first
+and hold every point where g may raise, so _decide answers False only once
+they are all visited, and raises the scan's error where the scan would: it
+answers every input as the scan would, and bound and sweep run no scan.
+The cells, and what a bound means for a pair, are decided in this module
+only.
 
 The enclosure and heapq are imported when the first scan or decision runs,
 so every command but bound, sweep and qclass starts without them.
@@ -202,14 +213,18 @@ def _cells(xs: list[float]) -> Cells:
 
 def _cell_bounds(bound: Bound | None, xs: list[float]) -> list[float]:
     """bound(cells) on the cells of the scan with grid points xs, called
-    once: inf on every cell where bound is None, and on each cell where it
-    gives NaN. Raises ValueError where it gives other than one bound per cell."""
-    n = len(xs) - 1
+    once: inf on every cell where bound is None (_bounds_on otherwise)."""
     if bound is None:
-        return [math.inf] * n
-    sup = [math.inf if math.isnan(s) else s for s in bound(_cells(xs))]
-    if len(sup) != n:
-        raise ValueError(f"bound gave {len(sup)} values for the {n} cells of the grid")
+        return [math.inf] * (len(xs) - 1)
+    return _bounds_on(bound, _cells(xs))
+
+
+def _bounds_on(bound: Bound, cells: Cells) -> list[float]:
+    """bound(cells), called once, with inf on each cell where it gives NaN.
+    Raises ValueError where it gives other than one bound per cell."""
+    sup = [math.inf if math.isnan(s) else s for s in bound(cells)]
+    if len(sup) != len(cells):
+        raise ValueError(f"bound gave {len(sup)} values for the {len(cells)} cells of the grid")
     return sup
 
 
@@ -235,7 +250,20 @@ def pair_bound_rows(gx: list[float], sup: list[float]) -> Iterator[list[float]]:
     is at least g(z) - R, and so at least every float margin fl(g(z) - R)
     of the pair. b is inf where U is (rhs is at most the largest float), and
     where g_i or g_j is negative, as the lemma needs both >= 0.
+
+    Any sup that bounds g on each cell will do: one bound of g on a cell
+    holding every cell, repeated, is one.
     """
+    parts = _row_parts(gx, sup)
+    for i in range(len(gx)):
+        yield _bound_row(i, *parts)
+
+
+def _row_parts(gx: list[float], sup: list[float]) -> tuple[list[float], list[float], list[float | None]]:
+    """What the rows of pair_bound_rows read: each sup[k] raised by at least
+    16*eta (a pair's W is the largest of those it reads); alone[i], the W of
+    the diagonal pair of x_i; and the roots r_i <= sqrt(g_i), None where g_i
+    is negative."""
     down, up = -math.inf, math.inf
     nextafter = math.nextafter
     # s + _SLACK loses at most half an ulp of itself, and nextafter adds a whole one
@@ -243,25 +271,59 @@ def pair_bound_rows(gx: list[float], sup: list[float]) -> Iterator[list[float]]:
     # the diagonal pair of x_i reads cell i-1 or cell i, whichever bound is less
     alone = [sup[0]] + [min(u, v) for u, v in zip(sup, sup[1:])] + [sup[-1]]
     roots = [max(nextafter(math.sqrt(v), down), 0.0) if v >= 0.0 else None for v in gx]
-    n = len(gx)
-    for i in range(n):
+    return sup, alone, roots
+
+
+def _bound_row(i: int, sup: list[float], alone: list[float], roots: list[float | None]) -> list[float]:
+    """Row i of pair_bound_rows, from its _row_parts."""
+    down, up = -math.inf, math.inf
+    nextafter = math.nextafter
+    ri = roots[i]
+    if ri is None:
+        return [math.inf] * (len(roots) - i)
+    # the largest bound the pair (i, j) reads; alone[i] <= sup[i], so from
+    # j = i+1 on it is the largest of cells i to j-1
+    worst = alone[i]
+    row = []
+    for rj, cell in zip(roots[i:], sup[i:] + [down]):
+        if rj is None:
+            row.append(math.inf)
+        else:
+            s = ri + rj
+            row.append(nextafter(worst - nextafter(s * s * _SHRINK, down), up))
+        if cell > worst:  # cell j, read from the pair (i, j+1) on
+            worst = cell
+    return row
+
+
+def _row_keys(sup: list[float], alone: list[float], roots: list[float | None]) -> list[float]:
+    """key_i, at least every b of row i of pair_bound_rows, from its
+    _row_parts, in one backward pass:
+
+        key_i = up(max(alone[i], max(sup[i:])) - down(fl(fl(r_i + m_i)^2)*_SHRINK))
+
+    with m_i = min(roots[i:]), and inf where some g_j (j >= i) is negative,
+    as every b of such a row may be. The pair (i, j) reads a W of at most
+    max(alone[i], max(sup[i:])), and its s = fl(r_i + r_j) is at least
+    fl(r_i + m_i). Each rounding is monotone, so b = up(W - rhs) of every
+    pair of the row is at most key_i.
+    """
+    down, up = -math.inf, math.inf
+    nextafter = math.nextafter
+    keys = []
+    top, least = down, up  # max(sup[i:]) and min(roots[i:]); least None past a negative g
+    for i in range(len(roots) - 1, -1, -1):
+        if i < len(sup):
+            top = max(top, sup[i])
         ri = roots[i]
-        if ri is None:
-            yield [math.inf] * (n - i)
-            continue
-        # the largest bound the pair (i, j) reads; alone[i] <= sup[i], so from
-        # j = i+1 on it is the largest of cells i to j-1
-        worst = alone[i]
-        row = []
-        for rj, cell in zip(roots[i:], sup[i:] + [down]):
-            if rj is None:
-                row.append(math.inf)
-            else:
-                s = ri + rj
-                row.append(nextafter(worst - nextafter(s * s * _SHRINK, down), up))
-            if cell > worst:  # cell j, read from the pair (i, j+1) on
-                worst = cell
-        yield row
+        least = None if ri is None or least is None else min(least, ri)
+        if least is None:
+            keys.append(math.inf)
+        else:
+            s = ri + least
+            keys.append(nextafter(max(alone[i], top) - nextafter(s * s * _SHRINK, down), up))
+    keys.reverse()
+    return keys
 
 
 def ranked_pairs(gx: list[float], sup: list[float], floor: float) -> Iterator[tuple[float, int, int]]:
@@ -270,23 +332,35 @@ def ranked_pairs(gx: list[float], sup: list[float], floor: float) -> Iterator[tu
     sorted(..., reverse=True), ties of b broken by the higher i, then the
     higher j.
 
-    A walk that stops early takes few pairs, so the pairs are ranked lazily:
-    a heap holds one entry per row with some b above floor, keyed on the
-    row's largest b not yet taken and then on i (no two rows share an i), and
-    a row's pairs are sorted only when the first of them is taken. Every
-    bound is still computed, since the rows' largest bounds key the heap.
+    A walk that stops early takes few pairs, so the pairs are ranked lazily
+    from a heap with one entry per row, keyed on (a bound of) the row's
+    largest b not yet taken and then on i (no two rows share an i). A row
+    enters under its key (_row_keys), at least every b of the row, where
+    that is above floor; its bounds are computed (_bound_row, the code of
+    pair_bound_rows) only when the key reaches the top, and the row goes
+    back under its exact largest b, or is dropped where that is at most
+    floor. A row's pairs are sorted only when the first of them is taken.
+    An exact entry at the top is at or above every other entry's key, and
+    so above or tied with every b left in the heap, ties broken by i as
+    the sort breaks them, so the order is the sort's.
     """
     import heapq  # loaded at the first ranking, not at start-up
 
-    heap = []
-    for i, row in enumerate(pair_bound_rows(gx, sup)):
-        top = max(row)
-        if top > floor:
-            heap.append((-top, -i, row, None))
+    parts = _row_parts(gx, sup)
+    # (-key, -i, row, left): row None until built, left None until sorted
+    heap = [(-key, -i, None, None) for i, key in enumerate(_row_keys(*parts)) if key > floor]
     heapq.heapify(heap)
     while heap:
         _, neg_i, row, left = heap[0]
         i = -neg_i
+        if row is None:  # the key reached the top: build the row, and key it exactly
+            row = _bound_row(i, *parts)
+            top = max(row)
+            if top > floor:
+                heapq.heapreplace(heap, (-top, neg_i, row, None))
+            else:
+                heapq.heappop(heap)
+            continue
         if left is None:  # the row's first pair taken: sort it, highest (b, j) last
             left = sorted([(b, j) for j, b in enumerate(row, i) if b > floor])
         b, j = left.pop()
@@ -498,17 +572,44 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     """q -> whether membership_for_bound(e, iv, q) passes, for each q of q_list
     in order: the membership decision of bound and sweep.
 
-    One enclosure of |f''| on the cells of the default grid serves every q,
-    and the decision by the ratio lemma (_decide) answers each q without a
+    |f''| is enclosed first on one cell, from the first cell of _cells to
+    the last, which holds every cell and so every scan point: its bound H
+    bounds |f''| on each cell, and [H^q] * (n-1) is a cover that the proof
+    of pair_bound_rows takes as it is. Where every row key (_row_keys) of
+    that cover is at most DEFAULT_TOL, no pair can hold a violation, and
+    the scan passes (H finite also proves that g raises nowhere). That
+    proves a constant |f''| (x^2 on any interval) and a g that stays within
+    the ratio lemma's factor 4 of its least grid value, as on tiny windows
+    away from a zero of f'' (sin on the edge benchmark's windows) or exp on
+    [0, 1] at q = 1. It does not prove exp on [0, 1] at q = 2 (e^2 > 4),
+    cosh on [-1, 1] from q = 2, where interval dependency widens |f''| to
+    e on the one cell, or sin on [0, 1e-9], where g is near 0 at the left
+    end. Only for a q the one cell does not prove is |f''| enclosed on the
+    n-1 cells of the default grid, once, for that q and every later one,
+    and the decision by the ratio lemma (_decide) answers it without a
     scan. Its answers, and the first error it raises, are the scans'.
     """
     for q in q_list:
         _check_q(q)
     xs = _scan_grid(iv, DEFAULT_GRID_N, DEFAULT_TOL)
-    from .enclosure import compile_second_derivative
+    from .enclosure import compile_second_derivative, sup_power
 
-    sup = _cell_bounds(compile_second_derivative(e), xs)
-    return {q: _decide(e, q, xs, sup) for q in dict.fromkeys(q_list)}
+    d2 = compile_second_derivative(e)
+    cells = _cells(xs)
+    [hull] = _bounds_on(d2, [(cells[0][0], cells[-1][1])])
+    sup = None  # the bound of |f''| on each cell, where the one cell proves nothing
+    memberships = {}
+    for q in dict.fromkeys(q_list):
+        memo = _PointMemo(_q_power(e, q))
+        gx = [memo[x] for x in xs]
+        keys = _row_keys(*_row_parts(gx, [sup_power(hull, q)] * len(cells)))
+        if all(key <= DEFAULT_TOL for key in keys):
+            memberships[q] = True
+            continue
+        if sup is None:
+            sup = _bounds_on(d2, cells)
+        memberships[q] = _decide(e, q, xs, sup, memo)
+    return memberships
 
 
 def _q_power(e: Node, q: float) -> Callable[[float], float]:
@@ -526,11 +627,11 @@ def _q_power(e: Node, q: float) -> Callable[[float], float]:
     return g
 
 
-def _decide(e: Node, q: float, xs: list[float], sup: list[float]) -> bool:
+def _decide(e: Node, q: float, xs: list[float], sup: list[float], memo: _PointMemo | None = None) -> bool:
     """membership_for_bound(e, iv, q).passed, decided without the scan, or
     the error that scan raises; xs are the grid points of iv at
-    DEFAULT_GRID_N, and sup bounds |f''| on each of their cells (inf where
-    the enclosure declines).
+    DEFAULT_GRID_N, sup bounds |f''| on each of their cells (inf where
+    the enclosure declines), and memo, where given, holds the scan's g.
 
     Only a pair whose bound is above DEFAULT_TOL can hold a violation
     (pair_bound_rows), so _walk visits just those pairs, hottest first.
@@ -544,7 +645,8 @@ def _decide(e: Node, q: float, xs: list[float], sup: list[float]) -> bool:
     """
     from .enclosure import sup_power
 
-    memo = _PointMemo(_q_power(e, q))
+    if memo is None:
+        memo = _PointMemo(_q_power(e, q))
     gx = [memo[x] for x in xs]
     hot = ranked_pairs(gx, [sup_power(s, q) for s in sup], DEFAULT_TOL)
     raw: Raw = []

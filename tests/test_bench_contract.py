@@ -21,7 +21,8 @@ import glbounds.bounds
 import glbounds.enclosure
 import glbounds.qclass
 from glbounds.cli import main
-from glbounds.qclass import membership_for_bound
+from glbounds import Interval, parse
+from glbounds.qclass import bound_memberships, membership_for_bound
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -105,6 +106,31 @@ def test_proofs_leave_every_benchmark_byte_alone(bench_on_path, tmp_path, monkey
         if isinstance(outcome, dict):
             decided.update(outcome.values())
     assert decided == {True, False}  # both outcomes were taken
+
+
+def test_edge_sine_windows_are_proven_on_one_cell(bench_on_path, monkeypatch):
+    """The membership-checked sin(x) bounds of three edge cycles at seeds 4242
+    and 9001, on windows 5e-7 to 9e-7 wide and the verbatim 1.2e-9 one, are
+    each proven on the one cell that holds the grid: one enclosure, no
+    ranking and no row of pair bounds."""
+    from test_qclass import record_work
+
+    windows = set()
+    for seed in (4242, 9001):
+        _, cycles = importlib.import_module("workloads").requests("edge", seed)
+        for _ in range(3):
+            windows.update(
+                (float(argv[4]), float(argv[6]), float(argv[10]))
+                for argv in next(cycles)
+                if argv[:3] == ["bound", "--fn", "sin(x)"] and "--skip-membership" not in argv
+            )
+    assert len(windows) == 7
+    sine = parse("sin(x)")
+    for a, b, q in sorted(windows):
+        with monkeypatch.context() as m:
+            work = record_work(m)
+            assert bound_memberships(sine, Interval(a, b), (q,)) == {q: True}
+        assert work == {"covers": [1], "rankings": 0, "rows": 0}, (a, b, q)
 
 
 def _outcome(call):

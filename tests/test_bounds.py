@@ -124,13 +124,18 @@ class TestTheoremBound:
         assert corollary_bound_q1(iv, 0.5, 0.0, 1e306) < math.inf
         assert all(proposition_bound(which, iv, 1.0, 0.0, 1e306) < math.inf for which, _, _ in PROP_SETTINGS)
 
-    def test_overflowing_weight_power_is_an_input_error(self):
-        # |f''(300)| of exp is 1.9e130, and its cube passes 1.8e308
-        g_a = math.exp(300.0)
-        with pytest.raises(ValueError, match=r"g_a\^q overflows: g_a = 1\.94\d*e\+130, q = 3\.0"):
-            theorem_bound(BoundInput(Interval(300.0, 301.0), 0.0, 3.0, g_a, math.exp(301.0)))
-        with pytest.raises(ValueError, match=r"g_b\^q overflows"):
-            proposition_bound(Proposition.MIDPOINT_PM, UNIT, 3.0, 1.0, g_a)
+    def test_overflowing_weight_powers_are_rescaled(self):
+        """|f''(300)| of exp is 1.9e130, and its cube passes 1.8e308: the
+        bracket takes the powers of g/max(g_a, g_b), as it does where they
+        underflow, where it used to raise "g_a^q overflows"."""
+        g_a, g_b = math.exp(300.0), math.exp(301.0)
+        iv = Interval(300.0, 301.0)
+        bound = theorem_bound(BoundInput(iv, 0.0, 3.0, g_a, g_b))
+        assert bound == pytest.approx(g_b * theorem_bound(BoundInput(iv, 0.0, 3.0, g_a / g_b, 1.0)), rel=1e-14)
+        rescaled = proposition_bound(Proposition.MIDPOINT_PM, UNIT, 3.0, 1.0, g_a)
+        assert rescaled == pytest.approx(g_a * proposition_bound(Proposition.MIDPOINT_PM, UNIT, 3.0, 0.0, 1.0))
+        # e^1000 overflows; the bound of exp on [0, 1] at q = 1000 is finite
+        assert theorem_bound(BoundInput(UNIT, 0.5, 1000.0, 1.0, math.e)) == pytest.approx(0.0566905, rel=1e-6)
 
     @settings(max_examples=examples(150), deadline=None)
     @given(
@@ -174,12 +179,14 @@ class TestTheoremBound:
         st.floats(1.0, 120.0),
         st.floats(0.01, 10.0),
         st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
-        st.integers(0, 300),
+        st.integers(-300, 300),
     )
     def test_homogeneous_down_to_tiny_weights(self, lam, q, ga, gb, k):
-        """Weights s*g_a and s*g_b give s times the bound, for s down to 1e-300,
-        also where (s*g)^q falls below the float range: the bound of g_a = g_b
-        = 1e-5 at q = 100 used to be 0, since (1e-5)^100 underflows."""
+        """Weights s*g_a and s*g_b give s times the bound, for s from 1e-300
+        up to 1e300, also where (s*g)^q falls below the float range or past
+        it: the bound of g_a = g_b = 1e-5 at q = 100 used to be 0, since
+        (1e-5)^100 underflows, and that of g_a = g_b = 1e5 an error, since
+        (1e5)^100 overflows."""
         s = 10.0**-k
         base = theorem_bound(BoundInput(UNIT, lam, q, ga, gb))
         scaled = theorem_bound(BoundInput(UNIT, lam, q, s * ga, s * gb))
@@ -419,7 +426,9 @@ class TestProvenMembership:
         monkeypatch.setattr(glbounds.enclosure, "compile_second_derivative", counted)
         e = parse("exp(x)")
         sweep_rows(e, UNIT, [0.0, 0.5, 1.0], (1.0, 2.0, 3.0))
-        assert calls == [(e, 63)]  # one enclosure, on the 63 cells of the default grid
+        # one enclosure on the one cell that holds the grid, which proves q = 1,
+        # then one on the 63 cells of the default grid, for q = 2 and 3
+        assert calls == [(e, 1), (e, 63)]
 
 
 class TestHermiteHadamard:

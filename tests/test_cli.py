@@ -252,14 +252,25 @@ class TestBound:
         assert main(["bound", "--fn", fn, "--a", "0.5", "--b", "2", "--lambda", "0.3", "--q", "2"]) == 2
         assert capsys.readouterr() == ("", f"error: {name} of infinite argument inf\n")
 
-    @pytest.mark.parametrize("extra", [["--skip-membership"], []])
-    def test_overflowing_power_is_an_input_error(self, extra, capsys):
-        # |f''(300)|^3 of exp passes 1.8e308; the bound fails before quadrature and scan
+    def test_overflowing_power_is_an_input_error(self, capsys):
+        # |f''|^3 of exp passes 1.8e308 at the first grid point, 300 + 1/128:
+        # the membership decision raises the error of its scan
         argv = ["bound", "--fn", "exp(x)", "--a", "300", "--b", "301", "--lambda", "0", "--q", "3"]
-        assert main(argv + extra) == 2
+        assert main(argv) == 2
+        err = "error: |f''(x)|^q overflows at x=300.0078125: |f''| = 1.9576610342755035e+130, q = 3.0\n"
+        assert capsys.readouterr() == ("", err)
+
+    def test_skipped_membership_rescales_an_overflowing_power(self, capsys):
+        # e^1000 passes 1.8e308: the bound takes the powers of g/max(g_a, g_b),
+        # where it used to exit 2 with "g_b^q overflows"; the decision's
+        # tolerance is absolute, so decided, |f''|^q still overflows in its scan
+        argv = ["bound", "--fn", "exp(x)", "--a", "0", "--b", "1", "--lambda", "0.5", "--q", "1000"]
+        assert main(argv + ["--skip-membership"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: g_a^q overflows: g_a = 1.94")
+        assert "bound      = 0.0566905\n" in captured.out and captured.err == ""
+        assert main(argv) == 2
+        err = "error: |f''(x)|^q overflows at x=0.7109375: |f''| = 2.0358990195749382, q = 1000.0\n"
+        assert capsys.readouterr() == ("", err)
 
     def test_overflowing_width_is_an_input_error(self, capsys):
         # b - a = inf used to print lhs_abs = nan, bound = nan and CheckedPass, exit 0
@@ -500,14 +511,16 @@ class TestSweep:
         assert covers == []
         assert _run_sweep(tmp_path / "sweep.csv", **sine) == 0
         xs = glbounds.qclass._scan_grid(Interval(0.000001, 3.141592), 64, 1e-12)
-        assert covers == [glbounds.qclass._cells(xs)]
+        # the one cell that holds the grid proves nothing for sine; then its 63 cells
+        cells = glbounds.qclass._cells(xs)
+        assert covers == [[(cells[0][0], cells[-1][1])], cells]
 
     OVERFLOW_ARGV = ["sweep", "--fn", "exp(x)", "--a", "300", "--b", "301", "--lambda-grid", "0:1:0.5",
                      "--q", "1,3"]
-    OVERFLOW_ERR = "error: g_a^q overflows: g_a = 1.9424263952412558e+130, q = 3.0\n"
+    OVERFLOW_ERR = "error: |f''(x)|^q overflows at x=300.0078125: |f''| = 1.9576610342755035e+130, q = 3.0\n"
 
     def test_input_error_leaves_out_untouched(self, tmp_path, capsys):
-        # |f''(300)|^3 of exp(x) overflows in the bound, as in `bound`
+        # |f''|^3 of exp(x) overflows in the membership decision, as in `bound`
         existing = tmp_path / "existing.csv"
         existing.write_bytes(b"keep me\n")
         absent = tmp_path / "absent.csv"

@@ -3,7 +3,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import glbounds
@@ -34,6 +34,8 @@ from glbounds.qclass import (
     _decide,
     _PointMemo,
     _q_power,
+    _row_keys,
+    _row_parts,
     _scan_grid,
     bound_memberships,
     pair_bound_rows,
@@ -43,6 +45,7 @@ from oracles import nonneg_convex_witness, plain_scan, ranked_pairs_eager
 from test_expressions import _tree_strategy
 
 SINE_INTERVAL = Interval(0.000001, 3.141592)
+EDGE_SINE_WINDOW = Interval(1.8493089598931096, 1.8493095160393422)  # a window of the edge benchmark
 UNIT_IV = Interval(0.0, 1.0)
 COMPOSITE = "exp(x)*sin(x)+1/(x+2)"
 
@@ -323,6 +326,58 @@ def record_taken(monkeypatch):
 
     monkeypatch.setattr(glbounds.qclass, "ranked_pairs", recorded)
     return taken
+
+
+def record_work(monkeypatch):
+    """Record the work of every membership decision in the dict returned: the
+    number of cells of each enclosure of |f''| ("covers"), the rankings
+    started ("rankings") and the rows of pair bounds built ("rows")."""
+    work = {"covers": [], "rankings": 0, "rows": 0}
+    compile_d2 = glbounds.enclosure.compile_second_derivative
+    rank, build = glbounds.qclass.ranked_pairs, glbounds.qclass._bound_row
+
+    def counted_compile(e):
+        bound = compile_d2(e)
+
+        def each(cells):
+            work["covers"].append(len(cells))
+            return bound(cells)
+
+        return each
+
+    def counted_rank(*args):
+        work["rankings"] += 1
+        return rank(*args)
+
+    def counted_build(*args):
+        work["rows"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(glbounds.enclosure, "compile_second_derivative", counted_compile)
+    monkeypatch.setattr(glbounds.qclass, "ranked_pairs", counted_rank)
+    monkeypatch.setattr(glbounds.qclass, "_bound_row", counted_build)
+    return work
+
+
+def decision_paths(e, iv, qs):
+    """bound_memberships(e, iv, qs), or its error (_outcome), and the path
+    that answered each q: "one cell" (the keys of the one cell that holds the
+    grid), "cells" (_decide on the cells of the grid, which passes) or
+    "violation" (_decide, which fails); ["error"] where it raises."""
+    decide = glbounds.qclass._decide
+    decided = {}
+
+    def recorded(e, q, *args):
+        decided[q] = decide(e, q, *args)
+        return decided[q]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(glbounds.qclass, "_decide", recorded)
+        outcome = _outcome(lambda: bound_memberships(e, iv, qs))
+    if not isinstance(outcome, dict):
+        return outcome, ["error"]
+    paths = ["one cell" if q not in decided else "cells" if decided[q] else "violation" for q in outcome]
+    return outcome, paths
 
 
 def pruned_and_unpruned(text, iv, grid_n=64, q=None):
@@ -612,7 +667,8 @@ class TestSweepSharesSecondDerivative:
             # a scan point lands on the pole
             ("1/(x-0.5)", "0", "1", "error: division by zero at x=0.5\n"),
             # |f''|^3 overflows, |f''| does not
-            ("exp(x)", "300", "301", "error: g_a^q overflows: g_a = 1.9424263952412558e+130, q = 3.0\n"),
+            ("exp(x)", "300", "301",
+             "error: |f''(x)|^q overflows at x=300.0078125: |f''| = 1.9576610342755035e+130, q = 3.0\n"),
             # non-smooth at the scan point 11/128
             ("abs(x-0.0859375)", "0", "1", "error: abs is not differentiable where its argument is 0\n"),
         ],
@@ -657,7 +713,39 @@ class TestProof:
         decision raises is the scan's."""
         assume(ends[0] < ends[1])
         iv = Interval(*ends)
-        assert _outcome(lambda: bound_memberships(e, iv, (q,))) == _scans(e, iv, (q,))
+        decided, [path] = decision_paths(e, iv, (q,))
+        event(f"path: {path}")
+        assert decided == _scans(e, iv, (q,))
+
+    @pytest.mark.parametrize(
+        "text,iv,q,path",
+        [
+            ("sin(x)", EDGE_SINE_WINDOW, 1.34, "one cell"),  # the keys of the one cell are at most the tolerance
+            ("exp(x)", UNIT_IV, 2.0, "cells"),  # e^2 > 4: the one cell fails the ratio lemma's factor 4
+            ("sin(x)", SINE_INTERVAL, 1.0, "violation"),
+        ],
+    )
+    def test_each_path_answers_as_the_scan(self, text, iv, q, path):
+        e = parse(text)
+        assert decision_paths(e, iv, (q,)) == (_scans(e, iv, (q,)), [path])
+
+    @pytest.mark.parametrize(
+        "text,iv,qs",
+        [("sin(x)", EDGE_SINE_WINDOW, (1.34,)), ("x^2", UNIT_IV, (1.0, 3.0))],
+    )
+    def test_one_cell_proves_with_no_pair_row(self, monkeypatch, text, iv, qs):
+        """A proof on the one cell that holds the grid encloses |f''| once, on
+        that cell, and ranks no pair and builds no row of pair bounds."""
+        work = record_work(monkeypatch)
+        assert bound_memberships(parse(text), iv, qs) == dict.fromkeys(qs, True)
+        assert work == {"covers": [1], "rankings": 0, "rows": 0}
+
+    def test_one_cell_leaves_a_vanishing_g_to_the_cells(self, monkeypatch):
+        # |sin| is near 0 at the left end of [0, 1e-9]: the ratio lemma's
+        # factor 4 cannot cover the one cell's bound there
+        work = record_work(monkeypatch)
+        assert bound_memberships(parse("sin(x)"), Interval(0.0, 1e-9), (1.0,)) == {1.0: True}
+        assert work["covers"] == [1, 63] and work["rankings"] == 1
 
     def test_partial_covers_and_errors_are_the_scans(self, monkeypatch):
         # a pole leaves one cell unbounded, where g may raise; the scan fails
@@ -950,10 +1038,10 @@ class TestRanking:
     and sorts only the rows the walk takes a pair from."""
 
     @staticmethod
-    def _both(e, iv, grid_n, q, floor):
-        """The lazy and the eager ranking of the pairs of g = f (q None) or
-        g = |f''|^q on iv, b = inf on the pairs that read a cell where the
-        enclosure declines; None where g raises at a grid point."""
+    def _ranked(e, iv, grid_n, q):
+        """g at the grid points and its cell bounds, for g = f (q None) or
+        g = |f''|^q on iv, inf on a cell where the enclosure declines; None
+        where g raises at a grid point."""
         xs, sup = enclosed(e, iv, grid_n, of_value=q is None)
         if q is not None:
             sup = powered(sup, q)
@@ -962,6 +1050,16 @@ class TestRanking:
             gx = [g(x) for x in xs]
         except (ExpressionError, ValueError, ArithmeticError):
             return None  # the scan raises before it ranks
+        return gx, sup
+
+    @classmethod
+    def _both(cls, e, iv, grid_n, q, floor):
+        """The lazy and the eager ranking of the pairs of _ranked; None where
+        g raises at a grid point."""
+        ranked = cls._ranked(e, iv, grid_n, q)
+        if ranked is None:
+            return None
+        gx, sup = ranked
         return list(glbounds.qclass.ranked_pairs(gx, sup, floor)), ranked_pairs_eager(gx, sup, floor)
 
     @settings(max_examples=examples(100), deadline=None)
@@ -993,6 +1091,65 @@ class TestRanking:
     def test_lazy_order_on_chosen_rows(self, text, iv, grid_n, q, floor):
         lazy, eager = self._both(parse(text), iv, grid_n, q, floor)
         assert lazy == eager
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(*_RANKED, st.sampled_from([0.0, 0.5]))
+    def test_keys_bound_their_rows(self, e, ends, grid_n, q, shift):
+        """key_i is at least every b of row i, and inf where some g_j (j >= i)
+        is negative; shift, taken off g = f, gives some examples such a g."""
+        assume(ends[0] < ends[1])
+        if q is None and shift:
+            e = Bin("-", e, Const(shift))
+        ranked = self._ranked(e, Interval(*ends), grid_n, q)
+        if ranked is None:
+            return
+        gx, sup = ranked
+        keys = _row_keys(*_row_parts(gx, sup))
+        rows = list(pair_bound_rows(gx, sup))
+        assert all(key >= max(row) for key, row in zip(keys, rows))
+        assert all(key == math.inf for i, key in enumerate(keys) if any(not v >= 0.0 for v in gx[i:]))
+
+    @pytest.mark.parametrize("floor", [-math.inf, DEFAULT_TOL])
+    @pytest.mark.parametrize(
+        "text,iv,q",
+        [
+            ("sin(x)", EDGE_SINE_WINDOW, 1.34),  # every key at most the tolerance
+            ("exp(x)", UNIT_IV, 2.0),
+            ("sin(x)", SINE_INTERVAL, 1.0),
+            ("x^2-0.25", UNIT_IV, None),  # a negative middle
+        ],
+    )
+    def test_lazy_order_under_one_cell(self, text, iv, q, floor):
+        """Every cell bound equal, as the one cell that holds the grid gives
+        them: the keys of all rows are close, and the order is still the sort's."""
+        e = parse(text)
+        xs = _scan_grid(iv, 64, DEFAULT_TOL)
+        cells = _cells(xs)
+        bound = (compile_value if q is None else compile_second_derivative)(e)
+        [hull] = bound([(cells[0][0], cells[-1][1])])
+        sup = [hull if q is None else sup_power(hull, q)] * len(cells)
+        gx = [(compile_expression(e)[0] if q is None else _q_power(e, q))(x) for x in xs]
+        assert list(glbounds.qclass.ranked_pairs(gx, sup, floor)) == ranked_pairs_eager(gx, sup, floor)
+
+    def test_a_negative_g_right_of_the_diagonal_keys_its_row_inf(self):
+        # 0.25 - x is negative from x_2 = 0.2777... on: every row keys inf, rows
+        # 0 and 1 too, though their own g is not negative
+        e, iv = parse("0.25-x"), UNIT_IV
+        xs, sup = enclosed(e, iv, 9, of_value=True)
+        gx = [0.25 - x for x in xs]
+        keys = _row_keys(*_row_parts(gx, sup))
+        assert [key == math.inf for key in keys] == [True] * 9
+        assert [v >= 0.0 for v in gx] == [True, True] + [False] * 7
+        for floor in (-math.inf, DEFAULT_TOL):
+            assert list(glbounds.qclass.ranked_pairs(gx, sup, floor)) == ranked_pairs_eager(gx, sup, floor)
+
+    def test_a_passing_scan_builds_only_the_rows_its_keys_reach(self, monkeypatch, capsys):
+        """x^2 on [0, 1] at grid 128 takes 2 pairs; the keys of the other
+        rows put 64 of the 128 rows of pair bounds ahead of the stop."""
+        work = record_work(monkeypatch)
+        taken = record_taken(monkeypatch)
+        assert main(["qclass", "--g", "x^2", "--a", "0", "--b", "1", "--grid", "128"]) == 0
+        assert work["rows"] == 64 and len(taken[0]) == 2
 
     def test_a_passing_scan_sorts_only_the_rows_it_takes_from(self, monkeypatch, capsys):
         taken = record_taken(monkeypatch)
