@@ -35,7 +35,6 @@ from .expressions import (
 )
 from .kernel import (
     IdentityReport,
-    RuleParams,
     kernel_k,
     lhs_functional,
     rhs_identity,
@@ -81,7 +80,6 @@ __all__ = [
     "QClassReport",
     "QuadratureError",
     "Regime",
-    "RuleParams",
     "Violation",
     "check_expression",
     "check_godunova_levin",

@@ -24,7 +24,7 @@ from .bounds import MembershipStatus, evaluate_bound_report, sweep_rows
 from .coefficients import coefficient_set
 from .corpus import corpus_entries
 from .expressions import ExpressionError, parse
-from .kernel import RuleParams, verify_identity
+from .kernel import verify_identity
 from .qclass import DEFAULT_GRID_N, DEFAULT_TOL, _check_q, check_expression, membership_for_bound
 from .quadrature import Interval, QuadratureError
 
@@ -67,7 +67,7 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
         raise ValueError(f"tol must be finite and >= 0, got {args.tol!r}")
     e = parse(args.fn)
     iv = Interval(args.a, args.b)
-    rep = verify_identity(e, iv, RuleParams(args.lam))
+    rep = verify_identity(e, iv, args.lam)
     print(f"lhs      = {_fmt6(rep.lhs)}")
     print(f"rhs      = {_fmt6(rep.rhs)}")
     print(f"abs_diff = {_fmt6(rep.abs_diff)}")

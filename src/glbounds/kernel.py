@@ -6,19 +6,21 @@ The error functional
 
 equals (b-a)^2 times the kernel-weighted integral of f'' over the unit
 interval. Both sides are computed independently here so the equality can be
-verified numerically for any parsed expression.
+verified numerically for any parsed expression. lam is a plain float, which
+kernel_k, lhs_functional, rhs_identity and verify_identity check first. The
+kernel k is written once, in the integrand of the kernel side
+(_kernel_integrand); kernel_k is that integrand for f'' == 1.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .coefficients import _check_lambda
 from .expressions import Node, _compile_jet, _compile_value
 from .quadrature import Interval, QuadratureError, integrate, integrate_piecewise
 
 __all__ = [
-    "RuleParams",
     "IdentityReport",
     "FunctionalTerms",
     "kernel_k",
@@ -29,39 +31,39 @@ __all__ = [
 ]
 
 
-class _RuleParams(NamedTuple):
-    lam: float
-
-
-class RuleParams(_RuleParams):
-    """Rule parameter in [0, 1]: 0 is midpoint, 1/3 Simpson, 1/2 averaged
-    midpoint-trapezoid, 1 trapezoid."""
-
-    __slots__ = ()  # no instance dict, so no attribute can be set
-
-    def __new__(cls, lam: float) -> RuleParams:
-        _check_lambda(lam)
-        return super().__new__(cls, lam)
-
-
 class IdentityReport(NamedTuple):
     lhs: float
     rhs: float
     abs_diff: float
 
 
-def kernel_k(t: float, p: RuleParams) -> float:
-    """Piecewise quadratic weight on [0, 1]; t = 1/2 is served by the first branch.
+def _kernel_integrand(
+    jet: Callable[[float], tuple[float, float, float]], a: float, b: float, lam: float
+) -> Callable[[float], float]:
+    """t -> k(t) f''(t a + (1 - t) b), f'' read from jet; the one coding of k.
 
-    The second branch writes its last factor as (1/2 - lam) + (1/2 - t) so both
-    branches agree bitwise at the joint for every lam.
+    k is piecewise quadratic on [0, 1]; t = 1/2 is served by the first
+    branch. The second branch writes its last factor as
+    (1/2 - lam) + (1/2 - t) so both branches agree bitwise at the joint for
+    every lam.
     """
+
+    def integrand(t: float) -> float:
+        if t <= 0.5:
+            k = 0.5 * t * (t - lam)
+        else:
+            k = 0.5 * (1.0 - t) * ((0.5 - lam) + (0.5 - t))
+        return k * jet(t * a + (1.0 - t) * b)[2]
+
+    return integrand
+
+
+def kernel_k(t: float, lam: float) -> float:
+    """The kernel k(t) on [0, 1]: the kernel side's integrand for f'' == 1."""
+    _check_lambda(lam)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must be in [0, 1], got {t!r}")
-    lam = p.lam
-    if t <= 0.5:
-        return 0.5 * t * (t - lam)
-    return 0.5 * (1.0 - t) * ((0.5 - lam) + (0.5 - t))
+    return _kernel_integrand(lambda x: (0.0, 0.0, 1.0), 0.0, 0.0, lam)(t)
 
 
 class FunctionalTerms(NamedTuple):
@@ -89,33 +91,23 @@ def functional_terms(e: Node, iv: Interval) -> FunctionalTerms:
     return FunctionalTerms(fa, fb, fm, integral, iv.width)
 
 
-def lhs_functional(e: Node, iv: Interval, p: RuleParams) -> float:
+def lhs_functional(e: Node, iv: Interval, lam: float) -> float:
     """Quadrature error functional E(lam, f) with the integral taken numerically."""
-    return functional_terms(e, iv).at(p.lam)
+    _check_lambda(lam)
+    return functional_terms(e, iv).at(lam)
 
 
-def rhs_identity(e: Node, iv: Interval, p: RuleParams) -> float:
+def rhs_identity(e: Node, iv: Interval, lam: float) -> float:
     """Kernel-weighted integral of f'' over [0, 1], scaled by width^2.
 
-    The integral is cut at t = 1/2 only (integrate_piecewise), where kernel_k
+    The integral is cut at t = 1/2 only (integrate_piecewise), where k
     changes branch; lam and 1 - lam are zeros of k, not kinks, so they need
-    no cut. The integrand writes kernel_k's two branches inline, split at
-    t <= 1/2 as kernel_k splits them, so each sample is the value kernel_k
-    gives. A QuadratureError from this integral, a sum past the float range
+    no cut. A QuadratureError from this integral, a sum past the float range
     included, is raised again with a prefix saying that its panel is in t.
     """
-    a, b = iv.a, iv.b
+    _check_lambda(lam)
     w = iv.width
-    lam = p.lam
-    jet = _compile_jet(e)
-
-    def integrand(t: float) -> float:
-        if t <= 0.5:
-            k = 0.5 * t * (t - lam)
-        else:
-            k = 0.5 * (1.0 - t) * ((0.5 - lam) + (0.5 - t))
-        return k * jet(t * a + (1.0 - t) * b)[2]
-
+    integrand = _kernel_integrand(_compile_jet(e), iv.a, iv.b, lam)
     try:
         total = integrate_piecewise(integrand, Interval(0.0, 1.0), [0.5])
     except QuadratureError as exc:
@@ -123,8 +115,9 @@ def rhs_identity(e: Node, iv: Interval, p: RuleParams) -> float:
     return w * w * total
 
 
-def verify_identity(e: Node, iv: Interval, p: RuleParams) -> IdentityReport:
+def verify_identity(e: Node, iv: Interval, lam: float) -> IdentityReport:
     """Compute both sides of the identity and their absolute difference."""
-    lhs = lhs_functional(e, iv, p)
-    rhs = rhs_identity(e, iv, p)
+    _check_lambda(lam)
+    lhs = lhs_functional(e, iv, lam)
+    rhs = rhs_identity(e, iv, lam)
     return IdentityReport(lhs, rhs, abs(lhs - rhs))

@@ -14,7 +14,6 @@ from glbounds import (
     Interval,
     MembershipStatus,
     Proposition,
-    RuleParams,
     coefficient_set,
     corpus_entries,
     evaluate,
@@ -47,7 +46,7 @@ def test_c01_identity_suite():
         entry = _entry(name)
         e = parse(entry.expression)
         for i in range(11):
-            rep = verify_identity(e, entry.interval, RuleParams(i / 10.0))
+            rep = verify_identity(e, entry.interval, i / 10.0)
             assert rep.abs_diff <= 1e-8, f"{name} lambda={i / 10.0}: diff={rep.abs_diff}"
             cases += 1
     assert cases == 55
@@ -129,7 +128,7 @@ def test_c05_main_inequality_suite():
         g_a = abs(evaluate_jet2(e, iv.a).d2)
         g_b = abs(evaluate_jet2(e, iv.b).d2)
         for lam in lams:
-            lhs_abs = abs(lhs_functional(e, iv, RuleParams(lam)))
+            lhs_abs = abs(lhs_functional(e, iv, lam))
             for q in qs:
                 bound = theorem_bound(BoundInput(iv, lam, q, g_a, g_b))
                 assert lhs_abs <= bound + 1e-12, f"{entry.name} lambda={lam} q={q}"

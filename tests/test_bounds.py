@@ -13,7 +13,6 @@ from glbounds import (
     MembershipStatus,
     Proposition,
     Regime,
-    RuleParams,
     coefficient_set,
     corollary_bound_q1,
     evaluate_bound_report,
@@ -323,7 +322,7 @@ class TestSweepRows:
         passed = {q: membership_for_bound(e, iv, q).passed for q in qs}
         for r in rows:
             bound = theorem_bound(BoundInput(iv, r.lam, r.q, g_a, g_b))
-            lhs_abs = abs(lhs_functional(e, iv, RuleParams(r.lam)))
+            lhs_abs = abs(lhs_functional(e, iv, r.lam))
             status = MembershipStatus.CHECKED_PASS if passed[r.q] else MembershipStatus.CHECKED_FAIL
             assert (r.lhs_abs, r.bound, r.regime, r.q_membership) == (
                 lhs_abs, bound, coefficient_set(r.lam).regime, status

@@ -16,7 +16,6 @@ from glbounds import (
     BoundInput,
     Interval,
     QClassReport,
-    RuleParams,
     Violation,
     check_expression,
     coefficient_set,
@@ -85,9 +84,9 @@ class TestVerifyIdentity:
         # Simpson, 1.42109e-14 with Lobatto-Kronrod and four kernel pieces)
         assert main(["verify-identity", "--fn", "x^2", "--a", "-10", "--b", "10", "--lambda", "0.75"]) == 0
         assert capsys.readouterr().out == "lhs      = -41.6667\nrhs      = -41.6667\nabs_diff = 7.10543e-15\n"
-        e, iv, p = parse("x^2"), Interval(-10.0, 10.0), RuleParams(0.75)
-        assert abs(lhs_functional(e, iv, p) + 125.0 / 3.0) <= 1.5e-14
-        assert abs(rhs_identity(e, iv, p) + 125.0 / 3.0) <= 1.5e-14
+        e, iv, lam = parse("x^2"), Interval(-10.0, 10.0), 0.75
+        assert abs(lhs_functional(e, iv, lam) + 125.0 / 3.0) <= 1.5e-14
+        assert abs(rhs_identity(e, iv, lam) + 125.0 / 3.0) <= 1.5e-14
 
     # lhs_rel: E adds terms near 4.9e8 up to 203 on [20, 20.01], near 1.8e13
     # up to 6.9e10 on [30, 31]; a few ulps of those terms is its rounding
@@ -108,9 +107,9 @@ class TestVerifyIdentity:
         fields = dict(line.split(" = ") for line in captured.out.splitlines())
         for side in ("lhs     ", "rhs     "):
             assert float(fields[side]) == pytest.approx(exact, rel=1e-5)  # 6 printed digits
-        e, iv, p = parse("exp(x)"), Interval(float(a), float(b)), RuleParams(0.3)
-        assert abs(lhs_functional(e, iv, p) - exact) <= lhs_rel * exact
-        assert abs(rhs_identity(e, iv, p) - exact) <= 1e-12 * exact
+        e, iv, lam = parse("exp(x)"), Interval(float(a), float(b)), 0.3
+        assert abs(lhs_functional(e, iv, lam) - exact) <= lhs_rel * exact
+        assert abs(rhs_identity(e, iv, lam) - exact) <= 1e-12 * exact
 
     def test_kernel_error_names_its_integral(self, capsys):
         # f'' = 1/(x - 0.3) is not integrable, f is: the f side converges,
@@ -205,6 +204,28 @@ class TestCoeffs:
 
     def test_out_of_range(self, capsys):
         assert main(["coeffs", "--lambda", "1.5"]) == 2
+
+
+class TestLambdaError:
+    """Every command that takes one --lambda checks it with the package's one
+    lambda check: an input error with the same stderr line."""
+
+    ARGVS = {
+        "verify-identity": ["verify-identity", "--fn", "x^2", "--a", "0", "--b", "1"],
+        "coeffs": ["coeffs"],
+        "bound": ["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--q", "1"],
+        "bound skipped": ["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--q", "1", "--skip-membership"],
+    }
+
+    @pytest.mark.parametrize("lam", ["1.5", "nan"])
+    @pytest.mark.parametrize("argv", ARGVS.values(), ids=ARGVS.keys())
+    def test_out_of_range_is_one_input_error(self, capsys, argv, lam):
+        assert main([*argv, "--lambda", lam]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: lambda must be in [0, 1], got {float(lam)!r}\n")
+
+    def test_negative_zero_is_in_range(self, capsys):
+        assert main([*self.ARGVS["verify-identity"], "--lambda", "-0.0"]) == 0
 
 
 class TestBound:
@@ -415,7 +436,7 @@ class TestSweep:
         for line in lines:
             lam_s, q_s, regime, lhs_s, bound_s, ratio_s, status = line.split(",")
             lam, q = float(lam_s), float(q_s)
-            lhs_abs = abs(lhs_functional(e, iv, RuleParams(lam)))
+            lhs_abs = abs(lhs_functional(e, iv, lam))
             bound = theorem_bound(BoundInput(iv, lam, q, g_a, g_b))
             assert format(lhs_abs, ".17g") == lhs_s
             assert format(bound, ".17g") == bound_s

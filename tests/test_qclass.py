@@ -1,5 +1,6 @@
 import bisect
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -13,7 +14,6 @@ from glbounds import (
     ExpectedMembership,
     Interval,
     QClassReport,
-    RuleParams,
     Violation,
     check_expression,
     check_godunova_levin,
@@ -275,15 +275,15 @@ class TestViolation:
 
 
 class TestValidatingTypes:
-    """Interval, RuleParams and BoundInput validate in a __new__ on a subclass
-    of a named tuple, and keep the surface of the dataclasses they replaced:
-    the repr that error messages quote, and no attribute to assign."""
+    """Interval and BoundInput validate in a __new__ on a subclass of a named
+    tuple, and keep the surface of the dataclasses they replaced: the repr
+    that error messages quote, and no attribute to assign."""
 
     @pytest.mark.parametrize(
         "value,text",
         [
             (Interval(-2.5, 3.0), "Interval(a=-2.5, b=3.0)"),
-            (RuleParams(0.5), "RuleParams(lam=0.5)"),
+            (Interval(-0.0, 5e-324), "Interval(a=-0.0, b=5e-324)"),  # the sign of 0 and a subnormal kept
             (
                 BoundInput(Interval(0.0, 1.0), 0.25, 2.0, 1.0, 0.0),
                 "BoundInput(iv=Interval(a=0.0, b=1.0), lam=0.25, q=2.0, g_a=1.0, g_b=0.0)",
@@ -295,7 +295,11 @@ class TestValidatingTypes:
 
     @pytest.mark.parametrize(
         "value,field",
-        [(Interval(0.0, 1.0), "a"), (RuleParams(0.5), "lam"), (BoundInput(Interval(0.0, 1.0), 0.5, 1.0, 1.0, 1.0), "q")],
+        [
+            (Interval(0.0, 1.0), "a"),
+            (BoundInput(Interval(0.0, 1.0), 0.5, 1.0, 1.0, 1.0), "lam"),
+            (BoundInput(Interval(0.0, 1.0), 0.5, 1.0, 1.0, 1.0), "q"),
+        ],
     )
     def test_immutable(self, value, field):
         with pytest.raises(AttributeError):
@@ -307,7 +311,6 @@ class TestValidatingTypes:
         a, b = Interval(0.0, 1.0)
         assert (a, b) == (0.0, 1.0)
         assert Interval(0.0, 1.0) == (0.0, 1.0) and hash(Interval(0.0, 1.0)) == hash((0.0, 1.0))
-        assert RuleParams(0.5) == RuleParams(lam=0.5) and RuleParams(0.5) != RuleParams(0.25)
 
 
 def record_taken(monkeypatch):
@@ -850,6 +853,40 @@ class TestProof:
         else:
             assert holds[-1] and not any(holds[:-1])
         assert len(taken[0]) == self.PAIRS_TAKEN[text, q]
+
+    # the work of passing decisions today, the baseline that ROADMAP open item
+    # 4 (decisions that evaluate only what can violate) is expected to lower:
+    # the row keys stay above the tolerance on most rows, so each decision
+    # builds 45-50 of the 64 rows to take at most 14 pairs
+    @pytest.mark.parametrize(
+        "text,iv,q,rows,pairs",
+        [
+            ("x^4", UNIT_IV, 2.0, 45, 1),
+            ("x^4", UNIT_IV, 3.0, 50, 1),
+            ("(exp(x)+exp(-x))/2", Interval(-1.0, 2.0), 2.0, 47, 0),  # cosh
+            (COMPOSITE, Interval(0.0, 3.0), 1.2, 48, 14),
+        ],
+    )
+    def test_passing_decisions_build_rows_for_few_pairs(self, monkeypatch, text, iv, q, rows, pairs):
+        work = record_work(monkeypatch)
+        taken = record_taken(monkeypatch)
+        assert bound_memberships(parse(text), iv, (q,)) == {q: True}
+        assert work == {"covers": [1, 63], "rankings": 1, "rows": rows}
+        assert [len(t) for t in taken] == [pairs]
+
+    def test_a_zero_margin_walks_every_pair(self, monkeypatch):
+        """|f''| of abs(x-0.3) is 0 off its kink, so the largest margin, top,
+        is 0.0. The 855 pairs that read the kink's cell have b = inf, and
+        rounding leaves the other 1,225 a subnormal above 0, so no b falls
+        below top and the scan walks all 2,080 pairs: a baseline that
+        ROADMAP open item 4 is expected to lower."""
+        taken = record_taken(monkeypatch)
+        rep = membership_for_bound(parse("abs(x-0.3)"), UNIT_IV, 2.0)
+        assert rep.passed and rep.max_margin == 0.0
+        [pairs] = taken
+        assert len(pairs) == 64 * 65 // 2
+        assert Counter(b == math.inf for b, _, _ in pairs) == {True: 855, False: 1225}
+        assert all(0.0 < b < sys.float_info.min for b, _, _ in pairs if b < math.inf)
 
     @pytest.mark.parametrize(
         "text,iv,qs",
