@@ -226,9 +226,19 @@ def proposition_bound(
 
 
 def _endpoint_weights(e: Node, iv: Interval) -> tuple[float, float]:
-    """|f''(a)| and |f''(b)|, the weights every bound is built from."""
+    """|f''(a)| and |f''(b)|, the weights every bound is built from.
+
+    Raises ValueError naming the point and the value where one is not finite.
+    """
     jet = _compile_jet(e)
-    return abs(jet(iv.a)[2]), abs(jet(iv.b)[2])
+
+    def weight(x: float) -> float:
+        d2 = abs(jet(x)[2])
+        if not math.isfinite(d2):
+            raise ValueError(f"|f''(x)| is not finite at x={x!r}: {d2!r}")
+        return d2
+
+    return weight(iv.a), weight(iv.b)
 
 
 def evaluate_bound_report(

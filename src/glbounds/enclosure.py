@@ -2,7 +2,9 @@
 
 compile_second_derivative(node) returns cells -> one bound per cell [lo, hi]
 of |f''|, where f'' is the float value that the jet closure computes,
-x -> compile_expression(node)[1](x)[2], at every float x in the cell. It
+x -> compile_expression(node)[1](x)[2], at every float x in the cell, and
+with it a lower bound of |f''| per cell (its lows): the interval [l, h] of
+f'' gives l where l > 0, -h where h < 0, and 0 where it holds 0. It
 encloses that float value, not the real f''. compile_value(node) bounds f
 the same way: the jet's value component is computed by the same float
 operations as the value closure compile_expression(node)[0], so wherever
@@ -30,7 +32,9 @@ accurate to 1 ulp (glibc documents less for all five on x86-64); their
 enclosures take the real function's range, bounded by libm values at the
 extremes, and widen it by 2^-50 relative (twice the 2 ulps that two libm
 errors, at the extreme and at the point, can add up to) plus an absolute
-2^-1070 for results in the subnormal range.
+2^-1070 for results in the subnormal range. sup_power and inf_power bound
+the float |f''| ** q above and below from bounds of |f''|, widened the same
+way under the same assumption: ** is monotone in the base for q > 0.
 
 It declines wherever the float jet could raise or go non-finite in the cell:
 a divisor interval holding 0; ln or sqrt of an argument touching <= 0, the
@@ -40,8 +44,8 @@ integer power of a base holding 0; exp or ** overflowing; and any interval
 end that is not finite. A cell declines as a whole, whatever component the
 failing operation feeds, and no other cell with it; every cell declines
 where an exponent free of x raises. What cannot be bounded is unbounded: the
-bound is inf on a cell where it declines. So a finite bound also proves that
-the jet raises nothing in the cell.
+bound is inf on a cell where it declines, and the lower bound of |f''| 0.
+So a finite bound also proves that the jet raises nothing in the cell.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from typing import Callable
 
 from .expressions import ExpressionError, Node, _jet_compiler, _jet_rules
 
-__all__ = ["compile_second_derivative", "compile_value", "sup_power"]
+__all__ = ["compile_second_derivative", "compile_value", "sup_power", "inf_power"]
 
 _LIBM_WIDEN = 2.0**-50  # relative; libm is assumed accurate to 1 ulp (2^-52 relative)
 _TINY = 2.0**-1070
@@ -276,18 +280,44 @@ def sup_power(s: float, q: float) -> float:
         return _INF
 
 
-def _compile_bound(node: Node, part: Callable[[_IJet], float]) -> Callable[[list[_Iv]], list[float]]:
-    """cells -> per cell, part of the interval jet of node on it, or inf where
-    the enclosure declines."""
-    jet = _compile_jet(node)
-    return lambda cells: [_INF if j is None else part(j) for j in jet(cells)]
+def inf_power(s: float, q: float) -> float:
+    """A lower bound of the float d ** q for every float d >= s, q > 0,
+    widened down as sup_power widens up; 0 where s <= 0 or is NaN, or where
+    s ** q underflows or overflows."""
+    if not s > 0.0:
+        return 0.0
+    try:
+        return max(_libm(s**q, 0.0)[0], 0.0)  # the upper end is not read
+    except (Declined, OverflowError):
+        return 0.0
 
 
-def compile_second_derivative(node: Node) -> Callable[[list[_Iv]], list[float]]:
+class Bounds(list):
+    """One upper bound per cell, as a list, and lows: one lower bound per cell."""
+
+    __slots__ = ("lows",)
+
+
+def _abs_ends(d: _Iv) -> _Iv:
+    """A lower and an upper bound of |v| for every v in the interval d."""
+    lo, hi = d
+    return (lo if lo > 0.0 else -hi if hi < 0.0 else 0.0), max(-lo, hi)
+
+
+def compile_second_derivative(node: Node) -> Callable[[list[_Iv]], Bounds]:
     """cells -> per cell [lo, hi], an upper bound of |f''| as the float jet
-    computes it at any float in the cell; inf where it cannot vouch for that
-    bound (see the module docstring)."""
-    return _compile_bound(node, lambda jet: max(-jet[2][0], jet[2][1]))
+    computes it at any float in the cell, and in the lows of the result a
+    lower bound of it; (0, inf) where it cannot vouch for those bounds (see
+    the module docstring)."""
+    jet = _compile_jet(node)
+
+    def bounds(cells: list[_Iv]) -> Bounds:
+        ends = [(0.0, _INF) if j is None else _abs_ends(j[2]) for j in jet(cells)]
+        sups = Bounds(hi for _, hi in ends)
+        sups.lows = [lo for lo, _ in ends]
+        return sups
+
+    return bounds
 
 
 def compile_value(node: Node) -> Callable[[list[_Iv]], list[float]]:
@@ -295,4 +325,5 @@ def compile_value(node: Node) -> Callable[[list[_Iv]], list[float]]:
     computes it at any float in the cell; inf where it cannot vouch for that
     bound. The jet raises wherever the value closure does, so a finite bound
     also proves that the value closure raises nothing in the cell."""
-    return _compile_bound(node, lambda jet: jet[0][1])
+    jet = _compile_jet(node)
+    return lambda cells: [_INF if j is None else j[0][1] for j in jet(cells)]

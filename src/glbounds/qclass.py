@@ -45,14 +45,15 @@ at most the first term, and its s = fl(r_i + r_j) is at least
 fl(r_i + m_i). bound_memberships needs no report. It encloses |f''| first
 on one cell that holds every cell of the grid, a valid cover as it is, and
 a q whose row keys there are all at most the tolerance passes with no
-ranking at all. For any other q, _decide walks only the pairs above the
-tolerance and answers after the pair that holds the first violation (with
-none, or no such pair, the scan passes). The pairs with b = inf come first
-and hold every point where g may raise, so _decide answers False only once
-they are all visited, and raises the scan's error where the scan would: it
-answers every input as the scan would, and bound and sweep run no scan.
-The cells, and what a bound means for a pair, are decided in this module
-only.
+ranking at all: from the cell's lower bound of |f''| alone where it can,
+with no g evaluated, else from g at the grid points. For any other q,
+_decide walks only the pairs above the tolerance and answers after the
+pair that holds the first violation (with none, or no such pair, the scan
+passes). The pairs with b = inf come first and hold every point where g
+may raise, so _decide answers False only once they are all visited, and
+raises the scan's error where the scan would: it answers every input as
+the scan would, and bound and sweep run no scan. The cells, and what a
+bound means for a pair, are decided in this module only.
 
 The enclosure and heapq are imported when the first scan or decision runs,
 so every command but bound, sweep and qclass starts without them.
@@ -209,6 +210,14 @@ def _cells(xs: list[float]) -> Cells:
     lows = [math.nextafter(x - delta, -math.inf) for x in xs]
     highs = [math.nextafter(x + delta, math.inf) for x in xs]
     return list(zip(lows, highs[1:]))
+
+
+def _hull(xs: list[float]) -> tuple[float, float]:
+    """The cell from the first low of _cells(xs) to its last high, which
+    holds every cell: the one cell of the grid's two end points, whose delta
+    is the grid's."""
+    [hull] = _cells([xs[0], xs[-1]])
+    return hull
 
 
 def _cell_bounds(bound: Bound | None, xs: list[float]) -> list[float]:
@@ -573,43 +582,62 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     in order: the membership decision of bound and sweep.
 
     |f''| is enclosed first on one cell, from the first cell of _cells to
-    the last, which holds every cell and so every scan point: its bound H
-    bounds |f''| on each cell, and [H^q] * (n-1) is a cover that the proof
-    of pair_bound_rows takes as it is. Where every row key (_row_keys) of
-    that cover is at most DEFAULT_TOL, no pair can hold a violation, and
-    the scan passes (H finite also proves that g raises nowhere). That
-    proves a constant |f''| (x^2 on any interval) and a g that stays within
-    the ratio lemma's factor 4 of its least grid value, as on tiny windows
-    away from a zero of f'' (sin on the edge benchmark's windows) or exp on
-    [0, 1] at q = 1. It does not prove exp on [0, 1] at q = 2 (e^2 > 4),
-    cosh on [-1, 1] from q = 2, where interval dependency widens |f''| to
-    e on the one cell, or sin on [0, 1e-9], where g is near 0 at the left
-    end. Only for a q the one cell does not prove is |f''| enclosed on the
-    n-1 cells of the default grid, once, for that q and every later one,
-    and the decision by the ratio lemma (_decide) answers it without a
-    scan. Its answers, and the first error it raises, are the scans'.
+    the last (_hull), which holds every cell and so every scan point: its
+    upper bound H bounds |f''| on each cell, and [H^q] * (n-1) is a cover
+    that the proof of pair_bound_rows takes as it is. Where every row key
+    (_row_keys) of that cover is at most DEFAULT_TOL, no pair can hold a
+    violation, and the scan passes (H^q finite also proves that g raises
+    nowhere). The keys are tried twice, and the first try evaluates no g:
+    the cell's lower bound L of |f''| puts every grid value g_i at or above
+    low = inf_power(L, q), so the keys of the two values [low, low] under
+    the one bound S = sup_power(H, q) are at least the keys of the grid's
+    own values (each rounding in a key is monotone). Only where those fail
+    is g evaluated at the n grid points, and their keys tried.
+
+    That proves a constant |f''| (x^2 on any interval) and a g that stays
+    within the ratio lemma's factor 4 of its least value, as on tiny
+    windows away from a zero of f'' (sin on the edge benchmark's windows)
+    or exp on [0, 1] at q = 1.2, all with no g. The grid's values prove
+    cosh on [-1, 1] at q = 1.2, where interval dependency widens |f''| to
+    [0.37, 2.7] on the one cell against the true [1, 1.54]. Neither proves
+    exp on [0, 1] at q = 2 (e^2 > 4), cosh on [-1, 1] from q = 2, or sin
+    on [0, 1e-9], where g is near 0 at the left end. Only for a q the one
+    cell does not prove is |f''| enclosed on the n-1 cells of the default
+    grid, once, for that q and every later one, and the decision by the
+    ratio lemma (_decide) answers it without a scan. Its answers, and the
+    first error it raises, are the scans'.
     """
     for q in q_list:
         _check_q(q)
     xs = _scan_grid(iv, DEFAULT_GRID_N, DEFAULT_TOL)
-    from .enclosure import compile_second_derivative, sup_power
+    from .enclosure import compile_second_derivative, inf_power, sup_power
 
     d2 = compile_second_derivative(e)
-    cells = _cells(xs)
-    [hull] = _bounds_on(d2, [(cells[0][0], cells[-1][1])])
+    ends = d2([_hull(xs)])
+    # sup_power reads a NaN as inf; a bound that gives no lows gives 0
+    [high], [low] = ends, getattr(ends, "lows", [0.0])
     sup = None  # the bound of |f''| on each cell, where the one cell proves nothing
     memberships = {}
     for q in dict.fromkeys(q_list):
+        low_q, high_q = inf_power(low, q), sup_power(high, q)
+        if _keys_pass([low_q, low_q], [high_q]):  # no g evaluated
+            memberships[q] = True
+            continue
         memo = _PointMemo(_q_power(e, q))
         gx = [memo[x] for x in xs]
-        keys = _row_keys(*_row_parts(gx, [sup_power(hull, q)] * len(cells)))
-        if all(key <= DEFAULT_TOL for key in keys):
+        if _keys_pass(gx, [high_q] * (len(xs) - 1)):
             memberships[q] = True
             continue
         if sup is None:
-            sup = _bounds_on(d2, cells)
+            sup = _bounds_on(d2, _cells(xs))
         memberships[q] = _decide(e, q, xs, sup, memo)
     return memberships
+
+
+def _keys_pass(gx: list[float], sup: list[float]) -> bool:
+    """Whether every row key (_row_keys) of g values gx under the cell
+    bounds sup is at most DEFAULT_TOL, so that no pair can violate."""
+    return all(key <= DEFAULT_TOL for key in _row_keys(*_row_parts(gx, sup)))
 
 
 def _q_power(e: Node, q: float) -> Callable[[float], float]:

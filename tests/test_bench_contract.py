@@ -111,8 +111,9 @@ def test_proofs_leave_every_benchmark_byte_alone(bench_on_path, tmp_path, monkey
 def test_edge_sine_windows_are_proven_on_one_cell(bench_on_path, monkeypatch):
     """The membership-checked sin(x) bounds of three edge cycles at seeds 4242
     and 9001, on windows 5e-7 to 9e-7 wide and the verbatim 1.2e-9 one, are
-    each proven on the one cell that holds the grid: one enclosure, no
-    ranking and no row of pair bounds."""
+    each proven by the two ends of |f''| on the one cell that holds the
+    grid: one enclosure, no evaluation of g, no ranking and no row of pair
+    bounds."""
     from test_qclass import record_work
 
     windows = set()
@@ -130,7 +131,7 @@ def test_edge_sine_windows_are_proven_on_one_cell(bench_on_path, monkeypatch):
         with monkeypatch.context() as m:
             work = record_work(m)
             assert bound_memberships(sine, Interval(a, b), (q,)) == {q: True}
-        assert work == {"covers": [1], "rankings": 0, "rows": 0}, (a, b, q)
+        assert work == {"covers": [1], "points": 0, "rankings": 0, "rows": 0}, (a, b, q)
 
 
 def _outcome(call):

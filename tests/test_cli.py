@@ -293,6 +293,22 @@ class TestBound:
         err = "error: |f''(x)|^q overflows at x=0.7109375: |f''| = 2.0358990195749382, q = 1000.0\n"
         assert capsys.readouterr() == ("", err)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--lambda", "0.3", "--q", "1.5"],
+            ["bound", "--lambda", "0.3", "--q", "1.5", "--skip-membership"],
+            ["sweep", "--lambda-grid", "0:1:0.5", "--q", "1.5", "--out", "sweep.csv"],
+        ],
+    )
+    def test_non_finite_endpoint_weight_is_an_input_error(self, argv, tmp_path, monkeypatch, capsys):
+        # f'' = -1e616*sin(1e308*x) overflows at a: the weight's own error,
+        # where it used to be BoundInput's "g_a must be finite and >= 0, got inf"
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--fn", "sin(1e308*x)", "--a", "0.5", "--b", "1.5"]) == 2
+        assert capsys.readouterr() == ("", "error: |f''(x)| is not finite at x=0.5: inf\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_overflowing_width_is_an_input_error(self, capsys):
         # b - a = inf used to print lhs_abs = nan, bound = nan and CheckedPass, exit 0
         assert main(["bound", "--fn", "1", "--a=-1e308", "--b", "1e308", "--lambda", "0.3", "--q", "1"]) == 2

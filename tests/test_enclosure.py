@@ -13,6 +13,7 @@ from glbounds.enclosure import (
     _walk,
     compile_second_derivative,
     compile_value,
+    inf_power,
     sup_power,
 )
 from glbounds.expressions import (
@@ -58,8 +59,9 @@ def test_enclosure_covers_the_float_jet(ast, cell, data):
         values = jet(x)  # where it raises, the enclosure must have declined
         for v, (e_lo, e_hi) in zip(values, enclosure):
             assert e_lo <= v <= e_hi, (x, values, enclosure)
-    [sup] = compile_second_derivative(ast)([cell])
-    assert all(abs(jet(x)[2]) <= sup for x in _cell_points(lo, hi, inner))
+    bounds = compile_second_derivative(ast)([cell])
+    [low], [sup] = bounds.lows, bounds
+    assert all(low <= abs(jet(x)[2]) <= sup for x in _cell_points(lo, hi, inner))
     # the value closure computes the jet's value part, so that bounds it too
     [sup_f] = compile_value(ast)([cell])
     assert all(value(x) <= sup_f for x in _cell_points(lo, hi, inner))
@@ -220,3 +222,53 @@ def test_sup_power_bounds_every_smaller_base():
         assert sup <= s**q * (1.0 + 1e-12) + 1e-300
     assert sup_power(1e200, 2.0) == math.inf  # overflows
     assert sup_power(math.inf, 1.0) == math.inf
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(st.floats(5e-324, 1e300), st.floats(1.0, 64.0), st.integers(0, 2**20))
+def test_inf_power_bounds_every_larger_base(s, q, k):
+    low = inf_power(s, q)
+    assert low >= 0.0
+    for d in (s, math.nextafter(s, math.inf), s * (1.0 + k * 2.0**-40)):
+        try:
+            power = d**q
+        except OverflowError:  # no float d ** q to bound
+            continue
+        assert low <= power, d
+    try:
+        assert low >= s**q * (1.0 - 1e-12) - 1e-300  # tight to libm's error
+    except OverflowError:
+        assert low == 0.0
+
+
+@pytest.mark.parametrize(
+    "s,q",
+    [
+        (0.0, 2.0),
+        (-0.0, 1.0),
+        (-1.0, 1.5),
+        (math.nan, 2.0),
+        (math.inf, 1.0),
+        (1e200, 2.0),  # overflows
+        (1e-200, 2.0),  # underflows to 0
+        (5e-324, 1.0),  # within the widening of a subnormal
+    ],
+)
+def test_inf_power_is_zero_where_it_cannot_bound(s, q):
+    assert inf_power(s, q) == 0.0
+
+
+@pytest.mark.parametrize(
+    "text,lo,hi,low",
+    [
+        ("x^2", -1.0, 1.0, 2.0),  # a constant f''
+        ("sin(x)", 1.5, 1.6, math.sin(1.5)),  # f'' = -sin < 0: the low end is -hi
+        ("x^3", 1.0, 2.0, 6.0),  # f'' = 6x > 0: the low end is lo
+        ("x^3", -1.0, 2.0, 0.0),  # f'' holds 0
+        ("ln(x)", -1.0, 1.0, 0.0),  # declined: (0, inf)
+    ],
+)
+def test_lower_ends_of_the_second_derivative(text, lo, hi, low):
+    bounds = compile_second_derivative(parse(text))([(lo, hi)])
+    [got] = bounds.lows
+    assert got <= low and low - got <= 1e-12 * low

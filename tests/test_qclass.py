@@ -32,6 +32,7 @@ from glbounds.qclass import (
     _cell_bounds,
     _cells,
     _decide,
+    _hull,
     _PointMemo,
     _q_power,
     _row_keys,
@@ -333,10 +334,12 @@ def record_taken(monkeypatch):
 
 def record_work(monkeypatch):
     """Record the work of every membership decision in the dict returned: the
-    number of cells of each enclosure of |f''| ("covers"), the rankings
-    started ("rankings") and the rows of pair bounds built ("rows")."""
-    work = {"covers": [], "rankings": 0, "rows": 0}
+    number of cells of each enclosure of |f''| ("covers"), the evaluations
+    of g = |f''|^q ("points"), the rankings started ("rankings") and the
+    rows of pair bounds built ("rows")."""
+    work = {"covers": [], "points": 0, "rankings": 0, "rows": 0}
     compile_d2 = glbounds.enclosure.compile_second_derivative
+    q_power = glbounds.qclass._q_power
     rank, build = glbounds.qclass.ranked_pairs, glbounds.qclass._bound_row
 
     def counted_compile(e):
@@ -348,6 +351,15 @@ def record_work(monkeypatch):
 
         return each
 
+    def counted_q_power(e, q):
+        g = q_power(e, q)
+
+        def counted(x):
+            work["points"] += 1
+            return g(x)
+
+        return counted
+
     def counted_rank(*args):
         work["rankings"] += 1
         return rank(*args)
@@ -357,6 +369,7 @@ def record_work(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(glbounds.enclosure, "compile_second_derivative", counted_compile)
+    monkeypatch.setattr(glbounds.qclass, "_q_power", counted_q_power)
     monkeypatch.setattr(glbounds.qclass, "ranked_pairs", counted_rank)
     monkeypatch.setattr(glbounds.qclass, "_bound_row", counted_build)
     return work
@@ -364,22 +377,32 @@ def record_work(monkeypatch):
 
 def decision_paths(e, iv, qs):
     """bound_memberships(e, iv, qs), or its error (_outcome), and the path
-    that answered each q: "one cell" (the keys of the one cell that holds the
-    grid), "cells" (_decide on the cells of the grid, which passes) or
-    "violation" (_decide, which fails); ["error"] where it raises."""
-    decide = glbounds.qclass._decide
-    decided = {}
+    that answered each q: "one cell" (the keys of the two ends of |f''| on
+    the one cell that holds the grid, with no g evaluated), "grid values"
+    (the keys of g at the grid points under that cell's bound), "cells"
+    (_decide on the cells of the grid, which passes) or "violation"
+    (_decide, which fails); ["error"] where it raises."""
+    decide, q_power = glbounds.qclass._decide, glbounds.qclass._q_power
+    decided, evaluated = {}, set()
 
     def recorded(e, q, *args):
         decided[q] = decide(e, q, *args)
         return decided[q]
 
+    def built(e, q):
+        evaluated.add(q)
+        return q_power(e, q)
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(glbounds.qclass, "_decide", recorded)
+        m.setattr(glbounds.qclass, "_q_power", built)
         outcome = _outcome(lambda: bound_memberships(e, iv, qs))
     if not isinstance(outcome, dict):
         return outcome, ["error"]
-    paths = ["one cell" if q not in decided else "cells" if decided[q] else "violation" for q in outcome]
+    paths = [
+        "one cell" if q not in evaluated else "grid values" if q not in decided else "cells" if decided[q] else "violation"
+        for q in outcome
+    ]
     return outcome, paths
 
 
@@ -713,19 +736,26 @@ class TestProof:
     )
     def test_a_proof_implies_the_scan_passes(self, e, ends, q):
         """A decision, True or False, is the scan's passed, and an error the
-        decision raises is the scan's."""
+        decision raises is the scan's. Where the one cell's two ends of |f''|
+        prove q, the keys of g at the grid points under its bound pass too."""
         assume(ends[0] < ends[1])
         iv = Interval(*ends)
         decided, [path] = decision_paths(e, iv, (q,))
         event(f"path: {path}")
         assert decided == _scans(e, iv, (q,))
+        if path == "one cell":
+            xs = _scan_grid(iv, 64, DEFAULT_TOL)
+            [hull] = compile_second_derivative(e)([_hull(xs)])
+            gx = list(map(_q_power(e, q), xs))
+            assert all(key <= DEFAULT_TOL for key in _row_keys(*_row_parts(gx, [sup_power(hull, q)] * 63)))
 
     @pytest.mark.parametrize(
         "text,iv,q,path",
         [
-            ("sin(x)", EDGE_SINE_WINDOW, 1.34, "one cell"),  # the keys of the one cell are at most the tolerance
+            ("sin(x)", EDGE_SINE_WINDOW, 1.34, "one cell"),  # the keys of the cell's two ends are at most the tolerance
             ("exp(x)", UNIT_IV, 2.0, "cells"),  # e^2 > 4: the one cell fails the ratio lemma's factor 4
             ("sin(x)", SINE_INTERVAL, 1.0, "violation"),
+            ("(exp(x)+exp(-x))/2", Interval(-1.0, 1.0), 1.2, "grid values"),  # cosh: its cell is too wide for its ends
         ],
     )
     def test_each_path_answers_as_the_scan(self, text, iv, q, path):
@@ -738,10 +768,19 @@ class TestProof:
     )
     def test_one_cell_proves_with_no_pair_row(self, monkeypatch, text, iv, qs):
         """A proof on the one cell that holds the grid encloses |f''| once, on
-        that cell, and ranks no pair and builds no row of pair bounds."""
+        that cell, and evaluates no g, ranks no pair and builds no row of pair
+        bounds."""
         work = record_work(monkeypatch)
         assert bound_memberships(parse(text), iv, qs) == dict.fromkeys(qs, True)
-        assert work == {"covers": [1], "rankings": 0, "rows": 0}
+        assert work == {"covers": [1], "points": 0, "rankings": 0, "rows": 0}
+
+    def test_grid_values_prove_what_the_hull_ends_cannot(self, monkeypatch):
+        # interval dependency widens cosh's |f''| to [0.37, 2.7] on the one
+        # cell, against the true [1, 1.54]: only g at the 64 grid points
+        # proves q = 1.2 under the cell's bound
+        work = record_work(monkeypatch)
+        assert bound_memberships(parse("(exp(x)+exp(-x))/2"), Interval(-1.0, 1.0), (1.2,)) == {1.2: True}
+        assert work == {"covers": [1], "points": 64, "rankings": 0, "rows": 0}
 
     def test_one_cell_leaves_a_vanishing_g_to_the_cells(self, monkeypatch):
         # |sin| is near 0 at the left end of [0, 1e-9]: the ratio lemma's
@@ -760,16 +799,23 @@ class TestProof:
         def broken(*args):
             raise RuntimeError("boom")
 
+        def unbounded(cells):
+            return [math.inf] * len(cells)
+
         def same(e, iv, qs):
             decided = _outcome(lambda: bound_memberships(e, iv, qs))
             assert decided == _scans(e, iv, qs)
             return decided
 
         assert same(e, UNIT_IV, (1.0,)) == {1.0: True}
+        # a jet that is not f's own has no enclosure: with the enclosure
+        # declining on every cell, g is evaluated, and raises as in the scan
         with monkeypatch.context() as m:
+            m.setattr(glbounds.enclosure, "compile_second_derivative", lambda e: unbounded)
             m.setattr(glbounds.qclass, "_compile_jet", lambda e: broken)
             assert same(e, UNIT_IV, (1.0,)) == (RuntimeError, "boom")
         with monkeypatch.context() as m:
+            m.setattr(glbounds.enclosure, "compile_second_derivative", lambda e: unbounded)
             m.setattr(glbounds.qclass, "_compile_jet", lambda e: lambda x: (0.0, 0.0, math.inf))
             assert same(e, UNIT_IV, (1.0,)) == (ValueError, "g is not finite at x=0.0078125: inf")
         # sine's decision visits pairs above the tolerance; a jet that raises
@@ -857,7 +903,10 @@ class TestProof:
     # the work of passing decisions today, the baseline that ROADMAP open item
     # 4 (decisions that evaluate only what can violate) is expected to lower:
     # the row keys stay above the tolerance on most rows, so each decision
-    # builds 45-50 of the 64 rows to take at most 14 pairs
+    # builds 45-50 of the 64 rows to take at most 14 pairs, and evaluates g
+    # at the 64 grid points and at the points of those pairs (POINTS)
+    POINTS = {"x^4": 64, "(exp(x)+exp(-x))/2": 64, COMPOSITE: 843}
+
     @pytest.mark.parametrize(
         "text,iv,q,rows,pairs",
         [
@@ -871,7 +920,7 @@ class TestProof:
         work = record_work(monkeypatch)
         taken = record_taken(monkeypatch)
         assert bound_memberships(parse(text), iv, (q,)) == {q: True}
-        assert work == {"covers": [1, 63], "rankings": 1, "rows": rows}
+        assert work == {"covers": [1, 63], "points": self.POINTS[text], "rankings": 1, "rows": rows}
         assert [len(t) for t in taken] == [pairs]
 
     def test_a_zero_margin_walks_every_pair(self, monkeypatch):
