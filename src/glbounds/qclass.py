@@ -42,17 +42,17 @@ pair from. The key of row i,
 with m_i the least root r_j of the row (_row_keys), is at least every b of
 the row, since every rounding is monotone: each pair reads a cell bound of
 at most the first term, and its s = fl(r_i + r_j) is at least
-fl(r_i + m_i). bound_memberships needs no report. It encloses |f''| first
-on one cell that holds every cell of the grid, a valid cover as it is, and
-a q whose row keys there are all at most the tolerance passes with no
-ranking at all: from the cell's lower bound of |f''| alone where it can,
-with no g evaluated, else from g at the grid points. For any other q,
-_decide walks only the pairs above the tolerance and answers after the
-pair that holds the first violation (with none, or no such pair, the scan
-passes). The pairs with b = inf come first and hold every point where g
-may raise, so _decide answers False only once they are all visited, and
-raises the scan's error where the scan would: it answers every input as
-the scan would, and bound and sweep run no scan. The cells, and what a
+fl(r_i + m_i). bound_memberships needs no report, and decides each q in
+two steps. It encloses |f''| first on one cell that holds every cell of
+the grid, a valid cover as it is, and a q whose row keys from that cell's
+two ends of |f''| are all at most the tolerance passes with no g evaluated
+and no ranking at all. For any other q, _decide walks, on the cells of the
+grid, only the pairs above the tolerance and answers after the pair that
+holds the first violation (with none, or no such pair, the scan passes).
+The pairs with b = inf come first and hold every point where g may raise,
+so _decide answers False only once they are all visited, and raises the
+scan's error where the scan would: it answers every input as the scan
+would, and bound and sweep run no scan. The cells, and what a
 bound means for a pair, are decided in this module only.
 
 The enclosure and heapq are imported when the first scan or decision runs,
@@ -581,31 +581,32 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     """q -> whether membership_for_bound(e, iv, q) passes, for each q of q_list
     in order: the membership decision of bound and sweep.
 
-    |f''| is enclosed first on one cell, from the first cell of _cells to
-    the last (_hull), which holds every cell and so every scan point: its
-    upper bound H bounds |f''| on each cell, and [H^q] * (n-1) is a cover
-    that the proof of pair_bound_rows takes as it is. Where every row key
-    (_row_keys) of that cover is at most DEFAULT_TOL, no pair can hold a
-    violation, and the scan passes (H^q finite also proves that g raises
-    nowhere). The keys are tried twice, and the first try evaluates no g:
-    the cell's lower bound L of |f''| puts every grid value g_i at or above
-    low = inf_power(L, q), so the keys of the two values [low, low] under
-    the one bound S = sup_power(H, q) are at least the keys of the grid's
-    own values (each rounding in a key is monotone). Only where those fail
-    is g evaluated at the n grid points, and their keys tried.
+    Each q is decided in two steps. First, |f''| is enclosed on one cell,
+    from the first cell of _cells to the last (_hull), which holds every
+    cell and so every scan point: its upper bound H bounds |f''| on each
+    cell, and its lower bound L puts every grid value g_i at or above
+    low = inf_power(L, q). So the row keys (_row_keys) of the two values
+    [low, low] under the one bound S = sup_power(H, q) are at least the keys
+    of the grid's own values under [S] * (n-1), a cover that the proof of
+    pair_bound_rows takes as it is (each rounding in a key is monotone).
+    Where every such key is at most DEFAULT_TOL, no pair can hold a
+    violation, and the scan passes with no g evaluated (S finite also
+    proves that g raises nowhere).
 
     That proves a constant |f''| (x^2 on any interval) and a g that stays
     within the ratio lemma's factor 4 of its least value, as on tiny
     windows away from a zero of f'' (sin on the edge benchmark's windows)
-    or exp on [0, 1] at q = 1.2, all with no g. The grid's values prove
-    cosh on [-1, 1] at q = 1.2, where interval dependency widens |f''| to
-    [0.37, 2.7] on the one cell against the true [1, 1.54]. Neither proves
-    exp on [0, 1] at q = 2 (e^2 > 4), cosh on [-1, 1] from q = 2, or sin
-    on [0, 1e-9], where g is near 0 at the left end. Only for a q the one
-    cell does not prove is |f''| enclosed on the n-1 cells of the default
-    grid, once, for that q and every later one, and the decision by the
-    ratio lemma (_decide) answers it without a scan. Its answers, and the
-    first error it raises, are the scans'.
+    or exp on [0, 1] at q = 1.2. It does not prove exp on [0, 1] at q = 2
+    (e^2 > 4), sin on [0, 1e-9], where g is near 0 at the left end, or
+    cosh on [-1, 1], where interval dependency widens |f''| to [0.37, 2.7]
+    on the one cell against the true [1, 1.54]. Second, for such a q,
+    |f''| is enclosed on the n-1 cells of the default grid, once, for that
+    q and every later one, and the decision by the ratio lemma (_decide)
+    answers it without a scan. Each cell's enclosure lies inside the one
+    cell's (interval arithmetic is inclusion-isotone), so the cells prove
+    whatever g at the grid points proves under the one cell's bound, with
+    no row of pair bounds built. Both steps answer as the scan: the answers,
+    and the first error raised, are the scans'.
     """
     for q in q_list:
         _check_q(q)
@@ -623,14 +624,9 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
         if _keys_pass([low_q, low_q], [high_q]):  # no g evaluated
             memberships[q] = True
             continue
-        memo = _PointMemo(_q_power(e, q))
-        gx = [memo[x] for x in xs]
-        if _keys_pass(gx, [high_q] * (len(xs) - 1)):
-            memberships[q] = True
-            continue
         if sup is None:
             sup = _bounds_on(d2, _cells(xs))
-        memberships[q] = _decide(e, q, xs, sup, memo)
+        memberships[q] = _decide(e, q, xs, sup)
     return memberships
 
 
@@ -655,11 +651,11 @@ def _q_power(e: Node, q: float) -> Callable[[float], float]:
     return g
 
 
-def _decide(e: Node, q: float, xs: list[float], sup: list[float], memo: _PointMemo | None = None) -> bool:
+def _decide(e: Node, q: float, xs: list[float], sup: list[float]) -> bool:
     """membership_for_bound(e, iv, q).passed, decided without the scan, or
     the error that scan raises; xs are the grid points of iv at
-    DEFAULT_GRID_N, sup bounds |f''| on each of their cells (inf where
-    the enclosure declines), and memo, where given, holds the scan's g.
+    DEFAULT_GRID_N, and sup bounds |f''| on each of their cells (inf where
+    the enclosure declines).
 
     Only a pair whose bound is above DEFAULT_TOL can hold a violation
     (pair_bound_rows), so _walk visits just those pairs, hottest first.
@@ -673,8 +669,7 @@ def _decide(e: Node, q: float, xs: list[float], sup: list[float], memo: _PointMe
     """
     from .enclosure import sup_power
 
-    if memo is None:
-        memo = _PointMemo(_q_power(e, q))
+    memo = _PointMemo(_q_power(e, q))
     gx = [memo[x] for x in xs]
     hot = ranked_pairs(gx, [sup_power(s, q) for s in sup], DEFAULT_TOL)
     raw: Raw = []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glbounds import parse
+from glbounds import Interval, corpus_entries, parse
 from glbounds.enclosure import (
     _RULES,
     _compile_jet,
@@ -26,6 +26,7 @@ from glbounds.expressions import (
     compile_expression,
 )
 from glbounds.expressions import _compile_jet as _float_jet
+from glbounds.qclass import DEFAULT_TOL, _cells, _hull, _scan_grid
 from conftest import examples
 from test_expressions import _POINTS, _tree_strategy
 
@@ -272,3 +273,21 @@ def test_lower_ends_of_the_second_derivative(text, lo, hi, low):
     bounds = compile_second_derivative(parse(text))([(lo, hi)])
     [got] = bounds.lows
     assert got <= low and low - got <= 1e-12 * low
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(
+    st.one_of(_tree_strategy(), st.sampled_from([parse(entry.expression) for entry in corpus_entries()])),
+    st.floats(-20.0, 20.0),
+    st.floats(1e-9, 30.0),
+)
+def test_each_grid_cell_lies_inside_the_hull(ast, a, width):
+    # interval arithmetic is inclusion-isotone: on every cell of the grid-64
+    # scan, the ends of |f''| lie inside its ends on the one cell that holds
+    # them all, so the cells prove whatever the one cell's bound proves
+    xs = _scan_grid(Interval(a, a + width), 64, DEFAULT_TOL)
+    bound = compile_second_derivative(ast)
+    hull, cells = bound([_hull(xs)]), bound(_cells(xs))
+    [high], [low] = hull, hull.lows
+    assert all(sup <= high for sup in cells), (high, max(cells))
+    assert all(inf >= low for inf in cells.lows), (low, min(cells.lows))

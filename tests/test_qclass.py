@@ -378,31 +378,22 @@ def record_work(monkeypatch):
 def decision_paths(e, iv, qs):
     """bound_memberships(e, iv, qs), or its error (_outcome), and the path
     that answered each q: "one cell" (the keys of the two ends of |f''| on
-    the one cell that holds the grid, with no g evaluated), "grid values"
-    (the keys of g at the grid points under that cell's bound), "cells"
-    (_decide on the cells of the grid, which passes) or "violation"
-    (_decide, which fails); ["error"] where it raises."""
-    decide, q_power = glbounds.qclass._decide, glbounds.qclass._q_power
-    decided, evaluated = {}, set()
+    the one cell that holds the grid, with no g evaluated), "cells" (_decide
+    on the cells of the grid, which passes) or "violation" (_decide, which
+    fails); ["error"] where it raises."""
+    decide = glbounds.qclass._decide
+    decided = {}
 
     def recorded(e, q, *args):
         decided[q] = decide(e, q, *args)
         return decided[q]
 
-    def built(e, q):
-        evaluated.add(q)
-        return q_power(e, q)
-
     with pytest.MonkeyPatch.context() as m:
         m.setattr(glbounds.qclass, "_decide", recorded)
-        m.setattr(glbounds.qclass, "_q_power", built)
         outcome = _outcome(lambda: bound_memberships(e, iv, qs))
     if not isinstance(outcome, dict):
         return outcome, ["error"]
-    paths = [
-        "one cell" if q not in evaluated else "grid values" if q not in decided else "cells" if decided[q] else "violation"
-        for q in outcome
-    ]
+    paths = ["one cell" if q not in decided else "cells" if decided[q] else "violation" for q in outcome]
     return outcome, paths
 
 
@@ -718,6 +709,36 @@ _PROOF_ENDS = st.one_of(
 )
 
 
+def _across_a_zero(name_and_zero, k, left, right):
+    """sin or cos on a window around a zero of its f'' (k*pi for sin, pi/2 +
+    k*pi for cos): g = |f''|^q vanishes inside, and the scan fails where the
+    window also holds a hump of |f''| between two small values."""
+    name, zero = name_and_zero
+    at = zero + k * math.pi
+    return parse(name), (at - left, at + right)
+
+
+def _around_the_least(a, b, left, right):
+    """a*e^x + b*e^-x, a cosh-like sum, on an interval around the least
+    value of |f''| = f'' (at ln(b/a)/2), where interval dependency widens the
+    one cell's |f''| too far for its two ends to prove q."""
+    least = math.log(b / a) / 2
+    return parse(f"{a!r}*exp(x)+{b!r}*exp(-x)"), (least - left, least + right)
+
+
+_PROOF_CASES = st.one_of(
+    st.tuples(st.one_of(_tree_strategy(), st.sampled_from([parse(e.expression) for e in corpus_entries()])), _PROOF_ENDS),
+    st.builds(
+        _across_a_zero,
+        st.sampled_from([("sin(x)", 0.0), ("cos(x)", math.pi / 2)]),
+        st.integers(-2, 3),
+        st.floats(0.01, 3.5),
+        st.floats(0.01, 3.5),
+    ),
+    st.builds(_around_the_least, st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
+)
+
+
 def _scans(e, iv, qs):
     """What bound_memberships(e, iv, qs) must give: each q's scan passed, or
     the first error."""
@@ -728,16 +749,13 @@ class TestProof:
     """bound_memberships answers every input as the scans do, errors included,
     and runs no scan."""
 
-    @settings(max_examples=examples(100), deadline=None)  # about 60 ms per scanned example
-    @given(
-        st.one_of(_tree_strategy(), st.sampled_from([parse(e.expression) for e in corpus_entries()])),
-        _PROOF_ENDS,
-        st.floats(1.0, 3.0),
-    )
-    def test_a_proof_implies_the_scan_passes(self, e, ends, q):
+    @settings(max_examples=examples(200), deadline=None)  # about 35 ms per scanned example
+    @given(_PROOF_CASES, st.floats(1.0, 3.0))
+    def test_a_proof_implies_the_scan_passes(self, case, q):
         """A decision, True or False, is the scan's passed, and an error the
         decision raises is the scan's. Where the one cell's two ends of |f''|
         prove q, the keys of g at the grid points under its bound pass too."""
+        e, ends = case
         assume(ends[0] < ends[1])
         iv = Interval(*ends)
         decided, [path] = decision_paths(e, iv, (q,))
@@ -755,7 +773,7 @@ class TestProof:
             ("sin(x)", EDGE_SINE_WINDOW, 1.34, "one cell"),  # the keys of the cell's two ends are at most the tolerance
             ("exp(x)", UNIT_IV, 2.0, "cells"),  # e^2 > 4: the one cell fails the ratio lemma's factor 4
             ("sin(x)", SINE_INTERVAL, 1.0, "violation"),
-            ("(exp(x)+exp(-x))/2", Interval(-1.0, 1.0), 1.2, "grid values"),  # cosh: its cell is too wide for its ends
+            ("(exp(x)+exp(-x))/2", Interval(-1.0, 1.0), 1.2, "cells"),  # cosh: its one cell is too wide for its ends
         ],
     )
     def test_each_path_answers_as_the_scan(self, text, iv, q, path):
@@ -774,13 +792,14 @@ class TestProof:
         assert bound_memberships(parse(text), iv, qs) == dict.fromkeys(qs, True)
         assert work == {"covers": [1], "points": 0, "rankings": 0, "rows": 0}
 
-    def test_grid_values_prove_what_the_hull_ends_cannot(self, monkeypatch):
+    def test_cells_prove_what_the_hull_ends_cannot_with_no_pair_row(self, monkeypatch):
         # interval dependency widens cosh's |f''| to [0.37, 2.7] on the one
-        # cell, against the true [1, 1.54]: only g at the 64 grid points
-        # proves q = 1.2 under the cell's bound
+        # cell, against the true [1, 1.54], so its two ends prove nothing at
+        # q = 1.2; each cell's bound lies inside the one cell's, and the keys
+        # of g at the 64 grid points under the cells keep no row to build
         work = record_work(monkeypatch)
         assert bound_memberships(parse("(exp(x)+exp(-x))/2"), Interval(-1.0, 1.0), (1.2,)) == {1.2: True}
-        assert work == {"covers": [1], "points": 64, "rankings": 0, "rows": 0}
+        assert work == {"covers": [1, 63], "points": 64, "rankings": 1, "rows": 0}
 
     def test_one_cell_leaves_a_vanishing_g_to_the_cells(self, monkeypatch):
         # |sin| is near 0 at the left end of [0, 1e-9]: the ratio lemma's
