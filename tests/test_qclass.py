@@ -727,7 +727,10 @@ def _around_the_least(a, b, left, right):
 
 
 _PROOF_CASES = st.one_of(
-    st.tuples(st.one_of(_tree_strategy(), st.sampled_from([parse(e.expression) for e in corpus_entries()])), _PROOF_ENDS),
+    st.tuples(
+        st.one_of(_tree_strategy(), st.sampled_from([parse(e.expression) for e in corpus_entries()])),
+        _PROOF_ENDS,
+    ),
     st.builds(
         _across_a_zero,
         st.sampled_from([("sin(x)", 0.0), ("cos(x)", math.pi / 2)]),
@@ -735,7 +738,9 @@ _PROOF_CASES = st.one_of(
         st.floats(0.01, 3.5),
         st.floats(0.01, 3.5),
     ),
-    st.builds(_around_the_least, st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
+    st.builds(
+        _around_the_least, st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.05, 3.0), st.floats(0.05, 3.0)
+    ),
 )
 
 
