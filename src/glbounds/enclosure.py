@@ -1,18 +1,20 @@
-"""Outward-rounded interval enclosure of the float jet of an expression.
+"""Outward-rounded interval enclosure of the float jet of an expression, and
+of its float value.
 
 compile_second_derivative(node) returns cells -> one bound per cell [lo, hi]
 of |f''|, where f'' is the float value that the jet closure computes,
 x -> compile_expression(node)[1](x)[2], at every float x in the cell, and
 with it a lower bound of |f''| per cell (its lows): the interval [l, h] of
 f'' gives l where l > 0, -h where h < 0, and 0 where it holds 0. It
-encloses that float value, not the real f''. compile_value(node) bounds f
-the same way: the jet's value component is computed by the same float
-operations as the value closure compile_expression(node)[0], so wherever
-the jet returns, the value closure returns that component bit for bit
-(test_the_value_closure_computes_the_jets_value_part in
+encloses that float value, not the real f''. compile_value(node) bounds f,
+the float value of the value closure compile_expression(node)[0], the same
+way, and computes no derivative: the value closure's own rules run on the
+cells. Where the jet does not decline, its value part is the same bound,
+since the jet computes its value component by the same float operations as
+the value closure (test_the_value_closure_computes_the_jets_value_part in
 tests/test_enclosure.py).
 
-Soundness holds by construction: the enclosure is the jet closure itself.
+Soundness holds by construction: the enclosure is the closure itself.
 glbounds.expressions writes each derivative rule, and the walk that strings
 them together, once for any arithmetic (_jet_rules, _jet_compiler), and here
 they run on a batch of cells, _Cells, in place of a float. A batch holds one
@@ -22,6 +24,10 @@ is an interval operation here, in the same order, on intervals holding its
 operands. Only the constants and x, the elementary functions and abs are
 this module's; a power whose exponent depends on x is exp(e * ln b) in
 these intervals, and an exponent free of x is the float that the jet takes.
+The value closure's rules (_VALUE_RULES) for +, -, *, unary - and a call
+test no float, and run on the cells as they are; its powers and quotient
+do (_power, _variable_power, _divide), so _VALUE_CELL_RULES gives them as
+the jet's value part computes them: ** constant, exp(e * ln b) and /.
 
 Round-to-nearest is monotone, so for +, -, *, / and sqrt (all correctly
 rounded) the float result of operands taken from two intervals lies between
@@ -36,16 +42,19 @@ errors, at the extreme and at the point, can add up to) plus an absolute
 the float |f''| ** q above and below from bounds of |f''|, widened the same
 way under the same assumption: ** is monotone in the base for q > 0.
 
-It declines wherever the float jet could raise or go non-finite in the cell:
-a divisor interval holding 0; ln or sqrt of an argument touching <= 0, the
-base of a power whose exponent depends on x included; abs of an argument
-holding 0; a non-integer power of a base touching <= 0, and a negative
-integer power of a base holding 0; exp or ** overflowing; and any interval
-end that is not finite. A cell declines as a whole, whatever component the
+Each declines wherever its float closure could raise or go non-finite in
+the cell. The jet declines at a divisor interval holding 0; ln or sqrt of
+an argument touching <= 0, the base of a power whose exponent depends on x
+included; abs of an argument holding 0; a non-integer power of a base
+touching <= 0, and a negative integer power of a base holding 0; exp or **
+overflowing; and any interval end that is not finite. The value declines by
+the same rules on the operations it computes (so also at a zero of sqrt or
+abs, where the value closure raises nothing), and may be finite where only
+f' or f'' fails. A cell declines as a whole, whatever component the
 failing operation feeds, and no other cell with it; every cell declines
 where an exponent free of x raises. What cannot be bounded is unbounded: the
 bound is inf on a cell where it declines, and the lower bound of |f''| 0.
-So a finite bound also proves that the jet raises nothing in the cell.
+So a finite bound also proves that its closure raises nothing in the cell.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ import operator
 from itertools import repeat
 from typing import Callable
 
-from .expressions import ExpressionError, Node, _jet_compiler, _jet_rules
+from .expressions import _VALUE_RULES, ExpressionError, Node, _jet_compiler, _jet_rules
 
 __all__ = ["compile_second_derivative", "compile_value", "sup_power", "inf_power"]
 
@@ -233,42 +242,67 @@ def _abs_jet(uv: _Cells, u1: _Cells, u2: _Cells) -> tuple[_Cells, _Cells, _Cells
     return uv.each(_abs), u1.each(_flip, uv.ivs), u2.each(_flip, uv.ivs)
 
 
+_SIN, _COS = _batched(_periodic, math.sin, 0.5), _batched(_periodic, math.cos, 0.0)
+_EXP, _LN, _SQRT = _batched(_exp), _batched(_ln), _batched(_sqrt)
+
 _RULES = {
-    **_jet_rules(
-        _batched(_periodic, math.sin, 0.5), _batched(_periodic, math.cos, 0.0),
-        _batched(_exp), _batched(_ln), _batched(_sqrt),
-        operator.pow, lambda a, b, x: a / b, lambda v: v.like(_ZERO),
-    ),
+    **_jet_rules(_SIN, _COS, _EXP, _LN, _SQRT, operator.pow, lambda a, b, x: a / b, lambda v: v.like(_ZERO)),
     "abs": _abs_jet,
 }
 
+# the value closure's rules on cells: its own where they hold no float test,
+# the jet's elementary functions (which decline where it may raise), and
+# interval powers and quotient in place of _power, _variable_power and _divide
+_VALUE_CELL_RULES = {
+    **{key: _VALUE_RULES[key] for key in ("apply", "neg", "+", "-", "*")},
+    "sin": _SIN, "cos": _COS, "exp": _EXP, "ln": _LN, "sqrt": _SQRT, "abs": _batched(_abs),
+    "^c": lambda b, c: lambda x: b(x) ** c,
+    "^g": lambda b, g: lambda x: b(x) ** g(x),
+    "^x": lambda b, e: lambda x: _EXP(e(x) * _LN(b(x))),
+    "/": lambda f, g: lambda x: f(x) / g(x),
+}
 
-def _const(c: float) -> Callable[[_Cells], tuple[_Cells, _Cells, _Cells]]:
+
+def _const_value(c: float) -> Callable[[_Cells], _Cells]:
     if not math.isfinite(c):
         raise Declined
-    return lambda x: (x.like((c, c)), x.like(_ZERO), x.like(_ZERO))
+    return lambda x: x.like((c, c))
+
+
+def _const(c: float) -> Callable[[_Cells], tuple[_Cells, _Cells, _Cells]]:
+    value = _const_value(c)
+    return lambda x: (value(x), x.like(_ZERO), x.like(_ZERO))
 
 
 _walk = _jet_compiler(_RULES, _const, lambda x: (x, x.like((1.0, 1.0)), x.like(_ZERO)))
+_value_walk = _jet_compiler(_VALUE_CELL_RULES, _const_value, lambda x: x)
+
+
+def _per_cell(walk: Callable, node: Node) -> Callable[[list[_Iv]], list]:
+    """cells -> per cell, what walk(node) encloses at every float of the
+    cell (an interval, or a tuple of them where it gives a tuple of
+    batches), or None where the cell declines."""
+    try:
+        closure = walk(node)
+    except Declined:  # on every cell
+        return lambda cells: [None] * len(cells)
+
+    def per_cell(cells: list[_Iv]) -> list:
+        x = _Cells(cells, set())
+        try:
+            out = closure(x)
+        except ExpressionError:  # from an exponent free of x: the closure raises it at every x
+            return [None] * len(cells)
+        ivs = out.ivs if isinstance(out, _Cells) else zip(*(part.ivs for part in out))
+        return [None if k in x.dead else iv for k, iv in enumerate(ivs)]
+
+    return per_cell
 
 
 def _compile_jet(node: Node) -> Callable[[list[_Iv]], list[_IJet | None]]:
     """cells -> per cell, the interval jet enclosing the float jet at every
     float of the cell, or None where the cell declines."""
-    try:
-        jet = _walk(node)
-    except Declined:  # on every cell
-        return lambda cells: [None] * len(cells)
-
-    def per_cell(cells: list[_Iv]) -> list[_IJet | None]:
-        x = _Cells(cells, set())
-        try:
-            v, d1, d2 = jet(x)
-        except ExpressionError:  # from an exponent free of x: the jet raises it at every x
-            return [None] * len(cells)
-        return [None if k in x.dead else j for k, j in enumerate(zip(v.ivs, d1.ivs, d2.ivs))]
-
-    return per_cell
+    return _per_cell(_walk, node)
 
 
 def sup_power(s: float, q: float) -> float:
@@ -323,7 +357,8 @@ def compile_second_derivative(node: Node) -> Callable[[list[_Iv]], Bounds]:
 def compile_value(node: Node) -> Callable[[list[_Iv]], list[float]]:
     """cells -> per cell [lo, hi], an upper bound of f as the value closure
     computes it at any float in the cell; inf where it cannot vouch for that
-    bound. The jet raises wherever the value closure does, so a finite bound
-    also proves that the value closure raises nothing in the cell."""
-    jet = _compile_jet(node)
-    return lambda cells: [_INF if j is None else j[0][1] for j in jet(cells)]
+    bound. The value closure's own rules run on the cells (_value_walk), so
+    the bound declines where that closure may raise, and a finite bound also
+    proves that it raises nothing in the cell."""
+    value = _per_cell(_value_walk, node)
+    return lambda cells: [_INF if v is None else v[1] for v in value(cells)]

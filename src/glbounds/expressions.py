@@ -36,13 +36,14 @@ fractional powers of a zero base) raise NonSmoothError instead of returning
 a silently wrong value.
 
 One walk (_jet_compiler) compiles every tree, and each node kind takes its
-closure from a rule table, so the walk has three instances: the value
+closure from a rule table, so the walk has four instances: the value
 closures (_VALUE_RULES), the float jets (_JET_RULES) and, in
-glbounds.enclosure, interval jets over a batch of cells. Each derivative
-rule is written once (_jet_rules) for any arithmetic that supplies the
-elementary functions and the operators, and both jets take it; a power
-whose exponent depends on x is exp(e * ln b), built from that table's ln,
-product and exp rules.
+glbounds.enclosure, interval jets and interval values over a batch of
+cells, the latter from _VALUE_RULES' own entries where they test no float.
+Each derivative rule is written once (_jet_rules) for any arithmetic that
+supplies the elementary functions and the operators, and both jets take
+it; a power whose exponent depends on x is exp(e * ln b), built from that
+table's ln, product and exp rules.
 """
 
 from __future__ import annotations

@@ -69,11 +69,18 @@ kept until the scan returns: g must be deterministic, and memory grows with
 the number of distinct points (about 100 bytes each: up to 3 MB at n = 64
 and 15 MB at n = 128, less where the walk stops early).
 
-A report is built after its scan: the scan records each violation, and
-the mirror's where a pass decides two lams, as a plain tuple (x, y, lam,
-lhs, rhs), and the report keeps each once, sorted by (x, y, lam), as a
-Violation, the named tuple made from it. A failing scan reports thousands,
-so none becomes a Violation before its duplicates are dropped.
+A scan returns a record (_Scan): samples_checked, max_margin, and each
+violation, and the mirror's where a pass decides two lams, as the plain
+tuple (x, y, lam, lhs, rhs) the walk appended. Two readers build from it
+what they need. report(), which check_godunova_levin, check_expression and
+membership_for_bound return, keeps each tuple once, sorted by (x, y, lam),
+as a Violation, the named tuple made from it. worst(k), which the CLI's
+qclass prints, counts the distinct tuples and makes Violations of only the
+k with the largest margins: a failing scan records thousands, and qclass
+builds no report. A tuple recurs where grid points coincide (at large
+offsets) and where the check for negative values meets the walk's own
+triple (x, x, 1/2) at an odd grid, and both readers drop the repeats by
+value.
 
 The triple (y, x, 1-lam) has the same point and the same right side as
 (x, y, lam), because float addition is commutative. So when a grid lam and
@@ -423,14 +430,57 @@ def check_godunova_levin(
     of iv pass the float range (a width above about 2.8e306 at grid_n = 64),
     or where bound gives other than grid_n - 1 values.
     """
+    return _scan(g, iv, grid_n, tol, bound).report()
+
+
+class _Scan(NamedTuple):
+    """The record of one scan, with its two readers (the module docstring):
+    raw holds each violation as the plain tuple (x, y, lam, lhs, rhs), in
+    the order the scan appended them, repeats included."""
+
+    samples_checked: int
+    raw: Raw
+    max_margin: float
+
+    @property
+    def passed(self) -> bool:
+        return not self.raw
+
+    def report(self) -> QClassReport:
+        """Each violation once, sorted by (x, y, lam), as a Violation."""
+        # tuples dedup and sort as the Violations would: field by field, stably
+        unique = sorted(dict.fromkeys(self.raw), key=itemgetter(0, 1, 2))
+        violations = tuple(map(Violation._make, unique))
+        return QClassReport(self.samples_checked, violations, self.max_margin, not violations)
+
+    def worst(self, k: int) -> tuple[int, list[Violation]]:
+        """The number of violations in report(), and its k with the largest
+        margins, ties in (x, y, lam) order: sorted(report().violations,
+        key=lambda v: (-v.margin, v.x, v.y, v.lam))[:k], with only those k
+        made Violations.
+
+        rhs - lhs is -margin exactly (IEEE subtraction rounds a - b and b - a
+        alike), and a tuple's (x, y, lam) fixes its lhs and rhs (the scan
+        point and both sides are computed from them alone, g once per
+        point), so (rhs - lhs, tuple) orders the distinct tuples as that key.
+        """
+        import heapq
+
+        distinct = set(self.raw)
+        worst = heapq.nsmallest(k, distinct, key=lambda t: (t[4] - t[3], t))
+        return len(distinct), list(map(Violation._make, worst))
+
+
+def _scan(
+    g: Callable[[float], float], iv: Interval, grid_n: int, tol: float, bound: Bound | None
+) -> _Scan:
+    """The scan of check_godunova_levin, as its record."""
     n = grid_n
     xs = _scan_grid(iv, n, tol)
     sup = _cell_bounds(bound, xs)
     memo = _PointMemo(g)
     gx = [memo[x] for x in xs]
 
-    # a failing scan records thousands of violations, so each Violation is
-    # built once, after the dedup
     raw: Raw = []
     max_margin = -math.inf
     for x, gv in zip(xs, gx):
@@ -444,11 +494,7 @@ def check_godunova_levin(
     # the walk's last yield, after its last pair, has the largest margin
     for _, max_margin in _walk(pairs, xs, gx, memo, tol, raw, max_margin):
         pass
-
-    # tuples dedup and sort as the Violations would: field by field, stably
-    unique = sorted(dict.fromkeys(raw), key=itemgetter(0, 1, 2))
-    violations = tuple(map(Violation._make, unique))
-    return QClassReport(n * n * n, violations, max_margin, not violations)
+    return _Scan(n * n * n, raw, max_margin)
 
 
 def _visits(n: int) -> list[tuple[float, float, bool]]:
@@ -549,10 +595,14 @@ def check_expression(
 
     The scan walks the pairs by the enclosure of g, with the same report.
     """
+    return _expression_scan(e, iv, grid_n, tol).report()
+
+
+def _expression_scan(e: Node, iv: Interval, grid_n: int, tol: float) -> _Scan:
+    """The scan of check_expression, as its record."""
     from .enclosure import compile_value
 
-    g = _compile_value(e)
-    return check_godunova_levin(g, iv, grid_n, tol, bound=compile_value(e))
+    return _scan(_compile_value(e), iv, grid_n, tol, compile_value(e))
 
 
 def membership_for_bound(
@@ -566,6 +616,11 @@ def membership_for_bound(
     qclass --fn. The scan walks the pairs by the enclosure of |f''| raised to
     q, with the same report.
     """
+    return _membership_scan(e, iv, q, grid_n, tol).report()
+
+
+def _membership_scan(e: Node, iv: Interval, q: float, grid_n: int, tol: float) -> _Scan:
+    """The scan of membership_for_bound, as its record."""
     _check_q(q)
     from .enclosure import compile_second_derivative, sup_power
 
@@ -574,7 +629,7 @@ def membership_for_bound(
     def bound(cells: Cells) -> list[float]:
         return [sup_power(s, q) for s in d2(cells)]
 
-    return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, bound=bound)
+    return _scan(_q_power(e, q), iv, grid_n, tol, bound)
 
 
 def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[float, bool]:

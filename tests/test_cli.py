@@ -15,7 +15,6 @@ import glbounds.enclosure
 from glbounds import (
     BoundInput,
     Interval,
-    QClassReport,
     Violation,
     check_expression,
     coefficient_set,
@@ -743,12 +742,72 @@ class TestQclassTopTen:
             Violation(float(k // 2), float(k % 2), 0.5, m + 0.5 * k, 0.5 * k) for k, m in enumerate(margins)
         )
         assert [v.margin for v in violations] == margins
-        rep = QClassReport(8, violations, 2.0, False)
-        monkeypatch.setattr(glbounds.cli, "check_expression", lambda *args: rep)
+        # the scan's record, which qclass reads, in an order other than (x, y, lam)
+        scan = glbounds.qclass._Scan(8, [tuple(v) for v in reversed(violations)], 2.0)
+        monkeypatch.setattr(glbounds.cli, "_expression_scan", lambda *args: scan)
         assert main(["qclass", "--g", "x", "--a", "0", "--b", "1", "--grid", "2"]) == 1
         printed = _printed_violations(capsys.readouterr().out)
         assert printed == _ten_worst(violations)
         assert [Violation(*t).margin for t in printed] == [2.0] * 6 + [1.5] * 4
+
+
+def _rendering(rep):
+    """What qclass prints of the report rep: its count, max_margin, verdict
+    and ten largest margins."""
+    lines = [
+        f"samples_checked = {rep.samples_checked}",
+        f"violations      = {len(rep.violations)}",
+        f"max_margin      = {rep.max_margin:.17g}",
+        f"passed          = {rep.passed}",
+    ]
+    lines += [
+        f"violation: x={x:.17g} y={y:.17g} lambda={lam:.17g} lhs={lhs:.17g} rhs={rhs:.17g}"
+        for x, y, lam, lhs, rhs in _ten_worst(rep.violations)
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
+_SINE = ["--a", "0.000001", "--b", "3.141592"]
+
+
+class TestQclassReadsTheScan:
+    """qclass prints, from the scan's record, what the public report holds."""
+
+    @pytest.mark.parametrize(
+        "source,count",
+        [
+            # at grid 9 the check for negative values meets the walk's (x, x, 1/2)
+            (["--g", "x-0.5", "--a", "0", "--b", "1", "--grid", "9"], 356),
+            # 11 distinct grid points of 64: 262,208 tuples recorded, 7,755 distinct
+            (["--g", "0-1", "--a", "100000000", "--b", "100000000.00000015"], 7755),
+        ],
+        ids=["negative-values-at-an-odd-grid", "coinciding-grid-points"],
+    )
+    def test_repeated_violations_count_once(self, source, count, capsys):
+        assert main(["qclass", *source]) == 1
+        out = capsys.readouterr().out
+        assert f"violations      = {count}\n" in out
+        iv = Interval(float(source[3]), float(source[5]))
+        assert out == _rendering(check_expression(parse(source[1]), iv, int(source[7]) if len(source) > 6 else 64))
+
+    @pytest.mark.parametrize("grid", [2, 9, 31, 64, 100, 101, 128])
+    @pytest.mark.parametrize("source", [["--fn", "sin(x)", "--q", "1.878"], ["--g", "sin(x)"]], ids=["fn", "g"])
+    def test_sine_prints_the_report(self, source, grid, capsys):
+        code = main(["qclass", *source, *_SINE, "--grid", str(grid)])
+        e, iv = parse("sin(x)"), Interval(0.000001, 3.141592)
+        if source[0] == "--g":
+            rep = check_expression(e, iv, grid)
+        else:
+            rep = membership_for_bound(e, iv, 1.878, grid)
+        assert (code, capsys.readouterr().out) == (0 if rep.passed else 1, _rendering(rep))
+
+    def test_a_failing_scan_makes_ten_violations(self, monkeypatch, capsys):
+        made = []
+        make = Violation._make
+        monkeypatch.setattr(Violation, "_make", classmethod(lambda cls, fields: made.append(1) or make(fields)))
+        assert main(["qclass", "--fn", "sin(x)", "--q", "1.878", *_SINE]) == 1
+        assert "violations      = 13512\n" in capsys.readouterr().out
+        assert len(made) <= 10
 
 
 class TestClosedStdout:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from glbounds import Interval, corpus_entries, parse
 from glbounds.enclosure import (
     _RULES,
+    _VALUE_CELL_RULES,
     _compile_jet,
+    _value_walk,
     _walk,
     compile_second_derivative,
     compile_value,
@@ -80,9 +82,10 @@ def test_a_batch_bounds_each_cell_as_alone(ast, cells, data):
     for (lo, hi), d2, f in zip(cells, d2s, fs):
         if d2 == f == math.inf:
             continue
-        # a finite bound: the jet raises nowhere in the cell, and both bounds hold
+        # a finite bound: its closure raises nowhere in the cell, and the bound holds
         for x in _cell_points(lo, hi, data.draw(st.lists(st.floats(lo, hi), max_size=4))):
-            assert abs(jet(x)[2]) <= d2 and value(x) <= f
+            assert d2 == math.inf or abs(jet(x)[2]) <= d2
+            assert f == math.inf or value(x) <= f
 
 
 @settings(max_examples=examples(1500), deadline=None)
@@ -120,11 +123,21 @@ def test_cells_run_the_float_jet_rules():
 
 
 def test_one_walk_compiles_every_closure():
-    # the value closures, the float jets and the cells' jets are instances of one walk
-    assert _compile_value.__code__ is _float_jet.__code__ is _walk.__code__
+    # the value closures, the float jets, the cells' jets and the cells'
+    # values are instances of one walk
+    assert _compile_value.__code__ is _float_jet.__code__ is _walk.__code__ is _value_walk.__code__
+    # the cells' values run the value closure's own rules where they test no float
+    for rule in ("apply", "neg", "+", "-", "*"):
+        assert _VALUE_CELL_RULES[rule] is _VALUE_RULES[rule], rule
     # every node kind and power form: a call of each name, neg, ^c, ^g, ^x, + - * /
     tree = parse("-sin(x) + cos(x)^2 - exp(x)^(1+1) * ln(x)^x / sqrt(abs(x))")
-    for walk, rules in ((_compile_value, _VALUE_RULES), (_float_jet, _JET_RULES), (_walk, _RULES)):
+    instances = (
+        (_compile_value, _VALUE_RULES),
+        (_float_jet, _JET_RULES),
+        (_walk, _RULES),
+        (_value_walk, _VALUE_CELL_RULES),
+    )
+    for walk, rules in instances:
         assert None not in rules.values()
         # the instance's table, constant and x, rebuilt with a table that records its reads
         bound = inspect.getclosurevars(walk).nonlocals
@@ -161,7 +174,34 @@ def test_one_walk_compiles_every_closure():
 def test_declines_where_the_jet_may_raise(text, lo, hi):
     # what cannot be bounded is unbounded, whether at compile time or on the cell
     e = parse(text)
-    assert compile_second_derivative(e)([(lo, hi)]) == compile_value(e)([(lo, hi)]) == [math.inf]
+    assert compile_second_derivative(e)([(lo, hi)]) == [math.inf]
+    if text != "x^(-0.5)":  # the value closure may raise too (the x^(-0.5) cell: below)
+        assert compile_value(e)([(lo, hi)]) == [math.inf]
+
+
+def test_the_value_is_bounded_where_only_the_jet_raises():
+    # f'' = 0.75*x^(-2.5) overflows at 1.04e-149, so the jet declines; the
+    # value closure raises nothing there, and compile_value bounds it
+    x = 1.0437212337495636e-149
+    e = parse("x^(-0.5)")
+    assert compile_second_derivative(e)([(x, x)]) == [math.inf]
+    assert compile_value(e)([(x, x)]) == [3.0953355848968534e74]
+    assert _compile_value(e)(x) == 3.0953355848968504e74
+
+
+@settings(max_examples=examples(600), deadline=None)
+@given(_tree_strategy(), st.lists(_CELLS, min_size=1, max_size=4), st.data())
+def test_the_value_bound_is_the_jets_value_part(ast, cells, data):
+    # where the interval jet does not decline, compile_value is the upper end
+    # of its value part; elsewhere it is inf, or bounds the value closure,
+    # which then raises nothing in the cell
+    value = _compile_value(ast)
+    for (lo, hi), jet, sup in zip(cells, _compile_jet(ast)(cells), compile_value(ast)(cells)):
+        if jet is not None:
+            assert sup == jet[0][1]
+        elif sup < math.inf:
+            for x in _cell_points(lo, hi, data.draw(st.lists(st.floats(lo, hi), max_size=4))):
+                assert value(x) <= sup, (x, sup)
 
 
 @pytest.mark.parametrize(
