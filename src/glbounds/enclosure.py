@@ -278,10 +278,10 @@ _walk = _jet_compiler(_RULES, _const, lambda x: (x, x.like((1.0, 1.0)), x.like(_
 _value_walk = _jet_compiler(_VALUE_CELL_RULES, _const_value, lambda x: x)
 
 
-def _per_cell(walk: Callable, node: Node) -> Callable[[list[_Iv]], list]:
+def _per_cell(walk: Callable, node: Node, ivs: Callable) -> Callable[[list[_Iv]], list]:
     """cells -> per cell, what walk(node) encloses at every float of the
-    cell (an interval, or a tuple of them where it gives a tuple of
-    batches), or None where the cell declines."""
+    cell, as ivs reads it per cell from the closure's output, or None where
+    the cell declines."""
     try:
         closure = walk(node)
     except Declined:  # on every cell
@@ -293,8 +293,7 @@ def _per_cell(walk: Callable, node: Node) -> Callable[[list[_Iv]], list]:
             out = closure(x)
         except ExpressionError:  # from an exponent free of x: the closure raises it at every x
             return [None] * len(cells)
-        ivs = out.ivs if isinstance(out, _Cells) else zip(*(part.ivs for part in out))
-        return [None if k in x.dead else iv for k, iv in enumerate(ivs)]
+        return [None if k in x.dead else iv for k, iv in enumerate(ivs(out))]
 
     return per_cell
 
@@ -302,7 +301,7 @@ def _per_cell(walk: Callable, node: Node) -> Callable[[list[_Iv]], list]:
 def _compile_jet(node: Node) -> Callable[[list[_Iv]], list[_IJet | None]]:
     """cells -> per cell, the interval jet enclosing the float jet at every
     float of the cell, or None where the cell declines."""
-    return _per_cell(_walk, node)
+    return _per_cell(_walk, node, lambda jet: zip(*(part.ivs for part in jet)))
 
 
 def sup_power(s: float, q: float) -> float:
@@ -360,5 +359,5 @@ def compile_value(node: Node) -> Callable[[list[_Iv]], list[float]]:
     bound. The value closure's own rules run on the cells (_value_walk), so
     the bound declines where that closure may raise, and a finite bound also
     proves that it raises nothing in the cell."""
-    value = _per_cell(_value_walk, node)
+    value = _per_cell(_value_walk, node, lambda v: v.ivs)
     return lambda cells: [_INF if v is None else v[1] for v in value(cells)]

@@ -693,7 +693,7 @@ class TestQclass:
         assert captured.err == "error: tol must be finite and positive, got inf\n"
 
     def test_infinite_q_is_an_input_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
         code = main(["qclass", "--fn", "sin(x)", "--q", "inf", "--a", "0.000001", "--b", "3.141592", "--grid", "8"])
         captured = capsys.readouterr()
         assert code == 2

@@ -640,7 +640,7 @@ class TestMembershipForBound:
 
     @pytest.mark.parametrize("q", [math.inf, math.nan])
     def test_rejects_q_that_is_not_finite(self, q, monkeypatch):
-        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
         with pytest.raises(ValueError, match="q must be finite and >= 1"):
             membership_for_bound(parse("sin(x)"), SINE_INTERVAL, q)
 
