@@ -1,17 +1,18 @@
 """Outward-rounded interval enclosure of the float jet of an expression, and
 of its float value.
 
-compile_second_derivative(node) returns cells -> one bound per cell [lo, hi]
-of |f''|, where f'' is the float value that the jet closure computes,
-x -> compile_expression(node)[1](x)[2], at every float x in the cell, and
-with it a lower bound of |f''| per cell (its lows): the interval [l, h] of
-f'' gives l where l > 0, -h where h < 0, and 0 where it holds 0. It
-encloses that float value, not the real f''. compile_value(node) bounds f,
-the float value of the value closure compile_expression(node)[0], the same
-way, and computes no derivative: the value closure's own rules run on the
-cells. Where the jet does not decline, its value part is the same bound,
-since the jet computes its value component by the same float operations as
-the value closure (test_the_value_closure_computes_the_jets_value_part in
+compile_second_derivative(node) returns cells -> one pair (low, high) per
+cell [lo, hi], a lower and an upper bound of |f''|, where f'' is the float
+value that the jet closure computes, x -> compile_expression(node)[1](x)[2],
+at every float x in the cell: the interval [l, h] of f'' gives the high
+max(-l, h) and the low l where l > 0, -h where h < 0, and 0 where it holds
+0. It encloses that float value, not the real f''. compile_value(node)
+bounds f, the float value of the value closure compile_expression(node)[0],
+the same way, and computes no derivative: the value closure's own rules run
+on the cells. Where the jet does not decline, its value part is the same
+bound, since the jet computes its value component by the same float
+operations as the value closure
+(test_the_value_closure_computes_the_jets_value_part in
 tests/test_enclosure.py).
 
 Soundness holds by construction: the enclosure is the closure itself.
@@ -53,7 +54,7 @@ abs, where the value closure raises nothing), and may be finite where only
 f' or f'' fails. A cell declines as a whole, whatever component the
 failing operation feeds, and no other cell with it; every cell declines
 where an exponent free of x raises. What cannot be bounded is unbounded: the
-bound is inf on a cell where it declines, and the lower bound of |f''| 0.
+bound is inf on a cell where it declines, and |f''| has the pair (0, inf).
 So a finite bound also proves that its closure raises nothing in the cell.
 """
 
@@ -325,32 +326,19 @@ def inf_power(s: float, q: float) -> float:
         return 0.0
 
 
-class Bounds(list):
-    """One upper bound per cell, as a list, and lows: one lower bound per cell."""
-
-    __slots__ = ("lows",)
-
-
 def _abs_ends(d: _Iv) -> _Iv:
     """A lower and an upper bound of |v| for every v in the interval d."""
     lo, hi = d
     return (lo if lo > 0.0 else -hi if hi < 0.0 else 0.0), max(-lo, hi)
 
 
-def compile_second_derivative(node: Node) -> Callable[[list[_Iv]], Bounds]:
-    """cells -> per cell [lo, hi], an upper bound of |f''| as the float jet
-    computes it at any float in the cell, and in the lows of the result a
-    lower bound of it; (0, inf) where it cannot vouch for those bounds (see
-    the module docstring)."""
+def compile_second_derivative(node: Node) -> Callable[[list[_Iv]], list[_Iv]]:
+    """cells -> per cell [lo, hi], the pair (low, high) of a lower and an
+    upper bound of |f''| as the float jet computes it at any float in the
+    cell; (0, inf) where it cannot vouch for those bounds (see the module
+    docstring)."""
     jet = _compile_jet(node)
-
-    def bounds(cells: list[_Iv]) -> Bounds:
-        ends = [(0.0, _INF) if j is None else _abs_ends(j[2]) for j in jet(cells)]
-        sups = Bounds(hi for _, hi in ends)
-        sups.lows = [lo for lo, _ in ends]
-        return sups
-
-    return bounds
+    return lambda cells: [(0.0, _INF) if j is None else _abs_ends(j[2]) for j in jet(cells)]
 
 
 def compile_value(node: Node) -> Callable[[list[_Iv]], list[float]]:

@@ -71,16 +71,16 @@ and 15 MB at n = 128, less where the walk stops early).
 
 A scan returns a record (_Scan): samples_checked, max_margin, and each
 violation, and the mirror's where a pass decides two lams, as the plain
-tuple (x, y, lam, lhs, rhs) the walk appended. Two readers build from it
-what they need. report(), which check_godunova_levin, check_expression and
-membership_for_bound return, keeps each tuple once, sorted by (x, y, lam),
-as a Violation, the named tuple made from it. worst(k), which the CLI's
-qclass prints, counts the distinct tuples and makes Violations of only the
-k with the largest margins: a failing scan records thousands, and qclass
-builds no report. A tuple recurs where grid points coincide (at large
-offsets) and where the check for negative values meets the walk's own
-triple (x, x, 1/2) at an odd grid, and both readers drop the repeats by
-value.
+tuple (x, y, lam, lhs, rhs), a key of an insertion-ordered dict. A tuple
+recurs where grid points coincide (at large offsets) and where the check
+for negative values meets the walk's own triple (x, x, 1/2) at an odd
+grid; the dict keeps it once, by value, as first recorded (0.0 and -0.0
+compare equal). Two readers build from it what they need. report(), which
+check_godunova_levin, check_expression and membership_for_bound return,
+sorts the tuples by (x, y, lam), each as a Violation, the named tuple made
+from it. worst(k), which the CLI's qclass prints, counts the tuples and
+makes Violations of only the k with the largest margins: a failing scan
+records thousands, and qclass builds no report.
 
 The triple (y, x, 1-lam) has the same point and the same right side as
 (x, y, lam), because float addition is commutative. So when a grid lam and
@@ -139,7 +139,7 @@ class QClassReport(NamedTuple):
     passed: bool
 
 
-Raw = list[tuple[float, float, float, float, float]]  # (x, y, lam, lhs, rhs) of each violation
+Raw = dict[tuple[float, float, float, float, float], None]  # (x, y, lam, lhs, rhs) of each violation, once
 Cells = list[tuple[float, float]]  # [lo, hi] of each cell
 Bound = Callable[[Cells], list[float]]  # cells -> an upper bound of g on each
 
@@ -225,14 +225,6 @@ def _hull(xs: list[float]) -> tuple[float, float]:
     is the grid's."""
     [hull] = _cells([xs[0], xs[-1]])
     return hull
-
-
-def _cell_bounds(bound: Bound | None, xs: list[float]) -> list[float]:
-    """bound(cells) on the cells of the scan with grid points xs, called
-    once: inf on every cell where bound is None (_bounds_on otherwise)."""
-    if bound is None:
-        return [math.inf] * (len(xs) - 1)
-    return _bounds_on(bound, _cells(xs))
 
 
 def _bounds_on(bound: Bound, cells: Cells) -> list[float]:
@@ -435,8 +427,8 @@ def check_godunova_levin(
 
 class _Scan(NamedTuple):
     """The record of one scan, with its two readers (the module docstring):
-    raw holds each violation as the plain tuple (x, y, lam, lhs, rhs), in
-    the order the scan appended them, repeats included."""
+    raw holds each violation once as the plain tuple (x, y, lam, lhs, rhs),
+    its keys in the order the scan first recorded them."""
 
     samples_checked: int
     raw: Raw
@@ -448,27 +440,25 @@ class _Scan(NamedTuple):
 
     def report(self) -> QClassReport:
         """Each violation once, sorted by (x, y, lam), as a Violation."""
-        # tuples dedup and sort as the Violations would: field by field, stably
-        unique = sorted(dict.fromkeys(self.raw), key=itemgetter(0, 1, 2))
-        violations = tuple(map(Violation._make, unique))
+        # tuples sort as the Violations would: field by field, stably
+        violations = tuple(map(Violation._make, sorted(self.raw, key=itemgetter(0, 1, 2))))
         return QClassReport(self.samples_checked, violations, self.max_margin, not violations)
 
     def worst(self, k: int) -> tuple[int, list[Violation]]:
-        """The number of violations in report(), and its k with the largest
-        margins, ties in (x, y, lam) order: sorted(report().violations,
-        key=lambda v: (-v.margin, v.x, v.y, v.lam))[:k], with only those k
-        made Violations.
+        """The number of violations in report(), which is len(raw), and its
+        k with the largest margins, ties in (x, y, lam) order:
+        sorted(report().violations, key=lambda v: (-v.margin, v.x, v.y,
+        v.lam))[:k], with only those k made Violations.
 
         rhs - lhs is -margin exactly (IEEE subtraction rounds a - b and b - a
         alike), and a tuple's (x, y, lam) fixes its lhs and rhs (the scan
         point and both sides are computed from them alone, g once per
-        point), so (rhs - lhs, tuple) orders the distinct tuples as that key.
+        point), so (rhs - lhs, tuple) orders the recorded tuples as that key.
         """
         import heapq
 
-        distinct = set(self.raw)
-        worst = heapq.nsmallest(k, distinct, key=lambda t: (t[4] - t[3], t))
-        return len(distinct), list(map(Violation._make, worst))
+        worst = heapq.nsmallest(k, self.raw, key=lambda t: (t[4] - t[3], t))
+        return len(self.raw), list(map(Violation._make, worst))
 
 
 def _scan(
@@ -477,17 +467,17 @@ def _scan(
     """The scan of check_godunova_levin, as its record."""
     n = grid_n
     xs = _scan_grid(iv, n, tol)
-    sup = _cell_bounds(bound, xs)
+    sup = [math.inf] * (n - 1) if bound is None else _bounds_on(bound, _cells(xs))
     memo = _PointMemo(g)
     gx = [memo[x] for x in xs]
 
-    raw: Raw = []
+    raw: Raw = {}
     max_margin = -math.inf
     for x, gv in zip(xs, gx):
         if gv < -tol:
             # 0.5*x + 0.5*x reproduces x exactly, so this re-checks soundly
             rhs = gv / 0.5 + gv / 0.5
-            raw.append((x, x, 0.5, gv, rhs))
+            raw[x, x, 0.5, gv, rhs] = None
             max_margin = max(max_margin, gv - rhs)
 
     pairs = ranked_pairs(gx, sup, -math.inf)
@@ -577,9 +567,9 @@ def _walk(
                         top, at = m, (v, p, q)
                     if m > tol:
                         _, mirror, paired = visits[v]
-                        raw.append((xp, xq, lam, lhs, rhs))
+                        raw[xp, xq, lam, lhs, rhs] = None
                         if paired:
-                            raw.append((xq, xp, mirror, lhs, rhs))
+                            raw[xq, xp, mirror, lhs, rhs] = None
             yield b, top
     except Exception:
         for _, _, points in _lam_major(xs):
@@ -627,7 +617,7 @@ def _membership_scan(e: Node, iv: Interval, q: float, grid_n: int, tol: float) -
     d2 = compile_second_derivative(e)
 
     def bound(cells: Cells) -> list[float]:
-        return [sup_power(s, q) for s in d2(cells)]
+        return [sup_power(high, q) for _, high in d2(cells)]
 
     return _scan(_q_power(e, q), iv, grid_n, tol, bound)
 
@@ -638,8 +628,8 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
 
     Each q is decided in two steps. First, |f''| is enclosed on one cell,
     from the first cell of _cells to the last (_hull), which holds every
-    cell and so every scan point: its upper bound H bounds |f''| on each
-    cell, and its lower bound L puts every grid value g_i at or above
+    cell and so every scan point, as one pair (L, H): H bounds |f''| on
+    each cell, and L puts every grid value g_i at or above
     low = inf_power(L, q). So the row keys (_row_keys) of the two values
     [low, low] under the one bound S = sup_power(H, q) are at least the keys
     of the grid's own values under [S] * (n-1), a cover that the proof of
@@ -669,9 +659,7 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     from .enclosure import compile_second_derivative, inf_power, sup_power
 
     d2 = compile_second_derivative(e)
-    ends = d2([_hull(xs)])
-    # sup_power reads a NaN as inf; a bound that gives no lows gives 0
-    [high], [low] = ends, getattr(ends, "lows", [0.0])
+    [(low, high)] = d2([_hull(xs)])
     sup = None  # the bound of |f''| on each cell, where the one cell proves nothing
     memberships = {}
     for q in dict.fromkeys(q_list):
@@ -680,7 +668,7 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
             memberships[q] = True
             continue
         if sup is None:
-            sup = _bounds_on(d2, _cells(xs))
+            sup = [hi for _, hi in d2(_cells(xs))]
         memberships[q] = _decide(e, q, xs, sup)
     return memberships
 
@@ -727,7 +715,7 @@ def _decide(e: Node, q: float, xs: list[float], sup: list[float]) -> bool:
     memo = _PointMemo(_q_power(e, q))
     gx = [memo[x] for x in xs]
     hot = ranked_pairs(gx, [sup_power(s, q) for s in sup], DEFAULT_TOL)
-    raw: Raw = []
+    raw: Raw = {}
     # no margin is reported, so top starts at inf, where no margin reaches it
     for b, _ in _walk(hot, xs, gx, memo, DEFAULT_TOL, raw, math.inf):
         if raw and b < math.inf:  # every pair where g may raise is visited

@@ -183,11 +183,11 @@ def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkey
     taken.clear()
     monkeypatch.setattr(glbounds.qclass, "ranked_pairs", recording(ranked_pairs))
 
-    def unbounded(e):  # as if the enclosure declined on every cell
-        return lambda cells: [math.inf] * len(cells)
+    def unbounded(declined):  # as if the enclosure declined on every cell
+        return lambda e: lambda cells: [declined] * len(cells)
 
-    monkeypatch.setattr(glbounds.enclosure, "compile_value", unbounded)
-    monkeypatch.setattr(glbounds.enclosure, "compile_second_derivative", unbounded)
+    monkeypatch.setattr(glbounds.enclosure, "compile_value", unbounded(math.inf))
+    monkeypatch.setattr(glbounds.enclosure, "compile_second_derivative", unbounded((0.0, math.inf)))
     assert _outcomes(requests, capsys) == pruned
     assert len(taken) == len(requests)
     assert all(count == pairs for pairs, count in taken)

@@ -567,14 +567,14 @@ class TestSweep:
         assert not absent.exists()
 
     def test_overflow_fails_before_any_scan(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
         out = tmp_path / "sweep.csv"
         assert main(self.OVERFLOW_ARGV + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == self.OVERFLOW_ERR
         assert not out.exists()
 
     def test_infinite_q_fails_before_any_scan(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda-grid", "0:1:0.5", "--q", "1,inf",
                 "--out", str(out)]
@@ -743,7 +743,7 @@ class TestQclassTopTen:
         )
         assert [v.margin for v in violations] == margins
         # the scan's record, which qclass reads, in an order other than (x, y, lam)
-        scan = glbounds.qclass._Scan(8, [tuple(v) for v in reversed(violations)], 2.0)
+        scan = glbounds.qclass._Scan(8, dict.fromkeys(map(tuple, reversed(violations))), 2.0)
         monkeypatch.setattr(glbounds.cli, "_expression_scan", lambda *args: scan)
         assert main(["qclass", "--g", "x", "--a", "0", "--b", "1", "--grid", "2"]) == 1
         printed = _printed_violations(capsys.readouterr().out)

@@ -62,8 +62,7 @@ def test_enclosure_covers_the_float_jet(ast, cell, data):
         values = jet(x)  # where it raises, the enclosure must have declined
         for v, (e_lo, e_hi) in zip(values, enclosure):
             assert e_lo <= v <= e_hi, (x, values, enclosure)
-    bounds = compile_second_derivative(ast)([cell])
-    [low], [sup] = bounds.lows, bounds
+    [(low, sup)] = compile_second_derivative(ast)([cell])
     assert all(low <= abs(jet(x)[2]) <= sup for x in _cell_points(lo, hi, inner))
     # the value closure computes the jet's value part, so that bounds it too
     [sup_f] = compile_value(ast)([cell])
@@ -79,7 +78,9 @@ def test_a_batch_bounds_each_cell_as_alone(ast, cells, data):
     # a cell that declines takes no other cell with it
     assert d2s == [sup_d2([cell])[0] for cell in cells]
     assert fs == [sup_f([cell])[0] for cell in cells]
-    for (lo, hi), d2, f in zip(cells, d2s, fs):
+    for (lo, hi), (low, d2), f, ijet in zip(cells, d2s, fs, _compile_jet(ast)(cells), strict=True):
+        # one pair (low, high) of |f''| per cell, (0, inf) exactly where the interval jet declines
+        assert 0.0 <= low <= d2 and ((low, d2) == (0.0, math.inf)) is (ijet is None)
         if d2 == f == math.inf:
             continue
         # a finite bound: its closure raises nowhere in the cell, and the bound holds
@@ -174,7 +175,7 @@ def test_one_walk_compiles_every_closure():
 def test_declines_where_the_jet_may_raise(text, lo, hi):
     # what cannot be bounded is unbounded, whether at compile time or on the cell
     e = parse(text)
-    assert compile_second_derivative(e)([(lo, hi)]) == [math.inf]
+    assert compile_second_derivative(e)([(lo, hi)]) == [(0.0, math.inf)]
     if text != "x^(-0.5)":  # the value closure may raise too (the x^(-0.5) cell: below)
         assert compile_value(e)([(lo, hi)]) == [math.inf]
 
@@ -184,7 +185,7 @@ def test_the_value_is_bounded_where_only_the_jet_raises():
     # value closure raises nothing there, and compile_value bounds it
     x = 1.0437212337495636e-149
     e = parse("x^(-0.5)")
-    assert compile_second_derivative(e)([(x, x)]) == [math.inf]
+    assert compile_second_derivative(e)([(x, x)]) == [(0.0, math.inf)]
     assert compile_value(e)([(x, x)]) == [3.0953355848968534e74]
     assert _compile_value(e)(x) == 3.0953355848968504e74
 
@@ -217,7 +218,7 @@ def test_exponents_that_depend_on_x_are_bounded(text, top_d2, d2_cap):
     # x^x's f'' bound is loose, as e and ln b both vary with x
     e = parse(text)
     value, jet = compile_expression(e)
-    [d2] = compile_second_derivative(e)([(1.0, 2.0)])
+    [(_, d2)] = compile_second_derivative(e)([(1.0, 2.0)])
     [f] = compile_value(e)([(1.0, 2.0)])
     assert top_d2 <= d2 <= d2_cap and 4.0 <= f <= 4.0 * (1.0 + 1e-14)
     for x in _cell_points(1.0, 2.0, [1.25, 1.5, 1.75]):
@@ -236,7 +237,7 @@ def test_exponents_that_depend_on_x_are_bounded(text, top_d2, d2_cap):
     ],
 )
 def test_bounds_are_tight_to_rounding(text, lo, hi, expected):
-    [sup] = compile_second_derivative(parse(text))([(lo, hi)])
+    [(_, sup)] = compile_second_derivative(parse(text))([(lo, hi)])
     assert expected <= sup <= expected * (1.0 + 1e-12)
 
 
@@ -310,8 +311,7 @@ def test_inf_power_is_zero_where_it_cannot_bound(s, q):
     ],
 )
 def test_lower_ends_of_the_second_derivative(text, lo, hi, low):
-    bounds = compile_second_derivative(parse(text))([(lo, hi)])
-    [got] = bounds.lows
+    [(got, _)] = compile_second_derivative(parse(text))([(lo, hi)])
     assert got <= low and low - got <= 1e-12 * low
 
 
@@ -327,7 +327,5 @@ def test_each_grid_cell_lies_inside_the_hull(ast, a, width):
     # them all, so the cells prove whatever the one cell's bound proves
     xs = _scan_grid(Interval(a, a + width), 64, DEFAULT_TOL)
     bound = compile_second_derivative(ast)
-    hull, cells = bound([_hull(xs)]), bound(_cells(xs))
-    [high], [low] = hull, hull.lows
-    assert all(sup <= high for sup in cells), (high, max(cells))
-    assert all(inf >= low for inf in cells.lows), (low, min(cells.lows))
+    [(low, high)], cells = bound([_hull(xs)]), bound(_cells(xs))
+    assert all(low <= inf and sup <= high for inf, sup in cells), (low, high, cells)

@@ -29,10 +29,12 @@ from glbounds.expressions import Bin, Const, DomainError, ExpressionError, NonSm
 from glbounds.enclosure import compile_second_derivative, compile_value, sup_power
 from glbounds.qclass import (
     DEFAULT_TOL,
-    _cell_bounds,
+    _bounds_on,
     _cells,
     _decide,
+    _expression_scan,
     _hull,
+    _membership_scan,
     _PointMemo,
     _q_power,
     _row_keys,
@@ -94,7 +96,9 @@ def enclosed(e, iv, grid_n, of_value=False):
     of |f''| (of f where of_value) on each of their cells, as the scan reads
     it: inf where the enclosure declines."""
     xs = _scan_grid(iv, grid_n, DEFAULT_TOL)
-    return xs, _cell_bounds((compile_value if of_value else compile_second_derivative)(e), xs)
+    if of_value:
+        return xs, _bounds_on(compile_value(e), _cells(xs))
+    return xs, [high for _, high in compile_second_derivative(e)(_cells(xs))]
 
 
 def powered(sup, q):
@@ -273,6 +277,35 @@ class TestViolation:
         assert v < Violation(0.25, 0.75, 0.625, 0.0, 0.0)
         with pytest.raises(AttributeError):
             v.x = 1.0
+
+
+class TestScanRecord:
+    """The scan's record holds each violation once, so the count that qclass
+    prints from it is the number of violations in the report."""
+
+    @pytest.mark.parametrize(
+        "text,iv,grid_n,count",
+        [
+            # the check for negative values meets the walk's own (x, x, 1/2) at an odd grid
+            ("x-0.5", UNIT_IV, 9, 356),
+            # 11 distinct grid points of 64: the walk meets each violation many times
+            ("0-1", Interval(1e8, 100000000.00000015), 64, 7755),
+        ],
+        ids=["negative-values-at-an-odd-grid", "coinciding-grid-points"],
+    )
+    def test_repeats_are_recorded_once(self, text, iv, grid_n, count):
+        scan = _expression_scan(parse(text), iv, grid_n, DEFAULT_TOL)
+        assert len(scan.raw) == len(scan.report().violations) == scan.worst(10)[0] == count
+
+    @pytest.mark.parametrize("grid_n", [2, 9, 31, 64, 100, 101, 128])
+    @pytest.mark.parametrize("q", [1.878, None], ids=["fn", "g"])
+    def test_sine_records_each_violation_once(self, q, grid_n):
+        e = parse("sin(x)")
+        if q is None:
+            scan = _expression_scan(e, SINE_INTERVAL, grid_n, DEFAULT_TOL)
+        else:
+            scan = _membership_scan(e, SINE_INTERVAL, q, grid_n, DEFAULT_TOL)
+        assert len(scan.raw) == len(scan.report().violations) == scan.worst(10)[0]
 
 
 class TestValidatingTypes:
@@ -552,7 +585,7 @@ class TestAgainstPlainLoop:
         values[z.hex()] = 1.0 / lam2 + 1.0 / (1.0 - lam2)
         g = lambda x: values[x.hex()]
         bound = lambda cells: [10.0 if lo <= z <= hi else 1.0 for lo, hi in cells]
-        sup = _cell_bounds(bound, xs)
+        sup = _bounds_on(bound, _cells(xs))
         assert sup.count(10.0) == 1
         rows = list(pair_bound_rows([g(x) for x in xs], sup))
         assert rows[r][t - r] > rows[p][q - p]
@@ -768,7 +801,7 @@ class TestProof:
         assert decided == _scans(e, iv, (q,))
         if path == "one cell":
             xs = _scan_grid(iv, 64, DEFAULT_TOL)
-            [hull] = compile_second_derivative(e)([_hull(xs)])
+            [(_, hull)] = compile_second_derivative(e)([_hull(xs)])
             gx = list(map(_q_power(e, q), xs))
             assert all(key <= DEFAULT_TOL for key in _row_keys(*_row_parts(gx, [sup_power(hull, q)] * 63)))
 
@@ -824,7 +857,7 @@ class TestProof:
             raise RuntimeError("boom")
 
         def unbounded(cells):
-            return [math.inf] * len(cells)
+            return [(0.0, math.inf)] * len(cells)
 
         def same(e, iv, qs):
             decided = _outcome(lambda: bound_memberships(e, iv, qs))
@@ -857,7 +890,7 @@ class TestProof:
         """|f''| of abs(x-0.3) is 0 wherever it is defined, so only the 855
         pairs that read the kink's unbounded cell are above the tolerance; the
         decision visits those and no other, and passes."""
-        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
         taken = record_taken(monkeypatch)
         assert bound_memberships(parse("abs(x-0.3)"), UNIT_IV, (2.0,)) == {2.0: True}
         assert len(taken) == 1 and len(taken[0]) == 855 < 64 * 65 // 2
@@ -867,7 +900,7 @@ class TestProof:
             bound_memberships(parse("abs(x-0.0859375)"), UNIT_IV, (1.0,))
 
     def test_a_violation_ends_the_decision_without_a_scan(self, monkeypatch):
-        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
         assert bound_memberships(parse("-sin(x)"), SINE_INTERVAL, (1.0,)) == {1.0: False}
         # x^4 keeps one pair above the tolerance at each q, its diagonal at the
         # first grid point, and that pair does not violate
@@ -878,7 +911,7 @@ class TestProof:
         [("2^x", UNIT_IV, (1.5,)), ("x^x", Interval(0.5, 2.0), (1.0, 2.0, 3.0))],
     )
     def test_exponents_that_depend_on_x_are_proven_with_no_pair(self, monkeypatch, text, iv, qs):
-        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
         taken = record_taken(monkeypatch)
         assert bound_memberships(parse(text), iv, qs) == dict.fromkeys(qs, True)
         assert not any(taken)
@@ -1237,7 +1270,7 @@ class TestRanking:
         cells = _cells(xs)
         bound = (compile_value if q is None else compile_second_derivative)(e)
         [hull] = bound([(cells[0][0], cells[-1][1])])
-        sup = [hull if q is None else sup_power(hull, q)] * len(cells)
+        sup = [hull if q is None else sup_power(hull[1], q)] * len(cells)  # |f''|'s (low, high)
         gx = [(compile_expression(e)[0] if q is None else _q_power(e, q))(x) for x in xs]
         assert list(glbounds.qclass.ranked_pairs(gx, sup, floor)) == ranked_pairs_eager(gx, sup, floor)
 
