@@ -19,12 +19,18 @@ Soundness holds by construction: the enclosure is the closure itself.
 glbounds.expressions writes each derivative rule, and the walk that strings
 them together, once for any arithmetic (_jet_rules, _jet_compiler), and here
 they run on a batch of cells, _Cells, in place of a float. A batch holds one
-interval per cell, and each of +, -, *, /, unary -, float * batch and
-** constant is one pass over the cells; so every float operation of the jet
-is an interval operation here, in the same order, on intervals holding its
-operands. Only the constants and x, the elementary functions and abs are
-this module's; a power whose exponent depends on x is exp(e * ln b) in
-these intervals, and an exponent free of x is the float that the jet takes.
+interval per cell, and each of +, -, *, /, unary - and ** constant is one
+pass over the cells; so every float operation of the jet is an interval
+operation here, in the same order, on intervals holding its operands, but
+for the jet's exact floats. x's jet is (x, 1.0, 0.0) and a constant's
+(c, 0.0, 0.0), as in the float jet, so a part computed from those and the
+rules' own constants alone stays the float that the jet computes at every
+x; with such a float the exact results v*1 = v, v + 0 = v, v - 0 = v,
+0 - v = -v, v*0 = 0 (v finite) and 0/v = 0 (v not holding 0) are taken as
+they are, any other float c is [c, c], and one not finite declines. Only
+the constants and x, the elementary functions and abs are this module's; a
+power whose exponent depends on x is exp(e * ln b) in these intervals, and
+an exponent free of x is the float that the jet takes.
 The value closure's rules (_VALUE_RULES) for +, -, *, unary - and a call
 test no float, and run on the cells as they are; its powers and quotient
 do (_power, _variable_power, _divide), so _VALUE_CELL_RULES gives them as
@@ -188,6 +194,8 @@ class _Cells:
     rule above declines, or exp or ** overflows), the cell's index joins
     dead, which all batches of the evaluation share, and the cell holds
     [0, 0] from there on, while the pass goes on over the other cells.
+    An operand may also be one of the jet's exact floats (the module
+    docstring).
     """
 
     __slots__ = ("ivs", "dead")
@@ -212,20 +220,54 @@ class _Cells:
     def like(self, iv: _Iv) -> _Cells:
         return _Cells([iv] * len(self.ivs), self.dead)
 
-    def __add__(self, other: _Cells) -> _Cells:
-        return self.each(_add, other.ivs)
+    def held(self, part: _Part) -> list[_Iv]:
+        """A jet part's interval on each cell; a float part not finite declines all."""
+        if part.__class__ is _Cells:
+            return part.ivs
+        if not math.isfinite(part):
+            self.dead.update(range(len(self.ivs)))
+            part = 0.0
+        return [(part, part)] * len(self.ivs)
 
-    def __sub__(self, other: _Cells) -> _Cells:
-        return self.each(_sub, other.ivs)
+    def __add__(self, other: _Part) -> _Cells:
+        if other.__class__ is _Cells:
+            return self.each(_add, other.ivs)
+        return self if other == 0.0 else self.each(_add, repeat((other, other)))
 
-    def __mul__(self, other: _Cells) -> _Cells:
-        return self.each(_mul, other.ivs)
+    __radd__ = __add__  # float addition is commutative
 
-    def __rmul__(self, c: float) -> _Cells:  # [c, c] * self; c not finite declines
-        return self.each(_mul, repeat((c, c)))
+    def __sub__(self, other: _Part) -> _Cells:
+        if other.__class__ is _Cells:
+            return self.each(_sub, other.ivs)
+        return self if other == 0.0 else self.each(_sub, repeat((other, other)))
 
-    def __truediv__(self, other: _Cells) -> _Cells:
+    def __rsub__(self, c: float) -> _Cells:
+        return -self if c == 0.0 else self.like((c, c)).each(_sub, self.ivs)
+
+    def __mul__(self, other: _Part) -> _Part:
+        if other.__class__ is _Cells:
+            return self.each(_mul, other.ivs)
+        if other == 1.0:
+            return self
+        if other == 0.0:
+            for k, (lo, hi) in enumerate(self.ivs):
+                if not (-_INF < lo and hi < _INF):  # v*0 is NaN at v = inf
+                    self.dead.add(k)
+            return 0.0
+        return self.each(_mul, repeat((other, other)))  # c not finite declines
+
+    __rmul__ = __mul__  # float multiplication is commutative
+
+    def __truediv__(self, other: _Cells) -> _Cells:  # a divisor is a value part, never a float
         return self.each(_div, other.ivs)
+
+    def __rtruediv__(self, c: float) -> _Part:
+        if c == 0.0:
+            for k, (lo, hi) in enumerate(self.ivs):
+                if lo <= 0.0 <= hi:  # the float jet raises at a divisor of 0
+                    self.dead.add(k)
+            return 0.0
+        return self.like((c, c)).each(_div, self.ivs)
 
     def __neg__(self) -> _Cells:
         return _Cells([(-hi, -lo) for lo, hi in self.ivs], self.dead)
@@ -234,20 +276,30 @@ class _Cells:
         return self.each(_ipow, repeat(c))
 
 
+_Part = _Cells | float  # a part of an interval jet: a batch, or an exact float
+
+
 def _batched(rule: Callable[..., _Iv], *args) -> Callable[[_Cells], _Cells]:
     return lambda u: u.each(rule, *map(repeat, args))
 
 
-def _abs_jet(uv: _Cells, u1: _Cells, u2: _Cells) -> tuple[_Cells, _Cells, _Cells]:
+def _abs_jet(uv: _Cells, u1: _Part, u2: _Part) -> tuple[_Cells, _Part, _Part]:
     # the float jet raises where the argument is 0 and negates where it is negative
-    return uv.each(_abs), u1.each(_flip, uv.ivs), u2.each(_flip, uv.ivs)
+    return uv.each(_abs), _signed(u1, uv), _signed(u2, uv)
+
+
+def _signed(part: _Part, uv: _Cells) -> _Part:
+    """part times the sign of uv, as the float jet's s * part: a float 0 stays 0."""
+    if part == 0.0:  # a float part: a batch compares unequal to every float
+        return part
+    return _Cells(uv.held(part), uv.dead).each(_flip, uv.ivs)
 
 
 _SIN, _COS = _batched(_periodic, math.sin, 0.5), _batched(_periodic, math.cos, 0.0)
 _EXP, _LN, _SQRT = _batched(_exp), _batched(_ln), _batched(_sqrt)
 
 _RULES = {
-    **_jet_rules(_SIN, _COS, _EXP, _LN, _SQRT, operator.pow, lambda a, b, x: a / b, lambda v: v.like(_ZERO)),
+    **_jet_rules(_SIN, _COS, _EXP, _LN, _SQRT, operator.pow, lambda a, b, x: a / b, lambda v: 0.0),
     "abs": _abs_jet,
 }
 
@@ -270,19 +322,19 @@ def _const_value(c: float) -> Callable[[_Cells], _Cells]:
     return lambda x: x.like((c, c))
 
 
-def _const(c: float) -> Callable[[_Cells], tuple[_Cells, _Cells, _Cells]]:
+def _const(c: float) -> Callable[[_Cells], tuple[_Cells, float, float]]:
     value = _const_value(c)
-    return lambda x: (value(x), x.like(_ZERO), x.like(_ZERO))
+    return lambda x: (value(x), 0.0, 0.0)
 
 
-_walk = _jet_compiler(_RULES, _const, lambda x: (x, x.like((1.0, 1.0)), x.like(_ZERO)))
+_walk = _jet_compiler(_RULES, _const, lambda x: (x, 1.0, 0.0))
 _value_walk = _jet_compiler(_VALUE_CELL_RULES, _const_value, lambda x: x)
 
 
 def _per_cell(walk: Callable, node: Node, ivs: Callable) -> Callable[[list[_Iv]], list]:
     """cells -> per cell, what walk(node) encloses at every float of the
-    cell, as ivs reads it per cell from the closure's output, or None where
-    the cell declines."""
+    cell, as ivs(output, x) reads it per cell from the closure's output on
+    the batch x, or None where the cell declines."""
     try:
         closure = walk(node)
     except Declined:  # on every cell
@@ -294,7 +346,8 @@ def _per_cell(walk: Callable, node: Node, ivs: Callable) -> Callable[[list[_Iv]]
             out = closure(x)
         except ExpressionError:  # from an exponent free of x: the closure raises it at every x
             return [None] * len(cells)
-        return [None if k in x.dead else iv for k, iv in enumerate(ivs(out))]
+        read = list(ivs(out, x))  # before dead is read: a part may decline every cell
+        return [None if k in x.dead else iv for k, iv in enumerate(read)]
 
     return per_cell
 
@@ -302,7 +355,7 @@ def _per_cell(walk: Callable, node: Node, ivs: Callable) -> Callable[[list[_Iv]]
 def _compile_jet(node: Node) -> Callable[[list[_Iv]], list[_IJet | None]]:
     """cells -> per cell, the interval jet enclosing the float jet at every
     float of the cell, or None where the cell declines."""
-    return _per_cell(_walk, node, lambda jet: zip(*(part.ivs for part in jet)))
+    return _per_cell(_walk, node, lambda jet, x: zip(*map(x.held, jet)))
 
 
 def sup_power(s: float, q: float) -> float:
@@ -347,5 +400,5 @@ def compile_value(node: Node) -> Callable[[list[_Iv]], list[float]]:
     bound. The value closure's own rules run on the cells (_value_walk), so
     the bound declines where that closure may raise, and a finite bound also
     proves that it raises nothing in the cell."""
-    value = _per_cell(_value_walk, node, lambda v: v.ivs)
+    value = _per_cell(_value_walk, node, lambda v, x: v.ivs)
     return lambda cells: [_INF if v is None else v[1] for v in value(cells)]

@@ -30,9 +30,11 @@ points), and turns them into one bound per pair of grid points over just
 the cells its scan points reach (pair_bound_rows). The entry points pass an
 interval enclosure (glbounds.enclosure) of f or |f''|, inf on a cell where
 it declines. One walk (_walk) visits the pairs hottest first by that bound,
-computing each margin as the loop does. The scan is that walk, stopped
-where no pair left can change its report, and its report and first error
-are the loop's. The walk takes its pairs from a lazy ranking
+computing each margin as the loop does, but for a triple that its own
+cell clears (u = fl(sup - rhs) at most the tolerance and below the largest
+margin so far), which reads no g. The scan is that walk, stopped where no
+pair left can change its report, and its report and first error are the
+loop's. The walk takes its pairs from a lazy ranking
 (ranked_pairs), which computes a row's bounds only when an O(1) key of
 the row reaches the top of its heap, and sorts only the rows it takes a
 pair from. The key of row i,
@@ -64,10 +66,11 @@ MAX_GRID_N caps every scan, since a scan costs n^3 time and holds up to
 about 9n^2 points.
 
 The n^3 triples of a scan land on far fewer distinct points (2n^2 to about
-9n^2), so g is called once per distinct point it visits and its values are
+9n^2), so g is called once per distinct point it reads and its values are
 kept until the scan returns: g must be deterministic, and memory grows with
 the number of distinct points (about 100 bytes each: up to 3 MB at n = 64
-and 15 MB at n = 128, less where the walk stops early).
+and 15 MB at n = 128, less where the walk stops early or its cells clear
+triples).
 
 A scan returns a record (_Scan): samples_checked, max_margin, and each
 violation, and the mirror's where a pass decides two lams, as the plain
@@ -416,7 +419,7 @@ def check_godunova_levin(
     give one (a NaN counts as inf). The scan cannot derive it from g, which
     may be any callable: the entry points below pass the enclosure of the
     expression behind g. Without a bound every cell is inf, and the walk
-    visits every pair.
+    visits every pair and reads g at every point of each.
 
     Raises ValueError where grid_n or tol is invalid, where the grid points
     of iv pass the float range (a width above about 2.8e306 at grid_n = 64),
@@ -467,7 +470,8 @@ def _scan(
     """The scan of check_godunova_levin, as its record."""
     n = grid_n
     xs = _scan_grid(iv, n, tol)
-    sup = [math.inf] * (n - 1) if bound is None else _bounds_on(bound, _cells(xs))
+    cells = _cells(xs)
+    sup = [math.inf] * (n - 1) if bound is None else _bounds_on(bound, cells)
     memo = _PointMemo(g)
     gx = [memo[x] for x in xs]
 
@@ -482,7 +486,7 @@ def _scan(
 
     pairs = ranked_pairs(gx, sup, -math.inf)
     # the walk's last yield, after its last pair, has the largest margin
-    for _, max_margin in _walk(pairs, xs, gx, memo, tol, raw, max_margin):
+    for _, max_margin in _walk(pairs, xs, gx, memo, tol, raw, max_margin, cells, sup):
         pass
     return _Scan(n * n * n, raw, max_margin)
 
@@ -523,6 +527,8 @@ def _walk(
     tol: float,
     raw: Raw,
     top: float,
+    cells: Cells,
+    sup: list[float],
 ) -> Iterator[tuple[float, float]]:
     """Visit the pairs (b, i, j) of grid points, i <= j, in the order given
     (ranked_pairs: highest b first), each at every lam of _visits in
@@ -541,17 +547,30 @@ def _walk(
     top. A mirror lam, with no visit of its own, repeats the margins of an
     earlier visit. So raw and top are the lam-major loop's.
 
+    A triple whose own cell clears it reads no g. sup[k] bounds g on cell k
+    of cells, the _cells of xs. The triple's point z lies at index position
+    lam*p + (1-lam)*q, so in cell k = p + floor((1-lam)*(q-p)) (n-2 where
+    that is n-1), which lo_k <= z <= hi_k confirms. There g(z) <= sup[k],
+    so by monotone rounding its margin fl(g(z) - rhs) is at most
+    u = fl(sup[k] - rhs), and where u <= tol and u < top the triple neither
+    violates nor reaches top. sup[k] = inf gives u = inf or NaN, which
+    skips nothing.
+
     A finite cell proves g finite, and raising nothing, at every point of
     the cell; a cell where the enclosure behind the bound declines is inf.
     Every point the walk asks for lies in a cell of its pair, so a point
     where g raises lies only in pairs with b = inf, which rank before every
-    other pair. The walk meets the points in another order than the loop, so
-    where it raises it asks for them again in the loop's order (_lam_major;
-    the values it has cost nothing), and the loop's first failing point
-    raises.
+    other pair, and a skipped point lies in a finite cell. The walk meets
+    the points in another order than the loop, so where it raises it asks
+    for them again in the loop's order (_lam_major; the values it has cost
+    nothing), and the loop's first failing point raises.
     """
     visits = _visits(len(xs))
     steps = [(lam, 1.0 - lam) for lam, _, _ in visits]
+    # (lo, hi, sup) of each cell, the last one again at index n-1
+    bounds = [(lo, hi, s) for (lo, hi), s in zip(cells, sup)]
+    bounds.append(bounds[-1])
+    offsets: dict[int, list[int]] = {}  # q - p -> each visit's cell, less p
     at = (-1, 0, 0)  # where top is in lam-major order; -1 is before every visit
     try:
         for b, i, j in pairs:
@@ -559,9 +578,18 @@ def _walk(
                 return
             for p, q in ((i, j), (j, i)) if i < j else ((i, i),):
                 xp, xq, gp, gq = xs[p], xs[q], gx[p], gx[q]
-                for v, (lam, clam) in enumerate(steps):
-                    lhs = memo[lam * xp + clam * xq]
+                offs = offsets.get(q - p)
+                if offs is None:
+                    offs = offsets[q - p] = [math.floor(clam * (q - p)) for _, clam in steps]
+                held = [bounds[p + o] for o in offs]
+                for v, (lam, clam), (lo, hi, s) in zip(range(len(steps)), steps, held):
+                    z = lam * xp + clam * xq
                     rhs = gp / lam + gq / clam
+                    if lo <= z <= hi:
+                        u = s - rhs
+                        if u <= tol and u < top:  # the cell clears the triple
+                            continue
+                    lhs = memo[z]
                     m = lhs - rhs
                     if m >= top and (m > top or (v, p, q) < at):
                         top, at = m, (v, p, q)
@@ -714,10 +742,11 @@ def _decide(e: Node, q: float, xs: list[float], sup: list[float]) -> bool:
 
     memo = _PointMemo(_q_power(e, q))
     gx = [memo[x] for x in xs]
-    hot = ranked_pairs(gx, [sup_power(s, q) for s in sup], DEFAULT_TOL)
+    sup_q = [sup_power(s, q) for s in sup]
+    hot = ranked_pairs(gx, sup_q, DEFAULT_TOL)
     raw: Raw = {}
     # no margin is reported, so top starts at inf, where no margin reaches it
-    for b, _ in _walk(hot, xs, gx, memo, DEFAULT_TOL, raw, math.inf):
+    for b, _ in _walk(hot, xs, gx, memo, DEFAULT_TOL, raw, math.inf, _cells(xs), sup_q):
         if raw and b < math.inf:  # every pair where g may raise is visited
             return False
     return not raw

@@ -10,7 +10,9 @@ from glbounds import Interval, corpus_entries, parse
 from glbounds.enclosure import (
     _RULES,
     _VALUE_CELL_RULES,
+    _Cells,
     _compile_jet,
+    _libm,
     _value_walk,
     _walk,
     compile_second_derivative,
@@ -22,7 +24,13 @@ from glbounds.expressions import (
     _CALLS,
     _JET_RULES,
     _VALUE_RULES,
+    Bin,
+    Call,
+    Const,
     ExpressionError,
+    Neg,
+    Pow,
+    Var,
     _compile_value,
     _jet_compiler,
     compile_expression,
@@ -40,6 +48,38 @@ _CELLS = st.one_of(
 ).map(lambda c: (c[0], c[0] + c[1]))
 
 
+def _exact_parts():
+    """Expressions whose interval jet keeps derivative parts as exact floats:
+    linear f (constants, x, x*1, 0*x and their sums, differences, negations,
+    constant multiples and quotients by a constant), and abs, sqrt and ln of
+    one, and a power of one whose exponent is one."""
+    const = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(0.0, 100.0)).map(Const)
+    leaves = st.one_of(
+        const,
+        st.just(Var()),
+        st.just(Bin("*", Var(), Const(1.0))),
+        st.just(Bin("*", Const(0.0), Var())),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(Bin, st.sampled_from("+-"), children, children),
+            st.builds(Bin, st.just("*"), const, children),
+            st.builds(Bin, st.just("/"), children, const),
+        )
+
+    linear = st.recursive(leaves, extend, max_leaves=6)
+    return st.one_of(
+        linear,
+        st.builds(Call, st.sampled_from(("abs", "sqrt", "ln")), linear),
+        st.builds(Pow, linear, linear),
+    )
+
+
+_EXPRESSIONS = st.one_of(_tree_strategy(), _exact_parts())
+
+
 def _cell_points(lo, hi, inner):
     """The ends, their neighbours inside the cell, and the drawn points."""
     ends = [lo, hi, math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)]
@@ -47,7 +87,7 @@ def _cell_points(lo, hi, inner):
 
 
 @settings(max_examples=examples(600), deadline=None)
-@given(_tree_strategy(), _CELLS, st.data())
+@given(_EXPRESSIONS, _CELLS, st.data())
 def test_enclosure_covers_the_float_jet(ast, cell, data):
     lo, hi = cell
     inner = data.draw(st.lists(st.floats(lo, hi), max_size=6))
@@ -70,7 +110,7 @@ def test_enclosure_covers_the_float_jet(ast, cell, data):
 
 
 @settings(max_examples=examples(300), deadline=None)
-@given(_tree_strategy(), st.lists(_CELLS, min_size=1, max_size=5), st.data())
+@given(_EXPRESSIONS, st.lists(_CELLS, min_size=1, max_size=5), st.data())
 def test_a_batch_bounds_each_cell_as_alone(ast, cells, data):
     value, jet = compile_expression(ast)
     sup_d2, sup_f = compile_second_derivative(ast), compile_value(ast)
@@ -239,6 +279,47 @@ def test_exponents_that_depend_on_x_are_bounded(text, top_d2, d2_cap):
 def test_bounds_are_tight_to_rounding(text, lo, hi, expected):
     [(_, sup)] = compile_second_derivative(parse(text))([(lo, hi)])
     assert expected <= sup <= expected * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("text", ["x", "3*x+2", "x*1", "0*x", "2-x/4", "-(x+x)/3", "0.5*(1-x)"])
+def test_a_linear_f_has_an_exact_zero_second_derivative(text):
+    # x's jet carries the exact floats 1.0 and 0.0, and a constant's 0.0 and
+    # 0.0, so f'' is the float 0 the float jet computes, with no widening
+    cells = [(-1.0, 1.0), (0.5, 0.6), (1e8, 1e8 + 1.0), (-3e-323, 3e-323)]
+    assert compile_second_derivative(parse(text))(cells) == [(0.0, 0.0)] * len(cells)
+
+
+def test_zero_times_an_unbounded_x_declines():
+    # the float jet of 0*x is NaN at x = inf, so that cell declines, and no other
+    cells = [(1.0, math.inf), (1.0, 2.0)]
+    assert compile_second_derivative(parse("0*x"))(cells) == [(0.0, math.inf), (0.0, 0.0)]
+    assert math.isnan(compile_expression(parse("0*x"))[1](math.inf)[2])
+
+
+def test_sine_reads_the_libm_maximum_with_no_product_widening():
+    # f'' = -sin(x)*1.0*1.0 + cos(x)*0.0: each product with x's exact parts is
+    # exact, so |f''| is the enclosure of sin itself, libm's widened range
+    assert compile_second_derivative(parse("sin(x)"))([(1.5, 1.6)]) == [_libm(math.sin(1.5), 1.0)]
+
+
+@pytest.mark.parametrize("part", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda v, c: v + c,
+        lambda v, c: v - c,
+        lambda v, c: c - v,
+        lambda v, c: v * c,
+        lambda v, c: c * v,
+        lambda v, c: c / v,
+        lambda v, c: v.held(c),
+    ],
+    ids=["v+c", "v-c", "c-v", "v*c", "c*v", "c/v", "held"],
+)
+def test_a_float_part_that_is_not_finite_declines_every_cell(part, op):
+    v = _Cells([(0.5, 1.0), (1.0, 2.0)], set())
+    op(v, part)
+    assert v.dead == {0, 1}
 
 
 @pytest.mark.parametrize(

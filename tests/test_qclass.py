@@ -35,11 +35,15 @@ from glbounds.qclass import (
     _expression_scan,
     _hull,
     _membership_scan,
+    _lam_major,
     _PointMemo,
     _q_power,
     _row_keys,
     _row_parts,
+    _scan,
     _scan_grid,
+    _visits,
+    _walk,
     bound_memberships,
     pair_bound_rows,
 )
@@ -48,6 +52,7 @@ from oracles import nonneg_convex_witness, plain_scan, ranked_pairs_eager
 from test_expressions import _tree_strategy
 
 SINE_INTERVAL = Interval(0.000001, 3.141592)
+COINCIDING = Interval(1e8, 100000000.00000015)  # its 64 grid points are 11 floats
 EDGE_SINE_WINDOW = Interval(1.8493089598931096, 1.8493095160393422)  # a window of the edge benchmark
 UNIT_IV = Interval(0.0, 1.0)
 COMPOSITE = "exp(x)*sin(x)+1/(x+2)"
@@ -366,13 +371,13 @@ def record_taken(monkeypatch):
 
 
 def record_work(monkeypatch):
-    """Record the work of every membership decision in the dict returned: the
-    number of cells of each enclosure of |f''| ("covers"), the evaluations
-    of g = |f''|^q ("points"), the rankings started ("rankings") and the
-    rows of pair bounds built ("rows")."""
+    """Record the work of every membership decision and scan in the dict
+    returned: the number of cells of each enclosure of |f''| ("covers"), the
+    evaluations of g = |f''|^q or g = f ("points"), the rankings started
+    ("rankings") and the rows of pair bounds built ("rows")."""
     work = {"covers": [], "points": 0, "rankings": 0, "rows": 0}
     compile_d2 = glbounds.enclosure.compile_second_derivative
-    q_power = glbounds.qclass._q_power
+    q_power, value = glbounds.qclass._q_power, glbounds.qclass._compile_value
     rank, build = glbounds.qclass.ranked_pairs, glbounds.qclass._bound_row
 
     def counted_compile(e):
@@ -385,13 +390,17 @@ def record_work(monkeypatch):
         return each
 
     def counted_q_power(e, q):
-        g = q_power(e, q)
+        return counted(q_power(e, q))
 
-        def counted(x):
+    def counted_value(e):
+        return counted(value(e))
+
+    def counted(g):
+        def point(x):
             work["points"] += 1
             return g(x)
 
-        return counted
+        return point
 
     def counted_rank(*args):
         work["rankings"] += 1
@@ -403,9 +412,46 @@ def record_work(monkeypatch):
 
     monkeypatch.setattr(glbounds.enclosure, "compile_second_derivative", counted_compile)
     monkeypatch.setattr(glbounds.qclass, "_q_power", counted_q_power)
+    monkeypatch.setattr(glbounds.qclass, "_compile_value", counted_value)
     monkeypatch.setattr(glbounds.qclass, "ranked_pairs", counted_rank)
     monkeypatch.setattr(glbounds.qclass, "_bound_row", counted_build)
     return work
+
+
+def cleared_triples(monkeypatch, text, iv, grid_n, q):
+    """The record of the scan of qclass --g (q None) or --fn at q, and each
+    triple (p, r, lam, rhs) of a pair its walk visits whose point g was
+    never read at: a triple its cell cleared."""
+    read = set()
+    value, q_power = glbounds.qclass._compile_value, glbounds.qclass._q_power
+
+    def recorded(g):
+        def point(x):
+            read.add(x.hex())
+            return g(x)
+
+        return point
+
+    monkeypatch.setattr(glbounds.qclass, "_compile_value", lambda e: recorded(value(e)))
+    monkeypatch.setattr(glbounds.qclass, "_q_power", lambda e, q: recorded(q_power(e, q)))
+    taken = record_taken(monkeypatch)
+    e = parse(text)
+    if q is None:
+        scan, g = _expression_scan(e, iv, grid_n, DEFAULT_TOL), value(e)
+    else:
+        scan, g = _membership_scan(e, iv, q, grid_n, DEFAULT_TOL), q_power(e, q)
+    xs = _scan_grid(iv, grid_n, DEFAULT_TOL)
+    gx = [g(x) for x in xs]
+    [pairs] = taken
+    if pairs and pairs[-1][0] <= DEFAULT_TOL and pairs[-1][0] < scan.max_margin:
+        pairs = pairs[:-1]  # the pair the walk stops at, unvisited
+    cleared = []
+    for _, i, j in pairs:
+        for p, r in {(i, j), (j, i)}:
+            for lam, _, _ in _visits(grid_n):
+                if (lam * xs[p] + (1.0 - lam) * xs[r]).hex() not in read:
+                    cleared.append((p, r, lam, gx[p] / lam + gx[r] / (1.0 - lam)))
+    return scan, cleared
 
 
 def decision_paths(e, iv, qs):
@@ -490,6 +536,14 @@ class TestAgainstPlainLoop:
             ("abs(x-0.3)", UNIT_IV, 64, 2.0),
             # an exponent that depends on x, enclosed as exp(x * ln x)
             ("x^x", Interval(0.5, 2.0), 64, None),
+            # 11 distinct floats among the 64 grid points, every scan point one
+            # of them: a scan point's index position and its cell's float ends
+            # come from different roundings
+            ("0-1", COINCIDING, 64, None),
+            ("sin(20000000*(x-100000000))", COINCIDING, 64, None),
+            # lone visits, with no exact mirror, where the cells clear triples
+            ("sin(x)", SINE_INTERVAL, 31, 2.0),
+            ("sin(x)", SINE_INTERVAL, 101, 2.0),
         ],
         ids=[
             "composite-fn-q2",
@@ -509,12 +563,77 @@ class TestAgainstPlainLoop:
             "kink-g-128",
             "kink-fn-q2",
             "power-of-x-g",
+            "coinciding-violations",
+            "coinciding-sine",
+            "sin-fn-31",
+            "sin-fn-101",
         ],
     )
     def test_other_scans_match(self, text, iv, grid_n, q):
         g, reports = pruned_and_unpruned(text, iv, grid_n, q)
         ref = reference_scan(g, iv, grid_n)
         assert all(same_report(rep, ref) for rep in reports)
+
+    @pytest.mark.parametrize(
+        "text,iv,grid_n,q,branch",
+        [
+            ("sin(x)", SINE_INTERVAL, 64, 2.0, "fails"),
+            ("sin(x)", SINE_INTERVAL, 64, None, "fails"),
+            (COMPOSITE, Interval(0.0, 3.0), 64, 1.2, "passes"),  # top <= tol
+            ("sin(x)", SINE_INTERVAL, 31, 2.0, "lone"),
+            ("sin(x)", SINE_INTERVAL, 101, 2.0, "lone"),
+            ("1e308*sin(x)", Interval(0.1, 6.2), 64, None, "inf"),  # rhs = inf: u = -inf
+        ],
+    )
+    def test_cells_clear_triples_of_visited_pairs(self, monkeypatch, text, iv, grid_n, q, branch):
+        """Each branch of the per-triple skip fires: the walk leaves points
+        of the pairs it visits unread, on failing and passing scans, at lone
+        visits (lam with no exact mirror, lam = 1/2 among them) and where the
+        right side is inf; the reports are the plain loop's (above)."""
+        scan, cleared = cleared_triples(monkeypatch, text, iv, grid_n, q)
+        assert cleared
+        assert scan.passed is (branch == "passes")
+        if branch == "lone":
+            lone = {lam for lam, _, paired in _visits(grid_n) if not paired}
+            assert 0.5 in lone and {lam for _, _, lam, _ in cleared} & lone
+        if branch == "inf":
+            assert any(rhs == math.inf for _, _, _, rhs in cleared)
+
+    def test_a_point_outside_its_computed_cell_is_read(self):
+        """On grid points that are not evenly spaced, the index position of a
+        scan point names a cell that does not hold it for 377 of the 12^3
+        triples; the check against that cell's own ends keeps the walk the
+        lam-major loop's (without it, it records 150 of the 456 violations)."""
+        e = parse("sin(3.14159265*x)^2+0.01")
+        g = value_of("sin(3.14159265*x)^2+0.01")
+        xs = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.9, 0.95, 1.0]
+        n, cells = len(xs), _cells(xs)
+        sup = _bounds_on(compile_value(e), cells)
+        missed = 0
+        for lam, _, _ in _visits(n):
+            for p in range(n):
+                for r in range(n):
+                    k = min(p + math.floor((1.0 - lam) * (r - p)), n - 2)
+                    missed += not cells[k][0] <= lam * xs[p] + (1.0 - lam) * xs[r] <= cells[k][1]
+        assert missed == 377
+        memo = _PointMemo(g)
+        gx = [memo[x] for x in xs]
+        raw, top = {}, -math.inf
+        pairs = glbounds.qclass.ranked_pairs(gx, sup, -math.inf)
+        for _, top in _walk(pairs, xs, gx, memo, DEFAULT_TOL, raw, top, cells, sup):
+            pass
+        # the lam-major loop on these points; g >= 0, so no negative value to check
+        loop, loop_top = {}, -math.inf
+        for (lam, mirror, paired), xi, points in _lam_major(xs):
+            for xj, gj, z in zip(xs, gx, points):
+                lhs, rhs = g(z), g(xi) / lam + gj / (1.0 - lam)
+                loop_top = max(loop_top, lhs - rhs)
+                if lhs - rhs > DEFAULT_TOL:
+                    loop[xi, xj, lam, lhs, rhs] = None
+                    if paired:
+                        loop[xj, xi, mirror, lhs, rhs] = None
+        assert len(loop) == 456 and raw == loop and top == loop_top
+        assert len(memo) < len({z for _, _, points in _lam_major(xs) for z in points})
 
     def test_pairs_with_a_negative_end_are_kept(self, monkeypatch):
         taken = record_taken(monkeypatch)
@@ -589,6 +708,32 @@ class TestAgainstPlainLoop:
         assert sup.count(10.0) == 1
         rows = list(pair_bound_rows([g(x) for x in xs], sup))
         assert rows[r][t - r] > rows[p][q - p]
+        ref = reference_scan(g, iv, n)
+        assert ref.max_margin == 0.0 and math.copysign(1.0, ref.max_margin) == -1.0
+        assert same_report(check_godunova_levin(g, iv, n, bound=bound), ref)
+
+    def test_a_triple_tied_with_top_is_read(self):
+        """The cell bound clears a triple only where u = fl(sup - rhs) is below
+        top, not at it. g is 0 at x_3 and x_4 and -0.0 at the first triple
+        (x_4, x_3, lam_0), of margin -0.0 - 0.0 = -0.0, the loop's maximum;
+        their cell bounds g by 0, so u = 0.0 there. The walk meets 0.0 first,
+        at (x_0, x_1, lam_1), where g is the right side and its cell's bound
+        10 puts that pair first; with u <= top cleared, it would keep 0.0."""
+        iv, n, p, q, r, t = Interval(1.1, 1.3), 9, 4, 3, 0, 1
+        xs = [iv.a + iv.width * (i + 0.5) / n for i in range(n)]
+        lam, lam2 = 0.5 / n, 1.5 / n
+        values = dict.fromkeys(scan_points(iv, n), -1.0)
+        values.update((x.hex(), 1.0) for x in xs)
+        values[xs[p].hex()] = values[xs[q].hex()] = 0.0
+        values[(lam * xs[p] + (1.0 - lam) * xs[q]).hex()] = -0.0
+        z = lam2 * xs[r] + (1.0 - lam2) * xs[t]
+        values[z.hex()] = 1.0 / lam2 + 1.0 / (1.0 - lam2)
+        g = lambda x: values[x.hex()]
+        cells = _cells(xs)
+        bound = lambda cs: [10.0 if lo <= z <= hi else 0.0 if (lo, hi) == cells[q] else 1.0 for lo, hi in cs]
+        # each cell's bound holds at every point of the scan in it
+        for (lo, hi), b in zip(cells, bound(cells)):
+            assert all(v <= b for x, v in values.items() if lo <= float.fromhex(x) <= hi)
         ref = reference_scan(g, iv, n)
         assert ref.max_margin == 0.0 and math.copysign(1.0, ref.max_margin) == -1.0
         assert same_report(check_godunova_levin(g, iv, n, bound=bound), ref)
@@ -961,8 +1106,10 @@ class TestProof:
     # 4 (decisions that evaluate only what can violate) is expected to lower:
     # the row keys stay above the tolerance on most rows, so each decision
     # builds 45-50 of the 64 rows to take at most 14 pairs, and evaluates g
-    # at the 64 grid points and at the points of those pairs (POINTS)
-    POINTS = {"x^4": 64, "(exp(x)+exp(-x))/2": 64, COMPOSITE: 843}
+    # at the 64 grid points and at the points of those pairs that their own
+    # cell does not clear (POINTS; the composite's 14 pairs read 843 points
+    # with every point of a pair read)
+    POINTS = {"x^4": 64, "(exp(x)+exp(-x))/2": 64, COMPOSITE: 140}
 
     @pytest.mark.parametrize(
         "text,iv,q,rows,pairs",
@@ -1134,6 +1281,48 @@ class TestPruning:
             pruned = lambda: membership_for_bound(e, iv, q, grid_n)
         plain = _outcome(lambda: plain_scan(g, iv, grid_n))
         assert _outcome(pruned) == _outcome(lambda: check_godunova_levin(g, iv, grid_n)) == plain
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(
+        st.one_of(_tree_strategy(), st.sampled_from([parse(e.expression) for e in corpus_entries()])),
+        _PROOF_ENDS,
+        st.sampled_from([2, 9, 31, 64]),
+        st.one_of(st.none(), st.floats(1.0, 3.0)),
+    )
+    def test_the_cell_bounds_change_no_scan(self, e, ends, grid_n, q):
+        """_scan with the enclosure's cell bounds, which clear triples in the
+        pairs it visits, is _scan with none, which reads every point of every
+        pair: record, report and error, bit for bit."""
+        assume(ends[0] < ends[1])
+        iv = Interval(*ends)
+        if q is None:  # qclass --g
+            g, bound = compile_expression(e)[0], compile_value(e)
+        else:  # qclass --fn
+            d2 = compile_second_derivative(e)
+            g, bound = _q_power(e, q), lambda cells: [sup_power(high, q) for _, high in d2(cells)]
+
+        def record(bound):
+            scan = _scan(g, iv, grid_n, DEFAULT_TOL, bound)
+            sign = math.copysign(1.0, scan.max_margin)
+            return scan.samples_checked, scan.raw, scan.max_margin, sign, scan.worst(10), scan.report()
+
+        assert _outcome(lambda: record(bound)) == _outcome(lambda: record(None))
+
+    @pytest.mark.parametrize(
+        "argv,points",
+        [
+            (["qclass", "--fn", "sin(x)", "--q", "2", "--a", "0.000001", "--b", "3.141592"], 5378),
+            (["qclass", "--g", "sin(x)", "--a", "0.000001", "--b", "3.141592"], 1725),
+        ],
+        ids=["fn-q2", "g"],
+    )
+    def test_failing_sine_scans_read_only_uncleared_points(self, monkeypatch, capsys, argv, points):
+        """The g evaluations of the failing sine scans at grid 64, grid points
+        included: with every point of each visited pair read, 10,177 (--fn)
+        and 4,195 (--g)."""
+        work = record_work(monkeypatch)
+        assert main(argv) == 1
+        assert work["points"] == points
 
     @pytest.mark.parametrize(
         "name", [e.name for e in corpus_entries() if e.membership is not ExpectedMembership.EXPECT_FAIL]
