@@ -35,7 +35,6 @@ from .expressions import (
 )
 from .kernel import (
     IdentityReport,
-    kernel_k,
     lhs_functional,
     rhs_identity,
     verify_identity,
@@ -92,7 +91,6 @@ __all__ = [
     "evaluate_jet2",
     "integrate",
     "integrate_piecewise",
-    "kernel_k",
     "lhs_functional",
     "membership_for_bound",
     "parse",

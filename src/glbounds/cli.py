@@ -25,7 +25,7 @@ from .coefficients import coefficient_set
 from .corpus import corpus_entries
 from .expressions import ExpressionError, parse
 from .kernel import verify_identity
-from .qclass import DEFAULT_GRID_N, DEFAULT_TOL, _check_q, _expression_scan, _membership_scan
+from .qclass import DEFAULT_GRID_N, DEFAULT_TOL, _check_q, check_expression, membership_for_bound
 from .quadrature import Interval, QuadratureError
 
 if TYPE_CHECKING:
@@ -187,23 +187,23 @@ def _cmd_qclass(args: argparse.Namespace) -> int:
     if args.fn is not None and args.q is None:
         raise ValueError("--fn requires --q")
     iv = Interval(args.a, args.b)
-    # the scan's record, read for the count and the ten largest margins; no
-    # report is built
+    # read for the count and the ten largest margins; violations, which
+    # sorts every one, is never read
     if args.g is not None:
-        scan = _expression_scan(parse(args.g), iv, args.grid, args.tol)
+        rep = check_expression(parse(args.g), iv, args.grid, args.tol)
     else:
-        scan = _membership_scan(parse(args.fn), iv, args.q, args.grid, args.tol)
-    count, worst = scan.worst(10)
-    print(f"samples_checked = {scan.samples_checked}")
+        rep = membership_for_bound(parse(args.fn), iv, args.q, args.grid, args.tol)
+    count, worst = rep.worst(10)
+    print(f"samples_checked = {rep.samples_checked}")
     print(f"violations      = {count}")
-    print(f"max_margin      = {_fmt17(scan.max_margin)}")
-    print(f"passed          = {scan.passed}")
+    print(f"max_margin      = {_fmt17(rep.max_margin)}")
+    print(f"passed          = {rep.passed}")
     for v in worst:
         print(
             f"violation: x={_fmt17(v.x)} y={_fmt17(v.y)} lambda={_fmt17(v.lam)} "
             f"lhs={_fmt17(v.lhs)} rhs={_fmt17(v.rhs)}"
         )
-    return EXIT_OK if scan.passed else EXIT_PROPERTY_FAIL
+    return EXIT_OK if rep.passed else EXIT_PROPERTY_FAIL
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:

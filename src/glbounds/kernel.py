@@ -7,9 +7,8 @@ The error functional
 equals (b-a)^2 times the kernel-weighted integral of f'' over the unit
 interval. Both sides are computed independently here so the equality can be
 verified numerically for any parsed expression. lam is a plain float, which
-kernel_k, lhs_functional, rhs_identity and verify_identity check first. The
-kernel k is written once, in the integrand of the kernel side
-(_kernel_integrand); kernel_k is that integrand for f'' == 1.
+lhs_functional, rhs_identity and verify_identity check first. The kernel k
+is written once, in the integrand of the kernel side (_kernel_integrand).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .quadrature import Interval, QuadratureError, integrate, integrate_piecewis
 __all__ = [
     "IdentityReport",
     "FunctionalTerms",
-    "kernel_k",
     "functional_terms",
     "lhs_functional",
     "rhs_identity",
@@ -56,14 +54,6 @@ def _kernel_integrand(
         return k * jet(t * a + (1.0 - t) * b)[2]
 
     return integrand
-
-
-def kernel_k(t: float, lam: float) -> float:
-    """The kernel k(t) on [0, 1]: the kernel side's integrand for f'' == 1."""
-    _check_lambda(lam)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t!r}")
-    return _kernel_integrand(lambda x: (0.0, 0.0, 1.0), 0.0, 0.0, lam)(t)
 
 
 class FunctionalTerms(NamedTuple):

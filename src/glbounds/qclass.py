@@ -11,11 +11,12 @@ violating triple, and reports the worst margin seen. Passing is falsification
 evidence, not proof; downstream consumers label it CheckedPass, never
 Certified.
 
-Membership is decided here only. check_godunova_levin scans any callable g.
-Three entry points scan an expression: check_expression scans g = f
-(qclass --g), membership_for_bound scans g = |f''|^q (qclass --fn), and
-bound_memberships answers, for each q, whether the default-grid scan of
-|f''|^q passes, which is all that bound and sweep read.
+Membership is decided here only. check_godunova_levin is the one scan, of
+any callable g. check_expression (qclass --g) and membership_for_bound
+(qclass --fn) run it on g = f and on g = |f''|^q, with the enclosure of the
+expression as its bound, and return its record. bound_memberships answers,
+for each q, whether the default-grid scan of |f''|^q passes, which is all
+that bound and sweep read, and runs no scan.
 
 The scan is defined by a loop over lam, then x, then y. For every lam in
 (0, 1) and g(x), g(y) >= 0,
@@ -72,18 +73,18 @@ the number of distinct points (about 100 bytes each: up to 3 MB at n = 64
 and 15 MB at n = 128, less where the walk stops early or its cells clear
 triples).
 
-A scan returns a record (_Scan): samples_checked, max_margin, and each
-violation, and the mirror's where a pass decides two lams, as the plain
-tuple (x, y, lam, lhs, rhs), a key of an insertion-ordered dict. A tuple
-recurs where grid points coincide (at large offsets) and where the check
-for negative values meets the walk's own triple (x, x, 1/2) at an odd
+Every scan returns one record, QClassReport: samples_checked, max_margin,
+and raw, each violation, and the mirror's where a pass decides two lams, as
+the plain tuple (x, y, lam, lhs, rhs), a key of an insertion-ordered dict.
+A tuple recurs where grid points coincide (at large offsets) and where the
+check for negative values meets the walk's own triple (x, x, 1/2) at an odd
 grid; the dict keeps it once, by value, as first recorded (0.0 and -0.0
-compare equal). Two readers build from it what they need. report(), which
-check_godunova_levin, check_expression and membership_for_bound return,
-sorts the tuples by (x, y, lam), each as a Violation, the named tuple made
-from it. worst(k), which the CLI's qclass prints, counts the tuples and
-makes Violations of only the k with the largest margins: a failing scan
-records thousands, and qclass builds no report.
+compare equal). Three readers take from it what they need: passed, whether
+raw is empty; violations, which sorts the tuples by (x, y, lam), each as a
+Violation, the named tuple made from it, anew at each read; and worst(k),
+which counts the tuples and makes Violations of only the k with the largest
+margins, all that the CLI's qclass prints: a failing scan records
+thousands, and qclass never reads violations.
 
 The triple (y, x, 1-lam) has the same point and the same right side as
 (x, y, lam), because float addition is commutative. So when a grid lam and
@@ -135,14 +136,46 @@ class Violation(NamedTuple):
         return self.lhs - self.rhs
 
 
-class QClassReport(NamedTuple):
-    samples_checked: int
-    violations: tuple[Violation, ...]
-    max_margin: float
-    passed: bool
-
-
 Raw = dict[tuple[float, float, float, float, float], None]  # (x, y, lam, lhs, rhs) of each violation, once
+
+
+class QClassReport(NamedTuple):
+    """The record of one scan, with its three readers (the module docstring):
+    raw holds each violation once as the plain tuple (x, y, lam, lhs, rhs),
+    its keys in the order the scan first recorded them."""
+
+    samples_checked: int
+    raw: Raw
+    max_margin: float
+
+    @property
+    def passed(self) -> bool:
+        return not self.raw
+
+    @property
+    def violations(self) -> tuple[Violation, ...]:
+        """Each violation once, sorted by (x, y, lam), as a Violation; sorted
+        again at each read."""
+        # tuples sort as the Violations would: field by field, stably
+        return tuple(map(Violation._make, sorted(self.raw, key=itemgetter(0, 1, 2))))
+
+    def worst(self, k: int) -> tuple[int, list[Violation]]:
+        """The number of violations, which is len(raw), and the k with the
+        largest margins, ties in (x, y, lam) order:
+        sorted(violations, key=lambda v: (-v.margin, v.x, v.y, v.lam))[:k],
+        with only those k made Violations.
+
+        rhs - lhs is -margin exactly (IEEE subtraction rounds a - b and b - a
+        alike), and a tuple's (x, y, lam) fixes its lhs and rhs (the scan
+        point and both sides are computed from them alone, g once per
+        point), so (rhs - lhs, tuple) orders the recorded tuples as that key.
+        """
+        import heapq
+
+        worst = heapq.nsmallest(k, self.raw, key=lambda t: (t[4] - t[3], t))
+        return len(self.raw), list(map(Violation._make, worst))
+
+
 Cells = list[tuple[float, float]]  # [lo, hi] of each cell
 Bound = Callable[[Cells], list[float]]  # cells -> an upper bound of g on each
 
@@ -394,10 +427,11 @@ def check_godunova_levin(
 
     samples_checked counts the (x, y, lam) triples. A negative sample value is
     itself a violation (the class contains nonnegative functions only) and is
-    recorded at the degenerate triple (x, x, 1/2). Violations are reported
-    sorted by (x, y, lam) with their evaluated sides so borderline margins can
-    be audited. max_margin is the first largest margin in the order lam, x, y
-    (NaN margins, from g spanning +-1e308, never count).
+    recorded at the degenerate triple (x, x, 1/2). Each violation is recorded
+    with its evaluated sides, so borderline margins can be audited, and
+    violations reads them sorted by (x, y, lam). max_margin is the first
+    largest margin in the order lam, x, y (NaN margins, from g spanning
+    +-1e308, never count).
 
     g is called once per distinct sample point the scan visits (the triples
     share 2n^2 to about 9n^2 points), so it must be deterministic; the values
@@ -425,49 +459,6 @@ def check_godunova_levin(
     of iv pass the float range (a width above about 2.8e306 at grid_n = 64),
     or where bound gives other than grid_n - 1 values.
     """
-    return _scan(g, iv, grid_n, tol, bound).report()
-
-
-class _Scan(NamedTuple):
-    """The record of one scan, with its two readers (the module docstring):
-    raw holds each violation once as the plain tuple (x, y, lam, lhs, rhs),
-    its keys in the order the scan first recorded them."""
-
-    samples_checked: int
-    raw: Raw
-    max_margin: float
-
-    @property
-    def passed(self) -> bool:
-        return not self.raw
-
-    def report(self) -> QClassReport:
-        """Each violation once, sorted by (x, y, lam), as a Violation."""
-        # tuples sort as the Violations would: field by field, stably
-        violations = tuple(map(Violation._make, sorted(self.raw, key=itemgetter(0, 1, 2))))
-        return QClassReport(self.samples_checked, violations, self.max_margin, not violations)
-
-    def worst(self, k: int) -> tuple[int, list[Violation]]:
-        """The number of violations in report(), which is len(raw), and its
-        k with the largest margins, ties in (x, y, lam) order:
-        sorted(report().violations, key=lambda v: (-v.margin, v.x, v.y,
-        v.lam))[:k], with only those k made Violations.
-
-        rhs - lhs is -margin exactly (IEEE subtraction rounds a - b and b - a
-        alike), and a tuple's (x, y, lam) fixes its lhs and rhs (the scan
-        point and both sides are computed from them alone, g once per
-        point), so (rhs - lhs, tuple) orders the recorded tuples as that key.
-        """
-        import heapq
-
-        worst = heapq.nsmallest(k, self.raw, key=lambda t: (t[4] - t[3], t))
-        return len(self.raw), list(map(Violation._make, worst))
-
-
-def _scan(
-    g: Callable[[float], float], iv: Interval, grid_n: int, tol: float, bound: Bound | None
-) -> _Scan:
-    """The scan of check_godunova_levin, as its record."""
     n = grid_n
     xs = _scan_grid(iv, n, tol)
     cells = _cells(xs)
@@ -488,7 +479,7 @@ def _scan(
     # the walk's last yield, after its last pair, has the largest margin
     for _, max_margin in _walk(pairs, xs, gx, memo, tol, raw, max_margin, cells, sup):
         pass
-    return _Scan(n * n * n, raw, max_margin)
+    return QClassReport(n * n * n, raw, max_margin)
 
 
 def _visits(n: int) -> list[tuple[float, float, bool]]:
@@ -613,14 +604,9 @@ def check_expression(
 
     The scan walks the pairs by the enclosure of g, with the same report.
     """
-    return _expression_scan(e, iv, grid_n, tol).report()
-
-
-def _expression_scan(e: Node, iv: Interval, grid_n: int, tol: float) -> _Scan:
-    """The scan of check_expression, as its record."""
     from .enclosure import compile_value
 
-    return _scan(_compile_value(e), iv, grid_n, tol, compile_value(e))
+    return check_godunova_levin(_compile_value(e), iv, grid_n, tol, compile_value(e))
 
 
 def membership_for_bound(
@@ -634,11 +620,6 @@ def membership_for_bound(
     qclass --fn. The scan walks the pairs by the enclosure of |f''| raised to
     q, with the same report.
     """
-    return _membership_scan(e, iv, q, grid_n, tol).report()
-
-
-def _membership_scan(e: Node, iv: Interval, q: float, grid_n: int, tol: float) -> _Scan:
-    """The scan of membership_for_bound, as its record."""
     _check_q(q)
     from .enclosure import compile_second_derivative, sup_power
 
@@ -647,7 +628,7 @@ def _membership_scan(e: Node, iv: Interval, q: float, grid_n: int, tol: float) -
     def bound(cells: Cells) -> list[float]:
         return [sup_power(high, q) for _, high in d2(cells)]
 
-    return _scan(_q_power(e, q), iv, grid_n, tol, bound)
+    return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, bound)
 
 
 def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[float, bool]:

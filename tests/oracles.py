@@ -6,17 +6,18 @@ the corpus's Certified labels, the Hermite-Hadamard double inequality for
 convex entries, a printer for parse round trips, expressions of each
 shape nested to a given depth, the eager pair ranking
 that the lazy one must reproduce, and the lam-major loop that defines the
-Godunova-Levin scan, which the scan's pair walk must reproduce.
+Godunova-Levin scan, which the scan's pair walk must reproduce, with the
+plain four-field report (PlainReport) that scans are compared by.
 """
 
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from glbounds.expressions import Bin, Call, Const, Neg, Node, Pow, Var, compile_expression
 from glbounds.kernel import functional_terms
-from glbounds.qclass import QClassReport, Violation, _lam_major, _PointMemo, pair_bound_rows
+from glbounds.qclass import Violation, _lam_major, _PointMemo, pair_bound_rows
 from glbounds.quadrature import Interval, _finite
 
 
@@ -123,9 +124,25 @@ def ranked_pairs_eager(gx: list[float], sup: list[float], floor: float) -> list[
     return pairs
 
 
+class PlainReport(NamedTuple):
+    """What a scan reports, as plain fields: the record the oracles build,
+    and what same_report and the suites' outcomes compare."""
+
+    samples_checked: int
+    violations: tuple[Violation, ...]
+    max_margin: float
+    passed: bool
+
+
+def plain_report(rep) -> PlainReport:
+    """The four fields of any scan's report: a qclass.QClassReport, whose
+    violations and passed are read from its record, or a PlainReport."""
+    return PlainReport(rep.samples_checked, rep.violations, rep.max_margin, rep.passed)
+
+
 def plain_scan(
     g: Callable[[float], float], iv: Interval, grid_n: int = 64, tol: float = 1e-12
-) -> QClassReport:
+) -> PlainReport:
     """qclass.check_godunova_levin as the lam-major loop that defines it: g
     once per distinct point and an error where g is not finite (the scan's
     _PointMemo), and one pass for each exact mirror pair of lams. It computes
@@ -158,4 +175,4 @@ def plain_scan(
                     raw.append((xj, xi, mirror, lhs, rhs))
     unique = sorted(dict.fromkeys(raw), key=itemgetter(0, 1, 2))
     violations = tuple(map(Violation._make, unique))
-    return QClassReport(n * n * n, violations, max_margin, not violations)
+    return PlainReport(n * n * n, violations, max_margin, not violations)

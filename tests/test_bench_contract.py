@@ -61,6 +61,30 @@ def test_hooks_find_their_argument_by_position(mod, fn, index, name):
     assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
+@pytest.mark.parametrize(
+    "source,scoped",
+    [(["--g", "sin(x)"], 0), (["--fn", "sin(x)", "--q", "2"], 1)],
+    ids=["g", "fn"],
+)
+def test_the_tracer_counts_the_scans_qclass_runs(bench_on_path, capsys, source, scoped):
+    """qclass reaches the scan through the names bench/tracer.py wraps: one
+    qclass.check_godunova_levin call per request, with its n^3 triples and
+    its g evaluations counted, and one qclass.membership_for_bound call for
+    --fn, so the traced qclass.* metrics read the scans."""
+    tracer = importlib.import_module("tracer").Tracer()
+    tracer.install()
+    try:
+        code = main(["qclass", *source, "--a", "0.000001", "--b", "3.141592"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 1  # sine fails the scan
+    assert tracer.calls["qclass.check_godunova_levin"] == 1
+    assert tracer.counts["qclass.check_godunova_levin.triples"] == 64**3
+    assert tracer.counts["qclass.check_godunova_levin.g_evals"] > 0
+    assert tracer.calls["qclass.membership_for_bound"] == scoped
+
+
 @pytest.mark.parametrize("module", ["checks", "oracle", "workloads"])
 def test_bench_modules_import(bench_on_path, module):
     importlib.import_module(module)

@@ -345,7 +345,7 @@ class TestSweepRows:
         assert taken == lams
 
     def test_modes_without_a_scan_label_every_row(self, monkeypatch):
-        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
         monkeypatch.setattr(glbounds.qclass, "_decide", None)  # nor any decision
         # sine fails the scan, so a row labelled from one would read CheckedFail
         iv = Interval(0.000001, 3.141592)
@@ -380,7 +380,7 @@ class TestProvenMembership:
 
     @pytest.mark.parametrize("text,iv", _PROVEN)
     def test_proof_labels_without_a_scan(self, monkeypatch, text, iv):
-        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
         e = parse(text)
         for q in (1.0, 2.0, 3.0):
             rep = evaluate_bound_report(e, iv, 0.5, q)
@@ -404,7 +404,7 @@ class TestProvenMembership:
         the label reaches the scan's verdict without a scan."""
         e = parse(text)
         with monkeypatch.context() as m:
-            m.setattr(glbounds.qclass, "_scan", None)  # no scan may start
+            m.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
             assert evaluate_bound_report(e, iv, 0.5, q).q_membership is status
         passed = membership_for_bound(e, iv, q).passed
         assert status is (MembershipStatus.CHECKED_PASS if passed else MembershipStatus.CHECKED_FAIL)

@@ -15,6 +15,7 @@ import glbounds.enclosure
 from glbounds import (
     BoundInput,
     Interval,
+    QClassReport,
     Violation,
     check_expression,
     coefficient_set,
@@ -567,14 +568,14 @@ class TestSweep:
         assert not absent.exists()
 
     def test_overflow_fails_before_any_scan(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
         out = tmp_path / "sweep.csv"
         assert main(self.OVERFLOW_ARGV + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == self.OVERFLOW_ERR
         assert not out.exists()
 
     def test_infinite_q_fails_before_any_scan(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda-grid", "0:1:0.5", "--q", "1,inf",
                 "--out", str(out)]
@@ -693,7 +694,7 @@ class TestQclass:
         assert captured.err == "error: tol must be finite and positive, got inf\n"
 
     def test_infinite_q_is_an_input_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
         code = main(["qclass", "--fn", "sin(x)", "--q", "inf", "--a", "0.000001", "--b", "3.141592", "--grid", "8"])
         captured = capsys.readouterr()
         assert code == 2
@@ -743,8 +744,8 @@ class TestQclassTopTen:
         )
         assert [v.margin for v in violations] == margins
         # the scan's record, which qclass reads, in an order other than (x, y, lam)
-        scan = glbounds.qclass._Scan(8, dict.fromkeys(map(tuple, reversed(violations))), 2.0)
-        monkeypatch.setattr(glbounds.cli, "_expression_scan", lambda *args: scan)
+        rep = QClassReport(8, dict.fromkeys(map(tuple, reversed(violations))), 2.0)
+        monkeypatch.setattr(glbounds.cli, "check_expression", lambda *args: rep)
         assert main(["qclass", "--g", "x", "--a", "0", "--b", "1", "--grid", "2"]) == 1
         printed = _printed_violations(capsys.readouterr().out)
         assert printed == _ten_worst(violations)

@@ -10,7 +10,6 @@ from glbounds import (
     Interval,
     coefficient_set,
     integrate_piecewise,
-    kernel_k,
     lhs_functional,
     parse,
     rhs_identity,
@@ -30,21 +29,20 @@ IDENTITY_CASES = [
 ]
 
 
+def kernel(t, lam):
+    """The kernel k(t) on [0, 1]: the kernel side's integrand for f'' == 1."""
+    return glbounds.kernel._kernel_integrand(lambda x: (0.0, 0.0, 1.0), 0.0, 0.0, lam)(t)
+
+
 class TestKernel:
     def test_zero_at_origin(self):
-        assert kernel_k(0.0, 0.7) == 0.0
+        assert kernel(0.0, 0.7) == 0.0
 
     def test_midpoint_value(self):
-        assert kernel_k(0.5, 0.2) == pytest.approx(0.075, abs=1e-15)
+        assert kernel(0.5, 0.2) == pytest.approx(0.075, abs=1e-15)
 
     def test_second_branch_value(self):
-        assert kernel_k(0.75, 0.5) == pytest.approx(-0.03125, abs=1e-15)
-
-    def test_rejects_t_outside_unit(self):
-        with pytest.raises(ValueError):
-            kernel_k(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            kernel_k(1.1, 0.5)
+        assert kernel(0.75, 0.5) == pytest.approx(-0.03125, abs=1e-15)
 
     def test_branch_continuity_exact(self):
         # both branch formulas, evaluated at the joint, must agree bitwise
@@ -53,7 +51,7 @@ class TestKernel:
             low = 0.5 * 0.5 * (0.5 - lam)
             high = 0.5 * (1.0 - 0.5) * ((0.5 - lam) + (0.5 - 0.5))
             assert low - high == 0.0
-            assert kernel_k(0.5, lam) == low
+            assert kernel(0.5, lam) == low
 
     def test_symmetry_on_dyadic_grid(self):
         # dyadic nodes make 1 - t exact, so the reflection is exact too
@@ -61,31 +59,31 @@ class TestKernel:
             lam = j / 16.0
             for i in range(129):
                 t = i / 128.0
-                assert kernel_k(t, lam) == kernel_k(1.0 - t, lam)
+                assert kernel(t, lam) == kernel(1.0 - t, lam)
 
     def test_symmetry_on_general_grid(self):
         for j in range(101):
             lam = j / 100.0
             for i in range(101):
                 t = i / 100.0
-                assert abs(kernel_k(t, lam) - kernel_k(1.0 - t, lam)) <= 1e-16
+                assert abs(kernel(t, lam) - kernel(1.0 - t, lam)) <= 1e-16
 
     def test_abs_kernel_integral_matches_moment(self):
         for i in range(101):
             lam = i / 100.0
             got = integrate_piecewise(
-                lambda t: abs(kernel_k(t, lam)), UNIT, [lam, 0.5, 1.0 - lam]
+                lambda t: abs(kernel(t, lam)), UNIT, [lam, 0.5, 1.0 - lam]
             )
             assert abs(got - coefficient_set(lam).m) <= 1e-10
 
 
 def _at(fn, lam):
-    """fn at lam: kernel_k at t = 1/4, the others on x^2 over [0, 1]."""
-    return fn(0.25, lam) if fn is kernel_k else fn(parse("x^2"), UNIT, lam)
+    """fn at lam, on x^2 over [0, 1]."""
+    return fn(parse("x^2"), UNIT, lam)
 
 
 LAMBDA_TAKERS = pytest.mark.parametrize(
-    "fn", [kernel_k, lhs_functional, rhs_identity, verify_identity], ids=lambda fn: fn.__name__
+    "fn", [lhs_functional, rhs_identity, verify_identity], ids=lambda fn: fn.__name__
 )
 
 
@@ -151,7 +149,7 @@ class TestIdentity:
 
     def test_halves_sample_kernel_k(self, monkeypatch):
         # verify_identity takes the kernel side as one integral over [0, 1]
-        # cut at 1/2, and its integrand is kernel_k times f'', bit for bit, on
+        # cut at 1/2, and its integrand is k times f'', bit for bit, on
         # both sides of the cut and at it
         taken = []
         original = glbounds.kernel.integrate_piecewise
@@ -171,7 +169,7 @@ class TestIdentity:
             assert (whole, cuts) == (UNIT, [0.5])
             assert rep.rhs == iv.width * iv.width * integrate_piecewise(f, UNIT, [0.5])
             for t in ts:
-                assert f(t) == kernel_k(t, lam) * jet(t * iv.a + (1.0 - t) * iv.b)[2]
+                assert f(t) == kernel(t, lam) * jet(t * iv.a + (1.0 - t) * iv.b)[2]
 
     @pytest.mark.parametrize("lam", [0.0, 1.0 / 3.0, 0.75])
     @pytest.mark.parametrize("c", ["0.3", "0.25", "0.5"])

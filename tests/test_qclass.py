@@ -32,15 +32,12 @@ from glbounds.qclass import (
     _bounds_on,
     _cells,
     _decide,
-    _expression_scan,
     _hull,
-    _membership_scan,
     _lam_major,
     _PointMemo,
     _q_power,
     _row_keys,
     _row_parts,
-    _scan,
     _scan_grid,
     _visits,
     _walk,
@@ -48,7 +45,7 @@ from glbounds.qclass import (
     pair_bound_rows,
 )
 from conftest import examples
-from oracles import nonneg_convex_witness, plain_scan, ranked_pairs_eager
+from oracles import PlainReport, nonneg_convex_witness, plain_report, plain_scan, ranked_pairs_eager
 from test_expressions import _tree_strategy
 
 SINE_INTERVAL = Interval(0.000001, 3.141592)
@@ -93,7 +90,7 @@ def reference_scan(g, iv, grid_n=64, tol=1e-12):
                     violations.append(Violation(xi, xs[j], lam, lhs, rhs))
 
     unique = sorted(dict.fromkeys(violations), key=lambda v: (v.x, v.y, v.lam))
-    return QClassReport(n * n * n, tuple(unique), max_margin, not unique)
+    return PlainReport(n * n * n, tuple(unique), max_margin, not unique)
 
 
 def enclosed(e, iv, grid_n, of_value=False):
@@ -134,8 +131,10 @@ def value_of(text):
 
 
 def same_report(one, two):
-    """Bitwise equality, including the sign of a zero max_margin."""
-    return one == two and math.copysign(1.0, one.max_margin) == math.copysign(1.0, two.max_margin)
+    """Bitwise equality of the four reported fields (oracles.plain_report),
+    including the sign of a zero max_margin."""
+    signs = math.copysign(1.0, one.max_margin), math.copysign(1.0, two.max_margin)
+    return plain_report(one) == plain_report(two) and signs[0] == signs[1]
 
 
 class TestCheck:
@@ -299,18 +298,18 @@ class TestScanRecord:
         ids=["negative-values-at-an-odd-grid", "coinciding-grid-points"],
     )
     def test_repeats_are_recorded_once(self, text, iv, grid_n, count):
-        scan = _expression_scan(parse(text), iv, grid_n, DEFAULT_TOL)
-        assert len(scan.raw) == len(scan.report().violations) == scan.worst(10)[0] == count
+        rep = check_expression(parse(text), iv, grid_n)
+        assert len(rep.raw) == len(rep.violations) == rep.worst(10)[0] == count
 
     @pytest.mark.parametrize("grid_n", [2, 9, 31, 64, 100, 101, 128])
     @pytest.mark.parametrize("q", [1.878, None], ids=["fn", "g"])
     def test_sine_records_each_violation_once(self, q, grid_n):
         e = parse("sin(x)")
         if q is None:
-            scan = _expression_scan(e, SINE_INTERVAL, grid_n, DEFAULT_TOL)
+            rep = check_expression(e, SINE_INTERVAL, grid_n)
         else:
-            scan = _membership_scan(e, SINE_INTERVAL, q, grid_n, DEFAULT_TOL)
-        assert len(scan.raw) == len(scan.report().violations) == scan.worst(10)[0]
+            rep = membership_for_bound(e, SINE_INTERVAL, q, grid_n)
+        assert len(rep.raw) == len(rep.violations) == rep.worst(10)[0]
 
 
 class TestValidatingTypes:
@@ -437,9 +436,9 @@ def cleared_triples(monkeypatch, text, iv, grid_n, q):
     taken = record_taken(monkeypatch)
     e = parse(text)
     if q is None:
-        scan, g = _expression_scan(e, iv, grid_n, DEFAULT_TOL), value(e)
+        scan, g = check_expression(e, iv, grid_n), value(e)
     else:
-        scan, g = _membership_scan(e, iv, q, grid_n, DEFAULT_TOL), q_power(e, q)
+        scan, g = membership_for_bound(e, iv, q, grid_n), q_power(e, q)
     xs = _scan_grid(iv, grid_n, DEFAULT_TOL)
     gx = [g(x) for x in xs]
     [pairs] = taken
@@ -818,7 +817,7 @@ class TestMembershipForBound:
 
     @pytest.mark.parametrize("q", [math.inf, math.nan])
     def test_rejects_q_that_is_not_finite(self, q, monkeypatch):
-        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
         with pytest.raises(ValueError, match="q must be finite and >= 1"):
             membership_for_bound(parse("sin(x)"), SINE_INTERVAL, q)
 
@@ -1035,7 +1034,7 @@ class TestProof:
         """|f''| of abs(x-0.3) is 0 wherever it is defined, so only the 855
         pairs that read the kink's unbounded cell are above the tolerance; the
         decision visits those and no other, and passes."""
-        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
         taken = record_taken(monkeypatch)
         assert bound_memberships(parse("abs(x-0.3)"), UNIT_IV, (2.0,)) == {2.0: True}
         assert len(taken) == 1 and len(taken[0]) == 855 < 64 * 65 // 2
@@ -1045,7 +1044,7 @@ class TestProof:
             bound_memberships(parse("abs(x-0.0859375)"), UNIT_IV, (1.0,))
 
     def test_a_violation_ends_the_decision_without_a_scan(self, monkeypatch):
-        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
         assert bound_memberships(parse("-sin(x)"), SINE_INTERVAL, (1.0,)) == {1.0: False}
         # x^4 keeps one pair above the tolerance at each q, its diagonal at the
         # first grid point, and that pair does not violate
@@ -1056,7 +1055,7 @@ class TestProof:
         [("2^x", UNIT_IV, (1.5,)), ("x^x", Interval(0.5, 2.0), (1.0, 2.0, 3.0))],
     )
     def test_exponents_that_depend_on_x_are_proven_with_no_pair(self, monkeypatch, text, iv, qs):
-        monkeypatch.setattr(glbounds.qclass, "_scan", None)  # no scan may start
+        monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
         taken = record_taken(monkeypatch)
         assert bound_memberships(parse(text), iv, qs) == dict.fromkeys(qs, True)
         assert not any(taken)
@@ -1255,8 +1254,8 @@ def _outcome(scan):
         rep = scan()
     except Exception as exc:  # the exception is the outcome being compared
         return (type(exc), str(exc))
-    if isinstance(rep, QClassReport):
-        return rep, math.copysign(1.0, rep.max_margin)
+    if isinstance(rep, (QClassReport, PlainReport)):
+        return plain_report(rep), math.copysign(1.0, rep.max_margin)
     return rep
 
 
@@ -1290,9 +1289,10 @@ class TestPruning:
         st.one_of(st.none(), st.floats(1.0, 3.0)),
     )
     def test_the_cell_bounds_change_no_scan(self, e, ends, grid_n, q):
-        """_scan with the enclosure's cell bounds, which clear triples in the
-        pairs it visits, is _scan with none, which reads every point of every
-        pair: record, report and error, bit for bit."""
+        """check_godunova_levin with the enclosure's cell bounds, which clear
+        triples in the pairs it visits, is check_godunova_levin with none,
+        which reads every point of every pair: record, readers and error, bit
+        for bit."""
         assume(ends[0] < ends[1])
         iv = Interval(*ends)
         if q is None:  # qclass --g
@@ -1302,9 +1302,9 @@ class TestPruning:
             g, bound = _q_power(e, q), lambda cells: [sup_power(high, q) for _, high in d2(cells)]
 
         def record(bound):
-            scan = _scan(g, iv, grid_n, DEFAULT_TOL, bound)
-            sign = math.copysign(1.0, scan.max_margin)
-            return scan.samples_checked, scan.raw, scan.max_margin, sign, scan.worst(10), scan.report()
+            rep = check_godunova_levin(g, iv, grid_n, DEFAULT_TOL, bound)
+            sign = math.copysign(1.0, rep.max_margin)
+            return rep.samples_checked, rep.raw, rep.max_margin, sign, rep.worst(10), rep.violations
 
         assert _outcome(lambda: record(bound)) == _outcome(lambda: record(None))
 
