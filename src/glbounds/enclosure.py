@@ -299,7 +299,7 @@ _SIN, _COS = _batched(_periodic, math.sin, 0.5), _batched(_periodic, math.cos, 0
 _EXP, _LN, _SQRT = _batched(_exp), _batched(_ln), _batched(_sqrt)
 
 _RULES = {
-    **_jet_rules(_SIN, _COS, _EXP, _LN, _SQRT, operator.pow, lambda a, b, x: a / b, lambda v: 0.0),
+    **_jet_rules(_SIN, _COS, _EXP, _LN, _SQRT, operator.pow, lambda a, b, x: a / b),
     "abs": _abs_jet,
 }
 

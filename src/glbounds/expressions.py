@@ -313,18 +313,18 @@ def _has_x(node: Node) -> bool:
     return isinstance(node, Var) or any(isinstance(n, tuple) and _has_x(n) for n in node)
 
 
-def _jet_rules(sin, cos, exp, ln, sqrt, power, divide, zero) -> dict[str, Callable]:
+def _jet_rules(sin, cos, exp, ln, sqrt, power, divide) -> dict[str, Callable]:
     """The jet's derivative rules, written once for any arithmetic.
 
     An arithmetic brings its elementary functions with their domain checks,
-    power(b, c) for an exponent c free of x, divide(a, b, x) for the first
-    quotient of a division at x, and zero(v), the zero of v's kind; the
-    rules do everything else with the operands' own operators, in the order
-    written. A call's rule maps the jet (u, u', u'') of its argument to its
-    own; the others map operand closures to the node's, x -> (f, f', f''):
-    "apply" a call's (name, rule, argument), "neg", "^c" (base, literal
-    exponent), "^g" (base, value closure of an exponent free of x), "^x"
-    (base, exponent: exp(e * ln b), ln b taken first) and "+", "-", "*", "/".
+    power(b, c) for an exponent c free of x and divide(a, b, x) for the
+    first quotient of a division at x; the rules do everything else with
+    the operands' own operators, in the order written. A call's rule maps
+    the jet (u, u', u'') of its argument to its own; the others map operand
+    closures to the node's, x -> (f, f', f''): "apply" a call's (name,
+    rule, argument), "neg", "^c" (base, literal exponent), "^g" (base, value
+    closure of an exponent free of x), "^x" (base, exponent: exp(e * ln b),
+    ln b taken first) and "+", "-", "*", "/".
     """
 
     def sin_jet(uv, u1, u2):
@@ -358,7 +358,7 @@ def _jet_rules(sin, cos, exp, ln, sqrt, power, divide, zero) -> dict[str, Callab
     def power_jet(bv, b1, b2, c):
         v = power(bv, c)
         if c == 0.0:
-            return (v, zero(v), zero(v))
+            return (v, 0.0, 0.0)
         try:
             t1 = c * bv ** (c - 1.0)
             d1 = t1 * b1
@@ -495,7 +495,7 @@ def _abs_jet(uv: float, u1: float, u2: float) -> _Jet:
 
 
 def _float_rules(exp, ln) -> dict[str, Callable]:
-    return _jet_rules(math.sin, math.cos, exp, ln, _jet_sqrt, _power, _divide, lambda v: 0.0)
+    return _jet_rules(math.sin, math.cos, exp, ln, _jet_sqrt, _power, _divide)
 
 
 # exp(e * ln b) takes the ln and exp rules with a power's error messages

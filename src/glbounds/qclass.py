@@ -28,17 +28,16 @@ points bounds every margin g(z) - rhs of the pair, whatever lam. The scan
 takes such bounds from its argument bound, one per cell of the grid
 (_cells: one cell per grid step, reaching a few ulps past its two grid
 points), and turns them into one bound per pair of grid points over just
-the cells its scan points reach (pair_bound_rows). The entry points pass an
+the cells its scan points reach (_bound_row). The entry points pass an
 interval enclosure (glbounds.enclosure) of f or |f''|, inf on a cell where
 it declines. One walk (_walk) visits the pairs hottest first by that bound,
-computing each margin as the loop does, but for a triple that its own
-cell clears (u = fl(sup - rhs) at most the tolerance and below the largest
+computing each margin as the loop does, but for a triple that its own cell
+clears (u = fl(sup - rhs) at most the tolerance and below the largest
 margin so far), which reads no g. The scan is that walk, stopped where no
 pair left can change its report, and its report and first error are the
-loop's. The walk takes its pairs from a lazy ranking
-(ranked_pairs), which computes a row's bounds only when an O(1) key of
-the row reaches the top of its heap, and sorts only the rows it takes a
-pair from. The key of row i,
+loop's. The walk takes its pairs from a lazy ranking (ranked_pairs), which
+computes a row's bounds only when an O(1) key of the row reaches the top of
+its heap, and sorts only the rows it takes a pair from. The key of row i,
 
     key_i = up(max(alone_i, max(sup[i:])) - down(fl(fl(r_i + m_i)^2)*_SHRINK)),
 
@@ -255,31 +254,30 @@ def _cells(xs: list[float]) -> Cells:
     return list(zip(lows, highs[1:]))
 
 
-def _hull(xs: list[float]) -> tuple[float, float]:
-    """The cell from the first low of _cells(xs) to its last high, which
-    holds every cell: the one cell of the grid's two end points, whose delta
-    is the grid's."""
-    [hull] = _cells([xs[0], xs[-1]])
-    return hull
-
-
-def _bounds_on(bound: Bound, cells: Cells) -> list[float]:
-    """bound(cells), called once, with inf on each cell where it gives NaN.
-    Raises ValueError where it gives other than one bound per cell."""
-    sup = [math.inf if math.isnan(s) else s for s in bound(cells)]
-    if len(sup) != len(cells):
-        raise ValueError(f"bound gave {len(sup)} values for the {len(cells)} cells of the grid")
-    return sup
-
-
 _SHRINK = 1.0 - 2.0**-50  # 1 - 8u (u = 2^-53): outweighs the roundings of s and s*s
 _SLACK = 2.0**-1070  # 32*eta (eta = 2^-1075)
 
 
-def pair_bound_rows(gx: list[float], sup: list[float]) -> Iterator[list[float]]:
+def _row_parts(gx: list[float], sup: list[float]) -> tuple[list[float], list[float], list[float | None]]:
+    """What _bound_row and _row_keys read of g at the grid points (gx) and
+    its cell bounds (sup): each sup[k] raised by at least 16*eta (a pair's W
+    is the largest of those it reads); alone[i], the W of the diagonal pair
+    of x_i; and the roots r_i <= sqrt(g_i), None where g_i is negative."""
+    down, up = -math.inf, math.inf
+    nextafter = math.nextafter
+    # s + _SLACK loses at most half an ulp of itself, and nextafter adds a whole one
+    sup = [nextafter(s + _SLACK, up) for s in sup]
+    # the diagonal pair of x_i reads cell i-1 or cell i, whichever bound is less
+    alone = [sup[0]] + [min(u, v) for u, v in zip(sup, sup[1:])] + [sup[-1]]
+    roots = [max(nextafter(math.sqrt(v), down), 0.0) if v >= 0.0 else None for v in gx]
+    return sup, alone, roots
+
+
+def _bound_row(i: int, sup: list[float], alone: list[float], roots: list[float | None]) -> list[float]:
     """Row i: for each j >= i, a bound b on every scan margin of x_i and x_j,
-    from g_i = gx[i], the scan's own float g at grid point x_i, and sup[k],
-    an upper bound of g on cell k of _cells (inf where there is none).
+    from the _row_parts of gx and sup, where g_i = gx[i] is the scan's own
+    float g at grid point x_i and sup[k] an upper bound of g on cell k of
+    _cells (inf where there is none).
 
     With X = (sqrt(g_i) + sqrt(g_j))^2, the scan's float right side
     R = fl(fl(g_i/lam) + fl(g_j/fl(1-lam))) is at least X*(1 - 2.5u) - 3*eta,
@@ -298,28 +296,6 @@ def pair_bound_rows(gx: list[float], sup: list[float]) -> Iterator[list[float]]:
     Any sup that bounds g on each cell will do: one bound of g on a cell
     holding every cell, repeated, is one.
     """
-    parts = _row_parts(gx, sup)
-    for i in range(len(gx)):
-        yield _bound_row(i, *parts)
-
-
-def _row_parts(gx: list[float], sup: list[float]) -> tuple[list[float], list[float], list[float | None]]:
-    """What the rows of pair_bound_rows read: each sup[k] raised by at least
-    16*eta (a pair's W is the largest of those it reads); alone[i], the W of
-    the diagonal pair of x_i; and the roots r_i <= sqrt(g_i), None where g_i
-    is negative."""
-    down, up = -math.inf, math.inf
-    nextafter = math.nextafter
-    # s + _SLACK loses at most half an ulp of itself, and nextafter adds a whole one
-    sup = [nextafter(s + _SLACK, up) for s in sup]
-    # the diagonal pair of x_i reads cell i-1 or cell i, whichever bound is less
-    alone = [sup[0]] + [min(u, v) for u, v in zip(sup, sup[1:])] + [sup[-1]]
-    roots = [max(nextafter(math.sqrt(v), down), 0.0) if v >= 0.0 else None for v in gx]
-    return sup, alone, roots
-
-
-def _bound_row(i: int, sup: list[float], alone: list[float], roots: list[float | None]) -> list[float]:
-    """Row i of pair_bound_rows, from its _row_parts."""
     down, up = -math.inf, math.inf
     nextafter = math.nextafter
     ri = roots[i]
@@ -341,8 +317,8 @@ def _bound_row(i: int, sup: list[float], alone: list[float], roots: list[float |
 
 
 def _row_keys(sup: list[float], alone: list[float], roots: list[float | None]) -> list[float]:
-    """key_i, at least every b of row i of pair_bound_rows, from its
-    _row_parts, in one backward pass:
+    """key_i, at least every b of row i (_bound_row), from the _row_parts,
+    in one backward pass:
 
         key_i = up(max(alone[i], max(sup[i:])) - down(fl(fl(r_i + m_i)^2)*_SHRINK))
 
@@ -372,7 +348,7 @@ def _row_keys(sup: list[float], alone: list[float], roots: list[float | None]) -
 
 def ranked_pairs(gx: list[float], sup: list[float], floor: float) -> Iterator[tuple[float, int, int]]:
     """(b, i, j) for each pair of grid points i <= j whose bound b
-    (pair_bound_rows) is above floor, highest b first: the order of
+    (_bound_row) is above floor, highest b first: the order of
     sorted(..., reverse=True), ties of b broken by the higher i, then the
     higher j.
 
@@ -380,10 +356,10 @@ def ranked_pairs(gx: list[float], sup: list[float], floor: float) -> Iterator[tu
     from a heap with one entry per row, keyed on (a bound of) the row's
     largest b not yet taken and then on i (no two rows share an i). A row
     enters under its key (_row_keys), at least every b of the row, where
-    that is above floor; its bounds are computed (_bound_row, the code of
-    pair_bound_rows) only when the key reaches the top, and the row goes
-    back under its exact largest b, or is dropped where that is at most
-    floor. A row's pairs are sorted only when the first of them is taken.
+    that is above floor; its bounds are computed (_bound_row) only when the
+    key reaches the top, and the row goes back under its exact largest b,
+    or is dropped where that is at most floor. A row's pairs are sorted
+    only when the first of them is taken.
     An exact entry at the top is at or above every other entry's key, and
     so above or tied with every b left in the heap, ties broken by i as
     the sort breaks them, so the order is the sort's.
@@ -462,7 +438,11 @@ def check_godunova_levin(
     n = grid_n
     xs = _scan_grid(iv, n, tol)
     cells = _cells(xs)
-    sup = [math.inf] * (n - 1) if bound is None else _bounds_on(bound, cells)
+    sup = [math.inf] * (n - 1)
+    if bound is not None:
+        sup = [math.inf if math.isnan(s) else s for s in bound(cells)]
+        if len(sup) != n - 1:
+            raise ValueError(f"bound gave {len(sup)} values for the {n - 1} cells of the grid")
     memo = _PointMemo(g)
     gx = [memo[x] for x in xs]
 
@@ -498,18 +478,6 @@ def _visits(n: int) -> list[tuple[float, float, bool]]:
     return visits
 
 
-def _lam_major(xs: list[float]) -> Iterator[tuple[tuple[float, float, bool], float, list[float]]]:
-    """The rows of the lam-major loop that defines the scan of the grid xs, in
-    its order: for each visit of _visits, then each grid point x, the visit,
-    x and the points lam*x + (1-lam)*y of every grid point y in turn."""
-    for visit in _visits(len(xs)):
-        lam = visit[0]
-        cols = [(1.0 - lam) * y for y in xs]
-        for x in xs:
-            base = lam * x
-            yield visit, x, [base + c for c in cols]
-
-
 def _walk(
     pairs: Iterable[tuple[float, int, int]],
     xs: list[float],
@@ -533,10 +501,10 @@ def _walk(
     row, column) is kept, as in that loop.
 
     The walk stops at the first pair with b <= tol and b < top: every margin
-    of a pair is at most its bound (pair_bound_rows), and no bound left
-    is above b, so no pair left holds a violation or a margin that reaches
-    top. A mirror lam, with no visit of its own, repeats the margins of an
-    earlier visit. So raw and top are the lam-major loop's.
+    of a pair is at most its bound (_bound_row), and no bound left is above
+    b, so no pair left holds a violation or a margin that reaches top. A
+    mirror lam, with no visit of its own, repeats the margins of an earlier
+    visit. So raw and top are the lam-major loop's.
 
     A triple whose own cell clears it reads no g. sup[k] bounds g on cell k
     of cells, the _cells of xs. The triple's point z lies at index position
@@ -553,8 +521,9 @@ def _walk(
     where g raises lies only in pairs with b = inf, which rank before every
     other pair, and a skipped point lies in a finite cell. The walk meets
     the points in another order than the loop, so where it raises it asks
-    for them again in the loop's order (_lam_major; the values it has cost
-    nothing), and the loop's first failing point raises.
+    for them again in the loop's order, each visit's lam, then x, then y, at
+    the walk's own point (the values it has cost nothing), and the loop's
+    first failing point raises.
     """
     visits = _visits(len(xs))
     steps = [(lam, 1.0 - lam) for lam, _, _ in visits]
@@ -591,9 +560,10 @@ def _walk(
                             raw[xq, xp, mirror, lhs, rhs] = None
             yield b, top
     except Exception:
-        for _, _, points in _lam_major(xs):
-            for z in points:
-                memo[z]
+        for lam, clam in steps:
+            for xp in xs:
+                for xq in xs:
+                    memo[lam * xp + clam * xq]
         raise
 
 
@@ -636,16 +606,16 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     in order: the membership decision of bound and sweep.
 
     Each q is decided in two steps. First, |f''| is enclosed on one cell,
-    from the first cell of _cells to the last (_hull), which holds every
-    cell and so every scan point, as one pair (L, H): H bounds |f''| on
-    each cell, and L puts every grid value g_i at or above
-    low = inf_power(L, q). So the row keys (_row_keys) of the two values
-    [low, low] under the one bound S = sup_power(H, q) are at least the keys
-    of the grid's own values under [S] * (n-1), a cover that the proof of
-    pair_bound_rows takes as it is (each rounding in a key is monotone).
-    Where every such key is at most DEFAULT_TOL, no pair can hold a
-    violation, and the scan passes with no g evaluated (S finite also
-    proves that g raises nowhere).
+    the _cells of the grid's two end points, which runs from the first low
+    of the grid's cells to their last high and so holds every cell and
+    every scan point, as one pair (L, H): H bounds |f''| on each cell, and
+    L puts every grid value g_i at or above low = inf_power(L, q). So the
+    row keys (_row_keys) of the two values [low, low] under the one bound
+    S = sup_power(H, q) are at least the keys of the grid's own values
+    under [S] * (n-1), a cover that the proof of _bound_row takes as it is
+    (each rounding in a key is monotone). Where every such key is at most
+    DEFAULT_TOL, no pair can hold a violation, and the scan passes with no
+    g evaluated (S finite also proves that g raises nowhere).
 
     That proves a constant |f''| (x^2 on any interval) and a g that stays
     within the ratio lemma's factor 4 of its least value, as on tiny
@@ -668,24 +638,18 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     from .enclosure import compile_second_derivative, inf_power, sup_power
 
     d2 = compile_second_derivative(e)
-    [(low, high)] = d2([_hull(xs)])
+    [(low, high)] = d2(_cells([xs[0], xs[-1]]))
     sup = None  # the bound of |f''| on each cell, where the one cell proves nothing
     memberships = {}
     for q in dict.fromkeys(q_list):
         low_q, high_q = inf_power(low, q), sup_power(high, q)
-        if _keys_pass([low_q, low_q], [high_q]):  # no g evaluated
-            memberships[q] = True
+        if all(key <= DEFAULT_TOL for key in _row_keys(*_row_parts([low_q, low_q], [high_q]))):
+            memberships[q] = True  # no g evaluated
             continue
         if sup is None:
             sup = [hi for _, hi in d2(_cells(xs))]
         memberships[q] = _decide(e, q, xs, sup)
     return memberships
-
-
-def _keys_pass(gx: list[float], sup: list[float]) -> bool:
-    """Whether every row key (_row_keys) of g values gx under the cell
-    bounds sup is at most DEFAULT_TOL, so that no pair can violate."""
-    return all(key <= DEFAULT_TOL for key in _row_keys(*_row_parts(gx, sup)))
 
 
 def _q_power(e: Node, q: float) -> Callable[[float], float]:
@@ -710,7 +674,7 @@ def _decide(e: Node, q: float, xs: list[float], sup: list[float]) -> bool:
     the enclosure declines).
 
     Only a pair whose bound is above DEFAULT_TOL can hold a violation
-    (pair_bound_rows), so _walk visits just those pairs, hottest first.
+    (_bound_row), so _walk visits just those pairs, hottest first.
     g >= 0, so the scan's check for negative values never fires. The pairs
     with b = inf come first, and they hold every point where g may raise
     (_walk), so the walk raises where the scan does, with its error. Once

@@ -4,20 +4,22 @@ No program path uses them, so they live with the tests: a finite-difference
 second derivative for the jets, a sampled nonnegative-convexity witness for
 the corpus's Certified labels, the Hermite-Hadamard double inequality for
 convex entries, a printer for parse round trips, expressions of each
-shape nested to a given depth, the eager pair ranking
-that the lazy one must reproduce, and the lam-major loop that defines the
-Godunova-Levin scan, which the scan's pair walk must reproduce, with the
-plain four-field report (PlainReport) that scans are compared by.
+shape nested to a given depth, the rows of pair bounds and their eager
+ranking, which the lazy one must reproduce, and the lam-major loop that
+defines the Godunova-Levin scan, which the scan's pair walk must
+reproduce, with the plain four-field report (PlainReport) that scans are
+compared by. The loop has its own lams, points and memo of g, so it shares
+no code with the scan it checks.
 """
 
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from glbounds.expressions import Bin, Call, Const, Neg, Node, Pow, Var, compile_expression
 from glbounds.kernel import functional_terms
-from glbounds.qclass import Violation, _lam_major, _PointMemo, pair_bound_rows
+from glbounds.qclass import Violation, _bound_row, _row_parts
 from glbounds.quadrature import Interval, _finite
 
 
@@ -113,11 +115,19 @@ DEEP_SHAPES = {
 }
 
 
+def bound_rows(gx: list[float], sup: list[float]) -> list[list[float]]:
+    """Every row of pair bounds that qclass.ranked_pairs ranks: row i holds
+    b for each pair (i, j), j >= i, of g values gx under the cell bounds
+    sup (qclass._bound_row)."""
+    parts = _row_parts(gx, sup)
+    return [_bound_row(i, *parts) for i in range(len(gx))]
+
+
 def ranked_pairs_eager(gx: list[float], sup: list[float], floor: float) -> list[tuple[float, int, int]]:
     """qclass.ranked_pairs as one sort of every (b, i, j) whose b is above
     floor, highest first (rows whose largest b is at or below floor skipped)."""
     pairs = []
-    for i, row in enumerate(pair_bound_rows(gx, sup)):
+    for i, row in enumerate(bound_rows(gx, sup)):
         if max(row) > floor:
             pairs += [(b, i, j) for j, b in enumerate(row, i) if b > floor]
     pairs.sort(reverse=True)
@@ -140,18 +150,56 @@ def plain_report(rep) -> PlainReport:
     return PlainReport(rep.samples_checked, rep.violations, rep.max_margin, rep.passed)
 
 
+class _Values(dict):
+    """g at each point plain_scan reads, once, keyed on the float. 0.0 and
+    -0.0 are equal keys, so a zero is kept under its hex string instead:
+    every lookup of a zero misses, and its sign picks its own value. Raises
+    the scan's ValueError where g is not finite."""
+
+    def __init__(self, g: Callable[[float], float]) -> None:
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, x: float) -> float:
+        key = x.hex() if x == 0.0 else x
+        if key not in self:
+            v = self.g(x)
+            if not math.isfinite(v):
+                raise ValueError(f"g is not finite at x={x!r}: {v!r}")
+            self[key] = v
+        return dict.__getitem__(self, key)
+
+
+def lam_major(xs: list[float]) -> Iterator[tuple[tuple[float, float, bool], float, list[float]]]:
+    """The rows of the lam-major loop that defines the scan of the grid xs,
+    in its order: for each grid lam (k + 1/2)/n that gets a pass, then each
+    grid point x, the pass (lam, mirror, paired), x and the points
+    lam*x + (1-lam)*y of every grid point y in turn. A lam whose mirror
+    lams[n-1-k] satisfies 1 - lam == mirror and 1 - mirror == lam exactly
+    is paired with it, and only the earlier of the two gets a pass."""
+    n = len(xs)
+    lams = [(k + 0.5) / n for k in range(n)]
+    for k, lam in enumerate(lams):
+        mirror = lams[n - 1 - k]
+        paired = k != n - 1 - k and 1.0 - lam == mirror and 1.0 - mirror == lam
+        if paired and k > n - 1 - k:
+            continue  # the earlier lam's pass decides this one
+        for x in xs:
+            yield (lam, mirror, paired), x, [lam * x + (1.0 - lam) * y for y in xs]
+
+
 def plain_scan(
     g: Callable[[float], float], iv: Interval, grid_n: int = 64, tol: float = 1e-12
 ) -> PlainReport:
     """qclass.check_godunova_levin as the lam-major loop that defines it: g
-    once per distinct point and an error where g is not finite (the scan's
-    _PointMemo), and one pass for each exact mirror pair of lams. It computes
-    every margin, in the order lam, x, y (the scan's _lam_major), so it
-    raises at the first point in that order where g raises."""
+    once per distinct point, 0.0 and -0.0 apart, and the scan's error where
+    g is not finite; one pass for each exact mirror pair of lams. It
+    computes every margin, in the order lam, x, y (lam_major), so it raises
+    at the first point in that order where g raises."""
+    at = _Values(g)
     n = grid_n
     xs = [iv.a + iv.width * (i + 0.5) / n for i in range(n)]
-    memo = _PointMemo(g)
-    gx = [memo[x] for x in xs]
+    gx = [at[x] for x in xs]
     raw = []
     max_margin = -math.inf
     for x, gv in zip(xs, gx):
@@ -159,11 +207,11 @@ def plain_scan(
             rhs = gv / 0.5 + gv / 0.5
             raw.append((x, x, 0.5, gv, rhs))
             max_margin = max(max_margin, gv - rhs)
-    for (lam, mirror, paired), xi, points in _lam_major(xs):
+    for (lam, mirror, paired), xi, points in lam_major(xs):
         clam = 1.0 - lam
-        li = memo[xi] / lam
+        li = at[xi] / lam
         for xj, gj, z in zip(xs, gx, points):
-            lhs = memo[z]
+            lhs = at[z]
             rhs = li + gj / clam
             m = lhs - rhs
             if m > max_margin:

@@ -29,11 +29,8 @@ from glbounds.expressions import Bin, Const, DomainError, ExpressionError, NonSm
 from glbounds.enclosure import compile_second_derivative, compile_value, sup_power
 from glbounds.qclass import (
     DEFAULT_TOL,
-    _bounds_on,
     _cells,
     _decide,
-    _hull,
-    _lam_major,
     _PointMemo,
     _q_power,
     _row_keys,
@@ -42,10 +39,17 @@ from glbounds.qclass import (
     _visits,
     _walk,
     bound_memberships,
-    pair_bound_rows,
 )
 from conftest import examples
-from oracles import PlainReport, nonneg_convex_witness, plain_report, plain_scan, ranked_pairs_eager
+from oracles import (
+    PlainReport,
+    bound_rows,
+    lam_major,
+    nonneg_convex_witness,
+    plain_report,
+    plain_scan,
+    ranked_pairs_eager,
+)
 from test_expressions import _tree_strategy
 
 SINE_INTERVAL = Interval(0.000001, 3.141592)
@@ -99,7 +103,7 @@ def enclosed(e, iv, grid_n, of_value=False):
     it: inf where the enclosure declines."""
     xs = _scan_grid(iv, grid_n, DEFAULT_TOL)
     if of_value:
-        return xs, _bounds_on(compile_value(e), _cells(xs))
+        return xs, compile_value(e)(_cells(xs))
     return xs, [high for _, high in compile_second_derivative(e)(_cells(xs))]
 
 
@@ -607,7 +611,7 @@ class TestAgainstPlainLoop:
         g = value_of("sin(3.14159265*x)^2+0.01")
         xs = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.9, 0.95, 1.0]
         n, cells = len(xs), _cells(xs)
-        sup = _bounds_on(compile_value(e), cells)
+        sup = compile_value(e)(cells)
         missed = 0
         for lam, _, _ in _visits(n):
             for p in range(n):
@@ -623,7 +627,7 @@ class TestAgainstPlainLoop:
             pass
         # the lam-major loop on these points; g >= 0, so no negative value to check
         loop, loop_top = {}, -math.inf
-        for (lam, mirror, paired), xi, points in _lam_major(xs):
+        for (lam, mirror, paired), xi, points in lam_major(xs):
             for xj, gj, z in zip(xs, gx, points):
                 lhs, rhs = g(z), g(xi) / lam + gj / (1.0 - lam)
                 loop_top = max(loop_top, lhs - rhs)
@@ -632,7 +636,7 @@ class TestAgainstPlainLoop:
                     if paired:
                         loop[xj, xi, mirror, lhs, rhs] = None
         assert len(loop) == 456 and raw == loop and top == loop_top
-        assert len(memo) < len({z for _, _, points in _lam_major(xs) for z in points})
+        assert len(memo) < len({z for _, _, points in lam_major(xs) for z in points})
 
     def test_pairs_with_a_negative_end_are_kept(self, monkeypatch):
         taken = record_taken(monkeypatch)
@@ -703,9 +707,9 @@ class TestAgainstPlainLoop:
         values[z.hex()] = 1.0 / lam2 + 1.0 / (1.0 - lam2)
         g = lambda x: values[x.hex()]
         bound = lambda cells: [10.0 if lo <= z <= hi else 1.0 for lo, hi in cells]
-        sup = _bounds_on(bound, _cells(xs))
+        sup = bound(_cells(xs))
         assert sup.count(10.0) == 1
-        rows = list(pair_bound_rows([g(x) for x in xs], sup))
+        rows = bound_rows([g(x) for x in xs], sup)
         assert rows[r][t - r] > rows[p][q - p]
         ref = reference_scan(g, iv, n)
         assert ref.max_margin == 0.0 and math.copysign(1.0, ref.max_margin) == -1.0
@@ -945,7 +949,7 @@ class TestProof:
         assert decided == _scans(e, iv, (q,))
         if path == "one cell":
             xs = _scan_grid(iv, 64, DEFAULT_TOL)
-            [(_, hull)] = compile_second_derivative(e)([_hull(xs)])
+            [(_, hull)] = compile_second_derivative(e)(_cells([xs[0], xs[-1]]))
             gx = list(map(_q_power(e, q), xs))
             assert all(key <= DEFAULT_TOL for key in _row_keys(*_row_parts(gx, [sup_power(hull, q)] * 63)))
 
@@ -1224,7 +1228,7 @@ class TestProof:
             gx = [memo[x] for x in xs]
         except (ExpressionError, ValueError, ArithmeticError):
             return  # the scan raises before it ranks
-        bound = list(pair_bound_rows(gx, sup))
+        bound = bound_rows(gx, sup)
         for k in range(n):
             lam = (k + 0.5) / n
             clam = 1.0 - lam
@@ -1243,7 +1247,7 @@ class TestProof:
         e = parse("x^4")
         xs, sup = enclosed(e, UNIT_IV, 64)
         gx = [_q_power(e, q)(x) for x in xs]
-        hot = sum(b > DEFAULT_TOL for row in pair_bound_rows(gx, powered(sup, q)) for b in row)
+        hot = sum(b > DEFAULT_TOL for row in bound_rows(gx, powered(sup, q)) for b in row)
         assert hot <= 1
 
 
@@ -1437,7 +1441,7 @@ class TestRanking:
             return
         gx, sup = ranked
         keys = _row_keys(*_row_parts(gx, sup))
-        rows = list(pair_bound_rows(gx, sup))
+        rows = bound_rows(gx, sup)
         assert all(key >= max(row) for key, row in zip(keys, rows))
         assert all(key == math.inf for i, key in enumerate(keys) if any(not v >= 0.0 for v in gx[i:]))
 
