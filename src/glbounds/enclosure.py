@@ -7,11 +7,11 @@ value that the jet closure computes, x -> compile_expression(node)[1](x)[2],
 at every float x in the cell: the interval [l, h] of f'' gives the high
 max(-l, h) and the low l where l > 0, -h where h < 0, and 0 where it holds
 0. It encloses that float value, not the real f''. compile_value(node)
-bounds f, the float value of the value closure compile_expression(node)[0],
-the same way, and computes no derivative: the value closure's own rules run
-on the cells. Where the jet does not decline, its value part is the same
-bound, since the jet computes its value component by the same float
-operations as the value closure
+gives one pair (low, high) of f per cell, the float value of the value
+closure compile_expression(node)[0], and computes no derivative: the value
+closure's own rules run on the cells. Where the jet does not decline, its
+value part is the same pair, since the jet computes its value component by
+the same float operations as the value closure
 (test_the_value_closure_computes_the_jets_value_part in
 tests/test_enclosure.py).
 
@@ -59,9 +59,11 @@ the same rules on the operations it computes (so also at a zero of sqrt or
 abs, where the value closure raises nothing), and may be finite where only
 f' or f'' fails. A cell declines as a whole, whatever component the
 failing operation feeds, and no other cell with it; every cell declines
-where an exponent free of x raises. What cannot be bounded is unbounded: the
-bound is inf on a cell where it declines, and |f''| has the pair (0, inf).
-So a finite bound also proves that its closure raises nothing in the cell.
+where an exponent free of x raises. What cannot be bounded is unbounded: f
+has the pair (-inf, inf) on a cell where it declines, and |f''| the pair
+(0, inf). So a finite bound also proves that its closure raises nothing in
+the cell. qclass reads both ends: the high to clear a scan's triples, and
+the low, under the same libm premise (_LIBM_WIDEN), to prove violations.
 """
 
 from __future__ import annotations
@@ -360,23 +362,30 @@ def _compile_jet(node: Node) -> Callable[[list[_Iv]], list[_IJet | None]]:
 
 def sup_power(s: float, q: float) -> float:
     """An upper bound of the float d ** q for every float d in [0, s], q > 0;
-    inf where s is inf or s ** q overflows."""
+    inf where s is inf or s ** q overflows. It is the upper end of
+    _libm(0.0, s ** q), and inf where that declines, computed alone."""
     try:
-        return _libm(0.0, s**q)[1]
-    except (Declined, OverflowError):
+        p = s**q
+    except OverflowError:
         return _INF
+    high = _nextafter(p + abs(p) * _LIBM_WIDEN + _TINY, _INF)
+    return high if high < _INF else _INF  # also inf for NaN
 
 
 def inf_power(s: float, q: float) -> float:
     """A lower bound of the float d ** q for every float d >= s, q > 0,
     widened down as sup_power widens up; 0 where s <= 0 or is NaN, or where
-    s ** q underflows or overflows."""
+    s ** q underflows or overflows. It is the lower end of
+    _libm(s ** q, 0.0), at least 0, and 0 where that declines, computed
+    alone."""
     if not s > 0.0:
         return 0.0
     try:
-        return max(_libm(s**q, 0.0)[0], 0.0)  # the upper end is not read
-    except (Declined, OverflowError):
+        p = s**q
+    except OverflowError:
         return 0.0
+    low = _nextafter(p - abs(p) * _LIBM_WIDEN - _TINY, -_INF)
+    return max(low, 0.0) if low > -_INF else 0.0  # also 0 for NaN
 
 
 def _abs_ends(d: _Iv) -> _Iv:
@@ -394,11 +403,12 @@ def compile_second_derivative(node: Node) -> Callable[[list[_Iv]], list[_Iv]]:
     return lambda cells: [(0.0, _INF) if j is None else _abs_ends(j[2]) for j in jet(cells)]
 
 
-def compile_value(node: Node) -> Callable[[list[_Iv]], list[float]]:
-    """cells -> per cell [lo, hi], an upper bound of f as the value closure
-    computes it at any float in the cell; inf where it cannot vouch for that
-    bound. The value closure's own rules run on the cells (_value_walk), so
-    the bound declines where that closure may raise, and a finite bound also
-    proves that it raises nothing in the cell."""
+def compile_value(node: Node) -> Callable[[list[_Iv]], list[_Iv]]:
+    """cells -> per cell [lo, hi], the pair (low, high) of a lower and an
+    upper bound of f as the value closure computes it at any float in the
+    cell; (-inf, inf) where it cannot vouch for those bounds. The value
+    closure's own rules run on the cells (_value_walk), so the bounds
+    decline where that closure may raise, and a finite pair also proves
+    that it raises nothing in the cell."""
     value = _per_cell(_value_walk, node, lambda v, x: v.ivs)
-    return lambda cells: [_INF if v is None else v[1] for v in value(cells)]
+    return lambda cells: [(-_INF, _INF) if v is None else v for v in value(cells)]

@@ -29,12 +29,17 @@ takes such bounds from its argument bound, one per cell of the grid
 (_cells: one cell per grid step, reaching a few ulps past its two grid
 points), and turns them into one bound per pair of grid points over just
 the cells its scan points reach (_bound_row). The entry points pass an
-interval enclosure (glbounds.enclosure) of f or |f''|, inf on a cell where
-it declines. One walk (_walk) visits the pairs hottest first by that bound,
-computing each margin as the loop does, but for a triple that its own cell
-clears (u = fl(sup - rhs) at most the tolerance and below the largest
-margin so far), which reads no g. The scan is that walk, stopped where no
-pair left can change its report, and its report and first error are the
+interval enclosure (glbounds.enclosure) of f or |f''|, as a pair (low, high)
+of g per cell, (-inf, inf) on a cell where it declines. One walk (_walk)
+visits the pairs hottest first by that bound, computing each margin as the
+loop does, but for a triple that its own cell decides, which reads no g:
+with u = fl(sup - rhs), the cell clears it where u is at most the tolerance
+and below the largest margin so far, and proves it a violation where u is
+above the tolerance and below that margin and fl(low - rhs) is above the
+tolerance too (monotone rounding puts the margin between the two). Those
+bounds rest on the enclosure's premise that libm is accurate to the 2^-50
+that enclosure._LIBM_WIDEN widens by. The scan is that walk, stopped where
+no pair left can change its report, and its report and first error are the
 loop's. The walk takes its pairs from a lazy ranking (ranked_pairs), which
 computes a row's bounds only when an O(1) key of the row reaches the top of
 its heap, and sorts only the rows it takes a pair from. The key of row i,
@@ -66,24 +71,30 @@ MAX_GRID_N caps every scan, since a scan costs n^3 time and holds up to
 about 9n^2 points.
 
 The n^3 triples of a scan land on far fewer distinct points (2n^2 to about
-9n^2), so g is called once per distinct point it reads and its values are
-kept until the scan returns: g must be deterministic, and memory grows with
-the number of distinct points (about 100 bytes each: up to 3 MB at n = 64
-and 15 MB at n = 128, less where the walk stops early or its cells clear
-triples).
+9n^2), so g is called once per distinct point it reads, and its values are
+kept in the scan's memo (_PointMemo) as long as its report is: g must be
+deterministic, and memory grows with the number of distinct points (about
+100 bytes each: up to 3 MB at n = 64 and 15 MB at n = 128, less where the
+walk stops early or its cells decide triples).
 
 Every scan returns one record, QClassReport: samples_checked, max_margin,
-and raw, each violation, and the mirror's where a pass decides two lams, as
-the plain tuple (x, y, lam, lhs, rhs), a key of an insertion-ordered dict.
-A tuple recurs where grid points coincide (at large offsets) and where the
-check for negative values meets the walk's own triple (x, x, 1/2) at an odd
-grid; the dict keeps it once, by value, as first recorded (0.0 and -0.0
-compare equal). Three readers take from it what they need: passed, whether
-raw is empty; violations, which sorts the tuples by (x, y, lam), each as a
-Violation, the named tuple made from it, anew at each read; and worst(k),
-which counts the tuples and makes Violations of only the k with the largest
-margins, all that the CLI's qclass prints: a failing scan records
-thousands, and qclass never reads violations.
+and each violation the walk found, once, keyed by value on (x, y, lam) in
+one of two dicts: paired, where lam's pass decides its mirror too, so that
+the entry stands for the mirror's violation (y, x, 1 - lam) as well, and
+lone. An entry holds (lhs, rhs, False) where g was read at its point, and
+(u, rhs, True) where its cell proved it, u being at least its margin. A key
+recurs where grid points coincide (at large offsets) and where the check
+for negative values meets the walk's own triple (x, x, 1/2) at an odd grid;
+the dict keeps it once (0.0 and -0.0 compare equal), and a read entry
+replaces a proven one. The readers take from it what they need: passed and
+count read no g; worst(k), all that the CLI's qclass prints with the count,
+makes Violations of only the k with the largest margins and reads g only at
+proven entries whose u reaches the k-th largest margin of the read ones;
+violations, sorted by (x, y, lam) as Violations, and raw, each violation as
+the plain tuple (x, y, lam, lhs, rhs) in a dict, read every lhs through the
+memo, anew at each read. A failing scan records thousands, and qclass never
+reads violations. A point read that late lies in a finite cell, so g raises
+nothing there.
 
 The triple (y, x, 1-lam) has the same point and the same right side as
 (x, y, lam), because float addition is commutative. So when a grid lam and
@@ -95,6 +106,7 @@ decides both, and samples_checked still counts every triple.
 from __future__ import annotations
 
 import math
+from functools import cache, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -135,48 +147,95 @@ class Violation(NamedTuple):
         return self.lhs - self.rhs
 
 
-Raw = dict[tuple[float, float, float, float, float], None]  # (x, y, lam, lhs, rhs) of each violation, once
+Record = dict[tuple[float, float, float], tuple[float, float, bool]]  # (x, y, lam) -> (lhs or u, rhs, proven)
 
 
 class QClassReport(NamedTuple):
-    """The record of one scan, with its three readers (the module docstring):
-    raw holds each violation once as the plain tuple (x, y, lam, lhs, rhs),
-    its keys in the order the scan first recorded them."""
+    """The record of one scan, with its readers (the module docstring).
+
+    lone and paired hold each violation the walk found once, keyed by value
+    on (x, y, lam): (lhs, rhs, False) where g was read at its point, and
+    (u, rhs, True) where its cell proved it, u = fl(sup - rhs) being at
+    least its margin. An entry of paired stands for its mirror
+    (y, x, 1 - lam) too, which has the same point and sides. memo is the
+    scan's g at each point it read (_PointMemo), which reads the lhs of a
+    proven entry on demand; it is kept as long as the report is.
+    """
 
     samples_checked: int
-    raw: Raw
     max_margin: float
+    lone: Record
+    paired: Record
+    memo: dict[float, float]
 
     @property
     def passed(self) -> bool:
-        return not self.raw
+        return not (self.lone or self.paired)
+
+    @property
+    def count(self) -> int:
+        """The number of violations; reads no g."""
+        return len(self.lone) + 2 * len(self.paired)
+
+    def _tuples(self, chosen: Callable[[Record], Iterable] = dict.items) -> Iterator[tuple[float, ...]]:
+        """(x, y, lam, lhs, rhs) of each violation, mirrors included, the lhs
+        of a proven entry read through memo at its point: of the items
+        ((x, y, lam), entry) that chosen gives of each record, every one by
+        default."""
+        memo = self.memo
+        for record, mirrored in ((self.lone, False), (self.paired, True)):
+            for (x, y, lam), (v, rhs, proven) in chosen(record):
+                if proven:
+                    v = memo[lam * x + (1.0 - lam) * y]
+                yield x, y, lam, v, rhs
+                if mirrored:
+                    yield y, x, 1.0 - lam, v, rhs
+
+    @property
+    def raw(self) -> dict[tuple[float, float, float, float, float], None]:
+        """Each violation once as the plain tuple (x, y, lam, lhs, rhs),
+        every lhs read; built anew at each read."""
+        return dict.fromkeys(self._tuples())
 
     @property
     def violations(self) -> tuple[Violation, ...]:
-        """Each violation once, sorted by (x, y, lam), as a Violation; sorted
-        again at each read."""
+        """Each violation once, sorted by (x, y, lam), as a Violation; every
+        lhs read, and sorted again at each read."""
         # tuples sort as the Violations would: field by field, stably
-        return tuple(map(Violation._make, sorted(self.raw, key=itemgetter(0, 1, 2))))
+        return tuple(map(Violation._make, sorted(self._tuples(), key=itemgetter(0, 1, 2))))
 
     def worst(self, k: int) -> tuple[int, list[Violation]]:
-        """The number of violations, which is len(raw), and the k with the
-        largest margins, ties in (x, y, lam) order:
+        """The number of violations (count) and the k with the largest
+        margins, ties in (x, y, lam) order:
         sorted(violations, key=lambda v: (-v.margin, v.x, v.y, v.lam))[:k],
         with only those k made Violations.
 
         rhs - lhs is -margin exactly (IEEE subtraction rounds a - b and b - a
         alike), and a tuple's (x, y, lam) fixes its lhs and rhs (the scan
         point and both sides are computed from them alone, g once per
-        point), so (rhs - lhs, tuple) orders the recorded tuples as that key.
+        point), so (rhs - lhs, tuple) orders the tuples as that key. A proven
+        entry's margin is at most its u, so g is read only at the proven
+        entries whose u reaches the k-th largest margin of the read ones.
         """
         import heapq
 
-        worst = heapq.nsmallest(k, self.raw, key=lambda t: (t[4] - t[3], t))
-        return len(self.raw), list(map(Violation._make, worst))
+        if k <= 0 or self.passed:
+            return self.count, []
+        read = lambda record: [item for item in record.items() if not item[1][2]]
+        known = list(self._tuples(read))
+        margins = heapq.nlargest(k, [lhs - rhs for _, _, _, lhs, rhs in known])
+        floor = margins[-1] if len(margins) == k else -math.inf
+        # a proven entry whose u is below floor has a margin below k known ones
+        reaching = lambda record: [item for item in record.items() if item[1][2] and item[1][0] >= floor]
+        known += self._tuples(reaching)
+        worst = heapq.nsmallest(k, known, key=lambda t: (t[4] - t[3], t))
+        return self.count, list(map(Violation._make, worst))
 
 
 Cells = list[tuple[float, float]]  # [lo, hi] of each cell
-Bound = Callable[[Cells], list[float]]  # cells -> an upper bound of g on each
+# cells -> (low, high) of g on each: a float low, or a function of no
+# arguments that gives it, called only where a triple needs it
+Bound = Callable[[Cells], Sequence[tuple[float | Callable[[], float], float]]]
 
 
 def _check_q(q: float) -> None:
@@ -411,7 +470,7 @@ def check_godunova_levin(
 
     g is called once per distinct sample point the scan visits (the triples
     share 2n^2 to about 9n^2 points), so it must be deterministic; the values
-    are held until the scan returns. Raises ValueError naming x when g(x) is
+    are held as long as the report is. Raises ValueError naming x when g(x) is
     not finite (_PointMemo). Where g raises, or is not finite, at several
     points, the error is that of the first grid point in order, or, with
     none there, of the first point in the order lam, x, y.
@@ -425,11 +484,18 @@ def check_godunova_levin(
     (_walk) and stops where no pair left can hold a violation or the first
     largest margin; the report is the loop's, bit for bit. bound gives the
     bounds: bound(cells), called once with the grid_n - 1 cells [lo, hi] of
-    _cells, is one upper bound of g per cell, inf on a cell where it cannot
-    give one (a NaN counts as inf). The scan cannot derive it from g, which
-    may be any callable: the entry points below pass the enclosure of the
-    expression behind g. Without a bound every cell is inf, and the walk
-    visits every pair and reads g at every point of each.
+    _cells, is one pair (low, high) of g per cell: high an upper bound, inf
+    on a cell where it cannot give one (a NaN counts as inf), and low a
+    lower bound, -inf where it cannot (a NaN proves nothing), or a function
+    of no arguments that gives it, called only when a triple first needs
+    that cell's low end (membership_for_bound's inf_power). The scan cannot
+    derive them from g, which may be any callable: the entry points below
+    pass the enclosure of the expression behind g. A triple whose cell
+    proves it a violation reads no g; the report keeps u in place of its
+    lhs, and its readers read that lhs through the memo where they need it
+    (QClassReport), where g raises nothing, the cell being finite. Without a
+    bound every cell is (-inf, inf), and the walk visits every pair and
+    reads g at every point of each.
 
     Raises ValueError where grid_n or tol is invalid, where the grid points
     of iv pass the float range (a width above about 2.8e306 at grid_n = 64),
@@ -438,35 +504,44 @@ def check_godunova_levin(
     n = grid_n
     xs = _scan_grid(iv, n, tol)
     cells = _cells(xs)
-    sup = [math.inf] * (n - 1)
+    ends: Sequence = [(-math.inf, math.inf)] * (n - 1)
     if bound is not None:
-        sup = [math.inf if math.isnan(s) else s for s in bound(cells)]
-        if len(sup) != n - 1:
-            raise ValueError(f"bound gave {len(sup)} values for the {n - 1} cells of the grid")
+        ends = bound(cells)
+        if len(ends) != n - 1:
+            raise ValueError(f"bound gave {len(ends)} values for the {n - 1} cells of the grid")
+    sup = [math.inf if math.isnan(high) else high for _, high in ends]
+
+    def low(k: int) -> float:
+        end = ends[k][0]
+        return end() if callable(end) else end
+
     memo = _PointMemo(g)
     gx = [memo[x] for x in xs]
 
-    raw: Raw = {}
+    lone: Record = {}
+    paired: Record = {}
     max_margin = -math.inf
     for x, gv in zip(xs, gx):
         if gv < -tol:
             # 0.5*x + 0.5*x reproduces x exactly, so this re-checks soundly
             rhs = gv / 0.5 + gv / 0.5
-            raw[x, x, 0.5, gv, rhs] = None
+            lone[x, x, 0.5] = gv, rhs, False
             max_margin = max(max_margin, gv - rhs)
 
     pairs = ranked_pairs(gx, sup, -math.inf)
     # the walk's last yield, after its last pair, has the largest margin
-    for _, max_margin in _walk(pairs, xs, gx, memo, tol, raw, max_margin, cells, sup):
+    for _, max_margin in _walk(pairs, xs, gx, memo, tol, (lone, paired), max_margin, cells, sup, low):
         pass
-    return QClassReport(n * n * n, raw, max_margin)
+    return QClassReport(n * n * n, max_margin, lone, paired, memo)
 
 
-def _visits(n: int) -> list[tuple[float, float, bool]]:
+@cache
+def _visits(n: int) -> tuple[tuple[float, float, bool], ...]:
     """The passes of a scan over the grid lams (k + 1/2)/n, in order, as
     (lam, its mirror, whether the pass also decides the mirror). Where lam
     and its mirror lam' = lams[n-1-k] satisfy 1 - lam == lam' and
     1 - lam' == lam exactly, the later of the two gets no pass of its own.
+    Made once per n.
     """
     lams = [(k + 0.5) / n for k in range(n)]
     visits = []
@@ -475,7 +550,7 @@ def _visits(n: int) -> list[tuple[float, float, bool]]:
         paired = k != n - 1 - k and 1.0 - lam == mirror and 1.0 - mirror == lam
         if not (paired and k > n - 1 - k):
             visits.append((lam, mirror, paired))
-    return visits
+    return tuple(visits)
 
 
 def _walk(
@@ -484,19 +559,22 @@ def _walk(
     gx: list[float],
     memo: _PointMemo,
     tol: float,
-    raw: Raw,
+    record: tuple[Record, Record],
     top: float,
     cells: Cells,
     sup: list[float],
+    low: Callable[[int], float],
 ) -> Iterator[tuple[float, float]]:
     """Visit the pairs (b, i, j) of grid points, i <= j, in the order given
     (ranked_pairs: highest b first), each at every lam of _visits in
     both orders of its points, and yield (b, top), the pair's bound and the
     largest margin so far, once after each pair: a caller that stops at the
-    first violation reads raw between pairs, at the cost of the rest of that
-    pair's margins (63 at most at grid 64, two for each of its 32 visits).
-    Margins, and violations with their mirrors in raw, are as the lam-major
-    loop that defines the scan computes and records them. Of margins tied at
+    first violation reads the record between pairs, at the cost of the rest
+    of that pair's margins (63 at most at grid 64, two for each of its 32
+    visits). Margins are as the lam-major loop that defines the scan
+    computes them, and record = (lone, paired) gets its violations as
+    QClassReport keeps them: an entry of paired, for a lam whose mirror has
+    no visit of its own, stands for the mirror's too. Of margins tied at
     top (0.0 and -0.0 compare equal), the first in lam-major order (visit,
     row, column) is kept, as in that loop.
 
@@ -504,66 +582,90 @@ def _walk(
     of a pair is at most its bound (_bound_row), and no bound left is above
     b, so no pair left holds a violation or a margin that reaches top. A
     mirror lam, with no visit of its own, repeats the margins of an earlier
-    visit. So raw and top are the lam-major loop's.
+    visit. So the violations and top are the lam-major loop's.
 
-    A triple whose own cell clears it reads no g. sup[k] bounds g on cell k
-    of cells, the _cells of xs. The triple's point z lies at index position
-    lam*p + (1-lam)*q, so in cell k = p + floor((1-lam)*(q-p)) (n-2 where
-    that is n-1), which lo_k <= z <= hi_k confirms. There g(z) <= sup[k],
-    so by monotone rounding its margin fl(g(z) - rhs) is at most
-    u = fl(sup[k] - rhs), and where u <= tol and u < top the triple neither
-    violates nor reaches top. sup[k] = inf gives u = inf or NaN, which
-    skips nothing.
+    A triple's own cell may decide it with no g read. sup[k] bounds g above
+    on cell k of cells, the _cells of xs, and low(k), asked once per cell
+    and only where a triple needs it, bounds g below there. The triple's
+    point z lies at index position lam*p + (1-lam)*q, so in cell
+    k = p + floor((1-lam)*(q-p)) (n-2 where that is n-1), which
+    lo_k <= z <= hi_k confirms. There low_k <= g(z) <= sup[k], so by
+    monotone rounding its margin m = fl(g(z) - rhs) lies between
+    fl(low_k - rhs) and u = fl(sup[k] - rhs). Where u <= tol and u < top,
+    the triple neither violates nor reaches top: the cell clears it. Where
+    tol < u < top and fl(low_k - rhs) > tol, the triple violates, with
+    m <= u < top, so it moves neither top nor the first place of a tie
+    with it: the cell proves it, and the record keeps u in place of lhs,
+    unless the same (x, y, lam) is already read (at coinciding grid
+    points), and a read entry replaces a proven one, so each counts once.
+    sup[k] = inf gives u = inf or NaN, which clears and proves nothing,
+    and so does a low of -inf or NaN: a cell where the enclosure behind
+    the bound declines decides no triple. The bounds rest on the
+    enclosure's premise, libm accurate to the 2^-50 that
+    enclosure._LIBM_WIDEN widens by.
 
     A finite cell proves g finite, and raising nothing, at every point of
-    the cell; a cell where the enclosure behind the bound declines is inf.
-    Every point the walk asks for lies in a cell of its pair, so a point
-    where g raises lies only in pairs with b = inf, which rank before every
-    other pair, and a skipped point lies in a finite cell. The walk meets
-    the points in another order than the loop, so where it raises it asks
-    for them again in the loop's order, each visit's lam, then x, then y, at
-    the walk's own point (the values it has cost nothing), and the loop's
-    first failing point raises.
+    the cell; a cell where the enclosure declines is inf. Every point the
+    walk asks for lies in a cell of its pair, so a point where g raises
+    lies only in pairs with b = inf, which rank before every other pair,
+    and a point the walk does not read, cleared or proven, lies in a finite
+    cell: reading it later, as the report's readers do for a proven entry,
+    raises nothing. The walk meets the points in another order than the
+    loop, so where it raises it asks for them again in the loop's order,
+    each visit's lam, then x, then y, at the walk's own point (the values
+    it has cost nothing), and the loop's first failing point raises.
+
+    The visits, the cell table and the lows are made when the first pair
+    is visited, so a walk that stops at once makes none of them.
     """
-    visits = _visits(len(xs))
-    steps = [(lam, 1.0 - lam) for lam, _, _ in visits]
-    # (lo, hi, sup) of each cell, the last one again at index n-1
-    bounds = [(lo, hi, s) for (lo, hi), s in zip(cells, sup)]
-    bounds.append(bounds[-1])
-    offsets: dict[int, list[int]] = {}  # q - p -> each visit's cell, less p
     at = (-1, 0, 0)  # where top is in lam-major order; -1 is before every visit
+    steps = None
     try:
         for b, i, j in pairs:
             if b <= tol and b < top:
                 return
+            if steps is None:  # the first pair visited
+                lone, paired = record
+                steps = [(v, lam, 1.0 - lam, paired if mirrored else lone)
+                         for v, (lam, _, mirrored) in enumerate(_visits(len(xs)))]
+                # (lo, hi, sup, k) of each cell k, the last one again at index n-1
+                table = [(lo, hi, s, k) for k, ((lo, hi), s) in enumerate(zip(cells, sup))]
+                table.append(table[-1])
+                lows: list[float | None] = [None] * len(cells)
+                offsets: dict[int, list[int]] = {}  # q - p -> each visit's cell, less p
             for p, q in ((i, j), (j, i)) if i < j else ((i, i),):
                 xp, xq, gp, gq = xs[p], xs[q], gx[p], gx[q]
                 offs = offsets.get(q - p)
                 if offs is None:
-                    offs = offsets[q - p] = [math.floor(clam * (q - p)) for _, clam in steps]
-                held = [bounds[p + o] for o in offs]
-                for v, (lam, clam), (lo, hi, s) in zip(range(len(steps)), steps, held):
+                    offs = offsets[q - p] = [math.floor(clam * (q - p)) for _, _, clam, _ in steps]
+                held = [table[p + o] for o in offs]
+                for (v, lam, clam, found), (lo, hi, s, k) in zip(steps, held):
                     z = lam * xp + clam * xq
                     rhs = gp / lam + gq / clam
                     if lo <= z <= hi:
                         u = s - rhs
-                        if u <= tol and u < top:  # the cell clears the triple
-                            continue
+                        if u < top:
+                            if u <= tol:  # the cell clears the triple
+                                continue
+                            least = lows[k]
+                            if least is None:
+                                least = lows[k] = low(k)
+                            if least - rhs > tol:  # the cell proves a violation
+                                found.setdefault((xp, xq, lam), (u, rhs, True))
+                                continue
                     lhs = memo[z]
                     m = lhs - rhs
                     if m >= top and (m > top or (v, p, q) < at):
                         top, at = m, (v, p, q)
                     if m > tol:
-                        _, mirror, paired = visits[v]
-                        raw[xp, xq, lam, lhs, rhs] = None
-                        if paired:
-                            raw[xq, xp, mirror, lhs, rhs] = None
+                        found[xp, xq, lam] = lhs, rhs, False
             yield b, top
     except Exception:
-        for lam, clam in steps:
-            for xp in xs:
-                for xq in xs:
-                    memo[lam * xp + clam * xq]
+        if steps is not None:  # the walk has read g
+            for _, lam, clam, _ in steps:
+                for xp in xs:
+                    for xq in xs:
+                        memo[lam * xp + clam * xq]
         raise
 
 
@@ -572,7 +674,8 @@ def check_expression(
 ) -> QClassReport:
     """Scan g = e itself, as its value closure computes it: qclass --g.
 
-    The scan walks the pairs by the enclosure of g, with the same report.
+    The scan walks the pairs by the enclosure of g, its (low, high) on each
+    cell, with the same report.
     """
     from .enclosure import compile_value
 
@@ -588,15 +691,16 @@ def membership_for_bound(
 ) -> QClassReport:
     """Scan x -> |f''(x)|^q, the function whose membership the bound assumes:
     qclass --fn. The scan walks the pairs by the enclosure of |f''| raised to
-    q, with the same report.
+    q, the high end by sup_power and, only where a triple needs it, the low
+    end by inf_power, with the same report.
     """
     _check_q(q)
-    from .enclosure import compile_second_derivative, sup_power
+    from .enclosure import compile_second_derivative, inf_power, sup_power
 
     d2 = compile_second_derivative(e)
 
-    def bound(cells: Cells) -> list[float]:
-        return [sup_power(high, q) for _, high in d2(cells)]
+    def bound(cells: Cells) -> list[tuple[Callable[[], float], float]]:
+        return [(partial(inf_power, low, q), sup_power(high, q)) for low, high in d2(cells)]
 
     return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, bound)
 
@@ -639,16 +743,16 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
 
     d2 = compile_second_derivative(e)
     [(low, high)] = d2(_cells([xs[0], xs[-1]]))
-    sup = None  # the bound of |f''| on each cell, where the one cell proves nothing
+    ends = None  # the bounds of |f''| on each cell, where the one cell proves nothing
     memberships = {}
     for q in dict.fromkeys(q_list):
         low_q, high_q = inf_power(low, q), sup_power(high, q)
         if all(key <= DEFAULT_TOL for key in _row_keys(*_row_parts([low_q, low_q], [high_q]))):
             memberships[q] = True  # no g evaluated
             continue
-        if sup is None:
-            sup = [hi for _, hi in d2(_cells(xs))]
-        memberships[q] = _decide(e, q, xs, sup)
+        if ends is None:
+            ends = d2(_cells(xs))
+        memberships[q] = _decide(e, q, xs, ends)
     return memberships
 
 
@@ -667,31 +771,35 @@ def _q_power(e: Node, q: float) -> Callable[[float], float]:
     return g
 
 
-def _decide(e: Node, q: float, xs: list[float], sup: list[float]) -> bool:
+def _decide(e: Node, q: float, xs: list[float], ends: list[tuple[float, float]]) -> bool:
     """membership_for_bound(e, iv, q).passed, decided without the scan, or
     the error that scan raises; xs are the grid points of iv at
-    DEFAULT_GRID_N, and sup bounds |f''| on each of their cells (inf where
-    the enclosure declines).
+    DEFAULT_GRID_N, and ends the pair (low, high) of |f''| on each of their
+    cells ((0, inf) where the enclosure declines).
 
     Only a pair whose bound is above DEFAULT_TOL can hold a violation
-    (_bound_row), so _walk visits just those pairs, hottest first.
-    g >= 0, so the scan's check for negative values never fires. The pairs
-    with b = inf come first, and they hold every point where g may raise
-    (_walk), so the walk raises where the scan does, with its error. Once
-    they are all visited, the pair that holds the first violation answers
-    False: after it where its b is finite, else after the first pair with a
-    finite b, or at the end of the walk. No violation at all, or no pair to
-    visit (the ratio lemma's proof), answers True.
+    (_bound_row), so _walk visits just those pairs, hottest first, with the
+    same cell tests as the scan: a violation that its cell proves reads no
+    g. g >= 0, so the scan's check for negative values never fires. The
+    pairs with b = inf come first, and they hold every point where g may
+    raise (_walk), so the walk raises where the scan does, with its error.
+    Once they are all visited, the pair that holds the first violation
+    answers False: after it where its b is finite, else after the first
+    pair with a finite b, or at the end of the walk. No violation at all,
+    or no pair to visit (the ratio lemma's proof), answers True.
     """
-    from .enclosure import sup_power
+    from .enclosure import inf_power, sup_power
 
     memo = _PointMemo(_q_power(e, q))
     gx = [memo[x] for x in xs]
-    sup_q = [sup_power(s, q) for s in sup]
+    sup_q = [sup_power(high, q) for _, high in ends]
     hot = ranked_pairs(gx, sup_q, DEFAULT_TOL)
-    raw: Raw = {}
+    lone: Record = {}
+    paired: Record = {}
+    walk = _walk(hot, xs, gx, memo, DEFAULT_TOL, (lone, paired), math.inf, _cells(xs), sup_q,
+                 lambda k: inf_power(ends[k][0], q))
     # no margin is reported, so top starts at inf, where no margin reaches it
-    for b, _ in _walk(hot, xs, gx, memo, DEFAULT_TOL, raw, math.inf, _cells(xs), sup_q):
-        if raw and b < math.inf:  # every pair where g may raise is visited
+    for b, _ in walk:
+        if (lone or paired) and b < math.inf:  # every pair where g may raise is visited
             return False
-    return not raw
+    return not (lone or paired)

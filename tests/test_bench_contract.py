@@ -210,7 +210,7 @@ def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkey
     def unbounded(declined):  # as if the enclosure declined on every cell
         return lambda e: lambda cells: [declined] * len(cells)
 
-    monkeypatch.setattr(glbounds.enclosure, "compile_value", unbounded(math.inf))
+    monkeypatch.setattr(glbounds.enclosure, "compile_value", unbounded((-math.inf, math.inf)))
     monkeypatch.setattr(glbounds.enclosure, "compile_second_derivative", unbounded((0.0, math.inf)))
     assert _outcomes(requests, capsys) == pruned
     assert len(taken) == len(requests)

@@ -105,8 +105,8 @@ def test_enclosure_covers_the_float_jet(ast, cell, data):
     [(low, sup)] = compile_second_derivative(ast)([cell])
     assert all(low <= abs(jet(x)[2]) <= sup for x in _cell_points(lo, hi, inner))
     # the value closure computes the jet's value part, so that bounds it too
-    [sup_f] = compile_value(ast)([cell])
-    assert all(value(x) <= sup_f for x in _cell_points(lo, hi, inner))
+    [(low_f, sup_f)] = compile_value(ast)([cell])
+    assert all(low_f <= value(x) <= sup_f for x in _cell_points(lo, hi, inner))
 
 
 @settings(max_examples=examples(300), deadline=None)
@@ -118,15 +118,17 @@ def test_a_batch_bounds_each_cell_as_alone(ast, cells, data):
     # a cell that declines takes no other cell with it
     assert d2s == [sup_d2([cell])[0] for cell in cells]
     assert fs == [sup_f([cell])[0] for cell in cells]
-    for (lo, hi), (low, d2), f, ijet in zip(cells, d2s, fs, _compile_jet(ast)(cells), strict=True):
+    for (lo, hi), (low, d2), (f_low, f), ijet in zip(cells, d2s, fs, _compile_jet(ast)(cells), strict=True):
         # one pair (low, high) of |f''| per cell, (0, inf) exactly where the interval jet declines
         assert 0.0 <= low <= d2 and ((low, d2) == (0.0, math.inf)) is (ijet is None)
+        # one pair (low, high) of f per cell, both finite or (-inf, inf)
+        assert f_low <= f and (f_low == -math.inf) is (f == math.inf)
         if d2 == f == math.inf:
             continue
         # a finite bound: its closure raises nowhere in the cell, and the bound holds
         for x in _cell_points(lo, hi, data.draw(st.lists(st.floats(lo, hi), max_size=4))):
-            assert d2 == math.inf or abs(jet(x)[2]) <= d2
-            assert f == math.inf or value(x) <= f
+            assert d2 == math.inf or low <= abs(jet(x)[2]) <= d2
+            assert f == math.inf or f_low <= value(x) <= f
 
 
 @settings(max_examples=examples(1500), deadline=None)
@@ -217,7 +219,7 @@ def test_declines_where_the_jet_may_raise(text, lo, hi):
     e = parse(text)
     assert compile_second_derivative(e)([(lo, hi)]) == [(0.0, math.inf)]
     if text != "x^(-0.5)":  # the value closure may raise too (the x^(-0.5) cell: below)
-        assert compile_value(e)([(lo, hi)]) == [math.inf]
+        assert compile_value(e)([(lo, hi)]) == [(-math.inf, math.inf)]
 
 
 def test_the_value_is_bounded_where_only_the_jet_raises():
@@ -226,23 +228,23 @@ def test_the_value_is_bounded_where_only_the_jet_raises():
     x = 1.0437212337495636e-149
     e = parse("x^(-0.5)")
     assert compile_second_derivative(e)([(x, x)]) == [(0.0, math.inf)]
-    assert compile_value(e)([(x, x)]) == [3.0953355848968534e74]
+    assert compile_value(e)([(x, x)]) == [(3.0953355848968474e74, 3.0953355848968534e74)]
     assert _compile_value(e)(x) == 3.0953355848968504e74
 
 
 @settings(max_examples=examples(600), deadline=None)
 @given(_tree_strategy(), st.lists(_CELLS, min_size=1, max_size=4), st.data())
 def test_the_value_bound_is_the_jets_value_part(ast, cells, data):
-    # where the interval jet does not decline, compile_value is the upper end
-    # of its value part; elsewhere it is inf, or bounds the value closure,
-    # which then raises nothing in the cell
+    # where the interval jet does not decline, compile_value is its value
+    # part; elsewhere it is (-inf, inf), or bounds the value closure, which
+    # then raises nothing in the cell
     value = _compile_value(ast)
-    for (lo, hi), jet, sup in zip(cells, _compile_jet(ast)(cells), compile_value(ast)(cells)):
+    for (lo, hi), jet, (low, sup) in zip(cells, _compile_jet(ast)(cells), compile_value(ast)(cells)):
         if jet is not None:
-            assert sup == jet[0][1]
+            assert (low, sup) == jet[0]
         elif sup < math.inf:
             for x in _cell_points(lo, hi, data.draw(st.lists(st.floats(lo, hi), max_size=4))):
-                assert value(x) <= sup, (x, sup)
+                assert low <= value(x) <= sup, (x, low, sup)
 
 
 @pytest.mark.parametrize(
@@ -259,10 +261,10 @@ def test_exponents_that_depend_on_x_are_bounded(text, top_d2, d2_cap):
     e = parse(text)
     value, jet = compile_expression(e)
     [(_, d2)] = compile_second_derivative(e)([(1.0, 2.0)])
-    [f] = compile_value(e)([(1.0, 2.0)])
+    [(f_low, f)] = compile_value(e)([(1.0, 2.0)])
     assert top_d2 <= d2 <= d2_cap and 4.0 <= f <= 4.0 * (1.0 + 1e-14)
     for x in _cell_points(1.0, 2.0, [1.25, 1.5, 1.75]):
-        assert abs(jet(x)[2]) <= d2 and value(x) <= f
+        assert abs(jet(x)[2]) <= d2 and f_low <= value(x) <= f
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from glbounds import (
 )
 from glbounds.cli import main
 from glbounds.expressions import Bin, Const, DomainError, ExpressionError, NonSmoothError
-from glbounds.enclosure import compile_second_derivative, compile_value, sup_power
+from glbounds.enclosure import compile_second_derivative, compile_value, inf_power, sup_power
 from glbounds.qclass import (
     DEFAULT_TOL,
     _cells,
@@ -102,9 +102,8 @@ def enclosed(e, iv, grid_n, of_value=False):
     of |f''| (of f where of_value) on each of their cells, as the scan reads
     it: inf where the enclosure declines."""
     xs = _scan_grid(iv, grid_n, DEFAULT_TOL)
-    if of_value:
-        return xs, compile_value(e)(_cells(xs))
-    return xs, [high for _, high in compile_second_derivative(e)(_cells(xs))]
+    bound = compile_value if of_value else compile_second_derivative
+    return xs, [high for _, high in bound(e)(_cells(xs))]
 
 
 def powered(sup, q):
@@ -241,9 +240,9 @@ class TestCheck:
         for nan_at in (lambda k: True, lambda k: k % 2 == 0):
             calls = []
 
-            def bound(cells):
+            def bound(cells):  # |sin| lies in [0, 1]
                 calls.append(len(cells))
-                return [math.nan if nan_at(k) else 1.0 for k in range(len(cells))]
+                return [(math.nan, math.nan) if nan_at(k) else (0.0, 1.0) for k in range(len(cells))]
 
             rep = check_godunova_levin(g, SINE_INTERVAL, bound=bound)
             assert calls == [63]  # called once, on the 63 cells of grid 64
@@ -303,7 +302,49 @@ class TestScanRecord:
     )
     def test_repeats_are_recorded_once(self, text, iv, grid_n, count):
         rep = check_expression(parse(text), iv, grid_n)
-        assert len(rep.raw) == len(rep.violations) == rep.worst(10)[0] == count
+        assert rep.count == len(rep.raw) == len(rep.violations) == rep.worst(10)[0] == count
+
+    def test_a_read_entry_wins_over_a_proven_one(self):
+        """At coinciding grid points one (x, y, lam) recurs in pairs whose
+        cells differ: some visits prove it and others read it. The record
+        keeps it once, as read, whichever came first."""
+
+        class Logged(dict):
+            def __init__(self):
+                super().__init__()
+                self.proven, self.read = set(), set()
+
+            def setdefault(self, key, value):
+                self.proven.add(key)
+                return super().setdefault(key, value)
+
+            def __setitem__(self, key, value):
+                self.read.add(key)
+                super().__setitem__(key, value)
+
+        text = "x-100000000.0000001"  # negative at most grid points of COINCIDING
+        e, iv = parse(text), COINCIDING
+        xs = _scan_grid(iv, 64, DEFAULT_TOL)
+        cells = _cells(xs)
+        ends = compile_value(e)(cells)
+        sup = [high for _, high in ends]
+        memo = _PointMemo(value_of(text))
+        gx = [memo[x] for x in xs]
+        lone, paired, top = Logged(), Logged(), -math.inf
+        for x, gv in zip(xs, gx):  # the scan's check for negative values
+            if gv < -DEFAULT_TOL:
+                lone[x, x, 0.5] = (gv, gv / 0.5 + gv / 0.5, False)
+                top = max(top, gv - (gv / 0.5 + gv / 0.5))
+        pairs = glbounds.qclass.ranked_pairs(gx, sup, -math.inf)
+        low = lambda k: ends[k][0]
+        for _, top in _walk(pairs, xs, gx, memo, DEFAULT_TOL, (lone, paired), top, cells, sup, low):
+            pass
+        both = (lone.proven & lone.read) | (paired.proven & paired.read)
+        assert len(both) == 62
+        assert all(not record[key][2] for record in (lone, paired) for key in record.read)
+        rep = QClassReport(64**3, top, lone, paired, memo)
+        assert _outcome(lambda: rep) == _outcome(lambda: plain_scan(value_of(text), iv))
+        assert rep.count == len(rep.violations)
 
     @pytest.mark.parametrize("grid_n", [2, 9, 31, 64, 100, 101, 128])
     @pytest.mark.parametrize("q", [1.878, None], ids=["fn", "g"])
@@ -313,7 +354,8 @@ class TestScanRecord:
             rep = check_expression(e, SINE_INTERVAL, grid_n)
         else:
             rep = membership_for_bound(e, SINE_INTERVAL, q, grid_n)
-        assert len(rep.raw) == len(rep.violations) == rep.worst(10)[0]
+        assert rep.count == len(rep.lone) + 2 * len(rep.paired) == len(rep.raw) == len(rep.violations)
+        assert rep.count == rep.worst(10)[0]
 
 
 class TestValidatingTypes:
@@ -424,7 +466,8 @@ def record_work(monkeypatch):
 def cleared_triples(monkeypatch, text, iv, grid_n, q):
     """The record of the scan of qclass --g (q None) or --fn at q, and each
     triple (p, r, lam, rhs) of a pair its walk visits whose point g was
-    never read at: a triple its cell cleared."""
+    never read at and which is no violation: a triple its cell cleared (its
+    cell proves the others)."""
     read = set()
     value, q_power = glbounds.qclass._compile_value, glbounds.qclass._q_power
 
@@ -448,11 +491,14 @@ def cleared_triples(monkeypatch, text, iv, grid_n, q):
     [pairs] = taken
     if pairs and pairs[-1][0] <= DEFAULT_TOL and pairs[-1][0] < scan.max_margin:
         pairs = pairs[:-1]  # the pair the walk stops at, unvisited
+    by_scan = set(read)  # before violations reads the lhs of each proven entry
+    violations = {(v.x, v.y, v.lam) for v in scan.violations}
     cleared = []
     for _, i, j in pairs:
         for p, r in {(i, j), (j, i)}:
             for lam, _, _ in _visits(grid_n):
-                if (lam * xs[p] + (1.0 - lam) * xs[r]).hex() not in read:
+                z = lam * xs[p] + (1.0 - lam) * xs[r]
+                if z.hex() not in by_scan and (xs[p], xs[r], lam) not in violations:
                     cleared.append((p, r, lam, gx[p] / lam + gx[r] / (1.0 - lam)))
     return scan, cleared
 
@@ -611,7 +657,8 @@ class TestAgainstPlainLoop:
         g = value_of("sin(3.14159265*x)^2+0.01")
         xs = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.9, 0.95, 1.0]
         n, cells = len(xs), _cells(xs)
-        sup = compile_value(e)(cells)
+        ends = compile_value(e)(cells)
+        sup = [high for _, high in ends]
         missed = 0
         for lam, _, _ in _visits(n):
             for p in range(n):
@@ -621,10 +668,12 @@ class TestAgainstPlainLoop:
         assert missed == 377
         memo = _PointMemo(g)
         gx = [memo[x] for x in xs]
-        raw, top = {}, -math.inf
+        lone, paired, top = {}, {}, -math.inf
         pairs = glbounds.qclass.ranked_pairs(gx, sup, -math.inf)
-        for _, top in _walk(pairs, xs, gx, memo, DEFAULT_TOL, raw, top, cells, sup):
+        low = lambda k: ends[k][0]
+        for _, top in _walk(pairs, xs, gx, memo, DEFAULT_TOL, (lone, paired), top, cells, sup, low):
             pass
+        raw = QClassReport(n**3, top, lone, paired, memo).raw
         # the lam-major loop on these points; g >= 0, so no negative value to check
         loop, loop_top = {}, -math.inf
         for (lam, mirror, paired), xi, points in lam_major(xs):
@@ -706,8 +755,8 @@ class TestAgainstPlainLoop:
         z = lam2 * xs[r] + (1.0 - lam2) * xs[t]
         values[z.hex()] = 1.0 / lam2 + 1.0 / (1.0 - lam2)
         g = lambda x: values[x.hex()]
-        bound = lambda cells: [10.0 if lo <= z <= hi else 1.0 for lo, hi in cells]
-        sup = bound(_cells(xs))
+        bound = lambda cells: [(-math.inf, 10.0 if lo <= z <= hi else 1.0) for lo, hi in cells]
+        sup = [high for _, high in bound(_cells(xs))]
         assert sup.count(10.0) == 1
         rows = bound_rows([g(x) for x in xs], sup)
         assert rows[r][t - r] > rows[p][q - p]
@@ -733,10 +782,12 @@ class TestAgainstPlainLoop:
         values[z.hex()] = 1.0 / lam2 + 1.0 / (1.0 - lam2)
         g = lambda x: values[x.hex()]
         cells = _cells(xs)
-        bound = lambda cs: [10.0 if lo <= z <= hi else 0.0 if (lo, hi) == cells[q] else 1.0 for lo, hi in cs]
-        # each cell's bound holds at every point of the scan in it
-        for (lo, hi), b in zip(cells, bound(cells)):
-            assert all(v <= b for x, v in values.items() if lo <= float.fromhex(x) <= hi)
+        bound = lambda cs: [
+            (-1.0, 10.0 if lo <= z <= hi else 0.0 if (lo, hi) == cells[q] else 1.0) for lo, hi in cs
+        ]
+        # each cell's bounds hold at every point of the scan in it
+        for (lo, hi), (low, high) in zip(cells, bound(cells)):
+            assert all(low <= v <= high for x, v in values.items() if lo <= float.fromhex(x) <= hi)
         ref = reference_scan(g, iv, n)
         assert ref.max_margin == 0.0 and math.copysign(1.0, ref.max_margin) == -1.0
         assert same_report(check_godunova_levin(g, iv, n, bound=bound), ref)
@@ -1093,8 +1144,8 @@ class TestProof:
         pinned number of pairs, hottest first."""
         e = parse(text)
         taken = record_taken(monkeypatch)
-        xs, sup = enclosed(e, iv, 64)
-        decided = _decide(e, q, xs, sup)
+        xs = _scan_grid(iv, 64, DEFAULT_TOL)
+        decided = _decide(e, q, xs, compile_second_derivative(e)(_cells(xs)))
         rep = membership_for_bound(e, iv, q)
         assert decided is rep.passed
         violating = {frozenset((v.x, v.y)) for v in rep.violations}
@@ -1285,45 +1336,86 @@ class TestPruning:
         plain = _outcome(lambda: plain_scan(g, iv, grid_n))
         assert _outcome(pruned) == _outcome(lambda: check_godunova_levin(g, iv, grid_n)) == plain
 
+    @staticmethod
+    def _scan_kinds(e, q):
+        """g and the bound of qclass --g (q None: g = f, bounded by
+        compile_value's (low, high) of f) or --fn (g = |f''|^q, bounded by
+        the powers of the (low, high) of |f''|, the low end given as a
+        function, as membership_for_bound gives it)."""
+        if q is None:
+            return compile_expression(e)[0], compile_value(e)
+        d2 = compile_second_derivative(e)
+        lows = lambda low: lambda: inf_power(low, q)
+        return _q_power(e, q), lambda cells: [(lows(low), sup_power(high, q)) for low, high in d2(cells)]
+
     @settings(max_examples=examples(60), deadline=None)
     @given(
-        st.one_of(_tree_strategy(), st.sampled_from([parse(e.expression) for e in corpus_entries()])),
-        _PROOF_ENDS,
+        _PROOF_CASES,  # with sin and cos across a zero of f'', which fail
         st.sampled_from([2, 9, 31, 64]),
         st.one_of(st.none(), st.floats(1.0, 3.0)),
     )
-    def test_the_cell_bounds_change_no_scan(self, e, ends, grid_n, q):
-        """check_godunova_levin with the enclosure's cell bounds, which clear
-        triples in the pairs it visits, is check_godunova_levin with none,
-        which reads every point of every pair: record, readers and error, bit
-        for bit."""
+    def test_the_cell_bounds_change_no_scan(self, case, grid_n, q):
+        """check_godunova_levin with the enclosure's (low, high) cell bounds,
+        which clear triples and prove violations in the pairs it visits, is
+        check_godunova_levin with none, which reads every point of every
+        pair: record, readers and error, bit for bit. The count and passed
+        read no g; raw, violations and worst(10) read the lhs of each proven
+        entry they need."""
+        e, ends = case
         assume(ends[0] < ends[1])
         iv = Interval(*ends)
-        if q is None:  # qclass --g
-            g, bound = compile_expression(e)[0], compile_value(e)
-        else:  # qclass --fn
-            d2 = compile_second_derivative(e)
-            g, bound = _q_power(e, q), lambda cells: [sup_power(high, q) for _, high in d2(cells)]
+        g, bound = self._scan_kinds(e, q)
 
         def record(bound):
             rep = check_godunova_levin(g, iv, grid_n, DEFAULT_TOL, bound)
             sign = math.copysign(1.0, rep.max_margin)
-            return rep.samples_checked, rep.raw, rep.max_margin, sign, rep.worst(10), rep.violations
+            outcome = rep.samples_checked, rep.count, rep.passed, rep.max_margin, sign
+            return outcome + (rep.raw, rep.violations, rep.worst(10), rep.worst(10))
 
-        assert _outcome(lambda: record(bound)) == _outcome(lambda: record(None))
+        proved, read = _outcome(lambda: record(bound)), _outcome(lambda: record(None))
+        assert proved == read
+        event("error" if len(read) == 2 else "passes" if read[2] else "fails")
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(
+        _PROOF_CASES,  # with sin and cos across a zero of f'', which fail
+        st.sampled_from([9, 31, 64]),
+        st.one_of(st.none(), st.floats(1.0, 3.0)),
+    )
+    def test_every_proven_entry_violates_within_its_u(self, case, grid_n, q):
+        """Each entry that its cell proved, once g is read at its point,
+        violates, with a margin at most the u it holds; a read entry holds
+        its lhs. Reading a proven entry's point raises nothing."""
+        e, ends = case
+        assume(ends[0] < ends[1])
+        iv = Interval(*ends)
+        g, bound = self._scan_kinds(e, q)
+        try:
+            rep = check_godunova_levin(g, iv, grid_n, DEFAULT_TOL, bound)
+        except (ExpressionError, ValueError, ArithmeticError):
+            return
+        proven = 0
+        for record in (rep.lone, rep.paired):
+            for (x, y, lam), (v, rhs, is_proven) in record.items():
+                lhs = g(lam * x + (1.0 - lam) * y)
+                assert lhs - rhs > DEFAULT_TOL
+                assert lhs - rhs <= v if is_proven else lhs == v
+                proven += is_proven
+        event(f"proven: {'some' if proven else 'none'}")
 
     @pytest.mark.parametrize(
         "argv,points",
         [
-            (["qclass", "--fn", "sin(x)", "--q", "2", "--a", "0.000001", "--b", "3.141592"], 5378),
-            (["qclass", "--g", "sin(x)", "--a", "0.000001", "--b", "3.141592"], 1725),
+            (["qclass", "--fn", "sin(x)", "--q", "2", "--a", "0.000001", "--b", "3.141592"], 458),
+            (["qclass", "--g", "sin(x)", "--a", "0.000001", "--b", "3.141592"], 170),
         ],
         ids=["fn-q2", "g"],
     )
     def test_failing_sine_scans_read_only_uncleared_points(self, monkeypatch, capsys, argv, points):
         """The g evaluations of the failing sine scans at grid 64, grid points
-        included: with every point of each visited pair read, 10,177 (--fn)
-        and 4,195 (--g)."""
+        and the reads of worst(10) included: 5,378 (--fn) and 1,725 (--g)
+        with every violation read, and 10,177 and 4,195 with every point of
+        each visited pair read."""
         work = record_work(monkeypatch)
         assert main(argv) == 1
         assert work["points"] == points
@@ -1463,7 +1555,7 @@ class TestRanking:
         cells = _cells(xs)
         bound = (compile_value if q is None else compile_second_derivative)(e)
         [hull] = bound([(cells[0][0], cells[-1][1])])
-        sup = [hull if q is None else sup_power(hull[1], q)] * len(cells)  # |f''|'s (low, high)
+        sup = [hull[1] if q is None else sup_power(hull[1], q)] * len(cells)  # f's or |f''|'s (low, high)
         gx = [(compile_expression(e)[0] if q is None else _q_power(e, q))(x) for x in xs]
         assert list(glbounds.qclass.ranked_pairs(gx, sup, floor)) == ranked_pairs_eager(gx, sup, floor)
 
