@@ -17,12 +17,11 @@ import functools
 import math
 import os
 import sys
-from operator import attrgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .bounds import BoundReport, MembershipStatus, evaluate_bound_report, sweep_rows
-from .coefficients import Regime, coefficient_set
+from .bounds import MembershipStatus, evaluate_bound_report, sweep_rows
+from .coefficients import coefficient_set
 from .corpus import corpus_entries
 from .expressions import ExpressionError, parse
 from .kernel import verify_identity
@@ -114,70 +113,21 @@ def _probe_writable(path: str) -> None:
         os.remove(path)
 
 
-# a sweep row's columns in order: the CSV header and each JSON object's key,
-# the BoundReport field shown, and how: "number" (17 digits in CSV, json's
-# text in JSON), "ratio" (a number, empty in CSV and null in JSON where it is
-# None, and null in JSON where it is not finite) or "text" (an enum's value)
+# a sweep row's columns in order, each with its value: the CSV header and
+# cells, and the keys and values of each JSON object
 _SWEEP_COLUMNS = (
-    ("lambda", "lam", "number"),
-    ("q", "q", "number"),
-    ("regime", "regime", "text"),
-    ("lhs_abs", "lhs_abs", "number"),
-    ("bound", "bound", "number"),
-    ("ratio", "ratio", "ratio"),
-    ("membership", "q_membership", "text"),
+    ("lambda", lambda r: r.lam),
+    ("q", lambda r: r.q),
+    ("regime", lambda r: r.regime.value),
+    ("lhs_abs", lambda r: r.lhs_abs),
+    ("bound", lambda r: r.bound),
+    ("ratio", lambda r: r.ratio),
+    ("membership", lambda r: r.q_membership.value),
 )
-_ENUM_TEXT = {member: member.value for member in (*Regime, *MembershipStatus)}
 
 
-def _sweep_content(rows: list[BoundReport], fmt: str) -> str:
-    """The sweep file of rows in format fmt ("csv" or "json"), from
-    _SWEEP_COLUMNS: each row read with one getter, each enum's text from
-    _ENUM_TEXT, and each line or JSON object from a template made once.
-
-    The bytes are the comma join of each row's cells (a number's
-    format(v, ".17g"), a text, or nothing for no ratio), and
-    json.dumps(payload, indent=2, allow_nan=False) of the rows as dicts,
-    a ratio that is not finite made None. That call runs json's
-    pure-Python encoder, as indent is set, so here a number that is not a
-    finite float is given to that encoder alone: it writes null for None
-    and raises json's own ValueError for an infinity or NaN.
-    """
-    get = attrgetter(*(field for _, field, _ in _SWEEP_COLUMNS))
-    texts = [i for i, (_, _, kind) in enumerate(_SWEEP_COLUMNS) if kind == "text"]
-    numbers = [i for i, (_, _, kind) in enumerate(_SWEEP_COLUMNS) if kind != "text"]
-    ratios = [i for i, (_, _, kind) in enumerate(_SWEEP_COLUMNS) if kind == "ratio"]
-    if fmt == "csv":
-        line = ",".join("{:.17g}" if kind == "number" else "{}" for _, _, kind in _SWEEP_COLUMNS)
-        lines = [",".join(name for name, _, _ in _SWEEP_COLUMNS)]
-        for row in rows:
-            cells = list(get(row))
-            for i in texts:
-                cells[i] = _ENUM_TEXT[cells[i]]
-            for i in ratios:
-                cells[i] = "" if cells[i] is None else _fmt17(cells[i])
-            lines.append(line.format(*cells))
-        return "\n".join(lines) + "\n"
-    import json  # here and in coeffs and corpus, the commands that write JSON
-
-    encode = json.JSONEncoder(indent=2, allow_nan=False).encode
-    quoted = {member: json.dumps(text) for member, text in _ENUM_TEXT.items()}
-    keys = ",\n".join(f"    {json.dumps(name)}: {{}}" for name, _, _ in _SWEEP_COLUMNS)
-    template = "  {{\n" + keys + "\n  }}"
-    objects = []
-    for row in rows:
-        cells = list(get(row))
-        for i in texts:
-            cells[i] = quoted[cells[i]]
-        for i in ratios:
-            # strict JSON has no inf or nan: null stands for no finite ratio
-            if cells[i] is not None and not math.isfinite(cells[i]):
-                cells[i] = None
-        for i in numbers:
-            v = cells[i]
-            cells[i] = float.__repr__(v) if v.__class__ is float and v - v == 0.0 else encode(v)
-        objects.append(template.format(*cells))
-    return ("[\n" + ",\n".join(objects) + "\n]" if objects else "[]") + "\n"
+def _csv_cell(v: float | str | None) -> str:
+    return "" if v is None else v if isinstance(v, str) else _fmt17(v)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -207,7 +157,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_IO_ERROR
     lams = [min(max(start + i * step, 0.0), 1.0) for i in range(int(span) + 1)]
     rows = sweep_rows(e, iv, lams, q_list)
-    content = _sweep_content(rows, args.format)
+    if args.format == "csv":
+        lines = [",".join(name for name, _ in _SWEEP_COLUMNS)]
+        lines += [",".join(_csv_cell(get(r)) for _, get in _SWEEP_COLUMNS) for r in rows]
+        content = "\n".join(lines) + "\n"
+    else:
+        import json
+        payload = [{name: get(r) for name, get in _SWEEP_COLUMNS} for r in rows]
+        for row in payload:
+            # strict JSON has no inf or nan: null stands for no finite ratio
+            if row["ratio"] is not None and not math.isfinite(row["ratio"]):
+                row["ratio"] = None
+        content = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(content)

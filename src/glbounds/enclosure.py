@@ -97,9 +97,23 @@ def _out(lo: float, hi: float) -> _Iv:
     return lo, hi
 
 
+def _widen_down(v: float) -> float:
+    """A libm value v widened down by its error and rounded out: at most
+    every float the true value may be; -inf past the float range, NaN for NaN."""
+    return _nextafter(v - abs(v) * _LIBM_WIDEN - _TINY, -_INF)
+
+
+def _widen_up(v: float) -> float:
+    """v widened up as _widen_down widens it down."""
+    return _nextafter(v + abs(v) * _LIBM_WIDEN + _TINY, _INF)
+
+
 def _libm(lo: float, hi: float) -> _Iv:
     """[lo, hi] from libm values at the range's extremes, widened by their error."""
-    return _out(lo - abs(lo) * _LIBM_WIDEN - _TINY, hi + abs(hi) * _LIBM_WIDEN + _TINY)
+    lo, hi = _widen_down(lo), _widen_up(hi)
+    if not (lo > -_INF and hi < _INF):  # also false for NaN
+        raise Declined
+    return lo, hi
 
 
 _ZERO = (0.0, 0.0)
@@ -362,30 +376,27 @@ def _compile_jet(node: Node) -> Callable[[list[_Iv]], list[_IJet | None]]:
 
 def sup_power(s: float, q: float) -> float:
     """An upper bound of the float d ** q for every float d in [0, s], q > 0;
-    inf where s is inf or s ** q overflows. It is the upper end of
-    _libm(0.0, s ** q), and inf where that declines, computed alone."""
+    inf where s is inf or s ** q overflows: the high end of
+    _libm(0.0, s ** q), inf where that declines."""
     try:
-        p = s**q
+        high = _widen_up(s**q)
     except OverflowError:
         return _INF
-    high = _nextafter(p + abs(p) * _LIBM_WIDEN + _TINY, _INF)
     return high if high < _INF else _INF  # also inf for NaN
 
 
 def inf_power(s: float, q: float) -> float:
     """A lower bound of the float d ** q for every float d >= s, q > 0,
     widened down as sup_power widens up; 0 where s <= 0 or is NaN, or where
-    s ** q underflows or overflows. It is the lower end of
-    _libm(s ** q, 0.0), at least 0, and 0 where that declines, computed
-    alone."""
+    s ** q underflows or overflows: the low end of _libm(s ** q, 0.0), at
+    least 0, and 0 where that declines."""
     if not s > 0.0:
         return 0.0
     try:
-        p = s**q
+        low = _widen_down(s**q)
     except OverflowError:
         return 0.0
-    low = _nextafter(p - abs(p) * _LIBM_WIDEN - _TINY, -_INF)
-    return max(low, 0.0) if low > -_INF else 0.0  # also 0 for NaN
+    return low if low > 0.0 else 0.0  # also 0 for -inf and NaN
 
 
 def _abs_ends(d: _Iv) -> _Iv:

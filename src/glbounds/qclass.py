@@ -72,29 +72,30 @@ about 9n^2 points.
 
 The n^3 triples of a scan land on far fewer distinct points (2n^2 to about
 9n^2), so g is called once per distinct point it reads, and its values are
-kept in the scan's memo (_PointMemo) as long as its report is: g must be
+kept in the scan's memo (_PointMemo) until the scan returns: g must be
 deterministic, and memory grows with the number of distinct points (about
 100 bytes each: up to 3 MB at n = 64 and 15 MB at n = 128, less where the
 walk stops early or its cells decide triples).
 
 Every scan returns one record, QClassReport: samples_checked, max_margin,
 and each violation the walk found, once, keyed by value on (x, y, lam) in
-one of two dicts: paired, where lam's pass decides its mirror too, so that
-the entry stands for the mirror's violation (y, x, 1 - lam) as well, and
-lone. An entry holds (lhs, rhs, False) where g was read at its point, and
-(u, rhs, True) where its cell proved it, u being at least its margin. A key
-recurs where grid points coincide (at large offsets) and where the check
-for negative values meets the walk's own triple (x, x, 1/2) at an odd grid;
-the dict keeps it once (0.0 and -0.0 compare equal), and a read entry
-replaces a proven one. The readers take from it what they need: passed and
-count read no g; worst(k), all that the CLI's qclass prints with the count,
-makes Violations of only the k with the largest margins and reads g only at
-proven entries whose u reaches the k-th largest margin of the read ones;
-violations, sorted by (x, y, lam) as Violations, and raw, each violation as
-the plain tuple (x, y, lam, lhs, rhs) in a dict, read every lhs through the
-memo, anew at each read. A failing scan records thousands, and qclass never
-reads violations. A point read that late lies in a finite cell, so g raises
-nothing there.
+one of four dicts. The read ones map it to (lhs, rhs), where g was read at
+its point, and the proven ones to (u, rhs), where its cell proved it, u
+being at least its margin; of each kind, paired holds the entries of a lam
+whose pass decides its mirror too, each standing for the mirror's
+violation (y, x, 1 - lam) as well, and lone the others. A key recurs where
+grid points coincide (at large offsets) and where the check for negative
+values meets the walk's own triple (x, x, 1/2) at an odd grid; a dict keeps
+it once (0.0 and -0.0 compare equal), and a key that is read is dropped
+from the proven ones. The report also holds g, and its readers take from
+it what they need: passed and count read no g; worst(k), all that the
+CLI's qclass prints with the count, makes Violations of only the k with
+the largest margins and reads g only at proven entries whose u reaches the
+k-th largest margin of the read ones; violations, sorted by (x, y, lam) as
+Violations, and raw, each violation as the plain tuple (x, y, lam, lhs,
+rhs) in a dict, read g at every proven entry, anew at each read. A failing
+scan records thousands, and qclass never reads violations. A point read
+that late lies in a finite cell, so g raises nothing there.
 
 The triple (y, x, 1-lam) has the same point and the same right side as
 (x, y, lam), because float addition is commutative. So when a grid lam and
@@ -106,7 +107,7 @@ decides both, and samples_checked still counts every triple.
 from __future__ import annotations
 
 import math
-from functools import cache, partial
+from functools import cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -147,62 +148,103 @@ class Violation(NamedTuple):
         return self.lhs - self.rhs
 
 
-Record = dict[tuple[float, float, float], tuple[float, float, bool]]  # (x, y, lam) -> (lhs or u, rhs, proven)
+Record = dict[tuple[float, float, float], tuple[float, float]]  # (x, y, lam) -> (lhs or u, rhs)
+Records = tuple[Record, Record]  # (lone, paired)
 
 
-class QClassReport(NamedTuple):
+class QClassReport:
     """The record of one scan, with its readers (the module docstring).
 
-    lone and paired hold each violation the walk found once, keyed by value
-    on (x, y, lam): (lhs, rhs, False) where g was read at its point, and
-    (u, rhs, True) where its cell proved it, u = fl(sup - rhs) being at
-    least its margin. An entry of paired stands for its mirror
-    (y, x, 1 - lam) too, which has the same point and sides. memo is the
-    scan's g at each point it read (_PointMemo), which reads the lhs of a
-    proven entry on demand; it is kept as long as the report is.
+    read and proven each hold a pair (lone, paired) of records, which keep
+    each violation the walk found once, keyed by value on (x, y, lam): read
+    maps it to (lhs, rhs), where g was read at its point, and proven to
+    (u, rhs), where its cell proved it, u = fl(sup - rhs) being at least its
+    margin. An entry of a paired record stands for its mirror (y, x, 1 - lam)
+    too, which has the same point and sides. No key is in both read and
+    proven.
+
+    A report is not a tuple. It holds the scan's g, and its readers read
+    the lhs of a proven entry where they need it, through a memo of their
+    own: reading a report may call g, but never changes the report. Two
+    reports are equal where samples_checked, max_margin and raw are, so
+    comparing them reads g at every proven entry. Assigning an attribute
+    raises AttributeError.
     """
 
-    samples_checked: int
-    max_margin: float
-    lone: Record
-    paired: Record
-    memo: dict[float, float]
+    __slots__ = ("samples_checked", "max_margin", "read", "proven", "_g")
+
+    def __init__(
+        self,
+        samples_checked: int,
+        max_margin: float,
+        read: Records,
+        proven: Records,
+        g: Callable[[float], float] | None,
+    ) -> None:
+        for name, value in zip(self.__slots__, (samples_checked, max_margin, read, proven, g)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"a QClassReport is immutable: cannot set {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return QClassReport, (self.samples_checked, self.max_margin, self.read, self.proven, self._g)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QClassReport):
+            return NotImplemented
+        return (self.samples_checked, self.max_margin, self.raw) == (
+            other.samples_checked, other.max_margin, other.raw
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"QClassReport(samples_checked={self.samples_checked!r}, "
+                f"max_margin={self.max_margin!r}, count={self.count!r})")
 
     @property
     def passed(self) -> bool:
-        return not (self.lone or self.paired)
+        return not self.count
 
     @property
     def count(self) -> int:
         """The number of violations; reads no g."""
-        return len(self.lone) + 2 * len(self.paired)
+        (lone, paired), (proven_lone, proven_paired) = self.read, self.proven
+        return len(lone) + len(proven_lone) + 2 * (len(paired) + len(proven_paired))
 
-    def _tuples(self, chosen: Callable[[Record], Iterable] = dict.items) -> Iterator[tuple[float, ...]]:
-        """(x, y, lam, lhs, rhs) of each violation, mirrors included, the lhs
-        of a proven entry read through memo at its point: of the items
-        ((x, y, lam), entry) that chosen gives of each record, every one by
-        default."""
-        memo = self.memo
-        for record, mirrored in ((self.lone, False), (self.paired, True)):
-            for (x, y, lam), (v, rhs, proven) in chosen(record):
-                if proven:
-                    v = memo[lam * x + (1.0 - lam) * y]
+    def _tuples(self, records: Records, reaching: float | None = None) -> Iterator[tuple[float, ...]]:
+        """(x, y, lam, lhs, rhs) of each violation of records, mirrors
+        included: read entries as they are where reaching is None, and
+        otherwise proven ones whose u is at least reaching, their lhs read
+        with g at their point."""
+        memo = None if reaching is None else _PointMemo(self._g)
+        for record, mirrored in zip(records, (False, True)):
+            items = record.items()
+            if memo is not None:
+                items = [((x, y, lam), (memo[lam * x + (1.0 - lam) * y], rhs))
+                         for (x, y, lam), (u, rhs) in items if u >= reaching]
+            for (x, y, lam), (v, rhs) in items:
                 yield x, y, lam, v, rhs
                 if mirrored:
                     yield y, x, 1.0 - lam, v, rhs
+
+    def _every_tuple(self) -> Iterator[tuple[float, ...]]:
+        yield from self._tuples(self.read)
+        yield from self._tuples(self.proven, -math.inf)
 
     @property
     def raw(self) -> dict[tuple[float, float, float, float, float], None]:
         """Each violation once as the plain tuple (x, y, lam, lhs, rhs),
         every lhs read; built anew at each read."""
-        return dict.fromkeys(self._tuples())
+        return dict.fromkeys(self._every_tuple())
 
     @property
     def violations(self) -> tuple[Violation, ...]:
         """Each violation once, sorted by (x, y, lam), as a Violation; every
         lhs read, and sorted again at each read."""
         # tuples sort as the Violations would: field by field, stably
-        return tuple(map(Violation._make, sorted(self._tuples(), key=itemgetter(0, 1, 2))))
+        return tuple(map(Violation._make, sorted(self._every_tuple(), key=itemgetter(0, 1, 2))))
 
     def worst(self, k: int) -> tuple[int, list[Violation]]:
         """The number of violations (count) and the k with the largest
@@ -221,21 +263,17 @@ class QClassReport(NamedTuple):
 
         if k <= 0 or self.passed:
             return self.count, []
-        read = lambda record: [item for item in record.items() if not item[1][2]]
-        known = list(self._tuples(read))
+        known = list(self._tuples(self.read))
         margins = heapq.nlargest(k, [lhs - rhs for _, _, _, lhs, rhs in known])
-        floor = margins[-1] if len(margins) == k else -math.inf
         # a proven entry whose u is below floor has a margin below k known ones
-        reaching = lambda record: [item for item in record.items() if item[1][2] and item[1][0] >= floor]
-        known += self._tuples(reaching)
+        floor = margins[-1] if len(margins) == k else -math.inf
+        known += self._tuples(self.proven, floor)
         worst = heapq.nsmallest(k, known, key=lambda t: (t[4] - t[3], t))
         return self.count, list(map(Violation._make, worst))
 
 
 Cells = list[tuple[float, float]]  # [lo, hi] of each cell
-# cells -> (low, high) of g on each: a float low, or a function of no
-# arguments that gives it, called only where a triple needs it
-Bound = Callable[[Cells], Sequence[tuple[float | Callable[[], float], float]]]
+Bound = Callable[[Cells], Sequence[tuple[float, float]]]  # cells -> (low, high) of g on each
 
 
 def _check_q(q: float) -> None:
@@ -470,7 +508,8 @@ def check_godunova_levin(
 
     g is called once per distinct sample point the scan visits (the triples
     share 2n^2 to about 9n^2 points), so it must be deterministic; the values
-    are held as long as the report is. Raises ValueError naming x when g(x) is
+    are held until the scan returns, and the report holds g itself, which
+    its readers call at the proven entries. Raises ValueError naming x when g(x) is
     not finite (_PointMemo). Where g raises, or is not finite, at several
     points, the error is that of the first grid point in order, or, with
     none there, of the first point in the order lam, x, y.
@@ -486,13 +525,11 @@ def check_godunova_levin(
     bounds: bound(cells), called once with the grid_n - 1 cells [lo, hi] of
     _cells, is one pair (low, high) of g per cell: high an upper bound, inf
     on a cell where it cannot give one (a NaN counts as inf), and low a
-    lower bound, -inf where it cannot (a NaN proves nothing), or a function
-    of no arguments that gives it, called only when a triple first needs
-    that cell's low end (membership_for_bound's inf_power). The scan cannot
-    derive them from g, which may be any callable: the entry points below
-    pass the enclosure of the expression behind g. A triple whose cell
+    lower bound, -inf where it cannot (a NaN proves nothing). The scan
+    cannot derive them from g, which may be any callable: the entry points
+    below pass the enclosure of the expression behind g. A triple whose cell
     proves it a violation reads no g; the report keeps u in place of its
-    lhs, and its readers read that lhs through the memo where they need it
+    lhs, and its readers read that lhs with g where they need it
     (QClassReport), where g raises nothing, the cell being finite. Without a
     bound every cell is (-inf, inf), and the walk visits every pair and
     reads g at every point of each.
@@ -510,29 +547,28 @@ def check_godunova_levin(
         if len(ends) != n - 1:
             raise ValueError(f"bound gave {len(ends)} values for the {n - 1} cells of the grid")
     sup = [math.inf if math.isnan(high) else high for _, high in ends]
-
-    def low(k: int) -> float:
-        end = ends[k][0]
-        return end() if callable(end) else end
-
     memo = _PointMemo(g)
     gx = [memo[x] for x in xs]
 
-    lone: Record = {}
-    paired: Record = {}
+    read: Records = ({}, {})
+    proven: Records = ({}, {})
     max_margin = -math.inf
     for x, gv in zip(xs, gx):
         if gv < -tol:
             # 0.5*x + 0.5*x reproduces x exactly, so this re-checks soundly
             rhs = gv / 0.5 + gv / 0.5
-            lone[x, x, 0.5] = gv, rhs, False
+            read[0][x, x, 0.5] = gv, rhs
             max_margin = max(max_margin, gv - rhs)
 
     pairs = ranked_pairs(gx, sup, -math.inf)
+    walk = _walk(pairs, xs, gx, memo, tol, read, proven, max_margin, cells, sup, lambda k: ends[k][0])
     # the walk's last yield, after its last pair, has the largest margin
-    for _, max_margin in _walk(pairs, xs, gx, memo, tol, (lone, paired), max_margin, cells, sup, low):
+    for _, max_margin in walk:
         pass
-    return QClassReport(n * n * n, max_margin, lone, paired, memo)
+    for found, proved in zip(read, proven):
+        for key in found.keys() & proved.keys():  # read too, at coinciding grid points
+            del proved[key]
+    return QClassReport(n * n * n, max_margin, read, proven, g)
 
 
 @cache
@@ -559,7 +595,8 @@ def _walk(
     gx: list[float],
     memo: _PointMemo,
     tol: float,
-    record: tuple[Record, Record],
+    read: Records,
+    proven: Records,
     top: float,
     cells: Cells,
     sup: list[float],
@@ -572,11 +609,11 @@ def _walk(
     first violation reads the record between pairs, at the cost of the rest
     of that pair's margins (63 at most at grid 64, two for each of its 32
     visits). Margins are as the lam-major loop that defines the scan
-    computes them, and record = (lone, paired) gets its violations as
-    QClassReport keeps them: an entry of paired, for a lam whose mirror has
-    no visit of its own, stands for the mirror's too. Of margins tied at
-    top (0.0 and -0.0 compare equal), the first in lam-major order (visit,
-    row, column) is kept, as in that loop.
+    computes them, and read and proven, each (lone, paired), get the
+    violations as QClassReport keeps them: an entry of paired, for a lam
+    whose mirror has no visit of its own, stands for the mirror's too. Of
+    margins tied at top (0.0 and -0.0 compare equal), the first in
+    lam-major order (visit, row, column) is kept, as in that loop.
 
     The walk stops at the first pair with b <= tol and b < top: every margin
     of a pair is at most its bound (_bound_row), and no bound left is above
@@ -595,9 +632,10 @@ def _walk(
     the triple neither violates nor reaches top: the cell clears it. Where
     tol < u < top and fl(low_k - rhs) > tol, the triple violates, with
     m <= u < top, so it moves neither top nor the first place of a tie
-    with it: the cell proves it, and the record keeps u in place of lhs,
-    unless the same (x, y, lam) is already read (at coinciding grid
-    points), and a read entry replaces a proven one, so each counts once.
+    with it: the cell proves it, and proven keeps (u, rhs) under its
+    (x, y, lam), the first u where pairs whose grid points coincide give it
+    again. Such a key may be read in another pair too; the caller drops it
+    from proven then, so that each counts once.
     sup[k] = inf gives u = inf or NaN, which clears and proves nothing,
     and so does a low of -inf or NaN: a cell where the enclosure behind
     the bound declines decides no triple. The bounds rest on the
@@ -625,8 +663,7 @@ def _walk(
             if b <= tol and b < top:
                 return
             if steps is None:  # the first pair visited
-                lone, paired = record
-                steps = [(v, lam, 1.0 - lam, paired if mirrored else lone)
+                steps = [(v, lam, 1.0 - lam, read[mirrored], proven[mirrored])
                          for v, (lam, _, mirrored) in enumerate(_visits(len(xs)))]
                 # (lo, hi, sup, k) of each cell k, the last one again at index n-1
                 table = [(lo, hi, s, k) for k, ((lo, hi), s) in enumerate(zip(cells, sup))]
@@ -637,9 +674,9 @@ def _walk(
                 xp, xq, gp, gq = xs[p], xs[q], gx[p], gx[q]
                 offs = offsets.get(q - p)
                 if offs is None:
-                    offs = offsets[q - p] = [math.floor(clam * (q - p)) for _, _, clam, _ in steps]
+                    offs = offsets[q - p] = [math.floor(clam * (q - p)) for _, _, clam, _, _ in steps]
                 held = [table[p + o] for o in offs]
-                for (v, lam, clam, found), (lo, hi, s, k) in zip(steps, held):
+                for (v, lam, clam, found, proved), (lo, hi, s, k) in zip(steps, held):
                     z = lam * xp + clam * xq
                     rhs = gp / lam + gq / clam
                     if lo <= z <= hi:
@@ -651,18 +688,18 @@ def _walk(
                             if least is None:
                                 least = lows[k] = low(k)
                             if least - rhs > tol:  # the cell proves a violation
-                                found.setdefault((xp, xq, lam), (u, rhs, True))
+                                proved.setdefault((xp, xq, lam), (u, rhs))
                                 continue
                     lhs = memo[z]
                     m = lhs - rhs
                     if m >= top and (m > top or (v, p, q) < at):
                         top, at = m, (v, p, q)
                     if m > tol:
-                        found[xp, xq, lam] = lhs, rhs, False
+                        found[xp, xq, lam] = lhs, rhs
             yield b, top
     except Exception:
         if steps is not None:  # the walk has read g
-            for _, lam, clam, _ in steps:
+            for _, lam, clam, _, _ in steps:
                 for xp in xs:
                     for xq in xs:
                         memo[lam * xp + clam * xq]
@@ -691,16 +728,16 @@ def membership_for_bound(
 ) -> QClassReport:
     """Scan x -> |f''(x)|^q, the function whose membership the bound assumes:
     qclass --fn. The scan walks the pairs by the enclosure of |f''| raised to
-    q, the high end by sup_power and, only where a triple needs it, the low
-    end by inf_power, with the same report.
+    q, the high end by sup_power and the low end by inf_power, with the
+    same report.
     """
     _check_q(q)
     from .enclosure import compile_second_derivative, inf_power, sup_power
 
     d2 = compile_second_derivative(e)
 
-    def bound(cells: Cells) -> list[tuple[Callable[[], float], float]]:
-        return [(partial(inf_power, low, q), sup_power(high, q)) for low, high in d2(cells)]
+    def bound(cells: Cells) -> list[tuple[float, float]]:
+        return [(inf_power(low, q), sup_power(high, q)) for low, high in d2(cells)]
 
     return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, bound)
 
@@ -794,12 +831,11 @@ def _decide(e: Node, q: float, xs: list[float], ends: list[tuple[float, float]])
     gx = [memo[x] for x in xs]
     sup_q = [sup_power(high, q) for _, high in ends]
     hot = ranked_pairs(gx, sup_q, DEFAULT_TOL)
-    lone: Record = {}
-    paired: Record = {}
-    walk = _walk(hot, xs, gx, memo, DEFAULT_TOL, (lone, paired), math.inf, _cells(xs), sup_q,
-                 lambda k: inf_power(ends[k][0], q))
+    found: Record = {}  # every violation, read or proven: only whether there is one counts
+    walk = _walk(hot, xs, gx, memo, DEFAULT_TOL, (found, found), (found, found), math.inf, _cells(xs),
+                 sup_q, lambda k: inf_power(ends[k][0], q))
     # no margin is reported, so top starts at inf, where no margin reaches it
     for b, _ in walk:
-        if (lone or paired) and b < math.inf:  # every pair where g may raise is visited
+        if found and b < math.inf:  # every pair where g may raise is visited
             return False
-    return not (lone or paired)
+    return not found

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from enum import Enum
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +26,7 @@ from glbounds import (
     rhs_identity,
     theorem_bound,
 )
-from glbounds.bounds import BoundReport, MembershipStatus
-from glbounds.cli import _COMMANDS, _parser, _read, _sweep_content, main
-from glbounds.coefficients import Regime
+from glbounds.cli import _COMMANDS, _parser, _read, main
 from glbounds.expressions import MAX_NESTING
 from conftest import examples
 from oracles import DEEP_SHAPES
@@ -402,83 +399,6 @@ def _run_sweep(path, fmt=None, fn="x^2", a="0", b="1"):
     return main(argv)
 
 
-def _old_csv(rows):
-    """The sweep CSV as the comma join of one cell per column: a number's 17
-    digits, an enum's value, nothing for no ratio."""
-    def cell(v):
-        return "" if v is None else v.value if isinstance(v, Enum) else format(v, ".17g")
-
-    fields = ("lam", "q", "regime", "lhs_abs", "bound", "ratio", "q_membership")
-    lines = [CSV_HEADER] + [",".join(cell(getattr(r, f)) for f in fields) for r in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _old_json(rows):
-    """The sweep JSON as json.dumps of the rows as dicts, with a ratio that is
-    not finite written null; json's own error where another value is not finite."""
-    payload = [
-        {"lambda": r.lam, "q": r.q, "regime": r.regime.value, "lhs_abs": r.lhs_abs, "bound": r.bound,
-         "ratio": None if r.ratio is not None and not math.isfinite(r.ratio) else r.ratio,
-         "membership": r.q_membership.value}
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
-_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-_SWEEP_ROWS = st.lists(
-    st.builds(
-        BoundReport,
-        _FLOATS,
-        _FLOATS,
-        _FLOATS,
-        _FLOATS,
-        st.one_of(st.none(), st.sampled_from([math.inf, -math.inf, math.nan]), _FLOATS),
-        st.sampled_from(list(Regime)),
-        st.sampled_from(list(MembershipStatus)),
-    ),
-    max_size=6,
-)
-
-
-def _rendered(render):
-    try:
-        return render()
-    except ValueError as exc:
-        return ValueError, str(exc)
-
-
-class TestSweepRendering:
-    """The sweep file from templates made once is the bytes of the comma join
-    and of json.dumps(payload, indent=2, allow_nan=False), errors included."""
-
-    @settings(max_examples=examples(200), deadline=None)
-    @given(_SWEEP_ROWS, st.data())
-    def test_rows_render_as_the_comma_join_and_json_dumps(self, rows, data):
-        if rows and data.draw(st.booleans()):  # a number other than the ratio that is not finite
-            k = data.draw(st.integers(0, len(rows) - 1))
-            field = data.draw(st.sampled_from(["lam", "q", "lhs_abs", "bound"]))
-            bad = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
-            rows[k] = rows[k]._replace(**{field: bad})
-        assert _sweep_content(rows, "csv") == _old_csv(rows)
-        assert _rendered(lambda: _sweep_content(rows, "json")) == _rendered(lambda: _old_json(rows))
-
-    def test_every_ratio_kind_regime_and_label(self):
-        rows = [
-            BoundReport(0.0, 1.0, 0.5, 0.25, None, Regime.LOW, MembershipStatus.CHECKED_PASS),
-            BoundReport(0.75, 2.0, 0.83, 2.5e-316, math.inf, Regime.HIGH, MembershipStatus.CHECKED_FAIL),
-            BoundReport(1.0, 3.5, 1e-300, 3.0, 1.0 / 3.0, Regime.HIGH, MembershipStatus.UNCHECKED),
-        ]
-        text = _sweep_content(rows, "json")
-        assert text == _old_json(rows) and '"ratio": null' in text and '"ratio": 0.3333333333333333' in text
-        assert _sweep_content(rows, "csv") == _old_csv(rows)
-        assert _sweep_content([], "json") == "[]\n" and _sweep_content([], "csv") == CSV_HEADER + "\n"
-        broken = [rows[0]._replace(bound=math.nan)]
-        assert _rendered(lambda: _sweep_content(broken, "json")) == (
-            ValueError, "Out of range float values are not JSON compliant: nan"
-        )
-
-
 class TestSweep:
     def test_csv_schema_and_rows(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -832,22 +752,21 @@ class TestQclassTopTen:
         assert [v.margin for v in violations] == margins
         # the scan's record, which qclass reads, in an order other than (x, y, lam):
         # lam = 1/2 is unpaired; half-proven, each even k is a proven entry
-        # holding u = margin + 0.75 in place of lhs, its lhs read from memo
-        # at its point (distinct over the even k) only where worst asks
-        lone, memo, asked = {}, {}, []
+        # holding u = margin + 0.75 in place of lhs, its lhs read with g at
+        # its point (distinct over the even k) only where worst asks
+        lone, proven_lone, values, asked = {}, {}, {}, []
         for k, (x, y, lam, lhs, rhs) in reversed(list(enumerate(violations))):
             if proven and k % 2 == 0:
-                lone[x, y, lam] = (lhs - rhs + 0.75, rhs, True)
-                memo[lam * x + (1.0 - lam) * y] = lhs
+                proven_lone[x, y, lam] = (lhs - rhs + 0.75, rhs)
+                values[lam * x + (1.0 - lam) * y] = lhs
             else:
-                lone[x, y, lam] = (lhs, rhs, False)
+                lone[x, y, lam] = (lhs, rhs)
 
-        class Memo(dict):
-            def __getitem__(self, z):
-                asked.append(z)
-                return super().__getitem__(z)
+        def g(z):
+            asked.append(z)
+            return values[z]
 
-        rep = QClassReport(8, 2.0, lone, {}, Memo(memo))
+        rep = QClassReport(8, 2.0, (lone, {}), (proven_lone, {}), g)
         monkeypatch.setattr(glbounds.cli, "check_expression", lambda *args: rep)
         assert main(["qclass", "--g", "x", "--a", "0", "--b", "1", "--grid", "2"]) == 1
         printed = _printed_violations(capsys.readouterr().out)

@@ -1,4 +1,5 @@
 import bisect
+import copy
 import math
 import sys
 from collections import Counter
@@ -306,22 +307,8 @@ class TestScanRecord:
 
     def test_a_read_entry_wins_over_a_proven_one(self):
         """At coinciding grid points one (x, y, lam) recurs in pairs whose
-        cells differ: some visits prove it and others read it. The record
+        cells differ: some visits prove it and others read it. The report
         keeps it once, as read, whichever came first."""
-
-        class Logged(dict):
-            def __init__(self):
-                super().__init__()
-                self.proven, self.read = set(), set()
-
-            def setdefault(self, key, value):
-                self.proven.add(key)
-                return super().setdefault(key, value)
-
-            def __setitem__(self, key, value):
-                self.read.add(key)
-                super().__setitem__(key, value)
-
         text = "x-100000000.0000001"  # negative at most grid points of COINCIDING
         e, iv = parse(text), COINCIDING
         xs = _scan_grid(iv, 64, DEFAULT_TOL)
@@ -330,21 +317,40 @@ class TestScanRecord:
         sup = [high for _, high in ends]
         memo = _PointMemo(value_of(text))
         gx = [memo[x] for x in xs]
-        lone, paired, top = Logged(), Logged(), -math.inf
+        read, proven, top = ({}, {}), ({}, {}), -math.inf
         for x, gv in zip(xs, gx):  # the scan's check for negative values
             if gv < -DEFAULT_TOL:
-                lone[x, x, 0.5] = (gv, gv / 0.5 + gv / 0.5, False)
+                read[0][x, x, 0.5] = (gv, gv / 0.5 + gv / 0.5)
                 top = max(top, gv - (gv / 0.5 + gv / 0.5))
         pairs = glbounds.qclass.ranked_pairs(gx, sup, -math.inf)
         low = lambda k: ends[k][0]
-        for _, top in _walk(pairs, xs, gx, memo, DEFAULT_TOL, (lone, paired), top, cells, sup, low):
+        for _, top in _walk(pairs, xs, gx, memo, DEFAULT_TOL, read, proven, top, cells, sup, low):
             pass
-        both = (lone.proven & lone.read) | (paired.proven & paired.read)
-        assert len(both) == 62
-        assert all(not record[key][2] for record in (lone, paired) for key in record.read)
-        rep = QClassReport(64**3, top, lone, paired, memo)
+        both = [found.keys() & proved.keys() for found, proved in zip(read, proven)]
+        assert sum(map(len, both)) == 62
+        rep = check_expression(e, iv, 64)
+        assert rep.read == read and rep.max_margin == top
+        assert rep.proven == tuple({key: proved[key] for key in proved.keys() - keys}
+                                   for proved, keys in zip(proven, both))
         assert _outcome(lambda: rep) == _outcome(lambda: plain_scan(value_of(text), iv))
         assert rep.count == len(rep.violations)
+
+    def test_reading_a_report_changes_nothing(self):
+        """The readers call g at proven entries through a memo of their own:
+        a report equals the same scan's without cell bounds, which proves
+        nothing, before and after its violations are read, and its copy does
+        too. Assigning an attribute raises, and a report does not hash."""
+        e = parse("sin(x)")
+        rep = membership_for_bound(e, SINE_INTERVAL, 2.0)
+        plain = check_godunova_levin(_q_power(e, 2.0), SINE_INTERVAL)
+        assert any(rep.proven) and not any(plain.proven)
+        assert rep == plain
+        assert len(rep.violations) == rep.count == 14852
+        assert rep == plain == copy.copy(rep) and rep != plain.raw
+        with pytest.raises(AttributeError):
+            rep.max_margin = 0.0
+        with pytest.raises(TypeError):
+            hash(rep)
 
     @pytest.mark.parametrize("grid_n", [2, 9, 31, 64, 100, 101, 128])
     @pytest.mark.parametrize("q", [1.878, None], ids=["fn", "g"])
@@ -354,7 +360,9 @@ class TestScanRecord:
             rep = check_expression(e, SINE_INTERVAL, grid_n)
         else:
             rep = membership_for_bound(e, SINE_INTERVAL, q, grid_n)
-        assert rep.count == len(rep.lone) + 2 * len(rep.paired) == len(rep.raw) == len(rep.violations)
+        (lone, paired), (proven_lone, proven_paired) = rep.read, rep.proven
+        count = len(lone) + len(proven_lone) + 2 * (len(paired) + len(proven_paired))
+        assert rep.count == count == len(rep.raw) == len(rep.violations)
         assert rep.count == rep.worst(10)[0]
 
 
@@ -668,12 +676,12 @@ class TestAgainstPlainLoop:
         assert missed == 377
         memo = _PointMemo(g)
         gx = [memo[x] for x in xs]
-        lone, paired, top = {}, {}, -math.inf
+        read, proven, top = ({}, {}), ({}, {}), -math.inf
         pairs = glbounds.qclass.ranked_pairs(gx, sup, -math.inf)
         low = lambda k: ends[k][0]
-        for _, top in _walk(pairs, xs, gx, memo, DEFAULT_TOL, (lone, paired), top, cells, sup, low):
+        for _, top in _walk(pairs, xs, gx, memo, DEFAULT_TOL, read, proven, top, cells, sup, low):
             pass
-        raw = QClassReport(n**3, top, lone, paired, memo).raw
+        raw = QClassReport(n**3, top, read, proven, g).raw
         # the lam-major loop on these points; g >= 0, so no negative value to check
         loop, loop_top = {}, -math.inf
         for (lam, mirror, paired), xi, points in lam_major(xs):
@@ -1340,13 +1348,12 @@ class TestPruning:
     def _scan_kinds(e, q):
         """g and the bound of qclass --g (q None: g = f, bounded by
         compile_value's (low, high) of f) or --fn (g = |f''|^q, bounded by
-        the powers of the (low, high) of |f''|, the low end given as a
-        function, as membership_for_bound gives it)."""
+        the powers of the (low, high) of |f''|, as membership_for_bound
+        gives them)."""
         if q is None:
             return compile_expression(e)[0], compile_value(e)
         d2 = compile_second_derivative(e)
-        lows = lambda low: lambda: inf_power(low, q)
-        return _q_power(e, q), lambda cells: [(lows(low), sup_power(high, q)) for low, high in d2(cells)]
+        return _q_power(e, q), lambda cells: [(inf_power(low, q), sup_power(high, q)) for low, high in d2(cells)]
 
     @settings(max_examples=examples(60), deadline=None)
     @given(
@@ -1394,14 +1401,12 @@ class TestPruning:
             rep = check_godunova_levin(g, iv, grid_n, DEFAULT_TOL, bound)
         except (ExpressionError, ValueError, ArithmeticError):
             return
-        proven = 0
-        for record in (rep.lone, rep.paired):
-            for (x, y, lam), (v, rhs, is_proven) in record.items():
+        for records, is_proven in ((rep.read, False), (rep.proven, True)):
+            for (x, y, lam), (v, rhs) in (item for record in records for item in record.items()):
                 lhs = g(lam * x + (1.0 - lam) * y)
                 assert lhs - rhs > DEFAULT_TOL
                 assert lhs - rhs <= v if is_proven else lhs == v
-                proven += is_proven
-        event(f"proven: {'some' if proven else 'none'}")
+        event(f"proven: {'some' if any(rep.proven) else 'none'}")
 
     @pytest.mark.parametrize(
         "argv,points",
