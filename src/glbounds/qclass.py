@@ -30,10 +30,12 @@ takes such bounds from its argument bound, one per cell of the grid
 points), and turns them into one bound per pair of grid points over just
 the cells its scan points reach (_bound_row). The entry points pass an
 interval enclosure (glbounds.enclosure) of f or |f''|, as a pair (low, high)
-of g per cell, (-inf, inf) on a cell where it declines. One walk (_walk)
-visits the pairs hottest first by that bound, computing each margin as the
-loop does, but for a triple that its own cell decides, which reads no g:
-with u = fl(sup - rhs), the cell clears it where u is at most the tolerance
+of g per cell, (-inf, inf) on a cell where it declines; for |f''|^q, _q_ends
+raises both ends to q. That list of pairs, one per cell, is all the walk
+reads of the bound. One walk (_walk) visits the pairs hottest first by the
+high ends, computing each margin as the loop does, but for a triple that
+its own cell decides, which reads no g:
+with u = fl(high - rhs), the cell clears it where u is at most the tolerance
 and below the largest margin so far, and proves it a violation where u is
 above the tolerance and below that margin and fl(low - rhs) is above the
 tolerance too (monotone rounding puts the margin between the two). Those
@@ -92,8 +94,7 @@ it what they need: passed and count read no g; worst(k), all that the
 CLI's qclass prints with the count, makes Violations of only the k with
 the largest margins and reads g only at proven entries whose u reaches the
 k-th largest margin of the read ones; violations, sorted by (x, y, lam) as
-Violations, and raw, each violation as the plain tuple (x, y, lam, lhs,
-rhs) in a dict, read g at every proven entry, anew at each read. A failing
+Violations, reads g at every proven entry, anew at each read. A failing
 scan records thousands, and qclass never reads violations. A point read
 that late lies in a finite cell, so g raises nothing there.
 
@@ -109,7 +110,7 @@ from __future__ import annotations
 import math
 from functools import cache
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .expressions import Node, _compile_jet, _compile_value
 from .quadrature import Interval
@@ -158,7 +159,7 @@ class QClassReport:
     read and proven each hold a pair (lone, paired) of records, which keep
     each violation the walk found once, keyed by value on (x, y, lam): read
     maps it to (lhs, rhs), where g was read at its point, and proven to
-    (u, rhs), where its cell proved it, u = fl(sup - rhs) being at least its
+    (u, rhs), where its cell proved it, u = fl(high - rhs) being at least its
     margin. An entry of a paired record stands for its mirror (y, x, 1 - lam)
     too, which has the same point and sides. No key is in both read and
     proven.
@@ -166,9 +167,11 @@ class QClassReport:
     A report is not a tuple. It holds the scan's g, and its readers read
     the lhs of a proven entry where they need it, through a memo of their
     own: reading a report may call g, but never changes the report. Two
-    reports are equal where samples_checked, max_margin and raw are, so
-    comparing them reads g at every proven entry. Assigning an attribute
-    raises AttributeError.
+    reports are equal where samples_checked, max_margin and violations are,
+    so comparing them reads g at every proven entry; a violation's
+    (x, y, lam) fixes its lhs and rhs, and no two share one, so that is
+    equality of the two sets of violations. Assigning an attribute raises
+    AttributeError.
     """
 
     __slots__ = ("samples_checked", "max_margin", "read", "proven", "_g")
@@ -193,8 +196,8 @@ class QClassReport:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QClassReport):
             return NotImplemented
-        return (self.samples_checked, self.max_margin, self.raw) == (
-            other.samples_checked, other.max_margin, other.raw
+        return (self.samples_checked, self.max_margin, self.violations) == (
+            other.samples_checked, other.max_margin, other.violations
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -229,22 +232,13 @@ class QClassReport:
                 if mirrored:
                     yield y, x, 1.0 - lam, v, rhs
 
-    def _every_tuple(self) -> Iterator[tuple[float, ...]]:
-        yield from self._tuples(self.read)
-        yield from self._tuples(self.proven, -math.inf)
-
-    @property
-    def raw(self) -> dict[tuple[float, float, float, float, float], None]:
-        """Each violation once as the plain tuple (x, y, lam, lhs, rhs),
-        every lhs read; built anew at each read."""
-        return dict.fromkeys(self._every_tuple())
-
     @property
     def violations(self) -> tuple[Violation, ...]:
         """Each violation once, sorted by (x, y, lam), as a Violation; every
         lhs read, and sorted again at each read."""
+        every = [*self._tuples(self.read), *self._tuples(self.proven, -math.inf)]
         # tuples sort as the Violations would: field by field, stably
-        return tuple(map(Violation._make, sorted(self._every_tuple(), key=itemgetter(0, 1, 2))))
+        return tuple(map(Violation._make, sorted(every, key=itemgetter(0, 1, 2))))
 
     def worst(self, k: int) -> tuple[int, list[Violation]]:
         """The number of violations (count) and the k with the largest
@@ -523,11 +517,13 @@ def check_godunova_levin(
     (_walk) and stops where no pair left can hold a violation or the first
     largest margin; the report is the loop's, bit for bit. bound gives the
     bounds: bound(cells), called once with the grid_n - 1 cells [lo, hi] of
-    _cells, is one pair (low, high) of g per cell: high an upper bound, inf
-    on a cell where it cannot give one (a NaN counts as inf), and low a
-    lower bound, -inf where it cannot (a NaN proves nothing). The scan
-    cannot derive them from g, which may be any callable: the entry points
-    below pass the enclosure of the expression behind g. A triple whose cell
+    _cells, is one pair (low, high) of g per cell, a tuple or any other
+    sequence of two floats: high an upper bound, inf on a cell where it
+    cannot give one (a NaN counts as inf), and low a lower bound, -inf where
+    it cannot (a NaN proves nothing). The scan hands the walk these pairs,
+    as tuples with a NaN high made inf, and nothing else of the bound. The
+    scan cannot derive them from g, which may be any callable: the entry
+    points below pass the enclosure of the expression behind g. A triple whose cell
     proves it a violation reads no g; the report keeps u in place of its
     lhs, and its readers read that lhs with g where they need it
     (QClassReport), where g raises nothing, the cell being finite. Without a
@@ -543,10 +539,10 @@ def check_godunova_levin(
     cells = _cells(xs)
     ends: Sequence = [(-math.inf, math.inf)] * (n - 1)
     if bound is not None:
-        ends = bound(cells)
-        if len(ends) != n - 1:
-            raise ValueError(f"bound gave {len(ends)} values for the {n - 1} cells of the grid")
-    sup = [math.inf if math.isnan(high) else high for _, high in ends]
+        given = bound(cells)
+        if len(given) != n - 1:
+            raise ValueError(f"bound gave {len(given)} values for the {n - 1} cells of the grid")
+        ends = [(low, math.inf if math.isnan(high) else high) for low, high in given]
     memo = _PointMemo(g)
     gx = [memo[x] for x in xs]
 
@@ -560,8 +556,7 @@ def check_godunova_levin(
             read[0][x, x, 0.5] = gv, rhs
             max_margin = max(max_margin, gv - rhs)
 
-    pairs = ranked_pairs(gx, sup, -math.inf)
-    walk = _walk(pairs, xs, gx, memo, tol, read, proven, max_margin, cells, sup, lambda k: ends[k][0])
+    walk = _walk(xs, gx, cells, ends, memo, tol, -math.inf, max_margin, read, proven)
     # the walk's last yield, after its last pair, has the largest margin
     for _, max_margin in walk:
         pass
@@ -590,30 +585,30 @@ def _visits(n: int) -> tuple[tuple[float, float, bool], ...]:
 
 
 def _walk(
-    pairs: Iterable[tuple[float, int, int]],
     xs: list[float],
     gx: list[float],
+    cells: Cells,
+    ends: Sequence[tuple[float, float]],
     memo: _PointMemo,
     tol: float,
+    floor: float,
+    top: float,
     read: Records,
     proven: Records,
-    top: float,
-    cells: Cells,
-    sup: list[float],
-    low: Callable[[int], float],
 ) -> Iterator[tuple[float, float]]:
-    """Visit the pairs (b, i, j) of grid points, i <= j, in the order given
-    (ranked_pairs: highest b first), each at every lam of _visits in
-    both orders of its points, and yield (b, top), the pair's bound and the
-    largest margin so far, once after each pair: a caller that stops at the
-    first violation reads the record between pairs, at the cost of the rest
-    of that pair's margins (63 at most at grid 64, two for each of its 32
-    visits). Margins are as the lam-major loop that defines the scan
-    computes them, and read and proven, each (lone, paired), get the
-    violations as QClassReport keeps them: an entry of paired, for a lam
-    whose mirror has no visit of its own, stands for the mirror's too. Of
-    margins tied at top (0.0 and -0.0 compare equal), the first in
-    lam-major order (visit, row, column) is kept, as in that loop.
+    """Visit the pairs (b, i, j) of grid points, i <= j, whose bound b is
+    above floor, highest b first (ranked_pairs, by the high ends of ends),
+    each at every lam of _visits in both orders of its points, and yield
+    (b, top), the pair's bound and the largest margin so far, once after
+    each pair: a caller that stops at the first violation reads the record
+    between pairs, at the cost of the rest of that pair's margins (63 at
+    most at grid 64, two for each of its 32 visits). Margins are as the
+    lam-major loop that defines the scan computes them, and read and
+    proven, each (lone, paired), get the violations as QClassReport keeps
+    them: an entry of paired, for a lam whose mirror has no visit of its
+    own, stands for the mirror's too. Of margins tied at top (0.0 and -0.0
+    compare equal), the first in lam-major order (visit, row, column) is
+    kept, as in that loop.
 
     The walk stops at the first pair with b <= tol and b < top: every margin
     of a pair is at most its bound (_bound_row), and no bound left is above
@@ -621,25 +616,24 @@ def _walk(
     mirror lam, with no visit of its own, repeats the margins of an earlier
     visit. So the violations and top are the lam-major loop's.
 
-    A triple's own cell may decide it with no g read. sup[k] bounds g above
-    on cell k of cells, the _cells of xs, and low(k), asked once per cell
-    and only where a triple needs it, bounds g below there. The triple's
-    point z lies at index position lam*p + (1-lam)*q, so in cell
-    k = p + floor((1-lam)*(q-p)) (n-2 where that is n-1), which
-    lo_k <= z <= hi_k confirms. There low_k <= g(z) <= sup[k], so by
-    monotone rounding its margin m = fl(g(z) - rhs) lies between
-    fl(low_k - rhs) and u = fl(sup[k] - rhs). Where u <= tol and u < top,
-    the triple neither violates nor reaches top: the cell clears it. Where
-    tol < u < top and fl(low_k - rhs) > tol, the triple violates, with
-    m <= u < top, so it moves neither top nor the first place of a tie
-    with it: the cell proves it, and proven keeps (u, rhs) under its
-    (x, y, lam), the first u where pairs whose grid points coincide give it
-    again. Such a key may be read in another pair too; the caller drops it
-    from proven then, so that each counts once.
-    sup[k] = inf gives u = inf or NaN, which clears and proves nothing,
-    and so does a low of -inf or NaN: a cell where the enclosure behind
-    the bound declines decides no triple. The bounds rest on the
-    enclosure's premise, libm accurate to the 2^-50 that
+    A triple's own cell may decide it with no g read. ends[k] = (low_k,
+    high_k) bounds g below and above on cell k of cells, the _cells of xs,
+    high_k never NaN. The triple's point z lies at index position
+    lam*p + (1-lam)*q, so in cell k = p + floor((1-lam)*(q-p)) (n-2 where
+    that is n-1), which lo_k <= z <= hi_k confirms. There
+    low_k <= g(z) <= high_k, so by monotone rounding its margin
+    m = fl(g(z) - rhs) lies between fl(low_k - rhs) and
+    u = fl(high_k - rhs). Where u <= tol and u < top, the triple neither
+    violates nor reaches top: the cell clears it. Where tol < u < top and
+    fl(low_k - rhs) > tol, the triple violates, with m <= u < top, so it
+    moves neither top nor the first place of a tie with it: the cell proves
+    it, and proven keeps (u, rhs) under its (x, y, lam), the first u where
+    pairs whose grid points coincide give it again. Such a key may be read
+    in another pair too; the caller drops it from proven then, so that
+    each counts once. high_k = inf gives u = inf or NaN, which clears and
+    proves nothing, and so does a low_k of -inf or NaN: a cell where the
+    enclosure behind the bound declines decides no triple. The bounds rest
+    on the enclosure's premise, libm accurate to the 2^-50 that
     enclosure._LIBM_WIDEN widens by.
 
     A finite cell proves g finite, and raising nothing, at every point of
@@ -653,22 +647,21 @@ def _walk(
     each visit's lam, then x, then y, at the walk's own point (the values
     it has cost nothing), and the loop's first failing point raises.
 
-    The visits, the cell table and the lows are made when the first pair
-    is visited, so a walk that stops at once makes none of them.
+    The visits and the cell table are made when the first pair is visited,
+    so a walk that stops at once makes neither.
     """
     at = (-1, 0, 0)  # where top is in lam-major order; -1 is before every visit
     steps = None
     try:
-        for b, i, j in pairs:
+        for b, i, j in ranked_pairs(gx, [high for _, high in ends], floor):
             if b <= tol and b < top:
                 return
             if steps is None:  # the first pair visited
                 steps = [(v, lam, 1.0 - lam, read[mirrored], proven[mirrored])
                          for v, (lam, _, mirrored) in enumerate(_visits(len(xs)))]
-                # (lo, hi, sup, k) of each cell k, the last one again at index n-1
-                table = [(lo, hi, s, k) for k, ((lo, hi), s) in enumerate(zip(cells, sup))]
+                # (lo, hi, low, high) of each cell, the last one again at index n-1
+                table = [(lo, hi, low, high) for (lo, hi), (low, high) in zip(cells, ends)]
                 table.append(table[-1])
-                lows: list[float | None] = [None] * len(cells)
                 offsets: dict[int, list[int]] = {}  # q - p -> each visit's cell, less p
             for p, q in ((i, j), (j, i)) if i < j else ((i, i),):
                 xp, xq, gp, gq = xs[p], xs[q], gx[p], gx[q]
@@ -676,18 +669,15 @@ def _walk(
                 if offs is None:
                     offs = offsets[q - p] = [math.floor(clam * (q - p)) for _, _, clam, _, _ in steps]
                 held = [table[p + o] for o in offs]
-                for (v, lam, clam, found, proved), (lo, hi, s, k) in zip(steps, held):
+                for (v, lam, clam, found, proved), (lo, hi, low, high) in zip(steps, held):
                     z = lam * xp + clam * xq
                     rhs = gp / lam + gq / clam
                     if lo <= z <= hi:
-                        u = s - rhs
+                        u = high - rhs
                         if u < top:
                             if u <= tol:  # the cell clears the triple
                                 continue
-                            least = lows[k]
-                            if least is None:
-                                least = lows[k] = low(k)
-                            if least - rhs > tol:  # the cell proves a violation
+                            if low - rhs > tol:  # the cell proves a violation
                                 proved.setdefault((xp, xq, lam), (u, rhs))
                                 continue
                     lhs = memo[z]
@@ -727,19 +717,14 @@ def membership_for_bound(
     tol: float = DEFAULT_TOL,
 ) -> QClassReport:
     """Scan x -> |f''(x)|^q, the function whose membership the bound assumes:
-    qclass --fn. The scan walks the pairs by the enclosure of |f''| raised to
-    q, the high end by sup_power and the low end by inf_power, with the
-    same report.
+    qclass --fn. The scan walks the pairs by the enclosure of |f''|, its
+    (low, high) on each cell raised to q (_q_ends), with the same report.
     """
     _check_q(q)
-    from .enclosure import compile_second_derivative, inf_power, sup_power
+    from .enclosure import compile_second_derivative
 
     d2 = compile_second_derivative(e)
-
-    def bound(cells: Cells) -> list[tuple[float, float]]:
-        return [(inf_power(low, q), sup_power(high, q)) for low, high in d2(cells)]
-
-    return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, bound)
+    return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, lambda cells: _q_ends(d2(cells), q))
 
 
 def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[float, bool]:
@@ -749,14 +734,15 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     Each q is decided in two steps. First, |f''| is enclosed on one cell,
     the _cells of the grid's two end points, which runs from the first low
     of the grid's cells to their last high and so holds every cell and
-    every scan point, as one pair (L, H): H bounds |f''| on each cell, and
-    L puts every grid value g_i at or above low = inf_power(L, q). So the
-    row keys (_row_keys) of the two values [low, low] under the one bound
-    S = sup_power(H, q) are at least the keys of the grid's own values
-    under [S] * (n-1), a cover that the proof of _bound_row takes as it is
-    (each rounding in a key is monotone). Where every such key is at most
-    DEFAULT_TOL, no pair can hold a violation, and the scan passes with no
-    g evaluated (S finite also proves that g raises nowhere).
+    every scan point, as one pair (L, H), which _q_ends raises to q: H
+    bounds |f''| on each cell, and L puts every grid value g_i at or above
+    low = inf_power(L, q). So the row keys (_row_keys) of the two values
+    [low, low] under the one bound S = sup_power(H, q) are at least the
+    keys of the grid's own values under [S] * (n-1), a cover that the proof
+    of _bound_row takes as it is (each rounding in a key is monotone).
+    Where every such key is at most DEFAULT_TOL, no pair can hold a
+    violation, and the scan passes with no g evaluated (S finite also
+    proves that g raises nowhere).
 
     That proves a constant |f''| (x^2 on any interval) and a g that stays
     within the ratio lemma's factor 4 of its least value, as on tiny
@@ -776,21 +762,31 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     for q in q_list:
         _check_q(q)
     xs = _scan_grid(iv, DEFAULT_GRID_N, DEFAULT_TOL)
-    from .enclosure import compile_second_derivative, inf_power, sup_power
+    from .enclosure import compile_second_derivative
 
     d2 = compile_second_derivative(e)
-    [(low, high)] = d2(_cells([xs[0], xs[-1]]))
-    ends = None  # the bounds of |f''| on each cell, where the one cell proves nothing
+    hull = d2(_cells([xs[0], xs[-1]]))
+    cells = ends = None  # the cells of the grid and |f''| on each, where the one cell proves nothing
     memberships = {}
     for q in dict.fromkeys(q_list):
-        low_q, high_q = inf_power(low, q), sup_power(high, q)
-        if all(key <= DEFAULT_TOL for key in _row_keys(*_row_parts([low_q, low_q], [high_q]))):
+        [(low, high)] = _q_ends(hull, q)
+        if all(key <= DEFAULT_TOL for key in _row_keys(*_row_parts([low, low], [high]))):
             memberships[q] = True  # no g evaluated
             continue
         if ends is None:
-            ends = d2(_cells(xs))
-        memberships[q] = _decide(e, q, xs, ends)
+            cells = _cells(xs)
+            ends = d2(cells)
+        memberships[q] = _decide(e, q, xs, cells, ends)
     return memberships
+
+
+def _q_ends(ends: Sequence[tuple[float, float]], q: float) -> list[tuple[float, float]]:
+    """The (low, high) of g = |f''|^q on each cell, from the (low, high) of
+    |f''| there: the low end by inf_power and the high end by sup_power,
+    each widened past the rounding of the float power that g computes."""
+    from .enclosure import inf_power, sup_power
+
+    return [(inf_power(low, q), sup_power(high, q)) for low, high in ends]
 
 
 def _q_power(e: Node, q: float) -> Callable[[float], float]:
@@ -808,11 +804,12 @@ def _q_power(e: Node, q: float) -> Callable[[float], float]:
     return g
 
 
-def _decide(e: Node, q: float, xs: list[float], ends: list[tuple[float, float]]) -> bool:
+def _decide(e: Node, q: float, xs: list[float], cells: Cells, ends: list[tuple[float, float]]) -> bool:
     """membership_for_bound(e, iv, q).passed, decided without the scan, or
     the error that scan raises; xs are the grid points of iv at
-    DEFAULT_GRID_N, and ends the pair (low, high) of |f''| on each of their
-    cells ((0, inf) where the enclosure declines).
+    DEFAULT_GRID_N, cells their _cells, and ends the pair (low, high) of
+    |f''| on each cell ((0, inf) where the enclosure declines), which
+    _q_ends raises to q.
 
     Only a pair whose bound is above DEFAULT_TOL can hold a violation
     (_bound_row), so _walk visits just those pairs, hottest first, with the
@@ -825,16 +822,13 @@ def _decide(e: Node, q: float, xs: list[float], ends: list[tuple[float, float]])
     pair with a finite b, or at the end of the walk. No violation at all,
     or no pair to visit (the ratio lemma's proof), answers True.
     """
-    from .enclosure import inf_power, sup_power
-
     memo = _PointMemo(_q_power(e, q))
     gx = [memo[x] for x in xs]
-    sup_q = [sup_power(high, q) for _, high in ends]
-    hot = ranked_pairs(gx, sup_q, DEFAULT_TOL)
     found: Record = {}  # every violation, read or proven: only whether there is one counts
-    walk = _walk(hot, xs, gx, memo, DEFAULT_TOL, (found, found), (found, found), math.inf, _cells(xs),
-                 sup_q, lambda k: inf_power(ends[k][0], q))
-    # no margin is reported, so top starts at inf, where no margin reaches it
+    # only the pairs above the tolerance; no margin is reported, so top
+    # starts at inf, where no margin reaches it
+    walk = _walk(xs, gx, cells, _q_ends(ends, q), memo, DEFAULT_TOL, DEFAULT_TOL, math.inf,
+                 (found, found), (found, found))
     for b, _ in walk:
         if found and b < math.inf:  # every pair where g may raise is visited
             return False

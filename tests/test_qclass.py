@@ -303,7 +303,7 @@ class TestScanRecord:
     )
     def test_repeats_are_recorded_once(self, text, iv, grid_n, count):
         rep = check_expression(parse(text), iv, grid_n)
-        assert rep.count == len(rep.raw) == len(rep.violations) == rep.worst(10)[0] == count
+        assert rep.count == len(rep.violations) == len(set(rep.violations)) == rep.worst(10)[0] == count
 
     def test_a_read_entry_wins_over_a_proven_one(self):
         """At coinciding grid points one (x, y, lam) recurs in pairs whose
@@ -314,7 +314,6 @@ class TestScanRecord:
         xs = _scan_grid(iv, 64, DEFAULT_TOL)
         cells = _cells(xs)
         ends = compile_value(e)(cells)
-        sup = [high for _, high in ends]
         memo = _PointMemo(value_of(text))
         gx = [memo[x] for x in xs]
         read, proven, top = ({}, {}), ({}, {}), -math.inf
@@ -322,9 +321,7 @@ class TestScanRecord:
             if gv < -DEFAULT_TOL:
                 read[0][x, x, 0.5] = (gv, gv / 0.5 + gv / 0.5)
                 top = max(top, gv - (gv / 0.5 + gv / 0.5))
-        pairs = glbounds.qclass.ranked_pairs(gx, sup, -math.inf)
-        low = lambda k: ends[k][0]
-        for _, top in _walk(pairs, xs, gx, memo, DEFAULT_TOL, read, proven, top, cells, sup, low):
+        for _, top in _walk(xs, gx, cells, ends, memo, DEFAULT_TOL, -math.inf, top, read, proven):
             pass
         both = [found.keys() & proved.keys() for found, proved in zip(read, proven)]
         assert sum(map(len, both)) == 62
@@ -346,7 +343,7 @@ class TestScanRecord:
         assert any(rep.proven) and not any(plain.proven)
         assert rep == plain
         assert len(rep.violations) == rep.count == 14852
-        assert rep == plain == copy.copy(rep) and rep != plain.raw
+        assert rep == plain == copy.copy(rep) and rep != plain.violations
         with pytest.raises(AttributeError):
             rep.max_margin = 0.0
         with pytest.raises(TypeError):
@@ -362,7 +359,7 @@ class TestScanRecord:
             rep = membership_for_bound(e, SINE_INTERVAL, q, grid_n)
         (lone, paired), (proven_lone, proven_paired) = rep.read, rep.proven
         count = len(lone) + len(proven_lone) + 2 * (len(paired) + len(proven_paired))
-        assert rep.count == count == len(rep.raw) == len(rep.violations)
+        assert rep.count == count == len(rep.violations) == len(set(rep.violations))
         assert rep.count == rep.worst(10)[0]
 
 
@@ -666,7 +663,6 @@ class TestAgainstPlainLoop:
         xs = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.9, 0.95, 1.0]
         n, cells = len(xs), _cells(xs)
         ends = compile_value(e)(cells)
-        sup = [high for _, high in ends]
         missed = 0
         for lam, _, _ in _visits(n):
             for p in range(n):
@@ -677,11 +673,9 @@ class TestAgainstPlainLoop:
         memo = _PointMemo(g)
         gx = [memo[x] for x in xs]
         read, proven, top = ({}, {}), ({}, {}), -math.inf
-        pairs = glbounds.qclass.ranked_pairs(gx, sup, -math.inf)
-        low = lambda k: ends[k][0]
-        for _, top in _walk(pairs, xs, gx, memo, DEFAULT_TOL, read, proven, top, cells, sup, low):
+        for _, top in _walk(xs, gx, cells, ends, memo, DEFAULT_TOL, -math.inf, top, read, proven):
             pass
-        raw = QClassReport(n**3, top, read, proven, g).raw
+        found = dict.fromkeys(QClassReport(n**3, top, read, proven, g).violations)
         # the lam-major loop on these points; g >= 0, so no negative value to check
         loop, loop_top = {}, -math.inf
         for (lam, mirror, paired), xi, points in lam_major(xs):
@@ -692,7 +686,7 @@ class TestAgainstPlainLoop:
                     loop[xi, xj, lam, lhs, rhs] = None
                     if paired:
                         loop[xj, xi, mirror, lhs, rhs] = None
-        assert len(loop) == 456 and raw == loop and top == loop_top
+        assert len(loop) == 456 and found == loop and top == loop_top
         assert len(memo) < len({z for _, _, points in lam_major(xs) for z in points})
 
     def test_pairs_with_a_negative_end_are_kept(self, monkeypatch):
@@ -1153,7 +1147,8 @@ class TestProof:
         e = parse(text)
         taken = record_taken(monkeypatch)
         xs = _scan_grid(iv, 64, DEFAULT_TOL)
-        decided = _decide(e, q, xs, compile_second_derivative(e)(_cells(xs)))
+        cells = _cells(xs)
+        decided = _decide(e, q, xs, cells, compile_second_derivative(e)(cells))
         rep = membership_for_bound(e, iv, q)
         assert decided is rep.passed
         violating = {frozenset((v.x, v.y)) for v in rep.violations}
@@ -1366,8 +1361,8 @@ class TestPruning:
         which clear triples and prove violations in the pairs it visits, is
         check_godunova_levin with none, which reads every point of every
         pair: record, readers and error, bit for bit. The count and passed
-        read no g; raw, violations and worst(10) read the lhs of each proven
-        entry they need."""
+        read no g; violations and worst(10) read the lhs of each proven entry
+        they need."""
         e, ends = case
         assume(ends[0] < ends[1])
         iv = Interval(*ends)
@@ -1377,11 +1372,41 @@ class TestPruning:
             rep = check_godunova_levin(g, iv, grid_n, DEFAULT_TOL, bound)
             sign = math.copysign(1.0, rep.max_margin)
             outcome = rep.samples_checked, rep.count, rep.passed, rep.max_margin, sign
-            return outcome + (rep.raw, rep.violations, rep.worst(10), rep.worst(10))
+            return outcome + (rep.violations, rep.worst(10), rep.worst(10))
 
         proved, read = _outcome(lambda: record(bound)), _outcome(lambda: record(None))
         assert proved == read
         event("error" if len(read) == 2 else "passes" if read[2] else "fails")
+
+    @pytest.mark.parametrize(
+        "text,iv,grid_n,q,kind",
+        [
+            ("sin(x)", SINE_INTERVAL, 31, 2.0, "proves"),
+            ("sin(x)", SINE_INTERVAL, 64, None, "proves"),
+            (COMPOSITE, Interval(0.0, 3.0), 64, 3.0, "proves"),
+            ("1/x", Interval(-1.0, 1.0), 64, None, "proves"),  # the pole leaves a cell unbounded
+            ("x^2", UNIT_IV, 64, 2.0, "passes"),
+            ("sqrt((x-0.5393847733123374)^2-5e-05)", UNIT_IV, 31, None, "raises"),
+        ],
+    )
+    def test_list_pairs_scan_as_tuples(self, text, iv, grid_n, q, kind):
+        """bound gives one pair (low, high) per cell, and a list of the two
+        floats is as good a pair as a tuple: record, readers and error, bit
+        for bit."""
+        g, bound = self._scan_kinds(parse(text), q)
+
+        def record(bound):
+            rep = check_godunova_levin(g, iv, grid_n, DEFAULT_TOL, bound)
+            sign = math.copysign(1.0, rep.max_margin)
+            return rep.read, rep.proven, rep.max_margin, sign, rep.count, rep.violations, rep.worst(10)
+
+        as_lists = _outcome(lambda: record(lambda cells: [list(pair) for pair in bound(cells)]))
+        as_tuples = _outcome(lambda: record(bound))
+        assert as_lists == as_tuples
+        if kind == "raises":
+            assert len(as_tuples) == 2 and issubclass(as_tuples[0], Exception)
+        else:
+            assert any(as_tuples[1]) is (kind == "proves") and (as_tuples[4] == 0) is (kind == "passes")
 
     @settings(max_examples=examples(60), deadline=None)
     @given(
