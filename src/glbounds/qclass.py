@@ -544,19 +544,19 @@ def check_godunova_levin(
             raise ValueError(f"bound gave {len(given)} values for the {n - 1} cells of the grid")
         ends = [(low, math.inf if math.isnan(high) else high) for low, high in given]
     memo = _PointMemo(g)
-    gx = [memo[x] for x in xs]
 
     read: Records = ({}, {})
     proven: Records = ({}, {})
     max_margin = -math.inf
-    for x, gv in zip(xs, gx):
+    for x in xs:
+        gv = memo[x]
         if gv < -tol:
             # 0.5*x + 0.5*x reproduces x exactly, so this re-checks soundly
             rhs = gv / 0.5 + gv / 0.5
             read[0][x, x, 0.5] = gv, rhs
             max_margin = max(max_margin, gv - rhs)
 
-    walk = _walk(xs, gx, cells, ends, memo, tol, -math.inf, max_margin, read, proven)
+    walk = _walk(xs, cells, ends, memo, tol, max_margin, read, proven)
     # the walk's last yield, after its last pair, has the largest margin
     for _, max_margin in walk:
         pass
@@ -567,12 +567,11 @@ def check_godunova_levin(
 
 
 @cache
-def _visits(n: int) -> tuple[tuple[float, float, bool], ...]:
+def _visits(n: int) -> tuple[tuple[float, bool], ...]:
     """The passes of a scan over the grid lams (k + 1/2)/n, in order, as
-    (lam, its mirror, whether the pass also decides the mirror). Where lam
-    and its mirror lam' = lams[n-1-k] satisfy 1 - lam == lam' and
-    1 - lam' == lam exactly, the later of the two gets no pass of its own.
-    Made once per n.
+    (lam, whether the pass also decides its mirror). Where lam and its
+    mirror lam' = lams[n-1-k] satisfy 1 - lam == lam' and 1 - lam' == lam
+    exactly, the later of the two gets no pass of its own. Made once per n.
     """
     lams = [(k + 0.5) / n for k in range(n)]
     visits = []
@@ -580,41 +579,43 @@ def _visits(n: int) -> tuple[tuple[float, float, bool], ...]:
         mirror = lams[n - 1 - k]
         paired = k != n - 1 - k and 1.0 - lam == mirror and 1.0 - mirror == lam
         if not (paired and k > n - 1 - k):
-            visits.append((lam, mirror, paired))
+            visits.append((lam, paired))
     return tuple(visits)
 
 
 def _walk(
     xs: list[float],
-    gx: list[float],
     cells: Cells,
     ends: Sequence[tuple[float, float]],
     memo: _PointMemo,
     tol: float,
-    floor: float,
     top: float,
     read: Records,
     proven: Records,
 ) -> Iterator[tuple[float, float]]:
-    """Visit the pairs (b, i, j) of grid points, i <= j, whose bound b is
-    above floor, highest b first (ranked_pairs, by the high ends of ends),
-    each at every lam of _visits in both orders of its points, and yield
-    (b, top), the pair's bound and the largest margin so far, once after
-    each pair: a caller that stops at the first violation reads the record
-    between pairs, at the cost of the rest of that pair's margins (63 at
-    most at grid 64, two for each of its 32 visits). Margins are as the
-    lam-major loop that defines the scan computes them, and read and
-    proven, each (lone, paired), get the violations as QClassReport keeps
-    them: an entry of paired, for a lam whose mirror has no visit of its
-    own, stands for the mirror's too. Of margins tied at top (0.0 and -0.0
-    compare equal), the first in lam-major order (visit, row, column) is
-    kept, as in that loop.
+    """Visit the pairs (b, i, j) of grid points xs, i <= j, highest bound b
+    first (ranked_pairs, from g at xs, read through memo, and the high ends
+    of ends), each at every lam of _visits in both orders of its points,
+    and yield (b, top), the pair's bound and the largest margin so far,
+    once after each pair: a caller that stops at the first violation reads
+    the record between pairs, at the cost of the rest of that pair's
+    margins (63 at most at grid 64, two for each of its 32 visits). Margins
+    are as the lam-major loop that defines the scan computes them, and read
+    and proven, each (lone, paired), get the violations as QClassReport
+    keeps them: an entry of paired, for a lam whose mirror has no visit of
+    its own, stands for the mirror's too. Of margins tied at top (0.0 and
+    -0.0 compare equal), the first in lam-major order (visit, row, column)
+    is kept, as in that loop.
 
     The walk stops at the first pair with b <= tol and b < top: every margin
     of a pair is at most its bound (_bound_row), and no bound left is above
     b, so no pair left holds a violation or a margin that reaches top. A
     mirror lam, with no visit of its own, repeats the margins of an earlier
-    visit. So the violations and top are the lam-major loop's.
+    visit. So the violations and top are the lam-major loop's. top only
+    grows, so where it starts above tol (a scan's negative values, or inf
+    for a decision) every pair with b <= tol is one the walk stops at: the
+    ranking leaves them out (its floor is tol), and the walk ends when the
+    pairs above tol run out.
 
     A triple's own cell may decide it with no g read. ends[k] = (low_k,
     high_k) bounds g below and above on cell k of cells, the _cells of xs,
@@ -627,14 +628,14 @@ def _walk(
     violates nor reaches top: the cell clears it. Where tol < u < top and
     fl(low_k - rhs) > tol, the triple violates, with m <= u < top, so it
     moves neither top nor the first place of a tie with it: the cell proves
-    it, and proven keeps (u, rhs) under its (x, y, lam), the first u where
-    pairs whose grid points coincide give it again. Such a key may be read
-    in another pair too; the caller drops it from proven then, so that
-    each counts once. high_k = inf gives u = inf or NaN, which clears and
-    proves nothing, and so does a low_k of -inf or NaN: a cell where the
-    enclosure behind the bound declines decides no triple. The bounds rest
-    on the enclosure's premise, libm accurate to the 2^-50 that
-    enclosure._LIBM_WIDEN widens by.
+    it, and proven keeps (u, rhs) under its (x, y, lam); where pairs whose
+    grid points coincide prove it again, from another cell, any of their
+    u bounds its margin. Such a key may be read in another pair too; the
+    caller drops it from proven then, so that each counts once. high_k =
+    inf gives u = inf or NaN, which clears and proves nothing, and so does
+    a low_k of -inf or NaN: a cell where the enclosure behind the bound
+    declines decides no triple. The bounds rest on the enclosure's premise,
+    libm accurate to the 2^-50 that enclosure._LIBM_WIDEN widens by.
 
     A finite cell proves g finite, and raising nothing, at every point of
     the cell; a cell where the enclosure declines is inf. Every point the
@@ -646,23 +647,19 @@ def _walk(
     loop, so where it raises it asks for them again in the loop's order,
     each visit's lam, then x, then y, at the walk's own point (the values
     it has cost nothing), and the loop's first failing point raises.
-
-    The visits and the cell table are made when the first pair is visited,
-    so a walk that stops at once makes neither.
     """
+    gx = [memo[x] for x in xs]
+    steps = [(v, lam, 1.0 - lam, read[paired], proven[paired])
+             for v, (lam, paired) in enumerate(_visits(len(xs)))]
+    # (lo, hi, low, high) of each cell, the last one again at index n-1
+    table = [(lo, hi, low, high) for (lo, hi), (low, high) in zip(cells, ends)]
+    table.append(table[-1])
+    offsets: dict[int, list[int]] = {}  # q - p -> each visit's cell, less p
     at = (-1, 0, 0)  # where top is in lam-major order; -1 is before every visit
-    steps = None
     try:
-        for b, i, j in ranked_pairs(gx, [high for _, high in ends], floor):
+        for b, i, j in ranked_pairs(gx, [high for _, high in ends], tol if top > tol else -math.inf):
             if b <= tol and b < top:
                 return
-            if steps is None:  # the first pair visited
-                steps = [(v, lam, 1.0 - lam, read[mirrored], proven[mirrored])
-                         for v, (lam, _, mirrored) in enumerate(_visits(len(xs)))]
-                # (lo, hi, low, high) of each cell, the last one again at index n-1
-                table = [(lo, hi, low, high) for (lo, hi), (low, high) in zip(cells, ends)]
-                table.append(table[-1])
-                offsets: dict[int, list[int]] = {}  # q - p -> each visit's cell, less p
             for p, q in ((i, j), (j, i)) if i < j else ((i, i),):
                 xp, xq, gp, gq = xs[p], xs[q], gx[p], gx[q]
                 offs = offsets.get(q - p)
@@ -678,7 +675,7 @@ def _walk(
                             if u <= tol:  # the cell clears the triple
                                 continue
                             if low - rhs > tol:  # the cell proves a violation
-                                proved.setdefault((xp, xq, lam), (u, rhs))
+                                proved[xp, xq, lam] = u, rhs
                                 continue
                     lhs = memo[z]
                     m = lhs - rhs
@@ -688,11 +685,10 @@ def _walk(
                         found[xp, xq, lam] = lhs, rhs
             yield b, top
     except Exception:
-        if steps is not None:  # the walk has read g
-            for _, lam, clam, _, _ in steps:
-                for xp in xs:
-                    for xq in xs:
-                        memo[lam * xp + clam * xq]
+        for _, lam, clam, _, _ in steps:
+            for xp in xs:
+                for xq in xs:
+                    memo[lam * xp + clam * xq]
         raise
 
 
@@ -822,12 +818,9 @@ def _decide(e: Node, q: float, xs: list[float], cells: Cells, ends: list[tuple[f
     pair with a finite b, or at the end of the walk. No violation at all,
     or no pair to visit (the ratio lemma's proof), answers True.
     """
-    memo = _PointMemo(_q_power(e, q))
-    gx = [memo[x] for x in xs]
     found: Record = {}  # every violation, read or proven: only whether there is one counts
-    # only the pairs above the tolerance; no margin is reported, so top
-    # starts at inf, where no margin reaches it
-    walk = _walk(xs, gx, cells, _q_ends(ends, q), memo, DEFAULT_TOL, DEFAULT_TOL, math.inf,
+    # no margin is reported, so top starts at inf, where no margin reaches it
+    walk = _walk(xs, cells, _q_ends(ends, q), _PointMemo(_q_power(e, q)), DEFAULT_TOL, math.inf,
                  (found, found), (found, found))
     for b, _ in walk:
         if found and b < math.inf:  # every pair where g may raise is visited

@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import glbounds
@@ -315,13 +315,13 @@ class TestScanRecord:
         cells = _cells(xs)
         ends = compile_value(e)(cells)
         memo = _PointMemo(value_of(text))
-        gx = [memo[x] for x in xs]
         read, proven, top = ({}, {}), ({}, {}), -math.inf
-        for x, gv in zip(xs, gx):  # the scan's check for negative values
+        for x in xs:  # the scan's check for negative values
+            gv = memo[x]
             if gv < -DEFAULT_TOL:
                 read[0][x, x, 0.5] = (gv, gv / 0.5 + gv / 0.5)
                 top = max(top, gv - (gv / 0.5 + gv / 0.5))
-        for _, top in _walk(xs, gx, cells, ends, memo, DEFAULT_TOL, -math.inf, top, read, proven):
+        for _, top in _walk(xs, cells, ends, memo, DEFAULT_TOL, top, read, proven):
             pass
         both = [found.keys() & proved.keys() for found, proved in zip(read, proven)]
         assert sum(map(len, both)) == 62
@@ -405,8 +405,9 @@ class TestValidatingTypes:
 def record_taken(monkeypatch):
     """Make qclass.ranked_pairs hand its pairs (b, i, j) out one at a time, and
     record each pair a walk takes, one list per ranking, in the list returned.
-    A walk visits every pair it takes but the one it stops at, whose b is at
-    most the tolerance."""
+    A walk visits every pair it takes, but for a last one with b at most the
+    tolerance and below the largest margin, where it stops; only a scan
+    with no negative value ranks such pairs (_walk's floor)."""
     taken = []
     original = glbounds.qclass.ranked_pairs
 
@@ -501,7 +502,7 @@ def cleared_triples(monkeypatch, text, iv, grid_n, q):
     cleared = []
     for _, i, j in pairs:
         for p, r in {(i, j), (j, i)}:
-            for lam, _, _ in _visits(grid_n):
+            for lam, _ in _visits(grid_n):
                 z = lam * xs[p] + (1.0 - lam) * xs[r]
                 if z.hex() not in by_scan and (xs[p], xs[r], lam) not in violations:
                     cleared.append((p, r, lam, gx[p] / lam + gx[r] / (1.0 - lam)))
@@ -648,7 +649,7 @@ class TestAgainstPlainLoop:
         assert cleared
         assert scan.passed is (branch == "passes")
         if branch == "lone":
-            lone = {lam for lam, _, paired in _visits(grid_n) if not paired}
+            lone = {lam for lam, paired in _visits(grid_n) if not paired}
             assert 0.5 in lone and {lam for _, _, lam, _ in cleared} & lone
         if branch == "inf":
             assert any(rhs == math.inf for _, _, _, rhs in cleared)
@@ -664,19 +665,19 @@ class TestAgainstPlainLoop:
         n, cells = len(xs), _cells(xs)
         ends = compile_value(e)(cells)
         missed = 0
-        for lam, _, _ in _visits(n):
+        for lam, _ in _visits(n):
             for p in range(n):
                 for r in range(n):
                     k = min(p + math.floor((1.0 - lam) * (r - p)), n - 2)
                     missed += not cells[k][0] <= lam * xs[p] + (1.0 - lam) * xs[r] <= cells[k][1]
         assert missed == 377
         memo = _PointMemo(g)
-        gx = [memo[x] for x in xs]
         read, proven, top = ({}, {}), ({}, {}), -math.inf
-        for _, top in _walk(xs, gx, cells, ends, memo, DEFAULT_TOL, -math.inf, top, read, proven):
+        for _, top in _walk(xs, cells, ends, memo, DEFAULT_TOL, top, read, proven):
             pass
         found = dict.fromkeys(QClassReport(n**3, top, read, proven, g).violations)
         # the lam-major loop on these points; g >= 0, so no negative value to check
+        gx = [g(x) for x in xs]
         loop, loop_top = {}, -math.inf
         for (lam, mirror, paired), xi, points in lam_major(xs):
             for xj, gj, z in zip(xs, gx, points):
@@ -698,6 +699,30 @@ class TestAgainstPlainLoop:
         assert {(i, j) for i in negative for j in range(i, 64)} <= {(i, j) for _, i, j in pairs}
         assert all(b == math.inf for b, i, _ in pairs if i in negative)
         assert len(pairs) < 64 * 65 // 2  # and the walk stopped before its last pair
+
+    @pytest.mark.parametrize(
+        "text,iv,grid_n,pairs,rows",
+        [
+            ("-x^2-1", Interval(-1.0, 2.0), 64, 1849, 49),
+            ("x-0.5", UNIT_IV, 9, 30, 5),
+            ("x-0.5", UNIT_IV, 64, 1552, 40),
+        ],
+    )
+    def test_negative_values_rank_only_pairs_above_the_tolerance(
+        self, monkeypatch, text, iv, grid_n, pairs, rows
+    ):
+        """A negative value starts the largest margin above the tolerance,
+        and it only grows, so the walk would stop at its first pair with
+        b <= tol: the ranking leaves those pairs out (a row whose key is at
+        most the tolerance is never built), and the walk ends with the pairs
+        above the tolerance."""
+        work = record_work(monkeypatch)
+        taken = record_taken(monkeypatch)
+        rep = check_expression(parse(text), iv, grid_n)
+        [ranked] = taken
+        assert rep.max_margin > DEFAULT_TOL
+        assert len(ranked) == pairs and all(b > DEFAULT_TOL for b, _, _ in ranked)
+        assert work["rows"] == rows
 
     @pytest.mark.parametrize(
         "grid_n,mirrored", [(64, 64), (128, 128), (31, 8), (100, 34), (101, 30), (9, 2)]
@@ -1414,6 +1439,8 @@ class TestPruning:
         st.sampled_from([9, 31, 64]),
         st.one_of(st.none(), st.floats(1.0, 3.0)),
     )
+    # visits whose cells differ prove the same key at coinciding grid points
+    @example((parse("x-100000000.0000001"), (COINCIDING.a, COINCIDING.b)), 64, None)
     def test_every_proven_entry_violates_within_its_u(self, case, grid_n, q):
         """Each entry that its cell proved, once g is read at its point,
         violates, with a margin at most the u it holds; a read entry holds
