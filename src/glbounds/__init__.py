@@ -25,7 +25,6 @@ from .corpus import CorpusEntry, ExpectedMembership, corpus_entries
 from .expressions import (
     DomainError,
     ExpressionError,
-    Jet2,
     NonSmoothError,
     ParseError,
     compile_expression,
@@ -70,7 +69,6 @@ __all__ = [
     "ExpressionError",
     "IdentityReport",
     "Interval",
-    "Jet2",
     "MembershipStatus",
     "NonFiniteValueError",
     "NonSmoothError",

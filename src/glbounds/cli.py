@@ -193,9 +193,9 @@ def _cmd_qclass(args: argparse.Namespace) -> int:
         rep = check_expression(parse(args.g), iv, args.grid, args.tol)
     else:
         rep = membership_for_bound(parse(args.fn), iv, args.q, args.grid, args.tol)
-    count, worst = rep.worst(10)
+    worst = rep.worst(10)  # read before printing, so that an error prints no partial report
     print(f"samples_checked = {rep.samples_checked}")
-    print(f"violations      = {count}")
+    print(f"violations      = {rep.count}")
     print(f"max_margin      = {_fmt17(rep.max_margin)}")
     print(f"passed          = {rep.passed}")
     for v in worst:

@@ -60,7 +60,6 @@ __all__ = [
     "Pow",
     "Call",
     "Node",
-    "Jet2",
     "ExpressionError",
     "ParseError",
     "DomainError",
@@ -119,14 +118,6 @@ class Call(NamedTuple):
 
 
 Node = Union[Const, Var, Neg, Bin, Pow, Call]
-
-
-class Jet2(NamedTuple):
-    """Value and first two derivatives of an expression at a point."""
-
-    v: float
-    d1: float
-    d2: float
 
 
 _Jet = tuple[float, float, float]  # (f, f', f'') at one point
@@ -515,6 +506,6 @@ def evaluate(node: Node, x: float) -> float:
     return _compile_value(node)(x)
 
 
-def evaluate_jet2(node: Node, x: float) -> Jet2:
+def evaluate_jet2(node: Node, x: float) -> _Jet:
     """Exact (f, f', f'') at x via second-order forward propagation."""
-    return Jet2(*_compile_jet(node)(x))
+    return _compile_jet(node)(x)

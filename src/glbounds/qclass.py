@@ -79,24 +79,18 @@ deterministic, and memory grows with the number of distinct points (about
 100 bytes each: up to 3 MB at n = 64 and 15 MB at n = 128, less where the
 walk stops early or its cells decide triples).
 
-Every scan returns one record, QClassReport: samples_checked, max_margin,
-and each violation the walk found, once, keyed by value on (x, y, lam) in
-one of four dicts. The read ones map it to (lhs, rhs), where g was read at
-its point, and the proven ones to (u, rhs), where its cell proved it, u
-being at least its margin; of each kind, paired holds the entries of a lam
-whose pass decides its mirror too, each standing for the mirror's
-violation (y, x, 1 - lam) as well, and lone the others. A key recurs where
-grid points coincide (at large offsets) and where the check for negative
-values meets the walk's own triple (x, x, 1/2) at an odd grid; a dict keeps
-it once (0.0 and -0.0 compare equal), and a key that is read is dropped
-from the proven ones. The report also holds g, and its readers take from
-it what they need: passed and count read no g; worst(k), all that the
-CLI's qclass prints with the count, makes Violations of only the k with
-the largest margins and reads g only at proven entries whose u reaches the
-k-th largest margin of the read ones; violations, sorted by (x, y, lam) as
-Violations, reads g at every proven entry, anew at each read. A failing
-scan records thousands, and qclass never reads violations. A point read
-that late lies in a finite cell, so g raises nothing there.
+Every scan returns one record, QClassReport, which keeps each violation
+once. A key recurs where grid points coincide (at large offsets) and where
+the check for negative values meets the walk's own triple (x, x, 1/2) at
+an odd grid; a dict keeps it once (0.0 and -0.0 compare equal), and a key
+that is read is dropped from the proven ones. Its readers take from it
+what they need: passed and count read no g; worst(k), all that the CLI's
+qclass prints with the count, makes Violations of only the k with the
+largest margins and reads g only at proven entries whose u reaches the
+k-th largest margin of the read ones; violations, sorted by (x, y, lam),
+reads g at every proven entry, anew at each read. A failing scan records
+thousands, and qclass never reads violations. A point read that late lies
+in a finite cell, so g raises nothing there.
 
 The triple (y, x, 1-lam) has the same point and the same right side as
 (x, y, lam), because float addition is commutative. So when a grid lam and
@@ -109,7 +103,6 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .expressions import Node, _compile_jet, _compile_value
@@ -153,7 +146,7 @@ Record = dict[tuple[float, float, float], tuple[float, float]]  # (x, y, lam) ->
 Records = tuple[Record, Record]  # (lone, paired)
 
 
-class QClassReport:
+class QClassReport(NamedTuple):
     """The record of one scan, with its readers (the module docstring).
 
     read and proven each hold a pair (lone, paired) of records, which keep
@@ -164,42 +157,30 @@ class QClassReport:
     too, which has the same point and sides. No key is in both read and
     proven.
 
-    A report is not a tuple. It holds the scan's g, and its readers read
-    the lhs of a proven entry where they need it, through a memo of their
-    own: reading a report may call g, but never changes the report. Two
-    reports are equal where samples_checked, max_margin and violations are,
-    so comparing them reads g at every proven entry; a violation's
-    (x, y, lam) fixes its lhs and rhs, and no two share one, so that is
-    equality of the two sets of violations. Assigning an attribute raises
-    AttributeError.
+    The report holds the scan's g, and its readers read the lhs of a proven
+    entry where they need it, through a memo of their own: reading a report
+    may call g, but never changes the report. Two reports are equal where
+    samples_checked, max_margin and violations are, so comparing them reads
+    g at every proven entry; a violation's (x, y, lam) fixes its lhs and
+    rhs, and no two share one, so that is equality of the two sets of
+    violations. A report equals no other object and does not hash.
     """
 
-    __slots__ = ("samples_checked", "max_margin", "read", "proven", "_g")
-
-    def __init__(
-        self,
-        samples_checked: int,
-        max_margin: float,
-        read: Records,
-        proven: Records,
-        g: Callable[[float], float] | None,
-    ) -> None:
-        for name, value in zip(self.__slots__, (samples_checked, max_margin, read, proven, g)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"a QClassReport is immutable: cannot set {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return QClassReport, (self.samples_checked, self.max_margin, self.read, self.proven, self._g)
+    samples_checked: int
+    max_margin: float
+    read: Records
+    proven: Records
+    g: Callable[[float], float] | None
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QClassReport):
-            return NotImplemented
-        return (self.samples_checked, self.max_margin, self.violations) == (
-            other.samples_checked, other.max_margin, other.violations
-        )
+        return isinstance(other, QClassReport) and (
+            self.samples_checked, self.max_margin, self.violations
+        ) == (other.samples_checked, other.max_margin, other.violations)
 
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    # typing.NamedTuple sets __eq__ on the class after making it, which keeps tuple's hash
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
@@ -221,7 +202,7 @@ class QClassReport:
         included: read entries as they are where reaching is None, and
         otherwise proven ones whose u is at least reaching, their lhs read
         with g at their point."""
-        memo = None if reaching is None else _PointMemo(self._g)
+        memo = None if reaching is None else _PointMemo(self.g)
         for record, mirrored in zip(records, (False, True)):
             items = record.items()
             if memo is not None:
@@ -236,14 +217,11 @@ class QClassReport:
     def violations(self) -> tuple[Violation, ...]:
         """Each violation once, sorted by (x, y, lam), as a Violation; every
         lhs read, and sorted again at each read."""
-        every = [*self._tuples(self.read), *self._tuples(self.proven, -math.inf)]
-        # tuples sort as the Violations would: field by field, stably
-        return tuple(map(Violation._make, sorted(every, key=itemgetter(0, 1, 2))))
+        return tuple(sorted(self.worst(self.count)))
 
-    def worst(self, k: int) -> tuple[int, list[Violation]]:
-        """The number of violations (count) and the k with the largest
-        margins, ties in (x, y, lam) order:
-        sorted(violations, key=lambda v: (-v.margin, v.x, v.y, v.lam))[:k],
+    def worst(self, k: int) -> list[Violation]:
+        """The k violations with the largest margins, ties in (x, y, lam)
+        order: sorted(violations, key=lambda v: (-v.margin, v.x, v.y, v.lam))[:k],
         with only those k made Violations.
 
         rhs - lhs is -margin exactly (IEEE subtraction rounds a - b and b - a
@@ -256,14 +234,14 @@ class QClassReport:
         import heapq
 
         if k <= 0 or self.passed:
-            return self.count, []
+            return []
         known = list(self._tuples(self.read))
         margins = heapq.nlargest(k, [lhs - rhs for _, _, _, lhs, rhs in known])
         # a proven entry whose u is below floor has a margin below k known ones
         floor = margins[-1] if len(margins) == k else -math.inf
         known += self._tuples(self.proven, floor)
         worst = heapq.nsmallest(k, known, key=lambda t: (t[4] - t[3], t))
-        return self.count, list(map(Violation._make, worst))
+        return list(map(Violation._make, worst))
 
 
 Cells = list[tuple[float, float]]  # [lo, hi] of each cell

@@ -318,7 +318,7 @@ class TestSweepRows:
         qs = (1.0, 2.5)
         rows = sweep_rows(e, iv, lams, qs)
         assert [(r.lam, r.q) for r in rows] == [(lam, q) for lam in lams for q in qs]
-        g_a, g_b = abs(evaluate_jet2(e, iv.a).d2), abs(evaluate_jet2(e, iv.b).d2)
+        g_a, g_b = abs(evaluate_jet2(e, iv.a)[2]), abs(evaluate_jet2(e, iv.b)[2])
         passed = {q: membership_for_bound(e, iv, q).passed for q in qs}
         for r in rows:
             bound = theorem_bound(BoundInput(iv, r.lam, r.q, g_a, g_b))
