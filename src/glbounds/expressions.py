@@ -19,6 +19,8 @@ reads them ("٣" is 3). Where an operand should begin, any other character c
 is "unexpected 'c' (offset n)", except that a '.' or a digit that begins no
 number (such as "²") is a "malformed number".
 
+The parser reads + - * / ^ by precedence climbing from one table
+(_PRECEDENCE), '^' grouping to the right and the others to the left.
 Unary minus binds tighter than '^', so "-x^2" parses as (-x)^2. There are
 no named constants; write the literal (e.g. 3.141592653589793) or exp(1).
 An expression nests at most MAX_NESTING (100) levels deep: each pair of
@@ -132,9 +134,15 @@ MAX_NESTING = 100
 _TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
 
 
+# each binary operator's precedence: '^' groups to the right, the others to the left
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+
+
 class _Parser:
-    """Recursive descent over the tokens, numbers read as floats. Each rule takes the
-    depth d of the node it reads, and returns it with the depth of its deepest leaf."""
+    """Precedence climbing over the tokens, numbers read as floats: binary
+    reads every binary operator from _PRECEDENCE, atom every operand. Each
+    rule takes the depth d of the node it reads, and returns it with the
+    depth of its deepest leaf."""
 
     def __init__(self, text: str) -> None:
         self.text = text
@@ -159,48 +167,28 @@ class _Parser:
             )
         return ParseError(message, m.start(1))
 
-    def operand(self, m: int, rule: Callable, d: int) -> tuple[Node, int]:
-        """The operand right of the current operator, read by rule, and the
-        depth the operator's node at d reaches. Its left operand, read at d
-        too, reached m, and now sits a level deeper."""
-        if m >= MAX_NESTING:
-            raise self.fail(_TOO_DEEP)
-        self.i += 1
-        right, r = rule(d + 1)
-        return right, (m + 1 if m >= r else r)
-
-    def expr(self, d: int) -> tuple[Node, int]:
-        node, m = self.term(d)
-        while (op := self.tokens[self.i]) == "+" or op == "-":
-            right, m = self.operand(m, self.term, d)
-            node = Bin(op, node, right)
-        return node, m
-
-    def term(self, d: int) -> tuple[Node, int]:
-        node, m = self.factor(d)
-        while (op := self.tokens[self.i]) == "*" or op == "/":
-            right, m = self.operand(m, self.factor, d)
-            node = Bin(op, node, right)
-        return node, m
-
-    def factor(self, d: int) -> tuple[Node, int]:
-        node, m = self.unary(d)
-        if self.tokens[self.i] == "^":
-            exponent, m = self.operand(m, self.factor, d)
-            node = Pow(node, exponent)
-        return node, m
-
-    def unary(self, d: int) -> tuple[Node, int]:
-        if d > MAX_NESTING:
-            raise self.fail(_TOO_DEEP)
-        if self.tokens[self.i] == "-":
+    def binary(self, d: int, floor: int = 1) -> tuple[Node, int]:
+        """Operands joined by the operators of precedence at least floor. Each
+        operator's node sits a level above its operands: the left one, whose
+        deepest leaf reached m, and the right one, read at d + 1."""
+        node, m = self.atom(d)
+        while (p := _PRECEDENCE.get(op := self.tokens[self.i], 0)) >= floor:
+            if m >= MAX_NESTING:
+                raise self.fail(_TOO_DEEP)
             self.i += 1
-            node, m = self.unary(d + 1)
-            return Neg(node), m
-        return self.atom(d)
+            right, r = self.binary(d + 1, p if op == "^" else p + 1)
+            node = Pow(node, right) if op == "^" else Bin(op, node, right)
+            m = m + 1 if m >= r else r
+        return node, m
 
     def atom(self, d: int) -> tuple[Node, int]:
+        if d > MAX_NESTING:
+            raise self.fail(_TOO_DEEP)
         tok = self.tokens[self.i]
+        if tok == "-":
+            self.i += 1
+            node, m = self.atom(d + 1)
+            return Neg(node), m
         if tok == "(":
             return self.group(d)
         if tok == "x":
@@ -220,7 +208,7 @@ class _Parser:
     def group(self, d: int) -> tuple[Node, int]:
         """'(' expr ')' from the current token, a '('; the parentheses are at depth d."""
         self.i += 1
-        node, m = self.expr(d + 1)
+        node, m = self.binary(d + 1)
         if self.tokens[self.i] != ")":
             raise self.fail("expected ')'")
         self.i += 1
@@ -232,7 +220,7 @@ def parse(text: str) -> Node:
     p = _Parser(text)
     if p.tokens[0] == "":
         raise ParseError("empty expression", 0)
-    node, _ = p.expr(0)
+    node, _ = p.binary(0)
     if p.tokens[p.i] != "":
         m = p.match()
         raise ParseError(f"unexpected {m[1][0]!r}", m.start(1))

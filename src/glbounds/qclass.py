@@ -216,8 +216,10 @@ class QClassReport(NamedTuple):
     @property
     def violations(self) -> tuple[Violation, ...]:
         """Each violation once, sorted by (x, y, lam), as a Violation; every
-        lhs read, and sorted again at each read."""
-        return tuple(sorted(self.worst(self.count)))
+        lhs read, and sorted again at each read. (x, y, lam) fixes lhs and
+        rhs, so sorting the whole tuples sorts by it."""
+        found = [*self._tuples(self.read), *self._tuples(self.proven, -math.inf)]
+        return tuple(map(Violation._make, sorted(found)))
 
     def worst(self, k: int) -> list[Violation]:
         """The k violations with the largest margins, ties in (x, y, lam)

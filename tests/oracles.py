@@ -112,6 +112,10 @@ DEEP_SHAPES = {
     "sum": (lambda n: "x" + "+x" * n, lambda n: 2 * n - 1),
     "product": (lambda n: "x" + "*x" * n, lambda n: 2 * n - 1),
     "constant powers": (lambda n: "x" + "^1" * n, lambda n: 2 * n - 1),
+    # right operands read one level deeper across precedence levels
+    "product right of a sum": (lambda n: "x+" + "x*" * (n - 1) + "x", lambda n: 2 * n - 1),
+    "sum in parentheses right of a product": (lambda n: "x*(" + "x+" * (n - 2) + "x)", lambda n: 2 * n - 2),
+    "minus signs right of a power": (lambda n: "x^" + "-" * (n - 1) + "x", lambda n: n + 1),
 }
 
 
