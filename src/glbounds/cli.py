@@ -9,6 +9,16 @@ significant digits (round-trip safe), human summaries 6.
 main reads plain argv, COMMAND (--flag VALUE | --switch)*, from the command
 table _COMMANDS itself. argparse, built from the same table on first need,
 prints help and usage errors and reads every other form of argv.
+
+Importing this module loads none of the modules that the commands run.
+Each handler reaches them as attributes of the package, which imports each
+at its first access (glbounds/__init__.py), and calls through their
+attributes, as in `glbounds.bounds.sweep_rows(...)`. So a function that a
+test or bench/tracer.py replaces in its home module is the one called;
+parse is the exception (see _parse). So coeffs loads glbounds.coefficients
+alone, and verify-identity the kernel and the modules it imports. bound and
+sweep need bounds, which imports qclass, the kernel and the modules they
+import.
 """
 
 from __future__ import annotations
@@ -20,17 +30,13 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .bounds import MembershipStatus, evaluate_bound_report, sweep_rows
-from .coefficients import coefficient_set
-from .corpus import corpus_entries
-from .expressions import ExpressionError, parse
-from .kernel import verify_identity
-from .qclass import DEFAULT_GRID_N, DEFAULT_TOL, _check_q, check_expression, membership_for_bound
-from .quadrature import Interval, QuadratureError
-
 if TYPE_CHECKING:
     import argparse
     from collections.abc import Sequence
+
+    from .expressions import Node
+
+glbounds = sys.modules[__package__]  # the package, whose modules the handlers reach by name
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAIL = 1
@@ -62,12 +68,30 @@ def _parse_q_list(text: str) -> tuple[float, ...]:
     return tuple(sorted({float(piece) for piece in items}))
 
 
+parse = None  # glbounds.expressions.parse, bound by the first _parse
+
+
+def _parse(text: str) -> Node:
+    """expressions.parse(text), called through this module's own name parse.
+
+    bench/tracer.py counts the calls made through the names that modules
+    hold, and it never wraps glbounds.expressions itself (its evaluators
+    recurse through their module's globals), so a call through
+    expressions.parse would go uncounted. For the same reason the name bound
+    here is always that module's own parse, never a wrapper.
+    """
+    global parse
+    if parse is None:
+        from .expressions import parse
+    return parse(text)
+
+
 def _cmd_verify_identity(args: argparse.Namespace) -> int:
     if not (args.tol >= 0.0 and math.isfinite(args.tol)):
         raise ValueError(f"tol must be finite and >= 0, got {args.tol!r}")
-    e = parse(args.fn)
-    iv = Interval(args.a, args.b)
-    rep = verify_identity(e, iv, args.lam)
+    e = _parse(args.fn)
+    iv = glbounds.quadrature.Interval(args.a, args.b)
+    rep = glbounds.kernel.verify_identity(e, iv, args.lam)
     print(f"lhs      = {_fmt6(rep.lhs)}")
     print(f"rhs      = {_fmt6(rep.rhs)}")
     print(f"abs_diff = {_fmt6(rep.abs_diff)}")
@@ -75,7 +99,7 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
-    cs = coefficient_set(args.lam)
+    cs = glbounds.coefficients.coefficient_set(args.lam)
     numbers = (("M", cs.m), ("A", cs.a_coef), ("B", cs.b_coef), ("C_q1", cs.c_q1))
     if args.json:
         import json  # here and in sweep and corpus, the commands that write JSON
@@ -89,17 +113,17 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    e = parse(args.fn)
-    iv = Interval(args.a, args.b)
-    rep = evaluate_bound_report(e, iv, args.lam, args.q, args.skip_membership)
+    e = _parse(args.fn)
+    iv = glbounds.quadrature.Interval(args.a, args.b)
+    rep = glbounds.bounds.evaluate_bound_report(e, iv, args.lam, args.q, args.skip_membership)
     print(f"lhs_abs    = {_fmt6(rep.lhs_abs)}")
     print(f"bound      = {_fmt6(rep.bound)}")
     print(f"ratio      = {'undefined' if rep.ratio is None else _fmt6(rep.ratio)}")
     print(f"regime     = {rep.regime.value}")
     print(f"membership = {rep.q_membership.value}")
-    if rep.q_membership is MembershipStatus.CHECKED_FAIL:
+    if rep.q_membership is glbounds.bounds.MembershipStatus.CHECKED_FAIL:
         return EXIT_MEMBERSHIP_FAIL
-    if rep.q_membership is MembershipStatus.CHECKED_PASS and rep.lhs_abs > rep.bound:
+    if rep.q_membership is glbounds.bounds.MembershipStatus.CHECKED_PASS and rep.lhs_abs > rep.bound:
         return EXIT_PROPERTY_FAIL
     return EXIT_OK
 
@@ -132,7 +156,7 @@ def _csv_cell(v: float | str | None) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     start, end, step = _parse_lambda_grid(args.lambda_grid)
-    iv = Interval(args.a, args.b)
+    iv = glbounds.quadrature.Interval(args.a, args.b)
     q_list = _parse_q_list(args.q)
     if not 0.0 <= start <= end <= 1.0:
         raise ValueError(
@@ -147,8 +171,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not q_list:
         raise ValueError("q list must be non-empty")
     for q in q_list:
-        _check_q(q)
-    e = parse(args.fn)
+        glbounds.qclass._check_q(q)
+    e = _parse(args.fn)
     # fail on an unwritable --out before any scan runs, and leave no trace
     try:
         _probe_writable(args.out)
@@ -156,7 +180,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     lams = [min(max(start + i * step, 0.0), 1.0) for i in range(int(span) + 1)]
-    rows = sweep_rows(e, iv, lams, q_list)
+    rows = glbounds.bounds.sweep_rows(e, iv, lams, q_list)
     if args.format == "csv":
         lines = [",".join(name for name, _ in _SWEEP_COLUMNS)]
         lines += [",".join(_csv_cell(get(r)) for _, get in _SWEEP_COLUMNS) for r in rows]
@@ -186,13 +210,16 @@ def _cmd_qclass(args: argparse.Namespace) -> int:
         raise ValueError("--q only applies to --fn")
     if args.fn is not None and args.q is None:
         raise ValueError("--fn requires --q")
-    iv = Interval(args.a, args.b)
+    qclass = glbounds.qclass
+    iv = glbounds.quadrature.Interval(args.a, args.b)
+    grid = qclass.DEFAULT_GRID_N if args.grid is None else args.grid
+    tol = qclass.DEFAULT_TOL if args.tol is None else args.tol
     # read for the count and the ten largest margins; violations, which
     # sorts every one, is never read
     if args.g is not None:
-        rep = check_expression(parse(args.g), iv, args.grid, args.tol)
+        rep = qclass.check_expression(_parse(args.g), iv, grid, tol)
     else:
-        rep = membership_for_bound(parse(args.fn), iv, args.q, args.grid, args.tol)
+        rep = qclass.membership_for_bound(_parse(args.fn), iv, args.q, grid, tol)
     worst = rep.worst(10)  # read before printing, so that an error prints no partial report
     print(f"samples_checked = {rep.samples_checked}")
     print(f"violations      = {rep.count}")
@@ -216,7 +243,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             "membership": entry.membership.value,
             "note": entry.note,
         }
-        for entry in corpus_entries()
+        for entry in glbounds.corpus.corpus_entries()
     ]
     print(json.dumps(payload, indent=2))
     return EXIT_OK
@@ -259,8 +286,10 @@ _COMMANDS = {
         "--q": {"type": float},
         "--a": {"type": float, "required": True},
         "--b": {"type": float, "required": True},
-        "--grid": {"type": int, "default": DEFAULT_GRID_N},
-        "--tol": {"type": float, "default": DEFAULT_TOL},
+        # no default here, so that the table needs no qclass: the handler
+        # takes qclass.DEFAULT_GRID_N and DEFAULT_TOL for a flag not given
+        "--grid": {"type": int},
+        "--tol": {"type": float},
     }),
     "corpus": ("print the built-in function catalogue as JSON", _cmd_corpus, {}),
 }
@@ -343,6 +372,20 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the errors main reports as input errors, as (module, class name)
+_INPUT_ERRORS = (
+    ("builtins", "ValueError"),
+    ("glbounds.expressions", "ExpressionError"),
+    ("glbounds.quadrature", "QuadratureError"),
+)
+
+
+def _input_errors() -> tuple[type[Exception], ...]:
+    """The classes of _INPUT_ERRORS whose modules are loaded: an error of a
+    module that no handler has loaded cannot have been raised."""
+    return tuple(getattr(sys.modules[m], name) for m, name in _INPUT_ERRORS if m in sys.modules)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -360,7 +403,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # signal docs, point stdout at devnull so the flush at exit cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO_ERROR
-    except (ExpressionError, QuadratureError, ValueError) as exc:
+    except _input_errors() as exc:  # evaluated only when an error reaches it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -65,7 +65,10 @@ would, and bound and sweep run no scan. The cells, and what a
 bound means for a pair, are decided in this module only.
 
 The enclosure and heapq are imported when the first scan or decision runs,
-so every command but bound, sweep and qclass starts without them.
+so every command but bound, sweep and qclass starts without them. Each call
+reaches the enclosure as glbounds.enclosure, an attribute of the package
+that imports it on first access, as glbounds.cli's handlers reach their
+modules.
 
 DEFAULT_GRID_N and DEFAULT_TOL are decided here only: bound and sweep decide
 with them, and they are the defaults of the CLI's qclass --grid and --tol.
@@ -102,11 +105,14 @@ decides both, and samples_checked still counts every triple.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .expressions import Node, _compile_jet, _compile_value
 from .quadrature import Interval
+
+glbounds = sys.modules[__package__]  # the package, through which the enclosure is reached
 
 __all__ = [
     "Violation",
@@ -680,9 +686,7 @@ def check_expression(
     The scan walks the pairs by the enclosure of g, its (low, high) on each
     cell, with the same report.
     """
-    from .enclosure import compile_value
-
-    return check_godunova_levin(_compile_value(e), iv, grid_n, tol, compile_value(e))
+    return check_godunova_levin(_compile_value(e), iv, grid_n, tol, glbounds.enclosure.compile_value(e))
 
 
 def membership_for_bound(
@@ -697,9 +701,7 @@ def membership_for_bound(
     (low, high) on each cell raised to q (_q_ends), with the same report.
     """
     _check_q(q)
-    from .enclosure import compile_second_derivative
-
-    d2 = compile_second_derivative(e)
+    d2 = glbounds.enclosure.compile_second_derivative(e)
     return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, lambda cells: _q_ends(d2(cells), q))
 
 
@@ -738,9 +740,7 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     for q in q_list:
         _check_q(q)
     xs = _scan_grid(iv, DEFAULT_GRID_N, DEFAULT_TOL)
-    from .enclosure import compile_second_derivative
-
-    d2 = compile_second_derivative(e)
+    d2 = glbounds.enclosure.compile_second_derivative(e)
     hull = d2(_cells([xs[0], xs[-1]]))
     cells = ends = None  # the cells of the grid and |f''| on each, where the one cell proves nothing
     memberships = {}
@@ -760,8 +760,7 @@ def _q_ends(ends: Sequence[tuple[float, float]], q: float) -> list[tuple[float, 
     """The (low, high) of g = |f''|^q on each cell, from the (low, high) of
     |f''| there: the low end by inf_power and the high end by sup_power,
     each widened past the rounding of the float power that g computes."""
-    from .enclosure import inf_power, sup_power
-
+    inf_power, sup_power = glbounds.enclosure.inf_power, glbounds.enclosure.sup_power
     return [(inf_power(low, q), sup_power(high, q)) for low, high in ends]
 
 

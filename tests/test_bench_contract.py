@@ -85,6 +85,34 @@ def test_the_tracer_counts_the_scans_qclass_runs(bench_on_path, capsys, source, 
     assert tracer.calls["qclass.membership_for_bound"] == scoped
 
 
+@pytest.mark.parametrize(
+    "argv,called",
+    [
+        (["coeffs", "--lambda", "0.5"], ["coefficients.coefficient_set"]),
+        (["verify-identity", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0.3"],
+         ["expressions.parse", "kernel.verify_identity"]),
+        (["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0.3", "--q", "1", "--skip-membership"],
+         ["expressions.parse", "bounds.evaluate_bound_report"]),
+    ],
+    ids=["coeffs", "verify-identity", "bound"],
+)
+def test_the_tracer_counts_the_calls_each_handler_makes(bench_on_path, capsys, argv, called):
+    """The handlers reach their modules on first use and call through names
+    bench/tracer.py wraps, parse included though glbounds.expressions is never
+    wrapped: the traced run of a request, after an untraced one as the
+    benchmark's traced pass does, counts each call once."""
+    main(argv)
+    tracer = importlib.import_module("tracer").Tracer()
+    tracer.install()
+    try:
+        code = main(argv)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert {name: tracer.calls[name] for name in called} == dict.fromkeys(called, 1)
+
+
 @pytest.mark.parametrize("module", ["checks", "oracle", "workloads"])
 def test_bench_modules_import(bench_on_path, module):
     importlib.import_module(module)

@@ -608,7 +608,7 @@ class TestSweep:
         ],
     )
     def test_bad_spec(self, tmp_path, grid, qs, monkeypatch, capsys):
-        monkeypatch.setattr(glbounds.cli, "sweep_rows", None)  # no row may be computed
+        monkeypatch.setattr(glbounds.bounds, "sweep_rows", None)  # no row may be computed
         code = main(
             ["sweep", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda-grid", grid, "--q", qs, "--out", str(tmp_path / "x.csv")]
         )
@@ -617,7 +617,7 @@ class TestSweep:
 
     def test_infinite_step_is_named(self, tmp_path, monkeypatch, capsys):
         # the lambda 0 + 0*inf would be nan, which the user never wrote
-        monkeypatch.setattr(glbounds.cli, "sweep_rows", None)  # no row may be computed
+        monkeypatch.setattr(glbounds.bounds, "sweep_rows", None)  # no row may be computed
         argv = ["sweep", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda-grid", "0:1:inf", "--q", "1",
                 "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 2
@@ -778,7 +778,7 @@ class TestQclassTopTen:
             return values[z]
 
         rep = QClassReport(8, 2.0, (lone, {}), (proven_lone, {}), g)
-        monkeypatch.setattr(glbounds.cli, "check_expression", lambda *args: rep)
+        monkeypatch.setattr(glbounds.qclass, "check_expression", lambda *args: rep)
         assert main(["qclass", "--g", "x", "--a", "0", "--b", "1", "--grid", "2"]) == 1
         printed = _printed_violations(capsys.readouterr().out)
         assert printed == _ten_worst(violations)
