@@ -44,25 +44,35 @@ that enclosure._LIBM_WIDEN widens by. The scan is that walk, stopped where
 no pair left can change its report, and its report and first error are the
 loop's. The walk takes its pairs from a lazy ranking (ranked_pairs), which
 computes a row's bounds only when an O(1) key of the row reaches the top of
-its heap, and sorts only the rows it takes a pair from. The key of row i,
+its heap, and sorts only the rows it takes a pair from. The key of row i
+(_row_keys) is the smaller of two bounds of every b of the row, each
+rounded outward: with m_i the least root r_j of the row,
 
-    key_i = up(max(alone_i, max(sup[i:])) - down(fl(fl(r_i + m_i)^2)*_SHRINK)),
+    up(max(alone_i, max(sup[i:])) - down(fl(fl(r_i + m_i)^2)*_SHRINK)),
 
-with m_i the least root r_j of the row (_row_keys), is at least every b of
-the row, since every rounding is monotone: each pair reads a cell bound of
-at most the first term, and its s = fl(r_i + r_j) is at least
-fl(r_i + m_i). bound_memberships needs no report, and decides each q in
-two steps. It encloses |f''| first on one cell that holds every cell of
-the grid, a valid cover as it is, and a q whose row keys from that cell's
-two ends of |f''| are all at most the tolerance passes with no g evaluated
-and no ranking at all. For any other q, _decide walks, on the cells of the
-grid, only the pairs above the tolerance and answers after the pair that
-holds the first violation (with none, or no such pair, the scan passes).
-The pairs with b = inf come first and hold every point where g may raise,
-so _decide answers False only once they are all visited, and raises the
-scan's error where the scan would: it answers every input as the scan
-would, and bound and sweep run no scan. The cells, and what a
-bound means for a pair, are decided in this module only.
+since each pair reads a cell bound of at most the first term, and
+
+    up(T_i - down(r_i*(r_i + 2*m_i))),
+
+with T_i the largest sup_k - mu_{k+1}^2 over the cells k >= i-1 (mu_{k+1}
+the least root right of cell k), since a pair that reads cell k has
+r_j >= mu_{k+1} and r_j >= m_i. The keys are monotone in the roots, so
+keys from any lower bounds of g at the grid points are keys too.
+bound_memberships needs no report, and decides each q in three steps. It
+encloses |f''| first on one cell that holds every cell of the grid, a valid
+cover as it is, and a q whose row keys from that cell's two ends of |f''|
+are all at most the tolerance passes with no g evaluated and no ranking at
+all. Then on 8 coarse cells, each the union of 8 cells of the grid, with
+the same keys from their low ends. For any other q, _decide walks, on the
+cells of the grid, only the pairs above the tolerance and answers after
+the pair that holds the first violation (with none, or no such pair, the
+scan passes). Its ranking keys the rows from the cells' low ends of g and
+reads g at the grid points only when it must build a row. The pairs with
+b = inf come first and hold every point where g may raise, so _decide
+answers False only once they are all visited, and raises the scan's error
+where the scan would: it answers every input as the scan would, and bound
+and sweep run no scan. The cells, and what a bound means for a pair, are
+decided in this module only.
 
 The enclosure and heapq are imported when the first scan or decision runs,
 so every command but bound, sweep and qclass starts without them. Each call
@@ -333,6 +343,8 @@ def _cells(xs: list[float]) -> Cells:
 
 _SHRINK = 1.0 - 2.0**-50  # 1 - 8u (u = 2^-53): outweighs the roundings of s and s*s
 _SLACK = 2.0**-1070  # 32*eta (eta = 2^-1075)
+_SHRINK_SUM = 1.0 - 2.0**-48  # 1 - 32u: outweighs the roundings of a coupled key (_row_keys)
+_ROOT_CAP = 2.0**510  # 3*_ROOT_CAP^2 is a quarter of the largest float
 
 
 def _row_parts(gx: list[float], sup: list[float]) -> tuple[list[float], list[float], list[float | None]]:
@@ -395,62 +407,102 @@ def _bound_row(i: int, sup: list[float], alone: list[float], roots: list[float |
 
 def _row_keys(sup: list[float], alone: list[float], roots: list[float | None]) -> list[float]:
     """key_i, at least every b of row i (_bound_row), from the _row_parts,
-    in one backward pass:
+    in one backward pass: the smaller of two bounds, each rounded outward,
+    and inf where some g_j (j >= i) is negative, as every b of such a row
+    may be. With m = min(roots[i:]), the first is
 
-        key_i = up(max(alone[i], max(sup[i:])) - down(fl(fl(r_i + m_i)^2)*_SHRINK))
+        up(max(alone[i], max(sup[i:])) - down(fl(fl(r_i + m)^2)*_SHRINK)):
 
-    with m_i = min(roots[i:]), and inf where some g_j (j >= i) is negative,
-    as every b of such a row may be. The pair (i, j) reads a W of at most
-    max(alone[i], max(sup[i:])), and its s = fl(r_i + r_j) is at least
-    fl(r_i + m_i). Each rounding is monotone, so b = up(W - rhs) of every
-    pair of the row is at most key_i.
+    the pair (i, j) reads a W of at most max(alone[i], max(sup[i:])), and
+    its s = fl(r_i + r_j) is at least fl(r_i + m). Each rounding is
+    monotone, so b = up(W - rhs) of every pair of the row is at most it.
+
+    The second couples the cell that a pair reads with the roots right of
+    it. The pair (i, j), j > i, reads the bound of some cell k in [i, j-1],
+    and r_j >= mu_{k+1} = min(roots[k+1:]); the pair (i, i) reads alone[i],
+    at most the bound of cell i-1 (of cell 0 for i = 0), and r_i >= mu_i.
+    Both have r_j >= m, so (r_i + r_j)^2 >= mu^2 + r_i*(r_i + 2m), with mu
+    the mu of the cell read. With c = 1 - 32u (_SHRINK_SUM) and the roots
+    capped at 2^510 (lowering a root keeps each inequality), let
+    a(mu) = fl(fl(fl(mu*mu)*c) - 32*eta) and B_i = fl(fl(fl(r_i*fl(r_i +
+    2m))*c) - 32*eta). Each is at most c*(1 + u)^4 times its real product,
+    less 29*eta, and the pair's rhs (_bound_row) is at least
+    (1 - 14u)*(r_i + r_j)^2 - 4*eta, or the largest float where fl(s*s)
+    overflows, so a(mu) + B_i <= rhs (the cap keeps the sum below the
+    largest float). So W - rhs <= A - B_i for A = up(fl(sup - a(mu))) of
+    the cell read, and with T_i the largest such A over the cells i-1 to
+    n-2 (a suffix maximum), every b of the row is at most up(fl(T_i - B_i)).
     """
     down, up = -math.inf, math.inf
     nextafter = math.nextafter
     keys = []
-    top, least = down, up  # max(sup[i:]) and min(roots[i:]); least None past a negative g
+    top, least, lead = down, up, down  # max(sup[i:]), m (None past a negative g) and T_i
+    tops, lefts = sup + [down], sup[:1] + sup  # cell i, and cell i-1 (cell 0 for i = 0), of row i
+    # conditional expressions, not max and min: this pass runs for every ranking and proof
     for i in range(len(roots) - 1, -1, -1):
-        if i < len(sup):
-            top = max(top, sup[i])
         ri = roots[i]
-        least = None if ri is None or least is None else min(least, ri)
-        if least is None:
-            keys.append(math.inf)
-        else:
-            s = ri + least
-            keys.append(nextafter(max(alone[i], top) - nextafter(s * s * _SHRINK, down), up))
+        if ri is None or least is None:
+            least = None
+            keys.append(up)
+            continue
+        if ri < least:
+            least = ri
+        if tops[i] > top:
+            top = tops[i]
+        s, w = ri + least, alone[i]
+        key = nextafter((w if w > top else top) - nextafter(s * s * _SHRINK, down), up)
+        c, m = (ri if ri < _ROOT_CAP else _ROOT_CAP), (least if least < _ROOT_CAP else _ROOT_CAP)
+        a = nextafter(lefts[i] - (m * m * _SHRINK_SUM - _SLACK), up)
+        if a > lead:
+            lead = a
+        coupled = nextafter(lead - (c * (c + 2.0 * m) * _SHRINK_SUM - _SLACK), up)
+        keys.append(coupled if coupled < key else key)
     keys.reverse()
     return keys
 
 
-def ranked_pairs(gx: list[float], sup: list[float], floor: float) -> Iterator[tuple[float, int, int]]:
+def ranked_pairs(
+    lows: list[float], sup: list[float], floor: float, values: Callable[[], list[float]]
+) -> Iterator[tuple[float, int, int]]:
     """(b, i, j) for each pair of grid points i <= j whose bound b
     (_bound_row) is above floor, highest b first: the order of
     sorted(..., reverse=True), ties of b broken by the higher i, then the
     higher j.
 
+    b is that of g at the grid points, values(), under the cell bounds sup.
     A walk that stops early takes few pairs, so the pairs are ranked lazily
     from a heap with one entry per row, keyed on (a bound of) the row's
     largest b not yet taken and then on i (no two rows share an i). A row
     enters under its key (_row_keys), at least every b of the row, where
-    that is above floor; its bounds are computed (_bound_row) only when the
-    key reaches the top, and the row goes back under its exact largest b,
-    or is dropped where that is at most floor. A row's pairs are sorted
-    only when the first of them is taken.
+    that is above floor. The keys come first from lows, lower bounds of g
+    at the grid points (g itself for a scan, which has read it), and are
+    keys of g too, since a key only grows as a root falls. values() is
+    called once, when the first row must be built; where its g differs from
+    lows, every row is keyed again from g. A row's bounds are computed
+    (_bound_row) only when its key reaches the top, and the row goes back
+    under its exact largest b, or is dropped where that is at most floor. A
+    row's pairs are sorted only when the first of them is taken.
     An exact entry at the top is at or above every other entry's key, and
     so above or tied with every b left in the heap, ties broken by i as
     the sort breaks them, so the order is the sort's.
     """
     import heapq  # loaded at the first ranking, not at start-up
 
-    parts = _row_parts(gx, sup)
-    # (-key, -i, row, left): row None until built, left None until sorted
-    heap = [(-key, -i, None, None) for i, key in enumerate(_row_keys(*parts)) if key > floor]
-    heapq.heapify(heap)
+    def keyed(gx):
+        parts = _row_parts(gx, sup)
+        # (-key, -i, row, left): row None until built, left None until sorted
+        heap = [(-key, -i, None, None) for i, key in enumerate(_row_keys(*parts)) if key > floor]
+        heapq.heapify(heap)
+        return parts, heap
+
+    (parts, heap), gx = keyed(lows), None
     while heap:
         _, neg_i, row, left = heap[0]
         i = -neg_i
         if row is None:  # the key reached the top: build the row, and key it exactly
+            if gx is None and (gx := values()) != lows:  # the first row: key every row from g
+                parts, heap = keyed(gx)
+                continue
             row = _bound_row(i, *parts)
             top = max(row)
             if top > floor:
@@ -534,15 +586,15 @@ def check_godunova_levin(
     read: Records = ({}, {})
     proven: Records = ({}, {})
     max_margin = -math.inf
-    for x in xs:
-        gv = memo[x]
+    gx = [memo[x] for x in xs]
+    for x, gv in zip(xs, gx):
         if gv < -tol:
             # 0.5*x + 0.5*x reproduces x exactly, so this re-checks soundly
             rhs = gv / 0.5 + gv / 0.5
             read[0][x, x, 0.5] = gv, rhs
             max_margin = max(max_margin, gv - rhs)
 
-    walk = _walk(xs, cells, ends, memo, tol, max_margin, read, proven)
+    walk = _walk(xs, cells, ends, memo, tol, max_margin, read, proven, gx)
     # the walk's last yield, after its last pair, has the largest margin
     for _, max_margin in walk:
         pass
@@ -578,10 +630,12 @@ def _walk(
     top: float,
     read: Records,
     proven: Records,
+    lows: list[float],
 ) -> Iterator[tuple[float, float]]:
     """Visit the pairs (b, i, j) of grid points xs, i <= j, highest bound b
-    first (ranked_pairs, from g at xs, read through memo, and the high ends
-    of ends), each at every lam of _visits in both orders of its points,
+    first (ranked_pairs, from g at xs, read through memo once it builds a
+    row, and the high ends of ends; lows, lower bounds of g at xs, key the
+    rows until then), each at every lam of _visits in both orders of its points,
     and yield (b, top), the pair's bound and the largest margin so far,
     once after each pair: a caller that stops at the first violation reads
     the record between pairs, at the cost of the rest of that pair's
@@ -630,11 +684,12 @@ def _walk(
     and a point the walk does not read, cleared or proven, lies in a finite
     cell: reading it later, as the report's readers do for a proven entry,
     raises nothing. The walk meets the points in another order than the
-    loop, so where it raises it asks for them again in the loop's order,
-    each visit's lam, then x, then y, at the walk's own point (the values
-    it has cost nothing), and the loop's first failing point raises.
+    loop, so where it raises it asks for them again in the loop's order, the
+    grid points first (a decision reads them only when its ranking builds a
+    row; a scan reads them before its walk), then each visit's lam, then x,
+    then y, at the walk's own point (the values it has cost nothing), and
+    the loop's first failing point raises.
     """
-    gx = [memo[x] for x in xs]
     steps = [(v, lam, 1.0 - lam, read[paired], proven[paired])
              for v, (lam, paired) in enumerate(_visits(len(xs)))]
     # (lo, hi, low, high) of each cell, the last one again at index n-1
@@ -643,11 +698,13 @@ def _walk(
     offsets: dict[int, list[int]] = {}  # q - p -> each visit's cell, less p
     at = (-1, 0, 0)  # where top is in lam-major order; -1 is before every visit
     try:
-        for b, i, j in ranked_pairs(gx, [high for _, high in ends], tol if top > tol else -math.inf):
+        highs = [high for _, high in ends]
+        for b, i, j in ranked_pairs(lows, highs, tol if top > tol else -math.inf, lambda: [memo[x] for x in xs]):
             if b <= tol and b < top:
                 return
             for p, q in ((i, j), (j, i)) if i < j else ((i, i),):
-                xp, xq, gp, gq = xs[p], xs[q], gx[p], gx[q]
+                xp, xq = xs[p], xs[q]
+                gp, gq = memo[xp], memo[xq]
                 offs = offsets.get(q - p)
                 if offs is None:
                     offs = offsets[q - p] = [math.floor(clam * (q - p)) for _, _, clam, _, _ in steps]
@@ -671,6 +728,8 @@ def _walk(
                         found[xp, xq, lam] = lhs, rhs
             yield b, top
     except Exception:
+        for x in xs:
+            memo[x]
         for _, lam, clam, _, _ in steps:
             for xp in xs:
                 for xq in xs:
@@ -709,7 +768,7 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     """q -> whether membership_for_bound(e, iv, q) passes, for each q of q_list
     in order: the membership decision of bound and sweep.
 
-    Each q is decided in two steps. First, |f''| is enclosed on one cell,
+    Each q is decided in up to three steps. First, |f''| is enclosed on one cell,
     the _cells of the grid's two end points, which runs from the first low
     of the grid's cells to their last high and so holds every cell and
     every scan point, as one pair (L, H), which _q_ends raises to q: H
@@ -729,31 +788,60 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     (e^2 > 4), sin on [0, 1e-9], where g is near 0 at the left end, or
     cosh on [-1, 1], where interval dependency widens |f''| to [0.37, 2.7]
     on the one cell against the true [1, 1.54]. Second, for such a q,
-    |f''| is enclosed on the n-1 cells of the default grid, once, for that
-    q and every later one, and the decision by the ratio lemma (_decide)
-    answers it without a scan. Each cell's enclosure lies inside the one
-    cell's (interval arithmetic is inclusion-isotone), so the cells prove
-    whatever g at the grid points proves under the one cell's bound, with
-    no row of pair bounds built. Both steps answer as the scan: the answers,
-    and the first error raised, are the scans'.
+    |f''| is enclosed, once for that q and every later one, on 8 coarse
+    cells, each the union of 8 cells of the grid from their own ends (the
+    last of 7), and the q passes where the keys of the larger low of g on
+    the two coarse cells that hold each grid point (_point_lows) under the
+    high of each grid cell's coarse cell are all at most DEFAULT_TOL
+    (_proves): the coarse cells hold the cells they cover, so these are keys
+    of the grid's own values under a valid cover, and no g is evaluated.
+    That proves cosh on [-1, 1] at q = 1.2 and exp on [0, 1] at q = 2.
+    Third, |f''| is enclosed on the n-1 cells of the default grid, once,
+    for that q and every later one (which then skip the coarse cells, whose
+    bounds hold these), and the decision by the ratio lemma (_decide)
+    answers it without a scan. Each cell's enclosure lies inside its coarse
+    cell's and the one cell's (interval arithmetic is inclusion-isotone),
+    so the cells prove whatever the wider covers prove, with no row of pair
+    bounds built and no g evaluated. Every step answers as the scan: the
+    answers, and the first error raised, are the scans'.
     """
     for q in q_list:
         _check_q(q)
     xs = _scan_grid(iv, DEFAULT_GRID_N, DEFAULT_TOL)
     d2 = glbounds.enclosure.compile_second_derivative(e)
     hull = d2(_cells([xs[0], xs[-1]]))
-    cells = ends = None  # the cells of the grid and |f''| on each, where the one cell proves nothing
+    cells = coarse = ends = None  # the cells of the grid, and |f''| on 8 and on each of them
     memberships = {}
     for q in dict.fromkeys(q_list):
-        [(low, high)] = _q_ends(hull, q)
-        if all(key <= DEFAULT_TOL for key in _row_keys(*_row_parts([low, low], [high]))):
+        if _proves(_q_ends(hull, q)):
             memberships[q] = True  # no g evaluated
             continue
         if ends is None:
-            cells = _cells(xs)
+            if coarse is None:
+                cells = _cells(xs)
+                coarse = d2([(cells[k][0], cells[min(k + 7, len(cells) - 1)][1]) for k in range(0, len(cells), 8)])
+            if _proves([cover for cover in _q_ends(coarse, q) for _ in range(8)][: len(cells)]):
+                memberships[q] = True  # no g evaluated
+                continue
             ends = d2(cells)
         memberships[q] = _decide(e, q, xs, cells, ends)
     return memberships
+
+
+def _point_lows(ends: Sequence[tuple[float, float]]) -> list[float]:
+    """A lower bound of g at each grid point from the (low, high) of g on
+    each of the _cells: the larger low of the two cells that hold the point,
+    of the one cell that holds each end point."""
+    lows = [low for low, _ in ends]
+    return lows[:1] + list(map(max, lows, lows[1:])) + lows[-1:]
+
+
+def _proves(ends: Sequence[tuple[float, float]]) -> bool:
+    """Whether every row key (_row_keys) from the lows of g at the grid
+    points (_point_lows) under its highs on the cells is at most
+    DEFAULT_TOL: then no pair can hold a violation, and the scan passes."""
+    parts = _row_parts(_point_lows(ends), [high for _, high in ends])
+    return all(key <= DEFAULT_TOL for key in _row_keys(*parts))
 
 
 def _q_ends(ends: Sequence[tuple[float, float]], q: float) -> list[tuple[float, float]]:
@@ -789,7 +877,11 @@ def _decide(e: Node, q: float, xs: list[float], cells: Cells, ends: list[tuple[f
     Only a pair whose bound is above DEFAULT_TOL can hold a violation
     (_bound_row), so _walk visits just those pairs, hottest first, with the
     same cell tests as the scan: a violation that its cell proves reads no
-    g. g >= 0, so the scan's check for negative values never fires. The
+    g. Its ranking keys the rows from the larger low of g on the two cells
+    that hold each grid point (_point_lows), and reads g at the grid points
+    only when it must build a row; where no key is above DEFAULT_TOL, the
+    decision reads no g, and every cell is finite, so g raises nowhere.
+    g >= 0, so the scan's check for negative values never fires. The
     pairs with b = inf come first, and they hold every point where g may
     raise (_walk), so the walk raises where the scan does, with its error.
     Once they are all visited, the pair that holds the first violation
@@ -798,9 +890,10 @@ def _decide(e: Node, q: float, xs: list[float], cells: Cells, ends: list[tuple[f
     or no pair to visit (the ratio lemma's proof), answers True.
     """
     found: Record = {}  # every violation, read or proven: only whether there is one counts
+    ends = _q_ends(ends, q)
     # no margin is reported, so top starts at inf, where no margin reaches it
-    walk = _walk(xs, cells, _q_ends(ends, q), _PointMemo(_q_power(e, q)), DEFAULT_TOL, math.inf,
-                 (found, found), (found, found))
+    walk = _walk(xs, cells, ends, _PointMemo(_q_power(e, q)), DEFAULT_TOL, math.inf,
+                 (found, found), (found, found), _point_lows(ends))
     for b, _ in walk:
         if found and b < math.inf:  # every pair where g may raise is visited
             return False

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from glbounds.expressions import Bin, Call, Const, Neg, Node, Pow, Var, compile_expression
 from glbounds.kernel import functional_terms
-from glbounds.qclass import Violation, _bound_row, _row_parts
+from glbounds.qclass import _SHRINK, Violation, _bound_row, _row_parts
 from glbounds.quadrature import Interval, _finite
 
 
@@ -125,6 +125,22 @@ def bound_rows(gx: list[float], sup: list[float]) -> list[list[float]]:
     sup (qclass._bound_row)."""
     parts = _row_parts(gx, sup)
     return [_bound_row(i, *parts) for i in range(len(gx))]
+
+
+def suffix_keys(sup: list[float], alone: list[float], roots: list[float | None]) -> list[float]:
+    """The first of qclass._row_keys' two bounds alone, from the same parts:
+    up(max(alone[i], max(sup[i:])) - down(fl(fl(r_i + m_i)^2)*_SHRINK)),
+    with m_i = min(roots[i:]) and inf where some root right of i is None,
+    written out per row."""
+    keys = []
+    for i, ri in enumerate(roots):
+        if any(r is None for r in roots[i:]):
+            keys.append(math.inf)
+            continue
+        s = ri + min(roots[i:])
+        w = max([alone[i], *sup[i:]])
+        keys.append(math.nextafter(w - math.nextafter(s * s * _SHRINK, -math.inf), math.inf))
+    return keys
 
 
 def ranked_pairs_eager(gx: list[float], sup: list[float], floor: float) -> list[tuple[float, int, int]]:

@@ -186,6 +186,22 @@ def test_edge_sine_windows_are_proven_on_one_cell(bench_on_path, monkeypatch):
         assert work == {"covers": [1], "points": 0, "rankings": 0, "rows": 0}, (a, b, q)
 
 
+def test_one_membership_cycle_builds_few_rows(bench_on_path, tmp_path, monkeypatch, capsys):
+    """The requests of one membership cycle at seed 9001 build at most 80
+    rows of pair bounds (414 with keys from the largest bound right of each
+    row and g read before any row) and enclose |f''| on the 63 cells of the
+    default grid at most 8 times (11 with no coarse cells between those and
+    the one cell that holds the grid)."""
+    from test_qclass import record_work
+
+    fixed, cycles = importlib.import_module("workloads").requests("membership", 9001)
+    monkeypatch.chdir(tmp_path)  # sweeps write sweep.csv / sweep.json here
+    work = record_work(monkeypatch)
+    _outcomes(fixed + next(cycles), capsys)
+    assert work["rows"] <= 80
+    assert work["covers"].count(63) <= 8
+
+
 def _outcome(call):
     """The result, or the exception's type and message."""
     try:
@@ -210,16 +226,16 @@ def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkey
     taken = []
 
     def recording(rank):
-        def recorded(gx, *args):
-            taken.append([len(gx) * (len(gx) + 1) // 2, 0])  # [all pairs, pairs the walk took]
-            for pair in rank(gx, *args):
+        def recorded(lows, *args):
+            taken.append([len(lows) * (len(lows) + 1) // 2, 0])  # [all pairs, pairs the walk took]
+            for pair in rank(lows, *args):
                 taken[-1][1] += 1
                 yield pair
 
         return recorded
 
-    def every_pair(gx, sup, floor):  # a bound of inf on every pair: no walk stops early
-        return [(math.inf, i, j) for i in range(len(gx)) for j in range(i, len(gx))]
+    def every_pair(lows, sup, floor, values):  # a bound of inf on every pair: no walk stops early
+        return [(math.inf, i, j) for i in range(len(lows)) for j in range(i, len(lows))]
 
     ranked_pairs = glbounds.qclass.ranked_pairs
     monkeypatch.setattr(glbounds.qclass, "ranked_pairs", recording(ranked_pairs))

@@ -426,8 +426,9 @@ class TestProvenMembership:
         e = parse("exp(x)")
         sweep_rows(e, UNIT, [0.0, 0.5, 1.0], (1.0, 2.0, 3.0))
         # one enclosure on the one cell that holds the grid, which proves q = 1,
-        # then one on the 63 cells of the default grid, for q = 2 and 3
-        assert calls == [(e, 1), (e, 63)]
+        # one on the 8 coarse cells, which prove q = 2, then one on the 63
+        # cells of the default grid, for q = 3
+        assert calls == [(e, 1), (e, 8), (e, 63)]
 
 
 class TestHermiteHadamard:

@@ -559,9 +559,11 @@ class TestSweep:
         assert covers == []
         assert _run_sweep(tmp_path / "sweep.csv", **sine) == 0
         xs = glbounds.qclass._scan_grid(Interval(0.000001, 3.141592), 64, 1e-12)
-        # the one cell that holds the grid proves nothing for sine; then its 63 cells
+        # the one cell that holds the grid proves nothing for sine, nor do the 8
+        # coarse cells, each the union of 8 of its cells; then its 63 cells
         cells = glbounds.qclass._cells(xs)
-        assert covers == [[(cells[0][0], cells[-1][1])], cells]
+        coarse = [(cells[k][0], cells[min(k + 7, 62)][1]) for k in range(0, 63, 8)]
+        assert covers == [[(cells[0][0], cells[-1][1])], coarse, cells]
 
     OVERFLOW_ARGV = ["sweep", "--fn", "exp(x)", "--a", "300", "--b", "301", "--lambda-grid", "0:1:0.5",
                      "--q", "1,3"]

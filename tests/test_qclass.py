@@ -32,7 +32,9 @@ from glbounds.enclosure import compile_second_derivative, compile_value, inf_pow
 from glbounds.qclass import (
     DEFAULT_TOL,
     _cells,
+    _bound_row,
     _decide,
+    _point_lows,
     _PointMemo,
     _q_power,
     _row_keys,
@@ -51,6 +53,7 @@ from oracles import (
     plain_report,
     plain_scan,
     ranked_pairs_eager,
+    suffix_keys,
 )
 from test_expressions import _tree_strategy
 
@@ -317,12 +320,12 @@ class TestScanRecord:
         ends = compile_value(e)(cells)
         memo = _PointMemo(value_of(text))
         read, proven, top = ({}, {}), ({}, {}), -math.inf
-        for x in xs:  # the scan's check for negative values
-            gv = memo[x]
+        gx = [memo[x] for x in xs]
+        for x, gv in zip(xs, gx):  # the scan's check for negative values
             if gv < -DEFAULT_TOL:
                 read[0][x, x, 0.5] = (gv, gv / 0.5 + gv / 0.5)
                 top = max(top, gv - (gv / 0.5 + gv / 0.5))
-        for _, top in _walk(xs, cells, ends, memo, DEFAULT_TOL, top, read, proven):
+        for _, top in _walk(xs, cells, ends, memo, DEFAULT_TOL, top, read, proven, gx):
             pass
         both = [found.keys() & proved.keys() for found, proved in zip(read, proven)]
         assert sum(map(len, both)) == 62
@@ -525,22 +528,36 @@ def cleared_triples(monkeypatch, text, iv, grid_n, q):
 def decision_paths(e, iv, qs):
     """bound_memberships(e, iv, qs), or its error (_outcome), and the path
     that answered each q: "one cell" (the keys of the two ends of |f''| on
-    the one cell that holds the grid, with no g evaluated), "cells" (_decide
-    on the cells of the grid, which passes) or "violation" (_decide, which
-    fails); ["error"] where it raises."""
-    decide = glbounds.qclass._decide
-    decided = {}
+    the one cell that holds the grid, with no g evaluated), "coarse cells"
+    (the keys of |f''| on the 8 coarse cells, with no g evaluated), "cells"
+    (_decide on the cells of the grid, which passes) or "violation"
+    (_decide, which fails); ["error"] where it raises."""
+    decide, proves = glbounds.qclass._decide, glbounds.qclass._proves
+    decided, proofs = {}, []
 
     def recorded(e, q, *args):
         decided[q] = decide(e, q, *args)
         return decided[q]
 
+    def recorded_proof(ends):
+        proofs.append((len(ends), proves(ends)))  # 1 cell for the hull, 63 for the coarse cells
+        return proofs[-1][1]
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(glbounds.qclass, "_decide", recorded)
+        m.setattr(glbounds.qclass, "_proves", recorded_proof)
         outcome = _outcome(lambda: bound_memberships(e, iv, qs))
     if not isinstance(outcome, dict):
         return outcome, ["error"]
-    paths = ["one cell" if q not in decided else "cells" if decided[q] else "violation" for q in outcome]
+    paths = []
+    for q in outcome:  # the order the decision takes them in: a hull proof, then maybe a coarse one
+        _, proved = proofs.pop(0)
+        if not proved and proofs and proofs[0][0] > 1:
+            _, proved = proofs.pop(0)
+            paths.append("coarse cells" if proved else "cells" if decided[q] else "violation")
+        else:
+            paths.append("one cell" if proved else "cells" if decided[q] else "violation")
+    assert not proofs
     return outcome, paths
 
 
@@ -686,7 +703,8 @@ class TestAgainstPlainLoop:
         assert missed == 377
         memo = _PointMemo(g)
         read, proven, top = ({}, {}), ({}, {}), -math.inf
-        for _, top in _walk(xs, cells, ends, memo, DEFAULT_TOL, top, read, proven):
+        # keyed from the cells' lows of g, as a decision keys its rows, before g is read
+        for _, top in _walk(xs, cells, ends, memo, DEFAULT_TOL, top, read, proven, _point_lows(ends)):
             pass
         found = dict.fromkeys(QClassReport(n**3, top, read, proven, g).violations)
         # the lam-major loop on these points; g >= 0, so no negative value to check
@@ -716,9 +734,9 @@ class TestAgainstPlainLoop:
     @pytest.mark.parametrize(
         "text,iv,grid_n,pairs,rows",
         [
-            ("-x^2-1", Interval(-1.0, 2.0), 64, 1849, 49),
-            ("x-0.5", UNIT_IV, 9, 30, 5),
-            ("x-0.5", UNIT_IV, 64, 1552, 40),
+            ("-x^2-1", Interval(-1.0, 2.0), 64, 1849, 43),
+            ("x-0.5", UNIT_IV, 9, 30, 4),
+            ("x-0.5", UNIT_IV, 64, 1552, 32),
         ],
     )
     def test_negative_values_rank_only_pairs_above_the_tolerance(
@@ -1031,26 +1049,35 @@ class TestProof:
     def test_a_proof_implies_the_scan_passes(self, case, q):
         """A decision, True or False, is the scan's passed, and an error the
         decision raises is the scan's. Where the one cell's two ends of |f''|
-        prove q, the keys of g at the grid points under its bound pass too."""
+        prove q, or its ends on the 8 coarse cells do, the keys of g at the
+        grid points under that bound pass too."""
         e, ends = case
         assume(ends[0] < ends[1])
         iv = Interval(*ends)
         decided, [path] = decision_paths(e, iv, (q,))
         event(f"path: {path}")
         assert decided == _scans(e, iv, (q,))
-        if path == "one cell":
+        if path in ("one cell", "coarse cells"):
             xs = _scan_grid(iv, 64, DEFAULT_TOL)
-            [(_, hull)] = compile_second_derivative(e)(_cells([xs[0], xs[-1]]))
+            cells = _cells(xs)
+            width = 63 if path == "one cell" else 8
+            covers = [(cells[k][0], cells[min(k + width - 1, 62)][1]) for k in range(0, 63, width)]
+            sup = [sup_power(high, q) for _, high in compile_second_derivative(e)(covers)]
             gx = list(map(_q_power(e, q), xs))
-            assert all(key <= DEFAULT_TOL for key in _row_keys(*_row_parts(gx, [sup_power(hull, q)] * 63)))
+            assert all(key <= DEFAULT_TOL for key in _row_keys(*_row_parts(gx, [sup[k // width] for k in range(63)])))
 
     @pytest.mark.parametrize(
         "text,iv,q,path",
         [
             ("sin(x)", EDGE_SINE_WINDOW, 1.34, "one cell"),  # the keys of the cell's two ends are at most the tolerance
-            ("exp(x)", UNIT_IV, 2.0, "cells"),  # e^2 > 4: the one cell fails the ratio lemma's factor 4
+            # e^2 > 4: the one cell fails the ratio lemma's factor 4, and an
+            # eighth of [0, 1] keeps e^(2x) within it
+            ("exp(x)", UNIT_IV, 2.0, "coarse cells"),
             ("sin(x)", SINE_INTERVAL, 1.0, "violation"),
-            ("(exp(x)+exp(-x))/2", Interval(-1.0, 1.0), 1.2, "cells"),  # cosh: its one cell is too wide for its ends
+            ("(exp(x)+exp(-x))/2", Interval(-1.0, 1.0), 1.2, "coarse cells"),  # cosh: its one cell is too wide
+            ("exp(x)", UNIT_IV, 3.0, "cells"),  # the coarse cells' keys leave rows above the tolerance
+            # the first coarse cell's high, (12*(1/8)^2)^2, is far above g near 0
+            ("x^4", UNIT_IV, 2.0, "cells"),
         ],
     )
     def test_each_path_answers_as_the_scan(self, text, iv, q, path):
@@ -1072,18 +1099,20 @@ class TestProof:
     def test_cells_prove_what_the_hull_ends_cannot_with_no_pair_row(self, monkeypatch):
         # interval dependency widens cosh's |f''| to [0.37, 2.7] on the one
         # cell, against the true [1, 1.54], so its two ends prove nothing at
-        # q = 1.2; each cell's bound lies inside the one cell's, and the keys
-        # of g at the 64 grid points under the cells keep no row to build
+        # q = 1.2; each coarse cell's bound lies inside the one cell's, and
+        # the keys of their lows under their highs keep no row to build, with
+        # no g evaluated and no enclosure of the 63 cells
         work = record_work(monkeypatch)
         assert bound_memberships(parse("(exp(x)+exp(-x))/2"), Interval(-1.0, 1.0), (1.2,)) == {1.2: True}
-        assert work == {"covers": [1, 63], "points": 64, "rankings": 1, "rows": 0}
+        assert work == {"covers": [1, 8], "points": 0, "rankings": 0, "rows": 0}
 
     def test_one_cell_leaves_a_vanishing_g_to_the_cells(self, monkeypatch):
         # |sin| is near 0 at the left end of [0, 1e-9]: the ratio lemma's
-        # factor 4 cannot cover the one cell's bound there
+        # factor 4 cannot cover the one cell's bound there, nor the first
+        # coarse cell's; the keys of the 63 cells' lows leave no row to build
         work = record_work(monkeypatch)
         assert bound_memberships(parse("sin(x)"), Interval(0.0, 1e-9), (1.0,)) == {1.0: True}
-        assert work["covers"] == [1, 63] and work["rankings"] == 1
+        assert work == {"covers": [1, 8, 63], "points": 0, "rankings": 1, "rows": 0}
 
     def test_partial_covers_and_errors_are_the_scans(self, monkeypatch):
         # a pole leaves one cell unbounded, where g may raise; the scan fails
@@ -1124,6 +1153,15 @@ class TestProof:
         with monkeypatch.context() as m:
             m.setattr(glbounds.qclass, "_compile_jet", lambda e: lambda x: jet(x) if x in grid else broken())
             assert same(sine, SINE_INTERVAL, (1.0,)) == (RuntimeError, "boom")
+
+    def test_a_lazy_read_of_g_raises_the_first_grid_points_error(self):
+        """|f''|^1000 of exp overflows from x = 0.7097 on, so the cells there
+        are inf and the decision must read g at the grid points: it raises
+        the overflow of the first grid point past it, as the scan does, not
+        that of the first point in lam-major order (0.720947265625)."""
+        e = parse("exp(x)")
+        err = (ValueError, "|f''(x)|^q overflows at x=0.7109375: |f''| = 2.0358990195749382, q = 1000.0")
+        assert _outcome(lambda: bound_memberships(e, UNIT_IV, (1000.0,))) == _scans(e, UNIT_IV, (1000.0,)) == err
 
     def test_unbounded_pairs_alone_decide_a_kink(self, monkeypatch):
         """|f''| of abs(x-0.3) is 0 wherever it is defined, so only the 855
@@ -1197,29 +1235,31 @@ class TestProof:
             assert holds[-1] and not any(holds[:-1])
         assert len(taken[0]) == self.PAIRS_TAKEN[text, q]
 
-    # the work of passing decisions today, the baseline that ROADMAP open item
-    # 4 (decisions that evaluate only what can violate) is expected to lower:
-    # the row keys stay above the tolerance on most rows, so each decision
-    # builds 45-50 of the 64 rows to take at most 14 pairs, and evaluates g
-    # at the 64 grid points and at the points of those pairs that their own
-    # cell does not clear (POINTS; the composite's 14 pairs read 843 points
-    # with every point of a pair read)
-    POINTS = {"x^4": 64, "(exp(x)+exp(-x))/2": 64, COMPOSITE: 140}
+    # the work of passing decisions that neither the one cell nor the 8
+    # coarse cells prove: the coupled row keys (_row_keys) put at most a few
+    # rows above the tolerance where |f''|^q rises to the right, so x^4
+    # builds the one row it takes its pair from (45 and 50 of the 64 with
+    # keys from the largest bound right of each row) and the composite 23
+    # (48) to take 14 pairs; g is read at the 64 grid points only where some
+    # row is built, and at the points of those pairs that their own cell does
+    # not clear (POINTS; the composite's 14 pairs read 843 points with every
+    # point of a pair read), and cosh's keys from the cells' lows build none
+    POINTS = {"x^4": 64, "(exp(x)+exp(-x))/2": 0, COMPOSITE: 140}
 
     @pytest.mark.parametrize(
         "text,iv,q,rows,pairs",
         [
-            ("x^4", UNIT_IV, 2.0, 45, 1),
-            ("x^4", UNIT_IV, 3.0, 50, 1),
-            ("(exp(x)+exp(-x))/2", Interval(-1.0, 2.0), 2.0, 47, 0),  # cosh
-            (COMPOSITE, Interval(0.0, 3.0), 1.2, 48, 14),
+            ("x^4", UNIT_IV, 2.0, 1, 1),
+            ("x^4", UNIT_IV, 3.0, 1, 1),
+            ("(exp(x)+exp(-x))/2", Interval(-1.0, 2.0), 2.0, 0, 0),  # cosh
+            (COMPOSITE, Interval(0.0, 3.0), 1.2, 23, 14),
         ],
     )
     def test_passing_decisions_build_rows_for_few_pairs(self, monkeypatch, text, iv, q, rows, pairs):
         work = record_work(monkeypatch)
         taken = record_taken(monkeypatch)
         assert bound_memberships(parse(text), iv, (q,)) == {q: True}
-        assert work == {"covers": [1, 63], "points": self.POINTS[text], "rankings": 1, "rows": rows}
+        assert work == {"covers": [1, 8, 63], "points": self.POINTS[text], "rankings": 1, "rows": rows}
         assert [len(t) for t in taken] == [pairs]
 
     def test_a_zero_margin_walks_every_pair(self, monkeypatch):
@@ -1537,28 +1577,37 @@ class TestRanking:
 
     @staticmethod
     def _ranked(e, iv, grid_n, q):
-        """g at the grid points and its cell bounds, for g = f (q None) or
-        g = |f''|^q on iv, inf on a cell where the enclosure declines; None
-        where g raises at a grid point."""
+        """g at the grid points, its cell bounds and the cells' lower bounds
+        of g at the grid points (_point_lows), for g = f (q None) or
+        g = |f''|^q on iv, inf (and -inf or 0) on a cell where the enclosure
+        declines; None where g raises at a grid point."""
         xs, sup = enclosed(e, iv, grid_n, of_value=q is None)
+        ends = (compile_value if q is None else compile_second_derivative)(e)(_cells(xs))
         if q is not None:
             sup = powered(sup, q)
+            ends = [(inf_power(low, q), high) for low, high in ends]
         try:
             g = compile_expression(e)[0] if q is None else _q_power(e, q)
             gx = [g(x) for x in xs]
         except (ExpressionError, ValueError, ArithmeticError):
             return None  # the scan raises before it ranks
-        return gx, sup
+        return gx, sup, _point_lows(ends)
 
     @classmethod
     def _both(cls, e, iv, grid_n, q, floor):
-        """The lazy and the eager ranking of the pairs of _ranked; None where
-        g raises at a grid point."""
+        """The lazy rankings of the pairs of _ranked, keyed first from g and
+        from the cells' lows, and the eager one; None where g raises at a
+        grid point. Each lazy ranking reads g once, where it builds a row."""
         ranked = cls._ranked(e, iv, grid_n, q)
         if ranked is None:
             return None
-        gx, sup = ranked
-        return list(glbounds.qclass.ranked_pairs(gx, sup, floor)), ranked_pairs_eager(gx, sup, floor)
+        gx, sup, lows = ranked
+        lazy = []
+        for first in (gx, lows):
+            reads = []
+            lazy.append(list(glbounds.qclass.ranked_pairs(first, sup, floor, lambda: reads.append(gx) or gx)))
+            assert len(reads) <= 1
+        return (*lazy, ranked_pairs_eager(gx, sup, floor))
 
     @settings(max_examples=examples(100), deadline=None)
     @given(*_RANKED, st.sampled_from([-math.inf, DEFAULT_TOL]), st.sampled_from([0.0, 0.5]))
@@ -1569,8 +1618,8 @@ class TestRanking:
             e = Bin("-", e, Const(shift))
         both = self._both(e, Interval(*ends), grid_n, q, floor)
         if both is not None:
-            lazy, eager = both
-            assert lazy == eager
+            lazy, from_lows, eager = both
+            assert lazy == from_lows == eager
             # ties of b, 0.0 against -0.0 among them, keep the sign the eager sort keeps
             assert [math.copysign(1.0, b) for b, _, _ in lazy] == [math.copysign(1.0, b) for b, _, _ in eager]
 
@@ -1587,25 +1636,51 @@ class TestRanking:
         ],
     )
     def test_lazy_order_on_chosen_rows(self, text, iv, grid_n, q, floor):
-        lazy, eager = self._both(parse(text), iv, grid_n, q, floor)
-        assert lazy == eager
+        lazy, from_lows, eager = self._both(parse(text), iv, grid_n, q, floor)
+        assert lazy == from_lows == eager
 
     @settings(max_examples=examples(100), deadline=None)
     @given(*_RANKED, st.sampled_from([0.0, 0.5]))
     def test_keys_bound_their_rows(self, e, ends, grid_n, q, shift):
         """key_i is at least every b of row i, and inf where some g_j (j >= i)
-        is negative; shift, taken off g = f, gives some examples such a g."""
+        is negative; shift, taken off g = f, gives some examples such a g.
+        It is at most the suffix key (oracles.suffix_keys), and where it is
+        below, the coupled term alone is the key and bounds the row. Keys
+        from any lower bounds of g, the cells' lows here, are at least the
+        keys from g, and so bound the rows too."""
         assume(ends[0] < ends[1])
         if q is None and shift:
             e = Bin("-", e, Const(shift))
         ranked = self._ranked(e, Interval(*ends), grid_n, q)
         if ranked is None:
             return
-        gx, sup = ranked
-        keys = _row_keys(*_row_parts(gx, sup))
+        gx, sup, lows = ranked
+        parts = _row_parts(gx, sup)
+        keys, suffix = _row_keys(*parts), suffix_keys(*parts)
+        from_lows = _row_keys(*_row_parts(lows, sup))
         rows = bound_rows(gx, sup)
-        assert all(key >= max(row) for key, row in zip(keys, rows))
+        coupled = [i for i, (key, bound) in enumerate(zip(keys, suffix)) if key < bound]
+        event(f"rows keyed by the coupled term: {'some' if coupled else 'none'}")
+        assert all(key <= bound for key, bound in zip(keys, suffix))
+        assert all(low >= key >= max(row) for low, key, row in zip(from_lows, keys, rows))
         assert all(key == math.inf for i, key in enumerate(keys) if any(not v >= 0.0 for v in gx[i:]))
+
+    def test_coupled_keys_bound_zero_and_subnormal_roots(self):
+        """Row keys straight from parts with roots 0, subnormal and tiny, one
+        inf cell and a negative g (a None root): rows 0 and 1 read the inf
+        cell 1 or the negative g_0 and key inf; every other key is finite, at
+        least every b of its row and at most the suffix key, and the coupled
+        term alone keys some of them."""
+        sup_in = [1.0, math.inf, 4.0, 1e-300, 5e-324, 9.0, 16.0, 2.0, 17.0]
+        sup, alone, _ = _row_parts([1.0] * 10, sup_in)
+        roots = [None, 2.0, 0.0, 5e-324, 1e-310, 3.0, 1e-160, 0.0, 4.0, 1.5]
+        keys = _row_keys(sup, alone, roots)
+        rows = [_bound_row(i, sup, alone, roots) for i in range(10)]
+        assert keys[:2] == [math.inf, math.inf] and all(math.isfinite(key) for key in keys[2:])
+        assert all(key >= max(row) for key, row in zip(keys, rows))
+        suffix = suffix_keys(sup, alone, roots)
+        assert all(key <= bound for key, bound in zip(keys, suffix))
+        assert any(key < bound for key, bound in zip(keys, suffix))
 
     @pytest.mark.parametrize("floor", [-math.inf, DEFAULT_TOL])
     @pytest.mark.parametrize(
@@ -1627,7 +1702,7 @@ class TestRanking:
         [hull] = bound([(cells[0][0], cells[-1][1])])
         sup = [hull[1] if q is None else sup_power(hull[1], q)] * len(cells)  # f's or |f''|'s (low, high)
         gx = [(compile_expression(e)[0] if q is None else _q_power(e, q))(x) for x in xs]
-        assert list(glbounds.qclass.ranked_pairs(gx, sup, floor)) == ranked_pairs_eager(gx, sup, floor)
+        assert list(glbounds.qclass.ranked_pairs(gx, sup, floor, lambda: gx)) == ranked_pairs_eager(gx, sup, floor)
 
     def test_a_negative_g_right_of_the_diagonal_keys_its_row_inf(self):
         # 0.25 - x is negative from x_2 = 0.2777... on: every row keys inf, rows
@@ -1639,15 +1714,19 @@ class TestRanking:
         assert [key == math.inf for key in keys] == [True] * 9
         assert [v >= 0.0 for v in gx] == [True, True] + [False] * 7
         for floor in (-math.inf, DEFAULT_TOL):
-            assert list(glbounds.qclass.ranked_pairs(gx, sup, floor)) == ranked_pairs_eager(gx, sup, floor)
+            assert list(glbounds.qclass.ranked_pairs(gx, sup, floor, lambda: gx)) == ranked_pairs_eager(gx, sup, floor)
 
     def test_a_passing_scan_builds_only_the_rows_its_keys_reach(self, monkeypatch, capsys):
-        """x^2 on [0, 1] at grid 128 takes 2 pairs; the keys of the other
-        rows put 64 of the 128 rows of pair bounds ahead of the stop."""
-        work = record_work(monkeypatch)
-        taken = record_taken(monkeypatch)
-        assert main(["qclass", "--g", "x^2", "--a", "0", "--b", "1", "--grid", "128"]) == 0
-        assert work["rows"] == 64 and len(taken[0]) == 2
+        """x^2 on [0, 1] takes 2 pairs, both from row 0, at grids 64 and 128;
+        the coupled keys of the other rows are at most the tolerance, so 1
+        row of pair bounds is built (32 and 64 with keys from the largest
+        bound right of each row)."""
+        for grid_n in ("64", "128"):
+            with monkeypatch.context() as m:
+                work = record_work(m)
+                taken = record_taken(m)
+                assert main(["qclass", "--g", "x^2", "--a", "0", "--b", "1", "--grid", grid_n]) == 0
+            assert work["rows"] == 1 and [i for _, i, _ in taken[0]] == [0, 0]
 
     def test_a_passing_scan_sorts_only_the_rows_it_takes_from(self, monkeypatch, capsys):
         taken = record_taken(monkeypatch)
