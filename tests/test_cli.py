@@ -3,8 +3,10 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from glbounds import (
 )
 from glbounds.cli import _COMMANDS, _parser, _read, main
 from glbounds.expressions import MAX_NESTING
+import cli_cases
 from conftest import examples
 from oracles import DEEP_SHAPES
 
@@ -52,9 +55,6 @@ class TestVerifyIdentity:
 
     def test_domain_error(self, capsys):
         assert main(["verify-identity", "--fn", "ln(x)", "--a", "-1", "--b", "1", "--lambda", "0.3"]) == 2
-
-    def test_bad_lambda(self, capsys):
-        assert main(["verify-identity", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "1.5"]) == 2
 
     def test_parse_error(self, capsys):
         assert main(["verify-identity", "--fn", "2**x", "--a", "0", "--b", "1", "--lambda", "0.3"]) == 2
@@ -110,18 +110,6 @@ class TestVerifyIdentity:
         e, iv, lam = parse("exp(x)"), Interval(float(a), float(b)), 0.3
         assert abs(lhs_functional(e, iv, lam) - exact) <= lhs_rel * exact
         assert abs(rhs_identity(e, iv, lam) - exact) <= 1e-12 * exact
-
-    def test_kernel_error_names_its_integral(self, capsys):
-        # f'' = 1/(x - 0.3) is not integrable, f is: the f side converges,
-        # and the panel is in t, not in x (x = 0.3 at t = 0.7)
-        code = main(["verify-identity", "--fn", "(x-0.3)*ln(abs(x-0.3))", "--a", "0", "--b", "1", "--lambda", "0.5"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == (
-            "error: kernel integral over t in [0, 1]: tolerance 1e-10 unreachable "
-            "on [0.6999999999992639, 0.699999999999271]\n"
-        )
 
     @pytest.mark.parametrize("lam", ["0", "0.3333333333333333", "0.75"])
     @pytest.mark.parametrize("c", ["0.3", "0.25", "0.5"])
@@ -237,13 +225,6 @@ class TestBound:
         assert "bound      = 0.386294" in out
         assert "membership = CheckedPass" in out
 
-    def test_sine_membership_fail(self, capsys):
-        code = main(
-            ["bound", "--fn", "sin(x)", "--a", "0.000001", "--b", "3.141592", "--lambda", "0", "--q", "1"]
-        )
-        assert code == 3
-        assert "membership = CheckedFail" in capsys.readouterr().out
-
     def test_lambda_range(self, capsys):
         assert main(["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "1.5", "--q", "1"]) == 2
 
@@ -343,11 +324,6 @@ class TestBound:
         argv = ["bound", "--fn", "1", "--a", "0", "--b", "1e200", "--lambda", "0.5", "--q", "1"]
         assert main(argv + extra) == 2
         assert capsys.readouterr() == ("", "error: w^2/2 overflows: the width of [0.0, 1e+200] is 1e+200\n")
-
-    def test_non_ascii_letter_is_an_input_error(self, capsys):
-        # it used to end the request with an AttributeError traceback, exit 1
-        assert main(["bound", "--fn", "sin(π*x)", "--a", "0", "--b", "1", "--lambda", "0", "--q", "1"]) == 2
-        assert capsys.readouterr() == ("", "error: unexpected 'π' (offset 4)\n")
 
     @pytest.mark.parametrize("extra", [["--skip-membership"], []])
     def test_overflowing_bound_is_an_input_error(self, extra, capsys):
@@ -1115,3 +1091,40 @@ class TestEntryPoints:
         # the forms argparse reads answer as the plain ones do
         assert passes[0][1] == passes[0][0]
         assert passes[0][6] == passes[0][5]
+
+
+def _case_id(case):
+    """The row's argv, with each token longer than 40 characters shortened."""
+    return " ".join(t if len(t) <= 40 else f"{t[:12]}...({len(t)} chars)" for t in case.argv)
+
+
+@pytest.mark.parametrize("case", cli_cases.CASES, ids=_case_id)
+def test_cli_case(case, tmp_path, monkeypatch, capsys):
+    """Each row of cli_cases.py through main, in process; CI runs the same
+    rows through the installed glbounds, each in a fresh process."""
+    monkeypatch.chdir(tmp_path)
+    code = main(case.argv)
+    captured = capsys.readouterr()
+    assert cli_cases.mismatches(case, code, captured.out, captured.err, str(tmp_path)) == []
+
+
+def test_cli_cases_runner_names_the_row_that_fails(tmp_path, monkeypatch, capsys):
+    """cli_cases.main runs rows through the glbounds command on PATH, here a
+    shim for python -m glbounds on src/; one changed expected byte fails the
+    run and names its row alone."""
+    shim = tmp_path / "glbounds"
+    shim.write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} -m glbounds "$@"\n')
+    shim.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
+    monkeypatch.setenv("PYTHONPATH", str(Path(__file__).resolve().parent.parent / "src"))
+    coeffs = next(case for case in cli_cases.CASES if case.argv[0] == "coeffs")
+    # a non-ASCII argv and stderr, which cross the process boundary as UTF-8
+    letter = next(case for case in cli_cases.CASES if "π" in (case.err or ""))
+    assert cli_cases.main([coeffs, letter]) == 0
+    assert capsys.readouterr().out == "ran 2 CLI cases, 0 with mismatches\n"
+    changed = letter._replace(err=letter.err.replace("4", "5"))
+    assert cli_cases.main([coeffs, changed]) == 1
+    out = capsys.readouterr().out
+    assert f"mismatch: glbounds {shlex.join(letter.argv)}\n" in out
+    assert "mismatch: glbounds coeffs" not in out
+    assert out.endswith("ran 2 CLI cases, 1 with mismatches\n")

@@ -1569,6 +1569,13 @@ _RANKED = (
     st.sampled_from([2, 9, 31, 64]),
     st.one_of(st.none(), st.floats(1.0, 3.0)),
 )
+# a rising |f''|^q, x^k on [0, b], where the coupled term keys rows more often
+_RISING = st.tuples(
+    st.integers(3, 8).map(lambda k: parse(f"x^{k}")),
+    st.floats(0.5, 4.0).map(lambda b: (0.0, b)),
+    st.sampled_from([2, 9, 31, 64]),
+    st.floats(1.0, 3.0),
+)
 
 
 class TestRanking:
@@ -1640,14 +1647,15 @@ class TestRanking:
         assert lazy == from_lows == eager
 
     @settings(max_examples=examples(100), deadline=None)
-    @given(*_RANKED, st.sampled_from([0.0, 0.5]))
-    def test_keys_bound_their_rows(self, e, ends, grid_n, q, shift):
+    @given(st.one_of(st.tuples(*_RANKED), _RISING), st.sampled_from([0.0, 0.5]))
+    def test_keys_bound_their_rows(self, case, shift):
         """key_i is at least every b of row i, and inf where some g_j (j >= i)
         is negative; shift, taken off g = f, gives some examples such a g.
         It is at most the suffix key (oracles.suffix_keys), and where it is
         below, the coupled term alone is the key and bounds the row. Keys
         from any lower bounds of g, the cells' lows here, are at least the
         keys from g, and so bound the rows too."""
+        e, ends, grid_n, q = case
         assume(ends[0] < ends[1])
         if q is None and shift:
             e = Bin("-", e, Const(shift))
