@@ -8,7 +8,11 @@ them against each other and against the quadrature oracle.
 
 Reports are assembled in one place, sweep_rows, one BoundReport per
 (lambda, q) row; a single bound (evaluate_bound_report) is its one-row
-case. Unless membership is skipped, their labels come from one call,
+case. A sweep does each piece of work at the level it depends on: per q,
+the q check, 1/q and the weight powers (_q_parts); per lambda, the
+coefficients and |E(lambda, f)|; per row, only M^(1-1/q), the bracket and
+the overflow check of the bound (_bound_at, which theorem_bound calls too).
+Unless membership is skipped, the labels come from one call,
 qclass.bound_memberships, which answers for each q as the default-grid
 scan of |f''|^q would, from an interval enclosure of |f''|, and runs no
 scan.
@@ -136,19 +140,40 @@ def theorem_bound(inp: BoundInput) -> float:
     Raises ValueError naming the width where w^2/2 overflows (times a zero
     bracket it would give nan), and naming the weights where the bound does.
     """
-    return _theorem_bound(coefficient_set(inp.lam), inp)
+    cs = coefficient_set(inp.lam)
+    parts = _q_parts(inp.q, inp.g_a, inp.g_b)
+    return _bound_at(cs, parts, _half_square(inp.iv), inp.iv, inp.g_a, inp.g_b)
 
 
-def _theorem_bound(cs: CoefficientSet, inp: BoundInput) -> float:
-    """theorem_bound(inp), given cs = coefficient_set(inp.lam)."""
-    inv_q = 1.0 / inp.q
-    ga_q, gb_q, scale = _weight_powers(inp.g_a, inp.g_b, inp.q)
+def _q_parts(q: float, g_a: float, g_b: float) -> tuple[float, float, float, float]:
+    """1/q and _weight_powers(g_a, g_b, q): what a bound takes from q alone."""
+    return (1.0 / q, *_weight_powers(g_a, g_b, q))
+
+
+def _half_square(iv: Interval) -> float:
+    """w^2/2 for the width w of iv, where it is finite (_finite_square)."""
+    w = iv.width
+    return _finite_square("w^2/2", iv, 0.5 * w * w)
+
+
+def _bound_at(
+    cs: CoefficientSet,
+    parts: tuple[float, float, float, float],
+    half_w2: float,
+    iv: Interval,
+    g_a: float,
+    g_b: float,
+) -> float:
+    """The theorem's bound at cs = coefficient_set(lam), given q's parts
+    (_q_parts) and half_w2 = _half_square(iv): the one coding of the theorem.
+
+    Raises ValueError naming the weights where the bound overflows.
+    """
+    inv_q, ga_q, gb_q, scale = parts
     bracket = scale * (
         (cs.a_coef * ga_q + cs.b_coef * gb_q) ** inv_q + (cs.b_coef * ga_q + cs.a_coef * gb_q) ** inv_q
     )
-    w = inp.iv.width
-    bound = _finite_square("w^2/2", inp.iv, 0.5 * w * w) * cs.m ** (1.0 - inv_q) * bracket
-    return _finite_bound(bound, inp.iv, inp.g_a, inp.g_b)
+    return _finite_bound(half_w2 * cs.m ** (1.0 - inv_q) * bracket, iv, g_a, g_b)
 
 
 def corollary_bound_q1(iv: Interval, lam: float, g_a: float, g_b: float) -> float:
@@ -269,18 +294,37 @@ def sweep_rows(
 
     The work that does not depend on lam is done once, in this order: |f''|
     at the ends, every bound (cheap, so an overflowing |f''|^q fails before
-    any quadrature or scan; the coefficients are taken once per lam), f at
-    a, b and the midpoint with int_a^b f, and, unless skip_membership labels
-    every row Unchecked, one membership decision per q
-    (qclass.bound_memberships).
+    any quadrature or scan), f at a, b and the midpoint with int_a^b f, and,
+    unless skip_membership labels every row Unchecked, one membership
+    decision per q (qclass.bound_memberships).
+
+    Each piece of a bound is done at the level it depends on: per q, the q
+    check, 1/q and the weight powers (_q_parts); per lam, the coefficients
+    and |E(lam, f)|; per row, only M^(1-1/q), the bracket and the bound's
+    overflow check (_bound_at); once, the weights' check and w^2/2. The
+    first lam's rows do each q's work as they meet it, with the weights'
+    check and w^2/2 at the first, so the first input error is the one that
+    checking each row in turn (BoundInput, then theorem_bound) would meet.
     """
     g_a, g_b = _endpoint_weights(e, iv)
-    cells = []
+    parts: list[tuple[float, float, float, float]] = []  # per q, in q_list's order
+    half_w2 = 0.0
+    by_lam = []
     for lam in lams:
-        cs = coefficient_set(lam)  # once per lam: every q and the regime read it
-        for q in q_list:
-            bound = _theorem_bound(cs, BoundInput(iv, lam, q, g_a, g_b))
-            cells.append((lam, q, cs.regime, bound))
+        cs = coefficient_set(lam)
+        if by_lam:
+            bounds = [_bound_at(cs, p, half_w2, iv, g_a, g_b) for p in parts]
+        else:  # the first lam
+            bounds = []
+            for q in q_list:
+                _check_q(q)
+                if not parts:
+                    _check_weight("g_a", g_a)
+                    _check_weight("g_b", g_b)
+                    half_w2 = _half_square(iv)
+                parts.append(_q_parts(q, g_a, g_b))
+                bounds.append(_bound_at(cs, parts[-1], half_w2, iv, g_a, g_b))
+        by_lam.append((lam, cs.regime, bounds))
     terms = functional_terms(e, iv)
     if skip_membership:
         status = dict.fromkeys(q_list, MembershipStatus.UNCHECKED)
@@ -290,9 +334,11 @@ def sweep_rows(
             q: MembershipStatus.CHECKED_PASS if passed else MembershipStatus.CHECKED_FAIL
             for q, passed in bound_memberships(e, iv, q_list).items()
         }
+    statuses = [status[q] for q in q_list]
     rows: list[BoundReport] = []
-    for lam, q, regime, bound in cells:
+    for lam, regime, bounds in by_lam:
         lhs_abs = abs(terms.at(lam))
-        ratio = lhs_abs / bound if bound > 0.0 else None
-        rows.append(BoundReport(lam, q, lhs_abs, bound, ratio, regime, status[q]))
+        for q, bound, q_status in zip(q_list, bounds, statuses):
+            ratio = lhs_abs / bound if bound > 0.0 else None
+            rows.append(BoundReport(lam, q, lhs_abs, bound, ratio, regime, q_status))
     return rows

@@ -3,8 +3,9 @@
 Subcommands: verify-identity, coeffs, bound, sweep, qclass, corpus.
 Exit codes: 0 success/pass, 1 property fail, 2 input error, 3 membership
 fail, 4 output I/O error. Data goes to stdout or --out; diagnostics to
-stderr, so pipelines stay clean. Machine-readable numbers use 17
-significant digits (round-trip safe), human summaries 6.
+stderr, so pipelines stay clean. CSV numbers use 17 significant digits
+and JSON numbers Python's shortest repr, both round-trip safe; human
+summaries use 6.
 
 main reads plain argv, COMMAND (--flag VALUE | --switch)*, from the command
 table _COMMANDS itself. argparse, built from the same table on first need,
@@ -34,6 +35,7 @@ if TYPE_CHECKING:
     import argparse
     from collections.abc import Sequence
 
+    from .bounds import BoundReport
     from .expressions import Node
 
 glbounds = sys.modules[__package__]  # the package, whose modules the handlers reach by name
@@ -102,7 +104,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
     cs = glbounds.coefficients.coefficient_set(args.lam)
     numbers = (("M", cs.m), ("A", cs.a_coef), ("B", cs.b_coef), ("C_q1", cs.c_q1))
     if args.json:
-        import json  # here and in sweep and corpus, the commands that write JSON
+        import json  # here, in corpus, and for a sweep that json must refuse
         print(json.dumps({**dict(numbers), "regime": cs.regime.value}))
     else:
         print(f"lambda = {_fmt6(args.lam)}")
@@ -137,21 +139,54 @@ def _probe_writable(path: str) -> None:
         os.remove(path)
 
 
-# a sweep row's columns in order, each with its value: the CSV header and
-# cells, and the keys and values of each JSON object
-_SWEEP_COLUMNS = (
-    ("lambda", lambda r: r.lam),
-    ("q", lambda r: r.q),
-    ("regime", lambda r: r.regime.value),
-    ("lhs_abs", lambda r: r.lhs_abs),
-    ("bound", lambda r: r.bound),
-    ("ratio", lambda r: r.ratio),
-    ("membership", lambda r: r.q_membership.value),
-)
+# a sweep row's columns in order: the CSV header, and the keys of each JSON object
+_SWEEP_COLUMNS = ("lambda", "q", "regime", "lhs_abs", "bound", "ratio", "membership")
 
 
-def _csv_cell(v: float | str | None) -> str:
-    return "" if v is None else v if isinstance(v, str) else _fmt17(v)
+def _sweep_content(rows: list[BoundReport], fmt: str) -> str:
+    """The text of a sweep file of rows in fmt, every row written from one
+    template built from _SWEEP_COLUMNS.
+
+    csv: a header line, then a line per row, numbers to 17 significant
+    digits and an empty ratio where the ratio is None. json: what
+    json.dumps(objects, indent=2, allow_nan=False) writes for an object per
+    row, numbers as float.__repr__ (json's own text for a finite float) and
+    a ratio that is None or not finite as null; json's ValueError where
+    another number is not finite, which strict JSON cannot write.
+    """
+    csv = fmt == "csv"
+    number, none = ("%.17g", "") if csv else ("%r", "null")
+    # the enum values are ASCII letters, which a JSON string holds as they are
+    enums = (*glbounds.coefficients.Regime, *glbounds.bounds.MembershipStatus)
+    texts = {m: m.value if csv else f'"{m.value}"' for m in enums}
+
+    def template(ratio: str) -> str:
+        slots = {"regime": "%s", "ratio": ratio, "membership": "%s"}
+        cells = [slots.get(name, number) for name in _SWEEP_COLUMNS]
+        if csv:
+            return ",".join(cells)
+        return "  {\n" + ",\n".join(f'    "{name}": {cell}' for name, cell in zip(_SWEEP_COLUMNS, cells)) + "\n  }"
+
+    full, empty = template(number), template(none)
+    lines = []
+    for lam, q, lhs_abs, bound, ratio, regime, status in rows:
+        # a CSV ratio that is not finite is written as one; JSON has no such number
+        if ratio is None or not (csv or math.isfinite(ratio)):
+            lines.append(empty % (lam, q, texts[regime], lhs_abs, bound, texts[status]))
+        else:
+            lines.append(full % (lam, q, texts[regime], lhs_abs, bound, ratio, texts[status]))
+    if csv:
+        return "\n".join([",".join(_SWEEP_COLUMNS), *lines]) + "\n"
+    content = "[\n" + ",\n".join(lines) + "\n]\n"
+    # float.__repr__ writes a number that is not finite as inf, -inf or nan,
+    # letters that no finite number, key or enum text holds
+    if "inf" in content or "nan" in content:
+        import json
+
+        # json's own error for the first of them in the rows' order, the one
+        # json.dumps of the rows' objects raises
+        json.dumps([(r.lam, r.q, r.lhs_abs, r.bound) for r in rows], indent=2, allow_nan=False)
+    return content
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -181,18 +216,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_IO_ERROR
     lams = [min(max(start + i * step, 0.0), 1.0) for i in range(int(span) + 1)]
     rows = glbounds.bounds.sweep_rows(e, iv, lams, q_list)
-    if args.format == "csv":
-        lines = [",".join(name for name, _ in _SWEEP_COLUMNS)]
-        lines += [",".join(_csv_cell(get(r)) for _, get in _SWEEP_COLUMNS) for r in rows]
-        content = "\n".join(lines) + "\n"
-    else:
-        import json
-        payload = [{name: get(r) for name, get in _SWEEP_COLUMNS} for r in rows]
-        for row in payload:
-            # strict JSON has no inf or nan: null stands for no finite ratio
-            if row["ratio"] is not None and not math.isfinite(row["ratio"]):
-                row["ratio"] = None
-        content = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    content = _sweep_content(rows, args.format)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(content)

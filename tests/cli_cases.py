@@ -24,9 +24,10 @@ from typing import NamedTuple
 class Case(NamedTuple):
     """One command and what it must give. Each check that is set must hold:
     the exit code; the whole stdout (out), or lines that stdout must hold,
-    each whole; the whole stderr (err), or a substring of it (err_has); and
-    a file the command writes, named relative to its working directory,
-    that must load as strict JSON (json_file)."""
+    each whole; the whole stderr (err), or a substring of it (err_has); a
+    file the command writes, named relative to its working directory, that
+    must load as strict JSON (json_file); and a file it writes, as (name,
+    content), whose bytes must be content's in UTF-8 (file)."""
 
     argv: list[str]
     code: int
@@ -35,10 +36,38 @@ class Case(NamedTuple):
     err: str | None = None
     err_has: str | None = None
     json_file: str | None = None
+    file: tuple[str, str] | None = None
 
 
 SINE = ["--a", "0.000001", "--b", "3.141592"]
 UNIT = ["--a", "0", "--b", "1"]
+
+# the sweep of x on [0, 1] at lambda 0, 1/2 and 1 and q 1 and 2: |E| and the
+# bound are 0 (no libm call, so on every platform), so no row has a ratio
+X_SWEEP = ["sweep", "--fn", "x", *UNIT, "--lambda-grid", "0:1:0.5", "--q", "1,2"]
+X_SWEEP_CSV = """\
+lambda,q,regime,lhs_abs,bound,ratio,membership
+0,1,Low,0,0,,CheckedPass
+0,2,Low,0,0,,CheckedPass
+0.5,1,Low,0,0,,CheckedPass
+0.5,2,Low,0,0,,CheckedPass
+1,1,High,0,0,,CheckedPass
+1,2,High,0,0,,CheckedPass
+"""
+X_SWEEP_JSON = "[\n" + ",\n".join(
+    f"""\
+  {{
+    "lambda": {lam},
+    "q": {q},
+    "regime": "{regime}",
+    "lhs_abs": 0.0,
+    "bound": 0.0,
+    "ratio": null,
+    "membership": "CheckedPass"
+  }}"""
+    for lam, regime in (("0.0", "Low"), ("0.5", "Low"), ("1.0", "High"))
+    for q in ("1.0", "2.0")
+) + "\n]\n"
 
 CASES = [
     # the entry point answers from outside the checkout
@@ -147,6 +176,14 @@ CASES = [
     # the strict parse
     Case(["sweep", "--fn", "sin(x)^22", "--a", "0", "--b", "3.141592653589793", "--lambda-grid", "0:0:1",
           "--q", "1", "--format", "json", "--out", "sweep.json"], 0, json_file="sweep.json"),
+    # each row of a sweep file is written from one template per format: a
+    # missing ratio is an empty CSV cell and a JSON null, and JSON numbers
+    # are Python's shortest repr (0.0), where CSV's have 17 significant
+    # digits (0); the files' exact bytes
+    Case([*X_SWEEP, "--out", "sweep.csv"], 0, err="sweep: wrote 6 rows to sweep.csv\n",
+         file=("sweep.csv", X_SWEEP_CSV)),
+    Case([*X_SWEEP, "--out", "sweep.json", "--format", "json"], 0, err="sweep: wrote 6 rows to sweep.json\n",
+         file=("sweep.json", X_SWEEP_JSON)),
     # names are ASCII, so 'π' is an unexpected character at offset 4 (it
     # used to end the request with an AttributeError traceback, exit 1)
     Case(["bound", "--fn", "sin(π*x)", *UNIT, "--lambda", "0", "--q", "1"], 2,
@@ -190,6 +227,16 @@ def mismatches(case: Case, code: int, out: str, err: str, directory: str) -> lis
                 json.load(f, parse_constant=_not_strict)
         except (OSError, ValueError) as exc:
             wrong.append(f"{case.json_file}: expected strict JSON, got {exc}")
+    if case.file is not None:
+        name, content = case.file
+        try:
+            with open(os.path.join(directory, name), "rb") as f:
+                got = f.read()
+        except OSError as exc:
+            wrong.append(f"{name}: expected {content!r}, got {exc}")
+        else:
+            if got != content.encode("utf-8"):
+                wrong.append(f"{name}: expected {content!r}, got {got.decode('utf-8', 'replace')!r}")
     return wrong
 
 

@@ -4,14 +4,17 @@ No program path uses them, so they live with the tests: a finite-difference
 second derivative for the jets, a sampled nonnegative-convexity witness for
 the corpus's Certified labels, the Hermite-Hadamard double inequality for
 convex entries, a printer for parse round trips, expressions of each
-shape nested to a given depth, the rows of pair bounds and their eager
-ranking, which the lazy one must reproduce, and the lam-major loop that
+shape nested to a given depth, the CLI's sweep files as CSV cells and
+json.dumps write them, which its row templates must reproduce, the rows of
+pair bounds and their eager ranking, which the lazy one must reproduce,
+and the lam-major loop that
 defines the Godunova-Levin scan, which the scan's pair walk must
 reproduce, with the plain four-field report (PlainReport) that scans are
 compared by. The loop has its own lams, points and memo of g, so it shares
 no code with the scan it checks.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -117,6 +120,36 @@ DEEP_SHAPES = {
     "sum in parentheses right of a product": (lambda n: "x*(" + "x+" * (n - 2) + "x)", lambda n: 2 * n - 2),
     "minus signs right of a power": (lambda n: "x^" + "-" * (n - 1) + "x", lambda n: n + 1),
 }
+
+
+SWEEP_COLUMNS = ("lambda", "q", "regime", "lhs_abs", "bound", "ratio", "membership")
+
+
+def _sweep_cells(r) -> tuple:
+    """A sweep row's (bounds.BoundReport) values, in SWEEP_COLUMNS' order."""
+    return (r.lam, r.q, r.regime.value, r.lhs_abs, r.bound, r.ratio, r.q_membership.value)
+
+
+def sweep_csv(rows) -> str:
+    """The sweep file of rows as CSV: a header line, then each cell as
+    format(v, ".17g"), as it is for a number, or empty for None."""
+    lines = [",".join(SWEEP_COLUMNS)]
+    lines += [
+        ",".join("" if v is None else v if isinstance(v, str) else format(v, ".17g") for v in _sweep_cells(r))
+        for r in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def sweep_json(rows) -> str:
+    """The sweep file of rows as JSON: json.dumps of an object per row, with a
+    ratio that is not finite made None; json's ValueError where another
+    number is not finite."""
+    payload = [dict(zip(SWEEP_COLUMNS, _sweep_cells(r))) for r in rows]
+    for row in payload:
+        if row["ratio"] is not None and not math.isfinite(row["ratio"]):
+            row["ratio"] = None
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def bound_rows(gx: list[float], sup: list[float]) -> list[list[float]]:

@@ -2,7 +2,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import glbounds
@@ -24,6 +24,8 @@ from glbounds import (
     sweep_rows,
     theorem_bound,
 )
+from glbounds.bounds import _weight_powers
+from glbounds.kernel import functional_terms
 from conftest import examples
 from oracles import hermite_hadamard_check
 
@@ -328,6 +330,58 @@ class TestSweepRows:
                 lhs_abs, bound, coefficient_set(r.lam).regime, status
             )
             assert r.ratio == (lhs_abs / bound if bound > 0.0 else None)
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(
+        st.sampled_from([
+            ("0.00001*x^2/2", UNIT),  # (1e-5)^q is below the normal range from q = 62
+            ("exp(x)", UNIT),  # e^q overflows from q = 710
+            ("x^4", UNIT),  # g_a = 0
+            ("x", UNIT),  # g_a = g_b = 0
+            ("exp(x)*sin(x)+1/(x+2)", Interval(0.0, 3.0)),
+            ("exp(x)", Interval(300.0, 301.0)),  # e^(300 q) overflows from q = 3
+        ]),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+        st.lists(st.one_of(st.floats(1.0, 8.0), st.sampled_from([1.0, 62.0, 100.0, 710.0, 1000.0])),
+                 min_size=1, max_size=4),
+    )
+    def test_rows_are_each_rows_own_bound_bit_for_bit(self, case, lams, qs):
+        """Each row's bound is theorem_bound's for its row alone, and its
+        lhs_abs is |E(lam)|, though the sweep takes each q's and each lam's
+        parts once."""
+        text, iv = case
+        e = parse(text)
+        q_list = tuple(qs)
+        rows = sweep_rows(e, iv, lams, q_list, skip_membership=True)
+        assert [(r.lam, r.q) for r in rows] == [(lam, q) for lam in lams for q in q_list]
+        g_a, g_b = abs(evaluate_jet2(e, iv.a)[2]), abs(evaluate_jet2(e, iv.b)[2])
+        terms = functional_terms(e, iv)
+        rescaled = any(_weight_powers(g_a, g_b, q)[2] != 1.0 for q in q_list)
+        event("weight powers rescaled" if rescaled else "not rescaled")
+        for r in rows:
+            assert r.bound.hex() == theorem_bound(BoundInput(iv, r.lam, r.q, g_a, g_b)).hex()
+            assert r.lhs_abs.hex() == abs(terms.at(r.lam)).hex()
+
+    @pytest.mark.parametrize(
+        "text,iv,lams,q_list,message",
+        [
+            # w^2/2 of [-1e200, 1e200] overflows; a bad lambda of the first
+            # row comes before it, one of a later lambda after it
+            ("x", Interval(-1e200, 1e200), [1.5, 0.5], (1.0,), "lambda must be in [0, 1], got 1.5"),
+            ("x", Interval(-1e200, 1e200), [0.5, 1.5], (1.0,), "w^2/2 overflows: the width of"),
+            ("x", Interval(-1e200, 1e200), [0.5], (0.5, 1.0), "q must be finite and >= 1, got 0.5"),
+            # the bound of 1e300*x^2 on [0, 1e10] overflows at every row; a bad
+            # q comes before it in its own first row, after it in a later one
+            ("1e300*x^2", Interval(0.0, 1e10), [0.5], (0.5, 1.0), "q must be finite and >= 1, got 0.5"),
+            ("1e300*x^2", Interval(0.0, 1e10), [0.5], (1.0, 0.5), "bound overflows: g_a = 2e+300"),
+            ("1e300*x^2", Interval(0.0, 1e10), [0.5, 1.5], (1.0,), "bound overflows: g_a = 2e+300"),
+        ],
+    )
+    def test_first_error_is_the_first_of_a_row_by_row_check(self, text, iv, lams, q_list, message):
+        """Errors come as checking each row in turn, lam-major, meets them:
+        lambda, q, the width, then the bound."""
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            sweep_rows(parse(text), iv, lams, q_list)
 
     def test_coefficients_are_taken_once_per_lambda(self, monkeypatch):
         lams = [0.0, 0.25, 0.5, 0.75, 1.0]

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import glbounds
@@ -28,11 +28,11 @@ from glbounds import (
     rhs_identity,
     theorem_bound,
 )
-from glbounds.cli import _COMMANDS, _parser, _read, main
+from glbounds.cli import _COMMANDS, _parser, _read, _sweep_content, main
 from glbounds.expressions import MAX_NESTING
 import cli_cases
 from conftest import examples
-from oracles import DEEP_SHAPES
+from oracles import DEEP_SHAPES, sweep_csv, sweep_json
 
 # E(0.3, exp) on [20, 20.01] and on [30, 31], from the closed form in 80-digit
 # decimals by bench/oracle.py, rounded to double
@@ -386,6 +386,33 @@ def _run_sweep(path, fmt=None, fn="x^2", a="0", b="1"):
     return main(argv)
 
 
+# numbers at the ends of the float range and where the two renderers'
+# texts could part: signed zeros, the least subnormal and the largest float
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16, 1e-7])
+_FINITE = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+_NOT_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+_REPORT = st.builds(
+    glbounds.bounds.BoundReport,
+    lam=_FINITE,
+    q=_FINITE,
+    lhs_abs=_FINITE,
+    bound=_FINITE,
+    ratio=st.one_of(st.none(), _FINITE, _NOT_FINITE),
+    regime=st.sampled_from(glbounds.Regime),
+    q_membership=st.sampled_from(glbounds.MembershipStatus),
+)
+
+
+@st.composite
+def _reports(draw):
+    """1 to 6 sweep rows; in half the lists, one row's lhs_abs or bound is not finite."""
+    rows = draw(st.lists(_REPORT, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i]._replace(**{draw(st.sampled_from(["lhs_abs", "bound"])): draw(_NOT_FINITE)})
+    return rows
+
+
 class TestSweep:
     def test_csv_schema_and_rows(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -469,6 +496,54 @@ class TestSweep:
                 monkeypatch.setattr(module, "integrate", counted)
         assert _run_sweep(tmp_path / "sweep.csv", fn="exp(x)*sin(x)+1/(x+2)", a="0", b="3") == 0
         assert calls == [Interval(0.0, 3.0)]
+
+    @pytest.mark.parametrize(
+        "argv,counts",
+        [
+            (["sweep", "--fn", "exp(x)", "--a", "0", "--b", "1", "--lambda-grid", "0:1:0.01", "--q", "1,2,3",
+              "--out", "sweep.csv"], (3, 101, 101)),
+            (["bound", "--fn", "exp(x)", "--a", "0", "--b", "1", "--lambda", "0.3", "--q", "2"], (1, 1, 1)),
+        ],
+        ids=["sweep-101x3", "bound"],
+    )
+    def test_work_is_done_once_per_q_and_per_lambda(self, argv, counts, tmp_path, monkeypatch, capsys):
+        """The weight powers are taken once per q, the coefficients and E(lambda) once per lambda."""
+        monkeypatch.chdir(tmp_path)
+        calls = {"_weight_powers": 0, "coefficient_set": 0, "at": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def count(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, count)
+
+        counted(glbounds.bounds, "_weight_powers")
+        counted(glbounds.bounds, "coefficient_set")
+        counted(glbounds.kernel.FunctionalTerms, "at")
+        assert main(argv) == 0
+        assert (calls["_weight_powers"], calls["coefficient_set"], calls["at"]) == counts
+
+    @settings(max_examples=examples(300), deadline=None)
+    @given(rows=_reports())
+    def test_templates_write_what_the_oracle_renderers_write(self, rows):
+        """Each format's rows, written from its template, are the bytes of
+        the oracle's renderer (CSV cells through format(v, '.17g'), JSON
+        through json.dumps), or raise the same ValueError: a change to json's
+        float text or error in any Python that CI runs fails here."""
+
+        def written(render):
+            try:
+                return render()
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+        assert written(lambda: _sweep_content(rows, "csv")) == written(lambda: sweep_csv(rows))
+        json_text = written(lambda: sweep_json(rows))
+        event("JSON " + ("raises" if json_text.startswith("ValueError") else "written"))
+        assert written(lambda: _sweep_content(rows, "json")) == json_text
 
     def test_json_format(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"

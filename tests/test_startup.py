@@ -53,6 +53,14 @@ def test_coeffs_json_loads_json():
     assert _loaded_after(["coeffs", "--lambda", "0.5", "--json"]) == ["json"]
 
 
+def test_sweep_json_loads_no_json(tmp_path):
+    # each row is written from a template; json is imported only to raise its
+    # error for a number that strict JSON cannot write
+    argv = ["sweep", "--fn", "exp(x)", "--a", "0", "--b", "1", "--lambda-grid", "0:1:0.5", "--q", "1,2",
+            "--out", str(tmp_path / "sweep.json"), "--format", "json"]
+    assert "json" not in _loaded_after(argv)
+
+
 def test_verify_identity_loads_none_of_them():
     assert _loaded_after(["verify-identity", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0.3"]) == []
 
