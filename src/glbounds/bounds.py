@@ -123,10 +123,12 @@ def _finite_square(name: str, iv: Interval, square: float) -> float:
 def _finite_bound(bound: float, iv: Interval, g_a: float, g_b: float) -> float:
     """bound, built from the weights g_a and g_b on iv, where it is finite.
 
-    Raises ValueError naming the weights where it overflows.
+    Raises ValueError naming the weights where it overflows, or is nan: a
+    width square that underflows to 0 times a weight term that overflows.
     """
-    if math.isinf(bound):
-        raise ValueError(f"bound overflows: g_a = {g_a!r}, g_b = {g_b!r} on [{iv.a!r}, {iv.b!r}]")
+    if not math.isfinite(bound):
+        what = "overflows" if math.isinf(bound) else "is nan (0 times inf)"
+        raise ValueError(f"bound {what}: g_a = {g_a!r}, g_b = {g_b!r} on [{iv.a!r}, {iv.b!r}]")
     return bound
 
 

@@ -238,18 +238,16 @@ def _cmd_qclass(args: argparse.Namespace) -> int:
     iv = glbounds.quadrature.Interval(args.a, args.b)
     grid = qclass.DEFAULT_GRID_N if args.grid is None else args.grid
     tol = qclass.DEFAULT_TOL if args.tol is None else args.tol
-    # read for the count and the ten largest margins; violations, which
-    # sorts every one, is never read
+    # a scan keeps the count and, by default, the ten largest margins: all that is printed
     if args.g is not None:
         rep = qclass.check_expression(_parse(args.g), iv, grid, tol)
     else:
         rep = qclass.membership_for_bound(_parse(args.fn), iv, args.q, grid, tol)
-    worst = rep.worst(10)  # read before printing, so that an error prints no partial report
     print(f"samples_checked = {rep.samples_checked}")
     print(f"violations      = {rep.count}")
     print(f"max_margin      = {_fmt17(rep.max_margin)}")
     print(f"passed          = {rep.passed}")
-    for v in worst:
+    for v in rep.kept:
         print(
             f"violation: x={_fmt17(v.x)} y={_fmt17(v.y)} lambda={_fmt17(v.lam)} "
             f"lhs={_fmt17(v.lhs)} rhs={_fmt17(v.rhs)}"

@@ -6,15 +6,16 @@ A nonnegative g on an interval belongs to the class when
 
 for all interior x, y and lam in (0, 1). Membership is only semidecidable by
 sampling: the scan walks midpoint grids (offset 1/(2n) from the endpoints, so
-refining the grid by an odd factor keeps every coarse triple), records every
-violating triple, and reports the worst margin seen. Passing is falsification
+refining the grid by an odd factor keeps every coarse triple), counts every
+violating triple, keeps the worst few, and reports the worst margin seen.
+Passing is falsification
 evidence, not proof; downstream consumers label it CheckedPass, never
 Certified.
 
 Membership is decided here only. check_godunova_levin is the one scan, of
 any callable g. check_expression (qclass --g) and membership_for_bound
 (qclass --fn) run it on g = f and on g = |f''|^q, with the enclosure of the
-expression as its bound, and return its record. bound_memberships answers,
+expression as its bound, and return its report. bound_memberships answers,
 for each q, whether the default-grid scan of |f''|^q passes, which is all
 that bound and sweep read, and runs no scan.
 
@@ -92,18 +93,16 @@ deterministic, and memory grows with the number of distinct points (about
 100 bytes each: up to 3 MB at n = 64 and 15 MB at n = 128, less where the
 walk stops early or its cells decide triples).
 
-Every scan returns one record, QClassReport, which keeps each violation
-once. A key recurs where grid points coincide (at large offsets) and where
-the check for negative values meets the walk's own triple (x, x, 1/2) at
-an odd grid; a dict keeps it once (0.0 and -0.0 compare equal), and a key
-that is read is dropped from the proven ones. Its readers take from it
-what they need: passed and count read no g; worst(k), all that the CLI's
-qclass prints with the count, makes Violations of only the k with the
-largest margins and reads g only at proven entries whose u reaches the
-k-th largest margin of the read ones; violations, sorted by (x, y, lam),
-reads g at every proven entry, anew at each read. A failing scan records
-thousands, and qclass never reads violations. A point read that late lies
-in a finite cell, so g raises nothing there.
+A scan keeps no record of its violations, whose number grows as n^3: its
+report, QClassReport, holds their count and the keep of them with the
+largest margins (10 by default, all that the CLI's qclass prints), taken
+from a heap as the walk meets them. A violation its cell proves gets g read
+at its point, and a place in the heap, only while its u reaches the least
+margin kept; that floor only rises, so a scan holds its memo and keep
+violations. Each violation is met once: the scan runs on the distinct grid
+values (at large offsets grid points coincide, and a repeated point would
+repeat its triples), and at an odd grid the check for negative values counts
+nothing, since the walk meets its triple (x, x, 1/2) at lam = 1/2.
 
 The triple (y, x, 1-lam) has the same point and the same right side as
 (x, y, lam), because float addition is commutative. So when a grid lam and
@@ -158,108 +157,36 @@ class Violation(NamedTuple):
         return self.lhs - self.rhs
 
 
-Record = dict[tuple[float, float, float], tuple[float, float]]  # (x, y, lam) -> (lhs or u, rhs)
-Records = tuple[Record, Record]  # (lone, paired)
-
-
 class QClassReport(NamedTuple):
-    """The record of one scan, with its readers (the module docstring).
-
-    read and proven each hold a pair (lone, paired) of records, which keep
-    each violation the walk found once, keyed by value on (x, y, lam): read
-    maps it to (lhs, rhs), where g was read at its point, and proven to
-    (u, rhs), where its cell proved it, u = fl(high - rhs) being at least its
-    margin. An entry of a paired record stands for its mirror (y, x, 1 - lam)
-    too, which has the same point and sides. No key is in both read and
-    proven.
-
-    The report holds the scan's g, and its readers read the lhs of a proven
-    entry where they need it, through a memo of their own: reading a report
-    may call g, but never changes the report. Two reports are equal where
-    samples_checked, max_margin and violations are, so comparing them reads
-    g at every proven entry; a violation's (x, y, lam) fixes its lhs and
-    rhs, and no two share one, so that is equality of the two sets of
-    violations. A report equals no other object and does not hash.
-    """
+    """The report of one scan: the samples_checked triples of the grid, the
+    first largest margin max_margin, the count of violations, each once, and
+    kept, the keep of them with the largest margins (check_godunova_levin),
+    ties in (x, y, lam) order, largest first. A report is a tuple of those
+    four fields."""
 
     samples_checked: int
     max_margin: float
-    read: Records
-    proven: Records
-    g: Callable[[float], float] | None
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QClassReport) and (
-            self.samples_checked, self.max_margin, self.violations
-        ) == (other.samples_checked, other.max_margin, other.violations)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    # typing.NamedTuple sets __eq__ on the class after making it, which keeps tuple's hash
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return (f"QClassReport(samples_checked={self.samples_checked!r}, "
-                f"max_margin={self.max_margin!r}, count={self.count!r})")
+    count: int
+    kept: tuple[Violation, ...]
 
     @property
     def passed(self) -> bool:
         return not self.count
 
-    @property
-    def count(self) -> int:
-        """The number of violations; reads no g."""
-        (lone, paired), (proven_lone, proven_paired) = self.read, self.proven
-        return len(lone) + len(proven_lone) + 2 * (len(paired) + len(proven_paired))
-
-    def _tuples(self, records: Records, reaching: float | None = None) -> Iterator[tuple[float, ...]]:
-        """(x, y, lam, lhs, rhs) of each violation of records, mirrors
-        included: read entries as they are where reaching is None, and
-        otherwise proven ones whose u is at least reaching, their lhs read
-        with g at their point."""
-        memo = None if reaching is None else _PointMemo(self.g)
-        for record, mirrored in zip(records, (False, True)):
-            items = record.items()
-            if memo is not None:
-                items = [((x, y, lam), (memo[lam * x + (1.0 - lam) * y], rhs))
-                         for (x, y, lam), (u, rhs) in items if u >= reaching]
-            for (x, y, lam), (v, rhs) in items:
-                yield x, y, lam, v, rhs
-                if mirrored:
-                    yield y, x, 1.0 - lam, v, rhs
+    def worst(self, k: int) -> list[Violation]:
+        """The k violations with the largest margins, ties in (x, y, lam)
+        order: sorted(violations, key=lambda v: (-v.margin, v.x, v.y, v.lam))[:k].
+        Raises ValueError where the scan kept fewer than k of more."""
+        if k > len(self.kept) < self.count:
+            raise ValueError(f"the scan kept {len(self.kept)} of {self.count} violations, not {k}")
+        return list(self.kept[: max(k, 0)])
 
     @property
     def violations(self) -> tuple[Violation, ...]:
-        """Each violation once, sorted by (x, y, lam), as a Violation; every
-        lhs read, and sorted again at each read. (x, y, lam) fixes lhs and
-        rhs, so sorting the whole tuples sorts by it."""
-        found = [*self._tuples(self.read), *self._tuples(self.proven, -math.inf)]
-        return tuple(map(Violation._make, sorted(found)))
-
-    def worst(self, k: int) -> list[Violation]:
-        """The k violations with the largest margins, ties in (x, y, lam)
-        order: sorted(violations, key=lambda v: (-v.margin, v.x, v.y, v.lam))[:k],
-        with only those k made Violations.
-
-        rhs - lhs is -margin exactly (IEEE subtraction rounds a - b and b - a
-        alike), and a tuple's (x, y, lam) fixes its lhs and rhs (the scan
-        point and both sides are computed from them alone, g once per
-        point), so (rhs - lhs, tuple) orders the tuples as that key. A proven
-        entry's margin is at most its u, so g is read only at the proven
-        entries whose u reaches the k-th largest margin of the read ones.
-        """
-        import heapq
-
-        if k <= 0 or self.passed:
-            return []
-        known = list(self._tuples(self.read))
-        margins = heapq.nlargest(k, [lhs - rhs for _, _, _, lhs, rhs in known])
-        # a proven entry whose u is below floor has a margin below k known ones
-        floor = margins[-1] if len(margins) == k else -math.inf
-        known += self._tuples(self.proven, floor)
-        worst = heapq.nsmallest(k, known, key=lambda t: (t[4] - t[3], t))
-        return list(map(Violation._make, worst))
+        """Every violation, sorted by (x, y, lam), where the scan kept them
+        all; (x, y, lam) fixes lhs and rhs, so sorting the whole tuples sorts
+        by it."""
+        return tuple(sorted(self.worst(self.count)))
 
 
 Cells = list[tuple[float, float]]  # [lo, hi] of each cell
@@ -310,7 +237,8 @@ def _scan_grid(iv: Interval, n: int, tol: float) -> list[float]:
 
 
 def _cells(xs: list[float]) -> Cells:
-    """The n-1 cells of the scan with grid points xs (ascending, n >= 2).
+    """The n-1 cells of the scan with grid points xs (ascending and distinct),
+    or one cell [lows[0], highs[0]] where n = 1.
 
     Cell k (k = 0 ... n-2) is [lows[k], highs[k+1]], where lows[i] and
     highs[i] lie at least delta below and above x_i. Every scan point of x_i
@@ -333,12 +261,13 @@ def _cells(xs: list[float]) -> Cells:
     to j-1 together hold [lows[i], highs[j]], which holds every scan point
     of x_i and x_j (i < j). Cells i-1 and i each hold [lows[i], highs[i]],
     every scan point of x_i alone. That is n-1 cells, none reaching more
-    than delta past the pair it serves.
+    than delta past the pair it serves; the one cell of a lone point is
+    [lows[0], highs[0]], and serves as cell i-1 and cell i of x_0.
     """
     delta = 5.0 * math.ulp(max(abs(xs[0]), abs(xs[-1])))
     lows = [math.nextafter(x - delta, -math.inf) for x in xs]
     highs = [math.nextafter(x + delta, math.inf) for x in xs]
-    return list(zip(lows, highs[1:]))
+    return list(zip(lows, highs[1:] or highs))
 
 
 _SHRINK = 1.0 - 2.0**-50  # 1 - 8u (u = 2^-53): outweighs the roundings of s and s*s
@@ -526,22 +455,24 @@ def check_godunova_levin(
     grid_n: int = DEFAULT_GRID_N,
     tol: float = DEFAULT_TOL,
     bound: Bound | None = None,
+    *,
+    keep: int = 10,
 ) -> QClassReport:
     """Scan the defining inequality over a grid_n^3 triple grid, with the
     report and the error of a loop over lam, then x, then y.
 
     samples_checked counts the (x, y, lam) triples. A negative sample value is
-    itself a violation (the class contains nonnegative functions only) and is
-    recorded at the degenerate triple (x, x, 1/2). Each violation is recorded
-    with its evaluated sides, so borderline margins can be audited, and
-    violations reads them sorted by (x, y, lam). max_margin is the first
-    largest margin in the order lam, x, y (NaN margins, from g spanning
-    +-1e308, never count).
+    itself a violation (the class contains nonnegative functions only) at the
+    degenerate triple (x, x, 1/2). count is the number of distinct violating
+    triples, and kept holds the keep of them with the largest margins, with
+    their evaluated sides, so borderline margins can be audited (keep =
+    samples_checked keeps every one). max_margin is the first largest margin
+    in the order lam, x, y (NaN margins, from g spanning +-1e308, never
+    count).
 
     g is called once per distinct sample point the scan visits (the triples
     share 2n^2 to about 9n^2 points), so it must be deterministic; the values
-    are held until the scan returns, and the report holds g itself, which
-    its readers call at the proven entries. Raises ValueError naming x when g(x) is
+    are held until the scan returns. Raises ValueError naming x when g(x) is
     not finite (_PointMemo). Where g raises, or is not finite, at several
     points, the error is that of the first grid point in order, or, with
     none there, of the first point in the order lam, x, y.
@@ -551,57 +482,82 @@ def check_godunova_levin(
     adds its violations but can never raise max_margin (only a strictly
     larger margin does). Every triple still counts in samples_checked.
 
-    The scan walks the pairs of grid points in descending ratio-lemma bound
-    (_walk) and stops where no pair left can hold a violation or the first
-    largest margin; the report is the loop's, bit for bit. bound gives the
-    bounds: bound(cells), called once with the grid_n - 1 cells [lo, hi] of
-    _cells, is one pair (low, high) of g per cell, a tuple or any other
-    sequence of two floats: high an upper bound, inf on a cell where it
-    cannot give one (a NaN counts as inf), and low a lower bound, -inf where
-    it cannot (a NaN proves nothing). The scan hands the walk these pairs,
-    as tuples with a NaN high made inf, and nothing else of the bound. The
-    scan cannot derive them from g, which may be any callable: the entry
-    points below pass the enclosure of the expression behind g. A triple whose cell
-    proves it a violation reads no g; the report keeps u in place of its
-    lhs, and its readers read that lhs with g where they need it
-    (QClassReport), where g raises nothing, the cell being finite. Without a
-    bound every cell is (-inf, inf), and the walk visits every pair and
-    reads g at every point of each.
+    The scan walks the pairs of distinct grid points in descending
+    ratio-lemma bound (_walk) and stops where no pair left can hold a
+    violation or the first largest margin; the report is the loop's, bit for
+    bit. bound gives the bounds: bound(cells), called once with the cells
+    [lo, hi] of _cells (grid_n - 1 where no grid points coincide), is
+    one pair (low, high) of g per cell, a tuple or any other sequence of two
+    floats: high an upper bound, inf on a cell where it cannot give one (a
+    NaN counts as inf), and low a lower bound, -inf where it cannot (a NaN
+    proves nothing). The scan hands the walk these pairs, as tuples with a
+    NaN high made inf, and nothing else of the bound. The scan cannot derive
+    them from g, which may be any callable: the entry points below pass the
+    enclosure of the expression behind g. A triple whose cell proves it a
+    violation reads g only where it may be kept (_walk). Without a bound
+    every cell is (-inf, inf), and the walk visits every pair and reads g at
+    every point of each.
 
-    Raises ValueError where grid_n or tol is invalid, where the grid points
-    of iv pass the float range (a width above about 2.8e306 at grid_n = 64),
-    or where bound gives other than grid_n - 1 values.
+    Raises ValueError where grid_n, tol or keep is invalid, where the grid
+    points of iv pass the float range (a width above about 2.8e306 at
+    grid_n = 64), or where bound gives other than one value per cell.
     """
     n = grid_n
     xs = _scan_grid(iv, n, tol)
+    # each value once: at large offsets grid points coincide, and xs ascends
+    xs = xs[:1] + [y for x, y in zip(xs, xs[1:]) if y != x]
+    if keep < 0:
+        raise ValueError(f"keep must be >= 0, got {keep!r}")
     cells = _cells(xs)
-    ends: Sequence = [(-math.inf, math.inf)] * (n - 1)
+    ends: Sequence = [(-math.inf, math.inf)] * len(cells)
     if bound is not None:
         given = bound(cells)
-        if len(given) != n - 1:
-            raise ValueError(f"bound gave {len(given)} values for the {n - 1} cells of the grid")
+        if len(given) != len(cells):
+            raise ValueError(f"bound gave {len(given)} values for the {len(cells)} cells of the grid")
         ends = [(low, math.inf if math.isnan(high) else high) for low, high in given]
     memo = _PointMemo(g)
 
-    read: Records = ({}, {})
-    proven: Records = ({}, {})
-    max_margin = -math.inf
+    worst: list = []  # the heap of the kept violations (_keep)
+    count, max_margin = 0, -math.inf
     gx = [memo[x] for x in xs]
     for x, gv in zip(xs, gx):
         if gv < -tol:
             # 0.5*x + 0.5*x reproduces x exactly, so this re-checks soundly
             rhs = gv / 0.5 + gv / 0.5
-            read[0][x, x, 0.5] = gv, rhs
             max_margin = max(max_margin, gv - rhs)
+            if n % 2 == 0:  # at an odd grid the walk meets (x, x, 1/2) at lam = 1/2 and counts it
+                count += 1
+                _keep(worst, keep, gv - rhs, x, x, 0.5, gv, rhs, False)
 
-    walk = _walk(xs, cells, ends, memo, tol, max_margin, read, proven, gx)
-    # the walk's last yield, after its last pair, has the largest margin
-    for _, max_margin in walk:
+    found = 0
+    # the walk's last yield, after its last pair, has the largest margin and every violation
+    for _, max_margin, found in _walk(xs, n, cells, ends, memo, tol, max_margin, gx, worst, keep):
         pass
-    for found, proved in zip(read, proven):
-        for key in found.keys() & proved.keys():  # read too, at coinciding grid points
-            del proved[key]
-    return QClassReport(n * n * n, max_margin, read, proven, g)
+    kept = tuple(Violation._make((-x, -y, -lam, lhs, rhs)) for _, x, y, lam, lhs, rhs in sorted(worst, reverse=True))
+    return QClassReport(n * n * n, max_margin, count + found, kept)
+
+
+def _keep(worst: list, keep: int, m: float, x: float, y: float, lam: float, lhs: float, rhs: float,
+          paired: bool) -> float:
+    """Put the violation (x, y, lam, lhs, rhs) of margin m, and its mirror
+    (y, x, 1 - lam) where paired, among the keep largest of the heap worst,
+    and return the floor: the least margin kept once keep are (-inf before,
+    inf where keep is 0). An entry is (m, -x, -y, -lam, lhs, rhs), so the
+    heap's least is the one that sorted(..., key=lambda v: (-v.margin, v.x,
+    v.y, v.lam)) puts last; its (x, y, lam) fixes the rest."""
+    import heapq
+
+    for entry in ((m, -x, -y, -lam, lhs, rhs), (m, -y, -x, -(1.0 - lam), lhs, rhs))[: 1 + paired]:
+        if len(worst) < keep:
+            heapq.heappush(worst, entry)
+        elif worst and entry > worst[0]:
+            heapq.heapreplace(worst, entry)
+    return _floor(worst, keep)
+
+
+def _floor(worst: list, keep: int) -> float:
+    """The least margin of the heap worst of _keep, once it holds keep."""
+    return -math.inf if len(worst) < keep else worst[0][0] if worst else math.inf
 
 
 @cache
@@ -623,29 +579,32 @@ def _visits(n: int) -> tuple[tuple[float, bool], ...]:
 
 def _walk(
     xs: list[float],
+    n: int,
     cells: Cells,
     ends: Sequence[tuple[float, float]],
     memo: _PointMemo,
     tol: float,
     top: float,
-    read: Records,
-    proven: Records,
     lows: list[float],
-) -> Iterator[tuple[float, float]]:
-    """Visit the pairs (b, i, j) of grid points xs, i <= j, highest bound b
-    first (ranked_pairs, from g at xs, read through memo once it builds a
-    row, and the high ends of ends; lows, lower bounds of g at xs, key the
-    rows until then), each at every lam of _visits in both orders of its points,
-    and yield (b, top), the pair's bound and the largest margin so far,
-    once after each pair: a caller that stops at the first violation reads
-    the record between pairs, at the cost of the rest of that pair's
-    margins (63 at most at grid 64, two for each of its 32 visits). Margins
-    are as the lam-major loop that defines the scan computes them, and read
-    and proven, each (lone, paired), get the violations as QClassReport
-    keeps them: an entry of paired, for a lam whose mirror has no visit of
-    its own, stands for the mirror's too. Of margins tied at top (0.0 and
-    -0.0 compare equal), the first in lam-major order (visit, row, column)
-    is kept, as in that loop.
+    worst: list,
+    keep: int,
+) -> Iterator[tuple[float, float, int]]:
+    """Visit the pairs (b, i, j) of the grid points xs of grid n, i <= j
+    (distinct for a scan, so that it meets each violation once), highest
+    bound b first (ranked_pairs, from g at xs, read through memo once it
+    builds a row, and the high ends of ends; lows, lower bounds of g at xs,
+    key the rows until then), each at every lam of _visits(n) in both
+    orders of its points, and yield (b, top, count), the pair's bound, the
+    largest margin so far and the violations met so far, once after each
+    pair: a caller that stops at the first violation reads the count between
+    pairs, at the cost of the rest of that pair's margins (63 at most at
+    grid 64, two for each of its 32 visits). Margins are as the lam-major
+    loop that defines the scan computes them, and a violation at a lam
+    whose mirror has no visit of its own counts for the mirror's too, and
+    goes to the heap worst (_keep) with it where its margin reaches the
+    floor of the keep kept. Of margins tied at top (0.0 and -0.0 compare
+    equal), the first in lam-major order (visit, row, column) is kept, as
+    in that loop.
 
     The walk stops at the first pair with b <= tol and b < top: every margin
     of a pair is at most its bound (_bound_row), and no bound left is above
@@ -660,43 +619,39 @@ def _walk(
     A triple's own cell may decide it with no g read. ends[k] = (low_k,
     high_k) bounds g below and above on cell k of cells, the _cells of xs,
     high_k never NaN. The triple's point z lies at index position
-    lam*p + (1-lam)*q, so in cell k = p + floor((1-lam)*(q-p)) (n-2 where
-    that is n-1), which lo_k <= z <= hi_k confirms. There
+    lam*p + (1-lam)*q, so in cell k = p + floor((1-lam)*(q-p)) (the last
+    cell where that is past it), which lo_k <= z <= hi_k confirms. There
     low_k <= g(z) <= high_k, so by monotone rounding its margin
     m = fl(g(z) - rhs) lies between fl(low_k - rhs) and
     u = fl(high_k - rhs). Where u <= tol and u < top, the triple neither
     violates nor reaches top: the cell clears it. Where tol < u < top and
     fl(low_k - rhs) > tol, the triple violates, with m <= u < top, so it
     moves neither top nor the first place of a tie with it: the cell proves
-    it, and proven keeps (u, rhs) under its (x, y, lam); where pairs whose
-    grid points coincide prove it again, from another cell, any of their
-    u bounds its margin. Such a key may be read in another pair too; the
-    caller drops it from proven then, so that each counts once. high_k =
-    inf gives u = inf or NaN, which clears and proves nothing, and so does
-    a low_k of -inf or NaN: a cell where the enclosure behind the bound
-    declines decides no triple. The bounds rest on the enclosure's premise,
-    libm accurate to the 2^-50 that enclosure._LIBM_WIDEN widens by.
+    it, and g is read at z only where u reaches the floor of the kept ones,
+    which a margin below it cannot join. high_k = inf gives u = inf or NaN,
+    which clears and proves nothing, and so does a low_k of -inf or NaN: a
+    cell where the enclosure behind the bound declines decides no triple.
+    The bounds rest on the enclosure's premise, libm accurate to the 2^-50
+    that enclosure._LIBM_WIDEN widens by.
 
     A finite cell proves g finite, and raising nothing, at every point of
     the cell; a cell where the enclosure declines is inf. Every point the
     walk asks for lies in a cell of its pair, so a point where g raises
-    lies only in pairs with b = inf, which rank before every other pair,
-    and a point the walk does not read, cleared or proven, lies in a finite
-    cell: reading it later, as the report's readers do for a proven entry,
-    raises nothing. The walk meets the points in another order than the
-    loop, so where it raises it asks for them again in the loop's order, the
-    grid points first (a decision reads them only when its ranking builds a
-    row; a scan reads them before its walk), then each visit's lam, then x,
-    then y, at the walk's own point (the values it has cost nothing), and
-    the loop's first failing point raises.
+    lies only in pairs with b = inf, which rank before every other pair.
+    The walk meets the points in another order than the loop, so where it
+    raises it asks for them again in the loop's order, the grid points
+    first (a decision reads them only when its ranking builds a row; a scan
+    reads them before its walk), then each visit's lam, then x, then y, at
+    the walk's own point (the values it has cost nothing), and the loop's
+    first failing point raises.
     """
-    steps = [(v, lam, 1.0 - lam, read[paired], proven[paired])
-             for v, (lam, paired) in enumerate(_visits(len(xs)))]
-    # (lo, hi, low, high) of each cell, the last one again at index n-1
+    steps = [(v, lam, 1.0 - lam, paired) for v, (lam, paired) in enumerate(_visits(n))]
+    # (lo, hi, low, high) of each cell, the last one again past it
     table = [(lo, hi, low, high) for (lo, hi), (low, high) in zip(cells, ends)]
     table.append(table[-1])
     offsets: dict[int, list[int]] = {}  # q - p -> each visit's cell, less p
     at = (-1, 0, 0)  # where top is in lam-major order; -1 is before every visit
+    count, floor = 0, _floor(worst, keep)
     try:
         highs = [high for _, high in ends]
         for b, i, j in ranked_pairs(lows, highs, tol if top > tol else -math.inf, lambda: [memo[x] for x in xs]):
@@ -707,9 +662,9 @@ def _walk(
                 gp, gq = memo[xp], memo[xq]
                 offs = offsets.get(q - p)
                 if offs is None:
-                    offs = offsets[q - p] = [math.floor(clam * (q - p)) for _, _, clam, _, _ in steps]
+                    offs = offsets[q - p] = [math.floor(clam * (q - p)) for _, _, clam, _ in steps]
                 held = [table[p + o] for o in offs]
-                for (v, lam, clam, found, proved), (lo, hi, low, high) in zip(steps, held):
+                for (v, lam, clam, paired), (lo, hi, low, high) in zip(steps, held):
                     z = lam * xp + clam * xq
                     rhs = gp / lam + gq / clam
                     if lo <= z <= hi:
@@ -718,19 +673,24 @@ def _walk(
                             if u <= tol:  # the cell clears the triple
                                 continue
                             if low - rhs > tol:  # the cell proves a violation
-                                proved[xp, xq, lam] = u, rhs
+                                count += 1 + paired
+                                if u >= floor:  # its margin, at most u, may be kept
+                                    lhs = memo[z]
+                                    floor = _keep(worst, keep, lhs - rhs, xp, xq, lam, lhs, rhs, paired)
                                 continue
                     lhs = memo[z]
                     m = lhs - rhs
                     if m >= top and (m > top or (v, p, q) < at):
                         top, at = m, (v, p, q)
                     if m > tol:
-                        found[xp, xq, lam] = lhs, rhs
-            yield b, top
+                        count += 1 + paired
+                        if m >= floor:
+                            floor = _keep(worst, keep, m, xp, xq, lam, lhs, rhs, paired)
+            yield b, top, count
     except Exception:
         for x in xs:
             memo[x]
-        for _, lam, clam, _, _ in steps:
+        for _, lam, clam, _ in steps:
             for xp in xs:
                 for xq in xs:
                     memo[lam * xp + clam * xq]
@@ -738,14 +698,15 @@ def _walk(
 
 
 def check_expression(
-    e: Node, iv: Interval, grid_n: int = DEFAULT_GRID_N, tol: float = DEFAULT_TOL
+    e: Node, iv: Interval, grid_n: int = DEFAULT_GRID_N, tol: float = DEFAULT_TOL, *, keep: int = 10
 ) -> QClassReport:
     """Scan g = e itself, as its value closure computes it: qclass --g.
 
     The scan walks the pairs by the enclosure of g, its (low, high) on each
     cell, with the same report.
     """
-    return check_godunova_levin(_compile_value(e), iv, grid_n, tol, glbounds.enclosure.compile_value(e))
+    bound = glbounds.enclosure.compile_value(e)
+    return check_godunova_levin(_compile_value(e), iv, grid_n, tol, bound, keep=keep)
 
 
 def membership_for_bound(
@@ -754,6 +715,8 @@ def membership_for_bound(
     q: float,
     grid_n: int = DEFAULT_GRID_N,
     tol: float = DEFAULT_TOL,
+    *,
+    keep: int = 10,
 ) -> QClassReport:
     """Scan x -> |f''(x)|^q, the function whose membership the bound assumes:
     qclass --fn. The scan walks the pairs by the enclosure of |f''|, its
@@ -761,7 +724,7 @@ def membership_for_bound(
     """
     _check_q(q)
     d2 = glbounds.enclosure.compile_second_derivative(e)
-    return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, lambda cells: _q_ends(d2(cells), q))
+    return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, lambda cells: _q_ends(d2(cells), q), keep=keep)
 
 
 def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[float, bool]:
@@ -889,12 +852,12 @@ def _decide(e: Node, q: float, xs: list[float], cells: Cells, ends: list[tuple[f
     pair with a finite b, or at the end of the walk. No violation at all,
     or no pair to visit (the ratio lemma's proof), answers True.
     """
-    found: Record = {}  # every violation, read or proven: only whether there is one counts
     ends = _q_ends(ends, q)
-    # no margin is reported, so top starts at inf, where no margin reaches it
-    walk = _walk(xs, cells, ends, _PointMemo(_q_power(e, q)), DEFAULT_TOL, math.inf,
-                 (found, found), (found, found), _point_lows(ends))
-    for b, _ in walk:
+    # no margin is reported, so top starts at inf, where no margin reaches it; nothing is kept
+    walk = _walk(xs, DEFAULT_GRID_N, cells, ends, _PointMemo(_q_power(e, q)), DEFAULT_TOL, math.inf,
+                 _point_lows(ends), [], 0)
+    found = 0
+    for b, _, found in walk:
         if found and b < math.inf:  # every pair where g may raise is visited
             return False
     return not found

@@ -95,20 +95,25 @@ CASES = [
     Case(["qclass", "--fn", "sin(x)", "--q", "2", *SINE, "--grid", "31"], 1),
     # sine at q = 2 on its catalogue interval, grid 64: a triple whose own
     # enclosure cell proves it can neither violate nor raise max_margin,
-    # or proves it a violation below max_margin, reads no g, so the scan
-    # evaluates g at 458 points, the reads of the ten worst included
-    # (5,378 with every violation read, 10,177 with every point of each
-    # pair it visits); the report is unchanged, exit 1
+    # or proves it a violation below max_margin, reads no g, but where it
+    # may be among the ten worst kept, so the scan evaluates g at 439 points
+    # (5,378 with every violation kept, 10,177 with every point of each
+    # pair it visits read); the report is unchanged, exit 1
     Case(["qclass", "--fn", "sin(x)", "--q", "2", *SINE], 1,
          lines=("violations      = 14852", "max_margin      = 0.9970065722671122")),
-    # at 1e8 the 64 grid points of a 1.5e-7 wide interval are 11 floats: the
-    # walk records 262,208 violations, 7,755 of them distinct, each counted
-    # once, by value; exit 1
+    # at 1e8 the 64 grid points of a 1.5e-7 wide interval are 11 floats, and
+    # the scan runs on those 11: it meets each of the 7,755 distinct
+    # violations once (262,208 times on all 64 points); exit 1
     Case(["qclass", "--g", "0-1", "--a", "100000000", "--b", "100000000.00000015"], 1,
          lines=("violations      = 7755",)),
-    # at grid 9 the check for negative values records (x, x, 1/2), which the
-    # walk meets again at x's diagonal; the record keeps it once: 356, exit 1
+    # at grid 9 the walk meets (x, x, 1/2) at x's diagonal, so the check for
+    # negative values counts nothing of its own, and each counts once: 356, exit 1
     Case(["qclass", "--g", "x-0.5", *UNIT, "--grid", "9"], 1, lines=("violations      = 356",)),
+    # the bump at MAX_GRID_N: 3,947,320 violations, counted as the walk meets
+    # them with only the ten worst kept (the scan once held every one, 469 MB
+    # of peak RSS against about 21 MB); exit 1
+    Case(["qclass", "--g", "exp(-100*(x-0.5)^2)", *UNIT, "--grid", "256"], 1,
+         lines=("violations      = 3947320",)),
     # negative values start the largest margin above the tolerance, and the
     # margin only grows, so the walk ranks only the pairs above the tolerance
     # and ends with them; x - 0.5 calls no libm function, so the output is
@@ -151,6 +156,12 @@ CASES = [
     # the float range, so the bracket takes the powers of g/max(g_a, g_b)
     Case(["bound", "--fn", "exp(x)", *UNIT, "--lambda", "0.5", "--q", "1000", "--skip-membership"], 0,
          lines=("bound      = 0.0566905",), err=""),
+    # w^2/2 of a width of 1e-170 underflows to 0 and the bracket of the
+    # weights 1.7e308 at q = 100 overflows: 0 * inf is a nan bound, an input
+    # error (it used to print bound = nan and exit 0)
+    Case(["bound", "--fn", "8.5e307*x^2", "--a", "0", "--b", "1e-170", "--lambda", "1", "--q", "100",
+          "--skip-membership"], 2, out="",
+         err="error: bound is nan (0 times inf): g_a = 1.7e+308, g_b = 1.7e+308 on [0.0, 1e-170]\n"),
     # the quadrature's most sampled benchmark integral: 227 samples for
     # int_0^10 f with Gauss-Kronrod (7, 15); both sides agree, exit 0
     Case(["verify-identity", "--fn", "exp(x)*sin(x)+1/(x+2)", "--a", "0", "--b", "10", "--lambda", "0.75"], 0),

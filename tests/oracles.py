@@ -10,12 +10,14 @@ pair bounds and their eager ranking, which the lazy one must reproduce,
 and the lam-major loop that
 defines the Godunova-Levin scan, which the scan's pair walk must
 reproduce, with the plain four-field report (PlainReport) that scans are
-compared by. The loop has its own lams, points and memo of g, so it shares
+compared by, and the keep (EVERY) under which a scan keeps every violation.
+The loop has its own lams, points and memo of g, so it shares
 no code with the scan it checks.
 """
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
@@ -187,6 +189,11 @@ def ranked_pairs_eager(gx: list[float], sup: list[float], floor: float) -> list[
     return pairs
 
 
+# a scan's keep that keeps every violation, so that its report's violations
+# can be compared, as a whole set, with plain_scan's
+EVERY = sys.maxsize
+
+
 class PlainReport(NamedTuple):
     """What a scan reports, as plain fields: the record the oracles build,
     and what same_report and the suites' outcomes compare."""
@@ -199,7 +206,8 @@ class PlainReport(NamedTuple):
 
 def plain_report(rep) -> PlainReport:
     """The four fields of any scan's report: a qclass.QClassReport, whose
-    violations and passed are read from its record, or a PlainReport."""
+    violations it raises on where the scan kept fewer than all (keep=EVERY
+    keeps them all), or a PlainReport."""
     return PlainReport(rep.samples_checked, rep.violations, rep.max_margin, rep.passed)
 
 

@@ -110,6 +110,22 @@ class TestTheoremBound:
             theorem_bound(BoundInput(Interval(0.0, 1e100), 0.5, 2.0, 0.0, 1e150))
         assert theorem_bound(BoundInput(Interval(0.0, 10.0), 0.0, 1.0, 0.0, 1e306)) < math.inf
 
+    def test_a_nan_bound_is_an_input_error(self):
+        # w^2/2 of a width of 1e-170 underflows to 0, and the bracket of the
+        # weights 1.7e308 at lambda 1 and q = 100 overflows to inf: 0 * inf
+        # used to give a nan bound, printed with exit 0, and so did the q = 1 oracles
+        iv = Interval(0.0, 1e-170)
+        message = r"^bound is nan \(0 times inf\): g_a = 1\.7e\+308, g_b = 1\.7e\+308 on \[0\.0, 1e-170\]$"
+        with pytest.raises(ValueError, match=message):
+            theorem_bound(BoundInput(iv, 1.0, 100.0, 1.7e308, 1.7e308))
+        with pytest.raises(ValueError, match=message):
+            corollary_bound_q1(iv, 1.0, 1.7e308, 1.7e308)
+        for which, _, _ in PROP_SETTINGS[:4]:  # the q = 1 propositions, whose g_a + g_b overflows
+            with pytest.raises(ValueError, match=message):
+                proposition_bound(which, iv, 1.0, 1.7e308, 1.7e308)
+        # weights a tenth as large keep the bracket finite, and the bound is 0
+        assert theorem_bound(BoundInput(iv, 1.0, 100.0, 1.7e307, 1.7e307)) == 0.0
+
     def test_oracles_reject_an_overflowing_bound(self):
         iv, wide = Interval(0.0, 10.0), Interval(0.0, 1e100)
         message = r"^bound overflows: g_a = 0\.0, g_b = 1e\+308 on \[0\.0, 10\.0\]$"

@@ -17,7 +17,6 @@ import glbounds.enclosure
 from glbounds import (
     BoundInput,
     Interval,
-    QClassReport,
     Violation,
     check_expression,
     coefficient_set,
@@ -32,7 +31,7 @@ from glbounds.cli import _COMMANDS, _parser, _read, _sweep_content, main
 from glbounds.expressions import MAX_NESTING
 import cli_cases
 from conftest import examples
-from oracles import DEEP_SHAPES, sweep_csv, sweep_json
+from oracles import DEEP_SHAPES, EVERY, sweep_csv, sweep_json
 
 # E(0.3, exp) on [20, 20.01] and on [30, 31], from the closed form in 80-digit
 # decimals by bench/oracle.py, rounded to double
@@ -792,53 +791,46 @@ class TestQclassTopTen:
         printed = _printed_violations(capsys.readouterr().out)
         e, iv = parse("sin(x)"), Interval(0.000001, 3.141592)
         if source[0] == "--g":
-            rep = check_expression(e, iv)
+            rep = check_expression(e, iv, keep=EVERY)
         else:
-            rep = membership_for_bound(e, iv, float(source[3]))
+            rep = membership_for_bound(e, iv, float(source[3]), keep=EVERY)
         assert len(printed) == 10
         assert printed == _ten_worst(rep.violations)
 
     def test_tied_margins(self, monkeypatch, capsys):
-        self._tied_margins(monkeypatch, capsys, proven=False)
+        # g = -1: a margin depends on lam alone, so 128 violations tie at the
+        # largest, and the cut at ten falls among them; every one is read
+        self._tied_margins(monkeypatch, capsys, "0-1", 128, proven=False)
 
     def test_tied_margins_of_proven_entries(self, monkeypatch, capsys):
-        self._tied_margins(monkeypatch, capsys, proven=True)
+        # the cut at ten falls among three ties of 15.046354166666667, and
+        # cells prove some of the ten, whose g is read only to keep them
+        self._tied_margins(monkeypatch, capsys, "abs(x-0.5)-1", 4, proven=True)
 
     @staticmethod
-    def _tied_margins(monkeypatch, capsys, proven):
-        # margins 2.0 (six), 1.5 (five) and 0.25 (three), each from sides that
-        # differ: the cut at ten falls among the ties of 1.5, which must keep
-        # their (x, y, lam) order
-        margins = [1.5, 2.0, 0.25, 2.0, 1.5, 0.25, 2.0, 1.5, 2.0, 1.5, 2.0, 1.5, 2.0, 0.25]
-        violations = tuple(
-            Violation(float(k // 2), float(k % 2), 0.5, m + 0.5 * k, 0.5 * k) for k, m in enumerate(margins)
-        )
-        assert [v.margin for v in violations] == margins
-        # the scan's record, which qclass reads, in an order other than (x, y, lam):
-        # lam = 1/2 is unpaired; half-proven, each even k is a proven entry
-        # holding u = margin + 0.75 in place of lhs, its lhs read with g at
-        # its point (distinct over the even k) only where worst asks
-        lone, proven_lone, values, asked = {}, {}, {}, []
-        for k, (x, y, lam, lhs, rhs) in reversed(list(enumerate(violations))):
-            if proven and k % 2 == 0:
-                proven_lone[x, y, lam] = (lhs - rhs + 0.75, rhs)
-                values[lam * x + (1.0 - lam) * y] = lhs
-            else:
-                lone[x, y, lam] = (lhs, rhs)
-
-        def g(z):
-            asked.append(z)
-            return values[z]
-
-        rep = QClassReport(8, 2.0, (lone, {}), (proven_lone, {}), g)
-        monkeypatch.setattr(glbounds.qclass, "check_expression", lambda *args: rep)
-        assert main(["qclass", "--g", "x", "--a", "0", "--b", "1", "--grid", "2"]) == 1
+    def _tied_margins(monkeypatch, capsys, text, ties, proven):
+        """qclass --g text on [0, 1] at grid 8 prints the ten worst of every
+        violation, ties in (x, y, lam) order; ties of them share the tenth
+        margin. Where proven, some printed points are read by no scan that
+        keeps nothing."""
+        iv = Interval(0.0, 1.0)
+        every = check_expression(parse(text), iv, 8, keep=EVERY).violations
+        assert main(["qclass", "--g", text, "--a", "0", "--b", "1", "--grid", "8"]) == 1
         printed = _printed_violations(capsys.readouterr().out)
-        assert printed == _ten_worst(violations)
-        assert [Violation(*t).margin for t in printed] == [2.0] * 6 + [1.5] * 4
-        # seven entries are read, fewer than ten, so worst reads every proven one
-        assert sorted(asked) == ([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0] if proven else [])
-        assert rep.violations == tuple(sorted(violations, key=lambda v: (v.x, v.y, v.lam)))
+        assert printed == _ten_worst(every)
+        tenth = Violation(*printed[-1]).margin
+        assert sum(v.margin == tenth for v in every) >= ties and sum(v.margin > tenth for v in every) < 10
+        read = set()
+        value = glbounds.qclass._compile_value
+
+        def recorded(e):
+            f = value(e)
+            return lambda x: read.add(x) or f(x)
+
+        monkeypatch.setattr(glbounds.qclass, "_compile_value", recorded)
+        check_expression(parse(text), iv, 8, keep=0)
+        unread = [v for v in map(Violation._make, printed) if v.lam * v.x + (1.0 - v.lam) * v.y not in read]
+        assert bool(unread) is proven
 
 
 def _rendering(rep):
@@ -878,7 +870,8 @@ class TestQclassReadsTheScan:
         out = capsys.readouterr().out
         assert f"violations      = {count}\n" in out
         iv = Interval(float(source[3]), float(source[5]))
-        assert out == _rendering(check_expression(parse(source[1]), iv, int(source[7]) if len(source) > 6 else 64))
+        grid = int(source[7]) if len(source) > 6 else 64
+        assert out == _rendering(check_expression(parse(source[1]), iv, grid, keep=EVERY))
 
     @pytest.mark.parametrize("grid", [2, 9, 31, 64, 100, 101, 128])
     @pytest.mark.parametrize("source", [["--fn", "sin(x)", "--q", "1.878"], ["--g", "sin(x)"]], ids=["fn", "g"])
@@ -886,9 +879,9 @@ class TestQclassReadsTheScan:
         code = main(["qclass", *source, *_SINE, "--grid", str(grid)])
         e, iv = parse("sin(x)"), Interval(0.000001, 3.141592)
         if source[0] == "--g":
-            rep = check_expression(e, iv, grid)
+            rep = check_expression(e, iv, grid, keep=EVERY)
         else:
-            rep = membership_for_bound(e, iv, 1.878, grid)
+            rep = membership_for_bound(e, iv, 1.878, grid, keep=EVERY)
         assert (code, capsys.readouterr().out) == (0 if rep.passed else 1, _rendering(rep))
 
     def test_a_failing_scan_makes_ten_violations(self, monkeypatch, capsys):

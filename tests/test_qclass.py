@@ -46,6 +46,7 @@ from glbounds.qclass import (
 )
 from conftest import examples
 from oracles import (
+    EVERY,
     PlainReport,
     bound_rows,
     lam_major,
@@ -190,8 +191,8 @@ class TestCheck:
         # midpoint grids nest under odd refinement factors, so every coarse
         # triple reappears bitwise in the fine scan
         g = lambda x: math.sin(x)
-        coarse = check_godunova_levin(g, SINE_INTERVAL, grid_n=8)
-        fine = check_godunova_levin(g, SINE_INTERVAL, grid_n=24)
+        coarse = check_godunova_levin(g, SINE_INTERVAL, grid_n=8, keep=EVERY)
+        fine = check_godunova_levin(g, SINE_INTERVAL, grid_n=24, keep=EVERY)
         assert not coarse.passed
         coarse_triples = {(v.x, v.y, v.lam) for v in coarse.violations}
         fine_triples = {(v.x, v.y, v.lam) for v in fine.violations}
@@ -203,7 +204,7 @@ class TestCheck:
         assert rep.max_margin >= 3.0 - 1e-15
 
     def test_negative_region_recorded_at_degenerate_triple(self):
-        rep = check_godunova_levin(lambda x: x, Interval(-1.0, 1.0), grid_n=8)
+        rep = check_godunova_levin(lambda x: x, Interval(-1.0, 1.0), grid_n=8, keep=EVERY)
         assert not rep.passed
         degenerate = [v for v in rep.violations if v.x == v.y and v.lam == 0.5]
         assert degenerate
@@ -249,7 +250,7 @@ class TestCheck:
                 calls.append(len(cells))
                 return [(math.nan, math.nan) if nan_at(k) else (0.0, 1.0) for k in range(len(cells))]
 
-            rep = check_godunova_levin(g, SINE_INTERVAL, bound=bound)
+            rep = check_godunova_levin(g, SINE_INTERVAL, bound=bound, keep=EVERY)
             assert calls == [63]  # called once, on the 63 cells of grid 64
             assert same_report(rep, ref)
 
@@ -292,91 +293,84 @@ class TestViolation:
 
 
 class TestScanRecord:
-    """The scan's record holds each violation once, so the count that qclass
-    prints from it is the number of violations in the report."""
+    """The scan counts each violation once, so the count that qclass prints
+    is the number of violations, and keeps only the keep worst."""
 
     @pytest.mark.parametrize(
         "text,iv,grid_n,count",
         [
             # the check for negative values meets the walk's own (x, x, 1/2) at an odd grid
             ("x-0.5", UNIT_IV, 9, 356),
-            # 11 distinct grid points of 64: the walk meets each violation many times
+            # 11 distinct grid points of 64: the walk meets each violation once
             ("0-1", Interval(1e8, 100000000.00000015), 64, 7755),
         ],
         ids=["negative-values-at-an-odd-grid", "coinciding-grid-points"],
     )
     def test_repeats_are_recorded_once(self, text, iv, grid_n, count):
-        rep = check_expression(parse(text), iv, grid_n)
+        rep = check_expression(parse(text), iv, grid_n, keep=EVERY)
         assert rep.count == len(rep.violations) == len(set(rep.violations)) == count
+        assert same_report(rep, plain_scan(value_of(text), iv, grid_n))
+        assert check_expression(parse(text), iv, grid_n).count == count
 
-    def test_a_read_entry_wins_over_a_proven_one(self):
-        """At coinciding grid points one (x, y, lam) recurs in pairs whose
-        cells differ: some visits prove it and others read it. The report
-        keeps it once, as read, whichever came first."""
+    def test_coinciding_grid_points_are_scanned_once(self):
+        """At 1e8 the 64 grid points are 11 floats, and the scan runs on
+        those 11: the enclosure is asked for their 10 cells, and the report,
+        keeping the ten worst or all, is the plain loop's on all 64."""
         text = "x-100000000.0000001"  # negative at most grid points of COINCIDING
         e, iv = parse(text), COINCIDING
-        xs = _scan_grid(iv, 64, DEFAULT_TOL)
-        cells = _cells(xs)
-        ends = compile_value(e)(cells)
-        memo = _PointMemo(value_of(text))
-        read, proven, top = ({}, {}), ({}, {}), -math.inf
-        gx = [memo[x] for x in xs]
-        for x, gv in zip(xs, gx):  # the scan's check for negative values
-            if gv < -DEFAULT_TOL:
-                read[0][x, x, 0.5] = (gv, gv / 0.5 + gv / 0.5)
-                top = max(top, gv - (gv / 0.5 + gv / 0.5))
-        for _, top in _walk(xs, cells, ends, memo, DEFAULT_TOL, top, read, proven, gx):
-            pass
-        both = [found.keys() & proved.keys() for found, proved in zip(read, proven)]
-        assert sum(map(len, both)) == 62
-        rep = check_expression(e, iv, 64)
-        assert rep.read == read and rep.max_margin == top
-        assert rep.proven == tuple({key: proved[key] for key in proved.keys() - keys}
-                                   for proved, keys in zip(proven, both))
-        assert _outcome(lambda: rep) == _outcome(lambda: plain_scan(value_of(text), iv))
-        assert rep.count == len(rep.violations)
+        assert len(set(_scan_grid(iv, 64, DEFAULT_TOL))) == 11
+        asked = []
+        bound = compile_value(e)
+        rep = check_godunova_levin(value_of(text), iv, 64, DEFAULT_TOL,
+                                   lambda cells: asked.append(len(cells)) or bound(cells), keep=EVERY)
+        assert asked == [10]
+        assert same_report(rep, plain_scan(value_of(text), iv))
+        assert check_expression(e, iv, 64) == rep._replace(kept=rep.kept[:10])
 
-    def test_reading_a_report_changes_nothing(self):
-        """The readers call g at proven entries through a memo of their own:
-        a report equals the same scan's without cell bounds, which proves
-        nothing, before and after its violations are read, and its copy does
-        too. Assigning an attribute raises, and a report does not hash."""
+    def test_a_report_with_cell_bounds_equals_one_without(self):
+        """The cells prove most violations of the failing sine scan, and the
+        report equals the same scan's without cell bounds, which proves
+        nothing: every violation kept, or the ten worst. A report is a named
+        tuple; assigning a field raises."""
         e = parse("sin(x)")
-        rep = membership_for_bound(e, SINE_INTERVAL, 2.0)
-        plain = check_godunova_levin(_q_power(e, 2.0), SINE_INTERVAL)
-        assert any(rep.proven) and not any(plain.proven)
-        assert rep == plain
-        assert len(rep.violations) == rep.count == 14852
-        assert rep == plain == copy.copy(rep) and rep != plain.violations
+        rep = membership_for_bound(e, SINE_INTERVAL, 2.0, keep=EVERY)
+        plain = check_godunova_levin(_q_power(e, 2.0), SINE_INTERVAL, keep=EVERY)
+        assert rep == plain and len(rep.violations) == rep.count == 14852
+        ten = membership_for_bound(e, SINE_INTERVAL, 2.0)
+        assert ten == check_godunova_levin(_q_power(e, 2.0), SINE_INTERVAL) == rep._replace(kept=rep.kept[:10])
         with pytest.raises(AttributeError):
             rep.max_margin = 0.0
-        with pytest.raises(TypeError):
-            hash(rep)
 
     def test_a_report_pickles_and_copies_as_its_fields(self):
-        """A report is a named tuple: it copies and pickles, where its g
-        does, into a report equal to it, and assigning a field raises. It
-        does not equal the plain tuple of its fields."""
+        """A report is a named tuple of four fields: it copies and pickles
+        into a report equal to it, and equals the plain tuple of its fields.
+        worst and violations raise where asked for more than it kept."""
         rep = check_godunova_levin(math.sin, Interval(0.5, 9.0), 9)
-        assert rep.count == 243 and rep._fields == ("samples_checked", "max_margin", "read", "proven", "g")
-        assert rep != tuple(rep) and not tuple(rep) == rep
+        assert rep.count == 243 and rep._fields == ("samples_checked", "max_margin", "count", "kept")
+        assert rep == tuple(rep) and len(rep.kept) == 10
         for twin in (pickle.loads(pickle.dumps(rep)), copy.copy(rep)):
             assert twin == rep and twin.worst(10) == rep.worst(10)
         with pytest.raises(AttributeError):
             rep.max_margin = 0.0
+        with pytest.raises(ValueError, match="the scan kept 10 of 243 violations, not 11"):
+            rep.worst(11)
+        with pytest.raises(ValueError, match="the scan kept 10 of 243 violations, not 243"):
+            rep.violations
+        with pytest.raises(ValueError, match="keep must be >= 0, got -1"):
+            check_godunova_levin(math.sin, Interval(0.5, 9.0), 9, keep=-1)
 
     @pytest.mark.parametrize("grid_n", [2, 9, 31, 64, 100, 101, 128])
     @pytest.mark.parametrize("q", [1.878, None], ids=["fn", "g"])
     def test_sine_records_each_violation_once(self, q, grid_n):
         e = parse("sin(x)")
         if q is None:
-            rep = check_expression(e, SINE_INTERVAL, grid_n)
+            scan = lambda keep: check_expression(e, SINE_INTERVAL, grid_n, keep=keep)
         else:
-            rep = membership_for_bound(e, SINE_INTERVAL, q, grid_n)
-        (lone, paired), (proven_lone, proven_paired) = rep.read, rep.proven
-        count = len(lone) + len(proven_lone) + 2 * (len(paired) + len(proven_paired))
-        assert rep.count == count == len(rep.violations) == len(set(rep.violations))
-        assert len(rep.worst(10)) == min(10, count)
+            scan = lambda keep: membership_for_bound(e, SINE_INTERVAL, q, grid_n, keep=keep)
+        every, rep = scan(EVERY), scan(10)
+        assert rep.count == every.count == len(every.violations) == len(set(every.violations))
+        assert rep.kept == every.kept[:10] and len(rep.worst(10)) == min(10, rep.count)
+        assert scan(0) == rep._replace(kept=())
 
 
 class TestValidatingTypes:
@@ -486,10 +480,10 @@ def record_work(monkeypatch):
 
 
 def cleared_triples(monkeypatch, text, iv, grid_n, q):
-    """The record of the scan of qclass --g (q None) or --fn at q, and each
-    triple (p, r, lam, rhs) of a pair its walk visits whose point g was
-    never read at and which is no violation: a triple its cell cleared (its
-    cell proves the others)."""
+    """The report of the scan of qclass --g (q None) or --fn at q, keeping
+    no violation, and each triple (p, r, lam, rhs) of a pair its walk visits
+    whose point g was never read at and which is no violation: a triple its
+    cell cleared (its cell proves the others)."""
     read = set()
     value, q_power = glbounds.qclass._compile_value, glbounds.qclass._q_power
 
@@ -505,16 +499,17 @@ def cleared_triples(monkeypatch, text, iv, grid_n, q):
     taken = record_taken(monkeypatch)
     e = parse(text)
     if q is None:
-        scan, g = check_expression(e, iv, grid_n), value(e)
+        scan, g = check_expression(e, iv, grid_n, keep=0), value(e)
     else:
-        scan, g = membership_for_bound(e, iv, q, grid_n), q_power(e, q)
+        scan, g = membership_for_bound(e, iv, q, grid_n, keep=0), q_power(e, q)
     xs = _scan_grid(iv, grid_n, DEFAULT_TOL)
     gx = [g(x) for x in xs]
     [pairs] = taken
+    every = check_godunova_levin(g, iv, grid_n, keep=EVERY)
     if pairs and pairs[-1][0] <= DEFAULT_TOL and pairs[-1][0] < scan.max_margin:
         pairs = pairs[:-1]  # the pair the walk stops at, unvisited
-    by_scan = set(read)  # before violations reads the lhs of each proven entry
-    violations = {(v.x, v.y, v.lam) for v in scan.violations}
+    by_scan = set(read)  # with nothing kept, a proven violation reads no g
+    violations = {(v.x, v.y, v.lam) for v in every.violations}
     cleared = []
     for _, i, j in pairs:
         for p, r in {(i, j), (j, i)}:
@@ -569,12 +564,12 @@ def pruned_and_unpruned(text, iv, grid_n=64, q=None):
     e = parse(text)
     if q is None:
         g = ref_g = value_of(text)
-        covered = lambda: check_expression(e, iv, grid_n)
+        covered = lambda: check_expression(e, iv, grid_n, keep=EVERY)
     else:
         g, ref_g = _q_power(e, q), second_derivative_power(text, q)
-        covered = lambda: membership_for_bound(e, iv, q, grid_n)
+        covered = lambda: membership_for_bound(e, iv, q, grid_n, keep=EVERY)
     plain = _outcome(lambda: plain_scan(g, iv, grid_n))
-    outcomes = [_outcome(lambda: check_godunova_levin(g, iv, grid_n)), _outcome(covered)]
+    outcomes = [_outcome(lambda: check_godunova_levin(g, iv, grid_n, keep=EVERY)), _outcome(covered)]
     assert outcomes == [plain, plain]
     return ref_g, [rep for rep, _ in outcomes]
 
@@ -591,7 +586,7 @@ class TestAgainstPlainLoop:
         ref = reference_scan(g, entry.interval)
         assert math.inf not in enclosed(e, entry.interval, 64)[1]  # every cell bounded
         assert same_report(membership_report(name, q), ref)
-        assert same_report(check_godunova_levin(_q_power(e, q), entry.interval), ref)
+        assert same_report(check_godunova_levin(_q_power(e, q), entry.interval, keep=EVERY), ref)
         if (name, q) == ("sine", 1.0):
             assert len(ref.violations) == 3520
 
@@ -701,12 +696,12 @@ class TestAgainstPlainLoop:
                     k = min(p + math.floor((1.0 - lam) * (r - p)), n - 2)
                     missed += not cells[k][0] <= lam * xs[p] + (1.0 - lam) * xs[r] <= cells[k][1]
         assert missed == 377
-        memo = _PointMemo(g)
-        read, proven, top = ({}, {}), ({}, {}), -math.inf
+        memo, worst, top, count = _PointMemo(g), [], -math.inf, 0
         # keyed from the cells' lows of g, as a decision keys its rows, before g is read
-        for _, top in _walk(xs, cells, ends, memo, DEFAULT_TOL, top, read, proven, _point_lows(ends)):
+        for _, top, count in _walk(xs, n, cells, ends, memo, DEFAULT_TOL, top, _point_lows(ends), worst, EVERY):
             pass
-        found = dict.fromkeys(QClassReport(n**3, top, read, proven, g).violations)
+        found = {(-x, -y, -lam, lhs, rhs): None for _, x, y, lam, lhs, rhs in worst}  # _keep's entries
+        assert count == len(worst)
         # the lam-major loop on these points; g >= 0, so no negative value to check
         gx = [g(x) for x in xs]
         loop, loop_top = {}, -math.inf
@@ -1225,7 +1220,7 @@ class TestProof:
         xs = _scan_grid(iv, 64, DEFAULT_TOL)
         cells = _cells(xs)
         decided = _decide(e, q, xs, cells, compile_second_derivative(e)(cells))
-        rep = membership_for_bound(e, iv, q)
+        rep = membership_for_bound(e, iv, q, keep=EVERY)
         assert decided is rep.passed
         violating = {frozenset((v.x, v.y)) for v in rep.violations}
         holds = [frozenset((xs[i], xs[j])) in violating for _, i, j in taken[0]]
@@ -1395,6 +1390,75 @@ def _outcome(scan):
     return rep
 
 
+class TestBoundedReport:
+    """A scan keeps the count, max_margin and the ten worst violations, not
+    every violation: its memory is the memo of g and ten entries."""
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(
+        st.one_of(
+            # g < 0 on part of the grid, or all of it, and g or |f''|^q that fail
+            st.sampled_from([parse(t) for t in ("x-0.5", "0.1-x^2", "0-1", "sin(x)", "exp(-100*(x-0.5)^2)",
+                                                "sin(20000000*(x-100000000))")]),
+            _tree_strategy(),
+        ),
+        st.one_of(
+            _PROOF_ENDS,
+            st.sampled_from([(0.0, 1.0), (-1.0, 1.0), (0.000001, 3.141592)]),
+            # at 1e8 grid points coincide: the 64 of the first window are 11 floats
+            st.sampled_from([(1e8, 100000000.00000015), (1e8, 100000001.0)]),
+        ),
+        st.sampled_from([2, 9, 31, 64]),  # odd grids have lam = 1/2
+        st.one_of(st.none(), st.floats(1.0, 3.0)),
+    )
+    def test_the_default_report_is_the_plain_loops_count_and_ten_worst(self, e, ends, grid_n, q):
+        """count, max_margin (with the sign of a zero) and worst(10) of the
+        report of qclass --g (q None) or --fn at q, which keeps ten, are the
+        plain loop's number of violations, largest margin and first ten of
+        its violations sorted by (-margin, x, y, lam); errors are the
+        loop's."""
+        assume(ends[0] < ends[1])
+        iv = Interval(*ends)
+        if q is None:
+            g, scan = compile_expression(e)[0], lambda: check_expression(e, iv, grid_n)
+        else:
+            g, scan = _q_power(e, q), lambda: membership_for_bound(e, iv, q, grid_n)
+
+        def summary(rep, worst):
+            return rep.samples_checked, rep.max_margin, math.copysign(1.0, rep.max_margin), worst
+
+        def plain():
+            ref = plain_scan(g, iv, grid_n)
+            worst = sorted(ref.violations, key=lambda v: (-v.margin, v.x, v.y, v.lam))[:10]
+            return summary(ref, worst) + (len(ref.violations),)
+
+        def scanned():
+            rep = scan()
+            return summary(rep, rep.worst(10)) + (rep.count,)
+
+        got, want = _outcome(scanned), _outcome(plain)
+        assert got == want
+        event("error" if len(want) == 2 else "passes" if not want[-1] else
+              "fails, 1 to 10 violations" if want[-1] <= 10 else "fails, more than 10 violations")
+
+    def test_a_failing_scan_holds_the_memo_and_ten_violations(self):
+        """Under tracemalloc, the failing grid-64 bump scan (61,716
+        violations) peaks below 1 MB: its memo of g and the ten worst (a
+        record of every violation took 7.1 MB)."""
+        import tracemalloc
+
+        e = parse("exp(-100*(x-0.5)^2)")
+        check_expression(e, UNIT_IV, 8)  # the modules a scan loads, loaded untraced
+        tracemalloc.start()
+        try:
+            rep = check_expression(e, UNIT_IV)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.count == 61716 and len(rep.kept) == 10
+        assert peak < 1_000_000
+
+
 class TestPruning:
     """An enclosure changes no scan's report or error, and it does skip points."""
 
@@ -1410,12 +1474,12 @@ class TestPruning:
         iv = Interval(*ends)
         if q is None:  # qclass --g
             g = compile_expression(e)[0]
-            pruned = lambda: check_expression(e, iv, grid_n)
+            pruned = lambda: check_expression(e, iv, grid_n, keep=EVERY)
         else:  # qclass --fn
             g = _q_power(e, q)
-            pruned = lambda: membership_for_bound(e, iv, q, grid_n)
+            pruned = lambda: membership_for_bound(e, iv, q, grid_n, keep=EVERY)
         plain = _outcome(lambda: plain_scan(g, iv, grid_n))
-        assert _outcome(pruned) == _outcome(lambda: check_godunova_levin(g, iv, grid_n)) == plain
+        assert _outcome(pruned) == _outcome(lambda: check_godunova_levin(g, iv, grid_n, keep=EVERY)) == plain
 
     @staticmethod
     def _scan_kinds(e, q):
@@ -1438,23 +1502,20 @@ class TestPruning:
         """check_godunova_levin with the enclosure's (low, high) cell bounds,
         which clear triples and prove violations in the pairs it visits, is
         check_godunova_levin with none, which reads every point of every
-        pair: record, readers and error, bit for bit. The count and passed
-        read no g; violations and worst(10) read the lhs of each proven entry
-        they need."""
+        pair: report and error, bit for bit, keeping the ten worst or every
+        violation."""
         e, ends = case
         assume(ends[0] < ends[1])
         iv = Interval(*ends)
         g, bound = self._scan_kinds(e, q)
 
         def record(bound):
-            rep = check_godunova_levin(g, iv, grid_n, DEFAULT_TOL, bound)
-            sign = math.copysign(1.0, rep.max_margin)
-            outcome = rep.samples_checked, rep.count, rep.passed, rep.max_margin, sign
-            return outcome + (rep.violations, rep.worst(10), rep.worst(10))
+            reps = [check_godunova_levin(g, iv, grid_n, DEFAULT_TOL, bound, keep=keep) for keep in (10, EVERY)]
+            return reps, math.copysign(1.0, reps[0].max_margin)
 
         proved, read = _outcome(lambda: record(bound)), _outcome(lambda: record(None))
         assert proved == read
-        event("error" if len(read) == 2 else "passes" if read[2] else "fails")
+        event("error" if isinstance(read[0], type) else "passes" if read[0][0].passed else "fails")
 
     @pytest.mark.parametrize(
         "text,iv,grid_n,q,kind",
@@ -1469,22 +1530,29 @@ class TestPruning:
     )
     def test_list_pairs_scan_as_tuples(self, text, iv, grid_n, q, kind):
         """bound gives one pair (low, high) per cell, and a list of the two
-        floats is as good a pair as a tuple: record, readers and error, bit
-        for bit."""
+        floats is as good a pair as a tuple: report, points read and error,
+        bit for bit. Where the cells prove violations, keeping every one reads
+        g at points that keeping none leaves unread."""
         g, bound = self._scan_kinds(parse(text), q)
 
-        def record(bound):
-            rep = check_godunova_levin(g, iv, grid_n, DEFAULT_TOL, bound)
-            sign = math.copysign(1.0, rep.max_margin)
-            return rep.read, rep.proven, rep.max_margin, sign, rep.count, rep.violations, rep.worst(10)
+        def record(bound, keep):
+            read = set()
 
-        as_lists = _outcome(lambda: record(lambda cells: [list(pair) for pair in bound(cells)]))
-        as_tuples = _outcome(lambda: record(bound))
+            def point(x):
+                read.add(x.hex())
+                return g(x)
+
+            rep = check_godunova_levin(point, iv, grid_n, DEFAULT_TOL, bound, keep=keep)
+            return rep, math.copysign(1.0, rep.max_margin), read
+
+        as_lists = _outcome(lambda: record(lambda cells: [list(pair) for pair in bound(cells)], EVERY))
+        as_tuples = _outcome(lambda: record(bound, EVERY))
         assert as_lists == as_tuples
         if kind == "raises":
             assert len(as_tuples) == 2 and issubclass(as_tuples[0], Exception)
         else:
-            assert any(as_tuples[1]) is (kind == "proves") and (as_tuples[4] == 0) is (kind == "passes")
+            rep, _, read = as_tuples
+            assert (read > record(bound, 0)[2]) is (kind == "proves") and rep.passed is (kind == "passes")
 
     @settings(max_examples=examples(60), deadline=None)
     @given(
@@ -1492,40 +1560,41 @@ class TestPruning:
         st.sampled_from([9, 31, 64]),
         st.one_of(st.none(), st.floats(1.0, 3.0)),
     )
-    # visits whose cells differ prove the same key at coinciding grid points
+    # 11 distinct grid points of 64, each scanned once
     @example((parse("x-100000000.0000001"), (COINCIDING.a, COINCIDING.b)), 64, None)
-    def test_every_proven_entry_violates_within_its_u(self, case, grid_n, q):
-        """Each entry that its cell proved, once g is read at its point,
-        violates, with a margin at most the u it holds; a read entry holds
-        its lhs. Reading a proven entry's point raises nothing."""
+    def test_every_kept_violation_violates_with_its_sides(self, case, grid_n, q):
+        """Each violation the scan keeps, proven by its cell or read, holds
+        the lhs and rhs that g gives at its triple, and violates; the ten
+        kept by default are the first ten of every one kept."""
         e, ends = case
         assume(ends[0] < ends[1])
         iv = Interval(*ends)
         g, bound = self._scan_kinds(e, q)
         try:
-            rep = check_godunova_levin(g, iv, grid_n, DEFAULT_TOL, bound)
+            rep = check_godunova_levin(g, iv, grid_n, DEFAULT_TOL, bound, keep=EVERY)
         except (ExpressionError, ValueError, ArithmeticError):
             return
-        for records, is_proven in ((rep.read, False), (rep.proven, True)):
-            for (x, y, lam), (v, rhs) in (item for record in records for item in record.items()):
-                lhs = g(lam * x + (1.0 - lam) * y)
-                assert lhs - rhs > DEFAULT_TOL
-                assert lhs - rhs <= v if is_proven else lhs == v
-        event(f"proven: {'some' if any(rep.proven) else 'none'}")
+        assert rep.count == len(rep.kept)
+        for x, y, lam, lhs, rhs in rep.kept:
+            assert (lhs, rhs) == (g(lam * x + (1.0 - lam) * y), g(x) / lam + g(y) / (1.0 - lam))
+            assert lhs - rhs > DEFAULT_TOL
+        assert check_godunova_levin(g, iv, grid_n, DEFAULT_TOL, bound).kept == rep.kept[:10]
+        event(f"violations: {'some' if rep.count else 'none'}")
 
     @pytest.mark.parametrize(
         "argv,points",
         [
-            (["qclass", "--fn", "sin(x)", "--q", "2", "--a", "0.000001", "--b", "3.141592"], 458),
-            (["qclass", "--g", "sin(x)", "--a", "0.000001", "--b", "3.141592"], 170),
+            (["qclass", "--fn", "sin(x)", "--q", "2", "--a", "0.000001", "--b", "3.141592"], 439),
+            (["qclass", "--g", "sin(x)", "--a", "0.000001", "--b", "3.141592"], 171),
         ],
         ids=["fn-q2", "g"],
     )
     def test_failing_sine_scans_read_only_uncleared_points(self, monkeypatch, capsys, argv, points):
         """The g evaluations of the failing sine scans at grid 64, grid points
-        and the reads of worst(10) included: 5,378 (--fn) and 1,725 (--g)
-        with every violation read, and 10,177 and 4,195 with every point of
-        each visited pair read."""
+        and the reads of the proven violations that may be among the ten
+        worst included: 431 (--fn) and 167 (--g) keeping none, 5,378 and
+        1,725 keeping every violation, and 10,177 and 4,195 with every point
+        of each visited pair read."""
         work = record_work(monkeypatch)
         assert main(argv) == 1
         assert work["points"] == points
