@@ -295,7 +295,7 @@ def sweep_rows(
     """Bound reports for every (lam, q), lam-major; every BoundReport is built here.
 
     The work that does not depend on lam is done once, in this order: |f''|
-    at the ends, every bound (cheap, so an overflowing |f''|^q fails before
+    at the ends, every bound (cheap, so a bound that overflows fails before
     any quadrature or scan), f at a, b and the midpoint with int_a^b f, and,
     unless skip_membership labels every row Unchecked, one membership
     decision per q (qclass.bound_memberships).
@@ -303,10 +303,10 @@ def sweep_rows(
     Each piece of a bound is done at the level it depends on: per q, the q
     check, 1/q and the weight powers (_q_parts); per lam, the coefficients
     and |E(lam, f)|; per row, only M^(1-1/q), the bracket and the bound's
-    overflow check (_bound_at); once, the weights' check and w^2/2. The
-    first lam's rows do each q's work as they meet it, with the weights'
-    check and w^2/2 at the first, so the first input error is the one that
-    checking each row in turn (BoundInput, then theorem_bound) would meet.
+    overflow check (_bound_at); once, w^2/2, since _endpoint_weights returns
+    weights that are finite and >= 0. The first lam's rows do each q's work as
+    they meet it, with w^2/2 at the first, so the first input error is the one
+    that checking each row in turn (BoundInput, then theorem_bound) would meet.
     """
     g_a, g_b = _endpoint_weights(e, iv)
     parts: list[tuple[float, float, float, float]] = []  # per q, in q_list's order
@@ -321,8 +321,6 @@ def sweep_rows(
             for q in q_list:
                 _check_q(q)
                 if not parts:
-                    _check_weight("g_a", g_a)
-                    _check_weight("g_b", g_b)
                     half_w2 = _half_square(iv)
                 parts.append(_q_parts(q, g_a, g_b))
                 bounds.append(_bound_at(cs, parts[-1], half_w2, iv, g_a, g_b))

@@ -1441,6 +1441,16 @@ class TestBoundedReport:
         event("error" if len(want) == 2 else "passes" if not want[-1] else
               "fails, 1 to 10 violations" if want[-1] <= 10 else "fails, more than 10 violations")
 
+    def test_a_proven_violation_that_ties_the_least_kept_margin_is_kept(self):
+        """g = -1 with its exact bound (-1, -1) on every cell: each violation
+        is proven and its u is its margin. The 27 of grid 3 share three
+        margins, nine each, so the tenth kept is one of nine whose u equals
+        the least margin kept (at grid 8 the floor reaches top instead)."""
+        g, iv = lambda x: -1.0, Interval(0.0, 1.0)
+        rep = check_godunova_levin(g, iv, 3, 1e-12, lambda cells: [(-1.0, -1.0)] * len(cells))
+        ref = plain_scan(g, iv, 3)
+        assert rep.kept == tuple(sorted(ref.violations, key=lambda v: (-v.margin, v.x, v.y, v.lam))[:10])
+
     def test_a_failing_scan_holds_the_memo_and_ten_violations(self):
         """Under tracemalloc, the failing grid-64 bump scan (61,716
         violations) peaks below 1 MB: its memo of g and the ten worst (a
