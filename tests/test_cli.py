@@ -41,6 +41,21 @@ E_EXP_30 = 68763880758.238
 CSV_HEADER = "lambda,q,regime,lhs_abs,bound,ratio,membership"
 
 
+def _check_case(case, tmp_path, monkeypatch, capsys):
+    """Run a row of cli_cases.py through main, in tmp_path, and check it."""
+    monkeypatch.chdir(tmp_path)
+    code = main(case.argv)
+    captured = capsys.readouterr()
+    assert cli_cases.mismatches(case, code, captured.out, captured.err, str(tmp_path)) == []
+
+
+def _check_row(argv, tmp_path, monkeypatch, capsys):
+    """Check the one row of cli_cases.py whose argv is argv: a test that keeps
+    its name runs its row, so its pin is still written once, in the row."""
+    (case,) = [case for case in cli_cases.CASES if case.argv == argv]
+    _check_case(case, tmp_path, monkeypatch, capsys)
+
+
 class TestVerifyIdentity:
     def test_same_bytes_on_every_python(self, capsys):
         # each integral adds its panels left to right, and the rhs its two
@@ -76,6 +91,12 @@ class TestVerifyIdentity:
         assert abs(lhs_functional(e, iv, lam) - exact) <= lhs_rel * exact
         assert abs(rhs_identity(e, iv, lam) - exact) <= 1e-12 * exact
 
+    @pytest.mark.parametrize("fn", ["1", "sin(x)", "x^2", "exp(x)"])
+    def test_overflowing_midpoint_is_an_input_error(self, fn, tmp_path, monkeypatch, capsys):
+        # whatever f, the overflowing midpoint is the error
+        argv = ["verify-identity", "--fn", fn, "--a", "1e308", "--b", "1.7e308", "--lambda", "0.5"]
+        _check_row(argv, tmp_path, monkeypatch, capsys)
+
 
 class TestCoeffs:
     def test_json_keys_and_values(self, capsys):
@@ -96,6 +117,26 @@ class TestCoeffs:
         assert payload["B"] == 0.125
         assert payload["C_q1"] == 0.5
         assert payload["regime"] == "High"
+
+    def test_out_of_range(self, tmp_path, monkeypatch, capsys):
+        _check_row(["coeffs", "--lambda", "1.5"], tmp_path, monkeypatch, capsys)
+
+
+class TestLambdaError:
+    """Every command that takes one --lambda checks it with the package's one
+    lambda check: an input error with the same stderr line."""
+
+    ARGVS = {
+        "verify-identity": ["verify-identity", "--fn", "x^2", "--a", "0", "--b", "1"],
+        "coeffs": ["coeffs"],
+        "bound": ["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--q", "1"],
+        "bound skipped": ["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--q", "1", "--skip-membership"],
+    }
+
+    @pytest.mark.parametrize("lam", ["1.5", "nan"])
+    @pytest.mark.parametrize("argv", ARGVS.values(), ids=ARGVS.keys())
+    def test_out_of_range_is_one_input_error(self, argv, lam, tmp_path, monkeypatch, capsys):
+        _check_row([*argv, "--lambda", lam], tmp_path, monkeypatch, capsys)
 
 
 class TestBound:
@@ -127,6 +168,18 @@ class TestBound:
         assert captured.err == ""
         lhs_abs = float(captured.out.splitlines()[0].split(" = ")[1])
         assert lhs_abs == pytest.approx(E_EXP_30, rel=1e-5)  # 6 printed digits
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--fn", "sin(1e308*x)", "--a", "0.5", "--b", "1.5", "--lambda", "0.3", "--q", "1.5"],
+            ["bound", "--fn", "sin(1e308*x)", "--a", "0.5", "--b", "1.5", "--lambda", "0.3", "--q", "1.5",
+             "--skip-membership"],
+        ],
+    )
+    def test_non_finite_endpoint_weight_is_an_input_error(self, argv, tmp_path, monkeypatch, capsys):
+        # decided or skipped, the weight's own error
+        _check_row(argv, tmp_path, monkeypatch, capsys)
 
 
 def _run_sweep(path, fmt=None, fn="x^2", a="0", b="1"):
@@ -871,10 +924,7 @@ def _case_id(case):
 def test_cli_case(case, tmp_path, monkeypatch, capsys):
     """Each row of cli_cases.py through main, in process; CI runs the same
     rows through the installed glbounds, each in a fresh process."""
-    monkeypatch.chdir(tmp_path)
-    code = main(case.argv)
-    captured = capsys.readouterr()
-    assert cli_cases.mismatches(case, code, captured.out, captured.err, str(tmp_path)) == []
+    _check_case(case, tmp_path, monkeypatch, capsys)
 
 
 def test_no_two_cases_share_an_argv():
