@@ -15,7 +15,8 @@ the overflow check of the bound (_bound_at, which theorem_bound calls too).
 Unless membership is skipped, the labels come from one call,
 qclass.bound_memberships, which answers for each q as the default-grid
 scan of |f''|^q would, from an interval enclosure of |f''|, and runs no
-scan.
+scan. qclass is reached through the package at that call, so a bound that
+skips membership never imports it.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ import sys
 from enum import Enum
 from typing import NamedTuple
 
-from .coefficients import CoefficientSet, Regime, _check_lambda, coefficient_set
+from .coefficients import CoefficientSet, Regime, _check_lambda, _check_q, coefficient_set
 from .expressions import Node, _compile_jet
 from .kernel import functional_terms
-from .qclass import _check_q, bound_memberships
 from .quadrature import Interval
+
+glbounds = sys.modules[__package__]  # the package, through which qclass is reached
 
 __all__ = [
     "MembershipStatus",
@@ -332,7 +334,7 @@ def sweep_rows(
         # membership is a property of |f''|^q alone, so decide once per q
         status = {
             q: MembershipStatus.CHECKED_PASS if passed else MembershipStatus.CHECKED_FAIL
-            for q, passed in bound_memberships(e, iv, q_list).items()
+            for q, passed in glbounds.qclass.bound_memberships(e, iv, q_list).items()
         }
     statuses = [status[q] for q in q_list]
     rows: list[BoundReport] = []

@@ -18,8 +18,8 @@ attributes, as in `glbounds.bounds.sweep_rows(...)`. So a function that a
 test or bench/tracer.py replaces in its home module is the one called;
 parse is the exception (see _parse). So coeffs loads glbounds.coefficients
 alone, and verify-identity the kernel and the modules it imports. bound and
-sweep need bounds, which imports qclass, the kernel and the modules they
-import.
+sweep need bounds, which imports the kernel and the modules it imports, and
+reaches qclass only to decide membership.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not q_list:
         raise ValueError("q list must be non-empty")
     for q in q_list:
-        glbounds.qclass._check_q(q)
+        glbounds.coefficients._check_q(q)
     e = _parse(args.fn)
     # fail on an unwritable --out before any scan runs, and leave no trace
     try:

@@ -25,6 +25,11 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be in [0, 1], got {lam!r}")
 
 
+def _check_q(q: float) -> None:
+    if not (q >= 1.0 and math.isfinite(q)):
+        raise ValueError(f"q must be finite and >= 1, got {q!r}")
+
+
 class CoefficientSet(NamedTuple):
     m: float  # integral of |t (t - lam)| over [0, 1/2]: the power-mean prefactor base
     a_coef: float  # integral of |t (t - lam)| / t: the weight of |f''(a)|^q in the first radical

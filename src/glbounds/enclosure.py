@@ -18,7 +18,9 @@ tests/test_enclosure.py).
 Soundness holds by construction: the enclosure is the closure itself.
 glbounds.expressions writes each derivative rule, and the walk that strings
 them together, once for any arithmetic (_jet_rules, _jet_compiler), and here
-they run on a batch of cells, _Cells, in place of a float. A batch holds one
+they run on a batch of cells, _Cells, in place of a float. The float closures
+fold x and constants into their parents' rules by the same float operations;
+the cells take them as closures. A batch holds one
 interval per cell, and each of +, -, *, /, unary - and ** constant is one
 pass over the cells; so every float operation of the jet is an interval
 operation here, in the same order, on intervals holding its operands, but

@@ -46,11 +46,19 @@ Each derivative rule is written once (_jet_rules) for any arithmetic that
 supplies the elementary functions and the operators, and both jets take
 it; a power whose exponent depends on x is exp(e * ln b), built from that
 table's ln, product and exp rules.
+
+The float closures fold their leaves (_jet_compiler's fold): a rule reads
+an operand that is x or a constant inline, as its jet (x, 1.0, 0.0) or (c,
+0.0, 0.0), through the float operations and checked helpers of the closures
+it replaces, in their order. w*1.0 and c*0.0 stay: at -0.0, inf and nan they
+are no identities. Folding saves calls and changes no float and no error, so
+the enclosure, whose cells run the rules unfolded, still holds the closures'.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Callable, NamedTuple, Union
 
@@ -292,6 +300,15 @@ def _has_x(node: Node) -> bool:
     return isinstance(node, Var) or any(isinstance(n, tuple) and _has_x(n) for n in node)
 
 
+def _folding(both: Callable, c_first: Callable, c_last: Callable) -> Callable:
+    """A binary operator's rule: both(f, g) of two closures, and where the
+    walk folds a constant c, c_first(c, g) or c_last(f, c); beside the
+    constant of "+" and "-", g or f is x itself (the node Var())."""
+    return lambda f, g: (
+        c_first(f.value, g) if isinstance(f, Const) else c_last(f, g.value) if isinstance(g, Const) else both(f, g)
+    )
+
+
 def _jet_rules(sin, cos, exp, ln, sqrt, power, divide) -> dict[str, Callable]:
     """The jet's derivative rules, written once for any arithmetic.
 
@@ -299,37 +316,39 @@ def _jet_rules(sin, cos, exp, ln, sqrt, power, divide) -> dict[str, Callable]:
     power(b, c) for an exponent c free of x and divide(a, b, x) for the
     first quotient of a division at x; the rules do everything else with
     the operands' own operators, in the order written. A call's rule maps
-    the jet (u, u', u'') of its argument to its own; the others map operand
-    closures to the node's, x -> (f, f', f''): "apply" a call's (name,
-    rule, argument), "neg", "^c" (base, literal exponent), "^g" (base, value
-    closure of an exponent free of x), "^x" (base, exponent: exp(e * ln b),
-    ln b taken first) and "+", "-", "*", "/".
+    the jet (u, u', u'') of its argument to its own, x's jet (u, 1.0, 0.0)
+    where it is given u alone; the others map operand
+    closures, or the leaves that _jet_compiler folds, to the node's closure,
+    x -> (f, f', f''): "apply" a call's (name, rule, argument), "neg", "^c"
+    (base, literal exponent), "^g" (base, value closure of an exponent free
+    of x), "^x" (base, exponent: exp(e * ln b), ln b taken first) and "+",
+    "-", "*", "/".
     """
 
-    def sin_jet(uv, u1, u2):
+    def sin_jet(uv, u1=1.0, u2=0.0):
         try:
             s, c = sin(uv), cos(uv)
         except ValueError:
             raise DomainError(f"sin of infinite argument {uv!r}") from None
         return (s, c * u1, -s * u1 * u1 + c * u2)
 
-    def cos_jet(uv, u1, u2):
+    def cos_jet(uv, u1=1.0, u2=0.0):
         try:
             s, c = sin(uv), cos(uv)
         except ValueError:
             raise DomainError(f"cos of infinite argument {uv!r}") from None
         return (c, -s * u1, -c * u1 * u1 - s * u2)
 
-    def exp_jet(uv, u1, u2):
+    def exp_jet(uv, u1=1.0, u2=0.0):
         w = exp(uv)
         return (w, w * u1, w * (u1 * u1 + u2))
 
-    def ln_jet(uv, u1, u2):
+    def ln_jet(uv, u1=1.0, u2=0.0):
         v = ln(uv)
         w1 = u1 / uv
         return (v, w1, u2 / uv - w1 * w1)
 
-    def sqrt_jet(uv, u1, u2):
+    def sqrt_jet(uv, u1=1.0, u2=0.0):
         w = sqrt(uv)
         w1 = 0.5 * u1 / w
         return (w, w1, (0.5 * u2 - w1 * w1) / w)
@@ -376,16 +395,52 @@ def _jet_rules(sin, cos, exp, ln, sqrt, power, divide) -> dict[str, Callable]:
             return (w, w1, w2)
         return jet
 
+    # mul and div with a constant c folded: its jet (c, 0.0, 0.0) read inline
+    def c_times(c, gj):
+        def jet(x):
+            bv, b1, b2 = gj(x)
+            return (c * bv, 0.0 * bv + c * b1, 0.0 * bv + 2.0 * 0.0 * b1 + c * b2)
+        return jet
+
+    def times_c(fj, c):
+        def jet(x):
+            av, a1, a2 = fj(x)
+            return (av * c, a1 * c + av * 0.0, a2 * c + 2.0 * a1 * 0.0 + av * 0.0)
+        return jet
+
+    def c_over(c, gj):
+        def jet(x):
+            bv, b1, b2 = gj(x)
+            w = divide(c, bv, x)
+            w1 = (0.0 - w * b1) / bv
+            return (w, w1, (0.0 - 2.0 * w1 * b1 - w * b2) / bv)
+        return jet
+
+    def over_c(fj, c):
+        def jet(x):
+            av, a1, a2 = fj(x)
+            w = divide(av, c, x)
+            w1 = (a1 - w * 0.0) / c
+            return (w, w1, (a2 - 2.0 * w1 * 0.0 - w * 0.0) / c)
+        return jet
+
     def apply(name, rule, fj):
+        if isinstance(fj, Var):
+            return rule  # a call of x: its rule's default jet of the argument is x's
         return lambda x: rule(*fj(x))
 
     def neg(fj):
+        if isinstance(fj, Var):
+            return lambda x: (-x, -1.0, -0.0)
+
         def jet(x):
             v, d1, d2 = fj(x)
             return (-v, -d1, -d2)
         return jet
 
     def power_c(bj, c):
+        if isinstance(bj, Var):
+            return lambda x: power_jet(x, 1.0, 0.0, c)
         return lambda x: power_jet(*bj(x), c)
 
     def power_g(bj, g):
@@ -398,10 +453,15 @@ def _jet_rules(sin, cos, exp, ln, sqrt, power, divide) -> dict[str, Callable]:
 
     return {"sin": sin_jet, "cos": cos_jet, "exp": exp_jet, "ln": ln_jet, "sqrt": sqrt_jet,
             "apply": apply, "neg": neg, "^c": power_c, "^g": power_g, "^x": power_x,
-            "+": add, "-": sub, "*": mul, "/": div}
+            # x + c, c + x, x - c and c - x: the jets of x and c read inline
+            "+": _folding(add, lambda c, _: lambda x: (c + x, 0.0 + 1.0, 0.0 + 0.0),
+                          lambda _, c: lambda x: (x + c, 1.0 + 0.0, 0.0 + 0.0)),
+            "-": _folding(sub, lambda c, _: lambda x: (c - x, 0.0 - 1.0, 0.0 - 0.0),
+                          lambda _, c: lambda x: (x - c, 1.0 - 0.0, 0.0 - 0.0)),
+            "*": _folding(mul, c_times, times_c), "/": _folding(div, c_over, over_c)}
 
 
-def _jet_compiler(rules: dict[str, Callable], const, var) -> Callable:
+def _jet_compiler(rules: dict[str, Callable], const, var, fold: bool = False) -> Callable:
     """node -> its closure, strung together from rules in one arithmetic:
     const(c) is a constant's closure and var is x's. rules holds a rule for
     each name in _CALLS, and "apply", "neg", "^c", "^g", "^x", "+", "-", "*"
@@ -409,7 +469,15 @@ def _jet_compiler(rules: dict[str, Callable], const, var) -> Callable:
 
     An exponent free of x goes to "^g" as its float value closure, evaluated
     at every x all the same, so that its errors name x.
+
+    With fold, the rule gets these operands as leaves, the nodes themselves:
+    x as the argument of a call, the base of "^c" and the operand of "neg";
+    x and a constant as the two operands of "+" and "-"; and a constant
+    operand of "*" and "/", the left one where both are.
     """
+
+    def operand(node: Node):
+        return node if fold and isinstance(node, Var) else walk(node)
 
     def walk(node: Node):
         if isinstance(node, Const):
@@ -417,30 +485,48 @@ def _jet_compiler(rules: dict[str, Callable], const, var) -> Callable:
         if isinstance(node, Var):
             return var
         if isinstance(node, Call):
-            return rules["apply"](node.func, rules[node.func], walk(node.arg))
+            return rules["apply"](node.func, rules[node.func], operand(node.arg))
         if isinstance(node, Neg):
-            return rules["neg"](walk(node.arg))
+            return rules["neg"](operand(node.arg))
         if isinstance(node, Pow):
-            b, e = walk(node.base), node.exponent
+            e = node.exponent
             if isinstance(e, Const):
-                return rules["^c"](b, e.value)
+                return rules["^c"](operand(node.base), e.value)
+            b = walk(node.base)
             if not _has_x(e):
                 return rules["^g"](b, _compile_value(e))
             return rules["^x"](b, walk(e))
         if not isinstance(node, Bin):
             raise TypeError(f"not an expression node: {node!r}")
-        return rules[node.op](walk(node.left), walk(node.right))
+        op, left, right = node
+        if fold and op in "+-" and {left.__class__, right.__class__} == {Var, Const}:
+            return rules[op](left, right)
+        if fold and op in "*/":
+            if isinstance(left, Const):
+                return rules[op](left, walk(right))
+            if isinstance(right, Const):
+                return rules[op](walk(left), right)
+        return rules[op](walk(left), walk(right))
 
     return walk
 
 
-def _call(name: str, rule: Callable, f: Callable) -> Callable[[float], float]:
+def _call(name: str, rule: Callable, f: Callable | Var) -> Callable[[float], float]:
+    if isinstance(f, Var) and rule not in (math.sin, math.cos):
+        return rule  # a call of x: the checked rule itself
+
     def call(x: float) -> float:
         try:
             return rule(f(x))
         except ValueError:  # math.sin and math.cos of inf; f raises none
             raise DomainError(f"{name} of infinite argument {f(x)!r}") from None
-    return call
+
+    def call_x(x: float) -> float:  # sin or cos of x
+        try:
+            return rule(x)
+        except ValueError:
+            raise DomainError(f"{name} of infinite argument {x!r}") from None
+    return call_x if isinstance(f, Var) else call
 
 
 def _variable_power(f: Callable, g: Callable) -> Callable[[float], float]:
@@ -454,19 +540,22 @@ def _variable_power(f: Callable, g: Callable) -> Callable[[float], float]:
 _VALUE_RULES = {
     "sin": math.sin, "cos": math.cos, "exp": _exp, "ln": _ln, "sqrt": _sqrt, "abs": abs,
     "apply": _call,
-    "neg": lambda f: lambda x: -f(x),
-    "^c": lambda f, c: lambda x: _power(f(x), c, False),
+    "neg": lambda f: operator.neg if isinstance(f, Var) else lambda x: -f(x),
+    "^c": lambda f, c: (lambda x: _power(x, c, False)) if isinstance(f, Var) else (
+        lambda x: _power(f(x), c, False)),
     "^g": lambda f, g: lambda x: _power(f(x), g(x), False),
     "^x": _variable_power,
-    "+": lambda f, g: lambda x: f(x) + g(x),
-    "-": lambda f, g: lambda x: f(x) - g(x),
-    "*": lambda f, g: lambda x: f(x) * g(x),
-    "/": lambda f, g: lambda x: _divide(f(x), g(x), x),
+    "+": _folding(lambda f, g: lambda x: f(x) + g(x), lambda c, _: lambda x: c + x, lambda _, c: lambda x: x + c),
+    "-": _folding(lambda f, g: lambda x: f(x) - g(x), lambda c, _: lambda x: c - x, lambda _, c: lambda x: x - c),
+    "*": _folding(lambda f, g: lambda x: f(x) * g(x),
+                  lambda c, g: lambda x: c * g(x), lambda f, c: lambda x: f(x) * c),
+    "/": _folding(lambda f, g: lambda x: _divide(f(x), g(x), x),
+                  lambda c, g: lambda x: _divide(c, g(x), x), lambda f, c: lambda x: _divide(f(x), c, x)),
 }
-_compile_value = _jet_compiler(_VALUE_RULES, lambda c: (lambda x: c), lambda x: x)
+_compile_value = _jet_compiler(_VALUE_RULES, lambda c: (lambda x: c), lambda x: x, True)
 
 
-def _abs_jet(uv: float, u1: float, u2: float) -> _Jet:
+def _abs_jet(uv: float, u1: float = 1.0, u2: float = 0.0) -> _Jet:
     if uv == 0.0:
         raise NonSmoothError("abs is not differentiable where its argument is 0")
     s = 1.0 if uv > 0.0 else -1.0
@@ -480,7 +569,7 @@ def _float_rules(exp, ln) -> dict[str, Callable]:
 # exp(e * ln b) takes the ln and exp rules with a power's error messages
 _POWER_RULES = _float_rules(lambda u: _exp(u, _POWER_OVERFLOW), lambda u: _ln(u, _BASE_DOMAIN))
 _JET_RULES = {**_float_rules(_exp, _ln), "abs": _abs_jet, "^x": _POWER_RULES["^x"]}
-_compile_jet = _jet_compiler(_JET_RULES, lambda c: (lambda x: (c, 0.0, 0.0)), lambda x: (x, 1.0, 0.0))
+_compile_jet = _jet_compiler(_JET_RULES, lambda c: (lambda x: (c, 0.0, 0.0)), lambda x: (x, 1.0, 0.0), True)
 
 
 def compile_expression(node: Node) -> tuple[Callable[[float], float], Callable[[float], _Jet]]:

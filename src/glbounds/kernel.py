@@ -93,7 +93,9 @@ def rhs_identity(e: Node, iv: Interval, lam: float) -> float:
     The integral is cut at t = 1/2 only (integrate_piecewise), where k
     changes branch; lam and 1 - lam are zeros of k, not kinks, so they need
     no cut. A QuadratureError from this integral, a sum past the float range
-    included, is raised again with a prefix saying that its panel is in t.
+    included, is raised again with a prefix saying that its panel is in t; a
+    sample that is not finite is named by its t and by the x = t a + (1 - t) b
+    where f'' was read.
     """
     _check_lambda(lam)
     w = iv.width
@@ -101,7 +103,11 @@ def rhs_identity(e: Node, iv: Interval, lam: float) -> float:
     try:
         total = integrate_piecewise(integrand, Interval(0.0, 1.0), [0.5])
     except QuadratureError as exc:
-        raise type(exc)(f"kernel integral over t in [0, 1]: {exc}") from exc
+        why = str(exc)
+        if getattr(exc, "sample", None):
+            t, y = exc.sample
+            why = f"function returned non-finite value {y!r} at t={t!r} (x={t * iv.a + (1.0 - t) * iv.b!r})"
+        raise type(exc)(f"kernel integral over t in [0, 1]: {why}") from exc
     return w * w * total
 
 

@@ -193,11 +193,6 @@ Cells = list[tuple[float, float]]  # [lo, hi] of each cell
 Bound = Callable[[Cells], Sequence[tuple[float, float]]]  # cells -> (low, high) of g on each
 
 
-def _check_q(q: float) -> None:
-    if not (q >= 1.0 and math.isfinite(q)):
-        raise ValueError(f"q must be finite and >= 1, got {q!r}")
-
-
 class _PointMemo(dict):
     """g at each distinct point it is asked for, keyed on the exact float.
 
@@ -722,7 +717,7 @@ def membership_for_bound(
     qclass --fn. The scan walks the pairs by the enclosure of |f''|, its
     (low, high) on each cell raised to q (_q_ends), with the same report.
     """
-    _check_q(q)
+    glbounds.coefficients._check_q(q)
     d2 = glbounds.enclosure.compile_second_derivative(e)
     return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, lambda cells: _q_ends(d2(cells), q), keep=keep)
 
@@ -769,7 +764,7 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     answers, and the first error raised, are the scans'.
     """
     for q in q_list:
-        _check_q(q)
+        glbounds.coefficients._check_q(q)
     xs = _scan_grid(iv, DEFAULT_GRID_N, DEFAULT_TOL)
     d2 = glbounds.enclosure.compile_second_derivative(e)
     hull = d2(_cells([xs[0], xs[-1]]))

@@ -83,7 +83,12 @@ class EvalBudgetError(QuadratureError):
 
 
 class NonFiniteValueError(QuadratureError):
-    """The sampled function returned inf or nan."""
+    """The sampled function returned inf or nan: sample is that (x, f(x)),
+    None where a sum or a midpoint is not finite."""
+
+    def __init__(self, message: str, sample: tuple[float, float] | None = None) -> None:
+        super().__init__(message)
+        self.sample = sample
 
 
 class _Interval(NamedTuple):
@@ -121,7 +126,7 @@ class Interval(_Interval):
 def _finite(x: float, y: float) -> float:
     """y, the sample f(x), checked to be finite."""
     if not math.isfinite(y):
-        raise NonFiniteValueError(f"function returned non-finite value {y!r} at x={x!r}")
+        raise NonFiniteValueError(f"function returned non-finite value {y!r} at x={x!r}", (x, y))
     return y
 
 

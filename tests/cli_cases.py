@@ -243,6 +243,11 @@ CASES = [
     *(Case(["verify-identity", "--fn", f"(x-{c})*ln(abs(x-{c}))", *UNIT, "--lambda", lam], 2, out="",
            err="error: ln of non-positive value 0.0\n")
       for c in ("0.25", "0.5") for lam in ("0", "0.3333333333333333", "0.75")),
+    # at t = 1 the kernel side reads f'' at x = a = 1e-300, where f'' = -1/x^2
+    # is -inf and k(1) = 0: the sample 0 * -inf is nan, named by its t and x
+    Case(["verify-identity", "--fn", "ln(x)", "--a", "1e-300", "--b", "1", "--lambda", "0.3"], 2, out="",
+         err="error: kernel integral over t in [0, 1]: function returned non-finite value nan "
+             "at t=1.0 (x=1e-300)\n"),
     # x^x on a negative base: the value closure's exp(e * ln b) takes ln of
     # the base first at f(-1), so the error is the power's, not ln's, exit 2
     Case(["verify-identity", "--fn", "x^x", "--a", "-1", "--b", "2", "--lambda", "0.3"], 2,

@@ -1,7 +1,8 @@
 """Independent helpers the suite checks the package against.
 
 No program path uses them, so they live with the tests: a finite-difference
-second derivative for the jets, a sampled nonnegative-convexity witness for
+second derivative for the jets, the recursive tree-walkers that the compiled
+value and jet closures must reproduce bit for bit, a sampled nonnegative-convexity witness for
 the corpus's Certified labels, the Hermite-Hadamard double inequality for
 convex entries, a printer for parse round trips, expressions of each
 shape nested to a given depth, the CLI's sweep files as CSV cells and
@@ -22,7 +23,18 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
-from glbounds.expressions import Bin, Call, Const, Neg, Node, Pow, Var, compile_expression
+from glbounds.expressions import (
+    Bin,
+    Call,
+    Const,
+    DomainError,
+    Neg,
+    Node,
+    NonSmoothError,
+    Pow,
+    Var,
+    compile_expression,
+)
 from glbounds.kernel import functional_terms
 from glbounds.qclass import _SHRINK, Violation, _bound_row, _row_parts
 from glbounds.quadrature import Interval, _finite
@@ -104,6 +116,223 @@ def to_text(node: Node) -> str:
     if isinstance(node, Call):
         return f"{node.func}({to_text(node.arg)})"
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# The recursive tree-walkers that compile_expression replaced, kept verbatim
+# (only the two entry points renamed) as the reference the closures must
+# reproduce bit for bit, errors included.
+
+
+def _contains_var(node: Node) -> bool:
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Const):
+        return False
+    if isinstance(node, Neg):
+        return _contains_var(node.arg)
+    if isinstance(node, Bin):
+        return _contains_var(node.left) or _contains_var(node.right)
+    if isinstance(node, Pow):
+        return _contains_var(node.base) or _contains_var(node.exponent)
+    return _contains_var(node.arg)
+
+
+def reference_evaluate(node, x):
+    """The recursive walker that compile_expression replaced, kept verbatim."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -reference_evaluate(node.arg, x)
+    if isinstance(node, Bin):
+        a = reference_evaluate(node.left, x)
+        b = reference_evaluate(node.right, x)
+        op = node.op
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if b == 0.0:
+            raise DomainError(f"division by zero at x={x!r}")
+        return a / b
+    if isinstance(node, Pow):
+        return _eval_pow(node, x)
+    if isinstance(node, Call):
+        return _eval_call(node.func, reference_evaluate(node.arg, x))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _eval_call(name: str, u: float) -> float:
+    if name in ("sin", "cos") and math.isinf(u):
+        raise DomainError(f"{name} of infinite argument {u!r}")
+    if name == "sin":
+        return math.sin(u)
+    if name == "cos":
+        return math.cos(u)
+    if name == "exp":
+        try:
+            return math.exp(u)
+        except OverflowError:
+            raise DomainError(f"exp overflow at argument {u!r}") from None
+    if name == "ln":
+        if u <= 0.0:
+            raise DomainError(f"ln of non-positive value {u!r}")
+        return math.log(u)
+    if name == "sqrt":
+        if u < 0.0:
+            raise DomainError(f"sqrt of negative value {u!r}")
+        return math.sqrt(u)
+    return abs(u)
+
+
+def _eval_pow(node: Pow, x: float) -> float:
+    base = reference_evaluate(node.base, x)
+    if _contains_var(node.exponent):
+        if base <= 0.0:
+            raise DomainError("power with variable exponent requires a positive base")
+        expo = reference_evaluate(node.exponent, x)
+        try:
+            return math.exp(expo * math.log(base))
+        except OverflowError:
+            raise DomainError("power overflow") from None
+    c = reference_evaluate(node.exponent, x)
+    if c.is_integer():
+        if base == 0.0 and c < 0.0:
+            raise DomainError("zero base with negative exponent")
+    else:
+        if base < 0.0:
+            raise DomainError("negative base with non-integer exponent")
+        if base == 0.0 and c < 0.0:
+            raise DomainError("zero base with negative exponent")
+    try:
+        return base**c
+    except OverflowError:
+        raise DomainError("power overflow") from None
+
+
+def reference_jet2(node, x):
+    """The recursive jet walker that compile_expression replaced, kept verbatim."""
+    return _jet(node, x)
+
+
+def _jet(node: Node, x: float) -> tuple[float, float, float]:
+    if isinstance(node, Const):
+        return (node.value, 0.0, 0.0)
+    if isinstance(node, Var):
+        return (x, 1.0, 0.0)
+    if isinstance(node, Neg):
+        v, d1, d2 = _jet(node.arg, x)
+        return (-v, -d1, -d2)
+    if isinstance(node, Bin):
+        av, a1, a2 = _jet(node.left, x)
+        bv, b1, b2 = _jet(node.right, x)
+        op = node.op
+        if op == "+":
+            return (av + bv, a1 + b1, a2 + b2)
+        if op == "-":
+            return (av - bv, a1 - b1, a2 - b2)
+        if op == "*":
+            return (av * bv, a1 * bv + av * b1, a2 * bv + 2.0 * a1 * b1 + av * b2)
+        if bv == 0.0:
+            raise DomainError(f"division by zero at x={x!r}")
+        w = av / bv
+        w1 = (a1 - w * b1) / bv
+        w2 = (a2 - 2.0 * w1 * b1 - w * b2) / bv
+        return (w, w1, w2)
+    if isinstance(node, Pow):
+        return _jet_pow(node, x)
+    if isinstance(node, Call):
+        return _jet_call(node.func, _jet(node.arg, x))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _jet_call(name: str, u: tuple[float, float, float]) -> tuple[float, float, float]:
+    uv, u1, u2 = u
+    if name in ("sin", "cos") and math.isinf(uv):
+        raise DomainError(f"{name} of infinite argument {uv!r}")
+    if name == "sin":
+        s = math.sin(uv)
+        c = math.cos(uv)
+        return (s, c * u1, -s * u1 * u1 + c * u2)
+    if name == "cos":
+        s = math.sin(uv)
+        c = math.cos(uv)
+        return (c, -s * u1, -c * u1 * u1 - s * u2)
+    if name == "exp":
+        try:
+            w = math.exp(uv)
+        except OverflowError:
+            raise DomainError(f"exp overflow at argument {uv!r}") from None
+        return (w, w * u1, w * (u1 * u1 + u2))
+    if name == "ln":
+        if uv <= 0.0:
+            raise DomainError(f"ln of non-positive value {uv!r}")
+        w1 = u1 / uv
+        return (math.log(uv), w1, u2 / uv - w1 * w1)
+    if name == "sqrt":
+        if uv < 0.0:
+            raise DomainError(f"sqrt of negative value {uv!r}")
+        if uv == 0.0:
+            raise NonSmoothError("sqrt is not differentiable at 0")
+        w = math.sqrt(uv)
+        w1 = 0.5 * u1 / w
+        return (w, w1, (0.5 * u2 - w1 * w1) / w)
+    # abs
+    if uv == 0.0:
+        raise NonSmoothError("abs is not differentiable where its argument is 0")
+    s = 1.0 if uv > 0.0 else -1.0
+    return (abs(uv), s * u1, s * u2)
+
+
+def _jet_pow(node: Pow, x: float) -> tuple[float, float, float]:
+    bv, b1, b2 = _jet(node.base, x)
+    if _contains_var(node.exponent):
+        if bv <= 0.0:
+            raise DomainError("power with variable exponent requires a positive base")
+        ev, e1, e2 = _jet(node.exponent, x)
+        # w = exp(e * ln b)
+        lv = math.log(bv)
+        l1 = b1 / bv
+        l2 = b2 / bv - l1 * l1
+        pv = ev * lv
+        p1 = e1 * lv + ev * l1
+        p2 = e2 * lv + 2.0 * e1 * l1 + ev * l2
+        try:
+            w = math.exp(pv)
+        except OverflowError:
+            raise DomainError("power overflow") from None
+        return (w, w * p1, w * (p1 * p1 + p2))
+    c = reference_evaluate(node.exponent, x)
+    if c.is_integer():
+        if bv == 0.0 and c < 0.0:
+            raise DomainError("zero base with negative exponent")
+    else:
+        if bv < 0.0:
+            raise DomainError("negative base with non-integer exponent")
+        if bv == 0.0:
+            if c < 0.0:
+                raise DomainError("zero base with negative exponent")
+            if c < 2.0:
+                raise NonSmoothError(
+                    "power of zero base with exponent in (0, 2) is not twice differentiable"
+                )
+    try:
+        v = bv**c
+        d1 = 0.0
+        d2 = 0.0
+        if c != 0.0:
+            t1 = c * bv ** (c - 1.0)
+            d1 = t1 * b1
+            d2 = t1 * b2
+            c2 = c * (c - 1.0)
+            if c2 != 0.0:
+                d2 += c2 * bv ** (c - 2.0) * b1 * b1
+    except OverflowError:
+        raise DomainError("power overflow") from None
+    return (v, d1, d2)
 
 
 # Each shape nested n levels deep: its text, and the offset of the level past

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-import glbounds.bounds
 import glbounds.enclosure
 import glbounds.qclass
 from glbounds.cli import main
@@ -149,7 +148,7 @@ def test_proofs_leave_every_benchmark_byte_alone(bench_on_path, tmp_path, monkey
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(glbounds.bounds, "bound_memberships", recorded)
+    monkeypatch.setattr(glbounds.qclass, "bound_memberships", recorded)
     _outcomes(requests, capsys)
     decided = set()
     for e, iv, q_list in calls:

@@ -2,9 +2,10 @@ import math
 import random
 import re
 import struct
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glbounds import (
@@ -29,224 +30,7 @@ from glbounds.expressions import (
     compile_expression,
 )
 from conftest import examples
-from oracles import DEEP_SHAPES, second_derivative_fd, to_text
-
-# The recursive tree-walkers that compile_expression replaced, kept verbatim
-# (only the two entry points renamed) as the reference the closures must
-# reproduce bit for bit, errors included.
-
-
-def _contains_var(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Const):
-        return False
-    if isinstance(node, Neg):
-        return _contains_var(node.arg)
-    if isinstance(node, Bin):
-        return _contains_var(node.left) or _contains_var(node.right)
-    if isinstance(node, Pow):
-        return _contains_var(node.base) or _contains_var(node.exponent)
-    return _contains_var(node.arg)
-
-
-def reference_evaluate(node, x):
-    """The recursive walker that compile_expression replaced, kept verbatim."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return -reference_evaluate(node.arg, x)
-    if isinstance(node, Bin):
-        a = reference_evaluate(node.left, x)
-        b = reference_evaluate(node.right, x)
-        op = node.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if b == 0.0:
-            raise DomainError(f"division by zero at x={x!r}")
-        return a / b
-    if isinstance(node, Pow):
-        return _eval_pow(node, x)
-    if isinstance(node, Call):
-        return _eval_call(node.func, reference_evaluate(node.arg, x))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _eval_call(name: str, u: float) -> float:
-    if name in ("sin", "cos") and math.isinf(u):
-        raise DomainError(f"{name} of infinite argument {u!r}")
-    if name == "sin":
-        return math.sin(u)
-    if name == "cos":
-        return math.cos(u)
-    if name == "exp":
-        try:
-            return math.exp(u)
-        except OverflowError:
-            raise DomainError(f"exp overflow at argument {u!r}") from None
-    if name == "ln":
-        if u <= 0.0:
-            raise DomainError(f"ln of non-positive value {u!r}")
-        return math.log(u)
-    if name == "sqrt":
-        if u < 0.0:
-            raise DomainError(f"sqrt of negative value {u!r}")
-        return math.sqrt(u)
-    return abs(u)
-
-
-def _eval_pow(node: Pow, x: float) -> float:
-    base = reference_evaluate(node.base, x)
-    if _contains_var(node.exponent):
-        if base <= 0.0:
-            raise DomainError("power with variable exponent requires a positive base")
-        expo = reference_evaluate(node.exponent, x)
-        try:
-            return math.exp(expo * math.log(base))
-        except OverflowError:
-            raise DomainError("power overflow") from None
-    c = reference_evaluate(node.exponent, x)
-    if c.is_integer():
-        if base == 0.0 and c < 0.0:
-            raise DomainError("zero base with negative exponent")
-    else:
-        if base < 0.0:
-            raise DomainError("negative base with non-integer exponent")
-        if base == 0.0 and c < 0.0:
-            raise DomainError("zero base with negative exponent")
-    try:
-        return base**c
-    except OverflowError:
-        raise DomainError("power overflow") from None
-
-
-def reference_jet2(node, x):
-    """The recursive jet walker that compile_expression replaced, kept verbatim."""
-    return _jet(node, x)
-
-
-def _jet(node: Node, x: float) -> tuple[float, float, float]:
-    if isinstance(node, Const):
-        return (node.value, 0.0, 0.0)
-    if isinstance(node, Var):
-        return (x, 1.0, 0.0)
-    if isinstance(node, Neg):
-        v, d1, d2 = _jet(node.arg, x)
-        return (-v, -d1, -d2)
-    if isinstance(node, Bin):
-        av, a1, a2 = _jet(node.left, x)
-        bv, b1, b2 = _jet(node.right, x)
-        op = node.op
-        if op == "+":
-            return (av + bv, a1 + b1, a2 + b2)
-        if op == "-":
-            return (av - bv, a1 - b1, a2 - b2)
-        if op == "*":
-            return (av * bv, a1 * bv + av * b1, a2 * bv + 2.0 * a1 * b1 + av * b2)
-        if bv == 0.0:
-            raise DomainError(f"division by zero at x={x!r}")
-        w = av / bv
-        w1 = (a1 - w * b1) / bv
-        w2 = (a2 - 2.0 * w1 * b1 - w * b2) / bv
-        return (w, w1, w2)
-    if isinstance(node, Pow):
-        return _jet_pow(node, x)
-    if isinstance(node, Call):
-        return _jet_call(node.func, _jet(node.arg, x))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _jet_call(name: str, u: tuple[float, float, float]) -> tuple[float, float, float]:
-    uv, u1, u2 = u
-    if name in ("sin", "cos") and math.isinf(uv):
-        raise DomainError(f"{name} of infinite argument {uv!r}")
-    if name == "sin":
-        s = math.sin(uv)
-        c = math.cos(uv)
-        return (s, c * u1, -s * u1 * u1 + c * u2)
-    if name == "cos":
-        s = math.sin(uv)
-        c = math.cos(uv)
-        return (c, -s * u1, -c * u1 * u1 - s * u2)
-    if name == "exp":
-        try:
-            w = math.exp(uv)
-        except OverflowError:
-            raise DomainError(f"exp overflow at argument {uv!r}") from None
-        return (w, w * u1, w * (u1 * u1 + u2))
-    if name == "ln":
-        if uv <= 0.0:
-            raise DomainError(f"ln of non-positive value {uv!r}")
-        w1 = u1 / uv
-        return (math.log(uv), w1, u2 / uv - w1 * w1)
-    if name == "sqrt":
-        if uv < 0.0:
-            raise DomainError(f"sqrt of negative value {uv!r}")
-        if uv == 0.0:
-            raise NonSmoothError("sqrt is not differentiable at 0")
-        w = math.sqrt(uv)
-        w1 = 0.5 * u1 / w
-        return (w, w1, (0.5 * u2 - w1 * w1) / w)
-    # abs
-    if uv == 0.0:
-        raise NonSmoothError("abs is not differentiable where its argument is 0")
-    s = 1.0 if uv > 0.0 else -1.0
-    return (abs(uv), s * u1, s * u2)
-
-
-def _jet_pow(node: Pow, x: float) -> tuple[float, float, float]:
-    bv, b1, b2 = _jet(node.base, x)
-    if _contains_var(node.exponent):
-        if bv <= 0.0:
-            raise DomainError("power with variable exponent requires a positive base")
-        ev, e1, e2 = _jet(node.exponent, x)
-        # w = exp(e * ln b)
-        lv = math.log(bv)
-        l1 = b1 / bv
-        l2 = b2 / bv - l1 * l1
-        pv = ev * lv
-        p1 = e1 * lv + ev * l1
-        p2 = e2 * lv + 2.0 * e1 * l1 + ev * l2
-        try:
-            w = math.exp(pv)
-        except OverflowError:
-            raise DomainError("power overflow") from None
-        return (w, w * p1, w * (p1 * p1 + p2))
-    c = reference_evaluate(node.exponent, x)
-    if c.is_integer():
-        if bv == 0.0 and c < 0.0:
-            raise DomainError("zero base with negative exponent")
-    else:
-        if bv < 0.0:
-            raise DomainError("negative base with non-integer exponent")
-        if bv == 0.0:
-            if c < 0.0:
-                raise DomainError("zero base with negative exponent")
-            if c < 2.0:
-                raise NonSmoothError(
-                    "power of zero base with exponent in (0, 2) is not twice differentiable"
-                )
-    try:
-        v = bv**c
-        d1 = 0.0
-        d2 = 0.0
-        if c != 0.0:
-            t1 = c * bv ** (c - 1.0)
-            d1 = t1 * b1
-            d2 = t1 * b2
-            c2 = c * (c - 1.0)
-            if c2 != 0.0:
-                d2 += c2 * bv ** (c - 2.0) * b1 * b1
-    except OverflowError:
-        raise DomainError("power overflow") from None
-    return (v, d1, d2)
-
+from oracles import DEEP_SHAPES, reference_evaluate, reference_jet2, second_derivative_fd, to_text
 
 # The character-level parser that the tokenizer and parse replaced, kept
 # verbatim (only its entry point renamed) as the reference parse must agree
@@ -741,6 +525,46 @@ def _outcome(fn, *args):
 
 @settings(max_examples=examples(1500), deadline=None)
 @given(_tree_strategy(), _POINTS)
+# each shape whose x or constant the closures read inline, at ordinary points
+# and where it raises or goes non-finite: a call and a power of x
+@example(parse("sin(x)"), 1.0)
+@example(parse("sin(x)"), math.inf)
+@example(parse("exp(x)"), 710.0)
+@example(parse("ln(x)"), -0.0)
+@example(parse("sqrt(x)"), 0.0)
+@example(parse("abs(x)"), 0.0)
+@example(parse("abs(x)"), -0.0)
+@example(parse("x^4"), 1.3)
+@example(parse("x^4"), 1e308)
+@example(parse("x^1.5"), 0.0)
+@example(parse("x^0.5"), -1.0)
+@example(Pow(Var(), Const(-1.0)), 0.0)
+# -x, x ± c and c ± x
+@example(parse("-x"), 0.0)
+@example(parse("-x"), -0.0)
+@example(parse("x+2"), -2.0)
+@example(parse("x-2"), 2.0)
+@example(parse("2+x"), -2.0)
+@example(parse("2-x"), 2.0)
+@example(parse("0-x"), 0.0)
+@example(Bin("+", Var(), Const(-0.0)), -0.0)
+@example(parse("x+2"), 1e308)
+# c * f, f * c, c / f and f / c, where 0 * inf is nan
+@example(parse("2*sin(x)"), 1.0)
+@example(parse("sin(x)*2"), 1.0)
+@example(parse("2*x"), 1e308)
+@example(parse("x*2"), 1e308)
+@example(parse("0*(x*x)"), 1e308)
+@example(parse("(x*x)*0"), 1e308)
+@example(parse("0*exp(x)"), 710.0)
+@example(parse("1/x"), 0.0)
+@example(parse("1/x"), -0.0)
+@example(parse("1/(x+2)"), 1.5)
+@example(parse("1/(x+2)"), -2.0)
+@example(parse("x/0"), 1.0)
+@example(parse("(x*x)/2"), 1e308)
+@example(parse("exp(x)/3"), 710.0)
+@example(parse("exp(x)*sin(x)+1/(x+2)"), 1.3)
 def test_compiled_closures_match_the_reference_walkers(ast, x):
     value, jet = compile_expression(ast)
     expected_value = _outcome(reference_evaluate, ast, x)
@@ -749,3 +573,34 @@ def test_compiled_closures_match_the_reference_walkers(ast, x):
     expected_jet = _outcome(reference_jet2, ast, x)
     assert _outcome(jet, x) == expected_jet
     assert _outcome(evaluate_jet2, ast, x) == expected_jet
+
+
+def _frames(f, x):
+    """The Python frames that the call f(x) runs, f's own included."""
+    frames = []
+    sys.setprofile(lambda frame, event, arg: frames.append(frame) if event == "call" else None)
+    try:
+        f(x)
+    finally:
+        sys.setprofile(None)
+    return len(frames)
+
+
+@pytest.mark.parametrize(
+    "text,value,jet",
+    [
+        ("exp(x)*sin(x)+1/(x+2)", 7, 8),  # a walk that folds no leaf runs 13 and 15
+        ("(exp(x)+exp(-x))/2", 6, 9),  # and 11 and 13
+        ("sin(x)", 1, 1),  # a call of x is its rule; sin and cos values need a wrapper
+        ("exp(x)", 1, 2),
+        ("x^4", 2, 3),
+        ("-x", 0, 1),  # operator.neg
+        ("2-x", 1, 1),
+        ("3*x/2", 4, 4),  # c times the closure of x, then f / c through the checked divide
+    ],
+)
+def test_x_and_constants_are_read_inline(text, value, jet):
+    # the closures read x and constants inline instead of calling a closure
+    # for each; bit-identical results alone would not show that they do
+    v, j = compile_expression(parse(text))
+    assert (_frames(v, 1.3), _frames(j, 1.3)) == (value, jet)

@@ -1,14 +1,19 @@
+import functools
 import math
 import re
+import struct
 
 import pytest
 
+import glbounds.bounds
 import glbounds.kernel
 from glbounds import (
     DepthExhaustedError,
     DomainError,
     Interval,
     coefficient_set,
+    corpus_entries,
+    evaluate_bound_report,
     integrate_piecewise,
     lhs_functional,
     parse,
@@ -16,6 +21,7 @@ from glbounds import (
     verify_identity,
 )
 from glbounds.expressions import _compile_jet
+from oracles import reference_evaluate, reference_jet2
 
 UNIT = Interval(0.0, 1.0)
 
@@ -184,3 +190,48 @@ class TestIdentity:
         # can no longer be split
         with pytest.raises(DepthExhaustedError, match=r"^kernel integral over t in \[0, 1\]: tolerance "):
             rhs_identity(parse("(x-0.3)*ln(abs(x-0.3))"), UNIT, 0.5)
+
+
+# the catalogue's expressions and the composite, each on its catalogue
+# interval and on the wide interval of the identity benchmark
+COMPOSITE = "exp(x)*sin(x)+1/(x+2)"
+WIDE = {"x^2": (-10.0, 10.0), "x^4": (-5.0, 5.0), "exp(x)": (0.0, 10.0), "(exp(x)+exp(-x))/2": (-8.0, 8.0),
+        "1/(x+2)": (-1.0, 10.0), "sin(x)": (0.0, 20.0), COMPOSITE: (0.0, 10.0)}
+PATH_CASES = [
+    (text, iv)
+    for text, home in [(entry.expression, entry.interval) for entry in corpus_entries()] + [(COMPOSITE, UNIT)]
+    for iv in (home, Interval(*WIDE[text]))
+]
+
+
+def _path_bits(e, iv):
+    """The floats of verify_identity and of a bound report that skips
+    membership, at a few lambdas and qs, as bits."""
+    out = []
+    for lam, q in ((0.0, 1.0), (1.0 / 3.0, 1.5), (0.5, 2.0), (0.75, 3.0), (1.0, 1.2)):
+        rep = evaluate_bound_report(e, iv, lam, q, skip_membership=True)
+        out += [*verify_identity(e, iv, lam), rep.lhs_abs, rep.bound, rep.ratio]
+    return struct.pack(f"<{len(out)}d", *out)
+
+
+@pytest.mark.parametrize("text,iv", PATH_CASES)
+def test_the_path_reads_the_reference_walkers_bits(text, iv, monkeypatch):
+    # the whole identity and bound path, with the compiled closures and with
+    # closures that walk the tree at each point (tests/oracles.py) in their
+    # place, gives the same bits
+    e = parse(text)
+    compiled = _path_bits(e, iv)
+    built = []
+
+    def reference(walker):
+        def compile_(node):
+            built.append(walker)
+            return functools.partial(walker, node)
+        return compile_
+
+    monkeypatch.setattr(glbounds.kernel, "_compile_value", reference(reference_evaluate))
+    monkeypatch.setattr(glbounds.kernel, "_compile_jet", reference(reference_jet2))
+    monkeypatch.setattr(glbounds.bounds, "_compile_jet", reference(reference_jet2))
+    assert _path_bits(e, iv) == compiled
+    assert set(built) == {reference_evaluate, reference_jet2}
+

@@ -81,7 +81,7 @@ INTERVAL = ["--a", "0", "--b", "1"]
         (["qclass", "--g", "x^2", *INTERVAL], {"enclosure", "expressions", "qclass", "quadrature"}),
         (["corpus"], {"corpus", "quadrature"}),
         (["bound", "--fn", "x^2", *INTERVAL, "--lambda", "0.3", "--q", "1", "--skip-membership"],
-         {"bounds", "coefficients", "expressions", "kernel", "qclass", "quadrature"}),
+         {"bounds", "coefficients", "expressions", "kernel", "quadrature"}),
         (["bound", "--fn", "x^2", *INTERVAL, "--lambda", "0.3", "--q", "1"],
          {"bounds", "coefficients", "enclosure", "expressions", "kernel", "qclass", "quadrature"}),
     ],
