@@ -16,9 +16,10 @@ the same float operations as the value closure
 tests/test_enclosure.py).
 
 Soundness holds by construction: the enclosure is the closure itself.
-glbounds.expressions writes each derivative rule, and the walk that strings
-them together, once for any arithmetic (_jet_rules, _jet_compiler), and here
-they run on a batch of cells, _Cells, in place of a float. The float closures
+glbounds.expressions writes each derivative rule, each value rule, and the
+walk that strings them together, once for any arithmetic (_jet_rules,
+_value_rules, _jet_compiler), and here they run on a batch of cells,
+_Cells, in place of a float (_CELL_ARITHMETIC). The float closures
 fold x and constants into their parents' rules by the same float operations;
 the cells take them as closures. A batch holds one
 interval per cell, and each of +, -, *, /, unary - and ** constant is one
@@ -33,10 +34,8 @@ they are, any other float c is [c, c], and one not finite declines. Only
 the constants and x, the elementary functions and abs are this module's; a
 power whose exponent depends on x is exp(e * ln b) in these intervals, and
 an exponent free of x is the float that the jet takes.
-The value closure's rules (_VALUE_RULES) for +, -, *, unary - and a call
-test no float, and run on the cells as they are; its powers and quotient
-do (_power, _variable_power, _divide), so _VALUE_CELL_RULES gives them as
-the jet's value part computes them: ** constant, exp(e * ln b) and /.
+The cells' values run _value_rules on the jet's cell arithmetic, so each
+power and quotient is computed as the jet's value part computes it.
 
 Round-to-nearest is monotone, so for +, -, *, / and sqrt (all correctly
 rounded) the float result of operands taken from two intervals lies between
@@ -56,16 +55,19 @@ the cell. The jet declines at a divisor interval holding 0; ln or sqrt of
 an argument touching <= 0, the base of a power whose exponent depends on x
 included; abs of an argument holding 0; a non-integer power of a base
 touching <= 0, and a negative integer power of a base holding 0; exp or **
-overflowing; and any interval end that is not finite. The value declines by
-the same rules on the operations it computes (so also at a zero of sqrt or
-abs, where the value closure raises nothing), and may be finite where only
-f' or f'' fails. A cell declines as a whole, whatever component the
-failing operation feeds, and no other cell with it; every cell declines
-where an exponent free of x raises. What cannot be bounded is unbounded: f
-has the pair (-inf, inf) on a cell where it declines, and |f''| the pair
-(0, inf). So a finite bound also proves that its closure raises nothing in
-the cell. qclass reads both ends: the high to clear a scan's triples, and
-the low, under the same libm premise (_LIBM_WIDEN), to prove violations.
+overflowing; and any interval end that is not finite. The float jet's
+smoothness checks never meet a batch; a cell rule declines where each
+raises: _sqrt for sqrt_jet, _ipow for power_jet, _abs for _abs_jet. The
+value declines by the same rules on the operations it computes (so also at
+a zero of sqrt or abs, where the value closure raises nothing), and may be
+finite where only f' or f'' fails. A cell declines as a whole, whatever
+component the failing operation feeds, and no other cell with it; every
+cell declines where an exponent free of x raises. What cannot be bounded is
+unbounded: f has the pair (-inf, inf) on a cell where it declines, and
+|f''| the pair (0, inf). So a finite bound also proves that its closure
+raises nothing in the cell. qclass reads both ends: the high to clear a
+scan's triples, and the low, under the same libm premise (_LIBM_WIDEN), to
+prove violations.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ import operator
 from itertools import repeat
 from typing import Callable
 
-from .expressions import _VALUE_RULES, ExpressionError, Node, _jet_compiler, _jet_rules
+from .expressions import ExpressionError, Node, _jet_compiler, _jet_rules, _value_rules
 
 __all__ = ["compile_second_derivative", "compile_value", "sup_power", "inf_power"]
 
@@ -313,25 +315,11 @@ def _signed(part: _Part, uv: _Cells) -> _Part:
     return _Cells(uv.held(part), uv.dead).each(_flip, uv.ivs)
 
 
-_SIN, _COS = _batched(_periodic, math.sin, 0.5), _batched(_periodic, math.cos, 0.0)
-_EXP, _LN, _SQRT = _batched(_exp), _batched(_ln), _batched(_sqrt)
+_CELL_ARITHMETIC = (_batched(_periodic, math.sin, 0.5), _batched(_periodic, math.cos, 0.0), _batched(_exp),
+                    _batched(_ln), _batched(_sqrt), operator.pow, lambda a, b, x: a / b)
 
-_RULES = {
-    **_jet_rules(_SIN, _COS, _EXP, _LN, _SQRT, operator.pow, lambda a, b, x: a / b),
-    "abs": _abs_jet,
-}
-
-# the value closure's rules on cells: its own where they hold no float test,
-# the jet's elementary functions (which decline where it may raise), and
-# interval powers and quotient in place of _power, _variable_power and _divide
-_VALUE_CELL_RULES = {
-    **{key: _VALUE_RULES[key] for key in ("apply", "neg", "+", "-", "*")},
-    "sin": _SIN, "cos": _COS, "exp": _EXP, "ln": _LN, "sqrt": _SQRT, "abs": _batched(_abs),
-    "^c": lambda b, c: lambda x: b(x) ** c,
-    "^g": lambda b, g: lambda x: b(x) ** g(x),
-    "^x": lambda b, e: lambda x: _EXP(e(x) * _LN(b(x))),
-    "/": lambda f, g: lambda x: f(x) / g(x),
-}
+_RULES = {**_jet_rules(*_CELL_ARITHMETIC), "abs": _abs_jet}
+_VALUE_CELL_RULES = {**_value_rules(*_CELL_ARITHMETIC), "abs": _batched(_abs)}
 
 
 def _const_value(c: float) -> Callable[[_Cells], _Cells]:

@@ -33,19 +33,24 @@ A parsed expression is compiled once into closures, x -> f(x) and
 x -> (f, f', f''), to be called at every point (evaluate compiles the value
 closure on each call, evaluate_jet2 the jet). Derivatives come from
 second-order forward propagation (Taylor jets), not finite differences;
-points where the expression is not twice differentiable (abs at 0,
-fractional powers of a zero base) raise NonSmoothError instead of returning
-a silently wrong value.
+points where the expression is not twice differentiable (abs and sqrt at
+0, powers of a zero base with a non-integer exponent in (0, 2)) raise
+NonSmoothError instead of returning a silently wrong value.
 
 One walk (_jet_compiler) compiles every tree, and each node kind takes its
 closure from a rule table, so the walk has four instances: the value
 closures (_VALUE_RULES), the float jets (_JET_RULES) and, in
 glbounds.enclosure, interval jets and interval values over a batch of
-cells, the latter from _VALUE_RULES' own entries where they test no float.
-Each derivative rule is written once (_jet_rules) for any arithmetic that
-supplies the elementary functions and the operators, and both jets take
-it; a power whose exponent depends on x is exp(e * ln b), built from that
-table's ln, product and exp rules.
+cells. Each derivative rule (_jet_rules) and each value rule (_value_rules)
+is written once for any arithmetic that supplies the elementary functions,
+a power and a quotient; an instance adds only its abs. A power whose
+exponent depends on x is exp(e * ln b), its float ln and exp _POWER_FLOATS'.
+
+The float arithmetic (_FLOATS) brings the domain checks, and the jet rules
+add the smoothness checks after them, as float tests that the cells never
+meet (their own sqrt and power decline there). The check of sin and cos
+at an infinite argument stays in the rules: checked helpers would add two
+calls to every sine jet.
 
 The float closures fold their leaves (_jet_compiler's fold): a rule reads
 an operand that is x or a constant inline, as its jet (x, 1.0, 0.0) or (c,
@@ -235,23 +240,23 @@ def parse(text: str) -> Node:
     return node
 
 
-# Domain and smoothness rules of the float closures
+# The float arithmetic: domain rules of the float closures, value and jet alike
 def _divide(a: float, b: float, x: float) -> float:
     if b == 0.0:
         raise DomainError(f"division by zero at x={x!r}")
     return a / b
 
 
-def _exp(u: float, overflow: str | None = None) -> float:
+def _exp(u: float) -> float:
     try:
         return math.exp(u)
     except OverflowError:
-        raise DomainError(overflow or f"exp overflow at argument {u!r}") from None
+        raise DomainError(f"exp overflow at argument {u!r}") from None
 
 
-def _ln(u: float, domain: str | None = None) -> float:
+def _ln(u: float) -> float:
     if u <= 0.0:
-        raise DomainError(domain or f"ln of non-positive value {u!r}")
+        raise DomainError(f"ln of non-positive value {u!r}")
     return math.log(u)
 
 
@@ -261,34 +266,31 @@ def _sqrt(u: float) -> float:
     return math.sqrt(u)
 
 
-def _jet_sqrt(u: float) -> float:
-    """_sqrt where it is also differentiable, as the jet needs."""
-    w = _sqrt(u)
-    if u == 0.0:
-        raise NonSmoothError("sqrt is not differentiable at 0")
-    return w
-
-
-# a power whose exponent depends on x is exp(e * ln b)
-_BASE_DOMAIN = "power with variable exponent requires a positive base"
 _POWER_OVERFLOW = "power overflow"
 
 
-def _power(base: float, c: float, smooth: bool = True) -> float:
-    """base**c for an exponent free of x; smooth, as the jet needs, also
-    requires it twice differentiable."""
-    integral = c.is_integer()
-    if base < 0.0 and not integral:
+def _power(base: float, c: float) -> float:
+    """base**c for an exponent c free of x."""
+    if base < 0.0 and not c.is_integer():
         raise DomainError("negative base with non-integer exponent")
-    if base == 0.0:
-        if c < 0.0:
-            raise DomainError("zero base with negative exponent")
-        if smooth and not integral and c < 2.0:
-            raise NonSmoothError(
-                "power of zero base with exponent in (0, 2) is not twice differentiable"
-            )
+    if base == 0.0 and c < 0.0:
+        raise DomainError("zero base with negative exponent")
     try:
         return base**c
+    except OverflowError:
+        raise DomainError(_POWER_OVERFLOW) from None
+
+
+# ln and exp of a power whose exponent depends on x, exp(e * ln b)
+def _power_ln(b: float) -> float:
+    if b <= 0.0:
+        raise DomainError("power with variable exponent requires a positive base")
+    return math.log(b)
+
+
+def _power_exp(u: float) -> float:
+    try:
+        return math.exp(u)
     except OverflowError:
         raise DomainError(_POWER_OVERFLOW) from None
 
@@ -315,7 +317,8 @@ def _jet_rules(sin, cos, exp, ln, sqrt, power, divide) -> dict[str, Callable]:
     An arithmetic brings its elementary functions with their domain checks,
     power(b, c) for an exponent c free of x and divide(a, b, x) for the
     first quotient of a division at x; the rules do everything else with
-    the operands' own operators, in the order written. A call's rule maps
+    the operands' own operators, in the order written, and add the float
+    smoothness checks (the module docstring). A call's rule maps
     the jet (u, u', u'') of its argument to its own, x's jet (u, 1.0, 0.0)
     where it is given u alone; the others map operand
     closures, or the leaves that _jet_compiler folds, to the node's closure,
@@ -350,6 +353,8 @@ def _jet_rules(sin, cos, exp, ln, sqrt, power, divide) -> dict[str, Callable]:
 
     def sqrt_jet(uv, u1=1.0, u2=0.0):
         w = sqrt(uv)
+        if uv == 0.0:
+            raise NonSmoothError("sqrt is not differentiable at 0")
         w1 = 0.5 * u1 / w
         return (w, w1, (0.5 * u2 - w1 * w1) / w)
 
@@ -357,6 +362,8 @@ def _jet_rules(sin, cos, exp, ln, sqrt, power, divide) -> dict[str, Callable]:
         v = power(bv, c)
         if c == 0.0:
             return (v, 0.0, 0.0)
+        if bv == 0.0 and c < 2.0 and not c.is_integer():  # c > 0: power raised at c < 0
+            raise NonSmoothError("power of zero base with exponent in (0, 2) is not twice differentiable")
         try:
             t1 = c * bv ** (c - 1.0)
             d1 = t1 * b1
@@ -529,29 +536,37 @@ def _call(name: str, rule: Callable, f: Callable | Var) -> Callable[[float], flo
     return call_x if isinstance(f, Var) else call
 
 
-def _variable_power(f: Callable, g: Callable) -> Callable[[float], float]:
-    def power(x: float) -> float:
-        lb = _ln(f(x), _BASE_DOMAIN)
-        return _exp(g(x) * lb, _POWER_OVERFLOW)
-    return power
-
-
-# The value closures x -> f(x), operands computed left to right as the grammar reads
-_VALUE_RULES = {
-    "sin": math.sin, "cos": math.cos, "exp": _exp, "ln": _ln, "sqrt": _sqrt, "abs": abs,
+# the value rules that read no number of the arithmetic; operands left to right
+_VALUE_OPERATORS = {
     "apply": _call,
     "neg": lambda f: operator.neg if isinstance(f, Var) else lambda x: -f(x),
-    "^c": lambda f, c: (lambda x: _power(x, c, False)) if isinstance(f, Var) else (
-        lambda x: _power(f(x), c, False)),
-    "^g": lambda f, g: lambda x: _power(f(x), g(x), False),
-    "^x": _variable_power,
     "+": _folding(lambda f, g: lambda x: f(x) + g(x), lambda c, _: lambda x: c + x, lambda _, c: lambda x: x + c),
     "-": _folding(lambda f, g: lambda x: f(x) - g(x), lambda c, _: lambda x: c - x, lambda _, c: lambda x: x - c),
     "*": _folding(lambda f, g: lambda x: f(x) * g(x),
                   lambda c, g: lambda x: c * g(x), lambda f, c: lambda x: f(x) * c),
-    "/": _folding(lambda f, g: lambda x: _divide(f(x), g(x), x),
-                  lambda c, g: lambda x: _divide(c, g(x), x), lambda f, c: lambda x: _divide(f(x), c, x)),
 }
+
+
+def _value_rules(sin, cos, exp, ln, sqrt, power, divide) -> dict[str, Callable]:
+    """The value closures' rules, written once for any arithmetic as _jet_rules are."""
+
+    def power_x(f, g):
+        def value(x):
+            lb = ln(f(x))
+            return exp(g(x) * lb)
+        return value
+
+    return {**_VALUE_OPERATORS, "sin": sin, "cos": cos, "exp": exp, "ln": ln, "sqrt": sqrt,
+            "^c": lambda f, c: (lambda x: power(x, c)) if isinstance(f, Var) else (lambda x: power(f(x), c)),
+            "^g": lambda f, g: lambda x: power(f(x), g(x)),
+            "^x": power_x,
+            "/": _folding(lambda f, g: lambda x: divide(f(x), g(x), x),
+                          lambda c, g: lambda x: divide(c, g(x), x), lambda f, c: lambda x: divide(f(x), c, x))}
+
+
+_FLOATS = (math.sin, math.cos, _exp, _ln, _sqrt, _power, _divide)
+_POWER_FLOATS = (math.sin, math.cos, _power_exp, _power_ln, _sqrt, _power, _divide)  # of "^x"
+_VALUE_RULES = {**_value_rules(*_FLOATS), "abs": abs, "^x": _value_rules(*_POWER_FLOATS)["^x"]}
 _compile_value = _jet_compiler(_VALUE_RULES, lambda c: (lambda x: c), lambda x: x, True)
 
 
@@ -562,13 +577,7 @@ def _abs_jet(uv: float, u1: float = 1.0, u2: float = 0.0) -> _Jet:
     return (abs(uv), s * u1, s * u2)
 
 
-def _float_rules(exp, ln) -> dict[str, Callable]:
-    return _jet_rules(math.sin, math.cos, exp, ln, _jet_sqrt, _power, _divide)
-
-
-# exp(e * ln b) takes the ln and exp rules with a power's error messages
-_POWER_RULES = _float_rules(lambda u: _exp(u, _POWER_OVERFLOW), lambda u: _ln(u, _BASE_DOMAIN))
-_JET_RULES = {**_float_rules(_exp, _ln), "abs": _abs_jet, "^x": _POWER_RULES["^x"]}
+_JET_RULES = {**_jet_rules(*_FLOATS), "abs": _abs_jet, "^x": _jet_rules(*_POWER_FLOATS)["^x"]}
 _compile_jet = _jet_compiler(_JET_RULES, lambda c: (lambda x: (c, 0.0, 0.0)), lambda x: (x, 1.0, 0.0), True)
 
 

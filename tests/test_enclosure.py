@@ -172,6 +172,9 @@ def test_one_walk_compiles_every_closure():
     # the cells' values run the value closure's own rules where they test no float
     for rule in ("apply", "neg", "+", "-", "*"):
         assert _VALUE_CELL_RULES[rule] is _VALUE_RULES[rule], rule
+    # and one coding of the rules that read the arithmetic's numbers
+    for rule in ("^c", "^g", "^x", "/"):
+        assert _VALUE_CELL_RULES[rule].__code__ is _VALUE_RULES[rule].__code__, rule
     # every node kind and power form: a call of each name, neg, ^c, ^g, ^x, + - * /
     tree = parse("-sin(x) + cos(x)^2 - exp(x)^(1+1) * ln(x)^x / sqrt(abs(x))")
     instances = (
@@ -202,6 +205,12 @@ def test_one_walk_compiles_every_closure():
         ("x^0.5", 0.0, 1.0),  # non-integer power touching <= 0
         ("x^2.5", -1.0, 1.0),
         ("x^(0-1)", -1.0, 1.0),  # negative integer power holding 0
+        # where only the float jet's smoothness checks raise: sqrt at 0 and
+        # a zero base under a non-integer exponent in (0, 2)
+        ("sqrt(x-1)", 1.0, 2.0),
+        ("(x-1)^1.5", 1.0, 2.0),
+        ("x^(1/2)", 0.0, 1.0),
+        ("x^1.5", 0.0, 1.0),
         ("x^x", 0.0, 1.0),  # a base touching <= 0 under an exponent that depends on x
         ("x^ln(0-1)", 1.0, 2.0),  # an exponent that raises
         ("exp(x)", 700.0, 710.0),  # overflow

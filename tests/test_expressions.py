@@ -565,6 +565,19 @@ def _outcome(fn, *args):
 @example(parse("(x*x)/2"), 1e308)
 @example(parse("exp(x)/3"), 710.0)
 @example(parse("exp(x)*sin(x)+1/(x+2)"), 1.3)
+# the jet's smoothness checks after the arithmetic's domain checks: sqrt at
+# 0, and a zero base through "^c" on an operand that is not x and through
+# "^g"; c = 0 returns before the check, c = 2.5 passes it, and c = -0.5 is
+# the domain error; the exponent that depends on x, through the power's ln and exp
+@example(parse("sqrt(x-1)"), 1.0)
+@example(parse("(x-1)^1.5"), 1.0)
+@example(parse("x^(1/2)"), 0.0)
+@example(parse("x^0"), 0.0)
+@example(parse("x^2.5"), 0.0)
+@example(Pow(Var(), Const(-0.5)), 0.0)
+@example(parse("x^x"), 0.0)
+@example(parse("x^x"), -1.0)
+@example(parse("2^x"), 1100.0)
 def test_compiled_closures_match_the_reference_walkers(ast, x):
     value, jet = compile_expression(ast)
     expected_value = _outcome(reference_evaluate, ast, x)
