@@ -11,6 +11,10 @@ main reads plain argv, COMMAND (--flag VALUE | --switch)*, from the command
 table _COMMANDS itself. argparse, built from the same table on first need,
 prints help and usage errors and reads every other form of argv.
 
+A handler returns its exit code and its whole stdout text, each report
+filled into one %-template ('%.6g' and '%.17g' write what format(v, '.6g')
+and format(v, '.17g') do), or json's text; main writes that text once.
+
 Importing this module loads none of the modules that the commands run.
 Each handler reaches them as attributes of the package, which imports each
 at its first access (glbounds/__init__.py), and calls through their
@@ -33,7 +37,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import argparse
-    from collections.abc import Sequence
+    from collections.abc import Callable, Sequence
 
     from .bounds import BoundReport
     from .expressions import Node
@@ -48,14 +52,6 @@ EXIT_IO_ERROR = 4
 
 # a sweep computes and holds every row before writing, so its size is capped
 MAX_SWEEP_LAMBDAS = 100_001
-
-
-def _fmt17(v: float) -> str:
-    return format(v, ".17g")
-
-
-def _fmt6(v: float) -> str:
-    return format(v, ".6g")
 
 
 def _parse_lambda_grid(text: str) -> tuple[float, float, float]:
@@ -88,46 +84,38 @@ def _parse(text: str) -> Node:
     return parse(text)
 
 
-def _cmd_verify_identity(args: argparse.Namespace) -> int:
+def _cmd_verify_identity(args: argparse.Namespace) -> tuple[int, str]:
     if not (args.tol >= 0.0 and math.isfinite(args.tol)):
         raise ValueError(f"tol must be finite and >= 0, got {args.tol!r}")
     e = _parse(args.fn)
     iv = glbounds.quadrature.Interval(args.a, args.b)
     rep = glbounds.kernel.verify_identity(e, iv, args.lam)
-    print(f"lhs      = {_fmt6(rep.lhs)}")
-    print(f"rhs      = {_fmt6(rep.rhs)}")
-    print(f"abs_diff = {_fmt6(rep.abs_diff)}")
-    return EXIT_OK if rep.abs_diff <= args.tol else EXIT_PROPERTY_FAIL
+    code = EXIT_OK if rep.abs_diff <= args.tol else EXIT_PROPERTY_FAIL
+    return code, "lhs      = %.6g\nrhs      = %.6g\nabs_diff = %.6g\n" % rep
 
 
-def _cmd_coeffs(args: argparse.Namespace) -> int:
+def _cmd_coeffs(args: argparse.Namespace) -> tuple[int, str]:
     cs = glbounds.coefficients.coefficient_set(args.lam)
-    numbers = (("M", cs.m), ("A", cs.a_coef), ("B", cs.b_coef), ("C_q1", cs.c_q1))
     if args.json:
         import json  # here, in corpus, and for a sweep that json must refuse
-        print(json.dumps({**dict(numbers), "regime": cs.regime.value}))
-    else:
-        print(f"lambda = {_fmt6(args.lam)}")
-        print(f"regime = {cs.regime.value}")
-        for name, v in numbers:
-            print(f"{name:<6} = {_fmt6(v)}")
-    return EXIT_OK
+        payload = {"M": cs.m, "A": cs.a_coef, "B": cs.b_coef, "C_q1": cs.c_q1, "regime": cs.regime.value}
+        return EXIT_OK, json.dumps(payload) + "\n"
+    template = "lambda = %.6g\nregime = %s\nM      = %.6g\nA      = %.6g\nB      = %.6g\nC_q1   = %.6g\n"
+    return EXIT_OK, template % (args.lam, cs.regime.value, cs.m, cs.a_coef, cs.b_coef, cs.c_q1)
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _cmd_bound(args: argparse.Namespace) -> tuple[int, str]:
     e = _parse(args.fn)
     iv = glbounds.quadrature.Interval(args.a, args.b)
     rep = glbounds.bounds.evaluate_bound_report(e, iv, args.lam, args.q, args.skip_membership)
-    print(f"lhs_abs    = {_fmt6(rep.lhs_abs)}")
-    print(f"bound      = {_fmt6(rep.bound)}")
-    print(f"ratio      = {'undefined' if rep.ratio is None else _fmt6(rep.ratio)}")
-    print(f"regime     = {rep.regime.value}")
-    print(f"membership = {rep.q_membership.value}")
+    ratio = "undefined" if rep.ratio is None else "%.6g" % rep.ratio
+    template = "lhs_abs    = %.6g\nbound      = %.6g\nratio      = %s\nregime     = %s\nmembership = %s\n"
+    text = template % (rep.lhs_abs, rep.bound, ratio, rep.regime.value, rep.q_membership.value)
     if rep.q_membership is glbounds.bounds.MembershipStatus.CHECKED_FAIL:
-        return EXIT_MEMBERSHIP_FAIL
+        return EXIT_MEMBERSHIP_FAIL, text
     if rep.q_membership is glbounds.bounds.MembershipStatus.CHECKED_PASS and rep.lhs_abs > rep.bound:
-        return EXIT_PROPERTY_FAIL
-    return EXIT_OK
+        return EXIT_PROPERTY_FAIL, text
+    return EXIT_OK, text
 
 
 def _probe_writable(path: str) -> None:
@@ -189,7 +177,7 @@ def _sweep_content(rows: list[BoundReport], fmt: str) -> str:
     return content
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[int, str]:
     start, end, step = _parse_lambda_grid(args.lambda_grid)
     iv = glbounds.quadrature.Interval(args.a, args.b)
     q_list = _parse_q_list(args.q)
@@ -213,7 +201,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _probe_writable(args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
+        return EXIT_IO_ERROR, ""
     lams = [min(max(start + i * step, 0.0), 1.0) for i in range(int(span) + 1)]
     rows = glbounds.bounds.sweep_rows(e, iv, lams, q_list)
     content = _sweep_content(rows, args.format)
@@ -222,12 +210,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             fh.write(content)
     except OSError as exc:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
+        return EXIT_IO_ERROR, ""
     print(f"sweep: wrote {len(rows)} rows to {args.out}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK, ""
 
 
-def _cmd_qclass(args: argparse.Namespace) -> int:
+def _cmd_qclass(args: argparse.Namespace) -> tuple[int, str]:
     if (args.g is None) == (args.fn is None):
         raise ValueError("pass exactly one of --g or --fn")
     if args.g is not None and args.q is not None:
@@ -243,19 +231,14 @@ def _cmd_qclass(args: argparse.Namespace) -> int:
         rep = qclass.check_expression(_parse(args.g), iv, grid, tol)
     else:
         rep = qclass.membership_for_bound(_parse(args.fn), iv, args.q, grid, tol)
-    print(f"samples_checked = {rep.samples_checked}")
-    print(f"violations      = {rep.count}")
-    print(f"max_margin      = {_fmt17(rep.max_margin)}")
-    print(f"passed          = {rep.passed}")
-    for v in rep.kept:
-        print(
-            f"violation: x={_fmt17(v.x)} y={_fmt17(v.y)} lambda={_fmt17(v.lam)} "
-            f"lhs={_fmt17(v.lhs)} rhs={_fmt17(v.rhs)}"
-        )
-    return EXIT_OK if rep.passed else EXIT_PROPERTY_FAIL
+    summary = "samples_checked = %s\nviolations      = %s\nmax_margin      = %.17g\npassed          = %s\n"
+    violation = "violation: x=%.17g y=%.17g lambda=%.17g lhs=%.17g rhs=%.17g\n"
+    text = summary % (rep.samples_checked, rep.count, rep.max_margin, rep.passed)
+    text += "".join([violation % v for v in rep.kept])
+    return EXIT_OK if rep.passed else EXIT_PROPERTY_FAIL, text
 
 
-def _cmd_corpus(args: argparse.Namespace) -> int:
+def _cmd_corpus(args: argparse.Namespace) -> tuple[int, str]:
     import json
     payload = [
         {
@@ -267,8 +250,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         }
         for entry in glbounds.corpus.corpus_entries()
     ]
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return EXIT_OK, json.dumps(payload, indent=2) + "\n"
 
 
 # one entry per command: its help, its handler, and its options as
@@ -317,9 +299,29 @@ _COMMANDS = {
 }
 
 
+def _plain(handler: Callable, options: dict) -> tuple:
+    """A command's entry of _PLAIN, _COMMANDS as _read takes it: its handler;
+    each flag's dest, converter, whether it is a switch, and its choices; the
+    dests that must be given; and the defaults of the others, as argparse
+    reads options."""
+    flags, required, defaults = {}, set(), {}
+    for flag, kw in options.items():
+        dest = kw.get("dest", flag[2:].replace("-", "_"))
+        switch = kw.get("action") == "store_true"
+        flags[flag] = (dest, kw.get("type", str), switch, kw.get("choices"))
+        if kw.get("required"):
+            required.add(dest)
+        else:
+            defaults[dest] = kw.get("default", False if switch else None)
+    return handler, flags, required, defaults
+
+
+_PLAIN = {name: _plain(handler, options) for name, (_, handler, options) in _COMMANDS.items()}
+
+
 def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     """The namespace argparse gives for argv of the plain form
-    COMMAND (--flag VALUE | --switch)*, read from _COMMANDS in one pass.
+    COMMAND (--flag VALUE | --switch)*, read from _PLAIN in one pass.
 
     A flag's value is the next argument unless that begins with '--' or is
     '-h'. So a value may begin with '-', as '-1e-9' and '-x^2' do, where
@@ -331,18 +333,18 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     that its type or choices reject, or a required flag left out. main gives
     those to argparse.
     """
-    if not argv or argv[0] not in _COMMANDS:
+    if not argv or argv[0] not in _PLAIN:
         return None
-    _, handler, options = _COMMANDS[argv[0]]
-    given = {}
+    handler, flags, required, defaults = _PLAIN[argv[0]]
+    values = dict(defaults)
     i = 1
     while i < len(argv):
-        flag = argv[i]
-        kw = options.get(flag)
-        if kw is None:
+        spec = flags.get(argv[i])
+        if spec is None:
             return None
-        if kw.get("action") == "store_true":
-            given[flag] = True
+        dest, convert, switch, choices = spec
+        if switch:
+            values[dest] = True
             i += 1
             continue
         if i + 1 == len(argv):
@@ -351,20 +353,16 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
         if text.startswith("--") or text == "-h":
             return None
         try:
-            value = kw.get("type", str)(text)
+            value = convert(text)
         except (TypeError, ValueError):
             return None
-        if "choices" in kw and value not in kw["choices"]:
+        if choices is not None and value not in choices:
             return None
-        given[flag] = value
+        values[dest] = value
         i += 2
-    args = SimpleNamespace(command=argv[0], handler=handler)
-    for flag, kw in options.items():
-        if flag not in given and kw.get("required"):
-            return None
-        default = kw.get("default", False if kw.get("action") == "store_true" else None)
-        setattr(args, kw.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
-    return args
+    if not required <= values.keys():
+        return None
+    return SimpleNamespace(command=argv[0], handler=handler, **values)
 
 
 @functools.cache
@@ -417,7 +415,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exc:  # argparse has printed help or a usage error
             code = exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
         else:
-            code = args.handler(args)
+            code, report = args.handler(args)
+            sys.stdout.write(report)  # all a command prints to stdout, in one write
         sys.stdout.flush()  # here, so that a closed pipe is seen before exit
         return code
     except BrokenPipeError:

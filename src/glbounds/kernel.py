@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 
+_UNIT = Interval(0.0, 1.0)  # the kernel side's domain of t
+
+
 class IdentityReport(NamedTuple):
     lhs: float
     rhs: float
@@ -101,7 +104,7 @@ def rhs_identity(e: Node, iv: Interval, lam: float) -> float:
     w = iv.width
     integrand = _kernel_integrand(_compile_jet(e), iv.a, iv.b, lam)
     try:
-        total = integrate_piecewise(integrand, Interval(0.0, 1.0), [0.5])
+        total = integrate_piecewise(integrand, _UNIT, [0.5])
     except QuadratureError as exc:
         why = str(exc)
         if getattr(exc, "sample", None):

@@ -224,9 +224,10 @@ def integrate_piecewise(f: ScalarFunction, iv: Interval, breakpoints: list[float
     make the last bits depend on the version. A sum past the float range
     raises NonFiniteValueError naming iv.
     """
-    cuts = sorted({float(t) for t in breakpoints if iv.a < t < iv.b})
+    cuts = sorted({t for t in map(float, breakpoints) if iv.a < t < iv.b})
     edges = [iv.a, *cuts, iv.b]
     total = 0.0
     for lo, hi in zip(edges, edges[1:]):
-        total += integrate(f, Interval(lo, hi))
+        # lo < hi inside iv, so each piece holds Interval's checks: none is run again
+        total += integrate(f, tuple.__new__(Interval, (lo, hi)))
     return _finite_integral(total, iv)

@@ -6,7 +6,8 @@ value and jet closures must reproduce bit for bit, a sampled nonnegative-convexi
 the corpus's Certified labels, the Hermite-Hadamard double inequality for
 convex entries, a printer for parse round trips, expressions of each
 shape nested to a given depth, the CLI's sweep files as CSV cells and
-json.dumps write them, which its row templates must reproduce, the rows of
+json.dumps write them, which its row templates must reproduce, its stdout
+reports printed line by line, which its report templates must reproduce, the rows of
 pair bounds and their eager ranking, which the lazy one must reproduce,
 and the lam-major loop that
 defines the Godunova-Levin scan, which the scan's pair walk must
@@ -16,6 +17,7 @@ The loop has its own lams, points and memo of g, so it shares
 no code with the scan it checks.
 """
 
+import io
 import json
 import math
 import sys
@@ -381,6 +383,66 @@ def sweep_json(rows) -> str:
         if row["ratio"] is not None and not math.isfinite(row["ratio"]):
             row["ratio"] = None
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _fmt6(v: float) -> str:
+    return format(v, ".6g")
+
+
+def _fmt17(v: float) -> str:
+    return format(v, ".17g")
+
+
+def identity_printed(rep) -> str:
+    """verify-identity's stdout for rep (kernel.IdentityReport), printed a line at a time."""
+    out = io.StringIO()
+    print(f"lhs      = {_fmt6(rep.lhs)}", file=out)
+    print(f"rhs      = {_fmt6(rep.rhs)}", file=out)
+    print(f"abs_diff = {_fmt6(rep.abs_diff)}", file=out)
+    return out.getvalue()
+
+
+def coeffs_printed(lam: float, cs, as_json: bool) -> str:
+    """coeffs' stdout at lam for cs (coefficients.CoefficientSet), as text or
+    JSON, printed a line at a time."""
+    out = io.StringIO()
+    numbers = (("M", cs.m), ("A", cs.a_coef), ("B", cs.b_coef), ("C_q1", cs.c_q1))
+    if as_json:
+        print(json.dumps({**dict(numbers), "regime": cs.regime.value}), file=out)
+    else:
+        print(f"lambda = {_fmt6(lam)}", file=out)
+        print(f"regime = {cs.regime.value}", file=out)
+        for name, v in numbers:
+            print(f"{name:<6} = {_fmt6(v)}", file=out)
+    return out.getvalue()
+
+
+def bound_printed(rep) -> str:
+    """bound's stdout for rep (bounds.BoundReport), printed a line at a time."""
+    out = io.StringIO()
+    print(f"lhs_abs    = {_fmt6(rep.lhs_abs)}", file=out)
+    print(f"bound      = {_fmt6(rep.bound)}", file=out)
+    print(f"ratio      = {'undefined' if rep.ratio is None else _fmt6(rep.ratio)}", file=out)
+    print(f"regime     = {rep.regime.value}", file=out)
+    print(f"membership = {rep.q_membership.value}", file=out)
+    return out.getvalue()
+
+
+def qclass_printed(rep) -> str:
+    """qclass's stdout for rep (qclass.QClassReport): its summary, then a line
+    per kept violation, printed a line at a time."""
+    out = io.StringIO()
+    print(f"samples_checked = {rep.samples_checked}", file=out)
+    print(f"violations      = {rep.count}", file=out)
+    print(f"max_margin      = {_fmt17(rep.max_margin)}", file=out)
+    print(f"passed          = {rep.passed}", file=out)
+    for v in rep.kept:
+        print(
+            f"violation: x={_fmt17(v.x)} y={_fmt17(v.y)} lambda={_fmt17(v.lam)} "
+            f"lhs={_fmt17(v.lhs)} rhs={_fmt17(v.rhs)}",
+            file=out,
+        )
+    return out.getvalue()
 
 
 def bound_rows(gx: list[float], sup: list[float]) -> list[list[float]]:

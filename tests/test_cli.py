@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import glbounds
@@ -27,11 +27,24 @@ from glbounds import (
     rhs_identity,
     theorem_bound,
 )
+from glbounds.bounds import BoundReport, MembershipStatus
 from glbounds.cli import _COMMANDS, _parser, _read, _sweep_content, main
+from glbounds.coefficients import CoefficientSet, Regime
 from glbounds.expressions import MAX_NESTING
+from glbounds.kernel import IdentityReport
+from glbounds.qclass import QClassReport
 import cli_cases
 from conftest import examples
-from oracles import DEEP_SHAPES, EVERY, sweep_csv, sweep_json
+from oracles import (
+    DEEP_SHAPES,
+    EVERY,
+    bound_printed,
+    coeffs_printed,
+    identity_printed,
+    qclass_printed,
+    sweep_csv,
+    sweep_json,
+)
 
 # E(0.3, exp) on [20, 20.01] and on [30, 31], from the closed form in 80-digit
 # decimals by bench/oracle.py, rounded to double
@@ -661,12 +674,80 @@ class TestQclassReadsTheScan:
         assert len(made) <= 10
 
 
+# both zeros, both infinities, nan, the smallest subnormal, the largest
+# subnormal's negative and 1e308, drawn often, among every other float
+EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.225073858507201e-308, 1e308)
+FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats()
+
+
+def _handler_report(argv, owner, name, rep):
+    """The stdout text of argv's handler, with owner.name answering rep."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(owner, name, lambda *args: rep)
+        args = _read(argv)
+        return args.handler(args)[1]
+
+
+class TestReportTemplates:
+    """Each report, filled into its one template, is the bytes that the CLI
+    printed a line at a time (the renderers of oracles.py), for any float, a
+    ratio of None, and qclass's ints and booleans."""
+
+    @settings(max_examples=examples(300), deadline=None)
+    @given(rep=st.builds(IdentityReport, FLOATS, FLOATS, FLOATS))
+    @example(rep=IdentityReport(-0.0, math.nan, 5e-324))
+    def test_verify_identity(self, rep):
+        argv = ["verify-identity", "--fn", "x", "--a", "0", "--b", "1", "--lambda", "0.5"]
+        assert _handler_report(argv, glbounds.kernel, "verify_identity", rep) == identity_printed(rep)
+
+    @settings(max_examples=examples(300), deadline=None)
+    @given(
+        lam=FLOATS,
+        cs=st.builds(CoefficientSet, FLOATS, FLOATS, FLOATS, FLOATS, st.sampled_from(Regime)),
+        as_json=st.booleans(),
+    )
+    @example(lam=-0.0, cs=CoefficientSet(math.inf, -math.inf, math.nan, 1e308, Regime.HIGH), as_json=False)
+    @example(lam=-0.0, cs=CoefficientSet(math.inf, -math.inf, math.nan, 1e308, Regime.HIGH), as_json=True)
+    def test_coeffs(self, lam, cs, as_json):
+        argv = ["coeffs", "--lambda", repr(lam), *["--json"] * as_json]
+        assert _handler_report(argv, glbounds.coefficients, "coefficient_set", cs) == coeffs_printed(lam, cs, as_json)
+
+    @settings(max_examples=examples(300), deadline=None)
+    @given(
+        rep=st.builds(
+            BoundReport, FLOATS, FLOATS, FLOATS, FLOATS, st.none() | FLOATS,
+            st.sampled_from(Regime), st.sampled_from(MembershipStatus),
+        )
+    )
+    @example(rep=BoundReport(0.5, 1.0, 0.0, -0.0, None, Regime.LOW, MembershipStatus.UNCHECKED))
+    @example(rep=BoundReport(0.5, 1.0, 1e308, 5e-324, math.inf, Regime.HIGH, MembershipStatus.CHECKED_FAIL))
+    def test_bound(self, rep):
+        argv = ["bound", "--fn", "x", "--a", "0", "--b", "1", "--lambda", "0.5", "--q", "1"]
+        assert _handler_report(argv, glbounds.bounds, "evaluate_bound_report", rep) == bound_printed(rep)
+
+    @settings(max_examples=examples(300), deadline=None)
+    @given(
+        rep=st.builds(
+            QClassReport, st.integers(min_value=0), FLOATS, st.integers(min_value=0),
+            st.lists(st.builds(Violation, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS), max_size=10).map(tuple),
+        )
+    )
+    @example(rep=QClassReport(262144, -math.inf, 0, ()))
+    @example(rep=QClassReport(8, math.nan, 2**70, (Violation(-0.0, 5e-324, 0.5, math.inf, 1e308),)))
+    def test_qclass(self, rep):
+        argv = ["qclass", "--g", "x", "--a", "0", "--b", "1"]
+        assert _handler_report(argv, glbounds.qclass, "check_expression", rep) == qclass_printed(rep)
+
+
 class TestClosedStdout:
     """A reader that has gone away is an output I/O error (exit 4), not a
     verdict, and prints no traceback."""
 
     CORPUS = ["corpus"]
     QCLASS = ["qclass", "--fn", "sin(x)", "--q", "2", "--a", "0.000001", "--b", "3.141592", "--grid", "8"]
+    IDENTITY = ["verify-identity", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0.3"]
+    BOUND = ["bound", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0.3", "--q", "1"]
+    COEFFS = ["coeffs", "--lambda", "0.5"]
 
     @pytest.mark.parametrize(
         "argv,unbuffered",
@@ -679,15 +760,23 @@ class TestClosedStdout:
             (["--help"], True),
             (["qclass", "--help"], False),
             (["qclass", "--help"], True),
+            (IDENTITY, False),
+            (IDENTITY, True),
+            (BOUND, False),
+            (BOUND, True),
+            (COEFFS, False),
+            (COEFFS, True),
         ],
         ids=[
             "argv0-False", "argv0-True", "argv1-False", "argv1-True",
             "help-False", "help-True", "qclass-help-False", "qclass-help-True",
+            "verify-identity-False", "verify-identity-True", "bound-False", "bound-True",
+            "coeffs-False", "coeffs-True",
         ],
     )
     def test_exit_code_is_an_io_error(self, argv, unbuffered):
-        # buffered, the short qclass report and the help meet the closed pipe
-        # only when stdout is flushed; unbuffered, at their first line
+        # buffered, a report and the help meet the closed pipe only when
+        # stdout is flushed; unbuffered, at main's one write of the report
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"

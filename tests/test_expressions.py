@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import re
@@ -589,13 +590,19 @@ def test_compiled_closures_match_the_reference_walkers(ast, x):
 
 
 def _frames(f, x):
-    """The Python frames that the call f(x) runs, f's own included."""
+    """The Python frames that the call f(x) runs, f's own included. The
+    collector is off meanwhile: a collection inside the call would run the
+    weakref callbacks of other tests' garbage, frames that f does not run."""
     frames = []
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(lambda frame, event, arg: frames.append(frame) if event == "call" else None)
     try:
         f(x)
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return len(frames)
 
 
