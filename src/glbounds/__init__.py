@@ -26,6 +26,7 @@ _HOMES = {
     "BoundReport": "bounds",
     "CoefficientSet": "coefficients",
     "CorpusEntry": "corpus",
+    "Decision": "qclass",
     "DepthExhaustedError": "quadrature",
     "DomainError": "expressions",
     "EvalBudgetError": "quadrature",
@@ -33,7 +34,6 @@ _HOMES = {
     "ExpressionError": "expressions",
     "IdentityReport": "kernel",
     "Interval": "quadrature",
-    "MembershipStatus": "bounds",
     "NonFiniteValueError": "quadrature",
     "NonSmoothError": "expressions",
     "ParseError": "expressions",

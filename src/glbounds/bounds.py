@@ -12,11 +12,12 @@ case. A sweep does each piece of work at the level it depends on: per q,
 the q check, 1/q and the weight powers (_q_parts); per lambda, the
 coefficients and |E(lambda, f)|; per row, only M^(1-1/q), the bracket and
 the overflow check of the bound (_bound_at, which theorem_bound calls too).
-Unless membership is skipped, the labels come from one call,
-qclass.bound_memberships, which answers for each q as the default-grid
-scan of |f''|^q would, from an interval enclosure of |f''|, and runs no
-scan. qclass is reached through the package at that call, so a bound that
-skips membership never imports it.
+Unless membership is skipped, each row's q_membership is the record
+(qclass.Decision) of one call, qclass.bound_memberships, which answers for
+each q as the default-grid scan of |f''|^q would, from an interval
+enclosure of |f''|, and runs no scan; it is None where membership is
+skipped. qclass is reached through the package at that call, so a bound
+that skips membership never imports it.
 """
 
 from __future__ import annotations
@@ -24,17 +25,19 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .coefficients import CoefficientSet, Regime, _check_lambda, _check_q, coefficient_set
 from .expressions import Node, _compile_jet
 from .kernel import functional_terms
 from .quadrature import Interval
 
+if TYPE_CHECKING:
+    from .qclass import Decision
+
 glbounds = sys.modules[__package__]  # the package, through which qclass is reached
 
 __all__ = [
-    "MembershipStatus",
     "BoundInput",
     "BoundReport",
     "Proposition",
@@ -44,12 +47,6 @@ __all__ = [
     "evaluate_bound_report",
     "sweep_rows",
 ]
-
-
-class MembershipStatus(Enum):
-    CHECKED_PASS = "CheckedPass"
-    CHECKED_FAIL = "CheckedFail"
-    UNCHECKED = "Unchecked"  # membership skipped: the report makes no claim
 
 
 def _check_weight(name: str, g: float) -> None:
@@ -108,7 +105,7 @@ class BoundReport(NamedTuple):
     # lhs_abs / bound overflows
     ratio: float | None
     regime: Regime
-    q_membership: MembershipStatus
+    q_membership: Decision | None  # None where membership is skipped: the report makes no claim
 
 
 def _finite_square(name: str, iv: Interval, square: float) -> float:
@@ -280,9 +277,9 @@ def evaluate_bound_report(
     """Tie the measured |E(lam, f)| to its bound, with membership gating.
 
     This is the report of the one-row sweep_rows(e, iv, [lam], (q,)). The
-    inequality is only a claim when membership is CheckedPass; a CheckedFail
-    report still carries lhs/bound for inspection (the bound may genuinely
-    fail there, which is informative).
+    inequality is only a claim when membership passed (q_membership.passed,
+    CheckedPass); a failed one (CheckedFail) still carries lhs/bound for
+    inspection (the bound may genuinely fail there, which is informative).
     """
     return sweep_rows(e, iv, [lam], (q,), skip_membership)[0]
 
@@ -299,8 +296,9 @@ def sweep_rows(
     The work that does not depend on lam is done once, in this order: |f''|
     at the ends, every bound (cheap, so a bound that overflows fails before
     any quadrature or scan), f at a, b and the midpoint with int_a^b f, and,
-    unless skip_membership labels every row Unchecked, one membership
-    decision per q (qclass.bound_memberships).
+    unless skip_membership leaves every row's q_membership None (Unchecked),
+    one membership decision per q (qclass.bound_memberships), whose record
+    each row of that q holds. With no lam there is no row, and no decision.
 
     Each piece of a bound is done at the level it depends on: per q, the q
     check, 1/q and the weight powers (_q_parts); per lam, the coefficients
@@ -328,19 +326,14 @@ def sweep_rows(
                 bounds.append(_bound_at(cs, parts[-1], half_w2, iv, g_a, g_b))
         by_lam.append((lam, cs.regime, bounds))
     terms = functional_terms(e, iv)
-    if skip_membership:
-        status = dict.fromkeys(q_list, MembershipStatus.UNCHECKED)
-    else:
-        # membership is a property of |f''|^q alone, so decide once per q
-        status = {
-            q: MembershipStatus.CHECKED_PASS if passed else MembershipStatus.CHECKED_FAIL
-            for q, passed in glbounds.qclass.bound_memberships(e, iv, q_list).items()
-        }
-    statuses = [status[q] for q in q_list]
+    # membership is a property of |f''|^q alone, so decide once per q; with no lam, no row needs it
+    skip = skip_membership or not lams
+    decisions = dict.fromkeys(q_list) if skip else glbounds.qclass.bound_memberships(e, iv, q_list)
+    memberships = [decisions[q] for q in q_list]
     rows: list[BoundReport] = []
     for lam, regime, bounds in by_lam:
         lhs_abs = abs(terms.at(lam))
-        for q, bound, q_status in zip(q_list, bounds, statuses):
+        for q, bound, membership in zip(q_list, bounds, memberships):
             ratio = lhs_abs / bound if bound > 0.0 else None
-            rows.append(BoundReport(lam, q, lhs_abs, bound, ratio, regime, q_status))
+            rows.append(BoundReport(lam, q, lhs_abs, bound, ratio, regime, membership))
     return rows

@@ -2,7 +2,11 @@
 
 Subcommands: verify-identity, coeffs, bound, sweep, qclass, corpus.
 Exit codes: 0 success/pass, 1 property fail, 2 input error, 3 membership
-fail, 4 output I/O error. Data goes to stdout or --out; diagnostics to
+fail, 4 output I/O error. verify-identity exits 1 past --tol; qclass 1 on
+any violation; sweep 0, whatever its rows' labels; bound reads its
+report's decision record (qclass.Decision, None where membership is
+skipped): 3 where it failed, 1 where it passed and lhs_abs > bound, else
+0. Data goes to stdout or --out; diagnostics to
 stderr, so pipelines stay clean. CSV numbers use 17 significant digits
 and JSON numbers Python's shortest repr, both round-trip safe; human
 summaries use 6.
@@ -52,6 +56,10 @@ EXIT_IO_ERROR = 4
 
 # a sweep computes and holds every row before writing, so its size is capped
 MAX_SWEEP_LAMBDAS = 100_001
+
+# the membership label of a report, keyed on `m and m.passed` for its decision
+# record m: None where membership was skipped, else whether the decision passed
+_LABELS = {True: "CheckedPass", False: "CheckedFail", None: "Unchecked"}
 
 
 def _parse_lambda_grid(text: str) -> tuple[float, float, float]:
@@ -109,11 +117,12 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[int, str]:
     iv = glbounds.quadrature.Interval(args.a, args.b)
     rep = glbounds.bounds.evaluate_bound_report(e, iv, args.lam, args.q, args.skip_membership)
     ratio = "undefined" if rep.ratio is None else "%.6g" % rep.ratio
+    passed = rep.q_membership and rep.q_membership.passed  # None where unchecked
     template = "lhs_abs    = %.6g\nbound      = %.6g\nratio      = %s\nregime     = %s\nmembership = %s\n"
-    text = template % (rep.lhs_abs, rep.bound, ratio, rep.regime.value, rep.q_membership.value)
-    if rep.q_membership is glbounds.bounds.MembershipStatus.CHECKED_FAIL:
+    text = template % (rep.lhs_abs, rep.bound, ratio, rep.regime.value, _LABELS[passed])
+    if passed is False:
         return EXIT_MEMBERSHIP_FAIL, text
-    if rep.q_membership is glbounds.bounds.MembershipStatus.CHECKED_PASS and rep.lhs_abs > rep.bound:
+    if passed and rep.lhs_abs > rep.bound:
         return EXIT_PROPERTY_FAIL, text
     return EXIT_OK, text
 
@@ -144,9 +153,9 @@ def _sweep_content(rows: list[BoundReport], fmt: str) -> str:
     """
     csv = fmt == "csv"
     number, none = ("%.17g", "") if csv else ("%r", "null")
-    # the enum values are ASCII letters, which a JSON string holds as they are
-    enums = (*glbounds.coefficients.Regime, *glbounds.bounds.MembershipStatus)
-    texts = {m: m.value if csv else f'"{m.value}"' for m in enums}
+    # the regimes' values and the labels are ASCII letters, which a JSON string holds as they are
+    names = {**{r: r.value for r in glbounds.coefficients.Regime}, **_LABELS}
+    texts = {key: name if csv else f'"{name}"' for key, name in names.items()}
 
     def template(ratio: str) -> str:
         slots = {"regime": "%s", "ratio": ratio, "membership": "%s"}
@@ -157,12 +166,12 @@ def _sweep_content(rows: list[BoundReport], fmt: str) -> str:
 
     full, empty = template(number), template(none)
     lines = []
-    for lam, q, lhs_abs, bound, ratio, regime, status in rows:
+    for lam, q, lhs_abs, bound, ratio, regime, m in rows:
         # a CSV ratio that is not finite is written as one; JSON has no such number
         if ratio is None or not (csv or math.isfinite(ratio)):
-            lines.append(empty % (lam, q, texts[regime], lhs_abs, bound, texts[status]))
+            lines.append(empty % (lam, q, texts[regime], lhs_abs, bound, texts[m and m.passed]))
         else:
-            lines.append(full % (lam, q, texts[regime], lhs_abs, bound, ratio, texts[status]))
+            lines.append(full % (lam, q, texts[regime], lhs_abs, bound, ratio, texts[m and m.passed]))
     if csv:
         return "\n".join([",".join(_SWEEP_COLUMNS), *lines]) + "\n"
     content = "[\n" + ",\n".join(lines) + "\n]\n"

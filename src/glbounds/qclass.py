@@ -16,8 +16,10 @@ Membership is decided here only. check_godunova_levin is the one scan, of
 any callable g. check_expression (qclass --g) and membership_for_bound
 (qclass --fn) run it on g = f and on g = |f''|^q, with the enclosure of the
 expression as its bound, and return its report. bound_memberships answers,
-for each q, whether the default-grid scan of |f''|^q passes, which is all
-that bound and sweep read, and runs no scan.
+for each q, whether the default-grid scan of |f''|^q passes, and runs no
+scan. Its answer is a Decision, which also says what answered: the cells
+of the cover that proved the q, or the pairs its walk took. bound and sweep
+store it in each report, and bound's exit code is read from it.
 
 The scan is defined by a loop over lam, then x, then y. For every lam in
 (0, 1) and g(x), g(y) >= 0,
@@ -59,11 +61,11 @@ with T_i the largest sup_k - mu_{k+1}^2 over the cells k >= i-1 (mu_{k+1}
 the least root right of cell k), since a pair that reads cell k has
 r_j >= mu_{k+1} and r_j >= m_i. The keys are monotone in the roots, so
 keys from any lower bounds of g at the grid points are keys too.
-bound_memberships needs no report, and decides each q in three steps. It
-encloses |f''| first on one cell that holds every cell of the grid, a valid
-cover as it is, and a q whose row keys from that cell's two ends of |f''|
-are all at most the tolerance passes with no g evaluated and no ranking at
-all. Then on 8 coarse cells, each the union of 8 cells of the grid, with
+bound_memberships needs no report, and decides each q in three steps, on
+the scan's own distinct grid points. It encloses |f''| first on one cell
+that holds every cell of the grid, a valid cover as it is, and a q whose
+row keys from that cell's two ends of |f''| are all at most the tolerance
+passes with no g evaluated and no ranking at all. Then on 8 coarse cells, each the union of 8 cells of the grid, with
 the same keys from their low ends. For any other q, _decide walks, on the
 cells of the grid, only the pairs above the tolerance and answers after
 the pair that holds the first violation (with none, or no such pair, the
@@ -100,9 +102,10 @@ from a heap as the walk meets them. A violation its cell proves gets g read
 at its point, and a place in the heap, only while its u reaches the least
 margin kept; that floor only rises, so a scan holds its memo and keep
 violations. Each violation is met once: the scan runs on the distinct grid
-values (at large offsets grid points coincide, and a repeated point would
-repeat its triples), and at an odd grid the check for negative values counts
-nothing, since the walk meets its triple (x, x, 1/2) at lam = 1/2.
+values (_scan_grid: at large offsets grid points coincide, and a repeated
+point would repeat its triples), and at an odd grid the check for negative
+values counts nothing, since the walk meets its triple (x, x, 1/2) at
+lam = 1/2.
 
 The triple (y, x, 1-lam) has the same point and the same right side as
 (x, y, lam), because float addition is commutative. So when a grid lam and
@@ -126,6 +129,7 @@ glbounds = sys.modules[__package__]  # the package, through which the enclosure 
 __all__ = [
     "Violation",
     "QClassReport",
+    "Decision",
     "check_godunova_levin",
     "check_expression",
     "membership_for_bound",
@@ -189,6 +193,19 @@ class QClassReport(NamedTuple):
         return tuple(sorted(self.worst(self.count)))
 
 
+class Decision(NamedTuple):
+    """The membership decision of one q (bound_memberships): whether the
+    default-grid scan of |f''|^q passes; cover, the number of cells of the
+    enclosure of |f''| that answered (1 for the one cell that holds the
+    grid, the coarse cells, or the grid's cells); and pairs, the pairs that
+    the walk on the grid's cells took (0 where the cover's row keys proved
+    the q)."""
+
+    passed: bool
+    cover: int
+    pairs: int
+
+
 Cells = list[tuple[float, float]]  # [lo, hi] of each cell
 Bound = Callable[[Cells], Sequence[tuple[float, float]]]  # cells -> (low, high) of g on each
 
@@ -218,7 +235,8 @@ class _PointMemo(dict):
 
 
 def _scan_grid(iv: Interval, n: int, tol: float) -> list[float]:
-    """The grid points of the scan of iv at grid n with tolerance tol; raises
+    """The grid points of the scan of iv at grid n with tolerance tol, each
+    value once and ascending (at large offsets grid points coincide); raises
     ValueError where one of the three is invalid."""
     if not 2 <= n <= MAX_GRID_N:
         raise ValueError(f"grid_n must be in [2, {MAX_GRID_N}], got {n!r}")
@@ -228,7 +246,7 @@ def _scan_grid(iv: Interval, n: int, tol: float) -> list[float]:
     xs = [iv.a + width * (i + 0.5) / n for i in range(n)]
     if math.isinf(xs[-1]):  # width * (n - 0.5) passed the float range
         raise ValueError(f"the {n} grid points of [{iv.a!r}, {iv.b!r}] overflow the float range")
-    return xs
+    return xs[:1] + [y for x, y in zip(xs, xs[1:]) if y != x]
 
 
 def _cells(xs: list[float]) -> Cells:
@@ -499,8 +517,6 @@ def check_godunova_levin(
     """
     n = grid_n
     xs = _scan_grid(iv, n, tol)
-    # each value once: at large offsets grid points coincide, and xs ascends
-    xs = xs[:1] + [y for x, y in zip(xs, xs[1:]) if y != x]
     if keep < 0:
         raise ValueError(f"keep must be >= 0, got {keep!r}")
     cells = _cells(xs)
@@ -585,7 +601,7 @@ def _walk(
     keep: int,
 ) -> Iterator[tuple[float, float, int]]:
     """Visit the pairs (b, i, j) of the grid points xs of grid n, i <= j
-    (distinct for a scan, so that it meets each violation once), highest
+    (distinct, so that it meets each violation once), highest
     bound b first (ranked_pairs, from g at xs, read through memo once it
     builds a row, and the high ends of ends; lows, lower bounds of g at xs,
     key the rows until then), each at every lam of _visits(n) in both
@@ -722,9 +738,13 @@ def membership_for_bound(
     return check_godunova_levin(_q_power(e, q), iv, grid_n, tol, lambda cells: _q_ends(d2(cells), q), keep=keep)
 
 
-def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[float, bool]:
-    """q -> whether membership_for_bound(e, iv, q) passes, for each q of q_list
-    in order: the membership decision of bound and sweep.
+def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[float, Decision]:
+    """q -> the Decision of q, whose passed is membership_for_bound(e, iv,
+    q).passed, for each q of q_list in order: the membership decision of
+    bound and sweep. Its cover and pairs say which step answered: 1 and 0
+    for the one cell, the number of coarse cells (8 at 64 distinct grid
+    points) and 0 for those, else the number of the grid's cells and the
+    pairs that _decide took.
 
     Each q is decided in up to three steps. First, |f''| is enclosed on one cell,
     the _cells of the grid's two end points, which runs from the first low
@@ -748,16 +768,18 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     on the one cell against the true [1, 1.54]. Second, for such a q,
     |f''| is enclosed, once for that q and every later one, on 8 coarse
     cells, each the union of 8 cells of the grid from their own ends (the
-    last of 7), and the q passes where the keys of the larger low of g on
-    the two coarse cells that hold each grid point (_point_lows) under the
-    high of each grid cell's coarse cell are all at most DEFAULT_TOL
+    last of 7; fewer where fewer grid points are distinct), and the q
+    passes where the keys of the larger low of g on the two coarse cells
+    that hold each grid point (_point_lows) under the high of each grid
+    cell's coarse cell are all at most DEFAULT_TOL
     (_proves): the coarse cells hold the cells they cover, so these are keys
     of the grid's own values under a valid cover, and no g is evaluated.
     That proves cosh on [-1, 1] at q = 1.2 and exp on [0, 1] at q = 2.
-    Third, |f''| is enclosed on the n-1 cells of the default grid, once,
-    for that q and every later one (which then skip the coarse cells, whose
-    bounds hold these), and the decision by the ratio lemma (_decide)
-    answers it without a scan. Each cell's enclosure lies inside its coarse
+    Third, |f''| is enclosed on the n-1 cells of the n distinct grid points
+    of the default grid (_scan_grid, as the scan's), once, for that q and
+    every later one (which then skip the coarse cells, whose bounds hold
+    these), and the decision by the ratio lemma (_decide) answers it
+    without a scan. Each cell's enclosure lies inside its coarse
     cell's and the one cell's (interval arithmetic is inclusion-isotone),
     so the cells prove whatever the wider covers prove, with no row of pair
     bounds built and no g evaluated. Every step answers as the scan: the
@@ -772,14 +794,14 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     memberships = {}
     for q in dict.fromkeys(q_list):
         if _proves(_q_ends(hull, q)):
-            memberships[q] = True  # no g evaluated
+            memberships[q] = Decision(True, 1, 0)  # no g evaluated
             continue
         if ends is None:
             if coarse is None:
                 cells = _cells(xs)
                 coarse = d2([(cells[k][0], cells[min(k + 7, len(cells) - 1)][1]) for k in range(0, len(cells), 8)])
             if _proves([cover for cover in _q_ends(coarse, q) for _ in range(8)][: len(cells)]):
-                memberships[q] = True  # no g evaluated
+                memberships[q] = Decision(True, len(coarse), 0)  # no g evaluated
                 continue
             ends = d2(cells)
         memberships[q] = _decide(e, q, xs, cells, ends)
@@ -825,12 +847,13 @@ def _q_power(e: Node, q: float) -> Callable[[float], float]:
     return g
 
 
-def _decide(e: Node, q: float, xs: list[float], cells: Cells, ends: list[tuple[float, float]]) -> bool:
-    """membership_for_bound(e, iv, q).passed, decided without the scan, or
-    the error that scan raises; xs are the grid points of iv at
-    DEFAULT_GRID_N, cells their _cells, and ends the pair (low, high) of
-    |f''| on each cell ((0, inf) where the enclosure declines), which
-    _q_ends raises to q.
+def _decide(e: Node, q: float, xs: list[float], cells: Cells, ends: list[tuple[float, float]]) -> Decision:
+    """The Decision of q on the cells, whose passed is membership_for_bound(e,
+    iv, q).passed, decided without the scan, or the error that scan raises,
+    with cover the number of cells and pairs the pairs the walk took; xs are
+    the grid points of iv at DEFAULT_GRID_N, cells their _cells, and ends
+    the pair (low, high) of |f''| on each cell ((0, inf) where the enclosure
+    declines), which _q_ends raises to q.
 
     Only a pair whose bound is above DEFAULT_TOL can hold a violation
     (_bound_row), so _walk visits just those pairs, hottest first, with the
@@ -851,8 +874,8 @@ def _decide(e: Node, q: float, xs: list[float], cells: Cells, ends: list[tuple[f
     # no margin is reported, so top starts at inf, where no margin reaches it; nothing is kept
     walk = _walk(xs, DEFAULT_GRID_N, cells, ends, _PointMemo(_q_power(e, q)), DEFAULT_TOL, math.inf,
                  _point_lows(ends), [], 0)
-    found = 0
-    for b, _, found in walk:
+    pairs = found = 0
+    for pairs, (b, _, found) in enumerate(walk, 1):
         if found and b < math.inf:  # every pair where g may raise is visited
-            return False
-    return not found
+            return Decision(False, len(cells), pairs)
+    return Decision(not found, len(cells), pairs)

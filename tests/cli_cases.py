@@ -69,6 +69,20 @@ X_SWEEP_JSON = "[\n" + ",\n".join(
     for q in ("1.0", "2.0")
 ) + "\n]\n"
 
+# the same sweep of x^3/6 - x^4/12, whose f'' = x - x^2 is 0 at both ends,
+# as sine's is: the bound is 0, and |f''|^q fails membership at every q;
+# + - * / alone (no libm call), so the bytes are the same on every platform
+FAILING_SWEEP = ["sweep", "--fn", "x*x*x/6-x*x*x*x/12", *UNIT, "--lambda-grid", "0:1:0.5", "--q", "1,2"]
+FAILING_SWEEP_CSV = """\
+lambda,q,regime,lhs_abs,bound,ratio,membership
+0,1,Low,0.0093750000000000014,0,,CheckedFail
+0,2,Low,0.0093750000000000014,0,,CheckedFail
+0.5,1,Low,0.0036458333333333308,0,,CheckedFail
+0.5,2,Low,0.0036458333333333308,0,,CheckedFail
+1,1,High,0.016666666666666663,0,,CheckedFail
+1,2,High,0.016666666666666663,0,,CheckedFail
+"""
+
 SQUARE_VI = ["verify-identity", "--fn", "x^2", *UNIT]
 SQUARE_BOUND = ["bound", "--fn", "x^2", *UNIT, "--q", "1"]
 # a bound input error is the same whether membership is decided or skipped
@@ -272,6 +286,10 @@ CASES = [
          file=("sweep.csv", X_SWEEP_CSV)),
     Case([*X_SWEEP, "--out", "sweep.json", "--format", "json"], 0, err="sweep: wrote 6 rows to sweep.json\n",
          file=("sweep.json", X_SWEEP_JSON)),
+    # a sweep exits 0 whatever its rows' labels: where bound would exit 3
+    # (CheckedFail), each row is written, labelled, and the sweep succeeds
+    Case([*FAILING_SWEEP, "--out", "sweep.csv"], 0, out="", err="sweep: wrote 6 rows to sweep.csv\n",
+         file=("sweep.csv", FAILING_SWEEP_CSV)),
     # names are ASCII, so 'π' is an unexpected character at offset 4 (it
     # used to end the request with an AttributeError traceback, exit 1)
     Case(["bound", "--fn", "sin(π*x)", *UNIT, "--lambda", "0", "--q", "1"], 2,

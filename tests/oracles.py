@@ -7,7 +7,8 @@ the corpus's Certified labels, the Hermite-Hadamard double inequality for
 convex entries, a printer for parse round trips, expressions of each
 shape nested to a given depth, the CLI's sweep files as CSV cells and
 json.dumps write them, which its row templates must reproduce, its stdout
-reports printed line by line, which its report templates must reproduce, the rows of
+reports printed line by line, which its report templates must reproduce,
+and bound's exit code (bound_exit), which its handler must give, the rows of
 pair bounds and their eager ranking, which the lazy one must reproduce,
 and the lam-major loop that
 defines the Godunova-Levin scan, which the scan's pair walk must
@@ -358,9 +359,29 @@ DEEP_SHAPES = {
 SWEEP_COLUMNS = ("lambda", "q", "regime", "lhs_abs", "bound", "ratio", "membership")
 
 
+def membership_label(m) -> str:
+    """The label of a report's decision record m (qclass.Decision): Unchecked
+    where membership was skipped (None), else CheckedPass or CheckedFail."""
+    if m is None:
+        return "Unchecked"
+    return "CheckedPass" if m.passed else "CheckedFail"
+
+
+def bound_exit(rep) -> int:
+    """bound's exit code for rep (bounds.BoundReport): 3 where membership was
+    decided and failed, 1 where it passed and lhs_abs > bound, else 0
+    (Unchecked included)."""
+    m = rep.q_membership
+    if m is None:
+        return 0
+    if not m.passed:
+        return 3
+    return 1 if rep.lhs_abs > rep.bound else 0
+
+
 def _sweep_cells(r) -> tuple:
     """A sweep row's (bounds.BoundReport) values, in SWEEP_COLUMNS' order."""
-    return (r.lam, r.q, r.regime.value, r.lhs_abs, r.bound, r.ratio, r.q_membership.value)
+    return (r.lam, r.q, r.regime.value, r.lhs_abs, r.bound, r.ratio, membership_label(r.q_membership))
 
 
 def sweep_csv(rows) -> str:
@@ -424,7 +445,7 @@ def bound_printed(rep) -> str:
     print(f"bound      = {_fmt6(rep.bound)}", file=out)
     print(f"ratio      = {'undefined' if rep.ratio is None else _fmt6(rep.ratio)}", file=out)
     print(f"regime     = {rep.regime.value}", file=out)
-    print(f"membership = {rep.q_membership.value}", file=out)
+    print(f"membership = {membership_label(rep.q_membership)}", file=out)
     return out.getvalue()
 
 

@@ -9,8 +9,8 @@ import glbounds
 import glbounds.enclosure
 from glbounds import (
     BoundInput,
+    Decision,
     Interval,
-    MembershipStatus,
     Proposition,
     Regime,
     coefficient_set,
@@ -294,32 +294,32 @@ class TestBoundReport:
         assert rep.bound == pytest.approx(2.0 * math.log(2.0) - 1.0, abs=1e-12)
         assert rep.ratio == pytest.approx((1.0 / 12.0) / (2.0 * math.log(2.0) - 1.0), abs=1e-6)
         assert rep.regime is Regime.LOW
-        assert rep.q_membership is MembershipStatus.CHECKED_PASS
+        assert rep.q_membership == Decision(True, 1, 0)  # |f''| is constant: the one cell proves it
 
     def test_square_simpson_is_exact(self):
         rep = evaluate_bound_report(parse("x^2"), UNIT, 1.0 / 3.0, 1.0)
-        assert rep.q_membership is MembershipStatus.CHECKED_PASS
+        assert rep.q_membership.passed
         assert rep.lhs_abs <= 1e-10
         assert rep.ratio == pytest.approx(0.0, abs=1e-9)
 
     def test_exp_checked_pass_and_bounded(self):
         rep = evaluate_bound_report(parse("exp(x)"), UNIT, 1.0, 2.0)
-        assert rep.q_membership is MembershipStatus.CHECKED_PASS
+        assert rep.q_membership == Decision(True, 8, 0)  # e^2 > 4: the coarse cells prove it
         assert rep.lhs_abs <= rep.bound
 
     def test_sine_checked_fail_still_reports(self):
         rep = evaluate_bound_report(parse("sin(x)"), Interval(0.000001, 3.141592), 0.0, 1.0)
-        assert rep.q_membership is MembershipStatus.CHECKED_FAIL
+        assert rep.q_membership == Decision(False, 63, 1)  # the first pair of the grid's cells violates
         assert rep.lhs_abs > 0.0
         assert rep.bound > 0.0
 
     def test_skip_mode_reports_unchecked(self):
         rep = evaluate_bound_report(parse("x^2"), UNIT, 0.0, 1.0, skip_membership=True)
-        assert rep.q_membership is MembershipStatus.UNCHECKED
+        assert rep.q_membership is None
 
     def test_zero_second_derivative_gives_undefined_ratio(self):
         rep = evaluate_bound_report(parse("x"), UNIT, 0.3, 1.0)
-        assert rep.q_membership is MembershipStatus.CHECKED_PASS
+        assert rep.q_membership.passed
         assert rep.bound == 0.0
         assert rep.ratio is None
         assert rep.lhs_abs <= 1e-12
@@ -341,9 +341,8 @@ class TestSweepRows:
         for r in rows:
             bound = theorem_bound(BoundInput(iv, r.lam, r.q, g_a, g_b))
             lhs_abs = abs(lhs_functional(e, iv, r.lam))
-            status = MembershipStatus.CHECKED_PASS if passed[r.q] else MembershipStatus.CHECKED_FAIL
-            assert (r.lhs_abs, r.bound, r.regime, r.q_membership) == (
-                lhs_abs, bound, coefficient_set(r.lam).regime, status
+            assert (r.lhs_abs, r.bound, r.regime, r.q_membership.passed) == (
+                lhs_abs, bound, coefficient_set(r.lam).regime, passed[r.q]
             )
             assert r.ratio == (lhs_abs / bound if bound > 0.0 else None)
 
@@ -421,14 +420,27 @@ class TestSweepRows:
         iv = Interval(0.000001, 3.141592)
         rows = sweep_rows(parse("sin(x)"), iv, [0.0, 0.5], (1.0, 2.0), skip_membership=True)
         assert [(r.lam, r.q) for r in rows] == [(0.0, 1.0), (0.0, 2.0), (0.5, 1.0), (0.5, 2.0)]
-        assert all(r.q_membership is MembershipStatus.UNCHECKED for r in rows)
+        assert all(r.q_membership is None for r in rows)
+
+    def test_no_lambda_has_no_row_to_label(self, monkeypatch):
+        """A sweep with no lambda has no row, so it checks no q and makes no
+        membership decision: [], as checking each row in turn gives, decided
+        or skipped."""
+        monkeypatch.setattr(glbounds.qclass, "bound_memberships", None)  # no decision may start
+        for skip in (False, True):
+            assert sweep_rows(parse("x^2"), UNIT, [], (0.5,), skip) == []
 
     def test_every_label_is_decided_or_skipped(self):
         # no mode lets a caller vouch for membership: Certified returns only
-        # with evidence behind it
-        assert [s.value for s in MembershipStatus] == ["CheckedPass", "CheckedFail", "Unchecked"]
-        assert not hasattr(glbounds, "MembershipMode")
-        assert "MembershipMode" not in glbounds.__all__
+        # with evidence behind it; a label is a decision record's passed, or
+        # None where membership was skipped
+        from glbounds.cli import _LABELS as labels
+
+        assert [labels[True], labels[False], labels[None]] == ["CheckedPass", "CheckedFail", "Unchecked"]
+        assert len(labels) == 3 and Decision._fields == ("passed", "cover", "pairs")
+        for name in ("MembershipMode", "MembershipStatus"):
+            assert not hasattr(glbounds, name)
+            assert name not in glbounds.__all__
 
 
 _PROVEN = [
@@ -454,30 +466,33 @@ class TestProvenMembership:
         e = parse(text)
         for q in (1.0, 2.0, 3.0):
             rep = evaluate_bound_report(e, iv, 0.5, q)
-            assert rep.q_membership is MembershipStatus.CHECKED_PASS
+            assert rep.q_membership.passed
         rows = sweep_rows(e, iv, [0.0, 0.5], (1.0, 2.0, 3.0))
-        assert all(r.q_membership is MembershipStatus.CHECKED_PASS for r in rows)
+        assert all(r.q_membership.passed for r in rows)
 
+    # each case keeps the id it had when its label was an enum member
     @pytest.mark.parametrize(
-        "text,iv,q,status",
+        "text,iv,q,decision",
         [
             # |f''|^q = (12 x^2)^q grows past 4 g(x_0) within the first cell for q > 1
-            ("x^4", UNIT, 2.0, MembershipStatus.CHECKED_PASS),
-            ("x^4", UNIT, 3.0, MembershipStatus.CHECKED_PASS),
-            ("sin(x)", Interval(0.000001, 3.141592), 1.0, MembershipStatus.CHECKED_FAIL),
-            ("sin(x)", Interval(0.000001, 3.141592), 2.0, MembershipStatus.CHECKED_FAIL),
-            ("sin(x)", Interval(0.000001, 3.141592), 3.0, MembershipStatus.CHECKED_FAIL),
+            pytest.param("x^4", UNIT, 2.0, Decision(True, 63, 1), id="x^4-iv0-2.0-MembershipStatus.CHECKED_PASS"),
+            pytest.param("x^4", UNIT, 3.0, Decision(True, 63, 1), id="x^4-iv1-3.0-MembershipStatus.CHECKED_PASS"),
+            *(
+                pytest.param("sin(x)", Interval(0.000001, 3.141592), q, Decision(False, 63, 1),
+                             id=f"sin(x)-iv{k}-{q}-MembershipStatus.CHECKED_FAIL")
+                for k, q in ((2, 1.0), (3, 2.0), (4, 3.0))
+            ),
         ],
     )
-    def test_unproven_cases_reach_the_scan(self, monkeypatch, text, iv, q, status):
-        """Where pairs stay above the tolerance, the decision visits them, and
-        the label reaches the scan's verdict without a scan."""
+    def test_unproven_cases_reach_the_scan(self, monkeypatch, text, iv, q, decision):
+        """Where pairs stay above the tolerance, the decision visits them on
+        the grid's cells, and the label reaches the scan's verdict without a
+        scan."""
         e = parse(text)
         with monkeypatch.context() as m:
             m.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
-            assert evaluate_bound_report(e, iv, 0.5, q).q_membership is status
-        passed = membership_for_bound(e, iv, q).passed
-        assert status is (MembershipStatus.CHECKED_PASS if passed else MembershipStatus.CHECKED_FAIL)
+            assert evaluate_bound_report(e, iv, 0.5, q).q_membership == decision
+        assert decision.passed is membership_for_bound(e, iv, q).passed
 
     def test_sweeps_share_one_cover(self, monkeypatch):
         calls = []

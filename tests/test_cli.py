@@ -27,17 +27,18 @@ from glbounds import (
     rhs_identity,
     theorem_bound,
 )
-from glbounds.bounds import BoundReport, MembershipStatus
+from glbounds.bounds import BoundReport
 from glbounds.cli import _COMMANDS, _parser, _read, _sweep_content, main
 from glbounds.coefficients import CoefficientSet, Regime
 from glbounds.expressions import MAX_NESTING
 from glbounds.kernel import IdentityReport
-from glbounds.qclass import QClassReport
+from glbounds.qclass import Decision, QClassReport
 import cli_cases
 from conftest import examples
 from oracles import (
     DEEP_SHAPES,
     EVERY,
+    bound_exit,
     bound_printed,
     coeffs_printed,
     identity_printed,
@@ -221,6 +222,8 @@ def _run_sweep(path, fmt=None, fn="x^2", a="0", b="1"):
 _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16, 1e-7])
 _FINITE = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
 _NOT_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+# a report's membership: None where skipped, else a decision record
+_MEMBERSHIP = st.none() | st.builds(Decision, st.booleans(), st.integers(0, 63), st.integers(0, 64 * 65 // 2))
 _REPORT = st.builds(
     glbounds.bounds.BoundReport,
     lam=_FINITE,
@@ -229,7 +232,7 @@ _REPORT = st.builds(
     bound=_FINITE,
     ratio=st.one_of(st.none(), _FINITE, _NOT_FINITE),
     regime=st.sampled_from(glbounds.Regime),
-    q_membership=st.sampled_from(glbounds.MembershipStatus),
+    q_membership=_MEMBERSHIP,
 )
 
 
@@ -680,18 +683,24 @@ EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.225073858507
 FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats()
 
 
-def _handler_report(argv, owner, name, rep):
-    """The stdout text of argv's handler, with owner.name answering rep."""
+def _handler_result(argv, owner, name, rep):
+    """The exit code and stdout text of argv's handler, with owner.name answering rep."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(owner, name, lambda *args: rep)
         args = _read(argv)
-        return args.handler(args)[1]
+        return args.handler(args)
+
+
+def _handler_report(argv, owner, name, rep):
+    """The stdout text of argv's handler, with owner.name answering rep."""
+    return _handler_result(argv, owner, name, rep)[1]
 
 
 class TestReportTemplates:
     """Each report, filled into its one template, is the bytes that the CLI
     printed a line at a time (the renderers of oracles.py), for any float, a
-    ratio of None, and qclass's ints and booleans."""
+    ratio of None, and qclass's ints and booleans; bound's exit code is
+    bound_exit's, for any decision record or none."""
 
     @settings(max_examples=examples(300), deadline=None)
     @given(rep=st.builds(IdentityReport, FLOATS, FLOATS, FLOATS))
@@ -716,14 +725,18 @@ class TestReportTemplates:
     @given(
         rep=st.builds(
             BoundReport, FLOATS, FLOATS, FLOATS, FLOATS, st.none() | FLOATS,
-            st.sampled_from(Regime), st.sampled_from(MembershipStatus),
+            st.sampled_from(Regime), _MEMBERSHIP,
         )
     )
-    @example(rep=BoundReport(0.5, 1.0, 0.0, -0.0, None, Regime.LOW, MembershipStatus.UNCHECKED))
-    @example(rep=BoundReport(0.5, 1.0, 1e308, 5e-324, math.inf, Regime.HIGH, MembershipStatus.CHECKED_FAIL))
+    @example(rep=BoundReport(0.5, 1.0, 0.0, -0.0, None, Regime.LOW, None))
+    @example(rep=BoundReport(0.5, 1.0, 1e308, 5e-324, math.inf, Regime.HIGH, Decision(False, 63, 1)))
+    @example(rep=BoundReport(0.5, 1.0, 1e308, 5e-324, math.inf, Regime.HIGH, Decision(True, 1, 0)))
+    @example(rep=BoundReport(0.5, 1.0, 1e308, 5e-324, math.inf, Regime.HIGH, None))
+    @example(rep=BoundReport(0.5, 1.0, math.nan, 1.0, math.nan, Regime.LOW, Decision(True, 8, 0)))
     def test_bound(self, rep):
         argv = ["bound", "--fn", "x", "--a", "0", "--b", "1", "--lambda", "0.5", "--q", "1"]
-        assert _handler_report(argv, glbounds.bounds, "evaluate_bound_report", rep) == bound_printed(rep)
+        result = _handler_result(argv, glbounds.bounds, "evaluate_bound_report", rep)
+        assert result == (bound_exit(rep), bound_printed(rep))
 
     @settings(max_examples=examples(300), deadline=None)
     @given(

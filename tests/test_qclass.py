@@ -31,6 +31,7 @@ from glbounds.expressions import Bin, Const, DomainError, ExpressionError, NonSm
 from glbounds.enclosure import compile_second_derivative, compile_value, inf_power, sup_power
 from glbounds.qclass import (
     DEFAULT_TOL,
+    Decision,
     _cells,
     _bound_row,
     _decide,
@@ -521,39 +522,22 @@ def cleared_triples(monkeypatch, text, iv, grid_n, q):
 
 
 def decision_paths(e, iv, qs):
-    """bound_memberships(e, iv, qs), or its error (_outcome), and the path
-    that answered each q: "one cell" (the keys of the two ends of |f''| on
-    the one cell that holds the grid, with no g evaluated), "coarse cells"
-    (the keys of |f''| on the 8 coarse cells, with no g evaluated), "cells"
-    (_decide on the cells of the grid, which passes) or "violation"
-    (_decide, which fails); ["error"] where it raises."""
-    decide, proves = glbounds.qclass._decide, glbounds.qclass._proves
-    decided, proofs = {}, []
-
-    def recorded(e, q, *args):
-        decided[q] = decide(e, q, *args)
-        return decided[q]
-
-    def recorded_proof(ends):
-        proofs.append((len(ends), proves(ends)))  # 1 cell for the hull, 63 for the coarse cells
-        return proofs[-1][1]
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(glbounds.qclass, "_decide", recorded)
-        m.setattr(glbounds.qclass, "_proves", recorded_proof)
-        outcome = _outcome(lambda: bound_memberships(e, iv, qs))
+    """Each q's passed from bound_memberships(e, iv, qs), or its error
+    (_outcome), and the path that answered each q, read from its Decision's
+    cover and passed, at a grid of 64 distinct points: "one cell" (cover 1:
+    the keys of the two ends of |f''| on the one cell that holds the grid,
+    with no g evaluated), "coarse cells" (cover 8: the keys of |f''| on the
+    8 coarse cells, with no g evaluated), "cells" (cover 63: _decide on the
+    cells of the grid, which passes) or "violation" (_decide, which fails);
+    ["error"] where it raises."""
+    outcome = _outcome(lambda: bound_memberships(e, iv, qs))
     if not isinstance(outcome, dict):
         return outcome, ["error"]
     paths = []
-    for q in outcome:  # the order the decision takes them in: a hull proof, then maybe a coarse one
-        _, proved = proofs.pop(0)
-        if not proved and proofs and proofs[0][0] > 1:
-            _, proved = proofs.pop(0)
-            paths.append("coarse cells" if proved else "cells" if decided[q] else "violation")
-        else:
-            paths.append("one cell" if proved else "cells" if decided[q] else "violation")
-    assert not proofs
-    return outcome, paths
+    for d in outcome.values():
+        assert d.cover in (1, 8, 63) and (d.cover == 63 or (d.passed and d.pairs == 0)), d
+        paths.append({1: "one cell", 8: "coarse cells"}.get(d.cover, "cells" if d.passed else "violation"))
+    return {q: d.passed for q, d in outcome.items()}, paths
 
 
 def pruned_and_unpruned(text, iv, grid_n=64, q=None):
@@ -1035,6 +1019,11 @@ def _scans(e, iv, qs):
     return _outcome(lambda: {q: membership_for_bound(e, iv, q).passed for q in qs})
 
 
+def _decided(e, iv, qs):
+    """Each q's passed from bound_memberships(e, iv, qs), or its error."""
+    return _outcome(lambda: {q: d.passed for q, d in bound_memberships(e, iv, qs).items()})
+
+
 class TestProof:
     """bound_memberships answers every input as the scans do, errors included,
     and runs no scan."""
@@ -1088,7 +1077,7 @@ class TestProof:
         that cell, and evaluates no g, ranks no pair and builds no row of pair
         bounds."""
         work = record_work(monkeypatch)
-        assert bound_memberships(parse(text), iv, qs) == dict.fromkeys(qs, True)
+        assert bound_memberships(parse(text), iv, qs) == dict.fromkeys(qs, Decision(True, 1, 0))
         assert work == {"covers": [1], "points": 0, "rankings": 0, "rows": 0}
 
     def test_cells_prove_what_the_hull_ends_cannot_with_no_pair_row(self, monkeypatch):
@@ -1098,7 +1087,8 @@ class TestProof:
         # the keys of their lows under their highs keep no row to build, with
         # no g evaluated and no enclosure of the 63 cells
         work = record_work(monkeypatch)
-        assert bound_memberships(parse("(exp(x)+exp(-x))/2"), Interval(-1.0, 1.0), (1.2,)) == {1.2: True}
+        cosh = parse("(exp(x)+exp(-x))/2")
+        assert bound_memberships(cosh, Interval(-1.0, 1.0), (1.2,)) == {1.2: Decision(True, 8, 0)}
         assert work == {"covers": [1, 8], "points": 0, "rankings": 0, "rows": 0}
 
     def test_one_cell_leaves_a_vanishing_g_to_the_cells(self, monkeypatch):
@@ -1106,14 +1096,14 @@ class TestProof:
         # factor 4 cannot cover the one cell's bound there, nor the first
         # coarse cell's; the keys of the 63 cells' lows leave no row to build
         work = record_work(monkeypatch)
-        assert bound_memberships(parse("sin(x)"), Interval(0.0, 1e-9), (1.0,)) == {1.0: True}
+        assert bound_memberships(parse("sin(x)"), Interval(0.0, 1e-9), (1.0,)) == {1.0: Decision(True, 63, 0)}
         assert work == {"covers": [1, 8, 63], "points": 0, "rankings": 1, "rows": 0}
 
     def test_partial_covers_and_errors_are_the_scans(self, monkeypatch):
         # a pole leaves one cell unbounded, where g may raise; the scan fails
         pole, iv = parse("1/x"), Interval(-1.0, 1.0)
         assert math.inf in enclosed(pole, iv, 64)[1]
-        assert _outcome(lambda: bound_memberships(pole, iv, (1.0,))) == _scans(pole, iv, (1.0,)) == {1.0: False}
+        assert _decided(pole, iv, (1.0,)) == _scans(pole, iv, (1.0,)) == {1.0: False}
         e = parse("x^2")
 
         def broken(*args):
@@ -1123,7 +1113,7 @@ class TestProof:
             return [(0.0, math.inf)] * len(cells)
 
         def same(e, iv, qs):
-            decided = _outcome(lambda: bound_memberships(e, iv, qs))
+            decided = _decided(e, iv, qs)
             assert decided == _scans(e, iv, qs)
             return decided
 
@@ -1156,7 +1146,7 @@ class TestProof:
         that of the first point in lam-major order (0.720947265625)."""
         e = parse("exp(x)")
         err = (ValueError, "|f''(x)|^q overflows at x=0.7109375: |f''| = 2.0358990195749382, q = 1000.0")
-        assert _outcome(lambda: bound_memberships(e, UNIT_IV, (1000.0,))) == _scans(e, UNIT_IV, (1000.0,)) == err
+        assert _decided(e, UNIT_IV, (1000.0,)) == _scans(e, UNIT_IV, (1000.0,)) == err
 
     def test_unbounded_pairs_alone_decide_a_kink(self, monkeypatch):
         """|f''| of abs(x-0.3) is 0 wherever it is defined, so only the 855
@@ -1164,7 +1154,7 @@ class TestProof:
         decision visits those and no other, and passes."""
         monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
         taken = record_taken(monkeypatch)
-        assert bound_memberships(parse("abs(x-0.3)"), UNIT_IV, (2.0,)) == {2.0: True}
+        assert bound_memberships(parse("abs(x-0.3)"), UNIT_IV, (2.0,)) == {2.0: Decision(True, 63, 855)}
         assert len(taken) == 1 and len(taken[0]) == 855 < 64 * 65 // 2
         assert all(b == math.inf for b, _, _ in taken[0])
         # the kink on a grid point's scan point: the scan's error, with no scan
@@ -1173,10 +1163,10 @@ class TestProof:
 
     def test_a_violation_ends_the_decision_without_a_scan(self, monkeypatch):
         monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
-        assert bound_memberships(parse("-sin(x)"), SINE_INTERVAL, (1.0,)) == {1.0: False}
+        assert _decided(parse("-sin(x)"), SINE_INTERVAL, (1.0,)) == {1.0: False}
         # x^4 keeps one pair above the tolerance at each q, its diagonal at the
         # first grid point, and that pair does not violate
-        assert bound_memberships(parse("x^4"), UNIT_IV, (2.0, 3.0)) == {2.0: True, 3.0: True}
+        assert bound_memberships(parse("x^4"), UNIT_IV, (2.0, 3.0)) == dict.fromkeys((2.0, 3.0), Decision(True, 63, 1))
 
     @pytest.mark.parametrize(
         "text,iv,qs",
@@ -1185,7 +1175,7 @@ class TestProof:
     def test_exponents_that_depend_on_x_are_proven_with_no_pair(self, monkeypatch, text, iv, qs):
         monkeypatch.setattr(glbounds.qclass, "check_godunova_levin", None)  # no scan may start
         taken = record_taken(monkeypatch)
-        assert bound_memberships(parse(text), iv, qs) == dict.fromkeys(qs, True)
+        assert _decided(parse(text), iv, qs) == dict.fromkeys(qs, True)
         assert not any(taken)
 
     # pairs each decision below takes: the composite's hottest pairs straddle
@@ -1221,10 +1211,11 @@ class TestProof:
         cells = _cells(xs)
         decided = _decide(e, q, xs, cells, compile_second_derivative(e)(cells))
         rep = membership_for_bound(e, iv, q, keep=EVERY)
-        assert decided is rep.passed
+        assert decided.passed is rep.passed and decided.cover == 63
+        assert decided.pairs == len(taken[0])
         violating = {frozenset((v.x, v.y)) for v in rep.violations}
         holds = [frozenset((xs[i], xs[j])) in violating for _, i, j in taken[0]]
-        if decided:
+        if decided.passed:
             assert not any(holds)
         else:
             assert holds[-1] and not any(holds[:-1])
@@ -1253,7 +1244,7 @@ class TestProof:
     def test_passing_decisions_build_rows_for_few_pairs(self, monkeypatch, text, iv, q, rows, pairs):
         work = record_work(monkeypatch)
         taken = record_taken(monkeypatch)
-        assert bound_memberships(parse(text), iv, (q,)) == {q: True}
+        assert bound_memberships(parse(text), iv, (q,)) == {q: Decision(True, 63, pairs)}
         assert work == {"covers": [1, 8, 63], "points": self.POINTS[text], "rankings": 1, "rows": rows}
         assert [len(t) for t in taken] == [pairs]
 
@@ -1286,9 +1277,49 @@ class TestProof:
     )
     def test_memberships_equal_the_scans(self, text, iv, qs):
         e = parse(text)
-        decided = _outcome(lambda: bound_memberships(e, iv, qs))
-        scanned = _outcome(lambda: {q: membership_for_bound(e, iv, q).passed for q in qs})
-        assert decided == scanned
+        assert _decided(e, iv, qs) == _scans(e, iv, qs)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "sin(10000000*(x-100000000))",  # |f''| is 0 at a: the walk on the cells takes pairs
+            "(x-100000000)^3",
+            "cos(10000000*(x-100000000))",
+            "abs(x-100000000.00000005)",  # the kink on a scan point: the scan's error
+        ],
+    )
+    def test_coinciding_grid_points_are_decided_once(self, monkeypatch, text):
+        """At 1e8 the 64 grid points of a width of 1e-7 are 8 floats, and the
+        decision runs on those 8, as the scan does: no enclosure it builds
+        has more than their 7 cells, and its answers are the scans'."""
+        e, iv, qs = parse(text), Interval(1e8, 1e8 + 1e-7), (1.0, 2.0, 3.0)
+        distinct = len(set(_scan_grid(iv, 64, DEFAULT_TOL)))
+        assert distinct == 8
+        with monkeypatch.context() as m:
+            work = record_work(m)
+            decided = _decided(e, iv, qs)
+        assert work["covers"] and max(work["covers"]) <= distinct - 1
+        assert decided == _scans(e, iv, qs)
+
+    # the Decision, as (passed, cover, pairs), of each corpus entry at q = 1,
+    # 1.2, 2 and 3, decided in one call: the one cell, the 8 coarse cells,
+    # or the 63 cells of the grid with the pairs their walk took
+    CORPUS_DECISIONS = {
+        "quadratic": [(True, 1, 0)] * 4,
+        "quartic": [(True, 63, 1)] * 4,  # the first grid point's diagonal pair, which holds
+        "exponential": [(True, 1, 0), (True, 1, 0), (True, 8, 0), (True, 63, 0)],
+        "cosh": [(True, 8, 0)] * 4,
+        "reciprocal": [(True, 1, 0), (True, 8, 0), (True, 8, 0), (True, 63, 0)],
+        "sine": [(False, 63, 1)] * 4,  # the first pair violates
+    }
+
+    @pytest.mark.parametrize("name", [entry.name for entry in corpus_entries()])
+    def test_corpus_decisions_are_pinned_with_their_evidence(self, corpus_by_name, name):
+        entry = corpus_by_name[name]
+        e, iv, qs = parse(entry.expression), entry.interval, (1.0, 1.2, 2.0, 3.0)
+        decisions = bound_memberships(e, iv, qs)
+        assert list(decisions.values()) == [Decision(*d) for d in self.CORPUS_DECISIONS[name]]
+        assert [d.passed for d in decisions.values()] == [membership_for_bound(e, iv, q).passed for q in qs]
 
     def test_a_pole_leaves_only_its_cell_unbounded(self):
         xs, sup = enclosed(parse("1/x"), Interval(-1.0, 1.0), 64)
