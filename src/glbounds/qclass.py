@@ -61,21 +61,22 @@ with T_i the largest sup_k - mu_{k+1}^2 over the cells k >= i-1 (mu_{k+1}
 the least root right of cell k), since a pair that reads cell k has
 r_j >= mu_{k+1} and r_j >= m_i. The keys are monotone in the roots, so
 keys from any lower bounds of g at the grid points are keys too.
-bound_memberships needs no report, and decides each q in three steps, on
-the scan's own distinct grid points. It encloses |f''| first on one cell
-that holds every cell of the grid, a valid cover as it is, and a q whose
-row keys from that cell's two ends of |f''| are all at most the tolerance
-passes with no g evaluated and no ranking at all. Then on 8 coarse cells, each the union of 8 cells of the grid, with
-the same keys from their low ends. For any other q, _decide walks, on the
-cells of the grid, only the pairs above the tolerance and answers after
-the pair that holds the first violation (with none, or no such pair, the
-scan passes). Its ranking keys the rows from the cells' low ends of g and
-reads g at the grid points only when it must build a row. The pairs with
-b = inf come first and hold every point where g may raise, so _decide
-answers False only once they are all visited, and raises the scan's error
-where the scan would: it answers every input as the scan would, and bound
-and sweep run no scan. The cells, and what a bound means for a pair, are
-decided in this module only.
+
+bound_memberships needs no report, and decides each q on the scan's own
+distinct grid points. It encloses |f''| on three covers in turn: one cell
+that holds every cell of the grid, 8 coarse cells, each the union of 8
+cells of the grid, and the cells of the grid. Each cover is tried the same
+way (_proves), with no g read: a q whose row keys from the cover's low ends
+of g at the grid points, under its high ends, are all at most the
+tolerance passes. Only where the grid's cells prove nothing does _decide
+walk, and only the walk reads g, the grid points first. Its ranking keys
+the rows from g, and it visits only the pairs above the tolerance and
+answers after the pair that holds the first violation (with none, or no
+such pair, the scan passes). The pairs with b = inf come first and hold
+every point where g may raise, so _decide answers False only once they are
+all visited, and raises the scan's error where the scan would: it answers
+every input as the scan would, and bound and sweep run no scan. The cells,
+and what a bound means for a pair, are decided in this module only.
 
 The enclosure and heapq are imported when the first scan or decision runs,
 so every command but bound, sweep and qclass starts without them. Each call
@@ -403,48 +404,34 @@ def _row_keys(sup: list[float], alone: list[float], roots: list[float | None]) -
     return keys
 
 
-def ranked_pairs(
-    lows: list[float], sup: list[float], floor: float, values: Callable[[], list[float]]
-) -> Iterator[tuple[float, int, int]]:
+def ranked_pairs(gx: list[float], sup: list[float], floor: float) -> Iterator[tuple[float, int, int]]:
     """(b, i, j) for each pair of grid points i <= j whose bound b
-    (_bound_row) is above floor, highest b first: the order of
-    sorted(..., reverse=True), ties of b broken by the higher i, then the
-    higher j.
+    (_bound_row) of g at the grid points, gx, under the cell bounds sup is
+    above floor, highest b first: the order of sorted(..., reverse=True),
+    ties of b broken by the higher i, then the higher j.
 
-    b is that of g at the grid points, values(), under the cell bounds sup.
     A walk that stops early takes few pairs, so the pairs are ranked lazily
     from a heap with one entry per row, keyed on (a bound of) the row's
     largest b not yet taken and then on i (no two rows share an i). A row
-    enters under its key (_row_keys), at least every b of the row, where
-    that is above floor. The keys come first from lows, lower bounds of g
-    at the grid points (g itself for a scan, which has read it), and are
-    keys of g too, since a key only grows as a root falls. values() is
-    called once, when the first row must be built; where its g differs from
-    lows, every row is keyed again from g. A row's bounds are computed
-    (_bound_row) only when its key reaches the top, and the row goes back
-    under its exact largest b, or is dropped where that is at most floor. A
-    row's pairs are sorted only when the first of them is taken.
-    An exact entry at the top is at or above every other entry's key, and
-    so above or tied with every b left in the heap, ties broken by i as
-    the sort breaks them, so the order is the sort's.
+    enters under its key from gx (_row_keys), at least every b of the row,
+    where that is above floor. A row's bounds are computed (_bound_row) only
+    when its key reaches the top, and the row goes back under its exact
+    largest b, or is dropped where that is at most floor. A row's pairs are
+    sorted only when the first of them is taken. An exact entry at the top
+    is at or above every other entry's key, and so above or tied with every
+    b left in the heap, ties broken by i as the sort breaks them, so the
+    order is the sort's.
     """
     import heapq  # loaded at the first ranking, not at start-up
 
-    def keyed(gx):
-        parts = _row_parts(gx, sup)
-        # (-key, -i, row, left): row None until built, left None until sorted
-        heap = [(-key, -i, None, None) for i, key in enumerate(_row_keys(*parts)) if key > floor]
-        heapq.heapify(heap)
-        return parts, heap
-
-    (parts, heap), gx = keyed(lows), None
+    parts = _row_parts(gx, sup)
+    # (-key, -i, row, left): row None until built, left None until sorted
+    heap = [(-key, -i, None, None) for i, key in enumerate(_row_keys(*parts)) if key > floor]
+    heapq.heapify(heap)
     while heap:
         _, neg_i, row, left = heap[0]
         i = -neg_i
         if row is None:  # the key reached the top: build the row, and key it exactly
-            if gx is None and (gx := values()) != lows:  # the first row: key every row from g
-                parts, heap = keyed(gx)
-                continue
             row = _bound_row(i, *parts)
             top = max(row)
             if top > floor:
@@ -542,7 +529,7 @@ def check_godunova_levin(
 
     found = 0
     # the walk's last yield, after its last pair, has the largest margin and every violation
-    for _, max_margin, found in _walk(xs, n, cells, ends, memo, tol, max_margin, gx, worst, keep):
+    for _, max_margin, found in _walk(xs, n, cells, ends, memo, tol, max_margin, worst, keep):
         pass
     kept = tuple(Violation._make((-x, -y, -lam, lhs, rhs)) for _, x, y, lam, lhs, rhs in sorted(worst, reverse=True))
     return QClassReport(n * n * n, max_margin, count + found, kept)
@@ -596,26 +583,24 @@ def _walk(
     memo: _PointMemo,
     tol: float,
     top: float,
-    lows: list[float],
     worst: list,
     keep: int,
 ) -> Iterator[tuple[float, float, int]]:
     """Visit the pairs (b, i, j) of the grid points xs of grid n, i <= j
-    (distinct, so that it meets each violation once), highest
-    bound b first (ranked_pairs, from g at xs, read through memo once it
-    builds a row, and the high ends of ends; lows, lower bounds of g at xs,
-    key the rows until then), each at every lam of _visits(n) in both
-    orders of its points, and yield (b, top, count), the pair's bound, the
-    largest margin so far and the violations met so far, once after each
-    pair: a caller that stops at the first violation reads the count between
-    pairs, at the cost of the rest of that pair's margins (63 at most at
-    grid 64, two for each of its 32 visits). Margins are as the lam-major
-    loop that defines the scan computes them, and a violation at a lam
-    whose mirror has no visit of its own counts for the mirror's too, and
-    goes to the heap worst (_keep) with it where its margin reaches the
-    floor of the keep kept. Of margins tied at top (0.0 and -0.0 compare
-    equal), the first in lam-major order (visit, row, column) is kept, as
-    in that loop.
+    (distinct, so that it meets each violation once), highest bound b first
+    (ranked_pairs, from g at xs, which the walk reads first, in order,
+    through memo, and the high ends of ends), each at every lam of
+    _visits(n) in both orders of its points, and yield (b, top, count), the
+    pair's bound, the largest margin so far and the violations met so far,
+    once after each pair: a caller that stops at the first violation reads
+    the count between pairs, at the cost of the rest of that pair's margins
+    (63 at most at grid 64, two for each of its 32 visits). Margins are as
+    the lam-major loop that defines the scan computes them, and a violation
+    at a lam whose mirror has no visit of its own counts for the mirror's
+    too, and goes to the heap worst (_keep) with it where its margin
+    reaches the floor of the keep kept. Of margins tied at top (0.0 and
+    -0.0 compare equal), the first in lam-major order (visit, row, column)
+    is kept, as in that loop.
 
     The walk stops at the first pair with b <= tol and b < top: every margin
     of a pair is at most its bound (_bound_row), and no bound left is above
@@ -649,12 +634,12 @@ def _walk(
     the cell; a cell where the enclosure declines is inf. Every point the
     walk asks for lies in a cell of its pair, so a point where g raises
     lies only in pairs with b = inf, which rank before every other pair.
-    The walk meets the points in another order than the loop, so where it
-    raises it asks for them again in the loop's order, the grid points
-    first (a decision reads them only when its ranking builds a row; a scan
-    reads them before its walk), then each visit's lam, then x, then y, at
-    the walk's own point (the values it has cost nothing), and the loop's
-    first failing point raises.
+    The walk reads the grid points first, as the loop does (a scan has read
+    them, so these cost nothing). It meets the other points in another
+    order than the loop, so where it raises it asks for them again in the
+    loop's order, each visit's lam, then x, then y, at the walk's own point
+    (the values it has cost nothing), and the loop's first failing point
+    raises.
     """
     steps = [(v, lam, 1.0 - lam, paired) for v, (lam, paired) in enumerate(_visits(n))]
     # (lo, hi, low, high) of each cell, the last one again past it
@@ -663,14 +648,15 @@ def _walk(
     offsets: dict[int, list[int]] = {}  # q - p -> each visit's cell, less p
     at = (-1, 0, 0)  # where top is in lam-major order; -1 is before every visit
     count, floor = 0, _floor(worst, keep)
+    gx = [memo[x] for x in xs]
     try:
         highs = [high for _, high in ends]
-        for b, i, j in ranked_pairs(lows, highs, tol if top > tol else -math.inf, lambda: [memo[x] for x in xs]):
+        for b, i, j in ranked_pairs(gx, highs, tol if top > tol else -math.inf):
             if b <= tol and b < top:
                 return
             for p, q in ((i, j), (j, i)) if i < j else ((i, i),):
                 xp, xq = xs[p], xs[q]
-                gp, gq = memo[xp], memo[xq]
+                gp, gq = gx[p], gx[q]
                 offs = offsets.get(q - p)
                 if offs is None:
                     offs = offsets[q - p] = [math.floor(clam * (q - p)) for _, _, clam, _ in steps]
@@ -699,8 +685,6 @@ def _walk(
                             floor = _keep(worst, keep, m, xp, xq, lam, lhs, rhs, paired)
             yield b, top, count
     except Exception:
-        for x in xs:
-            memo[x]
         for _, lam, clam, _ in steps:
             for xp in xs:
                 for xq in xs:
@@ -746,44 +730,37 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
     points) and 0 for those, else the number of the grid's cells and the
     pairs that _decide took.
 
-    Each q is decided in up to three steps. First, |f''| is enclosed on one cell,
-    the _cells of the grid's two end points, which runs from the first low
-    of the grid's cells to their last high and so holds every cell and
-    every scan point, as one pair (L, H), which _q_ends raises to q: H
-    bounds |f''| on each cell, and L puts every grid value g_i at or above
-    low = inf_power(L, q). So the row keys (_row_keys) of the two values
-    [low, low] under the one bound S = sup_power(H, q) are at least the
-    keys of the grid's own values under [S] * (n-1), a cover that the proof
-    of _bound_row takes as it is (each rounding in a key is monotone).
-    Where every such key is at most DEFAULT_TOL, no pair can hold a
-    violation, and the scan passes with no g evaluated (S finite also
-    proves that g raises nowhere).
+    Each q is tried on up to three covers of the grid's cells, each by
+    _proves, with no g read: where the row keys of the lows of g at the
+    grid points under the highs of g on the cover's cells are all at most
+    DEFAULT_TOL, no pair can hold a violation, and the scan passes (a
+    finite cover also proves that g raises nowhere). A cover's high bounds
+    g on each grid cell it holds, a sup that the proof of _bound_row takes
+    as it is, and a key only grows as a root falls, so these keys are at
+    least every pair bound of g itself.
 
-    That proves a constant |f''| (x^2 on any interval) and a g that stays
-    within the ratio lemma's factor 4 of its least value, as on tiny
-    windows away from a zero of f'' (sin on the edge benchmark's windows)
-    or exp on [0, 1] at q = 1.2. It does not prove exp on [0, 1] at q = 2
-    (e^2 > 4), sin on [0, 1e-9], where g is near 0 at the left end, or
-    cosh on [-1, 1], where interval dependency widens |f''| to [0.37, 2.7]
-    on the one cell against the true [1, 1.54]. Second, for such a q,
-    |f''| is enclosed, once for that q and every later one, on 8 coarse
-    cells, each the union of 8 cells of the grid from their own ends (the
-    last of 7; fewer where fewer grid points are distinct), and the q
-    passes where the keys of the larger low of g on the two coarse cells
-    that hold each grid point (_point_lows) under the high of each grid
-    cell's coarse cell are all at most DEFAULT_TOL
-    (_proves): the coarse cells hold the cells they cover, so these are keys
-    of the grid's own values under a valid cover, and no g is evaluated.
-    That proves cosh on [-1, 1] at q = 1.2 and exp on [0, 1] at q = 2.
-    Third, |f''| is enclosed on the n-1 cells of the n distinct grid points
-    of the default grid (_scan_grid, as the scan's), once, for that q and
-    every later one (which then skip the coarse cells, whose bounds hold
-    these), and the decision by the ratio lemma (_decide) answers it
-    without a scan. Each cell's enclosure lies inside its coarse
-    cell's and the one cell's (interval arithmetic is inclusion-isotone),
-    so the cells prove whatever the wider covers prove, with no row of pair
-    bounds built and no g evaluated. Every step answers as the scan: the
-    answers, and the first error raised, are the scans'.
+    First, one cell, the _cells of the grid's two end points, which runs
+    from the first low of the grid's cells to their last high and so holds
+    every cell and every scan point. That proves a constant |f''| (x^2 on
+    any interval) and a g that stays within the ratio lemma's factor 4 of
+    its least value, as on tiny windows away from a zero of f'' (sin on the
+    edge benchmark's windows) or exp on [0, 1] at q = 1.2. It does not prove
+    exp on [0, 1] at q = 2 (e^2 > 4), sin on [0, 1e-9], where g is near 0
+    at the left end, or cosh on [-1, 1], where interval dependency widens
+    |f''| to [0.37, 2.7] on the one cell against the true [1, 1.54].
+    Second, 8 coarse cells, each the union of 8 cells of the grid from
+    their own ends (the last of 7; fewer where fewer grid points are
+    distinct, and none where the grid has 8 cells or fewer, whose one coarse
+    cell would be the one cell again). That proves cosh on [-1, 1] at
+    q = 1.2 and exp on [0, 1] at q = 2. Third, the n-1 cells of the n
+    distinct grid points of the default grid (_scan_grid, as the scan's),
+    on which _decide tries the q and, where they prove nothing, walks: only
+    the walk reads g. Each cell's enclosure lies inside its coarse cell's
+    and the one cell's (interval arithmetic is inclusion-isotone), so the
+    cells prove whatever the wider covers prove. |f''| is enclosed on each
+    cover once, for the first q that reaches it, and a q after the first to
+    reach the grid's cells skips the coarse cells. Every step answers as the
+    scan: the answers, and the first error raised, are the scans'.
     """
     for q in q_list:
         glbounds.coefficients._check_q(q)
@@ -797,12 +774,12 @@ def bound_memberships(e: Node, iv: Interval, q_list: Sequence[float]) -> dict[fl
             memberships[q] = Decision(True, 1, 0)  # no g evaluated
             continue
         if ends is None:
-            if coarse is None:
-                cells = _cells(xs)
-                coarse = d2([(cells[k][0], cells[min(k + 7, len(cells) - 1)][1]) for k in range(0, len(cells), 8)])
-            if _proves([cover for cover in _q_ends(coarse, q) for _ in range(8)][: len(cells)]):
-                memberships[q] = Decision(True, len(coarse), 0)  # no g evaluated
-                continue
+            cells = cells or _cells(xs)
+            if len(cells) > 8:  # else the one coarse cell is the one cell again
+                coarse = coarse or d2([(cells[k][0], cells[min(k + 7, len(cells) - 1)][1]) for k in range(0, len(cells), 8)])
+                if _proves([cover for cover in _q_ends(coarse, q) for _ in range(8)][: len(cells)]):
+                    memberships[q] = Decision(True, len(coarse), 0)  # no g evaluated
+                    continue
             ends = d2(cells)
         memberships[q] = _decide(e, q, xs, cells, ends)
     return memberships
@@ -855,25 +832,25 @@ def _decide(e: Node, q: float, xs: list[float], cells: Cells, ends: list[tuple[f
     the pair (low, high) of |f''| on each cell ((0, inf) where the enclosure
     declines), which _q_ends raises to q.
 
-    Only a pair whose bound is above DEFAULT_TOL can hold a violation
-    (_bound_row), so _walk visits just those pairs, hottest first, with the
-    same cell tests as the scan: a violation that its cell proves reads no
-    g. Its ranking keys the rows from the larger low of g on the two cells
-    that hold each grid point (_point_lows), and reads g at the grid points
-    only when it must build a row; where no key is above DEFAULT_TOL, the
-    decision reads no g, and every cell is finite, so g raises nowhere.
-    g >= 0, so the scan's check for negative values never fires. The
-    pairs with b = inf come first, and they hold every point where g may
-    raise (_walk), so the walk raises where the scan does, with its error.
+    The cells are tried first as the wider covers are (_proves), with no g
+    read. Where they prove nothing, _walk reads g at the grid points, keys
+    the rows from it, and visits just the pairs whose bound is above
+    DEFAULT_TOL, the only ones that can hold a violation (_bound_row),
+    hottest first, with the same cell tests as the scan: a violation that
+    its cell proves reads no g. g >= 0, so the scan's check for negative
+    values never fires. The pairs with b = inf come first, and they hold
+    every point where g may raise (_walk), so the walk raises where the
+    scan does, with its error.
     Once they are all visited, the pair that holds the first violation
     answers False: after it where its b is finite, else after the first
     pair with a finite b, or at the end of the walk. No violation at all,
     or no pair to visit (the ratio lemma's proof), answers True.
     """
     ends = _q_ends(ends, q)
+    if _proves(ends):  # no g evaluated
+        return Decision(True, len(cells), 0)
     # no margin is reported, so top starts at inf, where no margin reaches it; nothing is kept
-    walk = _walk(xs, DEFAULT_GRID_N, cells, ends, _PointMemo(_q_power(e, q)), DEFAULT_TOL, math.inf,
-                 _point_lows(ends), [], 0)
+    walk = _walk(xs, DEFAULT_GRID_N, cells, ends, _PointMemo(_q_power(e, q)), DEFAULT_TOL, math.inf, [], 0)
     pairs = found = 0
     for pairs, (b, _, found) in enumerate(walk, 1):
         if found and b < math.inf:  # every pair where g may raise is visited

@@ -225,16 +225,16 @@ def test_pruning_leaves_every_benchmark_byte_alone(bench_on_path, capsys, monkey
     taken = []
 
     def recording(rank):
-        def recorded(lows, *args):
-            taken.append([len(lows) * (len(lows) + 1) // 2, 0])  # [all pairs, pairs the walk took]
-            for pair in rank(lows, *args):
+        def recorded(gx, *args):
+            taken.append([len(gx) * (len(gx) + 1) // 2, 0])  # [all pairs, pairs the walk took]
+            for pair in rank(gx, *args):
                 taken[-1][1] += 1
                 yield pair
 
         return recorded
 
-    def every_pair(lows, sup, floor, values):  # a bound of inf on every pair: no walk stops early
-        return [(math.inf, i, j) for i in range(len(lows)) for j in range(i, len(lows))]
+    def every_pair(gx, sup, floor):  # a bound of inf on every pair: no walk stops early
+        return [(math.inf, i, j) for i in range(len(gx)) for j in range(i, len(gx))]
 
     ranked_pairs = glbounds.qclass.ranked_pairs
     monkeypatch.setattr(glbounds.qclass, "ranked_pairs", recording(ranked_pairs))
